@@ -280,7 +280,10 @@ func TestConcurrentClientsSharedCache(t *testing.T) {
 		if i%4 >= 2 {
 			adv = `"adversaries":["none","flip"]`
 		}
-		specs[i] = fmt.Sprintf(`{%s,%s,"fs":[2],"reps":2,"base_seed":7}`, extra, adv)
+		// One worker per client: 8 clients then fit maxWorkers on any
+		// GOMAXPROCS, where the default (GOMAXPROCS workers each) is
+		// rejected with 429 on multi-core hosts.
+		specs[i] = fmt.Sprintf(`{%s,%s,"fs":[2],"reps":2,"base_seed":7,"workers":1}`, extra, adv)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(specs))

@@ -133,29 +133,35 @@ func (c *Code) Decode(recv []gf.Elem) ([]gf.Elem, error) {
 
 // interpolateExact treats recv as error-free, interpolates the message from
 // the first k positions, and succeeds only if the re-encoding matches recv
-// exactly.
+// at every other position. The first k points are distinct, so the
+// interpolating polynomial of degree < k is unique; Newton's divided
+// differences find it in O(k^2) field operations.
 func (c *Code) interpolateExact(recv []gf.Elem) ([]gf.Elem, error) {
-	a := gf.NewMatrix(c.f, c.k, c.k)
-	b := make([]gf.Elem, c.k)
-	for i := 0; i < c.k; i++ {
-		x := c.points[i]
-		pw := gf.Elem(1)
-		for j := 0; j < c.k; j++ {
-			a.Set(i, j, pw)
-			pw = c.f.Mul(pw, x)
+	f, k, xs := c.f, c.k, c.points
+	// Divided differences in place: dd[i] becomes f[x_0, ..., x_i].
+	dd := make([]gf.Elem, k)
+	copy(dd, recv[:k])
+	for j := 1; j < k; j++ {
+		for i := k - 1; i >= j; i-- {
+			dd[i] = f.Div(f.Add(dd[i], dd[i-1]), f.Add(xs[i], xs[i-j]))
 		}
-		b[i] = recv[i]
 	}
-	msg, err := gf.SolveLinear(a, b)
-	if err != nil {
-		return nil, err
+	// Expand the Newton form to monomial coefficients by Horner's rule:
+	// p <- p*(x - x_i) + dd[i], with minus equal to plus in characteristic 2.
+	msg := make([]gf.Elem, k)
+	msg[0] = dd[k-1]
+	for i := k - 2; i >= 0; i-- {
+		deg := k - 2 - i // degree of p before this step
+		msg[deg+1] = msg[deg]
+		for d := deg; d >= 1; d-- {
+			msg[d] = f.Add(msg[d-1], f.Mul(xs[i], msg[d]))
+		}
+		msg[0] = f.Add(f.Mul(xs[i], msg[0]), dd[i])
 	}
-	cw, err := c.Encode(msg)
-	if err != nil {
-		return nil, err
-	}
-	if Hamming(cw, recv) != 0 {
-		return nil, ErrDecodeFailure
+	for i := k; i < c.n; i++ {
+		if f.EvalPoly(msg, xs[i]) != recv[i] {
+			return nil, ErrDecodeFailure
+		}
 	}
 	return msg, nil
 }

@@ -177,3 +177,75 @@ func BenchmarkDecodeWithErrors(b *testing.B) {
 		}
 	}
 }
+
+// gaussInterpolate is the reference the Newton fast path replaced: solve the
+// k x k Vandermonde system over the first k points by Gaussian elimination,
+// then accept only if the re-encoding matches recv everywhere.
+func gaussInterpolate(c *Code, recv []gf.Elem) ([]gf.Elem, error) {
+	a := gf.NewMatrix(c.f, c.k, c.k)
+	b := make([]gf.Elem, c.k)
+	for i := 0; i < c.k; i++ {
+		pw := gf.Elem(1)
+		for j := 0; j < c.k; j++ {
+			a.Set(i, j, pw)
+			pw = c.f.Mul(pw, c.points[i])
+		}
+		b[i] = recv[i]
+	}
+	msg, err := gf.SolveLinear(a, b)
+	if err != nil {
+		return nil, err
+	}
+	cw, err := c.Encode(msg)
+	if err != nil {
+		return nil, err
+	}
+	if Hamming(cw, recv) != 0 {
+		return nil, ErrDecodeFailure
+	}
+	return msg, nil
+}
+
+// TestInterpolateExactMatchesGauss: the O(k^2) Newton fast path returns the
+// same message as the Gaussian-elimination solve on codewords, and rejects
+// exactly the words that solve rejects, including k=1 and the correction
+// plan's geometry (n=160, k=79).
+func TestInterpolateExactMatchesGauss(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, nk := range [][2]int{{1, 1}, {5, 1}, {8, 3}, {16, 5}, {16, 16}, {64, 16}, {160, 79}} {
+		c, err := NewCode(testField, nk[0], nk[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 20; trial++ {
+			msg := make([]gf.Elem, c.k)
+			for i := range msg {
+				msg[i] = gf.Elem(rng.Intn(gf.Order16))
+			}
+			recv, err := c.Encode(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trial%2 == 1 { // one symbol error anywhere
+				recv[rng.Intn(c.n)] ^= gf.Elem(1 + rng.Intn(gf.Order16-1))
+			}
+			got, gotErr := c.interpolateExact(recv)
+			want, wantErr := gaussInterpolate(c, recv)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("n=%d k=%d trial %d: newton err %v, gauss err %v", c.n, c.k, trial, gotErr, wantErr)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d k=%d trial %d: symbol %d newton %d, gauss %d", c.n, c.k, trial, i, got[i], want[i])
+				}
+			}
+			if trial%2 == 0 {
+				for i := range msg {
+					if got[i] != msg[i] {
+						t.Fatalf("n=%d k=%d trial %d: clean codeword decoded wrong at %d", c.n, c.k, trial, i)
+					}
+				}
+			}
+		}
+	}
+}

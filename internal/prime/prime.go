@@ -73,10 +73,14 @@ func Inv61(a uint64) uint64 {
 	return Pow61(a, P61-2)
 }
 
-// Mod31 reduces x modulo 2^31-1.
+// Mod31 reduces x modulo 2^31-1. Folding maps P31 to itself, so the loop
+// stops there and the one value congruent to 0 is mapped by hand.
 func Mod31(x uint64) uint64 {
-	for x >= P31 {
+	for x > P31 {
 		x = (x >> 31) + (x & P31)
+	}
+	if x == P31 {
+		return 0
 	}
 	return x
 }

@@ -38,6 +38,12 @@ func TestMod31Quick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// Values whose fold lands exactly on P31 (it once looped forever there).
+	for _, x := range []uint64{P31, 2 * P31, 1<<32 - 2, 1<<62 - 1, 1<<64 - 1, P31 << 31} {
+		if got := Mod31(x); got != x%P31 {
+			t.Errorf("Mod31(%#x) = %d, want %d", x, got, x%P31)
+		}
+	}
 }
 
 func TestInv61(t *testing.T) {

@@ -41,9 +41,10 @@ func GeneralShared(g *graph.Graph, k, depthBound int) *Shared {
 // itself* (padded variant) and assembling the resulting weak packing: the
 // expander application needs no trusted preprocessing. It returns the
 // Shared artifact plus the rounds spent. The inner simulation runs on the
-// default (goroutine) engine; use ExpanderSharedOn to pick one.
+// step engine (results are identical on every engine); use ExpanderSharedOn
+// to pick one.
 func ExpanderShared(g *graph.Graph, k, z, pad int, seed int64, adv congest.Adversary) (*Shared, int, error) {
-	return ExpanderSharedOn(congest.GoroutineEngine{}, g, k, z, pad, seed, adv)
+	return ExpanderSharedOn(congest.StepEngine{}, g, k, z, pad, seed, adv)
 }
 
 // ExpanderSharedOn is ExpanderShared with the inner packing simulation run on

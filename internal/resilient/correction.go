@@ -63,19 +63,14 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 
 	// Local sketches per tree (independent randomness per tree).
 	k := len(s.trees)
+	seeds := treeSeeds(seed, k)
 	locals := make([][]byte, k)
 	for j := 0; j < k; j++ {
-		r := sketch.NewRecovery(treeSeed(seed, j), sparsity)
+		r := sketch.NewRecovery(seeds[j], sparsity)
 		s.localStream(sent, est, r.Update)
 		locals[j] = r.Encode()
 	}
-	merge := func(j int, a, b []byte) []byte {
-		ra := sketch.DecodeRecovery(treeSeed(seed, j), sparsity, a)
-		rb := sketch.DecodeRecovery(treeSeed(seed, j), sparsity, b)
-		ra.Merge(rb)
-		return ra.Encode()
-	}
-	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, merge, s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, wireMerge(sketch.EncodedSize(sparsity)), s.depth, s.cfg.Rep)
 
 	// Root: decode each tree's aggregate and take the across-tree majority
 	// of the canonical correction list.
@@ -86,7 +81,7 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 			if agg == nil {
 				continue
 			}
-			r := sketch.DecodeRecovery(treeSeed(seed, j), sparsity, agg)
+			r := sketch.DecodeRecovery(seeds[j], sparsity, agg)
 			items, ok := r.Decode()
 			if !ok {
 				continue
@@ -132,32 +127,22 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 	k := len(s.trees)
 	t := s.cfg.Samplers
 
+	seeds := samplerSeeds(seed, k, j, t)
 	locals := make([][]byte, k)
 	for ti := 0; ti < k; ti++ {
 		buf := make([]byte, 0, t*sketch.EncodedL0Size)
 		for h := 0; h < t; h++ {
-			sm := sketch.NewL0Sampler(samplerSeed(seed, ti, j, h))
+			sm := sketch.NewL0Sampler(seeds[ti*t+h])
 			s.localStream(sent, est, sm.Update)
 			buf = append(buf, sm.Encode()...)
 		}
 		locals[ti] = buf
 	}
-	merge := func(ti int, a, b []byte) []byte {
-		out := make([]byte, 0, t*sketch.EncodedL0Size)
-		for h := 0; h < t; h++ {
-			off := h * sketch.EncodedL0Size
-			sa := sketch.DecodeL0Sampler(samplerSeed(seed, ti, j, h), sliceAt(a, off, sketch.EncodedL0Size))
-			sb := sketch.DecodeL0Sampler(samplerSeed(seed, ti, j, h), sliceAt(b, off, sketch.EncodedL0Size))
-			sa.Merge(sb)
-			out = append(out, sa.Encode()...)
-		}
-		return out
-	}
-	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, merge, s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, wireMerge(t*sketch.EncodedL0Size), s.depth, s.cfg.Rep)
 
 	var corrMsg []byte
 	if s.isRoot() && seedOK {
-		corrMsg = encodeCorrections(s.rootSelectDominating(rootAggs, seed, j))
+		corrMsg = encodeCorrections(s.rootSelectDominating(rootAggs, seeds, j))
 	} else if s.isRoot() {
 		corrMsg = encodeCorrections(nil)
 	}
@@ -170,8 +155,9 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 
 // rootSelectDominating implements the support threshold of Eq. (8): count
 // how many (tree, sampler) pairs sampled each observed mismatch and keep
-// those above Delta_j, capped to the broadcast capacity.
-func (s *simulator) rootSelectDominating(rootAggs [][]byte, seed uint64, j int) []correction {
+// those above Delta_j, capped to the broadcast capacity. seeds are the
+// iteration's sampler seeds, tree-major.
+func (s *simulator) rootSelectDominating(rootAggs [][]byte, seeds []uint64, j int) []correction {
 	k := len(s.trees)
 	t := s.cfg.Samplers
 	type obs struct {
@@ -186,7 +172,7 @@ func (s *simulator) rootSelectDominating(rootAggs [][]byte, seed uint64, j int) 
 		}
 		anyNonEmpty := false
 		for h := 0; h < t; h++ {
-			sm := sketch.DecodeL0Sampler(samplerSeed(seed, ti, j, h), sliceAt(agg, h*sketch.EncodedL0Size, sketch.EncodedL0Size))
+			sm := sketch.DecodeL0Sampler(seeds[ti*t+h], sliceAt(agg, h*sketch.EncodedL0Size, sketch.EncodedL0Size))
 			if sm.Empty() {
 				continue
 			}
@@ -259,12 +245,32 @@ func sliceAt(b []byte, off, n int) []byte {
 	return b[off:end]
 }
 
-func treeSeed(seed uint64, tree int) uint64 {
-	return sketch.XorFold(seed, uint64(tree)+1)
+// wireMerge is the convergecast merge for sketch images of the given size.
+func wireMerge(size int) rsim.MergeFn {
+	return func(_ int, a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
 }
 
-func samplerSeed(seed uint64, tree, iter, h int) uint64 {
-	return sketch.XorFold(seed, uint64(tree)+1, uint64(iter)+1, uint64(h)+1)
+// treeSeeds derives the k per-tree sketch seeds of one iteration.
+func treeSeeds(seed uint64, k int) []uint64 {
+	fold := sketch.NewXorFolder(seed)
+	out := make([]uint64, k)
+	for j := range out {
+		out[j] = fold.Fold(uint64(j) + 1)
+	}
+	return out
+}
+
+// samplerSeeds derives the t sampler seeds of each of k trees for iteration
+// iter, tree-major: tree ti's sampler h is out[ti*t+h].
+func samplerSeeds(seed uint64, k, iter, t int) []uint64 {
+	fold := sketch.NewXorFolder(seed)
+	out := make([]uint64, 0, k*t)
+	for ti := 0; ti < k; ti++ {
+		for h := 0; h < t; h++ {
+			out = append(out, fold.Fold(uint64(ti)+1, uint64(iter)+1, uint64(h)+1))
+		}
+	}
+	return out
 }
 
 func maxI(a, b int) int {

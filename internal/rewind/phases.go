@@ -252,18 +252,17 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 			}
 		}
 	}
+	fold := sketch.NewXorFolder(seed)
+	seeds := make([]uint64, k)
 	locals := make([][]byte, k)
 	for j := 0; j < k; j++ {
-		r := sketch.NewRecovery(sketch.XorFold(seed, uint64(j)+1), sparsity)
+		seeds[j] = fold.Fold(uint64(j) + 1)
+		r := sketch.NewRecovery(seeds[j], sparsity)
 		stream(r.Update)
 		locals[j] = r.Encode()
 	}
-	merge := func(j int, a, b []byte) []byte {
-		ra := sketch.DecodeRecovery(sketch.XorFold(seed, uint64(j)+1), sparsity, a)
-		rb := sketch.DecodeRecovery(sketch.XorFold(seed, uint64(j)+1), sparsity, b)
-		ra.Merge(rb)
-		return ra.Encode()
-	}
+	size := sketch.EncodedSize(sparsity)
+	merge := func(_ int, a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
 	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, merge, s.depth, s.cfg.Rep)
 
 	// Root: decode per tree, majority across trees, broadcast.
@@ -278,7 +277,7 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 			if agg == nil {
 				continue
 			}
-			r := sketch.DecodeRecovery(sketch.XorFold(seed, uint64(j)+1), sparsity, agg)
+			r := sketch.DecodeRecovery(seeds[j], sparsity, agg)
 			items, ok := r.Decode()
 			if !ok {
 				continue

@@ -89,23 +89,43 @@ func TestCommitterProperties(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTripQuick: frames survive encode/parse for arbitrary
-// sections, and corrupted tails never panic.
+// TestFrameRoundTripQuick: frames survive encode/lookup for arbitrary
+// sections, a repeated tree resolves to its last section, and truncated
+// tails never panic and never yield a section that runs past the cut.
 func TestFrameRoundTripQuick(t *testing.T) {
-	f := func(a, b []byte, cut uint8) bool {
-		if len(a) > 1000 || len(b) > 1000 {
+	f := func(a, b, c []byte, cut uint8) bool {
+		if len(a) > 1000 || len(b) > 1000 || len(c) > 1000 {
 			return true
 		}
 		var frame []byte
 		frame = appendSection(frame, 1, a)
 		frame = appendSection(frame, 2, b)
-		got := parseFrame(frame)
-		if string(got[1]) != string(a) || string(got[2]) != string(b) {
+		if got, ok := section(frame, 1); !ok || string(got) != string(a) {
 			return false
 		}
-		// Truncated frames parse without panicking.
-		if int(cut) < len(frame) {
-			_ = parseFrame(frame[:cut])
+		if got, ok := section(frame, 2); !ok || string(got) != string(b) {
+			return false
+		}
+		if _, ok := section(frame, 3); ok {
+			return false
+		}
+		// Last section for a tree wins.
+		frame = appendSection(frame, 1, c)
+		if got, ok := section(frame, 1); !ok || string(got) != string(c) {
+			return false
+		}
+		// A truncated frame keeps exactly the sections that end before the
+		// cut; the final tree-1 section never fits, so tree 1 falls back to a.
+		if n := int(cut); n < len(frame) {
+			tr := frame[:n]
+			got, ok := section(tr, 1)
+			if ok != (n >= 4+len(a)) || (ok && string(got) != string(a)) {
+				return false
+			}
+			got, ok = section(tr, 2)
+			if ok != (n >= 8+len(a)+len(b)) || (ok && string(got) != string(b)) {
+				return false
+			}
 		}
 		return true
 	}

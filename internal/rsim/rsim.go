@@ -3,24 +3,34 @@
 // protocols the paper actually compiles: pipelined broadcast down a rooted
 // tree and merge-convergecast up it.
 //
-// Substitution (recorded in DESIGN.md): instead of tree codes, values
-// propagate under *commit-threshold* forwarding. A node adopts a value for
-// a tree only after receiving Rep identical copies of it from the relevant
-// neighbour, then retransmits it every remaining round. Corrupting an edge
-// therefore either (i) delays the commit by one round per corruption, or
-// (ii) requires forging Rep identical copies — i.e. controlling the edge
-// outright. With window T = 2*Rep*(depth+1), a tree fails only if the
-// adversary spends about T corruptions on it (mirroring Theorem 3.2's
-// constant-fraction-of-communication threshold), so an f-mobile adversary
-// breaks O(f * eta) of k parallel trees — the Lemma 3.3 guarantee.
+// Substitution (see "Substitutions" in the README): instead of tree codes,
+// values propagate under *commit-threshold* forwarding. A node adopts a
+// value for a tree only after receiving Rep identical copies of it from the
+// relevant neighbour, then retransmits it every remaining round. Corrupting
+// an edge therefore either (i) delays the commit by one round per
+// corruption, or (ii) requires forging Rep identical copies — i.e.
+// controlling the edge outright. With window T = 2*Rep*(depth+1), a tree
+// fails only if the adversary spends about T corruptions on it (mirroring
+// Theorem 3.2's constant-fraction-of-communication threshold), so an
+// f-mobile adversary breaks O(f * eta) of k parallel trees — the Lemma 3.3
+// guarantee.
 //
 // All k trees run concurrently: each physical round, every graph edge
 // carries one frame containing that edge's message for every tree using it,
 // which is exactly the load-eta scheduling of Lemma 3.3 (an adversary
 // corrupting the edge corrupts all eta trees on it, as in the paper).
+//
+// Buffer ownership: each call builds its outgoing frames in one buffer per
+// port and rebuilds them in place every round. That relies on the
+// congest.PortRuntime contract that every engine copies outbox bytes into
+// its round arena at collection. Received frames are arena views, so a
+// committer copies a candidate value out once, before the engine's parity
+// double-buffering rewrites the view.
 package rsim
 
 import (
+	"bytes"
+
 	"mobilecongest/internal/congest"
 	"mobilecongest/internal/graph"
 	"mobilecongest/internal/treepack"
@@ -127,46 +137,90 @@ func appendSection(dst []byte, treeID int, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-func parseFrame(m congest.Msg) map[int][]byte {
-	out := make(map[int][]byte)
+// section returns the payload frame m carries for tree treeID. A frame may
+// repeat a tree (only a corrupted one does); the last section wins. A
+// truncated or corrupted tail ends the scan. The result is a view into m.
+func section(m congest.Msg, treeID int) (payload []byte, ok bool) {
 	i := 0
 	for i+4 <= len(m) {
-		treeID := int(m[i])<<8 | int(m[i+1])
+		id := int(m[i])<<8 | int(m[i+1])
 		l := int(m[i+2])<<8 | int(m[i+3])
 		i += 4
 		if i+l > len(m) {
-			break // truncated/corrupted tail
+			break
 		}
-		out[treeID] = m[i : i+l]
+		if id == treeID {
+			payload, ok = m[i:i+l], true
+		}
 		i += l
 	}
-	return out
+	return payload, ok
+}
+
+// frames holds one outgoing frame per port, rebuilt in place every round
+// (see the package doc for why reuse is safe).
+type frames [][]byte
+
+func (f frames) add(port, treeID int, payload []byte) {
+	f[port] = appendSection(f[port], treeID, payload)
+}
+
+// exchange sends every non-empty frame, returns the round's inbox, and
+// empties the frames for the next round.
+func (f frames) exchange(pr congest.PortRuntime) []congest.Msg {
+	out := pr.OutBuf()
+	for p, fr := range f {
+		if len(fr) > 0 {
+			out[p] = fr
+		}
+	}
+	in := pr.ExchangePorts(out)
+	for p := range f {
+		f[p] = f[p][:0]
+	}
+	return in
 }
 
 // committer tracks copies of candidate values on one (tree, neighbour)
 // stream and commits at the threshold.
 type committer struct {
-	counts    map[string]int
+	cands     []candidate
 	threshold int
 	value     []byte
 	done      bool
 }
 
-func newCommitter(threshold int) *committer {
-	return &committer{counts: make(map[string]int), threshold: threshold}
+// candidate is one distinct value seen on a stream and its copy count.
+type candidate struct {
+	v []byte
+	n int
+}
+
+func newCommitter(threshold int) committer {
+	return committer{threshold: threshold}
 }
 
 // Offer records one received copy and reports whether the stream has
-// committed.
+// committed. v may be a view into an engine arena: a new candidate is copied
+// out once, since the engine rewrites that view two rounds later. The scan
+// is linear in the distinct values seen, and only corruption adds more than
+// one.
 func (c *committer) Offer(v []byte) bool {
 	if c.done {
 		return true
 	}
-	s := string(v)
-	c.counts[s]++
-	if c.counts[s] >= c.threshold {
-		c.value = []byte(s)
+	i := 0
+	for i < len(c.cands) && !bytes.Equal(c.cands[i].v, v) {
+		i++
+	}
+	if i == len(c.cands) {
+		c.cands = append(c.cands, candidate{v: append([]byte{}, v...)})
+	}
+	c.cands[i].n++
+	if c.cands[i].n >= c.threshold {
+		c.value = c.cands[i].v
 		c.done = true
+		c.cands = nil
 	}
 	return c.done
 }
@@ -180,36 +234,34 @@ func (c *committer) Offer(v []byte) bool {
 func BroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
 	pr := congest.Ports(rt)
 	have := make([][]byte, len(trees))
-	commits := make([]*committer, len(trees))
+	commits := make([]committer, len(trees))
 	for j := range trees {
 		if trees[j].Depth == 0 { // root
 			have[j] = payloads[j]
 		}
 		commits[j] = newCommitter(rep)
 	}
+	fr := make(frames, pr.Degree())
 	total := Rounds(depthBound, rep)
 	for r := 0; r < total; r++ {
-		out := pr.OutBuf()
 		for j, tv := range trees {
 			if tv.Depth < 0 || have[j] == nil {
 				continue
 			}
 			for _, c := range tv.Children {
 				if p := pr.Port(c); p >= 0 {
-					out[p] = appendSection(out[p], j, have[j])
+					fr.add(p, j, have[j])
 				}
 			}
 		}
-		in := pr.ExchangePorts(out)
+		in := fr.exchange(pr)
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || have[j] != nil {
 				continue
 			}
 			if p := pr.Port(tv.Parent); p >= 0 && in[p] != nil {
-				if sec, ok2 := parseFrame(in[p])[j]; ok2 {
-					if commits[j].Offer(sec) {
-						have[j] = commits[j].value
-					}
+				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec) {
+					have[j] = commits[j].value
 				}
 			}
 		}
@@ -229,48 +281,49 @@ type MergeFn func(treeIdx int, a, b []byte) []byte
 // called in lock-step by all nodes with equal depthBound and rep.
 func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
 	pr := congest.Ports(rt)
-	type key struct {
-		j     int
-		child graph.NodeID
+	// commits[first[j]+i] tracks child i of tree j.
+	first := make([]int, len(trees)+1)
+	for j, tv := range trees {
+		first[j+1] = first[j]
+		if tv.Depth >= 0 {
+			first[j+1] += len(tv.Children)
+		}
 	}
-	commits := make(map[key]*committer)
+	commits := make([]committer, first[len(trees)])
+	for i := range commits {
+		commits[i] = newCommitter(rep)
+	}
 	ready := make([][]byte, len(trees)) // my complete subtree aggregate
 	for j, tv := range trees {
-		if tv.Depth < 0 {
-			continue
-		}
-		if len(tv.Children) == 0 {
+		if tv.Depth >= 0 && len(tv.Children) == 0 {
 			ready[j] = locals[j]
 		}
-		for _, c := range tv.Children {
-			commits[key{j: j, child: c}] = newCommitter(rep)
-		}
 	}
+	fr := make(frames, pr.Degree())
 	total := Rounds(depthBound, rep)
 	for r := 0; r < total; r++ {
-		out := pr.OutBuf()
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || ready[j] == nil {
 				continue
 			}
 			if p := pr.Port(tv.Parent); p >= 0 {
-				out[p] = appendSection(out[p], j, ready[j])
+				fr.add(p, j, ready[j])
 			}
 		}
-		in := pr.ExchangePorts(out)
+		in := fr.exchange(pr)
 		for j, tv := range trees {
 			if tv.Depth < 0 || ready[j] != nil {
 				continue
 			}
+			cms := commits[first[j]:first[j+1]]
 			allDone := true
-			for _, c := range tv.Children {
-				k := key{j: j, child: c}
-				cm := commits[k]
+			for i, c := range tv.Children {
+				cm := &cms[i]
 				if cm.done {
 					continue
 				}
 				if p := pr.Port(c); p >= 0 && in[p] != nil {
-					if sec, ok2 := parseFrame(in[p])[j]; ok2 {
+					if sec, ok := section(in[p], j); ok {
 						cm.Offer(sec)
 					}
 				}
@@ -280,8 +333,8 @@ func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge
 			}
 			if allDone {
 				acc := locals[j]
-				for _, c := range tv.Children {
-					acc = merge(j, acc, commits[key{j: j, child: c}].value)
+				for i := range cms {
+					acc = merge(j, acc, cms[i].value)
 				}
 				ready[j] = acc
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // Mobile-secure broadcast (Appendix A.2 / Theorem A.4, share-per-tree
-// variant; see the substitution note in DESIGN.md). The source XOR-shares
+// variant; see "Substitutions" in the README). The source XOR-shares
 // its 8-byte secret into k shares, one per tree of a (k, D_TP, eta) packing
 // rooted at the source; Phase 1 equips every edge with enough extracted keys
 // to one-time-pad the downcast of its <= eta shares. An f-mobile

@@ -2,8 +2,8 @@
 // static-to-mobile security compiler of Theorem 1.2 (Section 2), Jain-style
 // secure unicast and its mobile variant (Appendix A.1, Lemma A.3), the
 // mobile-secure broadcast (Appendix A.2, Theorem A.4 in the share-per-tree
-// variant recorded in DESIGN.md), and the congestion-sensitive compiler with
-// perfect mobile security (Appendix A.3, Theorem 1.3).
+// variant; see "Substitutions" in the README), and the congestion-sensitive
+// compiler with perfect mobile security (Appendix A.3, Theorem 1.3).
 //
 // All constructions share one mechanism: Phase-1 rounds exchange fresh
 // uniform field elements over every edge, the Vandermonde extractor of

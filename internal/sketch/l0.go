@@ -13,7 +13,7 @@ import (
 // exactly one-sparse.
 type L0Sampler struct {
 	seed   uint64
-	levels []*OneSparse
+	levels []OneSparse
 	lkey   uint64 // level-assignment PRF key
 }
 
@@ -24,9 +24,9 @@ const l0Levels = 40
 // Samplers merge only when created from equal seeds.
 func NewL0Sampler(seed uint64) *L0Sampler {
 	s := &L0Sampler{seed: seed, lkey: mix64(seed ^ 0x9e3779b97f4a7c15)}
-	s.levels = make([]*OneSparse, l0Levels)
+	s.levels = make([]OneSparse, l0Levels)
 	for i := range s.levels {
-		s.levels[i] = NewOneSparse(seed + uint64(i)*0x2545f4914f6cdd1d)
+		s.levels[i] = oneSparse(seed + uint64(i)*0x2545f4914f6cdd1d)
 	}
 	return s
 }
@@ -54,7 +54,7 @@ func (s *L0Sampler) Update(e Elem, freq int64) {
 // Merge folds another sampler (same seed) into s.
 func (s *L0Sampler) Merge(other *L0Sampler) {
 	for i := range s.levels {
-		s.levels[i].Merge(other.levels[i])
+		s.levels[i].Merge(&other.levels[i])
 	}
 }
 
@@ -76,8 +76,8 @@ func (s *L0Sampler) Query() (Elem, int64, bool) {
 
 // Empty reports whether every level is consistent with an empty support.
 func (s *L0Sampler) Empty() bool {
-	for _, l := range s.levels {
-		if !l.IsEmpty() {
+	for i := range s.levels {
+		if !s.levels[i].IsEmpty() {
 			return false
 		}
 	}
@@ -87,8 +87,8 @@ func (s *L0Sampler) Empty() bool {
 // Encode serializes the sampler (32 bytes per level).
 func (s *L0Sampler) Encode() []byte {
 	out := make([]byte, 0, 32*len(s.levels))
-	for _, l := range s.levels {
-		out = append(out, l.Encode()...)
+	for i := range s.levels {
+		out = s.levels[i].appendTo(out)
 	}
 	return out
 }
@@ -98,16 +98,7 @@ func (s *L0Sampler) Encode() []byte {
 func DecodeL0Sampler(seed uint64, data []byte) *L0Sampler {
 	s := NewL0Sampler(seed)
 	for i := range s.levels {
-		off := 32 * i
-		var chunk []byte
-		if off < len(data) {
-			end := off + 32
-			if end > len(data) {
-				end = len(data)
-			}
-			chunk = data[off:end]
-		}
-		s.levels[i] = DecodeOneSparse(seed+uint64(i)*0x2545f4914f6cdd1d, chunk)
+		s.levels[i].load(data, 32*i)
 	}
 	return s
 }
@@ -115,9 +106,19 @@ func DecodeL0Sampler(seed uint64, data []byte) *L0Sampler {
 // EncodedL0Size is the wire size of an encoded sampler.
 const EncodedL0Size = 32 * l0Levels
 
-// XorFold derives auxiliary seeds; exported for the compilers that must
-// derive per-(tree, iteration, sampler) seeds from one broadcast seed.
-func XorFold(seed uint64, parts ...uint64) uint64 {
-	h := hashfam.NewFingerprint(seed)
-	return prime.Mod61(h.Hash64(parts))
+// XorFolder derives auxiliary seeds from one broadcast seed, for the
+// compilers that need per-(tree, iteration, sampler) seeds. It draws the
+// underlying fingerprint once, so deriving many seeds costs one draw.
+type XorFolder struct {
+	fp hashfam.Fingerprint
+}
+
+// NewXorFolder draws the fingerprint for seed.
+func NewXorFolder(seed uint64) XorFolder {
+	return XorFolder{fp: hashfam.NewFingerprint(seed)}
+}
+
+// Fold derives the auxiliary seed for parts.
+func (x XorFolder) Fold(parts ...uint64) uint64 {
+	return prime.Mod61(x.fp.Hash64(parts))
 }

@@ -10,7 +10,11 @@
 // exceeds the element range, so one-sparse recovery is exact.
 package sketch
 
-import "mobilecongest/internal/prime"
+import (
+	"encoding/binary"
+
+	"mobilecongest/internal/prime"
+)
 
 // Elem is a stream element: the integer Hi*2^64 + Lo, which must stay below
 // P61*P31 (~2^92). Pack enforces the range.
@@ -98,7 +102,14 @@ type OneSparse struct {
 // NewOneSparse creates an empty triple using fingerprint randomness seed.
 // Sketches can only be merged when built from the same seed.
 func NewOneSparse(seed uint64) *OneSparse {
-	return &OneSparse{key: mix64(seed ^ 0xa0761d6478bd642f)}
+	o := oneSparse(seed)
+	return &o
+}
+
+// oneSparse is NewOneSparse by value, for the sketches that store their
+// triples in flat slices.
+func oneSparse(seed uint64) OneSparse {
+	return OneSparse{key: mix64(seed ^ 0xa0761d6478bd642f)}
 }
 
 // Update adds element e with frequency freq (typically ±1).
@@ -175,12 +186,15 @@ func (o *OneSparse) Decode() (Elem, int64, bool) {
 // Encode serializes the triple to a fixed 32-byte wire format (seedless —
 // both endpoints already share the seed).
 func (o *OneSparse) Encode() []byte {
-	buf := make([]byte, 0, 32)
-	buf = appendU64(buf, uint64(o.count))
-	buf = appendU64(buf, o.s61)
-	buf = appendU64(buf, o.s31)
-	buf = appendU64(buf, o.tag)
-	return buf
+	return o.appendTo(make([]byte, 0, 32))
+}
+
+// appendTo appends the 32-byte wire triple to b.
+func (o *OneSparse) appendTo(b []byte) []byte {
+	b = appendU64(b, uint64(o.count))
+	b = appendU64(b, o.s61)
+	b = appendU64(b, o.s31)
+	return appendU64(b, o.tag)
 }
 
 // DecodeOneSparse parses a wire triple created with the same seed. Short or
@@ -189,21 +203,48 @@ func (o *OneSparse) Encode() []byte {
 // sketch.
 func DecodeOneSparse(seed uint64, data []byte) *OneSparse {
 	o := NewOneSparse(seed)
-	o.count = int64(readU64(data, 0))
-	o.s61 = prime.Mod61(readU64(data, 8))
-	o.s31 = prime.Mod31(readU64(data, 16))
-	o.tag = prime.Mod61(readU64(data, 24))
+	o.load(data, 0)
 	return o
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	for i := 7; i >= 0; i-- {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
+// load reads o's sums from the wire triple at data[off:off+32]; bytes past
+// the end of data read as zero.
+func (o *OneSparse) load(data []byte, off int) {
+	o.count = int64(readU64(data, off))
+	o.s61 = prime.Mod61(readU64(data, off+8))
+	o.s31 = prime.Mod31(readU64(data, off+16))
+	o.tag = prime.Mod61(readU64(data, off+24))
 }
 
+// MergeEncoded adds two encoded sketch images triple by triple and returns
+// the size-byte image of the sum. The result is byte for byte the encoding
+// of the decoded images merged, for any shared seed: merging adds the sums
+// and never reads the fingerprint keys, so it needs no seed. size is
+// EncodedSize(s) for Recovery images, EncodedL0Size (times the number of
+// concatenated samplers) for L0Sampler ones. Short or nil images read as
+// zero-padded, as the decoders read them.
+func MergeEncoded(a, b []byte, size int) []byte {
+	out := make([]byte, 0, size)
+	var x, y OneSparse
+	for off := 0; off+32 <= size; off += 32 {
+		x.load(a, off)
+		y.load(b, off)
+		x.Merge(&y)
+		out = x.appendTo(out)
+	}
+	return out
+}
+
+func appendU64(b []byte, v uint64) []byte {
+	return binary.BigEndian.AppendUint64(b, v)
+}
+
+// readU64 reads the big-endian word at b[off:off+8]; bytes past the end of b
+// read as zero.
 func readU64(b []byte, off int) uint64 {
+	if off+8 <= len(b) {
+		return binary.BigEndian.Uint64(b[off:])
+	}
 	var v uint64
 	for i := 0; i < 8; i++ {
 		v <<= 8

@@ -10,7 +10,7 @@ type Recovery struct {
 	seed    uint64
 	rows    int
 	width   int
-	buckets [][]*OneSparse
+	buckets []OneSparse // row-major: bucket (i, j) at i*width+j
 	rowKey  []uint64
 }
 
@@ -24,13 +24,12 @@ func NewRecovery(seed uint64, s int) *Recovery {
 	rows := 6
 	width := 2 * s
 	r := &Recovery{seed: seed, rows: rows, width: width}
-	r.buckets = make([][]*OneSparse, rows)
+	r.buckets = make([]OneSparse, rows*width)
 	r.rowKey = make([]uint64, rows)
+	for b := range r.buckets {
+		r.buckets[b] = oneSparse(seed ^ (uint64(b+1) * 0x9e3779b97f4a7c15))
+	}
 	for i := 0; i < rows; i++ {
-		r.buckets[i] = make([]*OneSparse, width)
-		for j := 0; j < width; j++ {
-			r.buckets[i][j] = NewOneSparse(seed ^ (uint64(i*width+j+1) * 0x9e3779b97f4a7c15))
-		}
 		r.rowKey[i] = mix64(seed ^ (uint64(i+1) * 0xc2b2ae3d27d4eb4f))
 	}
 	return r
@@ -46,16 +45,14 @@ func (r *Recovery) bucketOf(row int, e Elem) int {
 // Update adds element e with frequency freq.
 func (r *Recovery) Update(e Elem, freq int64) {
 	for i := 0; i < r.rows; i++ {
-		r.buckets[i][r.bucketOf(i, e)].Update(e, freq)
+		r.buckets[i*r.width+r.bucketOf(i, e)].Update(e, freq)
 	}
 }
 
 // Merge folds another sketch (same seed and sparsity) into r.
 func (r *Recovery) Merge(other *Recovery) {
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.width; j++ {
-			r.buckets[i][j].Merge(other.buckets[i][j])
-		}
+	for b := range r.buckets {
+		r.buckets[b].Merge(&other.buckets[b])
 	}
 }
 
@@ -74,33 +71,24 @@ func (r *Recovery) Decode() (items []Item, ok bool) {
 	work.Merge(r)
 	for iter := 0; iter <= 4*r.width*r.rows; iter++ {
 		progressed := false
-		for i := 0; i < work.rows && !progressed; i++ {
-			for j := 0; j < work.width && !progressed; j++ {
-				b := work.buckets[i][j]
-				if b.IsEmpty() {
-					continue
-				}
-				e, f, decOK := b.Decode()
-				if !decOK {
-					continue
-				}
-				items = append(items, Item{E: e, Freq: f})
-				work.Update(e, -f)
-				progressed = true
+		for b := range work.buckets {
+			if work.buckets[b].IsEmpty() {
+				continue
 			}
+			e, f, decOK := work.buckets[b].Decode()
+			if !decOK {
+				continue
+			}
+			items = append(items, Item{E: e, Freq: f})
+			work.Update(e, -f)
+			progressed = true
+			break
 		}
 		if !progressed {
 			break
 		}
 	}
-	for i := 0; i < work.rows; i++ {
-		for j := 0; j < work.width; j++ {
-			if !work.buckets[i][j].IsEmpty() {
-				return items, false
-			}
-		}
-	}
-	return items, true
+	return items, work.nonEmpty() == 0
 }
 
 // ResidualBuckets returns how many buckets stay non-empty after peeling —
@@ -114,12 +102,15 @@ func (r *Recovery) ResidualBuckets() int {
 			work.Update(it.E, -it.Freq)
 		}
 	}
+	return work.nonEmpty()
+}
+
+// nonEmpty counts the buckets not consistent with an empty support.
+func (r *Recovery) nonEmpty() int {
 	n := 0
-	for i := 0; i < work.rows; i++ {
-		for j := 0; j < work.width; j++ {
-			if !work.buckets[i][j].IsEmpty() {
-				n++
-			}
+	for b := range r.buckets {
+		if !r.buckets[b].IsEmpty() {
+			n++
 		}
 	}
 	return n
@@ -127,11 +118,9 @@ func (r *Recovery) ResidualBuckets() int {
 
 // Encode serializes the sketch: rows*width one-sparse triples of 32 bytes.
 func (r *Recovery) Encode() []byte {
-	out := make([]byte, 0, 32*r.rows*r.width)
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.width; j++ {
-			out = append(out, r.buckets[i][j].Encode()...)
-		}
+	out := make([]byte, 0, 32*len(r.buckets))
+	for b := range r.buckets {
+		out = r.buckets[b].appendTo(out)
 	}
 	return out
 }
@@ -148,21 +137,8 @@ func EncodedSize(s int) int {
 // sparsity. Corrupted bytes yield a garbage (but well-formed) sketch.
 func DecodeRecovery(seed uint64, s int, data []byte) *Recovery {
 	r := NewRecovery(seed, s)
-	idx := 0
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.width; j++ {
-			off := 32 * idx
-			var chunk []byte
-			if off < len(data) {
-				end := off + 32
-				if end > len(data) {
-					end = len(data)
-				}
-				chunk = data[off:end]
-			}
-			r.buckets[i][j] = DecodeOneSparse(r.seed^(uint64(i*r.width+j+1)*0x9e3779b97f4a7c15), chunk)
-			idx++
-		}
+	for b := range r.buckets {
+		r.buckets[b].load(data, 32*b)
 	}
 	return r
 }

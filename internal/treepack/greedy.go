@@ -13,7 +13,7 @@ import (
 // packing). The distributed min-cost shallow-tree subroutine of Ghaffari
 // (Lemma C.1) is substituted by a centralized depth-bounded lightest-path
 // tree (hop-limited Bellman-Ford), which is its own O(1)-approximation on
-// the instances here; DESIGN.md records the substitution.
+// the instances here; the README's "Substitutions" section records it.
 
 // GreedyLowDepth packs k trees of depth at most depthBound rooted at root,
 // greedily minimizing exponential load costs. etaGuess calibrates the cost

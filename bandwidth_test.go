@@ -40,10 +40,10 @@ func TestScenarioWithBandwidth(t *testing.T) {
 // Record.Bandwidth, and carries violations as per-cell record errors rather
 // than aborting the sweep.
 func TestPlanBandwidthAxis(t *testing.T) {
-	proto := func(g *Graph) Protocol { return algorithms.FloodMax(2) } // 64-bit payloads
+	// The default workload floods 64-bit payloads.
 	mk := func(axes ...Axis) []Record {
 		t.Helper()
-		recs, err := Plan{Axes: axes, BaseSeed: 42, DefaultProtocol: proto}.Run(context.Background())
+		recs, err := Plan{Axes: axes, BaseSeed: 42}.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,9 +118,7 @@ func BenchmarkProtocol(b *testing.B) {
 // BenchmarkPlanOverhead pins the per-cell scheduling cost of the sweep
 // substrate: 64 tiny cells (clique4, 2-round floodmax) so the scenario
 // runs are nearly free and the expansion + dispatch + record plumbing
-// dominates. "plan" is the new primary path; "sweep" is the legacy Grid
-// wrapper lowering onto it — the delta is the wrapper's own cost, and the
-// absolute numbers guard the per-cell overhead of the sweep machinery.
+// dominates; the numbers guard the per-cell overhead of the plan machinery.
 func BenchmarkPlanOverhead(b *testing.B) {
 	const cells = 64
 	b.Run("plan", func(b *testing.B) {
@@ -135,19 +133,6 @@ func BenchmarkPlanOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			recs, err := plan.Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(recs) != cells {
-				b.Fatalf("got %d records", len(recs))
-			}
-		}
-	})
-	b.Run("sweep", func(b *testing.B) {
-		grid := mc.Grid{Topologies: []string{"clique"}, Ns: []int{4}, Reps: cells, BaseSeed: 1}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			recs, err := mc.Sweep(grid)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	mc "mobilecongest"
-	"mobilecongest/internal/algorithms"
 )
 
 // threeAxisPlan is the shared fixture for the cache equivalence tests: a
@@ -147,15 +146,12 @@ func TestPlanCacheErrorRecordsBypass(t *testing.T) {
 }
 
 // TestPlanCacheIneligibleCells: plans whose behavior the content address
-// cannot name — per-cell Observers, a DefaultProtocol closure, VaryFunc
-// custom axes — never consult or fill the cache.
+// cannot name — per-cell Observers, VaryFunc custom axes — never consult or
+// fill the cache.
 func TestPlanCacheIneligibleCells(t *testing.T) {
 	cases := map[string]func(*mc.Plan){
 		"observers": func(p *mc.Plan) {
 			p.Observers = func(string) []mc.Observer { return nil }
-		},
-		"default-protocol": func(p *mc.Plan) {
-			p.DefaultProtocol = func(g *mc.Graph) mc.Protocol { return algorithms.FloodMax(2) }
 		},
 		"varyfunc": func(p *mc.Plan) {
 			p.Axes = append(p.Axes, mc.VaryFunc("mode", []string{"a"}, func(*mc.Scenario, string) {}))

@@ -53,6 +53,26 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// Connection timeouts. Without readHeaderTimeout a client that never
+// finishes its request headers holds a connection forever; idleTimeout
+// closes keep-alive connections left unused between requests. There is
+// deliberately no write timeout: a sweep streams records for as long as it
+// runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the listening server for h on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // run is the testable entry point: it parses args, serves until SIGINT or
 // SIGTERM, and writes to the given streams instead of the process globals.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -90,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxWorkers: *maxWorkers,
 		maxCells:   *maxCells,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.handler()}
+	httpSrv := newHTTPServer(*addr, srv.handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -331,3 +331,24 @@ func TestConcurrentClientsSharedCache(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHTTPServerTimeouts: the listening server bounds header reads and idle
+// keep-alive connections, leaves streamed responses unbounded, and serves
+// the sweep handler it was built with.
+func TestHTTPServerTimeouts(t *testing.T) {
+	h := newServer(serverConfig{cache: mc.NewResultCache(0), maxSweeps: 1}).handler()
+	hs := newHTTPServer(":0", h)
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadHeaderTimeout > time.Minute {
+		t.Errorf("ReadHeaderTimeout = %v, want a positive bound of at most a minute", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout < time.Minute {
+		t.Errorf("IdleTimeout = %v, want at least a minute so steady keep-alive clients keep their connections", hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; want both unset so long sweeps and bodies are not cut off",
+			hs.WriteTimeout, hs.ReadTimeout)
+	}
+	if hs.Addr != ":0" || hs.Handler == nil {
+		t.Errorf("server built with Addr %q, Handler %v", hs.Addr, hs.Handler)
+	}
+}

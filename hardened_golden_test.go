@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/hardened_clique_golden.txt from the current code")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files from the current code")
 
 const hardenedGoldenFile = "testdata/hardened_clique_golden.txt"
 
@@ -50,16 +50,23 @@ func TestHardenedCliqueGolden(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, hardenedGoldenFile, got)
+}
+
+// checkGolden compares got line by line with the golden file at path, or
+// rewrites the file from got under -update-golden.
+func checkGolden(t *testing.T, path string, got []string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(hardenedGoldenFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	fh, err := os.Open(hardenedGoldenFile)
+	fh, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +80,11 @@ func TestHardenedCliqueGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Fatalf("golden has %d cells, test ran %d", len(want), len(got))
+		t.Fatalf("%s has %d lines, test produced %d", path, len(want), len(got))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("cell %d:\n got %s\nwant %s", i, got[i], want[i])
+			t.Errorf("%s line %d:\n got %s\nwant %s", path, i+1, got[i], want[i])
 		}
 	}
 }

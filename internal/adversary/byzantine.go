@@ -180,13 +180,12 @@ func (b *Byzantine) Intercept(round int, tr *congest.RoundTraffic) {
 		fwd, bwd := tr.Get(sf), tr.Get(sb)
 		nf, nb := b.corrupt(b.rng, round, e, fwd, bwd)
 		changed := false
-		// msgEq deliberately treats nil and empty alike, as the legacy map
-		// path did: dropping a silent direction (or "injecting" an empty
-		// message) is a no-op, not a budget spend. Writes on edges the
-		// selector picked outside the graph (sf/sb == -1, possible with
-		// SelectFixed's user-supplied lists) go through SetEdge, which turns
-		// them into the run-aborting non-edge injection error rather than a
-		// panic, exactly like the legacy map path.
+		// msgEq deliberately treats nil and empty alike: dropping a silent
+		// direction (or "injecting" an empty message) is a no-op, not a
+		// budget spend. Writes on edges the selector picked outside the
+		// graph (sf/sb == -1, possible with SelectFixed's user-supplied
+		// lists) go through SetEdge, which turns them into the run-aborting
+		// non-edge injection error rather than a panic.
 		if !msgEq(nf, fwd) {
 			changed = true
 			if sf >= 0 {

@@ -103,7 +103,7 @@ func Compile(payload congest.Protocol, f int) congest.Protocol {
 			panic(fmt.Sprintf("ccpath: cover has K=%d paths, cannot defend f=%d", sh.Cover.K, f))
 		}
 		sim := &simulator{rt: rt, pr: congest.Ports(rt), sh: sh, f: f}
-		w := &congest.WrappedRuntime{Base: rt, ExchangeFn: sim.exchange, ShadowShared: sh.Payload}
+		w := &congest.WrappedRuntime{Base: rt, ExchangePortsFn: sim.exchange, ShadowShared: sh.Payload}
 		payload(w)
 	}
 }
@@ -115,15 +115,16 @@ type simulator struct {
 	f  int
 }
 
-// exchange simulates one payload round (Theorem 5.5's per-round protocol).
-// The pipelined window rounds run on the port boundary.
-func (s *simulator) exchange(out map[graph.NodeID]congest.Msg) map[graph.NodeID]congest.Msg {
+// exchange simulates one payload round (Theorem 5.5's per-round protocol)
+// for the payload's port outbox, returning its port inbox. The pipelined
+// window rounds run on the port boundary.
+func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 	pr := s.pr
 	me := s.rt.ID()
 	g := s.sh.G
 	window := s.sh.WindowRounds(s.f)
 	dilation := s.sh.Cover.Dilation
-	result := make(map[graph.NodeID]congest.Msg)
+	result := make([]congest.Msg, pr.Degree())
 
 	for cls := 0; cls < s.sh.Cover.NumColors; cls++ {
 		myHops := s.sh.hops[cls][me]
@@ -144,7 +145,11 @@ func (s *simulator) exchange(out map[graph.NodeID]congest.Msg) map[graph.NodeID]
 					// (explicit empty marker so silent edges still flood).
 					fl := flows[h.flowID]
 					e := g.Edges()[fl.edgeIdx]
-					m = encodePayload(out[e.Other(me)])
+					var payload congest.Msg
+					if p := pr.Port(e.Other(me)); p < len(out) {
+						payload = out[p]
+					}
+					m = encodePayload(payload)
 				} else {
 					m = relay[h.flowID]
 				}
@@ -204,7 +209,7 @@ func (s *simulator) exchange(out map[graph.NodeID]congest.Msg) map[graph.NodeID]
 			best, bestCnt := vote.Winner(vs)
 			if 2*bestCnt > total {
 				if dec := decodePayload([]byte(best)); dec != nil {
-					result[sender] = dec
+					result[pr.Port(sender)] = dec
 				}
 			}
 		}

@@ -21,16 +21,14 @@
 // reusable per-node []Msg slices resolved out of the run's round arenas —
 // the fault-free hot path allocates no per-round maps or slices at all. The map
 // Exchange survives as a compat wrapper over ports (outbox folded up front,
-// inbox map materialized lazily per call). On the adversary side the
-// boundary is likewise slot-native: adversaries read and mutate the round
-// through a RoundTraffic view indexed by edge slot, and the map form of a
-// round's traffic survives only as a legacy view, materialized lazily when
-// a map-based TrafficAdversary (via AdaptTraffic) or an observer asks for
-// it. Run-level measurement is pluggable via the Observer pipeline
-// (Config.Observers); the engine's own statistics are a StatsObserver it
-// installs itself. Repeated runs over the same graph can reuse a RunContext
-// (see ContextRunner), amortizing the layout, round buffers, port slabs,
-// node cores, and RNG state across runs.
+// inbox map materialized lazily per call). On the adversary side,
+// adversaries read and mutate the round through a RoundTraffic view indexed
+// by edge slot, and observers read the delivered round through a RoundView
+// over the same buffer; neither ever sees a map. Run-level measurement is
+// pluggable via the Observer pipeline (Config.Observers); the engine's own
+// statistics are a StatsObserver it installs itself. Repeated runs over the
+// same graph can reuse a RunContext (see ContextRunner), amortizing the
+// layout, round buffers, port slabs, node cores, and RNG state across runs.
 //
 // The model is KT1: every node knows n, its own ID, and the IDs of its
 // neighbours. Nodes hold private randomness the adversary cannot see.
@@ -39,7 +37,6 @@ package congest
 import (
 	"errors"
 	"math/rand"
-	"sort"
 
 	"mobilecongest/internal/graph"
 )
@@ -63,44 +60,25 @@ func (m Msg) Clone() Msg {
 	return c
 }
 
-// Traffic is the set of directed messages exchanged in a single round.
+// Traffic is a round's directed messages as a map — the input form of the
+// free-standing RoundTraffic harness (NewRoundTraffic, Delivered) for
+// exercising an Adversary outside an engine. Runs never build one.
 type Traffic map[graph.DirEdge]Msg
-
-// Clone deep-copies a traffic map.
-func (t Traffic) Clone() Traffic {
-	c := make(Traffic, len(t))
-	for k, v := range t {
-		c[k] = v.Clone()
-	}
-	return c
-}
-
-// SortedEdges returns the directed edges of t in deterministic order, so
-// adversaries and tests can iterate reproducibly.
-func (t Traffic) SortedEdges() []graph.DirEdge {
-	edges := make([]graph.DirEdge, 0, len(t))
-	for e := range t {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	return edges
-}
 
 // Adversary intercepts each round's traffic. Implementations may observe
 // (eavesdroppers) or modify/inject (byzantine). The engine enforces the edge
 // budget declared through PerRoundBudget or TotalBudget.
 //
-// This is the slot-native interface: the adversary reads and writes the
-// round's directed messages by slot through a RoundTraffic view over the
-// run's flat edge layout, so the adversarial hot path never materializes a
-// map. Adversaries written against the legacy map form (Intercept(round,
-// Traffic) Traffic) implement TrafficAdversary instead and are installed via
-// the AdaptTraffic compat adapter.
+// The adversary reads and writes the round's directed messages by slot
+// through a RoundTraffic view over the run's flat edge layout, so the
+// adversarial hot path never builds a map.
+//
+// A wrapper around another adversary (a timer, a logger) may implement
+// Unwrap() any, returning the adversary it wraps. The engine then looks up
+// the budget (PerRoundBudget, TotalBudget) and RunResetter declarations on
+// what Unwrap returns instead of on the wrapper, so wrapping changes neither
+// the enforced budget nor the per-run reset. Without Unwrap the engine looks
+// them up on the adversary itself.
 type Adversary interface {
 	// Intercept receives the round number and the round's traffic. The view
 	// is read/write: Get reads a slot's message, Set overrides it (the
@@ -109,18 +87,6 @@ type Adversary interface {
 	// from the view are shared with the engine's round buffer and must not
 	// be mutated in place — corrupt by Setting a modified clone.
 	Intercept(round int, tr *RoundTraffic)
-}
-
-// TrafficAdversary is the legacy map-based adversary interface: Intercept
-// receives the round's traffic as a map and returns the traffic to deliver.
-// The input is read-only: neither the map nor the Msg payloads it holds may
-// be mutated in place — messages are shared with the engine's internal round
-// buffer, so in-place edits bypass the delivery diff and corrupt silently,
-// outside any budget accounting. Corrupt by returning a modified clone
-// (Traffic.Clone deep-copies payloads), or the very map received if
-// unchanged. Install one with AdaptTraffic.
-type TrafficAdversary interface {
-	Intercept(round int, tr Traffic) Traffic
 }
 
 // RunResetter is implemented by adversaries that carry per-run mutable state

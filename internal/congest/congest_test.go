@@ -142,23 +142,20 @@ func TestInputsOutputs(t *testing.T) {
 	}
 }
 
-// corruptAll is a misbehaving map-based adversary claiming budget 1 but
-// touching everything; it runs through the AdaptTraffic compat adapter,
-// which must surface its budget declaration to the engine.
+// corruptAll is a misbehaving adversary claiming budget 1 but touching
+// everything.
 type corruptAll struct{}
 
-func (corruptAll) Intercept(_ int, tr Traffic) Traffic {
-	out := tr.Clone()
-	for e := range out {
-		out[e] = U64Msg(0xdeadbeef)
+func (corruptAll) Intercept(_ int, tr *RoundTraffic) {
+	for s := range tr.All() {
+		tr.Set(s, U64Msg(0xdeadbeef))
 	}
-	return out
 }
 func (corruptAll) PerRoundEdges() int { return 1 }
 
 func TestBudgetEnforced(t *testing.T) {
 	g := graph.Clique(4)
-	_, err := Run(Config{Graph: g, Seed: 1, Adversary: AdaptTraffic(corruptAll{})}, floodMax(2))
+	_, err := Run(Config{Graph: g, Seed: 1, Adversary: corruptAll{}}, floodMax(2))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -167,10 +164,8 @@ func TestBudgetEnforced(t *testing.T) {
 // injector delivers a forged message on an edge that carried nothing.
 type injector struct{ edge graph.DirEdge }
 
-func (a injector) Intercept(_ int, tr Traffic) Traffic {
-	out := tr.Clone()
-	out[a.edge] = U64Msg(999)
-	return out
+func (a injector) Intercept(_ int, tr *RoundTraffic) {
+	tr.SetEdge(a.edge, U64Msg(999))
 }
 func (a injector) PerRoundEdges() int { return 1 }
 
@@ -187,7 +182,7 @@ func TestInjectionOnSilentEdge(t *testing.T) {
 		rt.SetOutput(uint64(0))
 	}
 	adv := injector{edge: graph.DirEdge{From: 0, To: 1}}
-	res, err := Run(Config{Graph: g, Seed: 1, Adversary: AdaptTraffic(adv)}, silent)
+	res, err := Run(Config{Graph: g, Seed: 1, Adversary: adv}, silent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,17 +243,28 @@ func TestStatsCongestion(t *testing.T) {
 	}
 }
 
+// doubledExchange is a compiler-style payload round that costs two physical
+// rounds: the payload's traffic, then a silent round. The first round's
+// inbox is copied out before the second exchange reuses the engine's.
+func doubledExchange(pr PortRuntime) func(out []Msg) []Msg {
+	return func(out []Msg) []Msg {
+		in := pr.ExchangePorts(out)
+		kept := make([]Msg, len(in))
+		for p, m := range in {
+			kept[p] = m.Clone()
+		}
+		pr.ExchangePorts(nil)
+		return kept
+	}
+}
+
 func TestWrappedRuntime(t *testing.T) {
 	g := graph.Path(2)
 	// The wrapper doubles every exchange: payload sees one virtual round
 	// per two physical rounds.
 	proto := func(rt Runtime) {
 		w := &WrappedRuntime{Base: rt}
-		w.ExchangeFn = func(out map[graph.NodeID]Msg) map[graph.NodeID]Msg {
-			in := rt.Exchange(out)
-			rt.Exchange(map[graph.NodeID]Msg{})
-			return in
-		}
+		w.ExchangePortsFn = doubledExchange(Ports(rt))
 		payload := func(v Runtime) {
 			out := map[graph.NodeID]Msg{}
 			for _, nb := range v.Neighbors() {

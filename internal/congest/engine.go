@@ -257,8 +257,6 @@ func newRunCore(rc *RunContext, cfg Config) (*runCore, error) {
 		rc.cur.arenas[1].reserve(hint)
 	}
 	if adv := cfg.Adversary; adv != nil {
-		// Budget and run-reset declarations live on the wrapped adversary
-		// when a compat adapter is installed.
 		owner := unwrapAdversary(adv)
 		c.perRound, _ = owner.(PerRoundBudget)
 		c.total, _ = owner.(TotalBudget)
@@ -267,6 +265,16 @@ func newRunCore(rc *RunContext, cfg Config) (*runCore, error) {
 		}
 	}
 	return c, nil
+}
+
+// unwrapAdversary returns the adversary the budget and run-reset interfaces
+// are looked up on: Unwrap's result for wrappers that declare it (see
+// Adversary), the adversary itself otherwise.
+func unwrapAdversary(a Adversary) any {
+	if u, ok := a.(interface{ Unwrap() any }); ok {
+		return u.Unwrap()
+	}
+	return a
 }
 
 // newNodeCores derives the per-node state; see RunContext.nodeCores.
@@ -378,8 +386,7 @@ func (c *runCore) intercept() (*roundBuffer, []graph.Edge, error) {
 // checks abort only on strictly exceeding the budget — an adversary landing
 // exactly on its TotalBudget is within its rights and must complete the run
 // with CorruptedEdgeRounds equal to the budget. A non-edge injection
-// (possible only through the map-compat adapter) aborts after the budget
-// verdict, as the legacy map path did.
+// (possible only through SetEdge) aborts after the budget verdict.
 //
 //mobilevet:coldpath adversarial boundary; fault-free rounds return before it
 func (c *runCore) interceptAdversary() (*roundBuffer, []graph.Edge, error) {

@@ -140,7 +140,7 @@ func TestEnginesEarlyTermination(t *testing.T) {
 func TestEnginesBudgetEnforced(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
 		g := graph.Clique(4)
-		_, err := e.Run(Config{Graph: g, Seed: 1, Adversary: AdaptTraffic(corruptAll{})}, floodMax(2))
+		_, err := e.Run(Config{Graph: g, Seed: 1, Adversary: corruptAll{}}, floodMax(2))
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 		}
@@ -183,7 +183,7 @@ func TestEnginesEquivalence(t *testing.T) {
 	}
 	advs := map[string]Adversary{
 		"none":     nil,
-		"injector": AdaptTraffic(injector{edge: graph.DirEdge{From: 0, To: 1}}),
+		"injector": injector{edge: graph.DirEdge{From: 0, To: 1}},
 	}
 	for pname, proto := range protos {
 		for gname, g := range graphs {
@@ -212,24 +212,22 @@ func TestEnginesEquivalence(t *testing.T) {
 }
 
 // spendExactly is a total-budget adversary that corrupts exactly one fixed
-// edge per round for its first `total` rounds and afterwards returns the very
-// traffic map it was given, unchanged — the regression shape for the budget
-// accounting: landing exactly on TotalEdgeRounds is within budget, and the
-// post-exhaustion identity rounds must not be counted as touches.
+// edge per round for its first `total` rounds and afterwards leaves the
+// round untouched — the regression shape for the budget accounting: landing
+// exactly on TotalEdgeRounds is within budget, and the post-exhaustion
+// untouched rounds must not be counted as touches.
 type spendExactly struct {
 	total int
 	edge  graph.DirEdge
 	spent int
 }
 
-func (a *spendExactly) Intercept(round int, tr Traffic) Traffic {
+func (a *spendExactly) Intercept(round int, tr *RoundTraffic) {
 	if a.spent >= a.total {
-		return tr
+		return
 	}
-	out := tr.Clone()
-	out[a.edge] = U64Msg(uint64(0xBAD0BAD0) + uint64(round))
+	tr.SetEdge(a.edge, U64Msg(uint64(0xBAD0BAD0)+uint64(round)))
 	a.spent++
-	return out
 }
 
 func (a *spendExactly) TotalEdgeRounds() int { return a.total }
@@ -238,7 +236,7 @@ func TestTotalBudgetExactLandingAllowed(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
 		g := graph.Cycle(6)
 		adv := &spendExactly{total: 3, edge: graph.DirEdge{From: 0, To: 1}}
-		res, err := e.Run(Config{Graph: g, Seed: 1, Adversary: AdaptTraffic(adv)}, floodMax(8))
+		res, err := e.Run(Config{Graph: g, Seed: 1, Adversary: adv}, floodMax(8))
 		if err != nil {
 			t.Fatalf("adversary landing exactly on its budget was aborted: %v", err)
 		}
@@ -255,22 +253,21 @@ func TestTotalBudgetStrictlyExceededAborts(t *testing.T) {
 		adv := &spendExactly{total: 3}
 		adv.edge = graph.DirEdge{From: 0, To: 1}
 		declared := &declaredBudget{inner: adv, total: 2}
-		_, err := e.Run(Config{Graph: g, Seed: 1, Adversary: AdaptTraffic(declared)}, floodMax(8))
+		_, err := e.Run(Config{Graph: g, Seed: 1, Adversary: declared}, floodMax(8))
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 		}
 	})
 }
 
-// declaredBudget wraps a map-based adversary, overriding its declared total
-// budget.
+// declaredBudget wraps an adversary, overriding its declared total budget.
 type declaredBudget struct {
-	inner TrafficAdversary
+	inner Adversary
 	total int
 }
 
-func (d *declaredBudget) Intercept(round int, tr Traffic) Traffic {
-	return d.inner.Intercept(round, tr)
+func (d *declaredBudget) Intercept(round int, tr *RoundTraffic) {
+	d.inner.Intercept(round, tr)
 }
 
 func (d *declaredBudget) TotalEdgeRounds() int { return d.total }
@@ -282,7 +279,7 @@ func (d *declaredBudget) TotalEdgeRounds() int { return d.total }
 func TestPerRoundBudgetCheckedBeforeStats(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
 		g := graph.Clique(4)
-		_, err := e.Run(Config{Graph: g, Seed: 1, Adversary: AdaptTraffic(overPerRound{})}, floodMax(2))
+		_, err := e.Run(Config{Graph: g, Seed: 1, Adversary: overPerRound{}}, floodMax(2))
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 		}
@@ -296,11 +293,9 @@ func TestPerRoundBudgetCheckedBeforeStats(t *testing.T) {
 // generous total budget.
 type overPerRound struct{}
 
-func (overPerRound) Intercept(_ int, tr Traffic) Traffic {
-	out := tr.Clone()
-	out[graph.DirEdge{From: 0, To: 1}] = U64Msg(0xAA)
-	out[graph.DirEdge{From: 2, To: 3}] = U64Msg(0xBB)
-	return out
+func (overPerRound) Intercept(_ int, tr *RoundTraffic) {
+	tr.SetEdge(graph.DirEdge{From: 0, To: 1}, U64Msg(0xAA))
+	tr.SetEdge(graph.DirEdge{From: 2, To: 3}, U64Msg(0xBB))
 }
 func (overPerRound) PerRoundEdges() int   { return 1 }
 func (overPerRound) TotalEdgeRounds() int { return 1000 }
@@ -311,11 +306,7 @@ func TestStepEngineWrappedRuntime(t *testing.T) {
 	g := graph.Path(2)
 	proto := func(rt Runtime) {
 		w := &WrappedRuntime{Base: rt}
-		w.ExchangeFn = func(out map[graph.NodeID]Msg) map[graph.NodeID]Msg {
-			in := rt.Exchange(out)
-			rt.Exchange(map[graph.NodeID]Msg{})
-			return in
-		}
+		w.ExchangePortsFn = doubledExchange(Ports(rt))
 		payload := func(v Runtime) {
 			out := map[graph.NodeID]Msg{}
 			for _, nb := range v.Neighbors() {

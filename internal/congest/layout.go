@@ -11,9 +11,8 @@ import (
 // The flat traffic representation: instead of allocating a fresh
 // map[graph.DirEdge]Msg per round, a run precomputes a dense DirEdge -> slot
 // layout from the graph once and moves every round's traffic through
-// reusable slot-indexed slabs. The map form survives only as the stable
-// adversary- and observer-facing view, materialized lazily from a buffer
-// when something actually asks for it.
+// reusable slot-indexed slabs. Adversaries and observers read the slabs
+// through the RoundTraffic and RoundView slot views.
 
 // edgeLayout is the per-run dense indexing of a graph's directed edges, in
 // CSR form: the slots of messages leaving node u are the contiguous range
@@ -93,7 +92,6 @@ type roundBuffer struct {
 	parity  int     // index of the arena the current round's refs resolve in
 	touched []int32 // occupied slots, insertion-ordered until sortTouched
 	sorted  bool
-	view    Traffic // cached lazy map materialization for this round
 }
 
 func newRoundBuffer(l *edgeLayout) *roundBuffer {
@@ -105,16 +103,13 @@ func newRoundBuffer(l *edgeLayout) *roundBuffer {
 // reset clears the buffer for reuse: the touched refs are zeroed
 // individually (cheaper than wiping the slab), parity flips, and the now
 // current arena is truncated — the previous round's arena stays intact for
-// inboxes still being read. The cached map view is dropped, never reused:
-// the adversary may retain it (materialize copies payloads for the same
-// reason).
+// inboxes still being read.
 func (b *roundBuffer) reset() {
 	for _, s := range b.touched {
 		b.refs[s] = 0
 	}
 	b.touched = b.touched[:0]
 	b.sorted = true
-	b.view = nil
 	b.parity ^= 1
 	b.arenas[b.parity].reset()
 }
@@ -161,39 +156,10 @@ func (b *roundBuffer) sortTouched() {
 	}
 }
 
-// materialize returns (and caches) the Traffic map view of the buffer — the
-// stable adversary-facing representation. Payloads are copied out of the
-// round arena into one backing slab: legacy map adversaries may retain the
-// map past the round, and arena bytes are rewritten two rounds later.
-// Callers must still treat the map as read-only (adversaries return a
-// modified clone instead, per the Adversary contract). Off the hot path by
-// design — only the map-compat adapter and map observers call it.
-func (b *roundBuffer) materialize() Traffic {
-	if b.view == nil {
-		total := 0
-		for _, s := range b.touched {
-			total += len(b.get(s))
-		}
-		slab := make([]byte, 0, total)
-		tr := make(Traffic, len(b.touched))
-		for _, s := range b.touched {
-			m := b.get(s)
-			if len(m) == 0 {
-				tr[b.layout.dirEdges[s]] = Msg{}
-				continue
-			}
-			start := len(slab)
-			slab = append(slab, m...)
-			tr[b.layout.dirEdges[s]] = Msg(slab[start:len(slab):len(slab)])
-		}
-		b.view = tr
-	}
-	return b.view
-}
-
-// loadFrom refills the buffer from a traffic map (the adversary's delivered
-// view), validating every entry against the layout. Explicit nil entries are
-// normalized to empty messages so slot occupancy mirrors map presence.
+// loadFrom refills the buffer from a traffic map (the input of the
+// free-standing NewRoundTraffic harness), validating every entry against
+// the layout. Explicit nil entries are normalized to empty messages so slot
+// occupancy mirrors map presence.
 func (b *roundBuffer) loadFrom(tr Traffic) error {
 	b.reset()
 	// The offending edge named in the error must not depend on map order:

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"mobilecongest/internal/graph"
@@ -56,8 +55,8 @@ func TestEdgeLayoutSlots(t *testing.T) {
 	}
 }
 
-// TestRoundBufferRoundTrip: put/materialize/loadFrom/reset preserve the
-// map semantics the engines rely on.
+// TestRoundBufferRoundTrip: loadFrom/get/reset preserve the map semantics
+// the engines rely on.
 func TestRoundBufferRoundTrip(t *testing.T) {
 	g := graph.Clique(5)
 	l := newEdgeLayout(g)
@@ -74,17 +73,11 @@ func TestRoundBufferRoundTrip(t *testing.T) {
 	if b.len() != 3 {
 		t.Fatalf("len = %d, want 3", b.len())
 	}
-	got := b.materialize()
-	if len(got) != 3 {
-		t.Fatalf("materialized %d entries", len(got))
-	}
 	for de, m := range tr {
-		if string(got[de]) != string(m) {
-			t.Fatalf("edge %v: got %x want %x", de, got[de], m)
+		got := b.get(l.slot(de.From, de.To))
+		if got == nil || string(got) != string(m) {
+			t.Fatalf("edge %v: got %x want %x", de, got, m)
 		}
-	}
-	if reflect.ValueOf(b.materialize()).Pointer() != reflect.ValueOf(got).Pointer() {
-		t.Fatal("materialize must cache and reuse the round's map view")
 	}
 
 	// Injection on a non-edge is rejected.

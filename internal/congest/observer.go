@@ -65,11 +65,6 @@ func (v *RoundView) All() iter.Seq2[graph.DirEdge, Msg] {
 	}
 }
 
-// Traffic returns the round's delivered traffic as the stable map view,
-// materialized lazily and cached for the round (so several observers share
-// one materialization). Callers must not mutate it.
-func (v *RoundView) Traffic() Traffic { return v.buf.materialize() }
-
 // StatsObserver accumulates the run's communication statistics — the Stats a
 // Result carries. Every run installs one internally (stats collection is
 // always on); attach another only if you want an independent copy.

@@ -18,7 +18,7 @@ func TestStatsObserverMatchesResult(t *testing.T) {
 		st := NewStatsObserver()
 		res, err := e.Run(Config{
 			Graph: graph.Circulant(12, 2), Seed: 3,
-			Adversary: AdaptTraffic(injector{edge: graph.DirEdge{From: 0, To: 1}}),
+			Adversary: injector{edge: graph.DirEdge{From: 0, To: 1}},
 			Observers: []Observer{st},
 		}, floodMax(4))
 		if err != nil {
@@ -114,7 +114,7 @@ func TestCorruptionLogEvents(t *testing.T) {
 		cl := NewCorruptionLog()
 		adv := &spendExactly{total: 2, edge: graph.DirEdge{From: 1, To: 0}}
 		res, err := e.Run(Config{
-			Graph: graph.Cycle(5), Seed: 2, Adversary: AdaptTraffic(adv),
+			Graph: graph.Cycle(5), Seed: 2, Adversary: adv,
 			Observers: []Observer{cl},
 		}, floodMax(4))
 		if err != nil {
@@ -191,7 +191,7 @@ func TestRunDoneFiresOnError(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
 		rec := &lifecycleRecorder{}
 		_, err := e.Run(Config{
-			Graph: graph.Clique(4), Seed: 1, Adversary: AdaptTraffic(corruptAll{}),
+			Graph: graph.Clique(4), Seed: 1, Adversary: corruptAll{},
 			Observers: []Observer{rec},
 		}, floodMax(2))
 		if err == nil {
@@ -247,47 +247,3 @@ func (r *lifecycleRecorder) RoundDelivered(round int, _ *RoundView) {
 	r.delivered = append(r.delivered, round)
 }
 func (r *lifecycleRecorder) RunDone(_ Stats, err error) { r.done++; r.doneErr = err }
-
-// TestRoundViewLazyTraffic: the map view is materialized once per round and
-// shared between the adversary and observers asking for it.
-func TestRoundViewLazyTraffic(t *testing.T) {
-	var views []Traffic
-	obs := &trafficGrabber{views: &views}
-	adv := &trafficIdentity{}
-	_, err := (StepEngine{}).Run(Config{
-		Graph: graph.Path(2), Seed: 1, Adversary: AdaptTraffic(adv), Observers: []Observer{obs},
-	}, floodMax(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(views) != 2 || len(adv.seen) != 2 {
-		t.Fatalf("views %d, adversary rounds %d; want 2 and 2", len(views), len(adv.seen))
-	}
-	for r := range views {
-		// The adversary returned its input unchanged, so the delivered buffer
-		// is the collection buffer and the observer's materialization must be
-		// the very map the adversary saw (same round → same cache).
-		if !reflect.DeepEqual(views[r], adv.seen[r]) {
-			t.Fatalf("round %d: observer traffic %v != adversary traffic %v", r, views[r], adv.seen[r])
-		}
-		if len(views[r]) != 2 {
-			t.Fatalf("round %d traffic has %d entries", r, len(views[r]))
-		}
-	}
-}
-
-type trafficGrabber struct{ views *[]Traffic }
-
-func (g *trafficGrabber) RoundStart(int) {}
-func (g *trafficGrabber) RoundDelivered(_ int, view *RoundView) {
-	*g.views = append(*g.views, view.Traffic().Clone())
-}
-func (g *trafficGrabber) RunDone(Stats, error) {}
-
-// trafficIdentity records what it was shown and delivers it unchanged.
-type trafficIdentity struct{ seen []Traffic }
-
-func (a *trafficIdentity) Intercept(_ int, tr Traffic) Traffic {
-	a.seen = append(a.seen, tr.Clone())
-	return tr
-}

@@ -13,8 +13,7 @@ import (
 // programmed against PortRuntime move their round through reusable []Msg
 // slices backed by the run's packed round arenas — the fault-free hot path
 // allocates no per-round maps at all. The map Exchange survives as a compat
-// wrapper over ports (see Runtime), mirroring how the map Traffic view
-// survives over the slot-native adversary boundary.
+// wrapper over ports (see Runtime).
 
 // PortRuntime is the slot-native interface protocol code programs against.
 // Both engines' node runtimes implement it; Ports upgrades any Runtime to

@@ -173,26 +173,26 @@ func TestPortRuntimeWiring(t *testing.T) {
 	}
 }
 
-// TestPortNativeFaultFreeMaterializesNoMaps is the port twin of
-// TestSlotNativeAdversaryMaterializesNoMaps: a fault-free run of a
-// port-native protocol materializes no Traffic map in any round (the
-// lazily-cached view on the round buffer stays nil through collection,
-// delivery, and observer construction) on both engines.
+// TestPortNativeFaultFreeMaterializesNoMaps: a fault-free run of a
+// port-native protocol moves every round through the slot buffers alone —
+// collection, delivery, and the observers' RoundView — and converges on
+// every engine. No map form of a round exists to materialize: observers
+// and adversaries see only the slot views.
 func TestPortNativeFaultFreeMaterializesNoMaps(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
-		guard := &materializeGuard{t: t}
+		rec := &lifecycleRecorder{}
 		res, err := e.Run(Config{
 			Graph: graph.Circulant(24, 3), Seed: 5,
-			Observers: []Observer{guard},
+			Observers: []Observer{rec},
 		}, portFlood(6))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if guard.rounds != res.Stats.Rounds {
-			t.Fatalf("guard saw %d rounds, stats say %d", guard.rounds, res.Stats.Rounds)
+		if len(rec.delivered) != res.Stats.Rounds {
+			t.Fatalf("observer saw %d rounds, stats say %d", len(rec.delivered), res.Stats.Rounds)
 		}
 		if res.Stats.Messages == 0 {
-			t.Fatal("port flood sent nothing — the guard guarded an empty path")
+			t.Fatal("port flood sent nothing")
 		}
 		for i, o := range res.Outputs {
 			if o.(uint64) != 23 {

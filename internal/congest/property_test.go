@@ -55,40 +55,3 @@ func maxI(a, b int) int {
 	}
 	return b
 }
-
-// TestTrafficCloneIndependent: mutating a clone never touches the original.
-func TestTrafficCloneIndependent(t *testing.T) {
-	f := func(payload []byte) bool {
-		if len(payload) == 0 {
-			payload = []byte{1}
-		}
-		tr := Traffic{{From: 0, To: 1}: Msg(payload).Clone()}
-		c := tr.Clone()
-		c[graph.DirEdge{From: 0, To: 1}][0] ^= 0xFF
-		return tr[graph.DirEdge{From: 0, To: 1}][0] == payload[0]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSortedEdgesDeterministic: SortedEdges is a stable canonical order.
-func TestSortedEdgesDeterministic(t *testing.T) {
-	tr := Traffic{
-		{From: 2, To: 1}: U64Msg(1),
-		{From: 0, To: 1}: U64Msg(2),
-		{From: 2, To: 0}: U64Msg(3),
-	}
-	a := tr.SortedEdges()
-	b := tr.SortedEdges()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("order unstable")
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i-1].From > a[i].From || (a[i-1].From == a[i].From && a[i-1].To >= a[i].To) {
-			t.Fatalf("not sorted: %v", a)
-		}
-	}
-}

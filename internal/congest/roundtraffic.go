@@ -3,7 +3,6 @@ package congest
 import (
 	"fmt"
 	"iter"
-	"reflect"
 	"sort"
 
 	"mobilecongest/internal/graph"
@@ -29,9 +28,8 @@ type RoundTraffic struct {
 	dirtyBits []uint64
 	dirty     []int32
 
-	// invalid records non-edge injections from the map-compat adapter; they
-	// count against the budget and then abort the round, exactly like the
-	// legacy map path.
+	// invalid records non-edge injections from SetEdge; they count against
+	// the budget and then abort the round.
 	invalid []graph.DirEdge
 
 	// settle/apply scratch, reused across rounds.
@@ -154,11 +152,11 @@ func (t *RoundTraffic) Set(s int32, m Msg) {
 
 // SetEdge is Set addressed by directed edge instead of slot. When de is not
 // an edge of the graph, a non-nil m is recorded as a non-edge injection —
-// it counts against the round's budget and then aborts the run with the
-// same "injected on non-edge" error the legacy map path produced (a nil m
-// on a non-edge is a no-op, also as before). Adversaries that resolve slots
-// themselves use Set; SetEdge is for edge-addressed writes whose edges may
-// not be validated (e.g. user-supplied schedules).
+// it counts against the round's budget and then aborts the run with an
+// "injected on non-edge" error (a nil m on a non-edge is a no-op).
+// Adversaries that resolve slots themselves use Set; SetEdge is for
+// edge-addressed writes whose edges may not be validated (e.g. user-supplied
+// schedules).
 func (t *RoundTraffic) SetEdge(de graph.DirEdge, m Msg) {
 	if s := t.buf.layout.slot(de.From, de.To); s >= 0 {
 		t.Set(s, m)
@@ -184,16 +182,9 @@ func (t *RoundTraffic) All() iter.Seq2[int32, Msg] {
 	}
 }
 
-// Traffic returns the round's collected traffic as the legacy map view,
-// materialized lazily and cached for the round. It exists for map-based
-// TrafficAdversary code behind AdaptTraffic; slot-native adversaries should
-// never call it (the whole point of the slot interface is that fault rounds
-// allocate no maps). The map and its messages are read-only.
-func (t *RoundTraffic) Traffic() Traffic { return t.buf.materialize() }
-
-// injectInvalid records a non-edge injection from the compat adapter. It is
+// injectInvalid records a non-edge injection from SetEdge. It is
 // budget-accounted like any touched edge and then aborts the round after the
-// budget verdict, matching the legacy map path.
+// budget verdict.
 func (t *RoundTraffic) injectInvalid(de graph.DirEdge) {
 	t.invalid = append(t.invalid, de)
 }
@@ -206,8 +197,7 @@ const parallelSettleMin = 32
 // returns the touched undirected edges in sorted order (the budget unit and
 // the observers' Corrupted view) and, when the adversary injected on a
 // non-edge, the error to abort the round with — after the caller's budget
-// verdict, exactly like the legacy map path. The returned slice is scratch,
-// valid until the next round.
+// verdict. The returned slice is reused and valid until the next round.
 //
 // When the shard engine hands in its pool and the dirty set is large, the
 // per-slot byte comparisons — the O(dirty · |msg|) part — run chunked over
@@ -263,8 +253,7 @@ func (t *RoundTraffic) settle(pool *shardPool) ([]graph.Edge, error) {
 	if len(t.invalid) > 0 {
 		// Non-edges can never collide with graph edges, so deduplication is
 		// only among the (few) invalid injections themselves. The reported
-		// offender is the smallest, keeping the error deterministic (the
-		// legacy path reported whichever map iteration found first).
+		// offender is the smallest, keeping the error deterministic.
 		report := t.invalid[0]
 		for _, de := range t.invalid {
 			if de.From < report.From || (de.From == report.From && de.To < report.To) {
@@ -306,7 +295,6 @@ func (t *RoundTraffic) apply() {
 		return
 	}
 	b := t.buf
-	b.view = nil // the cached map (if any) showed pre-adversary traffic
 	dropped := false
 	for _, s := range t.changed {
 		if m := t.mod[s]; m == nil {
@@ -336,82 +324,4 @@ func msgSame(a, b Msg) bool {
 		return false
 	}
 	return msgEqual(a, b)
-}
-
-// trafficAdapter bridges a legacy map-based TrafficAdversary onto the
-// slot-native boundary: it materializes the round's map view, runs the
-// wrapped adversary, and diffs the returned map back into slot overrides.
-type trafficAdapter struct {
-	a TrafficAdversary
-}
-
-// AdaptTraffic wraps a legacy map-based adversary for use as the engine's
-// Adversary. The wrapped adversary keeps its exact legacy semantics —
-// budget interfaces (PerRoundBudget, TotalBudget) and RunResetter declared
-// on it are honoured through the adapter, returning the very map received
-// costs nothing, and injecting on a non-edge aborts the run — at the price
-// of one map materialization per round. Port hot adversaries to the
-// slot-native interface instead.
-func AdaptTraffic(a TrafficAdversary) Adversary { return trafficAdapter{a: a} }
-
-// Unwrap exposes the wrapped adversary so the engine can find its budget and
-// run-reset declarations (and callers their concrete type).
-func (ad trafficAdapter) Unwrap() any { return ad.a }
-
-// Intercept implements Adversary.
-func (ad trafficAdapter) Intercept(round int, rt *RoundTraffic) {
-	in := rt.Traffic()
-	out := ad.a.Intercept(round, in)
-	if sameMap(out, in) {
-		return
-	}
-	// Slots present in the collected round: modified or dropped.
-	for s, m := range rt.All() {
-		d, ok := out[rt.DirEdge(s)]
-		switch {
-		case !ok:
-			rt.Set(s, nil)
-		case d == nil:
-			// Explicit nil values normalize to present-empty, as the legacy
-			// loadFrom did.
-			if len(m) != 0 {
-				rt.Set(s, Msg{})
-			}
-		case !msgEqual(m, d):
-			rt.Set(s, d)
-		}
-	}
-	// Entries beyond the collected round: injections (possibly on non-edges).
-	for de, d := range out {
-		s := rt.Slot(de.From, de.To)
-		if s < 0 {
-			rt.injectInvalid(de)
-			continue
-		}
-		if rt.buf.refs[s] == 0 {
-			if d == nil {
-				d = Msg{}
-			}
-			rt.Set(s, d)
-		}
-	}
-}
-
-// sameMap reports whether two traffic maps are the very same map value —
-// the adapter's fast path for adversaries returning their input unchanged.
-func sameMap(a, b Traffic) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
-}
-
-// unwrapAdversary returns the adversary the budget and run-reset interfaces
-// should be looked up on: the wrapped legacy adversary for compat adapters,
-// the adversary itself otherwise.
-func unwrapAdversary(a Adversary) any {
-	if u, ok := a.(interface{ Unwrap() any }); ok {
-		return u.Unwrap()
-	}
-	return a
 }

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"errors"
 	"testing"
 
 	"mobilecongest/internal/graph"
@@ -28,81 +29,87 @@ func (a slotFlipper) Intercept(_ int, tr *RoundTraffic) {
 	}
 }
 
-// materializeGuard fails the test if any round's buffer ever holds a cached
-// map view — the witness that something on the adversarial path called
-// materialize().
-type materializeGuard struct {
-	t      *testing.T
-	rounds int
-}
-
-func (g *materializeGuard) RoundStart(int) {}
-func (g *materializeGuard) RoundDelivered(round int, view *RoundView) {
-	g.rounds++
-	if view.buf.view != nil {
-		g.t.Errorf("round %d: traffic map was materialized on a slot-native adversarial path", round)
-	}
-}
-func (g *materializeGuard) RunDone(Stats, error) {}
-
-// TestSlotNativeAdversaryMaterializesNoMaps is the acceptance gate for the
-// slot-native boundary: with a slot-native adversary installed (and no
-// observer asking for the map view), no round of the run materializes a
-// map[DirEdge]Msg — the lazily-cached view on the round buffer stays nil
-// through the entire adversarial path (intercept, budget diff, delivery,
-// observer construction).
+// TestSlotNativeAdversaryMaterializesNoMaps: with a slot-native adversary
+// installed, every round moves through the slot buffers alone — intercept,
+// budget diff, delivery, and the observers' RoundView — on every engine,
+// and the corruption reaches the stats. No map form of a round exists to
+// materialize: adversaries and observers see only the slot views.
 func TestSlotNativeAdversaryMaterializesNoMaps(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
-		guard := &materializeGuard{t: t}
+		rec := &lifecycleRecorder{}
 		res, err := e.Run(Config{
 			Graph: graph.Circulant(24, 3), Seed: 5,
 			Adversary: slotFlipper{f: 2},
-			Observers: []Observer{guard},
+			Observers: []Observer{rec},
 		}, floodMax(6))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if guard.rounds != res.Stats.Rounds {
-			t.Fatalf("guard saw %d rounds, stats say %d", guard.rounds, res.Stats.Rounds)
+		if len(rec.delivered) != res.Stats.Rounds {
+			t.Fatalf("observer saw %d rounds, stats say %d", len(rec.delivered), res.Stats.Rounds)
 		}
 		if res.Stats.CorruptedEdgeRounds == 0 {
-			t.Fatal("slot flipper corrupted nothing — the guard guarded an empty path")
+			t.Fatal("slot flipper corrupted nothing")
 		}
 	})
 }
 
-// TestAdapterPathStillMaterializes is the control for the guard itself: the
-// map-compat adapter necessarily materializes the view, so the guard must
-// trip on it (checked via the cached-view field, not by failing the test).
-func TestAdapterPathStillMaterializes(t *testing.T) {
-	seen := false
-	probe := observerFunc(func(_ int, view *RoundView) {
-		if view.buf.view != nil {
-			seen = true
-		}
-	})
-	_, err := (StepEngine{}).Run(Config{
-		Graph: graph.Circulant(12, 2), Seed: 5,
-		Adversary: AdaptTraffic(trafficIdentity2{}),
-		Observers: []Observer{probe},
-	}, floodMax(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seen {
-		t.Fatal("adapter path never materialized a map — the no-materialize guard would be vacuous")
-	}
+// resetCounter is a slot-native adversary declaring a per-round budget of f
+// edges while flipping the first `touch` occupied slots each round, and
+// counting its run resets.
+type resetCounter struct {
+	f, touch int
+	resets   int
 }
 
-type observerFunc func(round int, view *RoundView)
+func (a *resetCounter) PerRoundEdges() int { return a.f }
+func (a *resetCounter) ResetRun()          { a.resets++ }
+func (a *resetCounter) Intercept(round int, tr *RoundTraffic) {
+	slotFlipper{f: a.touch}.Intercept(round, tr)
+}
 
-func (observerFunc) RoundStart(int)                       {}
-func (f observerFunc) RoundDelivered(r int, v *RoundView) { f(r, v) }
-func (observerFunc) RunDone(Stats, error)                 {}
+// unwrapping forwards Intercept and exposes its inner adversary through
+// Unwrap, the way a timing or logging wrapper does.
+type unwrapping struct{ inner Adversary }
 
-type trafficIdentity2 struct{}
+func (w unwrapping) Intercept(round int, tr *RoundTraffic) { w.inner.Intercept(round, tr) }
+func (w unwrapping) Unwrap() any                           { return w.inner }
 
-func (trafficIdentity2) Intercept(_ int, tr Traffic) Traffic { return tr }
+// TestAdversaryUnwrapHook: the engine looks up the budget and run-reset
+// declarations through Unwrap, so a wrapper neither hides an over-budget
+// adversary nor skips its per-run reset. A wrapper without Unwrap is the
+// control: its inner declarations stay invisible.
+func TestAdversaryUnwrapHook(t *testing.T) {
+	forEngine(t, func(t *testing.T, e Engine) {
+		g := graph.Circulant(12, 2)
+		run := func(rc *RunContext, adv Adversary) error {
+			_, err := e.(ContextRunner).RunIn(rc, Config{Graph: g, Seed: 6, Adversary: adv}, floodMax(5))
+			return err
+		}
+
+		over := &resetCounter{f: 1, touch: 2}
+		if err := run(nil, unwrapping{inner: over}); !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("wrapped over-budget adversary: err = %v, want ErrBudgetExceeded", err)
+		}
+		if err := run(nil, struct{ Adversary }{over}); err != nil {
+			t.Fatalf("control wrapper without Unwrap: err = %v, want its inner budget unseen", err)
+		}
+		if over.resets != 1 {
+			t.Fatalf("over-budget adversary reset %d times, want once (the control hides ResetRun)", over.resets)
+		}
+
+		within := &resetCounter{f: 1, touch: 1}
+		rc := NewRunContext()
+		for n := 1; n <= 2; n++ {
+			if err := run(rc, unwrapping{inner: within}); err != nil {
+				t.Fatal(err)
+			}
+			if within.resets != n {
+				t.Fatalf("after run %d on one RunContext: ResetRun called %d times, want %d", n, within.resets, n)
+			}
+		}
+	})
+}
 
 // TestRunContextReuseDeterministic: repeated runs inside one RunContext are
 // byte-identical to fresh-context runs — reused RNGs re-seed exactly, reused

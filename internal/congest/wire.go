@@ -70,15 +70,12 @@ func Words64(m Msg) []uint64 {
 // WrappedRuntime lets a compiler present a virtual network to a payload
 // protocol: every Runtime method is forwarded to Base except the exchange
 // barrier, which runs the compiler's simulation of one payload round.
-// Compilers implement the simulation as a multi-round subprotocol over Base,
-// in whichever form fits: ExchangeFn (the legacy map boundary) or
-// ExchangePortsFn (the port-native boundary). Only one needs to be set —
-// WrappedRuntime implements both Exchange and ExchangePorts and adapts each
-// onto whichever function the compiler provided, so map payloads run over
-// port compilers and vice versa.
+// Compilers implement the simulation as a multi-round subprotocol over Base
+// and hand it in as ExchangePortsFn. Payloads may exchange in either form:
+// ExchangePorts calls ExchangePortsFn directly, and the map Exchange folds
+// its outbox onto ports first.
 type WrappedRuntime struct {
-	Base       Runtime
-	ExchangeFn func(out map[graph.NodeID]Msg) map[graph.NodeID]Msg
+	Base Runtime
 	// ExchangePortsFn simulates one payload round on the port boundary:
 	// out[p] is the payload's message for port p (the p-th neighbour in
 	// ascending order), and the returned slice is the payload's port inbox.
@@ -95,7 +92,6 @@ type WrappedRuntime struct {
 	InputFn func() []byte
 	rounds  int
 	outBuf  []Msg
-	inBuf   []Msg
 }
 
 var _ PortRuntime = (*WrappedRuntime)(nil)
@@ -153,14 +149,10 @@ func (w *WrappedRuntime) OutBuf() []Msg {
 	return w.outBuf
 }
 
-// Exchange runs the compiler's simulation of one payload round on the map
-// boundary, adapting onto ExchangePortsFn when only that is set.
+// Exchange runs the compiler's simulation of one payload round for a map
+// payload: the outbox is folded onto ports and the port inbox returned as a
+// read-only map.
 func (w *WrappedRuntime) Exchange(out map[graph.NodeID]Msg) map[graph.NodeID]Msg {
-	if w.ExchangeFn != nil {
-		in := w.ExchangeFn(out)
-		w.rounds++
-		return in
-	}
 	buf := w.OutBuf()
 	clear(buf) // a map Exchange sends exactly the map's entries
 	badTo, hasBad := graph.NodeID(0), false
@@ -192,31 +184,12 @@ func (w *WrappedRuntime) Exchange(out map[graph.NodeID]Msg) map[graph.NodeID]Msg
 }
 
 // ExchangePorts runs the compiler's simulation of one payload round on the
-// port boundary, adapting onto the map ExchangeFn when only that is set.
+// port boundary.
 func (w *WrappedRuntime) ExchangePorts(out []Msg) []Msg {
-	if w.ExchangePortsFn != nil {
-		in := w.ExchangePortsFn(out)
-		clear(out) // uphold the consumed-outbox contract for reusable bufs
-		w.rounds++
-		return in
-	}
-	nbs := w.Base.Neighbors()
-	m := make(map[graph.NodeID]Msg, len(out))
-	for p, msg := range out {
-		if msg != nil {
-			m[nbs[p]] = msg
-			out[p] = nil
-		}
-	}
-	inm := w.ExchangeFn(m)
+	in := w.ExchangePortsFn(out)
+	clear(out) // uphold the consumed-outbox contract for reusable bufs
 	w.rounds++
-	if w.inBuf == nil {
-		w.inBuf = make([]Msg, len(nbs))
-	}
-	for p, v := range nbs {
-		w.inBuf[p] = inm[v]
-	}
-	return w.inBuf
+	return in
 }
 
 // SilentRound performs an Exchange sending nothing — handy for protocols

@@ -110,8 +110,8 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return false
 	}
 
-	// Propagate: aliases of the view, its Traffic() map, and the payloads
-	// its All() iterator yields are all windows onto the same buffer.
+	// Propagate: aliases of the view and the payloads its All() iterator
+	// yields are all windows onto the same buffer.
 	for {
 		n := len(taint)
 		ast.Inspect(fd.Body, func(node ast.Node) bool {
@@ -176,13 +176,13 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 // derivesFromTaint reports whether e yields a view onto tainted data:
 // the tainted value itself (or a sub-slice/field/element of it), or a
-// Traffic()/All()/Corrupted() call on it.
+// All()/Corrupted() call on it.
 func derivesFromTaint(info *types.Info, e ast.Expr, taint map[types.Object]bool) bool {
 	switch x := e.(type) {
 	case *ast.CallExpr:
 		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
 			switch sel.Sel.Name {
-			case "Traffic", "All", "Corrupted":
+			case "All", "Corrupted":
 				return derivesFromTaint(info, sel.X, taint)
 			}
 		}

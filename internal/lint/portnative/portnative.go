@@ -1,10 +1,9 @@
 // Package portnative defines an analyzer rejecting the legacy map-based
-// compat wrappers — Runtime.Exchange and the RoundTraffic/RoundView Traffic
-// materializations — inside the simulator's internal packages. The map
-// surfaces survive purely for foreign code (third-party protocols and
-// adversaries); internal hot-path code must stay slot/port-native, both for
-// the zero-alloc guarantees (each Exchange call materializes per-round
-// maps) and because the compat fold re-derives state the port layer already
+// compat wrapper Runtime.Exchange inside the simulator's internal packages.
+// The map Exchange survives purely for foreign code (third-party
+// protocols); internal hot-path code must stay port-native, both for the
+// zero-alloc guarantees (each Exchange call materializes per-round maps)
+// and because the compat fold re-derives state the port layer already
 // holds.
 package portnative
 
@@ -15,13 +14,11 @@ import (
 	"mobilecongest/internal/lint/lintutil"
 )
 
-// Analyzer flags calls to the legacy map compat wrappers from internal
-// packages.
+// Analyzer flags calls to the legacy map Exchange from internal packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "portnative",
-	Doc: "flags legacy map Exchange/Traffic compat calls in internal packages; " +
-		"internal protocol and adversary code must use the slot/port-native surfaces " +
-		"(PortRuntime.ExchangePorts, RoundTraffic slot access)",
+	Doc: "flags legacy map Exchange compat calls in internal packages; " +
+		"internal protocol code must use PortRuntime.ExchangePorts",
 	Run: run,
 }
 
@@ -41,11 +38,8 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			switch {
-			case lintutil.IsCongestMethod(pass.TypesInfo, call, "Exchange"):
+			if lintutil.IsCongestMethod(pass.TypesInfo, call, "Exchange") {
 				pass.Reportf(call.Pos(), "call to legacy map Exchange compat wrapper; internal code must use PortRuntime.ExchangePorts")
-			case lintutil.IsCongestMethod(pass.TypesInfo, call, "Traffic"):
-				pass.Reportf(call.Pos(), "call to legacy Traffic map materialization; internal code must use slot-native access (All/Get/Set)")
 			}
 			return true
 		})

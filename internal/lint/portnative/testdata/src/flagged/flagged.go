@@ -10,7 +10,3 @@ func mapExchange(rt congest.Runtime, to graph.NodeID, m congest.Msg) congest.Msg
 	in := rt.Exchange(map[graph.NodeID]congest.Msg{to: m}) // want `legacy map Exchange compat wrapper`
 	return in[to]
 }
-
-func materialize(view *congest.RoundView) int {
-	return len(view.Traffic()) // want `legacy Traffic map materialization`
-}

@@ -1,8 +1,8 @@
 // Package slabretain defines an analyzer guarding the zero-alloc slab
 // pipeline's ownership contract: the slices handed out by
-// PortRuntime.ExchangePorts and OutBuf, and the Traffic/RoundView
-// materializations at the adversary boundary, all alias per-run buffers on
-// RunContext that the engine reuses every round. Storing such a view past
+// PortRuntime.ExchangePorts and OutBuf, and the RoundTraffic/RoundView
+// views at the adversary and observer boundaries, all alias per-run buffers
+// on RunContext that the engine reuses every round. Storing such a view past
 // the round — in a struct field, a package-level variable, or a closure
 // that escapes — is a silent-corruption bug: the data under the alias is
 // overwritten by the next round with no fault the race detector or tests
@@ -22,7 +22,7 @@ import (
 // them.
 var Analyzer = &analysis.Analyzer{
 	Name: "slabretain",
-	Doc: "flags storing a slice obtained from ExchangePorts/OutBuf/Get or a Traffic/RoundView " +
+	Doc: "flags storing a slice obtained from ExchangePorts/OutBuf/Get or a RoundTraffic/RoundView " +
 		"view into a struct field, package-level variable, or escaping closure; the slabs " +
 		"are reused every round, so retention silently corrupts",
 	Run: run,
@@ -31,7 +31,7 @@ var Analyzer = &analysis.Analyzer{
 // slabMethods are the congest methods whose results alias reused round
 // buffers (All yields the buffer's Msg payloads through its iterator, and
 // Get's payloads are views into the round's packed arena).
-var slabMethods = []string{"ExchangePorts", "OutBuf", "Traffic", "All", "Get"}
+var slabMethods = []string{"ExchangePorts", "OutBuf", "All", "Get"}
 
 // viewTypes are congest types whose values are themselves round-scoped
 // views (observer and adversary callback parameters).

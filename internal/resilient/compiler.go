@@ -208,7 +208,7 @@ func Compile(payload congest.Protocol, cfg Config) congest.Protocol {
 			trees: sh.Views[rt.ID()],
 			depth: rsim.MaxDepth(sh.Views),
 		}
-		w := &congest.WrappedRuntime{Base: rt, ExchangeFn: sim.exchange}
+		w := &congest.WrappedRuntime{Base: rt, ExchangePortsFn: sim.exchange}
 		w.ShadowShared = sh.Payload
 		payload(w)
 	}
@@ -223,55 +223,35 @@ type simulator struct {
 	trees []rsim.TreeView
 	depth int
 	round int
+	in    []congest.Msg // the payload's port inbox, reused per round
 }
 
 // exchange simulates one payload round: raw exchange, then mismatch
-// correction (Steps 1-3 of Section 3.2.2).
-func (s *simulator) exchange(out map[graph.NodeID]congest.Msg) map[graph.NodeID]congest.Msg {
-	badTo, badLen := graph.NodeID(0), -1
-	for to, m := range out {
-		if len(m) > MaxPayloadBytes && (badLen < 0 || to < badTo) {
-			badTo, badLen = to, len(m)
+// correction (Steps 1-3 of Section 3.2.2). out is the payload's port
+// outbox; the returned slice is its port inbox, owned by the simulator.
+func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
+	for p, m := range out {
+		if len(m) > MaxPayloadBytes {
+			panic(fmt.Sprintf("resilient: payload message to %d has %d bytes, max %d", s.pr.Neighbor(p), len(m), MaxPayloadBytes))
 		}
 	}
-	if badLen >= 0 {
-		panic(fmt.Sprintf("resilient: payload message to %d has %d bytes, max %d", badTo, badLen, MaxPayloadBytes))
-	}
-	// Step 1: single-round message exchange, on the port boundary. A payload
-	// send to a non-neighbor falls back to the map barrier, which aborts the
-	// run with the canonical error.
+	// Step 1: single-round message exchange.
 	pout := s.pr.OutBuf()
-	valid := true
-	for to, m := range out {
+	sent := make(map[graph.NodeID]estimate, len(out))
+	for p, m := range out {
 		if m == nil {
 			continue
 		}
-		p := s.pr.Port(to)
-		if p < 0 {
-			valid = false
-			break
-		}
 		pout[p] = m
+		v, l := packPayload(m)
+		sent[s.pr.Neighbor(p)] = estimate{present: true, data: v, length: l}
 	}
 	est := make(map[graph.NodeID]estimate, s.pr.Degree())
-	if !valid {
-		clear(pout)
-		//lint:ignore portnative deliberate abort path: the map Exchange is the canonical way to trigger the engine's non-neighbor error
-		s.rt.Exchange(out) // aborts: non-neighbor send
-		panic("resilient: payload sent to non-neighbor")
-	} else {
-		in := s.pr.ExchangePorts(pout)
-		for p, m := range in {
-			if m != nil {
-				v, l := packPayload(m)
-				est[s.pr.Neighbor(p)] = estimate{present: true, data: v, length: l}
-			}
+	for p, m := range s.pr.ExchangePorts(pout) {
+		if m != nil {
+			v, l := packPayload(m)
+			est[s.pr.Neighbor(p)] = estimate{present: true, data: v, length: l}
 		}
-	}
-	sent := make(map[graph.NodeID]estimate, len(out))
-	for to, m := range out {
-		v, l := packPayload(m)
-		sent[to] = estimate{present: true, data: v, length: l}
 	}
 
 	// Steps 2+3: correction iterations.
@@ -297,13 +277,16 @@ func (s *simulator) exchange(out map[graph.NodeID]congest.Msg) map[graph.NodeID]
 	s.round++
 
 	// Materialize corrected inbox.
-	fixed := make(map[graph.NodeID]congest.Msg, len(est))
-	for u, e := range est {
-		if e.present {
-			fixed[u] = unpackPayload(e.data, e.length)
+	if s.in == nil {
+		s.in = make([]congest.Msg, s.pr.Degree())
+	}
+	for p := range s.in {
+		s.in[p] = nil
+		if e := est[s.pr.Neighbor(p)]; e.present {
+			s.in[p] = unpackPayload(e.data, e.length)
 		}
 	}
-	return fixed
+	return s.in
 }
 
 // localStream feeds this node's turnstile stream into upd: sent messages

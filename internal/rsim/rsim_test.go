@@ -239,9 +239,7 @@ func TestRSThreshold(t *testing.T) {
 				sched = append(sched, nil)
 			}
 		}
-		// scheduledCorruptor is map-based on purpose: it keeps the legacy
-		// TrafficAdversary path exercised through the compat adapter.
-		return congest.AdaptTraffic(&scheduledCorruptor{sched: sched})
+		return &scheduledCorruptor{sched: sched}
 	}
 	res, err := congest.Run(congest.Config{Graph: g, Seed: 2, Adversary: mkAdv(2, 5), Shared: Views(p)}, proto)
 	if err != nil {
@@ -274,23 +272,22 @@ type scheduledCorruptor struct {
 	sched [][]graph.Edge
 }
 
-func (s *scheduledCorruptor) Intercept(round int, tr congest.Traffic) congest.Traffic {
-	if round >= len(s.sched) || len(s.sched[round]) == 0 {
-		return tr
+func (s *scheduledCorruptor) Intercept(round int, tr *congest.RoundTraffic) {
+	if round >= len(s.sched) {
+		return
 	}
-	out := tr.Clone()
 	for _, e := range s.sched[round] {
-		for _, de := range []graph.DirEdge{{From: e.U, To: e.V}, {From: e.V, To: e.U}} {
-			if m, ok := out[de]; ok {
+		fwd, bwd := tr.EdgeSlots(e)
+		for _, slot := range []int32{fwd, bwd} {
+			if m := tr.Get(slot); m != nil {
 				c := m.Clone()
 				for i := range c {
 					c[i] ^= 0xFF
 				}
-				out[de] = c
+				tr.Set(slot, c)
 			}
 		}
 	}
-	return out
 }
 
 func (s *scheduledCorruptor) PerRoundEdges() int { return 1 }

@@ -94,11 +94,14 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		if isRoot {
 			seedInput = congest.PutU64(nil, rt.Rand().Uint64())
 		}
-		inner := &congest.WrappedRuntime{Base: rt, ShadowShared: sh}
-		inner.ExchangeFn = rt.Exchange
-		seedRt := &inputOverride{Runtime: inner, input: seedInput}
+		inner := &congest.WrappedRuntime{
+			Base:            rt,
+			ExchangePortsFn: pr.ExchangePorts,
+			ShadowShared:    sh,
+			InputFn:         func() []byte { return seedInput },
+		}
 		var seedOut uint64
-		capture := &outputCapture{Runtime: seedRt, sink: &seedOut}
+		capture := &outputCapture{Runtime: inner, sink: &seedOut}
 		MobileSecureBroadcast(cfg.F)(capture)
 		c := 4 * cfg.F * cfg.Cong
 		if c < 2 {
@@ -168,15 +171,6 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		payload(w)
 	}
 }
-
-// inputOverride substitutes a protocol input.
-type inputOverride struct {
-	congest.Runtime
-	input []byte
-}
-
-// Input returns the overridden input.
-func (o *inputOverride) Input() []byte { return o.input }
 
 // outputCapture intercepts SetOutput.
 type outputCapture struct {

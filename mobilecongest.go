@@ -43,8 +43,7 @@
 // survives as a compat wrapper. The adversary boundary is likewise
 // slot-native: an Adversary reads and corrupts each round through a
 // RoundTraffic view over the run's flat edge layout, so adversarial rounds
-// materialize no traffic maps; legacy map-based adversaries keep working
-// behind AdaptTraffic. Repeated Run calls on one Scenario, and every Sweep
+// build no traffic maps. Repeated Run calls on one Scenario, and every Plan
 // worker, reuse a RunContext that amortizes the run's layout, buffers, and
 // RNG state across runs.
 //
@@ -69,11 +68,9 @@
 // plug into scenarios, plans, and the mobilesim CLI without touching this
 // package; a registered ProtocolFunc may return a trusted preprocessing
 // artifact, which is how the paper's compilers (secure-broadcast,
-// hardened-clique) are registered next to their payloads. The legacy
-// Sweep(Grid) surface survives as a compat wrapper lowering onto a Plan
-// (byte-identical records), and the legacy Run(RunConfig, proto) form
-// remains as a deprecated thin wrapper; the full low-level API lives in the
-// internal packages listed above (importable inside this module).
+// hardened-clique) are registered next to their payloads. The full
+// low-level API lives in the internal packages listed above (importable
+// inside this module).
 package mobilecongest
 
 import (
@@ -101,8 +98,6 @@ type (
 	// PortRuntime is the port-indexed (slot-native) runtime protocol code
 	// should program against on hot paths; obtain one with Ports.
 	PortRuntime = congest.PortRuntime
-	// RunConfig parameterizes a simulation run.
-	RunConfig = congest.Config
 	// Result is a run outcome.
 	Result = congest.Result
 	// Adversary intercepts round traffic through the slot-native
@@ -111,20 +106,10 @@ type (
 	// RoundTraffic is the slot-indexed view of one round's traffic handed
 	// to adversaries.
 	RoundTraffic = congest.RoundTraffic
-	// TrafficAdversary is the legacy map-based adversary interface; install
-	// one with AdaptTraffic.
-	TrafficAdversary = congest.TrafficAdversary
-	// RunContext is the reusable per-graph run state Scenario and Sweep
+	// RunContext is the reusable per-graph run state Scenario and Plan
 	// amortize across repeated runs.
 	RunContext = congest.RunContext
 )
-
-// AdaptTraffic wraps a legacy map-based adversary for use anywhere an
-// Adversary is expected (WithAdversary, RunConfig.Adversary, registries).
-// The wrapped adversary keeps its exact map semantics at the price of one
-// traffic-map materialization per round; see the README's "Writing a custom
-// adversary" section for migrating to the slot-native interface.
-func AdaptTraffic(a TrafficAdversary) Adversary { return congest.AdaptTraffic(a) }
 
 // Ports returns rt's port-native interface: rt itself when it is already
 // port-aware (both engines' runtimes and WrappedRuntime are), otherwise a
@@ -132,14 +117,6 @@ func AdaptTraffic(a TrafficAdversary) Adversary { return congest.AdaptTraffic(a)
 // port-indexed []Msg buffers and allocate no per-round maps; see the
 // README's "Writing a protocol" section.
 func Ports(rt Runtime) PortRuntime { return congest.Ports(rt) }
-
-// Run executes a protocol on a graph with the goroutine engine; see
-// congest.Run.
-//
-// Deprecated: build a Scenario instead — NewScenario(WithGraph(cfg.Graph),
-// WithProtocol(proto), ...).Run() — which adds engine selection and feeds
-// directly into Sweep. Run is kept as a thin wrapper for existing call sites.
-func Run(cfg RunConfig, proto Protocol) (*Result, error) { return congest.Run(cfg, proto) }
 
 // NewClique returns the complete graph K_n.
 func NewClique(n int) *Graph { return graph.Clique(n) }
@@ -159,8 +136,8 @@ func NewMobileByzantine(g *Graph, f int, seed int64) *adversary.Byzantine {
 }
 
 // HardenClique compiles a congested-clique protocol against an f-mobile
-// byzantine adversary (Theorem 1.6). Pass the returned shared artifact in
-// RunConfig.Shared.
+// byzantine adversary (Theorem 1.6). Pass the returned shared artifact with
+// WithShared.
 func HardenClique(payload Protocol, n, f int) (Protocol, *resilient.Shared) {
 	sh := resilient.CliqueShared(n)
 	return resilient.Compile(payload, resilient.Config{Mode: resilient.SparseMode, F: f}), sh

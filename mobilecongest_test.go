@@ -11,7 +11,8 @@ func TestFacadeHardenClique(t *testing.T) {
 	g := NewClique(n)
 	hardened, shared := HardenClique(algorithms.FloodMax(2), n, 1)
 	adv := NewMobileByzantine(g, 1, 3)
-	res, err := Run(RunConfig{Graph: g, Seed: 1, Adversary: adv, Shared: shared, MaxRounds: 1 << 22}, hardened)
+	res, err := NewScenario(WithGraph(g), WithSeed(1), WithAdversary(adv), WithShared(shared),
+		WithMaxRounds(1<<22), WithProtocol(hardened)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,8 @@ func TestFacadeHardenGeneral(t *testing.T) {
 	g := NewCirculant(12, 3)
 	hardened, shared := HardenGeneral(algorithms.FloodMax(g.Diameter()), g, 1, 6, 6)
 	adv := NewMobileByzantine(g, 1, 5)
-	res, err := Run(RunConfig{Graph: g, Seed: 2, Adversary: adv, Shared: shared, MaxRounds: 1 << 22}, hardened)
+	res, err := NewScenario(WithGraph(g), WithSeed(2), WithAdversary(adv), WithShared(shared),
+		WithMaxRounds(1<<22), WithProtocol(hardened)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,8 @@ func TestFacadeHardenGeneral(t *testing.T) {
 func TestFacadeEavesdropper(t *testing.T) {
 	g := NewCirculant(10, 2)
 	eve := NewMobileEavesdropper(g, 2, 7)
-	res, err := Run(RunConfig{Graph: g, Seed: 3, Adversary: eve}, algorithms.FloodMax(g.Diameter()))
+	res, err := NewScenario(WithGraph(g), WithSeed(3), WithAdversary(eve),
+		WithProtocol(algorithms.FloodMax(g.Diameter()))).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

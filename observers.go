@@ -8,7 +8,7 @@ import (
 
 // Observability surface: observers hook the engine's round lifecycle
 // (RoundStart / RoundDelivered / RunDone) and are attached to a Scenario with
-// WithObserver, to a Grid with CaptureTrace or Observers, or streamed from
+// WithObserver, to a Plan with CaptureTrace or Observers, or streamed from
 // the CLI with `mobilesim -trace`. The engine's own Stats is itself a
 // StatsObserver it installs internally — the built-ins below add traces,
 // congestion histograms, and corruption logs on the same pipeline.

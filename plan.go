@@ -18,9 +18,7 @@ import (
 // (topology family, node count, protocol name, adversary, engine, a
 // user-defined knob via VaryFunc) — and executes their cross product with
 // deterministic per-cell seeds, either streamed as cells finish
-// (Plan.Stream) or collected in grid order (Plan.Run). The legacy Grid/Sweep
-// surface is a thin compat wrapper that lowers onto a Plan, the same way
-// AdaptTraffic lowers map adversaries onto the slot boundary.
+// (Plan.Stream) or collected in grid order (Plan.Run).
 //
 // Seeds are canonical in the cell's coordinates: every seed-relevant axis
 // value contributes a "name=value" fragment, in axis order, to the cell's
@@ -28,8 +26,7 @@ import (
 // index. The engine axis is an execution detail and deliberately excluded,
 // so the same simulation cell draws the same randomness on every engine;
 // adding a new axis to a plan reshapes labels (and therefore seeds) only
-// for plans that use it — a Grid lowered onto a Plan produces byte-identical
-// records to the pre-Plan implementation.
+// for plans that use it, so every pre-existing cell keeps its seed.
 
 // cellSpec is the typed accumulation of one cell's axis values.
 type cellSpec struct {
@@ -275,11 +272,6 @@ type Plan struct {
 	// concurrently, so anything the returned observers share (e.g. a
 	// writer) must tolerate that — see NewJSONLTrace.
 	Observers func(cellName string) []Observer
-	// DefaultProtocol overrides the default workload built for cells
-	// without a protocol axis (the Grid.Protocol compat hook). It is called
-	// once per cell with the cell's resolved graph. Nil defaults to
-	// flooding the maximum ID for diameter+1 rounds.
-	DefaultProtocol func(g *Graph) Protocol
 	// Cache, when non-nil, memoizes cell records content-addressed by the
 	// cell's canonical name (plus MaxRounds and trace capture), derived
 	// seed, engine, and the build's code version. Cached cells are resolved
@@ -288,7 +280,7 @@ type Plan struct {
 	// deterministic order and Stream's cancellation semantics; freshly
 	// computed error-free records are inserted. Cells whose behavior the
 	// content address cannot identify — per-cell Observers, VaryFunc custom
-	// axes, a DefaultProtocol closure — always run. One cache may back any
+	// axes — always run. One cache may back any
 	// number of concurrent Plans; see NewResultCache / OpenResultCache.
 	Cache *ResultCache
 }
@@ -366,14 +358,12 @@ func (p Plan) cells() ([]planCell, error) {
 		// alone — no topology build, no Scenario, and later no RunContext.
 		// Only cells whose behavior the content address fully identifies are
 		// eligible: per-cell Observers watch rounds a replay never executes,
-		// and VaryFunc/DefaultProtocol closures are code the label cannot
-		// name. The cell name carries every axis fragment plus the rep;
+		// and VaryFunc closures are code the label cannot name. The cell name carries every axis fragment plus the rep;
 		// MaxRounds and trace capture shape the record without appearing in
 		// it, so they extend the key, and the engine (absent from default
 		// cells' names) is its own key component.
 		var cacheKey string
-		if p.Cache != nil && p.Observers == nil && len(spec.custom) == 0 &&
-			(spec.protoName != "" || p.DefaultProtocol == nil) {
+		if p.Cache != nil && p.Observers == nil && len(spec.custom) == 0 {
 			cacheKey = name
 			if p.MaxRounds != 0 {
 				cacheKey = fmt.Sprintf("%s,maxrounds=%d", cacheKey, p.MaxRounds)
@@ -413,14 +403,9 @@ func (p Plan) cells() ([]planCell, error) {
 			WithName(label),
 			WithGraph(tc.g),
 		}
-		switch {
-		case spec.protoName != "":
+		if spec.protoName != "" {
 			opts = append(opts, WithProtocolName(spec.protoName), WithProtocolParam(spec.protoP))
-		case p.DefaultProtocol != nil:
-			// Invoked once per cell, so closure-captured state is private to
-			// that cell's run.
-			opts = append(opts, WithProtocol(p.DefaultProtocol(tc.g)))
-		default:
+		} else {
 			opts = append(opts, WithProtocol(algorithms.FloodMax(tc.defaultRounds())))
 		}
 		opts = append(opts,

@@ -11,35 +11,40 @@ import (
 	"time"
 )
 
-// TestSweepLoweringPinnedByteIdentical pins the Grid→Plan compat lowering
-// against the pre-Plan implementation's exact cell vocabulary: record names
-// keep the "topo=T,n=N,k=K,adv=A,f=F,engine=E,rep=R" shape, seeds are
-// CellSeed over the engine-free prefix, order is the grid's nesting order,
-// and a hand-built Plan with the same axes reproduces Sweep byte for byte.
+// TestSweepLoweringPinnedByteIdentical pins the fixed-axis plan's exact
+// cell vocabulary: with the topology, n, k, adversary, f, engine, and reps
+// axes in canonical order, record names keep the
+// "topo=T,n=N,k=K,adv=A,f=F,engine=E,rep=R" shape, seeds are CellSeed over
+// the engine-free prefix, and order is the axes' nesting order.
 func TestSweepLoweringPinnedByteIdentical(t *testing.T) {
-	grid := Grid{
-		Topologies:  []string{"clique", "cycle"},
-		Ns:          []int{6, 8},
-		Adversaries: []string{"none", "flip"},
-		Fs:          []int{2},
-		Engines:     []string{"step", "goroutine"},
-		Reps:        2,
-		BaseSeed:    77,
+	topos, ns, advs, fs, engines := []string{"clique", "cycle"}, []int{6, 8}, []string{"none", "flip"}, []int{2}, []string{"step", "goroutine"}
+	const reps, base = 2, 77
+	plan := Plan{
+		Axes: []Axis{
+			TopologyAxis(topos...),
+			NAxis(ns...),
+			KAxis(0),
+			AdversaryAxis(advs...),
+			FAxis(fs...),
+			EngineAxis(engines...),
+			RepsAxis(reps),
+		},
+		BaseSeed: base,
 	}
-	recs, err := Sweep(grid)
+	recs, err := plan.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	for _, topo := range grid.Topologies {
-		for _, n := range grid.Ns {
-			for _, adv := range grid.Adversaries {
-				for _, f := range grid.Fs {
-					for _, eng := range grid.Engines {
-						for rep := 0; rep < grid.Reps; rep++ {
+	for _, topo := range topos {
+		for _, n := range ns {
+			for _, adv := range advs {
+				for _, f := range fs {
+					for _, eng := range engines {
+						for rep := 0; rep < reps; rep++ {
 							simLabel := fmt.Sprintf("topo=%s,n=%d,k=0,adv=%s,f=%d", topo, n, adv, f)
 							wantName := fmt.Sprintf("%s,engine=%s,rep=%d", simLabel, eng, rep)
-							wantSeed := CellSeed(grid.BaseSeed, simLabel, rep)
+							wantSeed := CellSeed(base, simLabel, rep)
 							r := recs[i]
 							if r.Name != wantName {
 								t.Fatalf("record %d name = %q, want %q", i, r.Name, wantName)
@@ -48,7 +53,7 @@ func TestSweepLoweringPinnedByteIdentical(t *testing.T) {
 								t.Fatalf("record %d (%s) seed = %d, want %d", i, r.Name, r.Seed, wantSeed)
 							}
 							if r.Protocol != "" || r.P != 0 {
-								t.Fatalf("grid record %d carries protocol coordinates: %+v", i, r)
+								t.Fatalf("fixed-axis record %d carries protocol coordinates: %+v", i, r)
 							}
 							i++
 						}
@@ -59,34 +64,6 @@ func TestSweepLoweringPinnedByteIdentical(t *testing.T) {
 	}
 	if i != len(recs) {
 		t.Fatalf("expected %d records, got %d", i, len(recs))
-	}
-
-	// The hand-lowered Plan is the same experiment: byte-identical records.
-	plan := Plan{
-		Axes: []Axis{
-			TopologyAxis(grid.Topologies...),
-			NAxis(grid.Ns...),
-			KAxis(0),
-			AdversaryAxis(grid.Adversaries...),
-			FAxis(grid.Fs...),
-			EngineAxis(grid.Engines...),
-			RepsAxis(grid.Reps),
-		},
-		BaseSeed: grid.BaseSeed,
-	}
-	precs, err := plan.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(precs) != len(recs) {
-		t.Fatalf("plan produced %d records, sweep %d", len(precs), len(recs))
-	}
-	for i := range recs {
-		a, b := recs[i], precs[i]
-		a.ElapsedMS, b.ElapsedMS = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("plan and sweep diverge at record %d:\n sweep %+v\n plan  %+v", i, a, b)
-		}
 	}
 }
 

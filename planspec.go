@@ -145,6 +145,14 @@ func (sp PlanSpec) Cells() int {
 	return cells
 }
 
+// defaulted returns s, or the single-axis default def when s is empty.
+func defaulted[T any](s []T, def ...T) []T {
+	if len(s) == 0 {
+		return def
+	}
+	return s
+}
+
 // Plan validates the spec and builds the equivalent Plan, axes in the
 // canonical label order — the same lowering `mobilesim -sweep` applies to
 // its flags, so spec and flags name identical cells, labels, and seeds.

@@ -11,9 +11,8 @@ import (
 )
 
 // TestPlanSpecEquivalentToGrid pins the lowering: a spec without protocol or
-// bandwidth axes names exactly the cells of the equivalent Grid sweep —
-// byte-identical names, seeds, and record order (the same contract the Grid
-// wrapper itself is pinned to).
+// bandwidth axes names exactly the cells of the equivalent fixed-axis Plan —
+// byte-identical names, seeds, and record order.
 func TestPlanSpecEquivalentToGrid(t *testing.T) {
 	sp := mc.PlanSpec{
 		Topologies:  []string{"clique", "circulant"},
@@ -32,14 +31,18 @@ func TestPlanSpecEquivalentToGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mc.Sweep(mc.Grid{
-		Topologies:  []string{"clique", "circulant"},
-		Ns:          []int{8, 16},
-		Adversaries: []string{"none", "flip"},
-		Fs:          []int{2},
-		Reps:        2,
-		BaseSeed:    7,
-	})
+	want, err := mc.Plan{
+		Axes: []mc.Axis{
+			mc.TopologyAxis("clique", "circulant"),
+			mc.NAxis(8, 16),
+			mc.KAxis(0),
+			mc.AdversaryAxis("none", "flip"),
+			mc.FAxis(2),
+			mc.EngineAxis("step"),
+			mc.RepsAxis(2),
+		},
+		BaseSeed: 7,
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func TestPlanSpecEquivalentToGrid(t *testing.T) {
 		gj, _ := json.Marshal(g)
 		wj, _ := json.Marshal(w)
 		if !bytes.Equal(gj, wj) {
-			t.Fatalf("record %d differs:\nspec: %s\ngrid: %s", i, gj, wj)
+			t.Fatalf("record %d differs:\nspec: %s\nplan: %s", i, gj, wj)
 		}
 	}
 	if n := sp.Cells(); n != len(got) {

@@ -52,7 +52,7 @@ func (p ProtoParams) withDefaults() ProtoParams {
 
 // ProtocolFunc builds a named protocol over g. The second return value is
 // the protocol's trusted preprocessing artifact, distributed to all nodes
-// via RunConfig.Shared (nil for protocols that need none) — returning it
+// as the run's Shared artifact (nil for protocols that need none) — returning it
 // here is what lets compiled protocols live in the registry next to their
 // payloads.
 type ProtocolFunc func(g *Graph, p ProtoParams) (Protocol, any, error)

@@ -56,7 +56,7 @@ const protoSeedMix = 0x70726f746f // "proto"
 // the engine's generous round limit.
 //
 // A Scenario is the single entry point for running simulations — it replaces
-// hand-rolled congest.Config literals — and is the unit a Sweep fans out.
+// hand-rolled congest.Config literals — and is the unit a Plan fans out.
 // Repeated Run calls on one Scenario reuse a congest.RunContext, amortizing
 // the per-run state (edge layout, round buffers, node cores, RNGs) across
 // runs; a Scenario is therefore not safe for concurrent Run calls (it never
@@ -285,7 +285,7 @@ func (s *Scenario) Run() (*Result, error) {
 }
 
 // runIn executes the scenario inside the given run context, which a caller
-// making many runs over the same graph (Sweep workers, the Scenario's own
+// making many runs over the same graph (Plan workers, the Scenario's own
 // repeated Run calls) reuses to amortize per-run allocations.
 func (s *Scenario) runIn(rc *congest.RunContext) (*Result, error) {
 	if s.err != nil {

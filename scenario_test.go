@@ -289,14 +289,3 @@ func TestRegistryContents(t *testing.T) {
 		t.Fatal("registered topology not listed")
 	}
 }
-
-func TestDeprecatedRunWrapperStillWorks(t *testing.T) {
-	g := NewClique(5)
-	res, err := Run(RunConfig{Graph: g, Seed: 1}, algorithms.FloodMax(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Rounds != 2 {
-		t.Fatalf("rounds = %d, want 2", res.Stats.Rounds)
-	}
-}

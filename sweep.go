@@ -1,9 +1,6 @@
 package mobilecongest
 
-import (
-	"context"
-	"hash/fnv"
-)
+import "hash/fnv"
 
 // Record is the JSON-serializable outcome of one sweep cell: the cell's
 // coordinates in the grid plus the run's statistics. Failed cells carry the
@@ -12,7 +9,7 @@ import (
 // chord distance 2 for circulants), which the builder resolves internally;
 // P is likewise the requested protocol parameter (0 = family default).
 // Protocol is the protocol registry name of the cell's workload, empty for
-// the default workload and for Grid sweeps with a Protocol closure.
+// the default workload.
 type Record struct {
 	Name                string  `json:"name"`
 	Topology            string  `json:"topology"`
@@ -35,67 +32,13 @@ type Record struct {
 	ElapsedMS           float64 `json:"elapsed_ms"`
 	Error               string  `json:"error,omitempty"`
 	// Trace is the cell's full per-round delivered-traffic trace, captured
-	// only when the plan (or Grid) captures traces (payloads base64 in
-	// JSON).
+	// only when the plan captures traces (payloads base64 in JSON).
 	Trace []RoundTrace `json:"trace,omitempty"`
 }
 
-// Grid is the legacy fixed-axis parameter grid: the cross product of its
-// six hardcoded axes defines one scenario per cell. Empty axes default to a
-// single sensible value, so a zero-ish Grid still sweeps something.
-//
-// Grid survives as a compat wrapper: Sweep lowers it onto a Plan whose axes
-// are the grid's, in the grid's canonical order, producing byte-identical
-// records to the pre-Plan implementation (same labels, seeds, and cell
-// order). New code should build a Plan directly — it adds the protocol
-// axis, user-defined axes, streaming, cancellation, and worker control.
-type Grid struct {
-	// Topologies are registry names (default ["clique"]).
-	Topologies []string
-	// Ns are node counts (default [16]).
-	Ns []int
-	// Ks are topology secondary parameters (default [0] = family default).
-	Ks []int
-	// Adversaries are registry names (default ["none"]).
-	Adversaries []string
-	// Fs are adversary strengths (default [1]).
-	Fs []int
-	// Engines are engine registry names (default ["step"]).
-	Engines []string
-	// Reps runs each cell this many times with distinct derived seeds
-	// (default 1).
-	Reps int
-	// BaseSeed feeds the per-cell seed derivation.
-	BaseSeed int64
-	// MaxRounds bounds each run (0 = engine default).
-	MaxRounds int
-	// Protocol builds the per-cell workload from the resolved graph. It is
-	// called once per cell, so closure-captured state is private to that
-	// cell's run; the returned Protocol must still be safe for concurrent
-	// per-node invocation, as always. Nil defaults to flooding the maximum ID
-	// for diameter+1 rounds.
-	Protocol func(g *Graph) Protocol
-	// CaptureTrace attaches a TraceObserver to every cell and stores the
-	// captured rounds in the cell's Record.Trace. Traces hold full payloads;
-	// budget accordingly on large grids.
-	CaptureTrace bool
-	// Observers, when non-nil, builds extra per-cell observers; it is called
-	// once per cell with the cell's Record.Name. Cells run concurrently, so
-	// anything the returned observers share (e.g. a writer) must tolerate
-	// that — see NewJSONLTrace.
-	Observers func(cellName string) []Observer
-}
-
-func defaulted[T any](s []T, def ...T) []T {
-	if len(s) == 0 {
-		return def
-	}
-	return s
-}
-
-// CellSeed derives the deterministic seed for a plan (or grid) cell: a hash
-// of the cell's seed-relevant label mixed with the base seed and repetition
-// index. It depends only on the cell's coordinates, never on plan order or
+// CellSeed derives the deterministic seed for a plan cell: a hash of the
+// cell's seed-relevant label mixed with the base seed and repetition index.
+// It depends only on the cell's coordinates, never on plan order or
 // worker scheduling, so reshaping a sweep does not reshuffle the randomness
 // of surviving cells; axes a plan does not use contribute nothing to the
 // label, so extending the axis vocabulary (e.g. the protocol axis) leaves
@@ -104,46 +47,4 @@ func CellSeed(base int64, label string, rep int) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(label))
 	return int64(uint64(base) ^ h.Sum64() ^ (uint64(rep) * 0x9e3779b97f4a7c15))
-}
-
-// plan lowers the grid onto the equivalent Plan: the six fixed axes in the
-// grid's canonical order (topology, n, k, adversary, f, engine, reps), which
-// reproduces the pre-Plan labels — "topo=T,n=N,k=K,adv=A,f=F,engine=E" —
-// and therefore the exact per-cell seeds, names, and record order.
-func (gr Grid) plan() Plan {
-	reps := gr.Reps
-	if reps <= 0 {
-		reps = 1
-	}
-	return Plan{
-		Axes: []Axis{
-			TopologyAxis(defaulted(gr.Topologies, "clique")...),
-			NAxis(defaulted(gr.Ns, 16)...),
-			KAxis(defaulted(gr.Ks, 0)...),
-			AdversaryAxis(defaulted(gr.Adversaries, "none")...),
-			FAxis(defaulted(gr.Fs, 1)...),
-			EngineAxis(defaulted(gr.Engines, EngineStep.Name())...),
-			RepsAxis(reps),
-		},
-		BaseSeed:        gr.BaseSeed,
-		MaxRounds:       gr.MaxRounds,
-		CaptureTrace:    gr.CaptureTrace,
-		Observers:       gr.Observers,
-		DefaultProtocol: gr.Protocol,
-	}
-}
-
-// Sweep expands the grid and runs every cell, fanning the work out across
-// GOMAXPROCS workers (each reusing one congest.RunContext across its cells).
-// The full record set is returned once the sweep completes, in grid order
-// regardless of worker scheduling; per-cell failures are recorded rather
-// than fatal, and only grid configuration errors (unknown registry names,
-// unbuildable topologies) return an error.
-//
-// Sweep is the compat wrapper over the Plan API: it lowers the Grid onto the
-// equivalent Plan and Runs it, byte-identically to the pre-Plan
-// implementation. Use a Plan directly for streaming results, cancellation,
-// protocol and user-defined axes, and worker control.
-func Sweep(grid Grid) ([]Record, error) {
-	return grid.plan().Run(context.Background())
 }

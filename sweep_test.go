@@ -1,23 +1,29 @@
 package mobilecongest
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 )
 
+// sweep runs a plan to completion with a background context.
+func sweep(p Plan) ([]Record, error) { return p.Run(context.Background()) }
+
 func TestSweepGridShapeAndDeterminism(t *testing.T) {
-	grid := Grid{
-		Topologies:  []string{"clique", "cycle"},
-		Ns:          []int{6, 8},
-		Adversaries: []string{"none", "flip"},
-		Fs:          []int{1},
-		Engines:     []string{"step"},
-		Reps:        2,
-		BaseSeed:    5,
+	plan := Plan{
+		Axes: []Axis{
+			TopologyAxis("clique", "cycle"),
+			NAxis(6, 8),
+			AdversaryAxis("none", "flip"),
+			FAxis(1),
+			EngineAxis("step"),
+			RepsAxis(2),
+		},
+		BaseSeed: 5,
 	}
-	recs, err := Sweep(grid)
+	recs, err := sweep(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +45,7 @@ func TestSweepGridShapeAndDeterminism(t *testing.T) {
 	if recs[0].Seed == recs[1].Seed {
 		t.Fatal("reps of one cell share a seed")
 	}
-	again, err := Sweep(grid)
+	again, err := sweep(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +59,13 @@ func TestSweepGridShapeAndDeterminism(t *testing.T) {
 }
 
 func TestSweepSeedsIndependentOfGridShape(t *testing.T) {
-	wide := Grid{Topologies: []string{"clique", "cycle"}, Ns: []int{6}, BaseSeed: 3}
-	narrow := Grid{Topologies: []string{"cycle"}, Ns: []int{6}, BaseSeed: 3}
-	w, err := Sweep(wide)
+	wide := Plan{Axes: []Axis{TopologyAxis("clique", "cycle"), NAxis(6)}, BaseSeed: 3}
+	narrow := Plan{Axes: []Axis{TopologyAxis("cycle"), NAxis(6)}, BaseSeed: 3}
+	w, err := sweep(wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Sweep(narrow)
+	n, err := sweep(narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +76,12 @@ func TestSweepSeedsIndependentOfGridShape(t *testing.T) {
 		}
 	}
 	if wCycle == nil || wCycle.Seed != n[0].Seed {
-		t.Fatal("cell seed changed when the grid was reshaped")
+		t.Fatal("cell seed changed when the plan was reshaped")
 	}
 }
 
 func TestSweepRecordsAreJSON(t *testing.T) {
-	recs, err := Sweep(Grid{Ns: []int{5}, BaseSeed: 1})
+	recs, err := sweep(Plan{Axes: []Axis{NAxis(5)}, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,38 +95,40 @@ func TestSweepRecordsAreJSON(t *testing.T) {
 }
 
 func TestSweepUnknownNamesRejectedUpfront(t *testing.T) {
-	if _, err := Sweep(Grid{Topologies: []string{"nosuch"}}); err == nil {
+	if _, err := sweep(Plan{Axes: []Axis{TopologyAxis("nosuch")}}); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
-	if _, err := Sweep(Grid{Adversaries: []string{"nosuch"}}); err == nil {
+	if _, err := sweep(Plan{Axes: []Axis{AdversaryAxis("nosuch")}}); err == nil {
 		t.Fatal("unknown adversary accepted")
 	}
-	if _, err := Sweep(Grid{Engines: []string{"warp"}}); err == nil {
+	if _, err := sweep(Plan{Axes: []Axis{EngineAxis("warp")}}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
 
 func TestSweepEngineEquivalenceOnGrid(t *testing.T) {
-	// The same grid swept under both engines must produce identical
+	// The same plan swept under both engines must produce identical
 	// simulation statistics cell-for-cell — and, with trace capture on,
 	// identical per-round delivered-traffic traces (message order, payloads,
 	// corrupted edge sets).
-	mk := func(engine string) Grid {
-		return Grid{
-			Topologies:   []string{"circulant"},
-			Ns:           []int{10, 14},
-			Adversaries:  []string{"flip", "drop"},
-			Fs:           []int{1, 2},
-			Engines:      []string{engine},
+	mk := func(engine string) Plan {
+		return Plan{
+			Axes: []Axis{
+				TopologyAxis("circulant"),
+				NAxis(10, 14),
+				AdversaryAxis("flip", "drop"),
+				FAxis(1, 2),
+				EngineAxis(engine),
+			},
 			BaseSeed:     11,
 			CaptureTrace: true,
 		}
 	}
-	a, err := Sweep(mk("goroutine"))
+	a, err := sweep(mk("goroutine"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sweep(mk("step"))
+	b, err := sweep(mk("step"))
 	if err != nil {
 		t.Fatal(err)
 	}

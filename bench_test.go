@@ -83,17 +83,23 @@ func BenchmarkRun(b *testing.B) {
 
 // BenchmarkProtocol exercises the protocol-registry axis on the heavier
 // payload fleet: BFS on circulant256 (a long-diameter flood with per-port
-// state) and Borůvka MST on clique64 (MSTClique is a congested-clique
+// state), Borůvka MST on clique64 (MSTClique is a congested-clique
 // protocol, so its cell runs on the clique family — n*n-weight inputs,
-// all-to-all announcements every round). Protocols are resolved by registry
-// name, so this also pins the WithProtocolName build path's overhead.
+// all-to-all announcements every round), and the Theorem 1.2 compiler
+// (secure-broadcast on circulant128 under an f=2 mobile eavesdropper,
+// whose key phase extracts 17 keys from 85 exchanged words per
+// edge-direction). Protocols are resolved by registry name, so this also
+// pins the WithProtocolName build path's overhead.
 func BenchmarkProtocol(b *testing.B) {
 	cases := []struct {
 		proto, topo string
 		n, k        int
+		adv         string
+		f           int
 	}{
-		{"bfs", "circulant", 256, 4},
-		{"mstclique", "clique", 64, 0},
+		{"bfs", "circulant", 256, 4, "none", 0},
+		{"mstclique", "clique", 64, 0, "none", 0},
+		{"secure-broadcast", "circulant", 128, 4, "eavesdrop", 2},
 	}
 	for _, engine := range mc.EngineNames() {
 		for _, c := range cases {
@@ -101,6 +107,7 @@ func BenchmarkProtocol(b *testing.B) {
 				sc := mc.NewScenario(
 					mc.WithTopology(c.topo, c.n, c.k),
 					mc.WithProtocolName(c.proto),
+					mc.WithAdversaryName(c.adv, c.f),
 					mc.WithSeed(1),
 					mc.WithEngineName(engine),
 				)

@@ -113,3 +113,29 @@ func TestHardenedCliqueAllocCeiling(t *testing.T) {
 	}
 	t.Logf("%.0f allocs per run", allocs)
 }
+
+// TestSecureBroadcastAllocCeiling caps the allocations of one warmed
+// secure-broadcast run (circulant128 k=4, eavesdrop f=2, step engine). The
+// Theorem 1.2 key phase shares one table-driven extractor per compiled
+// protocol, reuses its Phase-1 send buffer and pads into per-port buffers,
+// so a run makes about 7.3k allocations; rebuilding a Vandermonde matrix
+// per port or a fresh message per key word would put it back near 200k.
+func TestSecureBroadcastAllocCeiling(t *testing.T) {
+	const ceiling = 20_000
+	sc := NewScenario(
+		WithTopology("circulant", 128, 4),
+		WithProtocolName("secure-broadcast"),
+		WithAdversaryName("eavesdrop", 2),
+		WithEngineName("step"),
+		WithSeed(1),
+	)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := sc.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("secure-broadcast circulant128 eavesdrop f=2: %.0f allocs per run, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%.0f allocs per run", allocs)
+}

@@ -5,6 +5,16 @@
 // extractor produces r output keys that remain uniform and independent in the
 // adversary's view. This is the engine behind the static-to-mobile security
 // compiler (Theorem 1.2) and the key-pool phases of Appendix A.
+//
+// The extractor computes y = Mᵀx for the n×m Vandermonde matrix
+// M[i][j] = α_i^j with α_i = g^(i+1) (gf.Vandermonde), but never builds M.
+// Since M[i][j] = g^((i+1)j) = β_j^(i+1) with β_j = g^j, output j is the
+// polynomial y_j = Σ_i x_i·β_j^(i+1), which Horner's rule evaluates as
+// acc ← (acc + x_i)·β_j for i = n-1 down to 0. Multiplying by the constant
+// β_j is GF(2)-linear in the bits of its operand, so v·β_j = lo_j[v & 0xff]
+// ⊕ hi_j[v >> 8] for two 256-entry tables per output, each filled from 8
+// basis products. The tables depend only on m (2·256·m entries), cost two
+// loads per multiply, and let Lanes independent streams share them.
 package extract
 
 import (
@@ -13,12 +23,38 @@ import (
 	"mobilecongest/internal/gf"
 )
 
+// Lanes is the number of interleaved input streams ExtractLanes condenses at
+// once: four GF(2^16) symbols make one 8-byte key word.
+const Lanes = 4
+
+// mulTable multiplies a GF(2^16) element by a fixed constant c:
+// v·c = t[0][v&0xff] ^ t[1][v>>8].
+type mulTable [2][256]gf.Elem
+
+// fill builds the table for c by linearity: the products of c with the 16
+// single-bit elements, then every other entry as the XOR of two entries
+// with fewer bits set.
+func (t *mulTable) fill(f *gf.Field, c gf.Elem) {
+	for h := range t {
+		for k := 0; k < 8 && 8*h+k < f.K(); k++ {
+			t[h][1<<k] = f.Mul(c, gf.Elem(1)<<(8*h+k))
+		}
+		for b := 1; b < 256; b++ {
+			if low := b & -b; low != b {
+				t[h][b] = t[h][b^low] ^ t[h][low]
+			}
+		}
+	}
+}
+
 // Extractor derives m hidden keys from n partially-observed random values,
 // where resilience holds as long as the adversary observed at most n-m of
-// them.
+// them. It is read-only after New, so one instance may serve any number of
+// nodes concurrently.
 type Extractor struct {
-	f *gf.Field
-	m *gf.Matrix // n x m Vandermonde
+	f    *gf.Field
+	n, m int
+	tabs []mulTable // tabs[j] multiplies by β_j = g^j
 }
 
 // New constructs an extractor mapping n input elements to m output keys,
@@ -30,27 +66,51 @@ func New(f *gf.Field, n, m int) (*Extractor, error) {
 	if n >= f.Order()-1 {
 		return nil, fmt.Errorf("extract: n=%d too large for field order %d", n, f.Order())
 	}
-	return &Extractor{f: f, m: gf.Vandermonde(f, n, m)}, nil
+	e := &Extractor{f: f, n: n, m: m, tabs: make([]mulTable, m)}
+	for j := range e.tabs {
+		e.tabs[j].fill(f, f.Exp(j))
+	}
+	return e, nil
 }
 
 // N returns the number of input elements.
-func (e *Extractor) N() int { return e.m.Rows() }
+func (e *Extractor) N() int { return e.n }
 
 // M returns the number of output keys.
-func (e *Extractor) M() int { return e.m.Cols() }
+func (e *Extractor) M() int { return e.m }
 
 // Resilience returns t = n-m, the number of inputs the adversary may know
 // without learning anything about the outputs.
-func (e *Extractor) Resilience() int { return e.N() - e.M() }
+func (e *Extractor) Resilience() int { return e.n - e.m }
 
-// Extract computes the m keys y_j = sum_i M[i][j] * x_i. If at most
-// Resilience() of the x_i are known to the adversary and the rest are
-// uniform, the outputs are i.i.d. uniform in the adversary's view.
-func (e *Extractor) Extract(x []gf.Elem) ([]gf.Elem, error) {
-	if len(x) != e.N() {
-		return nil, fmt.Errorf("extract: input length %d, want %d", len(x), e.N())
+// ExtractLanes runs Lanes extractions at once over interleaved streams:
+// lane w's input is x[w], x[Lanes+w], x[2·Lanes+w], ... and its key j,
+// y_j = sum_i M[i][j] * x_i, lands in dst[j·Lanes+w]. If at most
+// Resilience() of a lane's inputs are known to the adversary and the rest
+// are uniform, its outputs are i.i.d. uniform in the adversary's view. The
+// lanes are independent Horner chains over shared tables, which hides the
+// latency of each chain's table loads. It panics unless
+// len(x) == Lanes·N() and len(dst) == Lanes·M().
+func (e *Extractor) ExtractLanes(dst, x []gf.Elem) {
+	if len(x) != Lanes*e.n || len(dst) != Lanes*e.m {
+		panic(fmt.Sprintf("extract: ExtractLanes(dst[%d], x[%d]) on an n=%d m=%d extractor", len(dst), len(x), e.n, e.m))
 	}
-	return e.m.TransposeMulVec(x), nil
+	for j := range e.tabs {
+		lo, hi := &e.tabs[j][0], &e.tabs[j][1]
+		// uint32 accumulators keep the four chains and both table
+		// pointers in registers; the products are 16-bit either way.
+		var a0, a1, a2, a3 uint32
+		for i := len(x); i >= Lanes; i -= Lanes {
+			xs := x[i-Lanes : i : i]
+			v0, v1, v2, v3 := a0^uint32(xs[0]), a1^uint32(xs[1]), a2^uint32(xs[2]), a3^uint32(xs[3])
+			a0 = uint32(lo[byte(v0)] ^ hi[byte(v0>>8)])
+			a1 = uint32(lo[byte(v1)] ^ hi[byte(v1>>8)])
+			a2 = uint32(lo[byte(v2)] ^ hi[byte(v2>>8)])
+			a3 = uint32(lo[byte(v3)] ^ hi[byte(v3>>8)])
+		}
+		ys := dst[j*Lanes : j*Lanes+Lanes : j*Lanes+Lanes]
+		ys[0], ys[1], ys[2], ys[3] = gf.Elem(a0), gf.Elem(a1), gf.Elem(a2), gf.Elem(a3)
+	}
 }
 
 // VerifyResilience checks algebraically that for the given set of observed
@@ -64,48 +124,24 @@ func (e *Extractor) VerifyResilience(observed []int) (bool, error) {
 	}
 	isObs := make(map[int]bool, len(observed))
 	for _, i := range observed {
-		if i < 0 || i >= e.N() {
+		if i < 0 || i >= e.n {
 			return false, fmt.Errorf("extract: observed index %d out of range", i)
 		}
 		isObs[i] = true
 	}
 	// Build the submatrix of M restricted to unobserved rows; outputs are
 	// uniform iff this (n-|observed|) x m matrix has rank m.
-	free := e.N() - len(isObs)
-	sub := gf.NewMatrix(e.f, free, e.M())
+	full := gf.Vandermonde(e.f, e.n, e.m)
+	sub := gf.NewMatrix(e.f, e.n-len(isObs), e.m)
 	r := 0
-	for i := 0; i < e.N(); i++ {
+	for i := 0; i < e.n; i++ {
 		if isObs[i] {
 			continue
 		}
-		for j := 0; j < e.M(); j++ {
-			sub.Set(r, j, e.m.At(i, j))
+		for j := 0; j < e.m; j++ {
+			sub.Set(r, j, full.At(i, j))
 		}
 		r++
 	}
-	return sub.Rank() == e.M(), nil
-}
-
-// KeySchedule is the per-edge key material computed in the first phase of
-// the static-to-mobile compiler: r keys per direction.
-type KeySchedule struct {
-	// Fwd[i] encrypts the round-i message from the lower-ID endpoint to the
-	// higher-ID endpoint; Bwd[i] the reverse direction.
-	Fwd []gf.Elem
-	Bwd []gf.Elem
-}
-
-// DeriveKeys runs the extractor on the two directed streams of exchanged
-// random values (fwd[j] sent low->high in key round j, bwd[j] the reverse)
-// and returns r keys per direction.
-func (e *Extractor) DeriveKeys(fwd, bwd []gf.Elem) (*KeySchedule, error) {
-	kf, err := e.Extract(fwd)
-	if err != nil {
-		return nil, err
-	}
-	kb, err := e.Extract(bwd)
-	if err != nil {
-		return nil, err
-	}
-	return &KeySchedule{Fwd: kf, Bwd: kb}, nil
+	return sub.Rank() == e.m, nil
 }

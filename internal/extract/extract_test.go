@@ -10,6 +10,22 @@ import (
 
 var testField = gf.NewField16()
 
+// extractOne runs x through lane 0 of ExtractLanes (the other lanes carry
+// zeros) and returns its M() keys.
+func extractOne(ex *Extractor, x []gf.Elem) []gf.Elem {
+	in := make([]gf.Elem, Lanes*ex.N())
+	for i, v := range x {
+		in[i*Lanes] = v
+	}
+	out := make([]gf.Elem, Lanes*ex.M())
+	ex.ExtractLanes(out, in)
+	y := make([]gf.Elem, ex.M())
+	for j := range y {
+		y[j] = out[j*Lanes]
+	}
+	return y
+}
+
 func TestResilienceRankAllSubsets(t *testing.T) {
 	// Small enough to enumerate: n=6, m=3, t=3. Every observed set of size
 	// <= 3 must leave the outputs uniform.
@@ -84,10 +100,7 @@ func TestOutputUniformityEmpirical(t *testing.T) {
 		for i, oi := range observedIdx {
 			x[oi] = obsVals[i]
 		}
-		y, err := ex.Extract(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		y := extractOne(ex, x)
 		counts[int(y[0])*buckets/gf.Order16]++
 	}
 	want := float64(trials) / buckets
@@ -112,9 +125,7 @@ func TestExtractLinear(t *testing.T) {
 		for i := range xy {
 			xy[i] = x[i] ^ y[i]
 		}
-		ex1, _ := ex.Extract(x)
-		ex2, _ := ex.Extract(y)
-		ex3, _ := ex.Extract(xy)
+		ex1, ex2, ex3 := extractOne(ex, x), extractOne(ex, y), extractOne(ex, xy)
 		for i := range ex3 {
 			if ex3[i] != ex1[i]^ex2[i] {
 				return false
@@ -127,32 +138,6 @@ func TestExtractLinear(t *testing.T) {
 	}
 }
 
-func TestDeriveKeys(t *testing.T) {
-	ex, _ := New(testField, 10, 4)
-	rng := rand.New(rand.NewSource(23))
-	fwd := make([]gf.Elem, 10)
-	bwd := make([]gf.Elem, 10)
-	for i := range fwd {
-		fwd[i] = gf.Elem(rng.Intn(gf.Order16))
-		bwd[i] = gf.Elem(rng.Intn(gf.Order16))
-	}
-	ks, err := ex.DeriveKeys(fwd, bwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ks.Fwd) != 4 || len(ks.Bwd) != 4 {
-		t.Fatalf("key schedule lengths %d/%d, want 4/4", len(ks.Fwd), len(ks.Bwd))
-	}
-	// Both endpoints computing from the same exchanged values get identical
-	// schedules — determinism check.
-	ks2, _ := ex.DeriveKeys(fwd, bwd)
-	for i := range ks.Fwd {
-		if ks.Fwd[i] != ks2.Fwd[i] || ks.Bwd[i] != ks2.Bwd[i] {
-			t.Fatal("key derivation is not deterministic")
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(testField, 4, 5); err == nil {
 		t.Fatal("m > n accepted")
@@ -162,5 +147,105 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(testField, gf.Order16, 4); err == nil {
 		t.Fatal("n >= order accepted")
+	}
+}
+
+// reference is the textbook extractor the table-driven kernel replaces: the
+// explicit Vandermonde matrix applied as Mᵀx.
+func reference(n, m int, x []gf.Elem) []gf.Elem {
+	return gf.Vandermonde(testField, n, m).TransposeMulVec(x)
+}
+
+// checkAgainstReference runs ExtractLanes on Lanes inputs (lane w gets
+// inputs[w]) and compares every output with the reference.
+func checkAgainstReference(t *testing.T, n, m int, inputs [Lanes][]gf.Elem) bool {
+	t.Helper()
+	ex, err := New(testField, n, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]gf.Elem, Lanes*n)
+	for w, in := range inputs {
+		for i, v := range in {
+			x[i*Lanes+w] = v
+		}
+	}
+	y := make([]gf.Elem, Lanes*m)
+	ex.ExtractLanes(y, x)
+	ok := true
+	for w, in := range inputs {
+		for j, want := range reference(n, m, in) {
+			if got := y[j*Lanes+w]; got != want {
+				t.Errorf("n=%d m=%d lane %d key %d: ExtractLanes %#x, reference %#x", n, m, w, j, got, want)
+				ok = false
+			}
+		}
+	}
+	return ok
+}
+
+// TestExtractMatchesVandermonde pins the kernel to gf.Vandermonde's Mᵀx
+// on random, all-zero and all-0xFFFF inputs.
+func TestExtractMatchesVandermonde(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, c := range [][2]int{{1, 1}, {2, 1}, {6, 3}, {85, 17}, {85, 85}, {300, 40}} {
+		n, m := c[0], c[1]
+		var random, zero, ones [Lanes][]gf.Elem
+		for w := range random {
+			random[w] = make([]gf.Elem, n)
+			zero[w] = make([]gf.Elem, n)
+			ones[w] = make([]gf.Elem, n)
+			for i := 0; i < n; i++ {
+				random[w][i] = gf.Elem(rng.Intn(gf.Order16))
+				ones[w][i] = 0xFFFF
+			}
+		}
+		// Mix the fixed patterns into one call too, so lanes cannot
+		// share state.
+		mixed := [Lanes][]gf.Elem{random[0], zero[1], ones[2], random[3]}
+		for _, in := range [][Lanes][]gf.Elem{random, zero, ones, mixed} {
+			checkAgainstReference(t, n, m, in)
+		}
+	}
+}
+
+// TestExtractMatchesVandermondeProperty checks the kernel against the
+// reference over random shapes and inputs.
+func TestExtractMatchesVandermondeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(200)
+		m := 1 + rng.Intn(n)
+		var in [Lanes][]gf.Elem
+		for w := range in {
+			in[w] = make([]gf.Elem, n)
+			for i := range in[w] {
+				in[w][i] = gf.Elem(rng.Intn(gf.Order16))
+			}
+		}
+		return checkAgainstReference(t, n, m, in)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkExtract condenses one 8-byte key word stream at the shape of the
+// secure-circulant workload (n = 85 exchanged words, m = 17 keys).
+func BenchmarkExtract(b *testing.B) {
+	const n, m = 85, 17
+	ex, err := New(testField, n, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	x := make([]gf.Elem, Lanes*n)
+	for i := range x {
+		x[i] = gf.Elem(rng.Intn(gf.Order16))
+	}
+	dst := make([]gf.Elem, Lanes*m)
+	b.ReportAllocs()
+	for b.Loop() {
+		ex.ExtractLanes(dst, x)
 	}
 }

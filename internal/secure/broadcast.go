@@ -36,9 +36,8 @@ func MinSharesFor(f, eta int) int { return f*eta + 1 }
 
 // MobileSecureBroadcast floods the source's 8-byte Input secret to every
 // node with perfect security against f-mobile eavesdroppers (for
-// k > f*load). Every node outputs the recovered uint64. keySlack is the t
-// of Lemma A.1 for the key phase (t >= 2*f*keysPerEdge gives f'=f; pass
-// f and the protocol derives it).
+// k > f*load). Every node outputs the recovered uint64. Its key phase picks
+// the t of Lemma A.1 itself: t = 2*f*keysPerEdge, which gives f' = f.
 func MobileSecureBroadcast(f int) congest.Protocol {
 	return func(rt congest.Runtime) {
 		sh, ok := rt.Shared().(*BroadcastShared)
@@ -49,23 +48,21 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 		views := sh.Views[rt.ID()]
 		k := len(views)
 		depth := rsim.MaxDepth(sh.Views)
-		// Each tree edge carries one share per tree it belongs to, and the
-		// downcast pipelines over depth rounds: a share crosses each of its
-		// tree's edges exactly once, so keysPerEdge = eta suffices; we round
-		// up to the packing load bound k (safe upper bound: an edge is in at
-		// most k trees).
-		keysPerEdge := 0
-		for range views {
-			keysPerEdge++
-		}
+		// A share crosses each edge of its tree once, so an edge-direction
+		// needs one key per tree through it: at most the packing load eta,
+		// and never more than k. Every node's views list all k trees, so
+		// keysPerEdge = k is known locally and equal at both endpoints of
+		// every edge, which must size Phase 1 and the extractor alike.
+		keysPerEdge := len(views)
 		// Phase 1: local secret exchange sized for f' = f (t >= 2*f*r).
 		ell := keysPerEdge + 2*f*keysPerEdge
 		if ell < keysPerEdge+1 {
 			ell = keysPerEdge + 1
 		}
 		sent, recv := exchangeSecrets(pr, ell)
-		sendKeys := deriveKeyPools(sent, ell, keysPerEdge, "broadcast")
-		recvKeys := deriveKeyPools(recv, ell, keysPerEdge, "broadcast")
+		kx := newKeyExtractor(ell, keysPerEdge, "broadcast")
+		sendKeys := kx.pools(sent)
+		recvKeys := kx.pools(recv)
 		usedSend := make([]int, pr.Degree())
 		usedRecv := make([]int, pr.Degree())
 
@@ -89,20 +86,27 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 		}
 
 		// Phase 2: pipelined downcast, one slot per depth level; every
-		// message is one-time-padded with the next key of its edge.
+		// message is one-time-padded with the next key of its edge. A
+		// message is a 1-byte tree index and a padded share; have[j] is a
+		// view of haveBuf once tree j's share arrived, and each port's
+		// outgoing shares are built in its own reusable buffer.
+		const shareMsg = 1 + keyBytes
 		have := make([][]byte, k)
+		haveBuf := make([]byte, k*keyBytes)
 		for j, tv := range views {
 			if tv.Depth == 0 {
 				have[j] = shares[j]
 			}
 		}
+		sendBuf := make([][]byte, pr.Degree())
+		type sendRec struct {
+			port int
+			tree int
+		}
+		var sends []sendRec
 		for slot := 0; slot <= depth; slot++ {
 			out := pr.OutBuf()
-			type sendRec struct {
-				port int
-				tree int
-			}
-			var sends []sendRec
+			sends = sends[:0]
 			for j, tv := range views {
 				if tv.Depth < 0 || have[j] == nil || slot != tv.Depth {
 					continue
@@ -114,17 +118,15 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 			for _, sr := range sends {
 				key := sendKeys[sr.port].Key(usedSend[sr.port])
 				usedSend[sr.port]++
-				m := append(congest.Msg{byte(sr.tree)}, xorBytes(have[sr.tree], key)...)
-				// One message per edge per round in this scheme: tree edges
-				// are packing edges, and a (child, slot) pair receives from
-				// one parent in one tree at a time under load eta <= slots.
-				if prev := out[sr.port]; prev != nil {
-					// Two trees share this edge and slot: concatenate; keys
-					// advance per share so secrecy is preserved.
-					out[sr.port] = append(prev, m...)
-					continue
+				// Two trees may share this edge and slot: their shares are
+				// concatenated, and keys advance per share so secrecy is
+				// preserved.
+				buf := out[sr.port]
+				if buf == nil {
+					buf = sendBuf[sr.port][:0]
 				}
-				out[sr.port] = m
+				buf = padInto(append(buf, byte(sr.tree)), have[sr.tree], key)
+				sendBuf[sr.port], out[sr.port] = buf, buf
 			}
 			in := pr.ExchangePorts(out)
 			for p, m := range in {
@@ -132,7 +134,7 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 					continue
 				}
 				from := pr.Neighbor(p)
-				for off := 0; off+9 <= len(m); off += 9 {
+				for off := 0; off+shareMsg <= len(m); off += shareMsg {
 					tree := int(m[off])
 					if tree < 0 || tree >= k {
 						continue
@@ -140,7 +142,7 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 					key := recvKeys[p].Key(usedRecv[p])
 					usedRecv[p]++
 					if views[tree].Parent == from && have[tree] == nil {
-						have[tree] = xorBytes(m[off+1:off+9], key)
+						have[tree] = padInto(haveBuf[tree*keyBytes:tree*keyBytes:(tree+1)*keyBytes], m[off+1:off+shareMsg], key)
 					}
 				}
 			}

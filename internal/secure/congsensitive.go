@@ -67,6 +67,8 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 	if cfg.KeySlack <= 0 {
 		cfg.KeySlack = 2 * cfg.F * cfg.R
 	}
+	ell := cfg.R + cfg.KeySlack
+	kx := newKeyExtractor(ell, cfg.R, "congestion-sensitive")
 	return func(rt congest.Runtime) {
 		sh, ok := rt.Shared().(*BroadcastShared)
 		if !ok {
@@ -75,10 +77,9 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		// Step 1: r keys of 6 bytes per edge-direction. Reuse the 8-byte
 		// pool machinery (we use the first 6 bytes of each key).
 		pr := congest.Ports(rt)
-		ell := cfg.R + cfg.KeySlack
 		sent, recv := exchangeSecrets(pr, ell)
-		sendKeys := deriveKeyPools(sent, ell, cfg.R, "congestion-sensitive")
-		recvKeys := deriveKeyPools(recv, ell, cfg.R, "congestion-sensitive")
+		sendKeys := kx.pools(sent)
+		recvKeys := kx.pools(recv)
 
 		// Step 2: the packing root broadcasts the hash seed; we reuse the
 		// mobile-secure broadcast inline. The root's "input" here is drawn
@@ -117,7 +118,13 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		}
 
 		round := 0
-		dec := make([]congest.Msg, pr.Degree())
+		deg := pr.Degree()
+		dec := make([]congest.Msg, deg)
+		// Per-port pad buffers, reused every round (see StaticToMobile);
+		// plain is scratch for one received ciphertext at a time.
+		encBuf := make([]byte, deg*csCipherBytes)
+		decBuf := make([]byte, deg*2)
+		var plain []byte
 		w := &congest.WrappedRuntime{Base: rt, ShadowShared: nil}
 		w.ExchangePortsFn = func(out []congest.Msg) []congest.Msg {
 			if round >= cfg.R {
@@ -146,7 +153,7 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 					// Empty slot: uniform random ciphertext.
 					rt.Rand().Read(cipher[:])
 				}
-				enc[p] = xorBytes(cipher[:], sendKeys[p].Key(round))
+				enc[p] = padInto(portBuf(encBuf, p, csCipherBytes), cipher[:], sendKeys[p].Key(round))
 			}
 			in := pr.ExchangePorts(enc)
 			for p, m := range in {
@@ -154,7 +161,7 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 				if m == nil {
 					continue
 				}
-				plain := xorBytes(m, recvKeys[p].Key(round))
+				plain = padInto(plain[:0], m, recvKeys[p].Key(round))
 				var ci img
 				for i := 0; i < 3; i++ {
 					if 2*i+1 < len(plain) {
@@ -162,7 +169,7 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 					}
 				}
 				if sym, okDec := table[ci]; okDec {
-					dec[p] = congest.Msg{byte(sym >> 8), byte(sym)}
+					dec[p] = append(portBuf(decBuf, p, 2), byte(sym>>8), byte(sym))
 				}
 			}
 			round++

@@ -51,12 +51,9 @@ func TestNegativeControlKeyRecoveryAttack(t *testing.T) {
 	if len(streamFwd) != ell*wordSymbols || len(phase2Fwd) == 0 {
 		t.Fatalf("view incomplete: %d key symbols, %d phase-2 messages", len(streamFwd), len(phase2Fwd))
 	}
-	pool, err := deriveKeys(streamFwd, ell, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := newKeyExtractor(ell, r, "negative control").pools([][]gf.Elem{streamFwd})[0]
 	// Decrypt round-0's message 0->1: BroadcastInput sends the secret.
-	plain := xorBytes(phase2Fwd[0], pool.Key(0))
+	plain := padInto(nil, phase2Fwd[0], pool.Key(0))
 	if congest.U64(plain) != secret {
 		t.Fatalf("attack failed: decrypted %x, want %x — the negative control must leak", congest.U64(plain), secret)
 	}

@@ -23,8 +23,12 @@ import (
 // field is the shared GF(2^16) instance.
 var field = gf.NewField16()
 
-// wordSymbols is how many GF(2^16) symbols make one 8-byte key word.
-const wordSymbols = 4
+// wordSymbols is how many GF(2^16) symbols make one 8-byte key word: the
+// extractor condenses the word's symbol positions as independent lanes.
+const wordSymbols = extract.Lanes
+
+// keyBytes is the size of one key word.
+const keyBytes = 2 * wordSymbols
 
 // MobileParams reports the (r', f') guarantee of Theorem 1.2 for compiling
 // an r-round f-static-secure algorithm with key-phase slack t: r' = 2r+t,
@@ -46,56 +50,77 @@ func MobileParams(r, t, f int) (rPrime, fPrime int) {
 // root protocol registry all pick their slack through this one function.
 func SlackFor(r, f int) int { return 2 * f * r }
 
-// KeyPool is one edge-direction's Phase-2 key material: r words of 8 bytes.
+// KeyPool is one edge-direction's Phase-2 key material: r words of
+// keyBytes bytes, stored flat.
 type KeyPool struct {
-	keys [][wordSymbols]gf.Elem
+	keys []byte
 }
 
-// Key returns the i-th 8-byte key as raw bytes.
+// zeroKey is what Key returns past the end of a pool.
+var zeroKey [keyBytes]byte
+
+// Key returns the i-th key as a read-only view of keyBytes bytes. Past the
+// end of the pool (a receiver under a write adversary can be handed more
+// shares than its edge carries) it returns an all-zero key.
 func (p *KeyPool) Key(i int) []byte {
-	out := make([]byte, 8)
-	if i < 0 || i >= len(p.keys) {
-		return out
+	if i < 0 || i >= p.Len() {
+		return zeroKey[:]
 	}
-	for j, s := range p.keys[i] {
-		out[2*j] = byte(s >> 8)
-		out[2*j+1] = byte(s)
-	}
-	return out
+	return p.keys[i*keyBytes : (i+1)*keyBytes : (i+1)*keyBytes]
 }
 
 // Len returns the number of keys.
-func (p *KeyPool) Len() int { return len(p.keys) }
+func (p *KeyPool) Len() int { return len(p.keys) / keyBytes }
 
-// xorBytes XORs key into msg (up to len(msg)); OTP over GF(2^16) addition.
-func xorBytes(msg congest.Msg, key []byte) congest.Msg {
-	out := msg.Clone()
-	for i := 0; i < len(out) && i < len(key); i++ {
-		out[i] ^= key[i]
+// padInto one-time-pads msg with key (XOR over the first min(len(msg),
+// len(key)) bytes; GF(2^16) addition) and appends the result to dst, which
+// is typically a view of a reusable per-port buffer, or nil for a fresh
+// copy.
+func padInto(dst, msg, key []byte) congest.Msg {
+	out := append(dst, msg...)
+	padded := out[len(dst):]
+	for i := 0; i < len(padded) && i < len(key); i++ {
+		padded[i] ^= key[i]
 	}
 	return out
 }
 
-// exchangeSecrets runs ell rounds in which every node sends 8 fresh random
-// bytes to every neighbour, and returns port-indexed symbol streams:
-// fwd[p][j] = j-th symbol I sent on port p; bwd[p][j] = j-th symbol I
+// portBuf returns port p's zero-length view of a flat buffer of size-byte
+// per-port slots, capped so a longer message reallocates instead of
+// spilling into the next port's slot.
+func portBuf(flat []byte, p, size int) []byte {
+	return flat[p*size : p*size : (p+1)*size]
+}
+
+// exchangeSecrets runs ell rounds in which every node sends keyBytes fresh
+// random bytes to every neighbour, and returns port-indexed symbol streams:
+// sent[p][j] = j-th symbol I sent on port p; recv[p][j] = j-th symbol I
 // received on port p. Both endpoints of an edge end with identical views of
 // both streams — the shared randomness pool of Theorem 1.2's first phase.
 // Randomness is drawn in ascending port (== neighbour) order, matching the
-// pre-port map implementation byte for byte.
-func exchangeSecrets(pr congest.PortRuntime, ell int) (sentStream, recvStream [][]gf.Elem) {
+// pre-port map implementation byte for byte. One send buffer serves every
+// round: the engine copies outbox bytes at collection.
+func exchangeSecrets(pr congest.PortRuntime, ell int) (sent, recv [][]gf.Elem) {
 	deg := pr.Degree()
-	sentStream = make([][]gf.Elem, deg)
-	recvStream = make([][]gf.Elem, deg)
+	n := ell * wordSymbols
+	syms := make([]gf.Elem, 2*deg*n)
+	sent = make([][]gf.Elem, deg)
+	recv = make([][]gf.Elem, deg)
+	for p := range sent {
+		sent[p] = syms[2*p*n : (2*p+1)*n : (2*p+1)*n]
+		recv[p] = syms[(2*p+1)*n : (2*p+2)*n : (2*p+2)*n]
+	}
+	buf := make([]byte, deg*keyBytes)
+	rng := pr.Rand()
 	for r := 0; r < ell; r++ {
 		out := pr.OutBuf()
 		for p := 0; p < deg; p++ {
-			m := make(congest.Msg, 8)
+			m := buf[p*keyBytes : (p+1)*keyBytes]
 			for i := 0; i < wordSymbols; i++ {
-				s := gf.Elem(pr.Rand().Intn(field.Order()))
+				s := gf.Elem(rng.Intn(field.Order()))
 				m[2*i] = byte(s >> 8)
 				m[2*i+1] = byte(s)
-				sentStream[p] = append(sentStream[p], s)
+				sent[p][r*wordSymbols+i] = s
 			}
 			out[p] = m
 		}
@@ -107,50 +132,48 @@ func exchangeSecrets(pr congest.PortRuntime, ell int) (sentStream, recvStream []
 				if 2*i+1 < len(m) {
 					s = gf.Elem(m[2*i])<<8 | gf.Elem(m[2*i+1])
 				}
-				recvStream[p] = append(recvStream[p], s)
+				recv[p][r*wordSymbols+i] = s
 			}
 		}
 	}
-	return sentStream, recvStream
+	return sent, recv
 }
 
-// deriveKeyPools condenses port-indexed symbol streams into one KeyPool per
-// port, panicking on extractor failure with the given context tag.
-func deriveKeyPools(streams [][]gf.Elem, ell, r int, tag string) []*KeyPool {
-	pools := make([]*KeyPool, len(streams))
+// keyExtractor is a compiled protocol's extractor for ell exchanged words
+// and r keys per edge-direction, built once and shared read-only by every
+// node. A construction error is kept, not returned: every node reports it
+// as a panic once its Phase 1 ends, exactly where a per-node build would
+// have failed.
+type keyExtractor struct {
+	ex  *extract.Extractor
+	err error
+	tag string
+}
+
+func newKeyExtractor(ell, r int, tag string) keyExtractor {
+	ex, err := extract.New(field, ell, r)
+	return keyExtractor{ex: ex, err: err, tag: tag}
+}
+
+// pools condenses port-indexed symbol streams into one KeyPool per port.
+func (k keyExtractor) pools(streams [][]gf.Elem) []KeyPool {
+	if k.err != nil {
+		panic(fmt.Sprintf("secure: %s key derivation: %v", k.tag, k.err))
+	}
+	r := k.ex.M()
+	pools := make([]KeyPool, len(streams))
+	keys := make([]byte, len(streams)*r*keyBytes)
+	ys := make([]gf.Elem, r*wordSymbols)
 	for p, stream := range streams {
-		pool, err := deriveKeys(stream, ell, r)
-		if err != nil {
-			panic(fmt.Sprintf("secure: %s key derivation: %v", tag, err))
+		k.ex.ExtractLanes(ys, stream)
+		kp := keys[p*r*keyBytes : (p+1)*r*keyBytes]
+		for i, y := range ys {
+			kp[2*i] = byte(y >> 8)
+			kp[2*i+1] = byte(y)
 		}
-		pools[p] = pool
+		pools[p].keys = kp
 	}
 	return pools
-}
-
-// deriveKeys condenses an ell-round symbol stream into r 8-byte keys with a
-// (n=ell, m=r) extractor applied to each of the wordSymbols interleaved
-// sub-streams.
-func deriveKeys(stream []gf.Elem, ell, r int) (*KeyPool, error) {
-	ex, err := extract.New(field, ell, r)
-	if err != nil {
-		return nil, err
-	}
-	pool := &KeyPool{keys: make([][wordSymbols]gf.Elem, r)}
-	sub := make([]gf.Elem, ell)
-	for j := 0; j < wordSymbols; j++ {
-		for i := 0; i < ell; i++ {
-			sub[i] = stream[i*wordSymbols+j]
-		}
-		ys, err := ex.Extract(sub)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < r; i++ {
-			pool.keys[i][j] = ys[i]
-		}
-	}
-	return pool, nil
 }
 
 // StaticToMobile compiles an r-round f-static-secure payload into an
@@ -162,13 +185,20 @@ func deriveKeys(stream []gf.Elem, ell, r int) (*KeyPool, error) {
 // payloads still work through WrappedRuntime's compat adaptation.
 func StaticToMobile(payload congest.Protocol, r, t int) congest.Protocol {
 	ell := r + t
+	kx := newKeyExtractor(ell, r, "static-to-mobile")
 	return func(rt congest.Runtime) {
 		pr := congest.Ports(rt)
 		sent, recv := exchangeSecrets(pr, ell)
-		sendKeys := deriveKeyPools(sent, ell, r, "static-to-mobile")
-		recvKeys := deriveKeyPools(recv, ell, r, "static-to-mobile")
+		sendKeys := kx.pools(sent)
+		recvKeys := kx.pools(recv)
 		round := 0
-		dec := make([]congest.Msg, pr.Degree())
+		deg := pr.Degree()
+		dec := make([]congest.Msg, deg)
+		// Per-port pad buffers: the engine copies sent bytes at collection,
+		// and the decrypted inbox, like the engine's, is only valid until
+		// the next exchange.
+		encBuf := make([]byte, deg*keyBytes)
+		decBuf := make([]byte, deg*keyBytes)
 		w := &congest.WrappedRuntime{Base: rt}
 		w.ExchangePortsFn = func(out []congest.Msg) []congest.Msg {
 			if round >= r {
@@ -179,10 +209,10 @@ func StaticToMobile(payload congest.Protocol, r, t int) congest.Protocol {
 				if m == nil {
 					continue
 				}
-				if len(m) > 8 {
+				if len(m) > keyBytes {
 					panic("secure: payload message exceeds 8 bytes")
 				}
-				penc[p] = xorBytes(m, sendKeys[p].Key(round))
+				penc[p] = padInto(portBuf(encBuf, p, keyBytes), m, sendKeys[p].Key(round))
 			}
 			in := pr.ExchangePorts(penc)
 			for p, m := range in {
@@ -190,7 +220,7 @@ func StaticToMobile(payload congest.Protocol, r, t int) congest.Protocol {
 					dec[p] = nil
 					continue
 				}
-				dec[p] = xorBytes(m, recvKeys[p].Key(round))
+				dec[p] = padInto(portBuf(decBuf, p, keyBytes), m, recvKeys[p].Key(round))
 			}
 			round++
 			return dec

@@ -329,3 +329,19 @@ func TestCongestionSensitiveTrafficHiding(t *testing.T) {
 		t.Fatalf("only %d messages; silent payload must still fill all edges", res.Stats.Messages)
 	}
 }
+
+// TestKeyDerivationFailurePanicsAtRunTime: an extractor that cannot be
+// built (here r = 0 keys) does not fail compilation; every node panics with
+// the same text once its Phase 1 ends.
+func TestKeyDerivationFailurePanicsAtRunTime(t *testing.T) {
+	g := graph.Cycle(4)
+	proto := StaticToMobile(algorithms.BroadcastInput(0, 0), 0, 3)
+	const want = "secure: static-to-mobile key derivation: extract: need 1 <= m <= n, got m=0 n=3"
+	defer func() {
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	congest.StepEngine{}.Run(congest.Config{Graph: g, Seed: 1}, proto)
+	t.Fatal("run with an unbuildable extractor returned")
+}

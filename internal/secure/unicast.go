@@ -90,7 +90,7 @@ func runStaticUnicast(rt congest.Runtime, sh *UnicastShared, s graph.NodeID, key
 		if keyFor == nil {
 			return m
 		}
-		return xorBytes(m, keyFor(p))
+		return padInto(nil, m, keyFor(p))
 	}
 	decrypt := encrypt
 

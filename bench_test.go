@@ -24,8 +24,9 @@ import (
 // throughput: FloodMax (every node talks to every neighbour every round) over
 // clique, circulant, and expander topologies, fault-free and under mobile
 // adversaries (byzantine flip and eavesdropper). This isolates engine and
-// adversary-boundary overhead — channel handoffs, scheduler wakeups, and
-// per-round traffic materialization — from experiment logic. The large
+// adversary-boundary overhead — coroutine switches, the goroutine oracle's
+// channel handoffs, shard barriers, and per-round traffic materialization —
+// from experiment logic. The large
 // adversarial cases (circulant1024-flip, expander512-eavesdrop) stress the
 // slot-native adversary path at scale.
 func BenchmarkRun(b *testing.B) {
@@ -41,15 +42,15 @@ func BenchmarkRun(b *testing.B) {
 		{"circulant256", mc.NewCirculant(256, 4), 16, "none"},
 		{"circulant1024", mc.NewCirculant(1024, 4), 16, "none"},
 		{"expander512", resilient.RandomExpander(512, 8, 11), 16, "none"},
-		// The large-n fault-free tier is where the shard engine's
-		// parallel-for earns its keep (and the others pay goroutine-per-node
-		// or single-scheduler costs); modest round counts keep -benchtime=1x
+		// The large-n fault-free tier is where the multi-shard engine's
+		// parallel-for earns its keep (step, its single-shard form, runs
+		// every node on one goroutine, and the goroutine oracle pays a
+		// goroutine per node); modest round counts keep -benchtime=1x
 		// smoke runs fast. It is also the tier most sensitive to per-message
 		// heap traffic: moving round slots onto packed arena slabs (plus lazy
 		// per-node RNG construction) cut warmed step-engine B/op here by
 		// 66-92% vs the per-Msg-slice baseline (circulant16384 121MB ->
-		// 12.4MB, circulant65536 485MB -> 166MB, expander8192 60MB -> 5.0MB;
-		// see the BENCH_*.json snapshots).
+		// 12.4MB, circulant65536 485MB -> 166MB, expander8192 60MB -> 5.0MB).
 		{"circulant16384", mc.NewCirculant(16384, 4), 8, "none"},
 		{"circulant65536", mc.NewCirculant(65536, 4), 8, "none"},
 		{"expander8192", resilient.RandomExpander(8192, 8, 11), 8, "none"},

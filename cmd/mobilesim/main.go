@@ -13,12 +13,14 @@
 //	mobilesim -engine goroutine  # pick the execution engine
 //	mobilesim -engine shard -shards 4  # shard engine with a fixed shard count
 //
-// The engines are "step" (default; coroutine steps on one scheduler
-// goroutine), "goroutine" (goroutine per node), and "shard" (the step
-// engine's coroutines fanned over contiguous CSR node shards on a worker
-// pool — the engine for large n on multi-core hosts). -shards fixes the
-// shard engine's shard/worker count; 0 keeps the GOMAXPROCS default. All
-// engines produce byte-identical results for the same seed.
+// The engines are "shard" (nodes as coroutines stepped over contiguous CSR
+// node shards on a worker pool — the engine for large n on multi-core
+// hosts), "step" (default; the single-shard shard engine, every node resumed
+// on one goroutine), and "goroutine" (a goroutine per node with channel
+// barriers — the independent scheduling oracle, also usable for protocols
+// that block on their own). -shards fixes the shard engine's shard/worker
+// count; 0 keeps the GOMAXPROCS default. All engines produce byte-identical
+// results for the same seed.
 //
 // Sweep mode: -sweep builds an experiment Plan (cross product of the axis
 // flags — including the protocol registry axis via -proto), fans the cells

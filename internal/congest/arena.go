@@ -13,8 +13,8 @@ package congest
 //
 // Chunks exist for the shard engine: each shard appends into its own chunk
 // during the parallel collection phase, so writers never contend; the phase
-// barrier publishes every chunk to every reader. Sequential engines use
-// chunk 0 only.
+// barrier publishes every chunk to every reader. Single-shard and goroutine
+// runs use chunk 0 only.
 
 // msgRef is the packed per-slot payload reference. The zero value means the
 // slot is silent (no message). Layout, high to low:

@@ -5,9 +5,10 @@
 // traffic, lets the adversary intercept it within an engine-enforced edge
 // budget, and releases the barrier.
 //
-// Execution is pluggable via the Engine interface: GoroutineEngine runs one
-// goroutine per node with channel barriers, StepEngine resumes nodes as
-// coroutine step functions on a single scheduler goroutine. Both are
+// Execution is pluggable via the Engine interface. ShardEngine resumes nodes
+// as coroutines over parallel CSR node shards, StepEngine (the default) is
+// its single-shard form, and GoroutineEngine runs one goroutine per node with
+// channel barriers as the independent scheduling oracle. All are
 // deterministic given Config.Seed and produce identical Results.
 //
 // Internally a run moves traffic through a flat, edge-indexed round buffer
@@ -217,10 +218,10 @@ var ErrBandwidthExceeded = errors.New("congest: bandwidth exceeded")
 
 const defaultMaxRounds = 1 << 20
 
-// Run executes proto on every node of cfg.Graph with the default
-// (goroutine-per-node) engine and returns outputs and communication
-// statistics. New code that wants to pick the execution substrate should use
-// an Engine directly (or the root package's Scenario API).
+// Run executes proto on every node of cfg.Graph with the default engine,
+// StepEngine, and returns outputs and communication statistics. Code that
+// wants to pick the execution substrate uses an Engine directly (or the root
+// package's Scenario API).
 func Run(cfg Config, proto Protocol) (*Result, error) {
-	return GoroutineEngine{}.Run(cfg, proto)
+	return StepEngine{}.Run(cfg, proto)
 }

@@ -11,18 +11,21 @@ import (
 )
 
 // Engine executes a protocol on every node of a configured network. The
-// implementations trade scheduling strategies while sharing all simulation
-// semantics (round structure, adversary budget accounting, statistics):
+// implementations differ only in scheduling: every engine validates,
+// collects, intercepts, and delivers a round through the same runCore code
+// path, so all simulation semantics (round structure, adversary budget
+// accounting, statistics, observer calls) are shared.
 //
+//   - ShardEngine resumes every node as an iter.Pull coroutine, stepping
+//     contiguous CSR node shards in parallel on a persistent worker pool —
+//     the engine for large graphs on multi-core hosts.
+//   - StepEngine is ShardEngine{Shards: 1}: the same coroutines resumed by
+//     the calling goroutine alone. It is the default engine.
 //   - GoroutineEngine runs each node in its own goroutine with channel
-//     barriers — the original engine, and the one that tolerates protocols
-//     doing their own blocking.
-//   - StepEngine resumes each node as a coroutine step function on a single
-//     scheduler goroutine — no channel handoffs, much less scheduler churn,
-//     and measurably faster on simulation-heavy workloads.
-//   - ShardEngine runs the step engine's coroutines as a parallel-for over
-//     contiguous CSR node shards on a persistent worker pool — the engine
-//     for large graphs on multi-core hosts.
+//     barriers. It shares no scheduling code with the coroutine engines,
+//     which makes it the independent oracle the equivalence suites check
+//     them against, and it is the engine for protocols that block on their
+//     own (channels, locks) between exchanges.
 //
 // All engines are deterministic given Config.Seed and MUST produce identical
 // Results for identical Configs; the cross-engine equivalence tests enforce
@@ -55,9 +58,10 @@ func RegisterEngine(e Engine) {
 }
 
 // EngineByName returns the registered engine with the given name. The empty
-// name is an error rather than a silent default: callers that want a default
-// engine pick one explicitly (congest.Run uses GoroutineEngine, the root
-// Scenario API defaults to StepEngine).
+// name is an error rather than a silent default: callers that want the
+// default engine pick StepEngine explicitly, as congest.Run and the root
+// Scenario API do. "goroutine" names the scheduling oracle, not a faster or
+// more faithful mode.
 func EngineByName(name string) (Engine, error) {
 	enginesMu.RLock()
 	e, ok := engines[name]
@@ -198,7 +202,7 @@ func (s *nodeCore) portsToMapIn(in []Msg) map[graph.NodeID]Msg {
 // runCore holds the engine-independent run state: validated config, the
 // context carrying the flat edge layout with its reusable round buffer and
 // adversary boundary scratch, the observer pipeline, and the adversary
-// budget accounting. Keeping this logic in one place is what guarantees both
+// budget accounting. Keeping this logic in one place is what guarantees all
 // engines count rounds, messages, and corrupted edge-rounds identically —
 // and fire observers at identical points with identical views.
 type runCore struct {
@@ -216,7 +220,7 @@ type runCore struct {
 	round     int            // completed-round counter (the engine's round clock)
 	corrupted int            // total corrupted edge-rounds, for TotalBudget enforcement
 	view      RoundView      // reusable observer view (valid only during RoundDelivered)
-	pool      *shardPool     // shard engine's worker pool; nil on the sequential engines
+	pool      *shardPool     // shard engine's worker pool; nil for single-shard and goroutine runs
 }
 
 func newRunCore(rc *RunContext, cfg Config) (*runCore, error) {
@@ -285,7 +289,7 @@ func (c *runCore) newNodeCores() []nodeCore {
 // beginRound gates the round on the limit, resets the collection buffer, and
 // fires RoundStart. When every node terminates during the subsequent
 // collection the round is abandoned, so a run's final RoundStart may have no
-// matching RoundDelivered — identically in both engines.
+// matching RoundDelivered — identically in every engine.
 //
 //mobilevet:hotpath
 func (c *runCore) beginRound() error {
@@ -300,41 +304,8 @@ func (c *runCore) beginRound() error {
 	return nil
 }
 
-// collectOutbox folds one parked node's pending port outbox into the round's
-// collection buffer (copying each payload into the round arena), consuming
-// (clearing) it so the node's reusable OutBuf comes back empty. Port p of
-// node u is slot rowStart[u]+p by construction. It also surfaces the
-// per-node validation errors: a map compat Exchange that addressed a
-// non-neighbor, a port outbox longer than the degree, and — when the run
-// declares a bandwidth budget — a message exceeding it. Ports are walked in
-// ascending order and nodes are collected in ascending order on every
-// engine, so the offender any of these errors names is deterministic: the
-// smallest (node, port) that violates.
-func (c *runCore) collectOutbox(nc *nodeCore) error {
-	out := nc.outPending
-	nc.outPending = nil
-	if nc.badSend {
-		return badSendError(nc)
-	}
-	base := c.layout.rowStart[nc.id]
-	if len(out) > int(c.layout.degree(nc.id)) {
-		return badDegreeError(c, nc, out)
-	}
-	for p, m := range out {
-		if m == nil {
-			continue
-		}
-		if c.bwBits > 0 && len(m)*8 > c.bwBits {
-			return badBandwidthError(c, nc, p, m)
-		}
-		c.cur.put(base+int32(p), m)
-		out[p] = nil
-	}
-	return nil
-}
-
-// The collection validation errors, shared verbatim by collectOutbox and the
-// shard engine's collectShard so every engine aborts with identical text.
+// The collection validation errors collectShard returns. They are cold
+// paths of their own so the allocating fmt calls stay off the hot path.
 //
 //mobilevet:coldpath abort path; a run allocates here at most once, while failing
 func badSendError(nc *nodeCore) error {
@@ -410,35 +381,10 @@ func (c *runCore) interceptAdversary() (*roundBuffer, []graph.Edge, error) {
 	return c.cur, touched, nil
 }
 
-// endRound runs the round's adversary boundary and delivery: intercept with
-// budget enforcement, port fan-in (the delivered message on slot (u,v) lands
-// in v's port inbox, which is the reverse slot of the in slab — no maps, no
-// allocation), observer notification, and the round clock tick.
+// deliverRound fires RoundDelivered on the delivered buffer and ticks the
+// round clock — the tail every engine runs after its gather.
 //
 //mobilevet:hotpath
-func (c *runCore) endRound() error {
-	buf, corrupted, err := c.intercept()
-	if err != nil {
-		return err
-	}
-	buf.sortTouched()
-	rc := c.rc
-	for _, s := range rc.inClear {
-		rc.inSlab[s] = nil
-	}
-	rc.inClear = rc.inClear[:0]
-	for _, s := range buf.touched {
-		rs := c.layout.revSlot[s]
-		rc.inSlab[rs] = buf.get(s)
-		rc.inClear = append(rc.inClear, rs)
-	}
-	c.deliverRound(buf, corrupted)
-	return nil
-}
-
-// deliverRound fires RoundDelivered on the delivered buffer and ticks the
-// round clock — the tail every engine shares, whether the port fan-in above
-// it ran sequentially (endRound) or shard-parallel (ShardEngine's gather).
 func (c *runCore) deliverRound(buf *roundBuffer, corrupted []graph.Edge) {
 	// The view is reused across rounds — observers may not retain it (see
 	// Observer.RoundDelivered), so one per run suffices.

@@ -10,9 +10,14 @@ type abortSignal struct{}
 
 // GoroutineEngine runs each node's protocol as straight-line Go code in its
 // own goroutine; ExchangePorts blocks on channels and acts as the
-// end-of-round barrier. This is the original engine: maximally faithful to
-// the "each node is an independent processor" reading of the model, at the
-// price of two channel handoffs plus scheduler wakeups per node per round.
+// end-of-round barrier. It is the scheduling oracle: it collects, intercepts,
+// and delivers through the same runCore path as the coroutine engines, but
+// shares none of their scheduling (no iter.Pull, no shard loop, no pool), so
+// the equivalence suites check StepEngine and ShardEngine against it. It also
+// runs protocols that block on their own between exchanges, which would
+// stall a coroutine engine. Each round costs two channel handoffs plus
+// scheduler wakeups per node, which makes it slower than the coroutine
+// engines on simulation-bound runs.
 //
 // Port I/O stays race-free without copying because the slabs partition by
 // node: a node only ever writes its own CSR range of the out slab and only
@@ -129,10 +134,14 @@ func (GoroutineEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *R
 		if nActive == 0 {
 			break
 		}
-		if err := core.endRound(); err != nil {
+		delivered, corrupted, err := core.intercept()
+		if err != nil {
 			abortAll()
 			return nil, err
 		}
+		delivered.sortTouched()
+		core.gather(0, int32(core.layout.slots()))
+		core.deliverRound(delivered, corrupted)
 		for i, s := range nodes {
 			if !active[i] {
 				continue
@@ -145,8 +154,10 @@ func (GoroutineEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *R
 }
 
 // goroutineRound is the goroutine engine's collection phase: receive each
-// live node's park (collecting its outbox) or its termination. Returns the
-// updated live-node count; on error the caller aborts the remaining nodes.
+// live node's park (collecting its outbox) or its termination. Nodes are
+// collected in ascending order straight into the buffer's own slot list, so
+// it stays sorted. Returns the updated live-node count; on error the caller
+// aborts the remaining nodes.
 //
 //mobilevet:hotpath
 func (c *runCore) goroutineRound(nodes []*goroutineNode, active []bool, nActive int) (int, error) {
@@ -156,7 +167,7 @@ func (c *runCore) goroutineRound(nodes []*goroutineNode, active []bool, nActive 
 		}
 		select {
 		case <-s.parkCh:
-			if err := c.collectOutbox(s.nodeCore); err != nil {
+			if err := c.collectShard(s.nodeCore, 0, &c.cur.touched); err != nil {
 				return nActive, err
 			}
 		case <-s.doneCh:

@@ -18,7 +18,7 @@ import (
 // CSR form: the slots of messages leaving node u are the contiguous range
 // rowStart[u]..rowStart[u+1], ordered by destination ID (adjacency lists are
 // sorted). Slot order is therefore ascending (From, To) — the canonical
-// deterministic traffic order shared by both engines and every observer.
+// deterministic traffic order shared by every engine and every observer.
 type edgeLayout struct {
 	g        *graph.Graph
 	rowStart []int32         // len n+1; CSR offsets into the slot space
@@ -115,7 +115,7 @@ func (b *roundBuffer) reset() {
 }
 
 // ensureChunks sizes both arenas for n concurrent writers (the shard
-// engine's shard count; sequential engines use chunk 0).
+// engine's shard count; single-shard and goroutine runs use chunk 0).
 func (b *roundBuffer) ensureChunks(n int) {
 	b.arenas[0].ensure(n)
 	b.arenas[1].ensure(n)
@@ -129,20 +129,15 @@ func (b *roundBuffer) get(s int32) Msg {
 }
 
 // put records the message m on slot s, copying its bytes into the round
-// arena's chunk 0 — the sequential-writer form of putChunk. The engine
-// writes each slot at most once per round (outboxes are maps, and per-sender
-// slot ranges are disjoint), but double writes stay correct: the slot is
-// tracked once.
-func (b *roundBuffer) put(s int32, m Msg) { b.putChunk(0, s, m) }
-
-// putChunk is put appending into chunk k; distinct chunks may be written
-// concurrently (each shard collects into its own).
-func (b *roundBuffer) putChunk(k int, s int32, m Msg) {
+// arena's chunk 0. It serves the sequential writers outside collection (the
+// adversary's apply and the map-traffic harness); an occupied slot is
+// overwritten and stays tracked once.
+func (b *roundBuffer) put(s int32, m Msg) {
 	if b.refs[s] == 0 {
 		b.touched = append(b.touched, s)
 		b.sorted = false
 	}
-	b.refs[s] = b.arenas[b.parity].put(k, m)
+	b.refs[s] = b.arenas[b.parity].put(0, m)
 }
 
 // len returns the number of messages in the buffer.

@@ -16,7 +16,7 @@ import (
 // StatsObserver it installs internally.
 
 // Observer receives a run's round lifecycle events. Implementations must not
-// mutate anything they are handed; both engines invoke observers at the same
+// mutate anything they are handed; every engine invokes observers at the same
 // points with identical views, so observer output is engine-independent (the
 // cross-engine equivalence tests assert this for traces).
 type Observer interface {

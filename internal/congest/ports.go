@@ -16,7 +16,7 @@ import (
 // wrapper over ports (see Runtime).
 
 // PortRuntime is the slot-native interface protocol code programs against.
-// Both engines' node runtimes implement it; Ports upgrades any Runtime to
+// Every engine's node runtime implements it; Ports upgrades any Runtime to
 // it (natively when the underlying runtime is port-aware, via a map-backed
 // shim otherwise), so port-native protocols run unchanged under legacy
 // compiler wrappers.
@@ -51,7 +51,7 @@ type PortRuntime interface {
 }
 
 // Ports returns rt's port-native interface: rt itself when it is already a
-// PortRuntime (both engines' runtimes and WrappedRuntime are), otherwise a
+// PortRuntime (every engine's runtime and WrappedRuntime are), otherwise a
 // shim that adapts the map Exchange — correct for any Runtime, at the price
 // of the map materializations the native path avoids. Protocols should call
 // it once, up front.

@@ -301,7 +301,7 @@ func (t *RoundTraffic) apply() {
 			b.refs[s] = 0
 			dropped = true
 		} else {
-			b.putChunk(0, s, m)
+			b.put(s, m)
 		}
 	}
 	if dropped {

@@ -36,11 +36,9 @@ type RunContext struct {
 
 	// Port slabs: every node's reusable outbox and inbox are CSR sub-slices
 	// of these slot-indexed slabs (node u owns rowStart[u]:rowStart[u+1] of
-	// each), so per-round node I/O allocates nothing. inClear lists the
-	// in-slab slots the previous delivery occupied, for O(delivered) reuse.
+	// each), so per-round node I/O allocates nothing.
 	outSlab []Msg
 	inSlab  []Msg
-	inClear []int32
 
 	// Shard-engine state: the parked worker pool (persists across runs so
 	// repeated runs reuse goroutines) and the per-shard scratch.
@@ -57,7 +55,7 @@ type RunContext struct {
 func NewRunContext() *RunContext { return &RunContext{} }
 
 // ContextRunner is implemented by engines that can execute a run inside a
-// reusable RunContext. Both built-in engines implement it; Engine.Run is
+// reusable RunContext. Every built-in engine implements it; Engine.Run is
 // equivalent to RunIn with a fresh context.
 type ContextRunner interface {
 	// RunIn executes proto on every node of cfg.Graph, reusing rc's state
@@ -78,7 +76,6 @@ func (rc *RunContext) bind(g *graph.Graph) {
 	rc.cores = make([]nodeCore, g.N())
 	rc.outSlab = make([]Msg, rc.layout.slots())
 	rc.inSlab = make([]Msg, rc.layout.slots())
-	rc.inClear = rc.inClear[:0]
 	rc.stats = NewStatsObserver()
 	rc.boundsShards = 0 // shard boundaries are layout-shaped
 	// rc.rngs is deliberately kept: per-node RNGs are graph-independent and
@@ -177,7 +174,6 @@ func (rc *RunContext) shardScratch(shards int) (touched [][]int32, errs []error,
 func (rc *RunContext) resetSlabs() {
 	clear(rc.outSlab)
 	clear(rc.inSlab)
-	rc.inClear = rc.inClear[:0]
 }
 
 // nodeCores (re)derives the per-node state for a run. Node randomness is

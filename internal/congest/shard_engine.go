@@ -3,13 +3,15 @@ package congest
 import (
 	"iter"
 	"runtime"
+
+	"mobilecongest/internal/graph"
 )
 
 // ShardEngine executes every phase of a round as a parallel-for over
-// contiguous CSR node shards. Nodes are the same iter.Pull coroutines the
-// step engine drives, but instead of one scheduler goroutine resuming all of
-// them, each shard's nodes are stepped by one worker of a persistent pool
-// parked on the RunContext, with a barrier between phases:
+// contiguous CSR node shards. Every node is an iter.Pull coroutine: its
+// ExchangePorts parks it by yielding, and the engine resumes it with the
+// port inbox filled in. Each shard's nodes are stepped by one worker of a
+// persistent pool parked on the RunContext, with a barrier between phases:
 //
 //	compute+collect  — per shard: resume each live node to its exchange
 //	                   barrier and fold its outbox into the shard's private
@@ -24,22 +26,77 @@ import (
 // The phase structure changes scheduling only: shard merge order is shard
 // order (== node order), the adversary boundary is untouched, and observers
 // run sequentially on the coordinator, so Results, traces, and eavesdropper
-// views are byte-identical with the other engines — enforced by the
-// cross-engine equivalence suites at several shard counts.
+// views are byte-identical at every shard count and with the goroutine
+// oracle — enforced by the cross-engine equivalence suites.
 //
 // The pool persists on the RunContext across runs (sweep cells, repeated
 // Scenario.Run), so the fault-free steady state stays zero-alloc per round.
 // Pick this engine for large graphs (n ≳ 10⁴) on multi-core hosts; for small
 // graphs the per-phase barriers cost more than the parallelism returns and
-// the step engine wins.
+// the single-shard StepEngine wins.
 type ShardEngine struct {
 	// Shards is the number of contiguous node shards, which is also the
 	// worker parallelism of every phase. 0 (the default) uses GOMAXPROCS,
 	// bounded by the RunContext's LimitShards cap; either way the count is
-	// clamped to [1, n]. 1 runs the whole round on the coordinator — no pool,
-	// no barriers — and is the apples-to-apples baseline for the other
-	// engines.
+	// clamped to [1, n]. 1 runs the whole round on the calling goroutine —
+	// no pool, no barriers — and is what StepEngine runs.
 	Shards int
+}
+
+// StepEngine is the single-shard ShardEngine under its own registry name:
+// every node is a coroutine resumed in node order by the calling goroutine,
+// with no pool and no phase barriers. It is the default engine. The
+// separate name keeps cell seeds, cache keys, and Record.Engine stable, and
+// a single-shard run leaves any pool parked on its RunContext untouched.
+type StepEngine struct{}
+
+// Name implements Engine.
+func (StepEngine) Name() string { return "step" }
+
+// Run implements Engine.
+func (e StepEngine) Run(cfg Config, proto Protocol) (*Result, error) {
+	return e.RunIn(nil, cfg, proto)
+}
+
+// RunIn implements ContextRunner.
+func (StepEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (*Result, error) {
+	return ShardEngine{Shards: 1}.RunIn(rc, cfg, proto)
+}
+
+// stepNode is the per-node coroutine runtime of the shard engine. It points
+// into the run's shared nodeCore slice; the pending outbox and the port
+// inbox live on the core, so the engine reads and writes them between
+// resumptions.
+type stepNode struct {
+	*nodeCore
+
+	yield func(struct{}) bool
+	next  func() (struct{}, bool)
+	stop  func()
+	done  bool
+}
+
+var _ PortRuntime = (*stepNode)(nil)
+
+// ExchangePorts implements the round barrier by parking the coroutine.
+//
+//mobilevet:hotpath
+func (s *stepNode) ExchangePorts(out []Msg) []Msg {
+	s.outPending = out
+	// yield returns false when the engine stopped the coroutine (abort or
+	// early engine exit): unwind the protocol like the goroutine engine does.
+	if !s.yield(struct{}{}) {
+		panic(abortSignal{})
+	}
+	s.round++
+	return s.inBuf
+}
+
+// Exchange is the legacy map barrier, a compat wrapper over the port path:
+// the outbox folds into the port outbox up front and the inbox map is
+// materialized lazily, only for the nodes and rounds that use this form.
+func (s *stepNode) Exchange(out map[graph.NodeID]Msg) map[graph.NodeID]Msg {
+	return s.portsToMapIn(s.ExchangePorts(s.mapOutToPorts(out)))
 }
 
 // Name implements Engine.
@@ -126,7 +183,6 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 		touched: touched,
 		errs:    errs,
 		active:  active,
-		inSlab:  rc.inSlab,
 	}
 	// Bind the phase method values once: a method value allocates its
 	// closure, so binding inside the loop would cost two allocs per round.
@@ -178,7 +234,6 @@ type shardRun struct {
 	touched [][]int32
 	errs    []error
 	active  []int
-	inSlab  []Msg
 }
 
 // computePhase steps shard k's live nodes to their next exchange (or to
@@ -187,9 +242,9 @@ type shardRun struct {
 // sorted; shard slot ranges are themselves ascending, so the coordinator's
 // merge in shard order rebuilds the canonical global order without a sort.
 // The first collection error aborts the shard, leaving its remaining
-// nodes un-stepped — the same nodes the step engine would not have
+// nodes un-stepped — the same nodes a single-shard run would not have
 // reached; the coordinator surfaces the lowest shard's error, which is
-// the lowest node's, matching the sequential engines.
+// the lowest node's, matching the goroutine oracle's in-order collection.
 //
 //mobilevet:hotpath
 func (sr *shardRun) computePhase(k int) {
@@ -214,32 +269,45 @@ func (sr *shardRun) computePhase(k int) {
 	sr.active[k] = stepped
 }
 
-// gatherPhase is the delivery fan-in for shard k's receivers: for every
-// in-slot of the shard's node range, mirror the delivered buffer through
-// revSlot. Unlike the sequential engines' O(delivered) inClear walk this
-// rewrites the whole range — silent edges are re-nilled rather than
-// remembered — trading O(slots/shards) writes for having no shared
-// clear-list to contend on. inClear stays empty for the whole run.
+// gatherPhase is the delivery fan-in for shard k's receivers: the in-slots
+// of the shard's node range.
 //
 //mobilevet:hotpath
 func (sr *shardRun) gatherPhase(k int) {
-	layout, buf := sr.core.layout, sr.core.cur
-	lo, hi := layout.rowStart[sr.bounds[k]], layout.rowStart[sr.bounds[k+1]]
-	rev := layout.revSlot
+	rowStart := sr.core.layout.rowStart
+	sr.core.gather(rowStart[sr.bounds[k]], rowStart[sr.bounds[k+1]])
+}
+
+// gather refills the port inboxes of in-slots [lo, hi) from the delivered
+// buffer: the message on slot (u,v) lands in v's inbox, which is its reverse
+// slot in the in slab. The whole range is rewritten — silent edges are
+// re-nilled rather than remembered — so no clear-list survives a round and
+// disjoint ranges fill concurrently without contending. Resolving a packed
+// ref may read another shard's arena chunk; that is safe because collection
+// finished at the phase barrier and nothing writes the buffer now.
+func (c *runCore) gather(lo, hi int32) {
+	in, rev, buf := c.rc.inSlab, c.layout.revSlot, c.cur
 	for rs := lo; rs < hi; rs++ {
-		// Resolving a packed ref may read another shard's chunk — safe:
-		// collection finished at the phase barrier, nothing writes now.
-		sr.inSlab[rs] = buf.get(rev[rs])
+		in[rs] = buf.get(rev[rs])
 	}
 }
 
-// collectShard is collectOutbox for the shard engine: identical validation
-// and slot math, but slot occupancy is recorded in the shard's private list
-// instead of the shared buffer's, and payloads are copied into the shard's
-// own arena chunk, so shards collect concurrently into their disjoint CSR
-// slot ranges without contending on the arena. The caller merges the
-// per-shard lists in shard order, which keeps the buffer's canonical
-// ascending slot order without a sort.
+// collectShard folds one parked node's pending port outbox into the round's
+// collection buffer, consuming (clearing) it so the node's reusable OutBuf
+// comes back empty. Port p of node u is slot rowStart[u]+p by construction.
+// Each payload is copied into arena chunk k, and every newly occupied slot is
+// appended to touched: shard k's private list on the shard engine, which
+// merges the lists in shard order, or the buffer's own list on the goroutine
+// engine. Nodes are collected in ascending order within a list and shard
+// ranges are ascending, so the buffer keeps its canonical ascending slot
+// order without a sort, and shards collect concurrently into their disjoint
+// CSR slot ranges without contending on the arena.
+//
+// It also surfaces the per-node validation errors: a map compat Exchange
+// that addressed a non-neighbor, a port outbox longer than the degree, and —
+// when the run declares a bandwidth budget — a message exceeding it. Ports
+// are walked in ascending order, so the offender an error names is
+// deterministic: the smallest (node, port) that violates.
 func (c *runCore) collectShard(nc *nodeCore, k int, touched *[]int32) error {
 	out := nc.outPending
 	nc.outPending = nil

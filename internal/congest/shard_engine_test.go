@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -158,13 +159,48 @@ func TestShardEnginePanicPropagates(t *testing.T) {
 	t.Fatal("protocol panic did not propagate")
 }
 
-// waitGoroutines polls until the goroutine count drops back to at most want.
-func waitGoroutines(t *testing.T, want int) {
+// poolWorkers counts the goroutines currently parked in (or running) pool
+// p's worker loop, identified by the receiver the traceback prints for
+// (*shardPool).work. Counting only p's own workers keeps the check immune to
+// unrelated goroutines — other tests' node goroutines winding down, or pools
+// of abandoned contexts being released by their GC cleanup.
+func poolWorkers(p *shardPool) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	frame := []byte(fmt.Sprintf("congest.(*shardPool).work(%p", p))
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		i := bytes.Index(g, frame)
+		if i < 0 {
+			continue
+		}
+		// The address must end here, not continue into a longer one.
+		if rest := g[i+len(frame):]; len(rest) > 0 && (rest[0] == ')' || rest[0] == '?') {
+			count++
+		}
+	}
+	return count
+}
+
+// waitPoolWorkers polls until pool p has exactly want live workers: a freshly
+// started worker and one exiting after close both take a moment to settle.
+func waitPoolWorkers(t *testing.T, p *shardPool, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
+	for {
+		got := poolWorkers(p)
+		if got == want {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutine count stuck at %d, want <= %d", runtime.NumGoroutine(), want)
+			t.Fatalf("pool %p has %d live workers, want %d", p, got, want)
 		}
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
@@ -172,36 +208,43 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestShardEnginePoolReuseAndClose pins the pool lifecycle: repeated runs in
-// one context park and reuse the same workers (goroutine count flat), and
-// Close releases them.
+// one context park and reuse the same workers, and Close releases them.
 func TestShardEnginePoolReuseAndClose(t *testing.T) {
 	g := graph.Circulant(24, 3)
-	base := runtime.NumGoroutine()
 	rc := NewRunContext()
 	e := ShardEngine{Shards: 4}
 	if _, err := e.RunIn(rc, Config{Graph: g, Seed: 1}, portFlood(3)); err != nil {
 		t.Fatal(err)
 	}
-	withPool := runtime.NumGoroutine()
-	if withPool < base+3 {
-		t.Fatalf("expected 3 parked workers: %d goroutines before, %d after", base, withPool)
+	pool := rc.pool
+	if pool == nil || pool.size != 3 {
+		t.Fatalf("expected a pool of 3 parked workers, got %+v", pool)
 	}
+	waitPoolWorkers(t, pool, 3)
 	for i := 0; i < 5; i++ {
 		if _, err := e.RunIn(rc, Config{Graph: g, Seed: 1}, portFlood(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := runtime.NumGoroutine(); got > withPool {
-		t.Fatalf("pool not reused: %d goroutines after first run, %d after five more", withPool, got)
+	if rc.pool != pool {
+		t.Fatal("pool not reused: a later run in the same context built a new one")
+	}
+	if got := poolWorkers(pool); got != 3 {
+		t.Fatalf("pool not reused: %d live workers after five more runs, want 3", got)
 	}
 	rc.Close()
-	waitGoroutines(t, base)
+	waitPoolWorkers(t, pool, 0)
 	// The context stays usable after Close: the next run rebuilds the pool.
 	if _, err := e.RunIn(rc, Config{Graph: g, Seed: 1}, portFlood(3)); err != nil {
 		t.Fatal(err)
 	}
+	rebuilt := rc.pool
+	if rebuilt == nil || rebuilt == pool {
+		t.Fatal("run after Close did not rebuild the pool")
+	}
+	waitPoolWorkers(t, rebuilt, 3)
 	rc.Close()
-	waitGoroutines(t, base)
+	waitPoolWorkers(t, rebuilt, 0)
 }
 
 // TestShardEngineZeroAllocExplicitCounts is the shard-engine zero-alloc pin

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"mobilecongest/internal/graph"
@@ -158,6 +159,92 @@ func TestRunContextReuseDeterministic(t *testing.T) {
 			t.Fatal("different seeds produced identical outputs through a reused context")
 		}
 	})
+}
+
+// silentRandProto is a port-native randProto with silent edges: each round
+// every port stays silent with probability 1/3, so inboxes mix delivered and
+// nil slots and a stale slot left by an earlier round or run would show in
+// the output.
+func silentRandProto(rounds int) Protocol {
+	return func(rt Runtime) {
+		pr := Ports(rt)
+		acc := uint64(rt.ID())
+		for r := 0; r < rounds; r++ {
+			out := pr.OutBuf()
+			for p := range out {
+				if rt.Rand().Intn(3) == 0 {
+					continue
+				}
+				out[p] = U64Msg(rt.Rand().Uint64())
+			}
+			for p, m := range pr.ExchangePorts(out) {
+				if m == nil {
+					acc = acc*31 + uint64(p)
+					continue
+				}
+				acc ^= U64(m) + uint64(p)
+			}
+		}
+		rt.SetOutput(acc)
+	}
+}
+
+// TestRunContextReuseAcrossEngines: a Plan with an engine axis hands one
+// worker's RunContext to every engine in turn. An adversarial, silent-edge
+// run through goroutine → step → shard(3) → step → goroutine in one context
+// must match a fresh-context run of the same engine in Stats, outputs, and
+// trace, and the single-shard and goroutine runs must leave the shard run's
+// parked pool intact.
+func TestRunContextReuseAcrossEngines(t *testing.T) {
+	g := graph.Circulant(14, 2)
+	run := func(e ContextRunner, rc *RunContext) (*Result, []RoundTrace) {
+		t.Helper()
+		tr := NewTraceObserver()
+		res, err := e.RunIn(rc, Config{
+			Graph: g, Seed: 11, Adversary: slotFlipper{f: 2},
+			Observers: []Observer{tr},
+		}, silentRandProto(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, tr.Rounds()
+	}
+	rc := NewRunContext()
+	defer rc.Close()
+	var pool *shardPool
+	for i, e := range []ContextRunner{GoroutineEngine{}, StepEngine{}, ShardEngine{Shards: 3}, StepEngine{}, GoroutineEngine{}} {
+		name := e.(Engine).Name()
+		want, wantTrace := run(e, nil)
+		got, gotTrace := run(e, rc)
+		if got.Stats != want.Stats {
+			t.Fatalf("run %d (%s): reused-context stats %+v != fresh %+v", i, name, got.Stats, want.Stats)
+		}
+		if got.Stats.CorruptedEdgeRounds == 0 {
+			t.Fatalf("run %d (%s): the adversary corrupted nothing", i, name)
+		}
+		if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+			t.Fatalf("run %d (%s): reused-context outputs %v != fresh %v", i, name, got.Outputs, want.Outputs)
+		}
+		if !reflect.DeepEqual(gotTrace, wantTrace) {
+			t.Fatalf("run %d (%s): reused-context trace differs from fresh", i, name)
+		}
+		if _, ok := e.(ShardEngine); ok {
+			pool = rc.pool
+			if pool == nil || pool.size != 2 {
+				t.Fatalf("run %d: shard(3) parked %+v, want a pool of 2 workers", i, pool)
+			}
+			waitPoolWorkers(t, pool, 2)
+			continue
+		}
+		if rc.pool != pool {
+			t.Fatalf("run %d (%s) replaced the context's pool", i, name)
+		}
+		if pool != nil {
+			if got := poolWorkers(pool); got != 2 {
+				t.Fatalf("run %d (%s) left %d of the pool's 2 workers parked", i, name, got)
+			}
+		}
+	}
 }
 
 // TestRunContextRebindsAcrossGraphs: one context serving runs on different

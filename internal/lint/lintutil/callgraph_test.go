@@ -115,9 +115,10 @@ func TestImplementationsMethodSets(t *testing.T) {
 	}
 }
 
-// TestReachability checks BFS over static edges with an interface-expand
-// hook: the step engine's run loop reaches the round bookkeeping and, once
-// dynamic edges resolve, the concrete observers.
+// TestReachability checks BFS over static and value-taken edges with an
+// interface-expand hook: the step engine's delegation to the shard engine
+// reaches the shared round pipeline (through the phase method values handed
+// to the pool) and, once dynamic edges resolve, the concrete observers.
 func TestReachability(t *testing.T) {
 	pkg, g := loadCongest(t)
 	runIn := method(t, pkg.Types, "StepEngine", "RunIn")
@@ -133,8 +134,9 @@ func TestReachability(t *testing.T) {
 	reach := g.Reachable([]*types.Func{runIn}, expand)
 	for _, want := range []struct{ typ, name string }{
 		{"runCore", "beginRound"},
-		{"runCore", "collectOutbox"},
-		{"runCore", "endRound"},
+		{"runCore", "collectShard"},
+		{"runCore", "gather"},
+		{"runCore", "deliverRound"},
 		{"StatsObserver", "RoundDelivered"}, // only via the interface expand
 	} {
 		if !reach[method(t, pkg.Types, want.typ, want.name)] {

@@ -1,7 +1,7 @@
 // Package obsreadonly defines an analyzer enforcing the Observer pipeline's
 // read-only contract: RoundDelivered hands every observer the same
 // *RoundView over the engine's delivered round buffer, and the engine
-// invokes observers in attachment order on both engines. An observer that
+// invokes observers in attachment order on every engine. An observer that
 // mutates the view's slices or the Msg payloads it yields corrupts what
 // every later observer — and the delivery fan-out — sees, breaking the
 // byte-identical cross-engine trace guarantee. The analyzer inspects

@@ -30,10 +30,13 @@
 //		mobilecongest.WithSeed(7),
 //	).Run()
 //
-// Two engines are registered: "goroutine" (one goroutine per node, channel
-// barriers — the faithful processors-as-goroutines reading) and "step" (nodes
-// resumed as coroutine step functions on one scheduler goroutine — the fast
-// default). Both produce identical Results for identical scenarios.
+// Three engines are registered. "step", the default, resumes every node as a
+// coroutine on the calling goroutine; it is the single-shard form of "shard",
+// which steps contiguous node shards in parallel for large graphs.
+// "goroutine" runs one goroutine per node with channel barriers: it is the
+// independent scheduling oracle the others are checked against, and it also
+// runs protocols that block on their own between exchanges. All produce
+// identical Results for identical scenarios.
 //
 // The simulation pipeline is slot-native end to end. Protocols program
 // against PortRuntime (via Ports): a node's ports are its neighbours in
@@ -112,7 +115,7 @@ type (
 )
 
 // Ports returns rt's port-native interface: rt itself when it is already
-// port-aware (both engines' runtimes and WrappedRuntime are), otherwise a
+// port-aware (every engine's runtime and WrappedRuntime are), otherwise a
 // map-backed compat shim. Port-native protocols exchange through reusable
 // port-indexed []Msg buffers and allocate no per-round maps; see the
 // README's "Writing a protocol" section.

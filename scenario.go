@@ -10,13 +10,15 @@ import (
 // Engine is the pluggable execution substrate; see congest.Engine.
 type Engine = congest.Engine
 
-// The three built-in engines. EngineStep is the default for scenarios: it
-// runs nodes as resumable coroutine steps on one scheduler goroutine, which
-// is measurably faster than the goroutine-per-node engine. EngineShard runs
-// the same coroutines as a parallel-for over contiguous CSR node shards
-// (GOMAXPROCS shards by default; see NewShardEngine for the knob) — the
-// engine for large graphs on multi-core hosts. All engines produce identical
-// Results (enforced by the cross-engine equivalence tests).
+// The three built-in engines. EngineShard runs every node as a coroutine,
+// stepped as a parallel-for over contiguous CSR node shards (GOMAXPROCS
+// shards by default; see NewShardEngine for the knob) — the engine for large
+// graphs on multi-core hosts. EngineStep, the default for scenarios, is its
+// single-shard form: every node resumed on the calling goroutine.
+// EngineGoroutine runs a goroutine per node with channel barriers; it is the
+// independent scheduling oracle, and it also runs protocols that block on
+// their own. All engines produce identical Results (enforced by the
+// cross-engine equivalence tests).
 var (
 	EngineGoroutine Engine = congest.GoroutineEngine{}
 	EngineStep      Engine = congest.StepEngine{}

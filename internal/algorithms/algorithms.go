@@ -6,9 +6,10 @@
 // All protocols here are port-native: they program against
 // congest.PortRuntime (via congest.Ports), moving each round through the
 // runtime's reusable port buffers instead of allocating outbox/inbox maps.
-// One payload buffer is shared across all ports of a round — delivery is by
-// reference and corruptors clone before mutating, so this is safe and drops
-// the per-neighbour message allocation too.
+// Each node encodes every round's payload into one buffer it allocates once
+// per run and sends that buffer on all of its ports: ExchangePorts copies
+// each sent payload before it returns, so the node may overwrite the buffer
+// next round, and a run allocates no message per node per round.
 package algorithms
 
 import (
@@ -42,9 +43,10 @@ func FloodMax(rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
 		pr := congest.Ports(rt)
 		best := uint64(rt.ID())
+		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(best)
+			m := congest.PutU64(buf[:0], best)
 			for p := range out {
 				out[p] = m
 			}
@@ -75,9 +77,10 @@ func Broadcast(root graph.NodeID, value uint64, rounds int) congest.Protocol {
 		if rt.ID() == root {
 			have = value
 		}
+		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(have)
+			m := congest.PutU64(buf[:0], have)
 			for p := range out {
 				out[p] = m
 			}
@@ -109,9 +112,10 @@ func BroadcastInput(root graph.NodeID, rounds int) congest.Protocol {
 		if rt.ID() == root {
 			have = congest.U64(rt.Input())
 		}
+		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(have)
+			m := congest.PutU64(buf[:0], have)
 			for p := range out {
 				out[p] = m
 			}
@@ -149,9 +153,10 @@ func BFS(root graph.NodeID, rounds int) congest.Protocol {
 			dist = 0
 			parent = root
 		}
+		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(uint64(dist + 1))
+			m := congest.PutU64(buf[:0], uint64(dist+1))
 			for p := range out {
 				out[p] = m
 			}
@@ -183,6 +188,7 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 	return func(rt congest.Runtime) {
 		pr := congest.Ports(rt)
 		myVal := congest.U64(rt.Input())
+		buf := make(congest.Msg, 0, 8)
 		// Phase 1: BFS layers.
 		dist := -1
 		parent := graph.NodeID(-1)
@@ -192,7 +198,7 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 		}
 		for r := 0; r < radius; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(uint64(dist + 1))
+			m := congest.PutU64(buf[:0], uint64(dist+1))
 			for p := range out {
 				out[p] = m
 			}
@@ -215,7 +221,7 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 			out := pr.OutBuf()
 			if dist > 0 && r == radius-dist {
 				if p := pr.Port(parent); p >= 0 {
-					out[p] = congest.U64Msg(acc)
+					out[p] = congest.PutU64(buf[:0], acc)
 				}
 			}
 			in := pr.ExchangePorts(out)
@@ -237,7 +243,7 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 		}
 		for r := 0; r < radius; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(total)
+			m := congest.PutU64(buf[:0], total)
 			for p := range out {
 				out[p] = m
 			}
@@ -263,9 +269,10 @@ func TokenRing(rounds int) congest.Protocol {
 		succPort := pr.Port(successor(rt))
 		token := uint64(rt.ID()) + 1
 		var trace uint64
+		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			out[succPort] = congest.U64Msg(token)
+			out[succPort] = congest.PutU64(buf[:0], token)
 			in := pr.ExchangePorts(out)
 			for _, mm := range in {
 				if mm == nil {

@@ -28,11 +28,12 @@ func ColorRing(iterations int) congest.Protocol {
 		pred, succ := ringNeighbors(rt)
 		predPort, succPort := pr.Port(pred), pr.Port(succ)
 		color := uint64(rt.ID())
+		buf := make(congest.Msg, 0, 8)
 		// Phase 1: Cole-Vishkin iterations. Each round: send my colour to
 		// my successor; combine with predecessor's.
 		for it := 0; it < iterations; it++ {
 			out := pr.OutBuf()
-			out[succPort] = congest.U64Msg(color)
+			out[succPort] = congest.PutU64(buf[:0], color)
 			in := pr.ExchangePorts(out)
 			pc := color // self-fallback keeps the protocol total under corruption
 			if m := in[predPort]; m != nil {
@@ -45,7 +46,7 @@ func ColorRing(iterations int) congest.Protocol {
 		// ring neighbours. Each step needs both neighbours' colours.
 		for c := uint64(5); c >= 3; c-- {
 			out := pr.OutBuf()
-			m := congest.U64Msg(color)
+			m := congest.PutU64(buf[:0], color)
 			out[succPort] = m
 			out[predPort] = m
 			in := pr.ExchangePorts(out)

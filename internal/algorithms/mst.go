@@ -81,10 +81,11 @@ func MSTClique() congest.Protocol {
 			phases++
 		}
 		chosen := make(map[graph.Edge]uint64)
+		buf := make(congest.Msg, 0, 8)
 		for p := 0; p < phases; p++ {
 			// Round 1: announce component IDs.
 			out := pr.OutBuf()
-			announce := congest.U64Msg(uint64(comp[rt.ID()]))
+			announce := congest.PutU64(buf[:0], uint64(comp[rt.ID()]))
 			for i := range out {
 				out[i] = announce
 			}

@@ -18,7 +18,8 @@ import (
 //
 //   - ShardEngine resumes every node as an iter.Pull coroutine, stepping
 //     contiguous CSR node shards in parallel on a persistent worker pool —
-//     the engine for large graphs on multi-core hosts.
+//     the engine for large graphs on multi-core hosts. Pool and coroutines
+//     stay parked on the RunContext between runs.
 //   - StepEngine is ShardEngine{Shards: 1}: the same coroutines resumed by
 //     the calling goroutine alone. It is the default engine.
 //   - GoroutineEngine runs each node in its own goroutine with channel

@@ -114,6 +114,13 @@ func (b *roundBuffer) reset() {
 	b.arenas[b.parity].reset()
 }
 
+// discard empties the buffer after a run that unwound by panic in the
+// middle of a round, when occupied slots may be missing from touched.
+func (b *roundBuffer) discard() {
+	clear(b.refs)
+	b.touched = b.touched[:0]
+}
+
 // ensureChunks sizes both arenas for n concurrent writers (the shard
 // engine's shard count; single-shard and goroutine runs use chunk 0).
 func (b *roundBuffer) ensureChunks(n int) {

@@ -44,9 +44,12 @@ type PortRuntime interface {
 	// packed arena) and owns the returned inbox, which is only valid until
 	// the next exchange — delivered payloads are arena-backed views the
 	// engine rewrites two rounds later. A protocol must not retain or mutate
-	// received messages in place (copy what it keeps), and must not mutate a
-	// sent Msg before the exchange returns. Sending one Msg on several ports
-	// is fine.
+	// received messages in place (copy what it keeps). A sent Msg must stay
+	// untouched until the exchange returns; after that the sender may reuse
+	// its payload buffer, so a node can encode every round into one buffer
+	// it allocates once. Sending one Msg on several ports is fine. A
+	// WrappedRuntime's ExchangePortsFn upholds the same rule: it copies or
+	// consumes every payload message before it returns.
 	ExchangePorts(out []Msg) []Msg
 }
 

@@ -11,10 +11,11 @@ import (
 // RunContext holds the per-graph simulation state a run builds before its
 // first round: the CSR edge layout, the reusable round buffer and the
 // adversary-boundary scratch, the node-core slab with its per-node RNGs, the
-// inbox fan-out slice, and the internal statistics observer. Rebuilding all
-// of that per run dominates the setup cost of short runs; a RunContext lets
-// repeated runs — a Scenario executed in a loop, a sweep worker grinding
-// through cells on the same topology — reuse the allocations instead.
+// inbox fan-out slice, and the internal statistics observer. It also parks
+// the coroutine engines' node coroutines and shard worker pool between runs.
+// Rebuilding all of that per run dominates the setup cost of short runs; a
+// RunContext lets repeated runs — a Scenario executed in a loop, a sweep
+// worker grinding through cells on the same topology — reuse it instead.
 //
 // A context binds lazily to the graph of the first run executed in it and
 // rebinds (rebuilding its state) whenever a run arrives with a different
@@ -49,6 +50,13 @@ type RunContext struct {
 	shardTouched [][]int32 // per-shard collected-slot lists
 	shardErrs    []error   // per-shard first collection error
 	shardActive  []int     // per-shard live-node counts
+
+	// Coroutine-engine state: the node coroutines parked between runs
+	// (indexed by node, grown to the largest graph served) and the GC
+	// cleanup that stops them if the context is dropped without Close.
+	coros       *coroSlab
+	coroCleanup runtime.Cleanup
+	coroWarm    bool // a coroutine-engine run was served; later runs park
 }
 
 // NewRunContext returns an empty context; it binds to a graph on first use.
@@ -83,14 +91,54 @@ func (rc *RunContext) bind(g *graph.Graph) {
 	// shard scratch capacities likewise survive: neither depends on the graph.
 }
 
-// Close releases the context's parked shard-pool goroutines, if any. The
-// context stays usable — a later shard-engine run simply re-creates the pool
-// — so Close is about reclaiming goroutines promptly when a worker (a
+// Close releases what the context keeps parked between runs: the shard
+// pool's worker goroutines and the node coroutines of the step and shard
+// engines. The context stays usable — a later run simply re-creates them —
+// so Close is about reclaiming goroutines promptly when a worker (a
 // Plan.Stream worker, a finished sweep) retires its context. Contexts
-// abandoned without Close are covered by a GC cleanup, eventually.
+// dropped without Close are covered by GC cleanups that release both,
+// eventually.
 func (rc *RunContext) Close() {
 	rc.pool.close()
 	rc.pool = nil
+	rc.closeCoroutines()
+}
+
+// coroutines returns the node coroutines for a run of n nodes. A context's
+// first coroutine-engine run gets one-shot coroutines that end with the
+// run, so a context that serves a single run (a one-off Scenario.Run,
+// Engine.Run's throwaway context) leaves nothing parked: its goroutines and
+// stacks go straight back to the runtime for the next context, instead of
+// waiting for a GC cleanup while that context builds its own. From its
+// second run on, the context keeps a slab of coroutines parked between
+// runs, extended when a run has more nodes than any before it (a smaller
+// graph reuses a prefix).
+func (rc *RunContext) coroutines(n int, pool *shardPool, bounds []int32) *coroSlab {
+	if !rc.coroWarm {
+		rc.coroWarm = true
+		cs := &coroSlab{}
+		cs.grow(n, false, pool, bounds)
+		return cs
+	}
+	if rc.coros == nil {
+		rc.coros = &coroSlab{}
+		// Safety net for contexts dropped without Close. The cleanup holds
+		// the slab, not the context, so it never pins the context live.
+		rc.coroCleanup = runtime.AddCleanup(rc, (*coroSlab).stop, rc.coros)
+	}
+	rc.coros.grow(n, true, pool, bounds)
+	return rc.coros
+}
+
+// closeCoroutines stops every coroutine parked on the context and forgets
+// the slab; the next coroutine-engine run builds a new one.
+func (rc *RunContext) closeCoroutines() {
+	if rc.coros == nil {
+		return
+	}
+	rc.coroCleanup.Stop()
+	rc.coros.stop()
+	rc.coros = nil
 }
 
 // LimitShards caps the shard count a ShardEngine with the default (automatic,

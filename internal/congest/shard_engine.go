@@ -29,11 +29,14 @@ import (
 // views are byte-identical at every shard count and with the goroutine
 // oracle — enforced by the cross-engine equivalence suites.
 //
-// The pool persists on the RunContext across runs (sweep cells, repeated
-// Scenario.Run), so the fault-free steady state stays zero-alloc per round.
-// Pick this engine for large graphs (n ≳ 10⁴) on multi-core hosts; for small
-// graphs the per-phase barriers cost more than the parallelism returns and
-// the single-shard StepEngine wins.
+// Both the pool and the node coroutines persist on the RunContext across
+// runs (sweep cells, repeated Scenario.Run): a coroutine parks between runs
+// and the next run binds its protocol and node state onto it, so a warm
+// context creates no goroutines or coroutines per run, and the fault-free
+// steady state stays zero-alloc per round. Pick this engine for large graphs
+// (n ≳ 10⁴) on multi-core hosts; for small graphs the per-phase barriers
+// cost more than the parallelism returns and the single-shard StepEngine
+// wins.
 type ShardEngine struct {
 	// Shards is the number of contiguous node shards, which is also the
 	// worker parallelism of every phase. 0 (the default) uses GOMAXPROCS,
@@ -46,8 +49,10 @@ type ShardEngine struct {
 // StepEngine is the single-shard ShardEngine under its own registry name:
 // every node is a coroutine resumed in node order by the calling goroutine,
 // with no pool and no phase barriers. It is the default engine. The
-// separate name keeps cell seeds, cache keys, and Record.Engine stable, and
-// a single-shard run leaves any pool parked on its RunContext untouched.
+// separate name keeps cell seeds, cache keys, and Record.Engine stable. Its
+// coroutines park on the RunContext between runs exactly like the shard
+// engine's (the two share them), and a single-shard run leaves any pool
+// parked on the context untouched.
 type StepEngine struct{}
 
 // Name implements Engine.
@@ -63,29 +68,73 @@ func (StepEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (*Result, er
 	return ShardEngine{Shards: 1}.RunIn(rc, cfg, proto)
 }
 
-// stepNode is the per-node coroutine runtime of the shard engine. It points
-// into the run's shared nodeCore slice; the pending outbox and the port
-// inbox live on the core, so the engine reads and writes them between
-// resumptions.
+// stepNode is one node coroutine of the shard engine. Parked on a
+// RunContext's coroutine slab, it serves one run after another: the engine
+// binds a run's protocol and the node's nodeCore (a slot of the run's
+// shared core slice, which carries the pending outbox and the port inbox
+// the engine reads and writes between resumptions), and the coroutine
+// drops both when the protocol returns.
 type stepNode struct {
 	*nodeCore
+	proto Protocol
 
 	yield func(struct{}) bool
 	next  func() (struct{}, bool)
 	stop  func()
-	done  bool
+
+	parks   bool // park between runs; a one-shot coroutine ends with its run
+	done    bool // the run's protocol returned (or the node is unbound)
+	running bool // the coroutine is inside the protocol, parked at an exchange
+	abort   bool // set by the engine to unwind an aborted run
 }
 
 var _ PortRuntime = (*stepNode)(nil)
+
+// loop is the body of a node coroutine, one iteration per run: run the
+// bound protocol, drop the run-scoped references so a parked coroutine
+// pins nothing of the run, mark the node done, and park until the engine
+// binds the next run. A one-shot coroutine returns instead of parking; a
+// stop (Close, the context's GC cleanup, or a slab dropped after a panic)
+// makes the park return false and ends the loop too.
+//
+//mobilevet:hotpath
+func (s *stepNode) loop(yield func(struct{}) bool) {
+	s.yield = yield
+	for {
+		s.running = true
+		s.runProto()
+		s.running = false
+		s.proto, s.nodeCore = nil, nil
+		s.done = true
+		if !s.parks || !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runProto runs the bound protocol, absorbing the abortSignal an aborted or
+// stopped run unwinds with. Any other panic propagates out of the
+// coroutine to whoever resumed it.
+func (s *stepNode) runProto() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(abortSignal); !ok {
+				panic(r)
+			}
+		}
+	}()
+	s.proto(s)
+}
 
 // ExchangePorts implements the round barrier by parking the coroutine.
 //
 //mobilevet:hotpath
 func (s *stepNode) ExchangePorts(out []Msg) []Msg {
 	s.outPending = out
-	// yield returns false when the engine stopped the coroutine (abort or
-	// early engine exit): unwind the protocol like the goroutine engine does.
-	if !s.yield(struct{}{}) {
+	// yield returns false when the coroutine is being stopped; abort is set
+	// when the engine unwinds an aborted run. Either way, unwind the
+	// protocol like the goroutine engine does.
+	if !s.yield(struct{}{}) || s.abort {
 		panic(abortSignal{})
 	}
 	s.round++
@@ -97,6 +146,45 @@ func (s *stepNode) ExchangePorts(out []Msg) []Msg {
 // materialized lazily, only for the nodes and rounds that use this form.
 func (s *stepNode) Exchange(out map[graph.NodeID]Msg) map[graph.NodeID]Msg {
 	return s.portsToMapIn(s.ExchangePorts(s.mapOutToPorts(out)))
+}
+
+// coroSlab is a set of node coroutines: the slab parked on a RunContext, or
+// a context's first run's one-shot coroutines. It is a value of its own so
+// the GC cleanup that reclaims a dropped context's coroutines can hold it
+// without pinning the context; a parked coroutine references only its
+// stepNode, which holds nothing of a finished run.
+type coroSlab struct {
+	nodes []*stepNode
+}
+
+// grow extends the slab to at least n coroutines. New coroutines are built
+// shard-parallel over the run's pool: at 10⁵–10⁶ nodes the iter.Pull setup
+// is itself a visible slice of a cold run.
+func (cs *coroSlab) grow(n int, parks bool, pool *shardPool, bounds []int32) {
+	have := len(cs.nodes)
+	if have >= n {
+		return
+	}
+	fresh := make([]stepNode, n-have)
+	cs.nodes = append(cs.nodes, make([]*stepNode, n-have)...)
+	nodes := cs.nodes
+	pool.run(func(k int) {
+		for u := max(bounds[k], int32(have)); u < bounds[k+1]; u++ {
+			s := &fresh[int(u)-have]
+			s.parks = parks
+			s.next, s.stop = iter.Pull(s.loop)
+			nodes[u] = s
+		}
+	})
+}
+
+// stop ends every coroutine in the slab: a node parked between runs returns
+// from its loop, one parked inside a protocol unwinds it first. stop is a
+// no-op on coroutines that already ended.
+func (cs *coroSlab) stop() {
+	for _, s := range cs.nodes {
+		s.stop()
+	}
 }
 
 // Name implements Engine.
@@ -125,14 +213,18 @@ func (e ShardEngine) shardCount(rc *RunContext, n int) int {
 	return s
 }
 
-// RunIn implements ContextRunner.
+// RunIn implements ContextRunner. A nil rc runs in a throwaway context that
+// is closed before RunIn returns, so the run leaves no coroutine parked.
 func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Result, err error) {
+	if rc == nil {
+		rc = NewRunContext()
+		defer rc.Close()
+	}
 	core, err := newRunCore(rc, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { core.runDone(err) }()
-	rc = core.rc
 	n := core.g.N()
 
 	shards := e.shardCount(rc, n)
@@ -148,31 +240,24 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 	}
 
 	cores := core.newNodeCores()
-	nodes := make([]stepNode, n)
-	// Build the per-node coroutines shard-parallel: at 10⁵–10⁶ nodes the
-	// iter.Pull setup is itself a visible slice of short-run wall time.
-	pool.run(func(k int) {
-		for u := bounds[k]; u < bounds[k+1]; u++ {
-			s := &nodes[u]
-			s.nodeCore = &cores[u]
-			s.next, s.stop = iter.Pull(func(yield func(struct{}) bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(abortSignal); !ok {
-							panic(r)
-						}
-					}
-				}()
-				s.yield = yield
-				proto(s)
-			})
-		}
-	})
-	// Unwind every still-parked coroutine on any exit path; stop is a no-op
-	// on finished ones. Sequential: the run is already over.
+	slab := rc.coroutines(n, pool, bounds)
+	nodes := slab.nodes[:n]
+	for u, s := range nodes {
+		s.nodeCore, s.proto, s.done = &cores[u], proto, false
+	}
+	// A run that unwinds by panic (a protocol's, an observer's) leaves
+	// coroutines parked inside a protocol that no later run can resume:
+	// stop them, and if they are the context's slab, drop it so the next
+	// run builds a fresh one. The round it abandoned may have collected
+	// slots no shard list recorded, so the round buffer is emptied whole.
+	unwound := true
 	defer func() {
-		for i := range nodes {
-			nodes[i].stop()
+		if unwound {
+			slab.stop()
+			if slab == rc.coros {
+				rc.closeCoroutines()
+			}
+			core.cur.discard()
 		}
 	}()
 
@@ -184,27 +269,45 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 		errs:    errs,
 		active:  active,
 	}
+	err = sr.rounds()
+	if err != nil {
+		sr.abort()
+	}
+	unwound = false
+	if err != nil {
+		return nil, err
+	}
+	return core.finish(outputs(cores)), nil
+}
+
+// rounds runs the round loop until every node has terminated or the run
+// fails.
+func (sr *shardRun) rounds() error {
+	core, pool, errs, active := sr.core, sr.core.pool, sr.errs, sr.active
 	// Bind the phase method values once: a method value allocates its
 	// closure, so binding inside the loop would cost two allocs per round.
 	computePhase := sr.computePhase
 	gatherPhase := sr.gatherPhase
 
-	nActive := n
+	nActive := len(sr.nodes)
 	for nActive > 0 {
 		if err := core.beginRound(); err != nil {
-			return nil, err
+			return err
 		}
 		pool.run(computePhase)
-		nActive = 0
+		// Merge the shard slot lists before looking at errors: a failed
+		// round's collected slots must reach the buffer's list too, or the
+		// next reset would leave them occupied for the context's next run.
 		buf := core.cur
-		for k := 0; k < shards; k++ {
+		for _, tl := range sr.touched {
+			buf.touched = append(buf.touched, tl...)
+		}
+		nActive = 0
+		for k := range errs {
 			if errs[k] != nil {
-				return nil, errs[k]
+				return errs[k]
 			}
 			nActive += active[k]
-		}
-		for k := 0; k < shards; k++ {
-			buf.touched = append(buf.touched, touched[k]...)
 		}
 		if nActive == 0 {
 			// Every node terminated without exchanging: the round is
@@ -213,14 +316,40 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 		}
 		delivered, corrupted, err := core.intercept()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		delivered.sortTouched()
 		pool.run(gatherPhase)
 		core.deliverRound(delivered, corrupted)
 	}
+	return nil
+}
 
-	return core.finish(outputs(cores)), nil
+// abort unwinds an aborted run's live nodes so their coroutines park again,
+// unbound and ready for the next run (or end, if one-shot). A node parked
+// inside its protocol is resumed with its abort flag set: its
+// ExchangePorts panics abortSignal, which the coroutine absorbs — one
+// switch per node, the cost a stop would have. A node the run never resumed
+// is unbound in place, and its coroutine stopped if one-shot. Sequential:
+// the run is already over.
+func (sr *shardRun) abort() {
+	for _, s := range sr.nodes {
+		if s.done {
+			continue
+		}
+		if !s.running {
+			s.proto, s.nodeCore, s.done = nil, nil, true
+			if !s.parks {
+				s.stop()
+			}
+			continue
+		}
+		s.abort = true
+		for !s.done { // a protocol may exchange again while it unwinds
+			s.next()
+		}
+		s.abort = false
+	}
 }
 
 // shardRun carries one shard-engine run's phase state so the phase bodies
@@ -229,7 +358,7 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 // CSR-partitioned; each worker k touches only its own slots.
 type shardRun struct {
 	core    *runCore
-	nodes   []stepNode
+	nodes   []*stepNode
 	bounds  []int32
 	touched [][]int32
 	errs    []error
@@ -251,12 +380,13 @@ func (sr *shardRun) computePhase(k int) {
 	tl := sr.touched[k][:0]
 	stepped := sr.active[k]
 	for u := sr.bounds[k]; u < sr.bounds[k+1]; u++ {
-		s := &sr.nodes[u]
+		s := sr.nodes[u]
 		if s.done {
 			continue
 		}
-		if _, alive := s.next(); !alive {
-			s.done = true
+		// A node whose protocol returns parks again with done set: its
+		// coroutine stays on the slab for the next run.
+		if s.next(); s.done {
 			stepped--
 			continue
 		}

@@ -165,18 +165,9 @@ func TestShardEnginePanicPropagates(t *testing.T) {
 // unrelated goroutines — other tests' node goroutines winding down, or pools
 // of abandoned contexts being released by their GC cleanup.
 func poolWorkers(p *shardPool) int {
-	buf := make([]byte, 1<<16)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
 	frame := []byte(fmt.Sprintf("congest.(*shardPool).work(%p", p))
 	count := 0
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+	for _, g := range goroutineStacks() {
 		i := bytes.Index(g, frame)
 		if i < 0 {
 			continue
@@ -187,6 +178,18 @@ func poolWorkers(p *shardPool) int {
 		}
 	}
 	return count
+}
+
+// goroutineStacks returns the traceback of every goroutine, one per element.
+func goroutineStacks() [][]byte {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Split(buf[:n], []byte("\n\n"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }
 
 // waitPoolWorkers polls until pool p has exactly want live workers: a freshly

@@ -194,7 +194,11 @@ func silentRandProto(rounds int) Protocol {
 // run through goroutine → step → shard(3) → step → goroutine in one context
 // must match a fresh-context run of the same engine in Stats, outputs, and
 // trace, and the single-shard and goroutine runs must leave the shard run's
-// parked pool intact.
+// parked pool intact. Between the runs, each engine also fails runs in the
+// context — a bandwidth overrun, the round limit, a too-long port outbox,
+// and, on the coroutine engines, a protocol panic — after which the
+// context must still give the fresh result: an abort keeps the parked coroutine slab (every coroutine parked
+// again), a panic drops it for the next run to rebuild.
 func TestRunContextReuseAcrossEngines(t *testing.T) {
 	g := graph.Circulant(14, 2)
 	run := func(e ContextRunner, rc *RunContext) (*Result, []RoundTrace) {
@@ -209,24 +213,78 @@ func TestRunContextReuseAcrossEngines(t *testing.T) {
 		}
 		return res, tr.Rounds()
 	}
+	failures := []struct {
+		name    string
+		cfg     Config
+		proto   Protocol
+		wantErr error // nil: any error
+		panics  bool
+	}{
+		{name: "bandwidth", cfg: Config{Graph: g, Seed: 11, Bandwidth: 8}, proto: silentRandProto(6), wantErr: ErrBandwidthExceeded},
+		{name: "round-limit", cfg: Config{Graph: g, Seed: 11, MaxRounds: 3}, proto: silentRandProto(6), wantErr: ErrRoundLimit},
+		{name: "bad-outbox", cfg: Config{Graph: g, Seed: 11}, proto: tooLongOutboxAt(9, 2, silentRandProto(6))},
+		{name: "panic", cfg: Config{Graph: g, Seed: 11}, proto: panicAt(5, 2, silentRandProto(6)), panics: true},
+	}
+	fail := func(e ContextRunner, rc *RunContext, name string, cfg Config, proto Protocol, wantErr error, panics bool) {
+		t.Helper()
+		if panics {
+			defer func() {
+				if r := recover(); r != "coroutine-test-boom" {
+					t.Fatalf("%s: recovered %v, want the protocol's panic", name, r)
+				}
+			}()
+		}
+		_, err := e.RunIn(rc, cfg, proto)
+		if err == nil || (wantErr != nil && !errors.Is(err, wantErr)) {
+			t.Fatalf("%s: error %v, want %v", name, err, wantErr)
+		}
+	}
 	rc := NewRunContext()
 	defer rc.Close()
 	var pool *shardPool
 	for i, e := range []ContextRunner{GoroutineEngine{}, StepEngine{}, ShardEngine{Shards: 3}, StepEngine{}, GoroutineEngine{}} {
 		name := e.(Engine).Name()
 		want, wantTrace := run(e, nil)
-		got, gotTrace := run(e, rc)
-		if got.Stats != want.Stats {
-			t.Fatalf("run %d (%s): reused-context stats %+v != fresh %+v", i, name, got.Stats, want.Stats)
+		check := func(label string) {
+			t.Helper()
+			got, gotTrace := run(e, rc)
+			if got.Stats != want.Stats {
+				t.Fatalf("run %d (%s) %s: reused-context stats %+v != fresh %+v", i, name, label, got.Stats, want.Stats)
+			}
+			if got.Stats.CorruptedEdgeRounds == 0 {
+				t.Fatalf("run %d (%s) %s: the adversary corrupted nothing", i, name, label)
+			}
+			if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+				t.Fatalf("run %d (%s) %s: reused-context outputs %v != fresh %v", i, name, label, got.Outputs, want.Outputs)
+			}
+			if !reflect.DeepEqual(gotTrace, wantTrace) {
+				t.Fatalf("run %d (%s) %s: reused-context trace differs from fresh", i, name, label)
+			}
+			if rc.coros != nil {
+				if got := parkedCoroutines(rc.coros.nodes); got != len(rc.coros.nodes) {
+					t.Fatalf("run %d (%s) %s: %d of %d coroutines parked", i, name, label, got, len(rc.coros.nodes))
+				}
+			}
 		}
-		if got.Stats.CorruptedEdgeRounds == 0 {
-			t.Fatalf("run %d (%s): the adversary corrupted nothing", i, name)
-		}
-		if !reflect.DeepEqual(got.Outputs, want.Outputs) {
-			t.Fatalf("run %d (%s): reused-context outputs %v != fresh %v", i, name, got.Outputs, want.Outputs)
-		}
-		if !reflect.DeepEqual(gotTrace, wantTrace) {
-			t.Fatalf("run %d (%s): reused-context trace differs from fresh", i, name)
+		check("first")
+		for _, f := range failures {
+			if _, ok := e.(GoroutineEngine); ok && f.panics {
+				continue // a node goroutine's panic crashes the process
+			}
+			slab := rc.coros
+			fail(e, rc, f.name, f.cfg, f.proto, f.wantErr, f.panics)
+			switch {
+			case f.panics && slab != nil:
+				if rc.coros != nil {
+					t.Fatalf("run %d (%s): a panicking run kept the coroutine slab", i, name)
+				}
+				if got := parkedCoroutines(slab.nodes); got != 0 {
+					t.Fatalf("run %d (%s): %d coroutines of the dropped slab still parked", i, name, got)
+				}
+			case !f.panics && slab != nil && rc.coros != slab:
+				t.Fatalf("run %d (%s): an aborted %s run replaced the coroutine slab", i, name, f.name)
+			}
+			check("after " + f.name)
 		}
 		if _, ok := e.(ShardEngine); ok {
 			pool = rc.pool

@@ -80,6 +80,9 @@ type WrappedRuntime struct {
 	// out[p] is the payload's message for port p (the p-th neighbour in
 	// ascending order), and the returned slice is the payload's port inbox.
 	// Implementations own the returned slice and may reuse it per round.
+	// They must not keep a reference to an out message past return: the
+	// payload may overwrite its buffers as soon as the exchange returns
+	// (see PortRuntime.ExchangePorts).
 	ExchangePortsFn func(out []Msg) []Msg
 	// ShadowShared, when non-nil, is what the wrapped protocol sees from
 	// Shared() — compilers use it to pass the payload's own preprocessing

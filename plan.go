@@ -551,8 +551,8 @@ func runCells(ctx context.Context, workers int, cells []planCell, deliver func(i
 			// allocations instead of rebuilding them per cell. Shard-engine
 			// cells divide the machine across the P workers instead of each
 			// grabbing GOMAXPROCS shards (an explicit ShardEngine.Shards
-			// still overrides); Close releases any parked shard pool when
-			// the worker retires.
+			// still overrides); Close releases any parked shard pool and
+			// node coroutines when the worker retires.
 			rc := congest.NewRunContext()
 			defer rc.Close()
 			rc.LimitShards(max(1, runtime.GOMAXPROCS(0)/workers))

@@ -60,8 +60,9 @@ const protoSeedMix = 0x70726f746f // "proto"
 // A Scenario is the single entry point for running simulations — it replaces
 // hand-rolled congest.Config literals — and is the unit a Plan fans out.
 // Repeated Run calls on one Scenario reuse a congest.RunContext, amortizing
-// the per-run state (edge layout, round buffers, node cores, RNGs) across
-// runs; a Scenario is therefore not safe for concurrent Run calls (it never
+// the per-run state (edge layout, round buffers, node cores, RNGs, and the
+// node coroutines, which stay parked until the Scenario is garbage
+// collected) across runs; a Scenario is therefore not safe for concurrent Run calls (it never
 // was — the topology cache already mutated the value). To fan one scenario
 // out across goroutines, give each its own Clone.
 type Scenario struct {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -144,7 +145,6 @@ func TestPlanRunOrderDeterministic(t *testing.T) {
 // TestPlanStreamCancellation: cancelling mid-stream ends the sequence
 // promptly with ctx.Err() as the final element, and leaks no workers.
 func TestPlanStreamCancellation(t *testing.T) {
-	before := runtime.NumGoroutine()
 	plan := Plan{
 		Axes: []Axis{
 			TopologyAxis("circulant"),
@@ -180,16 +180,7 @@ func TestPlanStreamCancellation(t *testing.T) {
 		t.Fatalf("cancelled stream took %v to return", elapsed)
 	}
 	// Workers must all have exited; allow the runtime a moment to reap them.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leaked goroutines: before=%d after=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitNoPlanGoroutines(t, "cancelled stream")
 
 	// Run under a cancelled context returns the full record set with every
 	// never-run cell explicitly marked failed, so downstream aggregation
@@ -222,12 +213,43 @@ func TestPlanStreamCancellation(t *testing.T) {
 		_, _ = rec, err
 		break
 	}
+	waitNoPlanGoroutines(t, "early break")
+}
+
+// goroutinesIn counts the goroutines whose traceback contains frame.
+func goroutinesIn(frame string) int {
+	buf := make([]byte, 1<<16)
 	for {
-		if runtime.NumGoroutine() <= before {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
 			break
 		}
-		if time.Now().After(deadline.Add(5 * time.Second)) {
-			t.Fatalf("early break leaked goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, frame) {
+			count++
+		}
+	}
+	return count
+}
+
+// planFrame appears in the traceback of every goroutine a plan run starts:
+// its dispatcher, its workers, and the closer that waits for them.
+const planFrame = "mobilecongest.runCells"
+
+// waitNoPlanGoroutines polls until no goroutine of a plan run is left. It
+// counts the plan's own goroutines by traceback frame rather than the
+// process-wide goroutine count, which goroutines of other tests' dropped
+// run contexts, reclaimed by GC cleanups at any time, would disturb.
+func waitNoPlanGoroutines(t *testing.T, label string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for goroutinesIn(planFrame) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s leaked %d plan goroutines", label, goroutinesIn(planFrame))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

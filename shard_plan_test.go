@@ -3,7 +3,6 @@ package mobilecongest
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -69,10 +68,16 @@ func TestShardPlanStreamConcurrent(t *testing.T) {
 
 // TestShardPlanStreamCancelNoGoroutineLeak cancels a stream of shard-engine
 // cells mid-run and pins that everything — plan workers AND the shard pools
-// parked on their run contexts — is released: the goroutine count returns to
-// its pre-stream level.
+// and node coroutines parked on their run contexts — is released: no plan
+// goroutine is left, and the number of pool workers and node coroutines
+// returns to its pre-stream level. Those are counted by traceback frame, so
+// only other tests' dropped contexts, whose GC cleanups can only lower the
+// count, share the tally.
 func TestShardPlanStreamCancelNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
+	parked := func() int {
+		return goroutinesIn("congest.(*shardPool).work") + goroutinesIn("congest.(*stepNode).loop")
+	}
+	before := parked()
 	plan := Plan{
 		Axes: []Axis{
 			TopologyAxis("circulant"),
@@ -100,11 +105,11 @@ func TestShardPlanStreamCancelNoGoroutineLeak(t *testing.T) {
 	if finalErr != context.Canceled {
 		t.Fatalf("stream ended with %v, want context.Canceled", finalErr)
 	}
+	waitNoPlanGoroutines(t, "cancelled shard stream")
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
+	for parked() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("leaked goroutines (workers or shard pools): before=%d after=%d",
-				before, runtime.NumGoroutine())
+			t.Fatalf("leaked shard-pool workers or node coroutines: before=%d after=%d", before, parked())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

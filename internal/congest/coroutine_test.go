@@ -74,8 +74,8 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestCoroutinesParkOnContextUntilClose pins the coroutine lifecycle: a
-// context's first run uses one-shot coroutines and parks nothing; from the
-// second run on, one slab of coroutines parks on the context and every
+// context's first run stops the coroutines it built and parks nothing; from
+// the second run on, one slab of coroutines parks on the context and every
 // later run reuses it; Close stops every one of them, and the context stays
 // usable afterwards.
 func TestCoroutinesParkOnContextUntilClose(t *testing.T) {
@@ -89,9 +89,13 @@ func TestCoroutinesParkOnContextUntilClose(t *testing.T) {
 			}
 			rc := NewRunContext()
 			defer rc.Close()
+			seen := make([]*stepNode, g.N())
 			run := func(label string) {
 				t.Helper()
-				got, err := e.RunIn(rc, cfg, silentRandProto(5))
+				got, err := e.RunIn(rc, cfg, func(rt Runtime) {
+					seen[rt.ID()] = rt.(*stepNode)
+					silentRandProto(5)(rt)
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,6 +104,9 @@ func TestCoroutinesParkOnContextUntilClose(t *testing.T) {
 			run("first run")
 			if rc.coros != nil {
 				t.Fatal("a context's first run parked its coroutines")
+			}
+			if got := parkedCoroutines(seen); got != 0 {
+				t.Fatalf("%d of the first run's coroutines still in loop", got)
 			}
 			run("second run")
 			if rc.coros == nil || len(rc.coros.nodes) != g.N() {
@@ -193,10 +200,11 @@ func TestEngineRunLeavesNoCoroutines(t *testing.T) {
 }
 
 // TestCoroutineSlabFollowsGraphSize: rebinding a warm context to a larger
-// graph extends its slab (keeping the coroutines it has), and to a smaller
-// one reuses a prefix; results match fresh contexts throughout.
+// graph extends its slab (keeping the coroutines it has), to a smaller one
+// reuses a prefix, and to one under a quarter of the slab's size drops the
+// slab for one of that size; results match fresh contexts throughout.
 func TestCoroutineSlabFollowsGraphSize(t *testing.T) {
-	small, large, smaller := graph.Circulant(10, 2), graph.Circulant(30, 3), graph.Cycle(6)
+	small, large, smaller, tiny := graph.Circulant(10, 2), graph.Circulant(30, 3), graph.Cycle(8), graph.Cycle(7)
 	for _, e := range coroEngines {
 		t.Run(e.(Engine).Name(), func(t *testing.T) {
 			rc := NewRunContext()
@@ -232,6 +240,14 @@ func TestCoroutineSlabFollowsGraphSize(t *testing.T) {
 			if got := parkedCoroutines(grown); got != large.N() {
 				t.Fatalf("%d of %d coroutines parked", got, large.N())
 			}
+			run(tiny)
+			if len(rc.coros.nodes) != tiny.N() {
+				t.Fatalf("n=%d kept a slab of %d coroutines", tiny.N(), len(rc.coros.nodes))
+			}
+			if got := parkedCoroutines(grown); got != 0 {
+				t.Fatalf("%d coroutines of the dropped slab still parked", got)
+			}
+			waitParkedCoroutines(t, rc.coros.nodes, tiny.N(), false)
 		})
 	}
 }

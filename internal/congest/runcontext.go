@@ -56,7 +56,7 @@ type RunContext struct {
 	// cleanup that stops them if the context is dropped without Close.
 	coros       *coroSlab
 	coroCleanup runtime.Cleanup
-	coroWarm    bool // a coroutine-engine run was served; later runs park
+	coroWarm    bool // a coroutine-engine run was served; later runs keep the slab
 }
 
 // NewRunContext returns an empty context; it binds to a graph on first use.
@@ -104,21 +104,15 @@ func (rc *RunContext) Close() {
 	rc.closeCoroutines()
 }
 
-// coroutines returns the node coroutines for a run of n nodes. A context's
-// first coroutine-engine run gets one-shot coroutines that end with the
-// run, so a context that serves a single run (a one-off Scenario.Run,
-// Engine.Run's throwaway context) leaves nothing parked: its goroutines and
-// stacks go straight back to the runtime for the next context, instead of
-// waiting for a GC cleanup while that context builds its own. From its
-// second run on, the context keeps a slab of coroutines parked between
-// runs, extended when a run has more nodes than any before it (a smaller
-// graph reuses a prefix).
+// coroutines returns the context's slab of node coroutines, grown to at
+// least n: extended when a run has more nodes than any before it, while a
+// smaller graph reuses a prefix. A run that needs under a quarter of the
+// slab drops it and builds one of its own size instead, so a context that
+// once served a large graph (a sweep worker whose N axis mixes sizes) does
+// not keep that graph's goroutine stacks parked through its small cells.
 func (rc *RunContext) coroutines(n int, pool *shardPool, bounds []int32) *coroSlab {
-	if !rc.coroWarm {
-		rc.coroWarm = true
-		cs := &coroSlab{}
-		cs.grow(n, false, pool, bounds)
-		return cs
+	if rc.coros != nil && 4*n < len(rc.coros.nodes) {
+		rc.closeCoroutines()
 	}
 	if rc.coros == nil {
 		rc.coros = &coroSlab{}
@@ -126,8 +120,22 @@ func (rc *RunContext) coroutines(n int, pool *shardPool, bounds []int32) *coroSl
 		// the slab, not the context, so it never pins the context live.
 		rc.coroCleanup = runtime.AddCleanup(rc, (*coroSlab).stop, rc.coros)
 	}
-	rc.coros.grow(n, true, pool, bounds)
+	rc.coros.grow(n, pool, bounds)
 	return rc.coros
+}
+
+// coroutinesServed is called when a coroutine-engine run returns. The
+// context's first such run stops the slab it built, so a context that
+// serves a single run (a one-off Scenario.Run, Engine.Run's throwaway
+// context) leaves nothing parked: the goroutine stacks go straight back to
+// the runtime for the next context, instead of waiting for a GC cleanup
+// while that context builds its own slab. From the second run on the slab
+// stays parked between runs.
+func (rc *RunContext) coroutinesServed() {
+	if !rc.coroWarm {
+		rc.coroWarm = true
+		rc.closeCoroutines()
+	}
 }
 
 // closeCoroutines stops every coroutine parked on the context and forgets

@@ -82,7 +82,6 @@ type stepNode struct {
 	next  func() (struct{}, bool)
 	stop  func()
 
-	parks   bool // park between runs; a one-shot coroutine ends with its run
 	done    bool // the run's protocol returned (or the node is unbound)
 	running bool // the coroutine is inside the protocol, parked at an exchange
 	abort   bool // set by the engine to unwind an aborted run
@@ -93,9 +92,9 @@ var _ PortRuntime = (*stepNode)(nil)
 // loop is the body of a node coroutine, one iteration per run: run the
 // bound protocol, drop the run-scoped references so a parked coroutine
 // pins nothing of the run, mark the node done, and park until the engine
-// binds the next run. A one-shot coroutine returns instead of parking; a
-// stop (Close, the context's GC cleanup, or a slab dropped after a panic)
-// makes the park return false and ends the loop too.
+// binds the next run. A stop (Close, the context's GC cleanup, or a slab
+// dropped after a context's first run or a panic) makes the park return
+// false and ends the loop.
 //
 //mobilevet:hotpath
 func (s *stepNode) loop(yield func(struct{}) bool) {
@@ -106,7 +105,7 @@ func (s *stepNode) loop(yield func(struct{}) bool) {
 		s.running = false
 		s.proto, s.nodeCore = nil, nil
 		s.done = true
-		if !s.parks || !yield(struct{}{}) {
+		if !yield(struct{}{}) {
 			return
 		}
 	}
@@ -148,8 +147,8 @@ func (s *stepNode) Exchange(out map[graph.NodeID]Msg) map[graph.NodeID]Msg {
 	return s.portsToMapIn(s.ExchangePorts(s.mapOutToPorts(out)))
 }
 
-// coroSlab is a set of node coroutines: the slab parked on a RunContext, or
-// a context's first run's one-shot coroutines. It is a value of its own so
+// coroSlab is the set of node coroutines parked on a RunContext. It is a
+// value of its own so
 // the GC cleanup that reclaims a dropped context's coroutines can hold it
 // without pinning the context; a parked coroutine references only its
 // stepNode, which holds nothing of a finished run.
@@ -160,7 +159,7 @@ type coroSlab struct {
 // grow extends the slab to at least n coroutines. New coroutines are built
 // shard-parallel over the run's pool: at 10⁵–10⁶ nodes the iter.Pull setup
 // is itself a visible slice of a cold run.
-func (cs *coroSlab) grow(n int, parks bool, pool *shardPool, bounds []int32) {
+func (cs *coroSlab) grow(n int, pool *shardPool, bounds []int32) {
 	have := len(cs.nodes)
 	if have >= n {
 		return
@@ -171,7 +170,6 @@ func (cs *coroSlab) grow(n int, parks bool, pool *shardPool, bounds []int32) {
 	pool.run(func(k int) {
 		for u := max(bounds[k], int32(have)); u < bounds[k+1]; u++ {
 			s := &fresh[int(u)-have]
-			s.parks = parks
 			s.next, s.stop = iter.Pull(s.loop)
 			nodes[u] = s
 		}
@@ -240,23 +238,19 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 	}
 
 	cores := core.newNodeCores()
-	slab := rc.coroutines(n, pool, bounds)
-	nodes := slab.nodes[:n]
+	nodes := rc.coroutines(n, pool, bounds).nodes[:n]
 	for u, s := range nodes {
 		s.nodeCore, s.proto, s.done = &cores[u], proto, false
 	}
 	// A run that unwinds by panic (a protocol's, an observer's) leaves
 	// coroutines parked inside a protocol that no later run can resume:
-	// stop them, and if they are the context's slab, drop it so the next
-	// run builds a fresh one. The round it abandoned may have collected
-	// slots no shard list recorded, so the round buffer is emptied whole.
+	// drop the slab so the next run builds a fresh one. The round it
+	// abandoned may have collected slots no shard list recorded, so the
+	// round buffer is emptied whole.
 	unwound := true
 	defer func() {
 		if unwound {
-			slab.stop()
-			if slab == rc.coros {
-				rc.closeCoroutines()
-			}
+			rc.closeCoroutines()
 			core.cur.discard()
 		}
 	}()
@@ -274,6 +268,7 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 		sr.abort()
 	}
 	unwound = false
+	rc.coroutinesServed()
 	if err != nil {
 		return nil, err
 	}
@@ -326,12 +321,11 @@ func (sr *shardRun) rounds() error {
 }
 
 // abort unwinds an aborted run's live nodes so their coroutines park again,
-// unbound and ready for the next run (or end, if one-shot). A node parked
-// inside its protocol is resumed with its abort flag set: its
-// ExchangePorts panics abortSignal, which the coroutine absorbs — one
-// switch per node, the cost a stop would have. A node the run never resumed
-// is unbound in place, and its coroutine stopped if one-shot. Sequential:
-// the run is already over.
+// unbound and ready for the next run. A node parked inside its protocol is
+// resumed with its abort flag set: its ExchangePorts panics abortSignal,
+// which the coroutine absorbs — one switch per node, the cost a stop would
+// have. A node the run never resumed is unbound in place. Sequential: the
+// run is already over.
 func (sr *shardRun) abort() {
 	for _, s := range sr.nodes {
 		if s.done {
@@ -339,9 +333,6 @@ func (sr *shardRun) abort() {
 		}
 		if !s.running {
 			s.proto, s.nodeCore, s.done = nil, nil, true
-			if !s.parks {
-				s.stop()
-			}
 			continue
 		}
 		s.abort = true

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,8 +144,13 @@ func TestPlanRunOrderDeterministic(t *testing.T) {
 }
 
 // TestPlanStreamCancellation: cancelling mid-stream ends the sequence
-// promptly with ctx.Err() as the final element, and leaks no workers.
+// promptly with ctx.Err() as the final element, and leaks no workers and no
+// node coroutines parked on the workers' run contexts.
 func TestPlanStreamCancellation(t *testing.T) {
+	// With the collector off no GC cleanup can stop a dropped context's
+	// coroutines, so only the plan workers' own Close brings the count back.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := parkedEngineGoroutines()
 	plan := Plan{
 		Axes: []Axis{
 			TopologyAxis("circulant"),
@@ -154,8 +160,13 @@ func TestPlanStreamCancellation(t *testing.T) {
 		BaseSeed: 3,
 		Workers:  4,
 	}
+	// Cancel only after 8 cells per worker, so the workers have run the
+	// second cells from which their contexts park a slab of coroutines.
+	// By pigeonhole at least one worker has, so the slabs alive at that
+	// moment hold at least one n=32 slab.
+	cancelAt := 8 * plan.Workers
 	ctx, cancel := context.WithCancel(context.Background())
-	var yielded int
+	var yielded, peak int
 	var finalErr error
 	start := time.Now()
 	for rec, err := range plan.Stream(ctx) {
@@ -165,7 +176,8 @@ func TestPlanStreamCancellation(t *testing.T) {
 		}
 		_ = rec
 		yielded++
-		if yielded == 3 {
+		if yielded == cancelAt {
+			peak = parkedEngineGoroutines()
 			cancel()
 		}
 	}
@@ -179,8 +191,13 @@ func TestPlanStreamCancellation(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancelled stream took %v to return", elapsed)
 	}
-	// Workers must all have exited; allow the runtime a moment to reap them.
+	if peak < before+32 {
+		t.Fatalf("no worker parked a slab: %d engine goroutines mid-stream, %d before", peak, before)
+	}
+	// Workers must all have exited and closed their contexts; allow the
+	// runtime a moment to reap them.
 	waitNoPlanGoroutines(t, "cancelled stream")
+	waitParkedAtMost(t, before, "cancelled stream")
 
 	// Run under a cancelled context returns the full record set with every
 	// never-run cell explicitly marked failed, so downstream aggregation
@@ -214,6 +231,7 @@ func TestPlanStreamCancellation(t *testing.T) {
 		break
 	}
 	waitNoPlanGoroutines(t, "early break")
+	waitParkedAtMost(t, before, "early break")
 }
 
 // goroutinesIn counts the goroutines whose traceback contains frame.
@@ -250,6 +268,26 @@ func waitNoPlanGoroutines(t *testing.T, label string) {
 	for goroutinesIn(planFrame) > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s leaked %d plan goroutines", label, goroutinesIn(planFrame))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// parkedEngineGoroutines counts the goroutines a run context keeps between
+// runs: shard-pool workers and node coroutines.
+func parkedEngineGoroutines() int {
+	return goroutinesIn("congest.(*shardPool).work") + goroutinesIn("congest.(*stepNode).loop")
+}
+
+// waitParkedAtMost polls until no more than limit shard-pool workers and
+// node coroutines are left, so a plan worker that retires without closing
+// its run context fails the test.
+func waitParkedAtMost(t *testing.T, limit int, label string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for parkedEngineGoroutines() > limit {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s leaked shard-pool workers or node coroutines: before=%d after=%d", label, limit, parkedEngineGoroutines())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -3,8 +3,8 @@ package mobilecongest
 import (
 	"context"
 	"reflect"
+	"runtime/debug"
 	"testing"
-	"time"
 )
 
 // TestShardPlanStreamConcurrent runs shard-engine cells concurrently under
@@ -74,10 +74,10 @@ func TestShardPlanStreamConcurrent(t *testing.T) {
 // only other tests' dropped contexts, whose GC cleanups can only lower the
 // count, share the tally.
 func TestShardPlanStreamCancelNoGoroutineLeak(t *testing.T) {
-	parked := func() int {
-		return goroutinesIn("congest.(*shardPool).work") + goroutinesIn("congest.(*stepNode).loop")
-	}
-	before := parked()
+	// With the collector off no GC cleanup can stop a dropped context's
+	// coroutines, so only the plan workers' own Close brings the count back.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := parkedEngineGoroutines()
 	plan := Plan{
 		Axes: []Axis{
 			TopologyAxis("circulant"),
@@ -106,11 +106,5 @@ func TestShardPlanStreamCancelNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("stream ended with %v, want context.Canceled", finalErr)
 	}
 	waitNoPlanGoroutines(t, "cancelled shard stream")
-	deadline := time.Now().Add(5 * time.Second)
-	for parked() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("leaked shard-pool workers or node coroutines: before=%d after=%d", before, parked())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitParkedAtMost(t, before, "cancelled shard stream")
 }

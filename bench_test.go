@@ -86,11 +86,14 @@ func BenchmarkRun(b *testing.B) {
 // payload fleet: BFS on circulant256 (a long-diameter flood with per-port
 // state), Borůvka MST on clique64 (MSTClique is a congested-clique
 // protocol, so its cell runs on the clique family — n*n-weight inputs,
-// all-to-all announcements every round), and the Theorem 1.2 compiler
+// all-to-all announcements every round), the Theorem 1.2 compiler
 // (secure-broadcast on circulant128 under an f=2 mobile eavesdropper,
 // whose key phase extracts 17 keys from 85 exchanged words per
-// edge-direction). Protocols are resolved by registry name, so this also
-// pins the WithProtocolName build path's overhead.
+// edge-direction), and the Theorem 1.6 compiler (hardened-clique on
+// clique16 under an f=2 flip adversary, whose seed, sketch and correction
+// tree protocols each run 30 rounds of rsim frames per payload round).
+// Protocols are resolved by registry name, so this also pins the
+// WithProtocolName build path's overhead.
 func BenchmarkProtocol(b *testing.B) {
 	cases := []struct {
 		proto, topo string
@@ -101,6 +104,7 @@ func BenchmarkProtocol(b *testing.B) {
 		{"bfs", "circulant", 256, 4, "none", 0},
 		{"mstclique", "clique", 64, 0, "none", 0},
 		{"secure-broadcast", "circulant", 128, 4, "eavesdrop", 2},
+		{"hardened-clique", "clique", 16, 0, "flip", 2},
 	}
 	for _, engine := range mc.EngineNames() {
 		for _, c := range cases {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -89,13 +90,19 @@ func checkGolden(t *testing.T, path string, got []string) {
 	}
 }
 
-// TestHardenedCliqueAllocCeiling caps the allocations of one warmed
-// hardened-clique run (clique16, flip f=2, step engine). The compiler's tree
-// primitives reuse their frame buffers and merge sketches on the wire, so a
-// run makes about 16k allocations; rebuilding frames or decoding sketches
-// per round would put it back in the hundreds of thousands.
+// TestHardenedCliqueAllocCeiling caps the allocations and the allocated
+// bytes of one warmed hardened-clique run (clique16, flip f=2, step engine).
+// The compiler's tree primitives build each frame only when a tree commits,
+// and each node encodes its per-tree sketches into one reused buffer that
+// the convergecast folds child sketches into in place. A run makes about
+// 9.8k allocations of about 7.6 MB in all; building frames every round or a
+// fresh sketch and merge result per tree and child puts it back above 12k
+// and 13 MB, and decoding sketches per round in the hundreds of thousands.
 func TestHardenedCliqueAllocCeiling(t *testing.T) {
-	const ceiling = 40_000
+	const (
+		ceiling      = 15_000
+		bytesCeiling = 11_000_000
+	)
 	sc := NewScenario(
 		WithTopology("clique", 16, 0),
 		WithProtocolName("hardened-clique"),
@@ -103,15 +110,26 @@ func TestHardenedCliqueAllocCeiling(t *testing.T) {
 		WithEngineName("step"),
 		WithSeed(1),
 	)
-	allocs := testing.AllocsPerRun(3, func() {
+	run := func() {
 		if _, err := sc.Run(); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(3, run)
 	if allocs > ceiling {
 		t.Fatalf("hardened-clique clique16 flip f=2: %.0f allocs per run, ceiling %d", allocs, ceiling)
 	}
-	t.Logf("%.0f allocs per run", allocs)
+	// One more warmed run, measured by bytes; AllocsPerRun has already
+	// warmed the scenario's context.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if allocated > bytesCeiling {
+		t.Fatalf("hardened-clique clique16 flip f=2: %d bytes allocated per run, ceiling %d", allocated, bytesCeiling)
+	}
+	t.Logf("%.0f allocs, %d bytes per run", allocs, allocated)
 }
 
 // TestSecureBroadcastAllocCeiling caps the allocations of one warmed

@@ -224,6 +224,8 @@ type simulator struct {
 	depth int
 	round int
 	in    []congest.Msg // the payload's port inbox, reused per round
+
+	sketches sketch.RecoveryImages // per-tree sketch images, reused per iteration
 }
 
 // exchange simulates one payload round: raw exchange, then mismatch

@@ -61,15 +61,14 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 	seed, seedOK := s.broadcastSeed()
 	sparsity := 4*s.cfg.F + 2
 
-	// Local sketches per tree (independent randomness per tree).
+	// Local sketches per tree (independent randomness per tree). Each tree
+	// owns its image, so the convergecast folds child sketches into it in
+	// place.
 	k := len(s.trees)
 	seeds := treeSeeds(seed, k)
-	locals := make([][]byte, k)
-	for j := 0; j < k; j++ {
-		r := sketch.NewRecovery(seeds[j], sparsity)
-		s.localStream(sent, est, r.Update)
-		locals[j] = r.Encode()
-	}
+	locals := s.sketches.Build(seeds, sparsity, func(upd func(e sketch.Elem, f int64)) {
+		s.localStream(sent, est, upd)
+	})
 	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, wireMerge(sketch.EncodedSize(sparsity)), s.depth, s.cfg.Rep)
 
 	// Root: decode each tree's aggregate and take the across-tree majority
@@ -246,6 +245,8 @@ func sliceAt(b []byte, off, n int) []byte {
 }
 
 // wireMerge is the convergecast merge for sketch images of the given size.
+// It folds in place, so every locals image it is handed must be owned by its
+// tree alone.
 func wireMerge(size int) rsim.MergeFn {
 	return func(_ int, a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
 }

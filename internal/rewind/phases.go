@@ -254,13 +254,12 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 	}
 	fold := sketch.NewXorFolder(seed)
 	seeds := make([]uint64, k)
-	locals := make([][]byte, k)
-	for j := 0; j < k; j++ {
+	for j := range seeds {
 		seeds[j] = fold.Fold(uint64(j) + 1)
-		r := sketch.NewRecovery(seeds[j], sparsity)
-		stream(r.Update)
-		locals[j] = r.Encode()
 	}
+	// Each tree owns its image, so the merge folds child sketches into it
+	// in place.
+	locals := s.sketches.Build(seeds, sparsity, stream)
 	size := sketch.EncodedSize(sparsity)
 	merge := func(_ int, a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
 	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, merge, s.depth, s.cfg.Rep)
@@ -398,6 +397,8 @@ func (s *rewindSim) aggregateState(goodLocal, myLen uint64) (good uint64, maxLen
 	for j := 0; j < k; j++ {
 		locals[j] = enc
 	}
+	// Every tree shares enc as its local, so the merge must not fold into
+	// its first argument: it builds each result in fresh storage.
 	merge := func(_ int, a, b []byte) []byte {
 		ga, la := congest.U64(a), congest.U64(a[8:])
 		gb, lb := congest.U64(b), congest.U64(b[8:])

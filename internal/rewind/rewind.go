@@ -25,6 +25,7 @@ import (
 	"mobilecongest/internal/hashfam"
 	"mobilecongest/internal/resilient"
 	"mobilecongest/internal/rsim"
+	"mobilecongest/internal/sketch"
 )
 
 // Config parameterizes the rewind compiler.
@@ -119,6 +120,8 @@ type rewindSim struct {
 	// lastInitSent records the init words sent in the current phase, the
 	// "+1 side" of the correction stream.
 	lastInitSent map[graph.NodeID][]uint64
+
+	sketches sketch.RecoveryImages // per-tree correction sketches, reused per phase
 
 	trace Trace
 }

@@ -21,11 +21,14 @@
 // corrupting the edge corrupts all eta trees on it, as in the paper).
 //
 // Buffer ownership: each call builds its outgoing frames in one buffer per
-// port and rebuilds them in place every round. That relies on the
-// congest.PortRuntime contract that every engine copies outbox bytes into
-// its round arena at collection. Received frames are arena views, so a
-// committer copies a candidate value out once, before the engine's parity
-// double-buffering rewrites the view.
+// port and re-sends them unchanged every round. A frame's content depends
+// only on which trees this node has committed, so a call rebuilds its frames
+// in place, in the same tree order, only in a round after a tree it forwards
+// committed. That relies on the congest.PortRuntime contract that every
+// engine copies outbox bytes into its round arena at collection, so a sender
+// may send the same buffer again once the exchange returns. Received frames
+// are arena views, so a committer copies a candidate value out once, before
+// the engine's parity double-buffering rewrites the view.
 package rsim
 
 import (
@@ -157,16 +160,23 @@ func section(m congest.Msg, treeID int) (payload []byte, ok bool) {
 	return payload, ok
 }
 
-// frames holds one outgoing frame per port, rebuilt in place every round
-// (see the package doc for why reuse is safe).
+// frames holds one outgoing frame per port, kept across rounds and rebuilt
+// in place only after a commit (see the package doc for why reuse is safe).
 type frames [][]byte
+
+// reset empties every frame ahead of a rebuild, keeping the buffers.
+func (f frames) reset() {
+	for p := range f {
+		f[p] = f[p][:0]
+	}
+}
 
 func (f frames) add(port, treeID int, payload []byte) {
 	f[port] = appendSection(f[port], treeID, payload)
 }
 
-// exchange sends every non-empty frame, returns the round's inbox, and
-// empties the frames for the next round.
+// exchange sends every non-empty frame and returns the round's inbox. The
+// frames stay as they are, ready to be sent again.
 func (f frames) exchange(pr congest.PortRuntime) []congest.Msg {
 	out := pr.OutBuf()
 	for p, fr := range f {
@@ -174,11 +184,7 @@ func (f frames) exchange(pr congest.PortRuntime) []congest.Msg {
 			out[p] = fr
 		}
 	}
-	in := pr.ExchangePorts(out)
-	for p := range f {
-		f[p] = f[p][:0]
-	}
-	return in
+	return pr.ExchangePorts(out)
 }
 
 // committer tracks copies of candidate values on one (tree, neighbour)
@@ -243,16 +249,21 @@ func BroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, dept
 	}
 	fr := make(frames, pr.Degree())
 	total := Rounds(depthBound, rep)
+	stale := true // a tree this node forwards committed since the last build
 	for r := 0; r < total; r++ {
-		for j, tv := range trees {
-			if tv.Depth < 0 || have[j] == nil {
-				continue
-			}
-			for _, c := range tv.Children {
-				if p := pr.Port(c); p >= 0 {
-					fr.add(p, j, have[j])
+		if stale {
+			fr.reset()
+			for j, tv := range trees {
+				if tv.Depth < 0 || have[j] == nil {
+					continue
+				}
+				for _, c := range tv.Children {
+					if p := pr.Port(c); p >= 0 {
+						fr.add(p, j, have[j])
+					}
 				}
 			}
+			stale = false
 		}
 		in := fr.exchange(pr)
 		for j, tv := range trees {
@@ -262,6 +273,7 @@ func BroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, dept
 			if p := pr.Port(tv.Parent); p >= 0 && in[p] != nil {
 				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec) {
 					have[j] = commits[j].value
+					stale = stale || len(tv.Children) > 0
 				}
 			}
 		}
@@ -269,7 +281,12 @@ func BroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, dept
 	return have
 }
 
-// MergeFn combines two encoded aggregates for one tree.
+// MergeFn combines two encoded aggregates for one tree and returns the
+// result. ConvergecastUp hands locals[j] to merge as its first argument, and
+// each later merge of tree j the previous result; b is a committed child
+// aggregate, owned by rsim. A merge may fold b into a in place and return a
+// only when the caller owns each locals[j] exclusively: a locals slice
+// shared across trees must be merged into fresh storage.
 type MergeFn func(treeIdx int, a, b []byte) []byte
 
 // ConvergecastUp aggregates per-tree local values to each tree's root:
@@ -301,14 +318,19 @@ func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge
 	}
 	fr := make(frames, pr.Degree())
 	total := Rounds(depthBound, rep)
+	stale := true // a tree this node forwards committed since the last build
 	for r := 0; r < total; r++ {
-		for j, tv := range trees {
-			if tv.Depth <= 0 || tv.Parent < 0 || ready[j] == nil {
-				continue
+		if stale {
+			fr.reset()
+			for j, tv := range trees {
+				if tv.Depth <= 0 || tv.Parent < 0 || ready[j] == nil {
+					continue
+				}
+				if p := pr.Port(tv.Parent); p >= 0 {
+					fr.add(p, j, ready[j])
+				}
 			}
-			if p := pr.Port(tv.Parent); p >= 0 {
-				fr.add(p, j, ready[j])
-			}
+			stale = false
 		}
 		in := fr.exchange(pr)
 		for j, tv := range trees {
@@ -337,6 +359,7 @@ func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge
 					acc = merge(j, acc, cms[i].value)
 				}
 				ready[j] = acc
+				stale = stale || tv.Depth > 0 && tv.Parent >= 0
 			}
 		}
 	}

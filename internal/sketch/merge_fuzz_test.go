@@ -19,7 +19,9 @@ func window(b []byte, off, n int) []byte {
 
 // FuzzMergeEncoded: the seedless wire merge equals decode, merge, encode for
 // Recovery images and for concatenations of ℓ0 sampler images, on any
-// input — nil, short, overlong, or corrupted.
+// input — nil, short, overlong, or corrupted. Folded into a full-size copy
+// of a, the merge also runs in place: it returns that copy, holding the same
+// bytes, and leaves b untouched.
 func FuzzMergeEncoded(f *testing.F) {
 	r := NewRecovery(5, 2)
 	r.Update(Pack(3, 77), 1)
@@ -35,6 +37,8 @@ func FuzzMergeEncoded(f *testing.F) {
 	f.Add(uint64(5), uint8(1), false, img, img)
 	f.Add(uint64(5), uint8(1), false, img, corrupt)
 	f.Add(uint64(5), uint8(1), false, []byte(nil), img[:50])
+	f.Add(uint64(5), uint8(1), false, img, []byte(nil))
+	f.Add(uint64(5), uint8(1), false, img, img[:50])
 	f.Add(uint64(9), uint8(0), false, []byte(nil), []byte(nil))
 	f.Add(uint64(9), uint8(0), false, hang, img)
 	f.Add(uint64(6), uint8(0), true, sm.Encode(), sm.Encode()[:33])
@@ -58,8 +62,22 @@ func FuzzMergeEncoded(f *testing.F) {
 			ra.Merge(DecodeRecovery(seed, s, b))
 			want = ra.Encode()
 		}
-		if got := MergeEncoded(a, b, size); !bytes.Equal(got, want) {
+		full := make([]byte, size)
+		copy(full, a)
+		bIn := append([]byte(nil), b...)
+		// The seed corpus may pass one slice as both a and b.
+		if got := MergeEncoded(append([]byte(nil), a...), b, size); !bytes.Equal(got, want) {
 			t.Fatalf("l0=%v param=%d: wire merge differs from decode+merge+encode", l0, param)
+		}
+		got := MergeEncoded(full, b, size)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("l0=%v param=%d: in-place fold differs from decode+merge+encode", l0, param)
+		}
+		if &got[0] != &full[0] {
+			t.Fatalf("l0=%v param=%d: fold into a full-size image allocated", l0, param)
+		}
+		if !bytes.Equal(b, bIn) {
+			t.Fatalf("l0=%v param=%d: merge wrote to its second argument", l0, param)
 		}
 	})
 }

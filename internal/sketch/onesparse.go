@@ -197,6 +197,14 @@ func (o *OneSparse) appendTo(b []byte) []byte {
 	return appendU64(b, o.tag)
 }
 
+// putAt overwrites the 32-byte wire triple at b[off:off+32].
+func (o *OneSparse) putAt(b []byte, off int) {
+	binary.BigEndian.PutUint64(b[off:], uint64(o.count))
+	binary.BigEndian.PutUint64(b[off+8:], o.s61)
+	binary.BigEndian.PutUint64(b[off+16:], o.s31)
+	binary.BigEndian.PutUint64(b[off+24:], o.tag)
+}
+
 // DecodeOneSparse parses a wire triple created with the same seed. Short or
 // corrupted buffers produce *some* triple (garbage in, garbage out) — the
 // resilient protocols vote across trees rather than trusting any single
@@ -216,23 +224,32 @@ func (o *OneSparse) load(data []byte, off int) {
 	o.tag = prime.Mod61(readU64(data, off+24))
 }
 
-// MergeEncoded adds two encoded sketch images triple by triple and returns
-// the size-byte image of the sum. The result is byte for byte the encoding
-// of the decoded images merged, for any shared seed: merging adds the sums
-// and never reads the fingerprint keys, so it needs no seed. size is
-// EncodedSize(s) for Recovery images, EncodedL0Size (times the number of
-// concatenated samplers) for L0Sampler ones. Short or nil images read as
-// zero-padded, as the decoders read them.
+// MergeEncoded folds the encoded sketch image b into a, triple by triple,
+// and returns the size-byte image of the sum. The result is byte for byte
+// the encoding of the decoded images merged, for any shared seed: merging
+// adds the sums and never reads the fingerprint keys, so it needs no seed.
+// size is EncodedSize(s) for Recovery images, EncodedL0Size (times the
+// number of concatenated samplers) for L0Sampler ones; a ragged tail past
+// the last whole triple is dropped. The fold is in place: when len(a) >=
+// size it overwrites a[:size] and returns it, so the caller must own a. A
+// shorter a is first copied into a fresh zero-padded image, and a short or
+// nil b reads as zero-padded, as the decoders read them.
 func MergeEncoded(a, b []byte, size int) []byte {
-	out := make([]byte, 0, size)
+	size -= size % 32
+	if len(a) < size {
+		grown := make([]byte, size)
+		copy(grown, a)
+		a = grown
+	}
+	a = a[:size]
 	var x, y OneSparse
 	for off := 0; off+32 <= size; off += 32 {
 		x.load(a, off)
 		y.load(b, off)
 		x.Merge(&y)
-		out = x.appendTo(out)
+		x.putAt(a, off)
 	}
-	return out
+	return a
 }
 
 func appendU64(b []byte, v uint64) []byte {

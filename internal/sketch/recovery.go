@@ -23,16 +23,23 @@ func NewRecovery(seed uint64, s int) *Recovery {
 	}
 	rows := 6
 	width := 2 * s
-	r := &Recovery{seed: seed, rows: rows, width: width}
+	r := &Recovery{rows: rows, width: width}
 	r.buckets = make([]OneSparse, rows*width)
 	r.rowKey = make([]uint64, rows)
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed empties r and rekeys it with a new seed, keeping its sparsity and
+// storage: afterwards r is identical to NewRecovery(seed, r.S()).
+func (r *Recovery) Reseed(seed uint64) {
+	r.seed = seed
 	for b := range r.buckets {
 		r.buckets[b] = oneSparse(seed ^ (uint64(b+1) * 0x9e3779b97f4a7c15))
 	}
-	for i := 0; i < rows; i++ {
+	for i := range r.rowKey {
 		r.rowKey[i] = mix64(seed ^ (uint64(i+1) * 0xc2b2ae3d27d4eb4f))
 	}
-	return r
 }
 
 // S returns the sparsity parameter (width/2).
@@ -118,11 +125,50 @@ func (r *Recovery) nonEmpty() int {
 
 // Encode serializes the sketch: rows*width one-sparse triples of 32 bytes.
 func (r *Recovery) Encode() []byte {
-	out := make([]byte, 0, 32*len(r.buckets))
+	return r.AppendTo(make([]byte, 0, 32*len(r.buckets)))
+}
+
+// AppendTo appends the Encode image to dst and returns the extended slice.
+func (r *Recovery) AppendTo(dst []byte) []byte {
 	for b := range r.buckets {
-		out = r.buckets[b].appendTo(out)
+		dst = r.buckets[b].appendTo(dst)
 	}
-	return out
+	return dst
+}
+
+// RecoveryImages encodes one s-sparse recovery sketch per seed, back to
+// back in one buffer, through a single Recovery reseeded per seed. A node
+// keeps one across calls, so its per-tree sketches cost no allocation after
+// the first call.
+type RecoveryImages struct {
+	rec    *Recovery
+	update func(e Elem, freq int64) // rec.Update, bound once
+	buf    []byte
+	images [][]byte
+}
+
+// Build returns the encoded image of each seed's sketch after stream has
+// fed it its updates. The images stay valid until the next Build. Each is
+// capped at its own length, so folding into one with MergeEncoded never
+// touches another, and the caller owns each exclusively.
+func (ri *RecoveryImages) Build(seeds []uint64, s int, stream func(update func(e Elem, freq int64))) [][]byte {
+	size := EncodedSize(s)
+	if ri.rec == nil || ri.rec.S() != max(s, 1) {
+		ri.rec = NewRecovery(0, s)
+		ri.update = ri.rec.Update
+	}
+	if cap(ri.buf) < len(seeds)*size {
+		ri.buf = make([]byte, 0, len(seeds)*size)
+	}
+	ri.buf = ri.buf[:0]
+	ri.images = ri.images[:0]
+	for _, seed := range seeds {
+		ri.rec.Reseed(seed)
+		stream(ri.update)
+		ri.buf = ri.rec.AppendTo(ri.buf)
+		ri.images = append(ri.images, ri.buf[len(ri.buf)-size:len(ri.buf):len(ri.buf)])
+	}
+	return ri.images
 }
 
 // EncodedSize returns the wire size for sparsity s.

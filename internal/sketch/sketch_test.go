@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -286,6 +287,76 @@ func TestRecoveryDecodeNonDestructive(t *testing.T) {
 	items, ok := r.Decode()
 	if !ok || len(items) != 1 || items[0].E != e {
 		t.Fatal("second decode differs — Decode is destructive")
+	}
+}
+
+// TestRecoveryReseedAppendTo: a sketch reseeded after updates under an
+// earlier seed encodes exactly as a fresh NewRecovery, empty and after the
+// same updates, and AppendTo extends its destination in place of replacing it.
+func TestRecoveryReseedAppendTo(t *testing.T) {
+	const sparsity = 3
+	r := NewRecovery(1, sparsity)
+	for i, seed := range []uint64{1, 0, 42, 1<<63 | 7, 42} {
+		r.Update(Pack(uint32(i+1), 0xabc), 1)
+		r.Update(Pack(9, uint64(i)), -2)
+		r.Reseed(seed)
+		fresh := NewRecovery(seed, sparsity)
+		if got, want := r.AppendTo(nil), fresh.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: reseeded empty sketch differs from NewRecovery", seed)
+		}
+		for _, u := range []struct {
+			e Elem
+			f int64
+		}{{Pack(3, 30), 1}, {Pack(4, 40), -1}, {Pack(3, 30), 2}} {
+			r.Update(u.e, u.f)
+			fresh.Update(u.e, u.f)
+		}
+		prefix := []byte("image:")
+		got := r.AppendTo(prefix)
+		want := append([]byte("image:"), fresh.Encode()...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: AppendTo after updates differs from NewRecovery.Encode", seed)
+		}
+		if items, ok := DecodeRecovery(seed, sparsity, got[len(prefix):]).Decode(); !ok || len(items) != 2 {
+			t.Fatalf("seed %d: reseeded sketch decodes to %v (ok=%v)", seed, items, ok)
+		}
+	}
+}
+
+// TestRecoveryImagesBuild: each image equals a fresh sketch's encoding,
+// a second Build reuses the first one's storage, and an in-place fold into
+// one image leaves its neighbour intact.
+func TestRecoveryImagesBuild(t *testing.T) {
+	const sparsity = 2
+	size := EncodedSize(sparsity)
+	stream := func(update func(e Elem, freq int64)) {
+		update(Pack(1, 10), 1)
+		update(Pack(2, 20), -1)
+	}
+	var ri RecoveryImages
+	var first []byte
+	for call, seeds := range [][]uint64{{5, 6, 7}, {8, 9, 10}} {
+		images := ri.Build(seeds, sparsity, stream)
+		if len(images) != len(seeds) {
+			t.Fatalf("call %d: %d images for %d seeds", call, len(images), len(seeds))
+		}
+		for j, seed := range seeds {
+			fresh := NewRecovery(seed, sparsity)
+			stream(fresh.Update)
+			if !bytes.Equal(images[j], fresh.Encode()) || cap(images[j]) != size {
+				t.Fatalf("call %d image %d: not a size-capped copy of the fresh encoding", call, j)
+			}
+		}
+		if call == 0 {
+			first = images[0]
+		} else if &images[0][0] != &first[0] {
+			t.Fatal("second Build reallocated its buffer")
+		}
+		next := append([]byte(nil), images[1]...)
+		MergeEncoded(images[0], next, size)
+		if !bytes.Equal(images[1], next) {
+			t.Fatalf("call %d: folding into image 0 changed image 1", call)
+		}
 	}
 }
 

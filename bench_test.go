@@ -1,4 +1,4 @@
-// Benchmarks regenerating every experiment table of EXPERIMENTS.md — one
+// Benchmarks regenerating every experiment table of harness.All() — one
 // testing.B benchmark per table/figure. Each iteration runs the complete
 // experiment (all its simulation runs) and fails the benchmark if the
 // measured shape stops matching the paper's claim, so

@@ -1,8 +1,8 @@
-// Command mobilevet runs the mobilecongest lint suite: eight analyzers that
+// Command mobilevet runs the mobilecongest lint suite: six analyzers that
 // machine-check the simulator's correctness invariants (seed-determinism,
-// slab ownership, map-iteration folds, the port-native boundary, the
-// observer read-only contract, shard-worker write isolation, hot-path
-// allocation freedom, and arena parity lifetimes).
+// hot-path allocation freedom, map-iteration folds, the port-native
+// boundary, the round-view ownership contract, and shard-worker write
+// isolation).
 //
 // Standalone:
 //
@@ -44,7 +44,7 @@ import (
 
 // version is the tool identity `go vet -vettool` caches against; bump when
 // analyzer behavior changes so stale vet caches invalidate.
-const version = "v7"
+const version = "v8"
 
 func main() {
 	os.Exit(run(os.Args[1:]))

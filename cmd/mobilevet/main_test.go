@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mobilecongest/internal/lint"
 )
 
 // buildTool compiles the mobilevet binary into a scratch dir.
@@ -114,9 +116,9 @@ func TestVettoolProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatalf("-flags: %v", err)
 	}
-	for _, name := range []string{"arenaparity", "detrand", "hotalloc", "maprange", "obsreadonly", "portnative", "shardsafe", "slabretain"} {
-		if !strings.Contains(string(out), `"`+name+`"`) {
-			t.Errorf("-flags output lacks analyzer flag %q:\n%s", name, out)
+	for _, a := range lint.Suite() {
+		if !strings.Contains(string(out), `"`+a.Name+`"`) {
+			t.Errorf("-flags output lacks analyzer flag %q:\n%s", a.Name, out)
 		}
 	}
 

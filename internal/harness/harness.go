@@ -1,7 +1,8 @@
-// Package harness runs the experiment suite of EXPERIMENTS.md: one
-// experiment per theorem of the paper, each producing a table (rows of
-// measurements) whose shape must match the theorem's claim. cmd/mobilesim
-// prints them; the root bench_test.go wraps each in a testing.B benchmark.
+// Package harness runs the experiment suite that All lists (and
+// `mobilesim -list` prints): one experiment per theorem of the paper, each
+// producing a table (rows of measurements) whose shape must match the
+// theorem's claim. cmd/mobilesim prints them; the root bench_test.go wraps
+// each in a testing.B benchmark.
 package harness
 
 import (

@@ -1,12 +1,15 @@
+// Package arenaparity_test holds the fixtures of roundview's carried check,
+// which replaced the arenaparity analyzer: arena views that outlive a loop
+// calling ExchangePorts.
 package arenaparity_test
 
 import (
 	"testing"
 
 	"mobilecongest/internal/lint/analysis/analysistest"
-	"mobilecongest/internal/lint/arenaparity"
+	"mobilecongest/internal/lint/roundview"
 )
 
 func TestArenaparity(t *testing.T) {
-	analysistest.Run(t, "testdata/src", arenaparity.Analyzer, "flagged", "clean")
+	analysistest.Run(t, "testdata/src", roundview.Analyzer, "flagged", "clean")
 }

@@ -35,7 +35,7 @@ func probe(pr congest.PortRuntime, rounds int) congest.Msg {
 	var last congest.Msg
 	for r := 0; r < rounds; r++ {
 		in := pr.ExchangePorts(out)
-		//lint:ignore arenaparity harness copies the view before the engine advances
+		//lint:ignore roundview harness copies the view before the engine advances
 		last = in[0]
 	}
 	return last

@@ -1,35 +1,32 @@
-// Package lint assembles the mobilevet analyzer suite: eight analyzers
+// Package lint assembles the mobilevet analyzer suite: six analyzers
 // encoding the simulator's correctness invariants as machine-checked rules.
 // Each analyzer guards a contract that ordinary tests cannot see violated —
-// slab reuse and cross-round parity, seed-determinism, map-order folds, the
-// port-native boundary, the observer read-only discipline, shard-worker
-// write isolation, and hot-path allocation freedom (propagated across
-// package boundaries via exported facts). cmd/mobilevet runs the suite
-// standalone or as a `go vet -vettool`.
+// seed-determinism, hot-path allocation freedom (propagated across package
+// boundaries via exported facts), map-order folds, the port-native
+// boundary, the round-view ownership contract (no view retained past its
+// round, carried across a round loop, or written through), and shard-worker
+// write isolation. cmd/mobilevet runs the suite standalone or as a
+// `go vet -vettool`.
 package lint
 
 import (
 	"mobilecongest/internal/lint/analysis"
-	"mobilecongest/internal/lint/arenaparity"
 	"mobilecongest/internal/lint/detrand"
 	"mobilecongest/internal/lint/hotalloc"
 	"mobilecongest/internal/lint/maprange"
-	"mobilecongest/internal/lint/obsreadonly"
 	"mobilecongest/internal/lint/portnative"
+	"mobilecongest/internal/lint/roundview"
 	"mobilecongest/internal/lint/shardsafe"
-	"mobilecongest/internal/lint/slabretain"
 )
 
 // Suite returns the full mobilevet analyzer set in stable order.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		arenaparity.Analyzer,
 		detrand.Analyzer,
 		hotalloc.Analyzer,
 		maprange.Analyzer,
-		obsreadonly.Analyzer,
 		portnative.Analyzer,
+		roundview.Analyzer,
 		shardsafe.Analyzer,
-		slabretain.Analyzer,
 	}
 }

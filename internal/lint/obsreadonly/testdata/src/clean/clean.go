@@ -39,8 +39,26 @@ func (redactor) RunDone(stats congest.Stats, err error) {}
 func (redactor) RoundDelivered(round int, view *congest.RoundView) {
 	for _, m := range view.All() {
 		if len(m) > 0 {
-			//lint:ignore obsreadonly this fixture observer runs last and owns teardown of the round buffer
+			//lint:ignore roundview this fixture observer runs last and owns teardown of the round buffer
 			m[0] = 0
 		}
+	}
+}
+
+// fillOutbox writes into the OutBuf slots, which the node owns until it
+// exchanges them.
+func fillOutbox(pr congest.PortRuntime, payload congest.Msg) []congest.Msg {
+	out := pr.OutBuf()
+	for p := range out {
+		out[p] = payload
+	}
+	return pr.ExchangePorts(out)
+}
+
+// flipCopy corrupts a clone of the intercepted payload, never the arena.
+func flipCopy(tr *congest.RoundTraffic, slot int32) {
+	if c := tr.Get(slot).Clone(); len(c) > 0 {
+		c[0] ^= 1
+		tr.Set(slot, c)
 	}
 }

@@ -31,7 +31,7 @@ type stager struct {
 
 func (s *stager) stage(pr congest.PortRuntime, out []congest.Msg) {
 	in := pr.ExchangePorts(out)
-	//lint:ignore slabretain scratch is consumed before this round's handler returns
+	//lint:ignore roundview scratch is consumed before this round's handler returns
 	s.scratch = in
 }
 

@@ -46,3 +46,18 @@ var lastMsg congest.Msg
 func retainGetGlobal(tr *congest.RoundTraffic, slot int32) {
 	lastMsg = tr.Get(slot) // want `package-level variable`
 }
+
+// historian appends the views themselves, not copies: the container is its
+// own, but every element still aliases the round's buffers.
+type historian struct {
+	hist []congest.Msg
+}
+
+func (h *historian) keepInbox(pr congest.PortRuntime, out []congest.Msg) {
+	in := pr.ExchangePorts(out)
+	h.hist = append(h.hist, in[0]) // want `stored in struct field hist`
+}
+
+func (h *historian) keepGet(tr *congest.RoundTraffic, slot int32) {
+	h.hist = append(h.hist, tr.Get(slot)) // want `stored in struct field hist`
+}

@@ -22,11 +22,15 @@
 // count; 0 keeps the GOMAXPROCS default. All engines produce byte-identical
 // results for the same seed.
 //
-// Sweep mode: -sweep builds an experiment Plan (cross product of the axis
-// flags — including the protocol registry axis via -proto), fans the cells
-// out across -workers workers with deterministic per-cell seeds (each worker
-// reusing one run context across its cells), and streams one JSON record per
-// line on stdout *as cells complete* (run -workers 1 for in-order output).
+// Sweep mode: -sweep fills a PlanSpec (the JSON form cmd/mobilesimd
+// accepts) from the axis flags — including the protocol registry axis via
+// -proto — and runs the Plan it lowers to, so the CLI and the server share
+// one lowering and one set of input checks: a bad value (an unknown name,
+// n < 1, a negative k, f, bandwidth, reps, maxrounds or workers) exits 2
+// with the spec's message. The plan fans the cells out across -workers
+// workers with deterministic per-cell seeds (each worker reusing one run
+// context across its cells), and streams one JSON record per line on stdout
+// *as cells complete* (run -workers 1 for in-order output).
 // -summary replaces the per-cell stream with post-sweep aggregates: one JSON
 // line per cell group, with mean/stddev/min/max over the -reps repetitions.
 //
@@ -60,6 +64,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -156,6 +161,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer mc.RegisterEngine(mc.NewShardEngine(0))
 	}
 
+	var spec mc.PlanSpec
+	if *sweep {
+		var badInts error
+		ints := func(s string) []int {
+			v, err := splitInts(s)
+			badInts = cmp.Or(badInts, err)
+			return v
+		}
+		spec = mc.PlanSpec{
+			Topologies:  splitNames(*topo),
+			Ns:          ints(*ns),
+			Ks:          ints(*ks),
+			Protocols:   splitNames(*proto),
+			Adversaries: splitNames(*adv),
+			Fs:          ints(*fstr),
+			Engines:     splitNames(*engine),
+			Bandwidths:  ints(*bandwidth),
+			Reps:        *reps,
+			BaseSeed:    *seed,
+			MaxRounds:   *maxRounds,
+			Workers:     *workers,
+		}
+		if badInts != nil {
+			fmt.Fprintln(stderr, badInts)
+			return 2
+		}
+	}
+
 	var sink *traceSink
 	if *tracePath != "" {
 		sink = newTraceSink(*tracePath, stdout)
@@ -163,12 +196,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var code int
 	if *sweep {
-		code = runSweep(sweepFlags{
-			topos: *topo, ns: *ns, ks: *ks, protos: *proto, advs: *adv, fs: *fstr,
-			bandwidths: *bandwidth,
-			engines:    *engine, reps: *reps, baseSeed: *seed, maxRounds: *maxRounds,
-			workers: *workers, summary: *summary, cacheDir: *cacheDir,
-		}, sink, stdout, stderr)
+		code = runSweep(spec, *summary, *cacheDir, sink, stdout, stderr)
 	} else {
 		code = runExperiments(*only, *seed, *engine, sink, stdout, stderr)
 	}
@@ -305,78 +333,23 @@ func (s *traceSink) finish() error {
 	return nil
 }
 
-type sweepFlags struct {
-	topos, ns, ks, protos, advs, fs, engines string
-	bandwidths                               string
-	reps                                     int
-	baseSeed                                 int64
-	maxRounds                                int
-	workers                                  int
-	summary                                  bool
-	cacheDir                                 string
-}
-
-// plan lowers the axis flags onto an experiment Plan, with the protocol
-// registry axis slotted between the topology and adversary coordinates
-// (the canonical label order).
-func (sf sweepFlags) plan(sink *traceSink) (mc.Plan, error) {
-	nsList, err1 := splitInts(sf.ns)
-	ksList, err2 := splitInts(sf.ks)
-	fsList, err3 := splitInts(sf.fs)
-	for _, err := range []error{err1, err2, err3} {
-		if err != nil {
-			return mc.Plan{}, err
-		}
-	}
-	axes := []mc.Axis{
-		mc.TopologyAxis(splitNames(sf.topos)...),
-		mc.NAxis(nsList...),
-		mc.KAxis(ksList...),
-	}
-	if protos := splitNames(sf.protos); len(protos) > 0 {
-		axes = append(axes, mc.ProtocolAxis(protos...))
-	}
-	axes = append(axes,
-		mc.AdversaryAxis(splitNames(sf.advs)...),
-		mc.FAxis(fsList...),
-		mc.EngineAxis(splitNames(sf.engines)...),
-	)
-	if sf.bandwidths != "" {
-		bwList, err := splitInts(sf.bandwidths)
-		if err != nil {
-			return mc.Plan{}, err
-		}
-		// Like the engine axis, the budget is slotted after the seed-relevant
-		// coordinates: it labels records and names but never perturbs seeds.
-		axes = append(axes, mc.BandwidthAxis(bwList...))
-	}
-	axes = append(axes, mc.RepsAxis(sf.reps))
-	plan := mc.Plan{
-		Axes:      axes,
-		BaseSeed:  sf.baseSeed,
-		MaxRounds: sf.maxRounds,
-		Workers:   sf.workers,
+// runSweep streams the spec's records as cells complete — one JSON line each
+// (grid order under -workers 1, completion order otherwise) — or, with
+// summary, runs the plan to completion and emits one aggregate JSON line
+// per cell group, in the plan's cross-product order.
+func runSweep(spec mc.PlanSpec, summary bool, cacheDir string, sink *traceSink, stdout, stderr io.Writer) int {
+	plan, err := spec.Plan()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if sink != nil {
 		plan.Observers = func(cellName string) []mc.Observer {
 			return []mc.Observer{sink.observer(cellName)}
 		}
 	}
-	return plan, nil
-}
-
-// runSweep streams the plan's records as cells complete — one JSON line each
-// (grid order under -workers 1, completion order otherwise) — or, with
-// -summary, runs the plan to completion and emits one aggregate JSON line
-// per cell group, in the plan's cross-product order.
-func runSweep(sf sweepFlags, sink *traceSink, stdout, stderr io.Writer) int {
-	plan, err := sf.plan(sink)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if sf.cacheDir != "" {
-		cache, err := mc.OpenResultCache(256<<20, sf.cacheDir)
+	if cacheDir != "" {
+		cache, err := mc.OpenResultCache(256<<20, cacheDir)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -393,7 +366,7 @@ func runSweep(sf sweepFlags, sink *traceSink, stdout, stderr io.Writer) int {
 	}
 	enc := json.NewEncoder(stdout)
 	failed, total := 0, 0
-	if sf.summary {
+	if summary {
 		// Plan.Run returns grid order regardless of worker scheduling, so
 		// the summaries come out in the axes' natural order.
 		records, err := plan.Run(context.Background())

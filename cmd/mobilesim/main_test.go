@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	mc "mobilecongest"
 )
 
 func runCapture(t *testing.T, args ...string) (string, string, int) {
@@ -189,6 +193,72 @@ func TestSweepProtocolAxis(t *testing.T) {
 	// Unknown protocol names are rejected up front.
 	if _, errb, code := runCapture(t, "-sweep", "-proto", "nosuch"); code != 2 || !strings.Contains(errb, "unknown protocol") {
 		t.Fatalf("unknown -proto: code %d, msg %q", code, errb)
+	}
+}
+
+// TestSweepMatchesPlanSpec pins the one lowering: -sweep output is, byte for
+// byte once elapsed_ms is removed, the JSON of the records PlanSpec.Plan().Run
+// returns for the same grid, over the topology, k, protocol, adversary, f,
+// engine, bandwidth and reps axes. The 32-bit budget makes some cells fail,
+// so error records are compared too.
+func TestSweepMatchesPlanSpec(t *testing.T) {
+	out, errb, code := runCapture(t, "-sweep", "-workers", "1", "-seed", "5",
+		"-topo", "clique,circulant", "-n", "8", "-k", "0,3", "-proto", "floodmax,broadcast",
+		"-adv", "none,flip", "-f", "1,2", "-engine", "step,goroutine", "-bandwidth", "0,32", "-reps", "2")
+	if code != 1 || !strings.Contains(errb, "sweep cells failed") {
+		t.Fatalf("exit %d, stderr %q; want 1 with failed bandwidth cells", code, errb)
+	}
+	plan, err := mc.PlanSpec{
+		Topologies:  []string{"clique", "circulant"},
+		Ns:          []int{8},
+		Ks:          []int{0, 3},
+		Protocols:   []string{"floodmax", "broadcast"},
+		Adversaries: []string{"none", "flip"},
+		Fs:          []int{1, 2},
+		Engines:     []string{"step", "goroutine"},
+		Bandwidths:  []int{0, 32},
+		Reps:        2,
+		BaseSeed:    5,
+		Workers:     1,
+	}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := plan.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, r := range recs {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	elapsed := regexp.MustCompile(`,"elapsed_ms":[^,}]*`)
+	got, wantS := elapsed.ReplaceAllString(out, ""), elapsed.ReplaceAllString(want.String(), "")
+	if len(recs) != 256 || got != wantS {
+		t.Fatalf("-sweep output differs from PlanSpec.Plan().Run (%d records):\n%s\n---\n%s", len(recs), got, wantS)
+	}
+}
+
+// TestSweepSpecChecks pins that -sweep checks its flags through PlanSpec,
+// so a value the server refuses exits 2 with the spec's message.
+func TestSweepSpecChecks(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "0"}, "mobilecongest: plan spec: n must be >= 1, got 0"},
+		{[]string{"-k", "-1"}, "mobilecongest: plan spec: ks values must be >= 0, got -1"},
+		{[]string{"-reps", "-1"}, "mobilecongest: plan spec: reps must be >= 0, got -1"},
+		{[]string{"-topo", "moebius"}, `mobilecongest: plan spec: unknown topology "moebius"`},
+		{[]string{"-engine", "warp"}, `mobilecongest: plan spec: congest: unknown engine "warp"`},
+	} {
+		out, errb, code := runCapture(t, append([]string{"-sweep"}, c.args...)...)
+		if code != 2 || out != "" || !strings.HasPrefix(errb, c.want) {
+			t.Errorf("-sweep %v: exit %d, stdout %q, stderr %q; want exit 2 with %q", c.args, code, out, errb, c.want)
+		}
 	}
 }
 

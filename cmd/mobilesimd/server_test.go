@@ -164,6 +164,24 @@ func TestSweepRejections(t *testing.T) {
 	}
 }
 
+// TestSweepCellOverflowRejected pins the cell cap against specs whose cell
+// count wraps int (8 × 2^61 and 2^17 × 2^17 × 2^30 are both 2^64): the
+// server must answer 413, never build their axes.
+func TestSweepCellOverflowRejected(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	many := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 1<<17), ",") }
+	for name, spec := range map[string]string{
+		"reps":    `{"ns":[1,2,3,4,5,6,7,8],"reps":2305843009213693952}`,
+		"n-k-rep": `{"ns":[` + many("1") + `],"ks":[` + many("0") + `],"reps":1073741824}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if code, body := postSweep(t, ts.URL, spec); code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d (want 413): %s", code, body)
+			}
+		})
+	}
+}
+
 // TestAdmissionControl pins the 429 contract: a saturated server refuses
 // promptly with Retry-After, and frees capacity once sweeps release.
 func TestAdmissionControl(t *testing.T) {

@@ -304,9 +304,9 @@ func TestWireCodec(t *testing.T) {
 	if U32(PutU32(nil, 0xdeadbeef)) != 0xdeadbeef {
 		t.Fatal("U32 round trip failed")
 	}
-	w := Words64(Msg{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	w := AppendWords64(nil, Msg{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	if len(w) != 2 {
-		t.Fatalf("Words64 length %d, want 2", len(w))
+		t.Fatalf("AppendWords64 length %d, want 2", len(w))
 	}
 }
 

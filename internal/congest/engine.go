@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"mobilecongest/internal/graph"
+	"mobilecongest/internal/registry"
 )
 
 // Engine executes a protocol on every node of a configured network. The
@@ -38,52 +37,33 @@ type Engine interface {
 	Run(cfg Config, proto Protocol) (*Result, error)
 }
 
-// engines is the name-keyed engine registry; RegisterEngine extends it.
-var (
-	enginesMu sync.RWMutex
-	engines   = map[string]Engine{
-		GoroutineEngine{}.Name(): GoroutineEngine{},
-		StepEngine{}.Name():      StepEngine{},
-		ShardEngine{}.Name():     ShardEngine{},
+// Engines is the name-keyed engine registry; RegisterEngine extends it, and
+// the root package's plan axes and specs check engine names against it.
+var Engines = newEngines()
+
+func newEngines() *registry.Table[Engine] {
+	t := registry.New[Engine]("congest", "engine")
+	for _, e := range []Engine{GoroutineEngine{}, StepEngine{}, ShardEngine{}} {
+		t.Register(e.Name(), e)
 	}
-)
+	return t
+}
 
 // RegisterEngine adds (or replaces) an engine under its Name, making it
 // resolvable by EngineByName — and therefore usable from the root package's
 // WithEngineName, sweeps, and the CLI, like the topology and adversary
 // registries.
-func RegisterEngine(e Engine) {
-	enginesMu.Lock()
-	defer enginesMu.Unlock()
-	engines[e.Name()] = e
-}
+func RegisterEngine(e Engine) { Engines.Register(e.Name(), e) }
 
 // EngineByName returns the registered engine with the given name. The empty
 // name is an error rather than a silent default: callers that want the
 // default engine pick StepEngine explicitly, as congest.Run and the root
 // Scenario API do. "goroutine" names the scheduling oracle, not a faster or
 // more faithful mode.
-func EngineByName(name string) (Engine, error) {
-	enginesMu.RLock()
-	e, ok := engines[name]
-	enginesMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("congest: unknown engine %q (have %v)", name, EngineNames())
-	}
-	return e, nil
-}
+func EngineByName(name string) (Engine, error) { return Engines.Get(name) }
 
 // EngineNames lists the registered engine names in sorted order.
-func EngineNames() []string {
-	enginesMu.RLock()
-	defer enginesMu.RUnlock()
-	names := make([]string, 0, len(engines))
-	for n := range engines {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func EngineNames() []string { return Engines.Names() }
 
 // nodeCore is the engine-independent per-node state backing PortRuntime.
 // Engines embed it and supply only the barrier (ExchangePorts and the map
@@ -338,15 +318,16 @@ func outputs(cores []nodeCore) []any {
 // interceptAdversary path. Split so the fault-free head stays on the
 // hot-path allocation gate while the adversarial tail — whose budget-verdict
 // errors allocate by design — sits behind the coldpath barrier.
-func (c *runCore) intercept() (*roundBuffer, []graph.Edge, error) {
+func (c *runCore) intercept() ([]graph.Edge, error) {
 	if c.cfg.Adversary == nil {
-		return c.cur, nil, nil
+		return nil, nil
 	}
 	return c.interceptAdversary()
 }
 
 // interceptAdversary runs the adversary over the round's traffic and enforces
-// its declared budgets, returning the buffer holding the delivered traffic.
+// its declared budgets, returning the corrupted edges. The delivered
+// traffic is the collection buffer c.cur, corrupted in place by apply.
 // The adversary sees the slot-native RoundTraffic view over the flat
 // collection buffer and writes its corruptions into the view's reusable
 // overlay; settle then diffs the overlay against the buffer — the buffer IS
@@ -361,35 +342,35 @@ func (c *runCore) intercept() (*roundBuffer, []graph.Edge, error) {
 // (possible only through SetEdge) aborts after the budget verdict.
 //
 //mobilevet:coldpath adversarial boundary; fault-free rounds return before it
-func (c *runCore) interceptAdversary() (*roundBuffer, []graph.Edge, error) {
+func (c *runCore) interceptAdversary() ([]graph.Edge, error) {
 	rt := c.rc.rt
 	rt.begin(c.cur)
 	c.cfg.Adversary.Intercept(c.round, rt)
 	touched, badInject := rt.settle(c.pool)
 	if c.perRound != nil && len(touched) > c.perRound.PerRoundEdges() {
-		return nil, nil, fmt.Errorf("%w: %d edges touched in round %d, budget %d",
+		return nil, fmt.Errorf("%w: %d edges touched in round %d, budget %d",
 			ErrBudgetExceeded, len(touched), c.round, c.perRound.PerRoundEdges())
 	}
 	c.corrupted += len(touched)
 	if c.total != nil && c.corrupted > c.total.TotalEdgeRounds() {
-		return nil, nil, fmt.Errorf("%w: %d total edge-rounds, budget %d",
+		return nil, fmt.Errorf("%w: %d total edge-rounds, budget %d",
 			ErrBudgetExceeded, c.corrupted, c.total.TotalEdgeRounds())
 	}
 	if badInject != nil {
-		return nil, nil, badInject
+		return nil, badInject
 	}
 	rt.apply()
-	return c.cur, touched, nil
+	return touched, nil
 }
 
-// deliverRound fires RoundDelivered on the delivered buffer and ticks the
-// round clock — the tail every engine runs after its gather.
+// deliverRound fires RoundDelivered on the delivered buffer (c.cur) and
+// ticks the round clock — the tail every engine runs after its gather.
 //
 //mobilevet:hotpath
-func (c *runCore) deliverRound(buf *roundBuffer, corrupted []graph.Edge) {
+func (c *runCore) deliverRound(corrupted []graph.Edge) {
 	// The view is reused across rounds — observers may not retain it (see
 	// Observer.RoundDelivered), so one per run suffices.
-	c.view = RoundView{buf: buf, corrupted: corrupted}
+	c.view = RoundView{buf: c.cur, corrupted: corrupted}
 	for _, o := range c.observers {
 		o.RoundDelivered(c.round, &c.view)
 	}

@@ -45,12 +45,10 @@ type renamedEngine struct{ GoroutineEngine }
 func (renamedEngine) Name() string { return "custom-test" }
 
 func TestRegisterEngine(t *testing.T) {
+	saved := Engines
+	Engines = newEngines()
+	t.Cleanup(func() { Engines = saved })
 	RegisterEngine(renamedEngine{})
-	t.Cleanup(func() {
-		enginesMu.Lock()
-		delete(engines, "custom-test")
-		enginesMu.Unlock()
-	})
 	e, err := EngineByName("custom-test")
 	if err != nil || e.Name() != "custom-test" {
 		t.Fatalf("registered engine not resolvable: %v, %v", e, err)

@@ -134,14 +134,14 @@ func (GoroutineEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *R
 		if nActive == 0 {
 			break
 		}
-		delivered, corrupted, err := core.intercept()
+		corrupted, err := core.intercept()
 		if err != nil {
 			abortAll()
 			return nil, err
 		}
-		delivered.sortTouched()
+		core.cur.sortTouched()
 		core.gather(0, int32(core.layout.slots()))
-		core.deliverRound(delivered, corrupted)
+		core.deliverRound(corrupted)
 		for i, s := range nodes {
 			if !active[i] {
 				continue

@@ -20,10 +20,10 @@ import (
 // A context binds lazily to the graph of the first run executed in it and
 // rebinds (rebuilding its state) whenever a run arrives with a different
 // *graph.Graph. Binding is by pointer identity: reuse pays off only when the
-// caller also reuses the Graph value, which Scenario and Sweep do.
+// caller also reuses the Graph value, which Scenario and Plan do.
 //
 // A RunContext serves one run at a time; sharing one between concurrent runs
-// is a data race. Concurrent callers use one context each (Sweep gives every
+// is a data race. Concurrent callers use one context each (Plan gives every
 // worker its own).
 type RunContext struct {
 	g      *graph.Graph

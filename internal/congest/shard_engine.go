@@ -309,13 +309,13 @@ func (sr *shardRun) rounds() error {
 			// abandoned before delivery, exactly like the other engines.
 			break
 		}
-		delivered, corrupted, err := core.intercept()
+		corrupted, err := core.intercept()
 		if err != nil {
 			return err
 		}
-		delivered.sortTouched()
+		core.cur.sortTouched()
 		pool.run(gatherPhase)
-		core.deliverRound(delivered, corrupted)
+		core.deliverRound(corrupted)
 	}
 	return nil
 }

@@ -45,9 +45,8 @@ func U32(b []byte) uint32 {
 func U64Msg(v uint64) Msg { return PutU64(nil, v) }
 
 // AppendWords64 appends the message's 8-byte words (zero-padding the tail)
-// to dst and returns the extended slice. It is the allocation-free form of
-// Words64 for hot loops: pass a reusable buffer as dst[:0] and the decode
-// reuses its backing array.
+// to dst and returns the extended slice. In hot loops pass a reusable buffer
+// as dst[:0] and the decode reuses its backing array.
 func AppendWords64(dst []uint64, m Msg) []uint64 {
 	for len(m) >= 8 {
 		dst = append(dst, binary.BigEndian.Uint64(m))
@@ -59,12 +58,6 @@ func AppendWords64(dst []uint64, m Msg) []uint64 {
 		dst = append(dst, binary.BigEndian.Uint64(buf[:]))
 	}
 	return dst
-}
-
-// Words64 splits a message into 8-byte words (zero-padding the tail). It
-// allocates a fresh slice per call; loops should use AppendWords64.
-func Words64(m Msg) []uint64 {
-	return AppendWords64(make([]uint64, 0, (len(m)+7)/8), m)
 }
 
 // WrappedRuntime lets a compiler present a virtual network to a payload

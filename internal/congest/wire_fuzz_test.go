@@ -9,7 +9,7 @@ import (
 // Fuzz coverage for the wire codec: the round-trip laws PutU64/U64 and
 // PutU32/U32, the zero-padding contract on short/corrupt buffers (decoders
 // must never panic — adversaries hand protocols arbitrary bytes),
-// Words64/AppendWords64's exact split/pad behaviour, and the packed-slot
+// AppendWords64's exact split/pad behaviour, and the packed-slot
 // codec (msgRef + msgArena) the round buffers store every payload through.
 
 func FuzzU64RoundTrip(f *testing.F) {
@@ -86,9 +86,9 @@ func FuzzWords64RoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(bytes.Repeat([]byte{0xA5}, 24))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		words := Words64(Msg(raw))
+		words := AppendWords64(nil, Msg(raw))
 		if want := (len(raw) + 7) / 8; len(words) != want {
-			t.Fatalf("Words64 split %d bytes into %d words, want %d", len(raw), len(words), want)
+			t.Fatalf("AppendWords64 split %d bytes into %d words, want %d", len(raw), len(words), want)
 		}
 		var back []byte
 		for _, w := range words {
@@ -102,8 +102,9 @@ func FuzzWords64RoundTrip(f *testing.F) {
 				t.Fatalf("padding byte %d is %#x, want 0", i, b)
 			}
 		}
-		// AppendWords64 is the same decode: identical words, dst prefix kept,
-		// and a reused buffer round is byte-identical to the fresh one.
+		// Appending to a non-empty dst is the same decode: identical words,
+		// dst prefix kept, and a reused buffer round is byte-identical to
+		// the fresh one.
 		prefix := []uint64{0xdead, 0xbeef}
 		app := AppendWords64(prefix, Msg(raw))
 		if len(app) != len(prefix)+len(words) {
@@ -114,7 +115,7 @@ func FuzzWords64RoundTrip(f *testing.F) {
 		}
 		for i, w := range words {
 			if app[len(prefix)+i] != w {
-				t.Fatalf("word %d: AppendWords64 %#x != Words64 %#x", i, app[len(prefix)+i], w)
+				t.Fatalf("word %d: appended %#x != fresh %#x", i, app[len(prefix)+i], w)
 			}
 		}
 		reused := AppendWords64(app[:0], Msg(raw))

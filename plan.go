@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -95,29 +96,17 @@ func (a Axis) Len() int { return len(a.values) }
 
 // TopologyAxis sweeps the topology family by registry name.
 func TopologyAxis(names ...string) Axis {
-	vals := make([]axisValue, len(names))
-	for i, name := range names {
-		vals[i] = axisValue{part: "topo=" + name, seed: true, set: func(c *cellSpec) { c.topoName = name }}
-	}
-	return Axis{name: "topology", kind: axisTopology, values: vals}
+	return nameAxis("topology", axisTopology, "topo", true, topologies.Check, names, func(c *cellSpec, v string) { c.topoName = v })
 }
 
 // NAxis sweeps the node count.
 func NAxis(ns ...int) Axis {
-	vals := make([]axisValue, len(ns))
-	for i, n := range ns {
-		vals[i] = axisValue{part: fmt.Sprintf("n=%d", n), seed: true, set: func(c *cellSpec) { c.topoN = n }}
-	}
-	return Axis{name: "n", kind: axisN, values: vals}
+	return intAxis("n", axisN, "n", true, ns, func(c *cellSpec, v int) { c.topoN = v })
 }
 
 // KAxis sweeps the topology's secondary parameter (0 = family default).
 func KAxis(ks ...int) Axis {
-	vals := make([]axisValue, len(ks))
-	for i, k := range ks {
-		vals[i] = axisValue{part: fmt.Sprintf("k=%d", k), seed: true, set: func(c *cellSpec) { c.topoK = k }}
-	}
-	return Axis{name: "k", kind: axisK, values: vals}
+	return intAxis("k", axisK, "k", true, ks, func(c *cellSpec, v int) { c.topoK = v })
 }
 
 // ProtocolAxis sweeps the workload by protocol registry name. Cells carry
@@ -125,53 +114,23 @@ func KAxis(ks ...int) Axis {
 // workload (FloodMax over diameter+1 rounds) and keep their pre-protocol
 // labels and seeds.
 func ProtocolAxis(names ...string) Axis {
-	vals := make([]axisValue, len(names))
-	for i, name := range names {
-		vals[i] = axisValue{part: "proto=" + name, seed: true, set: func(c *cellSpec) { c.protoName = name }}
-	}
-	return Axis{name: "protocol", kind: axisProtocol, values: vals, check: func() error {
-		for _, name := range names {
-			if !HasProtocol(name) {
-				return fmt.Errorf("mobilecongest: unknown protocol %q (have %v)", name, Protocols())
-			}
-		}
-		return nil
-	}}
+	return nameAxis("protocol", axisProtocol, "proto", true, protocols.Check, names, func(c *cellSpec, v string) { c.protoName = v })
 }
 
 // ProtocolParamAxis sweeps the registered protocol's schedule parameter
 // (rounds/radius/iterations; 0 = family default), carried in Record.P.
 func ProtocolParamAxis(ps ...int) Axis {
-	vals := make([]axisValue, len(ps))
-	for i, p := range ps {
-		vals[i] = axisValue{part: fmt.Sprintf("p=%d", p), seed: true, set: func(c *cellSpec) { c.protoP = p }}
-	}
-	return Axis{name: "p", kind: axisProtocolParam, values: vals}
+	return intAxis("p", axisProtocolParam, "p", true, ps, func(c *cellSpec, v int) { c.protoP = v })
 }
 
 // AdversaryAxis sweeps the adversary by registry name.
 func AdversaryAxis(names ...string) Axis {
-	vals := make([]axisValue, len(names))
-	for i, name := range names {
-		vals[i] = axisValue{part: "adv=" + name, seed: true, set: func(c *cellSpec) { c.advName = name }}
-	}
-	return Axis{name: "adversary", kind: axisAdversary, values: vals, check: func() error {
-		for _, name := range names {
-			if !HasAdversary(name) {
-				return fmt.Errorf("mobilecongest: unknown adversary %q (have %v)", name, Adversaries())
-			}
-		}
-		return nil
-	}}
+	return nameAxis("adversary", axisAdversary, "adv", true, adversaries.Check, names, func(c *cellSpec, v string) { c.advName = v })
 }
 
 // FAxis sweeps the adversary's per-round strength.
 func FAxis(fs ...int) Axis {
-	vals := make([]axisValue, len(fs))
-	for i, f := range fs {
-		vals[i] = axisValue{part: fmt.Sprintf("f=%d", f), seed: true, set: func(c *cellSpec) { c.advF = f }}
-	}
-	return Axis{name: "f", kind: axisF, values: vals}
+	return intAxis("f", axisF, "f", true, fs, func(c *cellSpec, v int) { c.advF = v })
 }
 
 // EngineAxis sweeps the execution engine by registry name. The engine is an
@@ -179,18 +138,7 @@ func FAxis(fs ...int) Axis {
 // deliberately NOT of the seed derivation, so the same simulation cell gets
 // the same randomness on every engine.
 func EngineAxis(names ...string) Axis {
-	vals := make([]axisValue, len(names))
-	for i, name := range names {
-		vals[i] = axisValue{part: "engine=" + name, set: func(c *cellSpec) { c.engName = name }}
-	}
-	return Axis{name: "engine", kind: axisEngine, values: vals, check: func() error {
-		for _, name := range names {
-			if _, err := NewEngine(name); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
+	return nameAxis("engine", axisEngine, "engine", false, congest.Engines.Check, names, func(c *cellSpec, v string) { c.engName = v })
 }
 
 // BandwidthAxis sweeps the enforced per-edge-per-round bit budget
@@ -200,11 +148,26 @@ func EngineAxis(names ...string) Axis {
 // the same traffic under every budget — the axis varies only which cells
 // abort with a bandwidth violation.
 func BandwidthAxis(bits ...int) Axis {
-	vals := make([]axisValue, len(bits))
-	for i, b := range bits {
-		vals[i] = axisValue{part: fmt.Sprintf("bw=%d", b), set: func(c *cellSpec) { c.bandwidth = b }}
+	return intAxis("bandwidth", axisBandwidth, "bw", false, bits, func(c *cellSpec, v int) { c.bandwidth = v })
+}
+
+// nameAxis builds a built-in axis over registry names, labelled key=name
+// and checked against the registry before any cell is built.
+func nameAxis(name string, kind axisKind, key string, seed bool, check func(...string) error, names []string, set func(*cellSpec, string)) Axis {
+	vals := make([]axisValue, len(names))
+	for i, v := range names {
+		vals[i] = axisValue{part: key + "=" + v, seed: seed, set: func(c *cellSpec) { set(c, v) }}
 	}
-	return Axis{name: "bandwidth", kind: axisBandwidth, values: vals}
+	return Axis{name: name, kind: kind, values: vals, check: func() error { return check(names...) }}
+}
+
+// intAxis builds a built-in integer axis, labelled key=value.
+func intAxis(name string, kind axisKind, key string, seed bool, ints []int, set func(*cellSpec, int)) Axis {
+	vals := make([]axisValue, len(ints))
+	for i, v := range ints {
+		vals[i] = axisValue{part: key + "=" + strconv.Itoa(v), seed: seed, set: func(c *cellSpec) { set(c, v) }}
+	}
+	return Axis{name: name, kind: kind, values: vals}
 }
 
 // RepsAxis repeats every cell reps times with distinct derived seeds

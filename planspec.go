@@ -6,15 +6,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strings"
+
+	"mobilecongest/internal/congest"
 )
 
 // PlanSpec is the declarative JSON mirror of the Plan axis constructors —
-// the wire format cmd/mobilesimd accepts and a checked-in experiment
-// artifact for reproduction pipelines. Each list field becomes one axis of
-// the built Plan, in the canonical label order (topology, n, k, protocol,
-// p, adversary, f, engine, bandwidth, reps), so a spec names exactly the
-// cells — and therefore exactly the seeds — that the equivalent
-// `mobilesim -sweep` invocation does.
+// the wire format cmd/mobilesimd accepts, the form `mobilesim -sweep` fills
+// from its flags, and a checked-in experiment artifact for reproduction
+// pipelines. Each list field becomes one axis of the built Plan, in the
+// canonical label order (topology, n, k, protocol, p, adversary, f, engine,
+// bandwidth, reps). The server and the CLI both lower through Plan, so they
+// share one set of input checks and a spec names exactly the cells — and
+// therefore exactly the seeds — of the equivalent `mobilesim -sweep`
+// invocation.
 //
 // Omitted (or empty) topology/n/k/adversary/f/engine lists take the
 // registry defaults, matching the CLI's flag defaults; omitted protocols
@@ -58,30 +64,22 @@ func ParsePlanSpec(data []byte) (PlanSpec, error) {
 }
 
 // Validate checks the spec's structure and registry names without building
-// any topology: value ranges, the p-axis pairing rule, and every
+// any topology or axis: value ranges, the p-axis pairing rule, and every
 // topology/protocol/adversary/engine name. It mirrors the axis-constructor
 // checks in Plan.cells (a PlanSpec cannot express the duplicate-axis error
-// — each dimension is one field), plus the eager name checks the lazy
-// constructors defer to build time.
+// — each dimension is one field). It runs before a server's cell cap, so
+// it must stay proportional to the spec's size, never to its cell count.
 func (sp PlanSpec) Validate() error {
-	for _, name := range sp.Topologies {
-		if !HasTopology(name) {
-			return fmt.Errorf("mobilecongest: plan spec: unknown topology %q (have %v)", name, Topologies())
-		}
-	}
-	for _, name := range sp.Protocols {
-		if !HasProtocol(name) {
-			return fmt.Errorf("mobilecongest: plan spec: unknown protocol %q (have %v)", name, Protocols())
-		}
-	}
-	for _, name := range sp.Adversaries {
-		if !HasAdversary(name) {
-			return fmt.Errorf("mobilecongest: plan spec: unknown adversary %q (have %v)", name, Adversaries())
-		}
-	}
-	for _, name := range sp.Engines {
-		if _, err := NewEngine(name); err != nil {
-			return fmt.Errorf("mobilecongest: plan spec: %w", err)
+	for _, err := range []error{
+		topologies.Check(sp.Topologies...),
+		protocols.Check(sp.Protocols...),
+		adversaries.Check(sp.Adversaries...),
+		congest.Engines.Check(sp.Engines...),
+	} {
+		if err != nil {
+			// The spec's prefix replaces the root registries' own and
+			// wraps the engine registry's "congest: ...".
+			return fmt.Errorf("mobilecongest: plan spec: %s", strings.TrimPrefix(err.Error(), "mobilecongest: "))
 		}
 	}
 	if len(sp.Ps) > 0 && len(sp.Protocols) == 0 {
@@ -114,33 +112,22 @@ func (sp PlanSpec) Validate() error {
 	return nil
 }
 
-// Cells returns the number of cells the spec expands to — the product of
-// its axis lengths after defaulting — without building anything. Servers
-// use it for admission control before committing to a sweep.
+// Cells returns the number of cells a valid spec expands to — the product
+// of its axis lengths after defaulting, saturated at math.MaxInt — without
+// building anything. Servers use it for admission control before
+// committing to a sweep.
 func (sp PlanSpec) Cells() int {
-	reps := sp.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	cells := reps
+	cells := max(sp.Reps, 1)
 	for _, n := range []int{
-		len(defaulted(sp.Topologies, "")),
-		len(defaulted(sp.Ns, 0)),
-		len(defaulted(sp.Ks, 0)),
-		len(defaulted(sp.Adversaries, "")),
-		len(defaulted(sp.Fs, 0)),
-		len(defaulted(sp.Engines, "")),
+		len(sp.Topologies), len(sp.Ns), len(sp.Ks), len(sp.Protocols), len(sp.Ps),
+		len(sp.Adversaries), len(sp.Fs), len(sp.Engines), len(sp.Bandwidths),
 	} {
-		cells *= n
-	}
-	if len(sp.Protocols) > 0 {
-		cells *= len(sp.Protocols)
-		if len(sp.Ps) > 0 {
-			cells *= len(sp.Ps)
+		// An omitted list is one default value, or no axis at all.
+		n = max(n, 1)
+		if cells > math.MaxInt/n {
+			return math.MaxInt
 		}
-	}
-	if len(sp.Bandwidths) > 0 {
-		cells *= len(sp.Bandwidths)
+		cells *= n
 	}
 	return cells
 }
@@ -154,10 +141,8 @@ func defaulted[T any](s []T, def ...T) []T {
 }
 
 // Plan validates the spec and builds the equivalent Plan, axes in the
-// canonical label order — the same lowering `mobilesim -sweep` applies to
-// its flags, so spec and flags name identical cells, labels, and seeds.
-// Cache and Observers are execution-side concerns the caller installs on
-// the returned Plan.
+// canonical label order. Cache and Observers are execution-side concerns
+// the caller installs on the returned Plan.
 func (sp PlanSpec) Plan() (Plan, error) {
 	if err := sp.Validate(); err != nil {
 		return Plan{}, err

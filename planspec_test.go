@@ -163,10 +163,39 @@ func TestPlanSpecCells(t *testing.T) {
 	}
 }
 
+// overflowSpecs are accepted specs whose cell count wraps int when the axis
+// lengths are multiplied: 8 × 2^61 and 2^17 × 2^17 × 2^30 are both 2^64.
+func overflowSpecs() map[string]string {
+	many := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 1<<17), ",") }
+	return map[string]string{
+		"reps":    `{"ns":[1,2,3,4,5,6,7,8],"reps":2305843009213693952}`,
+		"n-k-rep": `{"ns":[` + many("1") + `],"ks":[` + many("0") + `],"reps":1073741824}`,
+	}
+}
+
+// TestPlanSpecCellsSaturate pins that Cells saturates instead of wrapping,
+// so a server's cell cap rejects these specs before Plan allocates axes.
+func TestPlanSpecCellsSaturate(t *testing.T) {
+	for name, body := range overflowSpecs() {
+		sp, err := mc.ParsePlanSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := sp.Cells(); n <= 1<<20 {
+			t.Fatalf("%s: Cells() = %d, want above the default server cap", name, n)
+		}
+	}
+}
+
+// serverCellCap is cmd/mobilesimd's default -max-cells: the largest spec
+// the server lets reach Plan.
+const serverCellCap = 1 << 20
+
 // FuzzPlanSpecCodec fuzzes the wire decoder: any input either errors or
 // yields a spec that (a) survives an encode→decode round-trip unchanged and
-// (b) builds a Plan without panicking. Plan construction is axis assembly
-// only — no topologies are built — so hostile sizes cannot allocate.
+// (b) builds a Plan without panicking when it passes the server's cell cap.
+// Plan allocates one axis value per rep and per list entry, so a spec past
+// the cap (say reps 2^33) is left unbuilt, exactly as the server leaves it.
 func FuzzPlanSpecCodec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"topologies":["clique","circulant"],"ns":[8,16],"ks":[0],"reps":3,"base_seed":-9}`))
@@ -177,6 +206,7 @@ func FuzzPlanSpecCodec(f *testing.F) {
 	f.Add([]byte(`{"topologies":["nope"]}`))
 	f.Add([]byte(`[{"ns":[8]}]`))
 	f.Add([]byte(`{"ns":[8]}trailing`))
+	f.Add([]byte(overflowSpecs()["reps"]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := mc.ParsePlanSpec(data)
 		if err != nil {
@@ -198,6 +228,9 @@ func FuzzPlanSpecCodec(f *testing.F) {
 		// spec on the wire.
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("round-trip drift: %s vs %s", enc, enc2)
+		}
+		if sp.Cells() > serverCellCap {
+			return
 		}
 		if _, err := sp.Plan(); err != nil {
 			t.Fatalf("validated spec %s failed to build: %v", enc, err)

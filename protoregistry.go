@@ -3,11 +3,10 @@ package mobilecongest
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"mobilecongest/internal/algorithms"
 	"mobilecongest/internal/congest"
+	"mobilecongest/internal/registry"
 	"mobilecongest/internal/resilient"
 	"mobilecongest/internal/secure"
 )
@@ -57,34 +56,20 @@ func (p ProtoParams) withDefaults() ProtoParams {
 // payloads.
 type ProtocolFunc func(g *Graph, p ProtoParams) (Protocol, any, error)
 
-var (
-	protoMu   sync.RWMutex
-	protocols = map[string]ProtocolFunc{}
-)
+var protocols = registry.New[ProtocolFunc]("mobilecongest", "protocol")
 
 // RegisterProtocol adds (or replaces) a named protocol family.
-func RegisterProtocol(name string, fn ProtocolFunc) {
-	protoMu.Lock()
-	defer protoMu.Unlock()
-	protocols[name] = fn
-}
+func RegisterProtocol(name string, fn ProtocolFunc) { protocols.Register(name, fn) }
 
 // HasProtocol reports whether a protocol family is registered under name.
-func HasProtocol(name string) bool {
-	protoMu.RLock()
-	defer protoMu.RUnlock()
-	_, ok := protocols[name]
-	return ok
-}
+func HasProtocol(name string) bool { return protocols.Has(name) }
 
 // BuildProtocol instantiates a registered protocol over g, returning the
 // protocol and its trusted preprocessing artifact (nil if it needs none).
 func BuildProtocol(name string, g *Graph, p ProtoParams) (Protocol, any, error) {
-	protoMu.RLock()
-	fn, ok := protocols[name]
-	protoMu.RUnlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("mobilecongest: unknown protocol %q (have %v)", name, Protocols())
+	fn, err := protocols.Get(name)
+	if err != nil {
+		return nil, nil, err
 	}
 	p = p.withDefaults()
 	if p.Root < 0 || int(p.Root) >= g.N() {
@@ -98,16 +83,7 @@ func BuildProtocol(name string, g *Graph, p ProtoParams) (Protocol, any, error) 
 }
 
 // Protocols lists the registered protocol names, sorted.
-func Protocols() []string {
-	protoMu.RLock()
-	defer protoMu.RUnlock()
-	names := make([]string, 0, len(protocols))
-	for n := range protocols {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Protocols() []string { return protocols.Names() }
 
 // protoRounds resolves the family-default schedule length: the requested
 // value if positive, else diameter+1 — enough rounds for any flood to cover

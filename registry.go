@@ -5,11 +5,10 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"mobilecongest/internal/adversary"
 	"mobilecongest/internal/graph"
+	"mobilecongest/internal/registry"
 )
 
 // Name-keyed topology and adversary registries. They let scenarios, sweeps,
@@ -30,86 +29,45 @@ type TopologyFunc func(n, k int) (*Graph, error)
 type AdversaryFunc func(g *Graph, f int, seed int64) (Adversary, error)
 
 var (
-	registryMu  sync.RWMutex
-	topologies  = map[string]TopologyFunc{}
-	adversaries = map[string]AdversaryFunc{}
+	topologies  = registry.New[TopologyFunc]("mobilecongest", "topology")
+	adversaries = registry.New[AdversaryFunc]("mobilecongest", "adversary")
 )
 
 // RegisterTopology adds (or replaces) a named topology family.
-func RegisterTopology(name string, fn TopologyFunc) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	topologies[name] = fn
-}
+func RegisterTopology(name string, fn TopologyFunc) { topologies.Register(name, fn) }
 
 // RegisterAdversary adds (or replaces) a named adversary family.
-func RegisterAdversary(name string, fn AdversaryFunc) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	adversaries[name] = fn
-}
+func RegisterAdversary(name string, fn AdversaryFunc) { adversaries.Register(name, fn) }
 
 // BuildTopology instantiates a registered topology.
 func BuildTopology(name string, n, k int) (*Graph, error) {
-	registryMu.RLock()
-	fn, ok := topologies[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("mobilecongest: unknown topology %q (have %v)", name, Topologies())
+	fn, err := topologies.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return fn(n, k)
 }
 
 // HasTopology reports whether a topology family is registered under name.
-func HasTopology(name string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := topologies[name]
-	return ok
-}
+func HasTopology(name string) bool { return topologies.Has(name) }
 
 // HasAdversary reports whether an adversary family is registered under name.
-func HasAdversary(name string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := adversaries[name]
-	return ok
-}
+func HasAdversary(name string) bool { return adversaries.Has(name) }
 
 // BuildAdversary instantiates a registered adversary.
 func BuildAdversary(name string, g *Graph, f int, seed int64) (Adversary, error) {
-	registryMu.RLock()
-	fn, ok := adversaries[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("mobilecongest: unknown adversary %q (have %v)", name, Adversaries())
+	fn, err := adversaries.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return fn(g, f, seed)
 }
 
 // Topologies lists the registered topology names, sorted.
-func Topologies() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(topologies))
-	for n := range topologies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Topologies() []string { return topologies.Names() }
 
 // Adversaries lists the registered adversary names, sorted.
-func Adversaries() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(adversaries))
-	for n := range adversaries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Adversaries() []string { return adversaries.Names() }
 
 func init() {
 	RegisterTopology("clique", func(n, _ int) (*Graph, error) {

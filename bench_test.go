@@ -24,9 +24,8 @@ import (
 // throughput: FloodMax (every node talks to every neighbour every round) over
 // clique, circulant, and expander topologies, fault-free and under mobile
 // adversaries (byzantine flip and eavesdropper). This isolates engine and
-// adversary-boundary overhead — coroutine switches, the goroutine oracle's
-// channel handoffs, shard barriers, and per-round traffic materialization —
-// from experiment logic. The large
+// adversary-boundary overhead — coroutine switches, shard barriers, and
+// per-round traffic materialization — from experiment logic. The large
 // adversarial cases (circulant1024-flip, expander512-eavesdrop) stress the
 // slot-native adversary path at scale.
 func BenchmarkRun(b *testing.B) {
@@ -44,8 +43,7 @@ func BenchmarkRun(b *testing.B) {
 		{"expander512", resilient.RandomExpander(512, 8, 11), 16, "none"},
 		// The large-n fault-free tier is where the multi-shard engine's
 		// parallel-for earns its keep (step, its single-shard form, runs
-		// every node on one goroutine, and the goroutine oracle pays a
-		// goroutine per node); modest round counts keep -benchtime=1x
+		// every node on one goroutine); modest round counts keep -benchtime=1x
 		// smoke runs fast. It is also the tier most sensitive to per-message
 		// heap traffic: moving round slots onto packed arena slabs (plus lazy
 		// per-node RNG construction) cut warmed step-engine B/op here by

@@ -61,8 +61,8 @@ func bufferFlood(rounds int, reuse bool) Protocol {
 // ownership rule that the algorithms package's per-node payload buffers
 // rely on: a sender may overwrite a sent payload once the exchange returns.
 // The buffer-reusing flood must give the same Result as its copy-per-round
-// twin on every engine, bare and under every compiler boundary that wraps a
-// payload's exchange in a WrappedRuntime.
+// twin on every engine and on the reference simulator, bare and under every
+// compiler boundary that wraps a payload's exchange in a WrappedRuntime.
 func TestPayloadBufferReuseContract(t *testing.T) {
 	const r = 3
 	circ := graph.Circulant(10, 2)
@@ -101,10 +101,20 @@ func TestPayloadBufferReuseContract(t *testing.T) {
 			},
 			shared: secure.NewBroadcastShared(circ, 9, 4, 5)},
 	}
-	engines := []congest.Engine{congest.GoroutineEngine{}, congest.StepEngine{}, congest.ShardEngine{Shards: 2}}
+	// The "goroutine" leg runs the reference simulator, which gives every
+	// node a goroutine of its own and copies every payload at collection.
+	engines := []struct {
+		name string
+		e    Engine
+	}{
+		{"goroutine", &refEngine{}},
+		{"step", EngineStep},
+		{"shard", NewShardEngine(2)},
+	}
 	for _, c := range cases {
-		for _, e := range engines {
-			t.Run(c.name+"/"+e.Name(), func(t *testing.T) {
+		for _, leg := range engines {
+			e := leg.e
+			t.Run(c.name+"/"+leg.name, func(t *testing.T) {
 				run := func(reuse bool) *congest.Result {
 					t.Helper()
 					cfg := congest.Config{Graph: c.g, Seed: 7, Shared: c.shared, MaxRounds: 1 << 23}

@@ -10,17 +10,16 @@
 //	mobilesim -list           # list experiments, engines, topologies, adversaries
 //	mobilesim -run T1,F3      # run a subset
 //	mobilesim -seed 7         # change the master seed
-//	mobilesim -engine goroutine  # pick the execution engine
+//	mobilesim -engine shard   # pick the execution engine
 //	mobilesim -engine shard -shards 4  # shard engine with a fixed shard count
 //
 // The engines are "shard" (nodes as coroutines stepped over contiguous CSR
 // node shards on a worker pool — the engine for large n on multi-core
-// hosts), "step" (default; the single-shard shard engine, every node resumed
-// on one goroutine), and "goroutine" (a goroutine per node with channel
-// barriers — the independent scheduling oracle, also usable for protocols
-// that block on their own). -shards fixes the shard engine's shard/worker
-// count; 0 keeps the GOMAXPROCS default. All engines produce byte-identical
-// results for the same seed.
+// hosts) and "step" (default; the single-shard shard engine, every node
+// resumed on one goroutine). -shards fixes the shard engine's shard/worker
+// count; 0 keeps the GOMAXPROCS default. Both engines produce byte-identical
+// results for the same seed. Any other -engine name, "goroutine" included,
+// exits 2 with the registry's unknown-engine error.
 //
 // Sweep mode: -sweep fills a PlanSpec (the JSON form cmd/mobilesimd
 // accepts) from the axis flags — including the protocol registry axis via
@@ -49,7 +48,7 @@
 //	mobilesim -sweep -topo clique,circulant -n 8,16,32 -adv none,flip -f 2
 //	mobilesim -sweep -proto bfs,mstclique -topo clique -n 16,32 -reps 3
 //	mobilesim -sweep -n 32 -bandwidth 0,64,256 | jq '{name, error}'
-//	mobilesim -sweep -n 64 -engine step,goroutine -reps 5 -summary | jq .rounds.mean
+//	mobilesim -sweep -n 64 -engine step,shard -reps 5 -summary | jq .rounds.mean
 //	mobilesim -sweep -n 64 -workers 1 | jq .rounds
 //	mobilesim -sweep -n 4096 -reps 8 -cache ~/.cache/mobilesim  # 2nd run: all hits
 //

@@ -204,7 +204,7 @@ func TestSweepProtocolAxis(t *testing.T) {
 func TestSweepMatchesPlanSpec(t *testing.T) {
 	out, errb, code := runCapture(t, "-sweep", "-workers", "1", "-seed", "5",
 		"-topo", "clique,circulant", "-n", "8", "-k", "0,3", "-proto", "floodmax,broadcast",
-		"-adv", "none,flip", "-f", "1,2", "-engine", "step,goroutine", "-bandwidth", "0,32", "-reps", "2")
+		"-adv", "none,flip", "-f", "1,2", "-engine", "step,shard", "-bandwidth", "0,32", "-reps", "2")
 	if code != 1 || !strings.Contains(errb, "sweep cells failed") {
 		t.Fatalf("exit %d, stderr %q; want 1 with failed bandwidth cells", code, errb)
 	}
@@ -215,7 +215,7 @@ func TestSweepMatchesPlanSpec(t *testing.T) {
 		Protocols:   []string{"floodmax", "broadcast"},
 		Adversaries: []string{"none", "flip"},
 		Fs:          []int{1, 2},
-		Engines:     []string{"step", "goroutine"},
+		Engines:     []string{"step", "shard"},
 		Bandwidths:  []int{0, 32},
 		Reps:        2,
 		BaseSeed:    5,
@@ -405,6 +405,19 @@ func TestShardEngineFlag(t *testing.T) {
 
 	if _, errb, code := runCapture(t, "-shards", "-1"); code != 2 || !strings.Contains(errb, "-shards") {
 		t.Fatalf("negative -shards: code=%d stderr=%q", code, errb)
+	}
+}
+
+// TestGoroutineEngineRemoved pins the removal of the goroutine engine: the
+// name is unknown in experiment and sweep mode alike, and both exit 2 with
+// the registry's error.
+func TestGoroutineEngineRemoved(t *testing.T) {
+	const want = `congest: unknown engine "goroutine" (have [shard step])`
+	for _, args := range [][]string{{"-engine", "goroutine", "-run", "T1"}, {"-sweep", "-engine", "goroutine"}} {
+		out, errb, code := runCapture(t, args...)
+		if code != 2 || out != "" || !strings.Contains(errb, want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 with %q", args, code, out, errb, want)
+		}
 	}
 }
 

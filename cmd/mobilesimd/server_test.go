@@ -152,8 +152,10 @@ func TestSweepRejections(t *testing.T) {
 	}{
 		"malformed":    {`{"ns":`, http.StatusBadRequest},
 		"unknown-name": {`{"topologies":["moebius"]}`, http.StatusBadRequest},
-		"p-no-proto":   {`{"ps":[3]}`, http.StatusBadRequest},
-		"too-many":     {`{"ns":[4],"reps":17}`, http.StatusRequestEntityTooLarge},
+		// The goroutine engine was removed; its name is unknown now.
+		"removed-engine": {`{"engines":["goroutine"]}`, http.StatusBadRequest},
+		"p-no-proto":     {`{"ps":[3]}`, http.StatusBadRequest},
+		"too-many":       {`{"ns":[4],"reps":17}`, http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(name, func(t *testing.T) {
 			code, body := postSweep(t, ts.URL, c.spec)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mobilecongest/internal/adversary"
@@ -16,27 +17,24 @@ import (
 )
 
 // TestEngineEquivalenceProperty is the cross-engine determinism contract: for
-// a randomized corpus of graphs, protocols, adversaries, and seeds, the
-// goroutine and step engines must yield byte-identical outputs, equal Stats,
-// byte-identical observer-visible traces (per-round delivered messages in
-// canonical order, payloads, and corrupted edge sets), and (for
-// eavesdroppers) byte-identical adversary views. Any scheduling leak in
-// any engine — a reordered RNG draw, a miscounted round, an
-// inbox-dependent branch — shows up here.
+// a randomized corpus of graphs, protocols, adversaries, and seeds, every
+// engine must match the reference simulator (reference_test.go), which
+// shares none of the engines' code: identical error text on trials that
+// abort, and otherwise equal Stats, byte-identical outputs, byte-identical
+// traces (per-round delivered messages in canonical order, payloads, and
+// corrupted edge sets), and (for eavesdroppers) byte-identical adversary
+// views. Any scheduling leak or collection, adversary-boundary, or delivery
+// bug in any engine — a reordered RNG draw, a miscounted round, a dropped
+// slot — shows up here.
 //
-// Every trial additionally runs a shard-engine leg at shard counts 1, 2,
-// GOMAXPROCS, and one larger than every corpus graph, each compared
-// byte-for-byte against the goroutine baseline — the parallel engine's
-// determinism contract across shard boundaries, empty shards, and the
-// n < shards clamp. Trials that abort (budget violations, bad sends) require
-// identical error text from the shard engine too.
+// The engines checked are step and the shard engine at shard counts 1, 2,
+// GOMAXPROCS, and one larger than every corpus graph — the parallel
+// engine's determinism contract across shard boundaries, empty shards, and
+// the n < shards clamp.
 //
 // Every trial additionally runs a port-vs-map protocol leg: the same
-// protocol logic written against the legacy map Exchange (exercising the
-// engines' compat wrapper over ports) on both engines, which must be
-// byte-identical to the port-native run in Results, traces, and
-// eavesdropper views — the regression contract for the port-native node
-// runtime and its compat wrapper.
+// protocol logic written against the map Exchange on the reference and the
+// engines, which must be byte-identical to the port-native reference run.
 //
 // Finally, every trial's step-engine run is pinned to
 // testdata/engine_equivalence_golden.txt: its Stats and digests of its
@@ -262,144 +260,96 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 		seed := rng.Int63()
 		label := fmt.Sprintf("trial %d: %s/%s/%s f=%d seed=%d", trial, gname, pname, fam.name, f, seed)
 
-		run := func(e Engine, mk func() congest.Adversary, p Protocol) (*Result, congest.Adversary, *TraceObserver, error) {
-			adv := mk()
-			tr := NewTraceObserver()
-			res, err := e.Run(congest.Config{
-				Graph: g, Seed: seed, Adversary: adv, MaxRounds: 1 << 16,
-				Observers: []congest.Observer{tr},
-			}, p)
-			return res, adv, tr, err
+		type leg struct {
+			res   *Result
+			adv   congest.Adversary
+			trace []byte
+			err   error
 		}
-		want, wantAdv, wantTr, err1 := run(EngineGoroutine, fam.mk, proto)
-		got, gotAdv, gotTr, err2 := run(EngineStep, fam.mk, proto)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: errors differ: goroutine=%v step=%v", label, err1, err2)
-		}
-		// Shard counts for the shard-engine leg: the degenerate single shard,
-		// a boundary-heavy split, the GOMAXPROCS default, and one count
-		// larger than every corpus graph (n <= 36 < 64), so empty shards and
-		// the clamp to n are exercised on every machine.
-		shardCounts := []int{1, 2, runtime.GOMAXPROCS(0), 64}
-
-		if err1 != nil {
-			if err1.Error() != err2.Error() {
-				t.Fatalf("%s: error text differs: %q vs %q", label, err1, err2)
+		run := func(e Engine, p Protocol) leg {
+			adv := fam.mk()
+			res, rounds, err := runTraced(e, congest.Config{Graph: g, Seed: seed, Adversary: adv, MaxRounds: 1 << 16}, p)
+			if err == nil && len(rounds) != res.Stats.Rounds {
+				t.Fatalf("%s: %s trace has %d rounds, stats say %d", label, e.Name(), len(rounds), res.Stats.Rounds)
 			}
-			golden = append(golden, fmt.Sprintf("%s error=%q", label, err2.Error()))
-			for _, sc := range shardCounts {
-				_, _, _, serr := run(NewShardEngine(sc), fam.mk, proto)
-				if serr == nil || serr.Error() != err1.Error() {
-					t.Fatalf("%s: shard(%d) error %q, want %q", label, sc, serr, err1)
+			tr, jerr := json.Marshal(rounds)
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
+			return leg{res, adv, tr, err}
+		}
+		want := run(&refEngine{}, proto)
+		// check compares one leg with the reference: identical error text,
+		// or equal Stats and byte-identical outputs, traces, and
+		// eavesdropper views.
+		check := func(name string, got leg) {
+			t.Helper()
+			if want.err != nil || got.err != nil {
+				if want.err == nil || got.err == nil || want.err.Error() != got.err.Error() {
+					t.Fatalf("%s: %s error %v, reference %v", label, name, got.err, want.err)
 				}
+				return
 			}
-			continue
-		}
-		if want.Stats != got.Stats {
-			t.Fatalf("%s: stats differ:\n goroutine %+v\n step      %+v", label, want.Stats, got.Stats)
-		}
-		// Byte-identical outputs: compare the canonical rendering.
-		wout := fmt.Sprintf("%#v", want.Outputs)
-		gout := fmt.Sprintf("%#v", got.Outputs)
-		if wout != gout {
-			t.Fatalf("%s: outputs differ:\n goroutine %s\n step      %s", label, wout, gout)
-		}
-		// Observer-visible traces must be byte-identical: same rounds, same
-		// canonical message order, same payloads, same corrupted edges.
-		wtr, err := json.Marshal(wantTr.Rounds())
-		if err != nil {
-			t.Fatal(err)
-		}
-		gtr, err := json.Marshal(gotTr.Rounds())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(wtr) != string(gtr) {
-			t.Fatalf("%s: traces differ across engines:\n goroutine %s\n step      %s", label, wtr, gtr)
-		}
-		if len(wantTr.Rounds()) != want.Stats.Rounds {
-			t.Fatalf("%s: trace has %d rounds, stats say %d", label, len(wantTr.Rounds()), want.Stats.Rounds)
-		}
-		// Eavesdroppers must have seen byte-identical transcripts.
-		if we, ok := wantAdv.(*adversary.Eavesdropper); ok {
-			ge := gotAdv.(*adversary.Eavesdropper)
-			if string(we.ViewBytes()) != string(ge.ViewBytes()) {
-				t.Fatalf("%s: eavesdropper views differ across engines", label)
+			if got.res.Stats != want.res.Stats {
+				t.Fatalf("%s: stats differ on %s:\n reference %+v\n engine    %+v", label, name, want.res.Stats, got.res.Stats)
 			}
-		}
-		golden = append(golden, equivalenceGoldenLine(label, got.Stats, gout, gtr, gotAdv))
-
-		// Shard-engine leg: the same trial on the shard engine at several
-		// shard counts must be byte-identical to the baseline — Results,
-		// traces, and eavesdropper views. This is the tentpole determinism
-		// contract: sharding changes scheduling only.
-		for _, sc := range shardCounts {
-			sres, sadv, str, serr := run(NewShardEngine(sc), fam.mk, proto)
-			if serr != nil {
-				t.Fatalf("%s: shard(%d) leg failed: %v", label, sc, serr)
+			wout, gout := fmt.Sprintf("%#v", want.res.Outputs), fmt.Sprintf("%#v", got.res.Outputs)
+			if wout != gout {
+				t.Fatalf("%s: outputs differ on %s:\n reference %s\n engine    %s", label, name, wout, gout)
 			}
-			if sres.Stats != want.Stats {
-				t.Fatalf("%s: stats differ shard(%d):\n goroutine %+v\n shard     %+v",
-					label, sc, want.Stats, sres.Stats)
+			if string(got.trace) != string(want.trace) {
+				t.Fatalf("%s: traces differ on %s:\n reference %s\n engine    %s", label, name, want.trace, got.trace)
 			}
-			sout := fmt.Sprintf("%#v", sres.Outputs)
-			if sout != wout {
-				t.Fatalf("%s: outputs differ shard(%d):\n goroutine %s\n shard     %s",
-					label, sc, wout, sout)
-			}
-			strb, err := json.Marshal(str.Rounds())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(strb) != string(wtr) {
-				t.Fatalf("%s: traces differ shard(%d):\n goroutine %s\n shard     %s",
-					label, sc, wtr, strb)
-			}
-			if se, ok := sadv.(*adversary.Eavesdropper); ok {
-				we := wantAdv.(*adversary.Eavesdropper)
-				if string(se.ViewBytes()) != string(we.ViewBytes()) {
-					t.Fatalf("%s: eavesdropper views differ shard(%d) vs goroutine", label, sc)
+			if we, ok := want.adv.(*adversary.Eavesdropper); ok {
+				if string(got.adv.(*adversary.Eavesdropper).ViewBytes()) != string(we.ViewBytes()) {
+					t.Fatalf("%s: eavesdropper views differ on %s", label, name)
 				}
 			}
 		}
 
+		step := run(EngineStep, proto)
+		check("step", step)
+		if step.err != nil {
+			golden = append(golden, fmt.Sprintf("%s error=%q", label, step.err.Error()))
+		} else {
+			golden = append(golden, equivalenceGoldenLine(label, step.res.Stats, fmt.Sprintf("%#v", step.res.Outputs), step.trace, step.adv))
+		}
+		// Shard-engine leg: the degenerate single shard, a boundary-heavy
+		// split, the GOMAXPROCS default, and one count larger than every
+		// corpus graph (n <= 36 < 64), so empty shards and the clamp to n
+		// are exercised on every machine. Sharding changes scheduling only.
+		for _, sc := range []int{1, 2, runtime.GOMAXPROCS(0), 64} {
+			check(fmt.Sprintf("shard(%d)", sc), run(NewShardEngine(sc), proto))
+		}
 		// Port-vs-map protocol leg: the same protocol written against the
-		// legacy map Exchange (running through the engines' compat wrapper)
-		// must be indistinguishable from the port-native run — identical
-		// Results, traces, and eavesdropper views, on all engines.
-		for _, eng := range []Engine{EngineGoroutine, EngineStep, EngineShard} {
-			pres, padv, ptr, perr := run(eng, fam.mk, mapProto)
-			if perr != nil {
-				t.Fatalf("%s: map-protocol leg failed on %s: %v", label, eng.Name(), perr)
-			}
-			if pres.Stats != want.Stats {
-				t.Fatalf("%s: stats differ port vs map protocol on %s:\n port %+v\n map  %+v",
-					label, eng.Name(), want.Stats, pres.Stats)
-			}
-			pout := fmt.Sprintf("%#v", pres.Outputs)
-			if pout != wout {
-				t.Fatalf("%s: outputs differ port vs map protocol on %s:\n port %s\n map  %s",
-					label, eng.Name(), wout, pout)
-			}
-			ptrb, err := json.Marshal(ptr.Rounds())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(ptrb) != string(wtr) {
-				t.Fatalf("%s: traces differ port vs map protocol on %s", label, eng.Name())
-			}
-			if pe, ok := padv.(*adversary.Eavesdropper); ok {
-				ge := gotAdv.(*adversary.Eavesdropper)
-				if string(pe.ViewBytes()) != string(ge.ViewBytes()) {
-					t.Fatalf("%s: eavesdropper views differ port vs map protocol on %s", label, eng.Name())
-				}
-			}
+		// map Exchange must be indistinguishable from the port-native run on
+		// the reference and on every engine.
+		for _, e := range []Engine{&refEngine{}, EngineStep, EngineShard} {
+			check("map protocol on "+e.Name(), run(e, mapProto))
 		}
 	}
 	checkGolden(t, engineEquivalenceGoldenFile, golden)
 }
 
 const engineEquivalenceGoldenFile = "testdata/engine_equivalence_golden.txt"
+
+// runTraced runs proto on e and returns the run's per-round trace next to
+// its result.
+func runTraced(e Engine, cfg congest.Config, proto Protocol) (*Result, []RoundTrace, error) {
+	tr := NewTraceObserver()
+	cfg.Observers = append(cfg.Observers, tr)
+	res, err := e.Run(cfg, proto)
+	return res, traceOf(e, tr), err
+}
+
+// traceOf returns the trace of e's last run: the one the reference
+// recomputed, or what tr recorded on an engine.
+func traceOf(e Engine, tr *TraceObserver) []RoundTrace {
+	if ref, ok := e.(*refEngine); ok {
+		return ref.trace
+	}
+	return tr.Rounds()
+}
 
 // equivalenceGoldenLine renders one passing trial's step-engine run as a
 // digest line: its Stats, then hashes of the rendered outputs, the trace
@@ -423,11 +373,11 @@ func digest(b []byte) string {
 // TestEngineEquivalenceBandwidth is the bandwidth leg of the cross-engine
 // contract: for random graphs, variable-size traffic, and random per-edge
 // bit budgets straddling the message-size distribution, every engine must
-// produce byte-identical Results and traces on passing trials and the
-// identical deterministic congest.ErrBandwidthExceeded error — same
-// smallest offender, same text — on violating ones. Any divergence in
-// where the engines check the budget (collection order, shard boundaries,
-// goroutine scheduling) shows up here.
+// match the reference simulator: byte-identical Results and traces on
+// passing trials, and the identical deterministic
+// congest.ErrBandwidthExceeded error — same smallest offender, same text —
+// on violating ones. Any divergence in where the engines check the budget
+// (collection order, shard boundaries) shows up here.
 func TestEngineEquivalenceBandwidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xBA))
 	const trials = 60
@@ -490,16 +440,16 @@ func TestEngineEquivalenceBandwidth(t *testing.T) {
 		seed := rng.Int63()
 		label := fmt.Sprintf("trial %d: %s rounds=%d bw=%d seed=%d", trial, gname, rounds, budget, seed)
 
-		run := func(e Engine) (*Result, *TraceObserver, error) {
-			tr := NewTraceObserver()
-			res, err := e.Run(congest.Config{
-				Graph: g, Seed: seed, Bandwidth: budget, MaxRounds: 1 << 16,
-				Observers: []congest.Observer{tr},
-			}, proto)
+		run := func(e Engine) (*Result, []byte, error) {
+			res, rounds, err := runTraced(e, congest.Config{Graph: g, Seed: seed, Bandwidth: budget, MaxRounds: 1 << 16}, proto)
+			tr, jerr := json.Marshal(rounds)
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
 			return res, tr, err
 		}
 
-		want, wantTr, err1 := run(EngineGoroutine)
+		want, wtr, err1 := run(&refEngine{})
 		engines := []Engine{EngineStep, NewShardEngine(1), NewShardEngine(2),
 			NewShardEngine(runtime.GOMAXPROCS(0)), NewShardEngine(64)}
 		if err1 != nil {
@@ -515,27 +465,19 @@ func TestEngineEquivalenceBandwidth(t *testing.T) {
 			}
 			continue
 		}
-		wtr, err := json.Marshal(wantTr.Rounds())
-		if err != nil {
-			t.Fatal(err)
-		}
 		wout := fmt.Sprintf("%#v", want.Outputs)
 		for _, e := range engines {
-			res, tr, err2 := run(e)
+			res, trb, err2 := run(e)
 			if err2 != nil {
-				t.Fatalf("%s: %s failed where goroutine passed: %v", label, e.Name(), err2)
+				t.Fatalf("%s: %s failed where the reference passed: %v", label, e.Name(), err2)
 			}
 			if res.Stats != want.Stats {
-				t.Fatalf("%s: stats differ on %s:\n goroutine %+v\n engine    %+v",
+				t.Fatalf("%s: stats differ on %s:\n reference %+v\n engine    %+v",
 					label, e.Name(), want.Stats, res.Stats)
 			}
 			if out := fmt.Sprintf("%#v", res.Outputs); out != wout {
-				t.Fatalf("%s: outputs differ on %s:\n goroutine %s\n engine    %s",
+				t.Fatalf("%s: outputs differ on %s:\n reference %s\n engine    %s",
 					label, e.Name(), wout, out)
-			}
-			trb, err := json.Marshal(tr.Rounds())
-			if err != nil {
-				t.Fatal(err)
 			}
 			if string(trb) != string(wtr) {
 				t.Fatalf("%s: traces differ on %s", label, e.Name())
@@ -544,5 +486,91 @@ func TestEngineEquivalenceBandwidth(t *testing.T) {
 	}
 	if violations == 0 {
 		t.Fatal("corpus produced no bandwidth violations; budgets no longer straddle the size distribution")
+	}
+}
+
+// declaredBudget lies about the budget of the adversary it wraps, so a run
+// aborts on a budget verdict. Unwrap hides it behind a second wrapper when
+// the case wants the engines to find the budget through Unwrap.
+type declaredBudget struct {
+	congest.Adversary
+	perRound, total int
+}
+
+func (d declaredBudget) PerRoundEdges() int   { return d.perRound }
+func (d declaredBudget) TotalEdgeRounds() int { return d.total }
+
+type unwrapping struct{ inner congest.Adversary }
+
+func (u unwrapping) Intercept(round int, tr *congest.RoundTraffic) { u.inner.Intercept(round, tr) }
+func (u unwrapping) Unwrap() any                                   { return u.inner }
+
+// TestEngineAbortsMatchReference is the abort leg of the cross-engine
+// contract: every way a run can fail at the round barrier — the round
+// limit, a map send to a non-neighbour, a port outbox longer than the
+// degree, and the per-round and total budget verdicts (strictly exceeding,
+// per-round checked first, budgets found through Unwrap) — must fail
+// identically, to the byte, on the reference simulator and on every engine.
+func TestEngineAbortsMatchReference(t *testing.T) {
+	g := graph.Circulant(10, 2)
+	flip := func(f int) congest.Adversary {
+		return adversary.NewMobileByzantine(g, f, 3, adversary.SelectRandom, adversary.CorruptFlip)
+	}
+	forever := func(rt congest.Runtime) {
+		for {
+			rt.Exchange(nil)
+		}
+	}
+	badSend := func(rt congest.Runtime) {
+		out := map[graph.NodeID]congest.Msg{}
+		if rt.ID() >= 3 {
+			out[rt.ID()-3] = congest.Msg{1} // not a circulant(10,2) neighbour
+			out[0] = congest.Msg{2}
+		}
+		rt.Exchange(out)
+	}
+	longOutbox := func(rt congest.Runtime) {
+		pr := congest.Ports(rt)
+		pr.ExchangePorts(make([]congest.Msg, pr.Degree()+int(rt.ID())%2))
+	}
+	flood := algorithms.FloodMax(12)
+	cases := []struct {
+		name  string
+		cfg   congest.Config
+		proto Protocol
+		want  string // substring of the expected error
+	}{
+		{"round-limit", congest.Config{MaxRounds: 7}, forever, "round limit exceeded (limit 7)"},
+		{"non-neighbor", congest.Config{}, badSend, "sent to non-neighbor"},
+		{"long-outbox", congest.Config{}, longOutbox, "sent on 5 ports, degree 4"},
+		{"per-round", congest.Config{Adversary: declaredBudget{flip(3), 2, 1000}}, flood, "edges touched in round 0, budget 2"},
+		{"per-round-before-total", congest.Config{Adversary: declaredBudget{flip(3), 2, 1}}, flood, "edges touched in round 0, budget 2"},
+		{"total", congest.Config{Adversary: declaredBudget{flip(2), 2, 5}}, flood, "total edge-rounds, budget 5"},
+		{"total-exact", congest.Config{Adversary: declaredBudget{flip(1), 1, 12}}, flood, ""},
+		{"unwrap", congest.Config{Adversary: unwrapping{declaredBudget{flip(3), 1, 1000}}}, flood, "edges touched in round 0, budget 1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Graph, c.cfg.Seed = g, 9
+			ref := &refEngine{}
+			want, err1 := ref.Run(c.cfg, c.proto)
+			switch {
+			case c.want == "" && err1 != nil:
+				t.Fatalf("reference failed: %v", err1)
+			case c.want != "" && (err1 == nil || !strings.Contains(err1.Error(), c.want)):
+				t.Fatalf("reference error %v, want one containing %q", err1, c.want)
+			case c.want == "" && want.Stats.CorruptedEdgeRounds != c.cfg.Adversary.(declaredBudget).total:
+				t.Fatalf("reference spent %d edge-rounds, want exactly the budget", want.Stats.CorruptedEdgeRounds)
+			}
+			for _, e := range []Engine{EngineStep, NewShardEngine(3)} {
+				got, err2 := e.Run(c.cfg, c.proto)
+				if fmt.Sprint(err1) != fmt.Sprint(err2) {
+					t.Fatalf("%s error %v, reference %v", e.Name(), err2, err1)
+				}
+				if err1 == nil && got.Stats != want.Stats {
+					t.Fatalf("%s stats %+v, reference %+v", e.Name(), got.Stats, want.Stats)
+				}
+			}
+		})
 	}
 }

@@ -6,10 +6,10 @@
 // budget, and releases the barrier.
 //
 // Execution is pluggable via the Engine interface. ShardEngine resumes nodes
-// as coroutines over parallel CSR node shards, StepEngine (the default) is
-// its single-shard form, and GoroutineEngine runs one goroutine per node with
-// channel barriers as the independent scheduling oracle. All are
-// deterministic given Config.Seed and produce identical Results.
+// as coroutines over parallel CSR node shards, and StepEngine (the default)
+// is its single-shard form. Both are deterministic given Config.Seed and
+// produce identical Results, which the equivalence suites check against a
+// test-only reference simulator written from the model's definition.
 //
 // Internally a run moves traffic through a flat, edge-indexed round buffer
 // (see edgeLayout) whose payloads live in packed per-round byte arenas: each
@@ -114,8 +114,9 @@ type TotalBudget interface {
 	TotalEdgeRounds() int
 }
 
-// Protocol is the per-node code. It runs in the node's goroutine and
-// communicates only through rt.Exchange.
+// Protocol is the per-node code. It runs as the node's coroutine, resumed by
+// the engine between exchanges, and communicates only through rt.Exchange
+// (or its port form); it must not block on its own waiting for another node.
 type Protocol func(rt Runtime)
 
 // Runtime is the map-level interface protocol code programs against.

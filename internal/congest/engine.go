@@ -10,28 +10,27 @@ import (
 )
 
 // Engine executes a protocol on every node of a configured network. The
-// implementations differ only in scheduling: every engine validates,
-// collects, intercepts, and delivers a round through the same runCore code
-// path, so all simulation semantics (round structure, adversary budget
-// accounting, statistics, observer calls) are shared.
+// built-in engines are one family: every node is an iter.Pull coroutine, and
+// every round is validated, collected, intercepted, and delivered through
+// the same runCore code path, so all simulation semantics (round structure,
+// adversary budget accounting, statistics, observer calls) are shared.
 //
-//   - ShardEngine resumes every node as an iter.Pull coroutine, stepping
-//     contiguous CSR node shards in parallel on a persistent worker pool —
-//     the engine for large graphs on multi-core hosts. Pool and coroutines
-//     stay parked on the RunContext between runs.
+//   - ShardEngine steps contiguous CSR node shards in parallel on a
+//     persistent worker pool — the engine for large graphs on multi-core
+//     hosts. Pool and coroutines stay parked on the RunContext between runs.
 //   - StepEngine is ShardEngine{Shards: 1}: the same coroutines resumed by
 //     the calling goroutine alone. It is the default engine.
-//   - GoroutineEngine runs each node in its own goroutine with channel
-//     barriers. It shares no scheduling code with the coroutine engines,
-//     which makes it the independent oracle the equivalence suites check
-//     them against, and it is the engine for protocols that block on their
-//     own (channels, locks) between exchanges.
+//
+// A node runs only between its exchanges, so a protocol must not block on
+// its own (channels, locks held across an exchange) waiting for another
+// node.
 //
 // All engines are deterministic given Config.Seed and MUST produce identical
-// Results for identical Configs; the cross-engine equivalence tests enforce
-// this.
+// Results for identical Configs. The cross-engine equivalence tests enforce
+// this against a test-only reference simulator written from the model's
+// definition, which shares none of the engines' code.
 type Engine interface {
-	// Name is the registry key ("goroutine", "step", "shard").
+	// Name is the registry key ("step", "shard").
 	Name() string
 	// Run executes proto on every node of cfg.Graph.
 	Run(cfg Config, proto Protocol) (*Result, error)
@@ -43,7 +42,7 @@ var Engines = newEngines()
 
 func newEngines() *registry.Table[Engine] {
 	t := registry.New[Engine]("congest", "engine")
-	for _, e := range []Engine{GoroutineEngine{}, StepEngine{}, ShardEngine{}} {
+	for _, e := range []Engine{StepEngine{}, ShardEngine{}} {
 		t.Register(e.Name(), e)
 	}
 	return t
@@ -58,8 +57,7 @@ func RegisterEngine(e Engine) { Engines.Register(e.Name(), e) }
 // EngineByName returns the registered engine with the given name. The empty
 // name is an error rather than a silent default: callers that want the
 // default engine pick StepEngine explicitly, as congest.Run and the root
-// Scenario API do. "goroutine" names the scheduling oracle, not a faster or
-// more faithful mode.
+// Scenario API do.
 func EngineByName(name string) (Engine, error) { return Engines.Get(name) }
 
 // EngineNames lists the registered engine names in sorted order.
@@ -201,7 +199,7 @@ type runCore struct {
 	round     int            // completed-round counter (the engine's round clock)
 	corrupted int            // total corrupted edge-rounds, for TotalBudget enforcement
 	view      RoundView      // reusable observer view (valid only during RoundDelivered)
-	pool      *shardPool     // shard engine's worker pool; nil for single-shard and goroutine runs
+	pool      *shardPool     // shard engine's worker pool; nil for single-shard runs
 }
 
 func newRunCore(rc *RunContext, cfg Config) (*runCore, error) {
@@ -389,16 +387,4 @@ func (c *runCore) runDone(err error) {
 	for _, o := range c.observers {
 		o.RunDone(st, err)
 	}
-}
-
-func msgEqual(a, b Msg) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

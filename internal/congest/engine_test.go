@@ -9,20 +9,32 @@ import (
 	"mobilecongest/internal/graph"
 )
 
-// The shard engine runs with an explicit multi-shard count so every forEngine
-// test exercises real shard boundaries (and the pool) even on one core.
-var allEngines = []Engine{GoroutineEngine{}, StepEngine{}, ShardEngine{Shards: 3}}
+// allEngines are the engine configurations every forEngine test runs, each
+// under a subtest name of its own. "shard" splits the nodes three ways so
+// every test crosses real shard boundaries (and the pool) even on one core.
+// "goroutine" asks for more shards than any test graph has nodes, which
+// clamps the count to n: with shards balanced by edge count, that is about
+// one node per pool goroutine, the most concurrent schedule the engines
+// have.
+var allEngines = []struct {
+	name string
+	e    Engine
+}{
+	{"goroutine", ShardEngine{Shards: 1 << 16}},
+	{"step", StepEngine{}},
+	{"shard", ShardEngine{Shards: 3}},
+}
 
-// forEngine runs a subtest under every registered engine.
+// forEngine runs a subtest under every engine configuration.
 func forEngine(t *testing.T, fn func(t *testing.T, e Engine)) {
 	t.Helper()
-	for _, e := range allEngines {
-		t.Run(e.Name(), func(t *testing.T) { fn(t, e) })
+	for _, c := range allEngines {
+		t.Run(c.name, func(t *testing.T) { fn(t, c.e) })
 	}
 }
 
 func TestEngineByName(t *testing.T) {
-	for _, name := range []string{"goroutine", "step", "shard"} {
+	for _, name := range []string{"step", "shard"} {
 		e, err := EngineByName(name)
 		if err != nil || e.Name() != name {
 			t.Fatalf("EngineByName(%q) = %v, %v", name, e, err)
@@ -34,13 +46,17 @@ func TestEngineByName(t *testing.T) {
 	if _, err := EngineByName("warp"); err == nil {
 		t.Fatal("unknown engine name accepted")
 	}
-	if got := EngineNames(); !reflect.DeepEqual(got, []string{"goroutine", "shard", "step"}) {
+	// The goroutine engine is gone; its name is unknown like any other.
+	if _, err := EngineByName("goroutine"); err == nil || err.Error() != `congest: unknown engine "goroutine" (have [shard step])` {
+		t.Fatalf("EngineByName(goroutine) error = %v", err)
+	}
+	if got := EngineNames(); !reflect.DeepEqual(got, []string{"shard", "step"}) {
 		t.Fatalf("EngineNames() = %v", got)
 	}
 }
 
 // renamedEngine is a trivial custom engine for registry tests.
-type renamedEngine struct{ GoroutineEngine }
+type renamedEngine struct{ StepEngine }
 
 func (renamedEngine) Name() string { return "custom-test" }
 
@@ -164,10 +180,11 @@ func randProto(rounds int) Protocol {
 	}
 }
 
-// TestEnginesEquivalence checks that both engines produce identical Results
-// (stats and outputs) for identical Configs across the in-package protocols.
-// The root package carries the larger randomized corpus over real
-// adversaries; this is the fast smoke version with stateless adversaries.
+// TestEnginesEquivalence checks that the step engine and a three-shard shard
+// engine produce identical Results (stats and outputs) for identical Configs
+// across the in-package protocols. The root package carries the larger
+// randomized corpus over real adversaries, checked against its reference
+// simulator; this is the fast smoke version with stateless adversaries.
 func TestEnginesEquivalence(t *testing.T) {
 	protos := map[string]Protocol{
 		"floodMax": floodMax(6),
@@ -188,8 +205,8 @@ func TestEnginesEquivalence(t *testing.T) {
 			for aname, adv := range advs {
 				for seed := int64(0); seed < 3; seed++ {
 					cfg := Config{Graph: g, Seed: seed, Adversary: adv}
-					want, err1 := (GoroutineEngine{}).Run(cfg, proto)
-					got, err2 := (StepEngine{}).Run(cfg, proto)
+					want, err1 := (StepEngine{}).Run(cfg, proto)
+					got, err2 := (ShardEngine{Shards: 3}).Run(cfg, proto)
 					if (err1 == nil) != (err2 == nil) {
 						t.Fatalf("%s/%s/%s seed %d: errors differ: %v vs %v", pname, gname, aname, seed, err1, err2)
 					}
@@ -197,7 +214,7 @@ func TestEnginesEquivalence(t *testing.T) {
 						continue
 					}
 					if want.Stats != got.Stats {
-						t.Fatalf("%s/%s/%s seed %d: stats differ:\n goroutine %+v\n step      %+v",
+						t.Fatalf("%s/%s/%s seed %d: stats differ:\n step     %+v\n shard(3) %+v",
 							pname, gname, aname, seed, want.Stats, got.Stats)
 					}
 					if !reflect.DeepEqual(want.Outputs, got.Outputs) {

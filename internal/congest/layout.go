@@ -122,7 +122,7 @@ func (b *roundBuffer) discard() {
 }
 
 // ensureChunks sizes both arenas for n concurrent writers (the shard
-// engine's shard count; single-shard and goroutine runs use chunk 0).
+// engine's shard count; single-shard runs use chunk 0).
 func (b *roundBuffer) ensureChunks(n int) {
 	b.arenas[0].ensure(n)
 	b.arenas[1].ensure(n)

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"bytes"
 	"fmt"
 	"iter"
 	"sort"
@@ -323,5 +324,5 @@ func msgSame(a, b Msg) bool {
 	if (a == nil) != (b == nil) {
 		return false
 	}
-	return msgEqual(a, b)
+	return bytes.Equal(a, b)
 }

@@ -26,8 +26,9 @@ import (
 // The phase structure changes scheduling only: shard merge order is shard
 // order (== node order), the adversary boundary is untouched, and observers
 // run sequentially on the coordinator, so Results, traces, and eavesdropper
-// views are byte-identical at every shard count and with the goroutine
-// oracle — enforced by the cross-engine equivalence suites.
+// views are byte-identical at every shard count — enforced by the
+// cross-engine equivalence suites, which check every shard count against a
+// test-only reference simulator.
 //
 // Both the pool and the node coroutines persist on the RunContext across
 // runs (sweep cells, repeated Scenario.Run): a coroutine parks between runs
@@ -67,6 +68,10 @@ func (e StepEngine) Run(cfg Config, proto Protocol) (*Result, error) {
 func (StepEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (*Result, error) {
 	return ShardEngine{Shards: 1}.RunIn(rc, cfg, proto)
 }
+
+// abortSignal unwinds a node coroutine's protocol when the engine aborts or
+// stops it.
+type abortSignal struct{}
 
 // stepNode is one node coroutine of the shard engine. Parked on a
 // RunContext's coroutine slab, it serves one run after another: the engine
@@ -132,7 +137,7 @@ func (s *stepNode) ExchangePorts(out []Msg) []Msg {
 	s.outPending = out
 	// yield returns false when the coroutine is being stopped; abort is set
 	// when the engine unwinds an aborted run. Either way, unwind the
-	// protocol like the goroutine engine does.
+	// protocol.
 	if !s.yield(struct{}{}) || s.abort {
 		panic(abortSignal{})
 	}
@@ -364,7 +369,7 @@ type shardRun struct {
 // The first collection error aborts the shard, leaving its remaining
 // nodes un-stepped — the same nodes a single-shard run would not have
 // reached; the coordinator surfaces the lowest shard's error, which is
-// the lowest node's, matching the goroutine oracle's in-order collection.
+// the lowest node's, exactly as an in-order collection would.
 //
 //mobilevet:hotpath
 func (sr *shardRun) computePhase(k int) {
@@ -417,9 +422,8 @@ func (c *runCore) gather(lo, hi int32) {
 // collection buffer, consuming (clearing) it so the node's reusable OutBuf
 // comes back empty. Port p of node u is slot rowStart[u]+p by construction.
 // Each payload is copied into arena chunk k, and every newly occupied slot is
-// appended to touched: shard k's private list on the shard engine, which
-// merges the lists in shard order, or the buffer's own list on the goroutine
-// engine. Nodes are collected in ascending order within a list and shard
+// appended to touched, shard k's private list, which the engine merges in
+// shard order. Nodes are collected in ascending order within a list and shard
 // ranges are ascending, so the buffer keeps its canonical ascending slot
 // order without a sort, and shards collect concurrently into their disjoint
 // CSR slot ranges without contending on the arena.

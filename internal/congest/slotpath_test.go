@@ -191,14 +191,15 @@ func silentRandProto(rounds int) Protocol {
 
 // TestRunContextReuseAcrossEngines: a Plan with an engine axis hands one
 // worker's RunContext to every engine in turn. An adversarial, silent-edge
-// run through goroutine → step → shard(3) → step → goroutine in one context
-// must match a fresh-context run of the same engine in Stats, outputs, and
-// trace, and the single-shard and goroutine runs must leave the shard run's
-// parked pool intact. Between the runs, each engine also fails runs in the
-// context — a bandwidth overrun, the round limit, a too-long port outbox,
-// and, on the coroutine engines, a protocol panic — after which the
-// context must still give the fresh result: an abort keeps the parked coroutine slab (every coroutine parked
-// again), a panic drops it for the next run to rebuild.
+// run through step → shard(3) → step → shard(3) → step in one context must
+// match a fresh-context run of the same engine in Stats, outputs, and trace;
+// the single-shard runs must leave the shard run's parked pool intact, and
+// the second shard run must reuse it. Between the runs, each engine also
+// fails runs in the context — a bandwidth overrun, the round limit, a
+// too-long port outbox, and a protocol panic — after which the context must
+// still give the fresh result: an abort keeps the parked coroutine slab
+// (every coroutine parked again), a panic drops it for the next run to
+// rebuild.
 func TestRunContextReuseAcrossEngines(t *testing.T) {
 	g := graph.Circulant(14, 2)
 	run := func(e ContextRunner, rc *RunContext) (*Result, []RoundTrace) {
@@ -242,7 +243,7 @@ func TestRunContextReuseAcrossEngines(t *testing.T) {
 	rc := NewRunContext()
 	defer rc.Close()
 	var pool *shardPool
-	for i, e := range []ContextRunner{GoroutineEngine{}, StepEngine{}, ShardEngine{Shards: 3}, StepEngine{}, GoroutineEngine{}} {
+	for i, e := range []ContextRunner{StepEngine{}, ShardEngine{Shards: 3}, StepEngine{}, ShardEngine{Shards: 3}, StepEngine{}} {
 		name := e.(Engine).Name()
 		want, wantTrace := run(e, nil)
 		check := func(label string) {
@@ -268,9 +269,6 @@ func TestRunContextReuseAcrossEngines(t *testing.T) {
 		}
 		check("first")
 		for _, f := range failures {
-			if _, ok := e.(GoroutineEngine); ok && f.panics {
-				continue // a node goroutine's panic crashes the process
-			}
 			slab := rc.coros
 			fail(e, rc, f.name, f.cfg, f.proto, f.wantErr, f.panics)
 			switch {
@@ -287,6 +285,9 @@ func TestRunContextReuseAcrossEngines(t *testing.T) {
 			check("after " + f.name)
 		}
 		if _, ok := e.(ShardEngine); ok {
+			if pool != nil && rc.pool != pool {
+				t.Fatalf("run %d: shard(3) rebuilt the context's pool", i)
+			}
 			pool = rc.pool
 			if pool == nil || pool.size != 2 {
 				t.Fatalf("run %d: shard(3) parked %+v, want a pool of 2 workers", i, pool)

@@ -90,7 +90,7 @@ func TestImplementationsMethodSets(t *testing.T) {
 		}
 		engines = append(engines, recv.(*types.Named).Obj().Name())
 	}
-	for _, want := range []string{"StepEngine", "GoroutineEngine", "ShardEngine"} {
+	for _, want := range []string{"StepEngine", "ShardEngine"} {
 		ok := false
 		for _, got := range engines {
 			if got == want {

@@ -30,13 +30,12 @@
 //		mobilecongest.WithSeed(7),
 //	).Run()
 //
-// Three engines are registered. "step", the default, resumes every node as a
+// Two engines are registered. "step", the default, resumes every node as a
 // coroutine on the calling goroutine; it is the single-shard form of "shard",
-// which steps contiguous node shards in parallel for large graphs.
-// "goroutine" runs one goroutine per node with channel barriers: it is the
-// independent scheduling oracle the others are checked against, and it also
-// runs protocols that block on their own between exchanges. All produce
-// identical Results for identical scenarios.
+// which steps contiguous node shards in parallel for large graphs. Both
+// produce identical Results for identical scenarios; the equivalence suites
+// check them against a test-only reference simulator written from the
+// model's definition.
 //
 // The simulation pipeline is slot-native end to end. Protocols program
 // against PortRuntime (via Ports): a node's ports are its neighbours in

@@ -19,7 +19,7 @@ import (
 // "topo=T,n=N,k=K,adv=A,f=F,engine=E,rep=R" shape, seeds are CellSeed over
 // the engine-free prefix, and order is the axes' nesting order.
 func TestSweepLoweringPinnedByteIdentical(t *testing.T) {
-	topos, ns, advs, fs, engines := []string{"clique", "cycle"}, []int{6, 8}, []string{"none", "flip"}, []int{2}, []string{"step", "goroutine"}
+	topos, ns, advs, fs, engines := []string{"clique", "cycle"}, []int{6, 8}, []string{"none", "flip"}, []int{2}, []string{"step", "shard"}
 	const reps, base = 2, 77
 	plan := Plan{
 		Axes: []Axis{
@@ -273,10 +273,13 @@ func waitNoPlanGoroutines(t *testing.T, label string) {
 	}
 }
 
+// poolFrame appears in the traceback of every shard-pool worker.
+const poolFrame = "congest.(*shardPool).work"
+
 // parkedEngineGoroutines counts the goroutines a run context keeps between
 // runs: shard-pool workers and node coroutines.
 func parkedEngineGoroutines() int {
-	return goroutinesIn("congest.(*shardPool).work") + goroutinesIn("congest.(*stepNode).loop")
+	return goroutinesIn(poolFrame) + goroutinesIn("congest.(*stepNode).loop")
 }
 
 // waitParkedAtMost polls until no more than limit shard-pool workers and

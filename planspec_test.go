@@ -107,6 +107,16 @@ func TestPlanSpecValidation(t *testing.T) {
 	}
 }
 
+// TestPlanSpecGoroutineEngineRemoved pins the removal of the goroutine
+// engine at the wire format: a spec naming it fails validation with the
+// registry's unknown-engine error, which lists the engines that remain.
+func TestPlanSpecGoroutineEngineRemoved(t *testing.T) {
+	err := mc.PlanSpec{Engines: []string{"goroutine"}}.Validate()
+	if want := `unknown engine "goroutine" (have [shard step])`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate() = %v, want an error containing %q", err, want)
+	}
+}
+
 // TestPlanSpecDefaults pins the defaulting contract: the empty spec is one
 // default cell, and each omitted axis matches the CLI flag default.
 func TestPlanSpecDefaults(t *testing.T) {
@@ -142,7 +152,7 @@ func TestPlanSpecCells(t *testing.T) {
 		Ns:         []int{8, 12},
 		Protocols:  []string{"floodmax", "broadcast"},
 		Ps:         []int{2, 3, 4},
-		Engines:    []string{"step", "goroutine"},
+		Engines:    []string{"step", "shard"},
 		Bandwidths: []int{0, 4096},
 		Reps:       2,
 	}

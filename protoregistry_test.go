@@ -91,8 +91,9 @@ func registryTopologyFor(name string) (topo string, n, k int) {
 
 // TestProtocolRegistryCrossEngine is the protocol-registry leg of the
 // cross-engine equivalence contract: every registered protocol name must run
-// by name on every engine with byte-identical Results and observer traces.
-// Names registered by tests (prefix "test-") are skipped.
+// by name on every engine with Results and traces byte-identical to the
+// reference simulator's. Names registered by tests (prefix "test-") are
+// skipped.
 func TestProtocolRegistryCrossEngine(t *testing.T) {
 	for _, name := range Protocols() {
 		if strings.HasPrefix(name, "test-") {
@@ -103,48 +104,49 @@ func TestProtocolRegistryCrossEngine(t *testing.T) {
 		// defeating the uncompiled protocols; the compiled entries defend
 		// against exactly this f.
 		adv, f := "eavesdrop", 1
-		run := func(engine string) (*Result, *TraceObserver, error) {
+		run := func(engine Engine) (*Result, []byte, error) {
 			tr := NewTraceObserver()
 			res, err := NewScenario(
 				WithTopology(topo, n, k),
 				WithProtocolName(name),
 				WithAdversaryName(adv, f),
-				WithEngineName(engine),
+				WithEngine(engine),
 				WithSeed(23),
 				WithObserver(tr),
 			).Run()
-			return res, tr, err
+			rounds := traceOf(engine, tr)
+			if err == nil && len(rounds) != res.Stats.Rounds {
+				t.Fatalf("%s: %s trace has %d rounds, stats say %d", name, engine.Name(), len(rounds), res.Stats.Rounds)
+			}
+			b, jerr := json.Marshal(rounds)
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
+			return res, b, err
 		}
-		want, wantTr, err1 := run("goroutine")
+		want, wtr, err1 := run(&refEngine{})
 		if err1 != nil {
-			t.Fatalf("%s: goroutine err=%v", name, err1)
+			t.Fatalf("%s: reference err=%v", name, err1)
 		}
 		wout := fmt.Sprintf("%#v", want.Outputs)
-		wtr, err := json.Marshal(wantTr.Rounds())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wantTr.Rounds()) != want.Stats.Rounds {
-			t.Fatalf("%s: trace has %d rounds, stats say %d", name, len(wantTr.Rounds()), want.Stats.Rounds)
-		}
 		for _, engine := range []string{"step", "shard"} {
-			got, gotTr, err2 := run(engine)
+			e, err := NewEngine(engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gtr, err2 := run(e)
 			if err2 != nil {
 				t.Fatalf("%s: %s err=%v", name, engine, err2)
 			}
 			if want.Stats != got.Stats {
-				t.Fatalf("%s: stats differ across engines:\n goroutine %+v\n %-9s %+v", name, want.Stats, engine, got.Stats)
+				t.Fatalf("%s: stats differ across engines:\n reference %+v\n %-9s %+v", name, want.Stats, engine, got.Stats)
 			}
 			gout := fmt.Sprintf("%#v", got.Outputs)
 			if wout != gout {
-				t.Fatalf("%s: outputs differ across engines:\n goroutine %s\n %-9s %s", name, wout, engine, gout)
-			}
-			gtr, err := json.Marshal(gotTr.Rounds())
-			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: outputs differ across engines:\n reference %s\n %-9s %s", name, wout, engine, gout)
 			}
 			if string(wtr) != string(gtr) {
-				t.Fatalf("%s: traces differ between goroutine and %s", name, engine)
+				t.Fatalf("%s: traces differ between the reference and %s", name, engine)
 			}
 		}
 	}

@@ -10,23 +10,19 @@ import (
 // Engine is the pluggable execution substrate; see congest.Engine.
 type Engine = congest.Engine
 
-// The three built-in engines. EngineShard runs every node as a coroutine,
+// The two built-in engines. EngineShard runs every node as a coroutine,
 // stepped as a parallel-for over contiguous CSR node shards (GOMAXPROCS
 // shards by default; see NewShardEngine for the knob) — the engine for large
 // graphs on multi-core hosts. EngineStep, the default for scenarios, is its
-// single-shard form: every node resumed on the calling goroutine.
-// EngineGoroutine runs a goroutine per node with channel barriers; it is the
-// independent scheduling oracle, and it also runs protocols that block on
-// their own. All engines produce identical Results (enforced by the
-// cross-engine equivalence tests).
+// single-shard form: every node resumed on the calling goroutine. Both
+// produce identical Results, which the cross-engine equivalence tests check
+// against a test-only reference simulator.
 var (
-	EngineGoroutine Engine = congest.GoroutineEngine{}
-	EngineStep      Engine = congest.StepEngine{}
-	EngineShard     Engine = congest.ShardEngine{}
+	EngineStep  Engine = congest.StepEngine{}
+	EngineShard Engine = congest.ShardEngine{}
 )
 
-// NewEngine resolves an engine by registry name ("goroutine", "step",
-// "shard"). An empty name is an error; leave the engine unset on a Scenario
+// NewEngine resolves an engine by registry name ("step", "shard"). An empty name is an error; leave the engine unset on a Scenario
 // to get the step-engine default.
 func NewEngine(name string) (Engine, error) { return congest.EngineByName(name) }
 

@@ -3,6 +3,7 @@ package mobilecongest
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
 )
@@ -73,11 +74,20 @@ func TestShardPlanStreamConcurrent(t *testing.T) {
 // returns to its pre-stream level. Those are counted by traceback frame, so
 // only other tests' dropped contexts, whose GC cleanups can only lower the
 // count, share the tally.
+//
+// Plan.Stream caps each worker's cells at GOMAXPROCS/Workers shards, and a
+// one-shard cell builds no pool, so the test raises GOMAXPROCS to at least
+// twice the worker count for its duration and checks that pools were in
+// fact parked mid-stream: on a small host it would otherwise pass without
+// ever building one.
 func TestShardPlanStreamCancelNoGoroutineLeak(t *testing.T) {
+	const workers = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2*workers)))
 	// With the collector off no GC cleanup can stop a dropped context's
 	// coroutines, so only the plan workers' own Close brings the count back.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	before := parkedEngineGoroutines()
+	poolsBefore := goroutinesIn(poolFrame)
 	plan := Plan{
 		Axes: []Axis{
 			TopologyAxis("circulant"),
@@ -86,11 +96,11 @@ func TestShardPlanStreamCancelNoGoroutineLeak(t *testing.T) {
 			RepsAxis(300),
 		},
 		BaseSeed: 5,
-		Workers:  4,
+		Workers:  workers,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	yielded := 0
+	yielded, poolsPeak := 0, 0
 	var finalErr error
 	for _, err := range plan.Stream(ctx) {
 		if err != nil {
@@ -99,11 +109,15 @@ func TestShardPlanStreamCancelNoGoroutineLeak(t *testing.T) {
 		}
 		yielded++
 		if yielded == 3 {
+			poolsPeak = goroutinesIn(poolFrame)
 			cancel()
 		}
 	}
 	if finalErr != context.Canceled {
 		t.Fatalf("stream ended with %v, want context.Canceled", finalErr)
+	}
+	if poolsPeak <= poolsBefore {
+		t.Fatalf("no worker parked a shard pool: %d pool workers mid-stream, %d before", poolsPeak, poolsBefore)
 	}
 	waitNoPlanGoroutines(t, "cancelled shard stream")
 	waitParkedAtMost(t, before, "cancelled shard stream")

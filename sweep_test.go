@@ -124,7 +124,7 @@ func TestSweepEngineEquivalenceOnGrid(t *testing.T) {
 			CaptureTrace: true,
 		}
 	}
-	a, err := sweep(mk("goroutine"))
+	a, err := sweep(mk("shard"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSweepEngineEquivalenceOnGrid(t *testing.T) {
 		x.Name, y.Name = "", ""
 		x.ElapsedMS, y.ElapsedMS = 0, 0
 		if !reflect.DeepEqual(x, y) {
-			t.Fatalf("cell %d differs across engines:\n goroutine %+v\n step      %+v", i, a[i], b[i])
+			t.Fatalf("cell %d differs across engines:\n shard %+v\n step  %+v", i, a[i], b[i])
 		}
 	}
 }

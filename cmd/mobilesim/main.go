@@ -10,26 +10,25 @@
 //	mobilesim -list           # list experiments, engines, topologies, adversaries
 //	mobilesim -run T1,F3      # run a subset
 //	mobilesim -seed 7         # change the master seed
-//	mobilesim -engine shard   # pick the execution engine
-//	mobilesim -engine shard -shards 4  # shard engine with a fixed shard count
 //
-// The engines are "shard" (nodes as coroutines stepped over contiguous CSR
-// node shards on a worker pool — the engine for large n on multi-core
-// hosts) and "step" (default; the single-shard shard engine, every node
-// resumed on one goroutine). -shards fixes the shard engine's shard/worker
-// count; 0 keeps the GOMAXPROCS default. Both engines produce byte-identical
-// results for the same seed. Any other -engine name, "goroutine" included,
-// exits 2 with the registry's unknown-engine error.
+// Experiments run on the default engine: their tables do not depend on the
+// engine, because the experiments read no clock and every engine produces
+// byte-identical results for the same seed.
 //
 // Sweep mode: -sweep fills a PlanSpec (the JSON form cmd/mobilesimd
 // accepts) from the axis flags — including the protocol registry axis via
-// -proto — and runs the Plan it lowers to, so the CLI and the server share
-// one lowering and one set of input checks: a bad value (an unknown name,
-// n < 1, a negative k, f, bandwidth, reps, maxrounds or workers) exits 2
-// with the spec's message. The plan fans the cells out across -workers
+// -proto and the engine axis via -engine — and runs the Plan it lowers to,
+// so the CLI and the server share one lowering and one set of input checks:
+// a bad value (an unknown name, n < 1, a negative k, f, bandwidth, reps,
+// maxrounds or workers) exits 2 with the spec's message. The plan fans the cells out across -workers
 // workers with deterministic per-cell seeds (each worker reusing one run
 // context across its cells), and streams one JSON record per line on stdout
-// *as cells complete* (run -workers 1 for in-order output).
+// *as cells complete* (run -workers 1 for in-order output). The engines are
+// "step" (the default; every node resumed on one goroutine) and "shard"
+// (nodes stepped over contiguous CSR node shards on a worker pool — the
+// engine for large n on multi-core hosts); the plan's workers share
+// GOMAXPROCS among their shard counts. Any other -engine name, "goroutine"
+// included, exits 2 with the registry's unknown-engine error.
 // -summary replaces the per-cell stream with post-sweep aggregates: one JSON
 // line per cell group, with mean/stddev/min/max over the -reps repetitions.
 //
@@ -92,8 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiments and registries, then exit")
 	only := fs.String("run", "", "comma-separated experiment IDs (default: all)")
 	seed := fs.Int64("seed", 42, "master random seed (sweep: base seed)")
-	engine := fs.String("engine", mc.EngineStep.Name(), "execution engine (sweep: comma-separated list)")
-	shards := fs.Int("shards", 0, "shard count for the shard engine (0 = GOMAXPROCS)")
+	engine := fs.String("engine", mc.EngineStep.Name(), "sweep: comma-separated execution engine names")
 	sweep := fs.Bool("sweep", false, "run a parameter sweep instead of the experiment suite")
 	topo := fs.String("topo", "clique", "sweep: comma-separated topology names")
 	ns := fs.String("n", "16", "sweep: comma-separated node counts")
@@ -120,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// in both). -list overrides both modes, so any combination with it just
 	// lists.
 	if !*list {
-		sweepOnly := map[string]bool{"topo": true, "n": true, "k": true, "proto": true, "adv": true, "f": true, "bandwidth": true, "reps": true, "maxrounds": true, "workers": true, "summary": true, "cache": true}
+		sweepOnly := map[string]bool{"topo": true, "n": true, "k": true, "proto": true, "adv": true, "f": true, "bandwidth": true, "reps": true, "maxrounds": true, "workers": true, "summary": true, "cache": true, "engine": true}
 		conflict := ""
 		fs.Visit(func(fl *flag.Flag) {
 			switch {
@@ -145,19 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "protocols:   %s\n", strings.Join(mc.Protocols(), ", "))
 		fmt.Fprintf(stdout, "adversaries: %s\n", strings.Join(mc.Adversaries(), ", "))
 		return 0
-	}
-
-	if *shards < 0 {
-		fmt.Fprintln(stderr, "-shards must be >= 0")
-		return 2
-	}
-	if *shards > 0 {
-		// Re-register "shard" with the fixed count so every resolution by
-		// name — -engine here, the sweep's engine axis, experiments — uses
-		// it; restore the automatic default on the way out (run is a
-		// testable entry point, so it must not leak registry state).
-		mc.RegisterEngine(mc.NewShardEngine(*shards))
-		defer mc.RegisterEngine(mc.NewShardEngine(0))
 	}
 
 	var spec mc.PlanSpec
@@ -197,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sweep {
 		code = runSweep(spec, *summary, *cacheDir, sink, stdout, stderr)
 	} else {
-		code = runExperiments(*only, *seed, *engine, sink, stdout, stderr)
+		code = runExperiments(*only, *seed, sink, stdout, stderr)
 	}
 	if sink != nil {
 		if err := sink.finish(); err != nil {
@@ -210,11 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func runExperiments(only string, seed int64, engine string, sink *traceSink, stdout, stderr io.Writer) int {
-	if err := harness.UseEngine(engine); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
+func runExperiments(only string, seed int64, sink *traceSink, stdout, stderr io.Writer) int {
 	if sink != nil {
 		runSeq := 0
 		harness.UseObservers(func() []mc.Observer {

@@ -370,53 +370,21 @@ func TestExperimentTraceJSONL(t *testing.T) {
 	}
 }
 
-// TestShardEngineFlag pins the -shards knob: a sweep over step and shard
-// engines with a fixed shard count produces identical stats per engine pair
-// (the CLI surface of the cross-engine determinism contract), a negative
-// count is rejected, and the knob leaks nothing into later invocations.
-func TestShardEngineFlag(t *testing.T) {
-	out, errb, code := runCapture(t,
-		"-sweep", "-topo", "circulant", "-n", "24", "-engine", "step,shard",
-		"-shards", "3", "-workers", "1")
-	if code != 0 {
-		t.Fatalf("sweep exited %d: %s", code, errb)
-	}
-	type rec struct {
-		Engine string `json:"engine"`
-		Rounds int    `json:"rounds"`
-		Bytes  int    `json:"bytes"`
-	}
-	byEngine := map[string]rec{}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		var r rec
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatalf("bad record %q: %v", line, err)
-		}
-		byEngine[r.Engine] = r
-	}
-	s, ok1 := byEngine["step"]
-	sh, ok2 := byEngine["shard"]
-	if !ok1 || !ok2 {
-		t.Fatalf("missing engine records: %v", byEngine)
-	}
-	if s.Rounds != sh.Rounds || s.Bytes != sh.Bytes {
-		t.Fatalf("step and shard cells disagree: %+v vs %+v", s, sh)
-	}
-
-	if _, errb, code := runCapture(t, "-shards", "-1"); code != 2 || !strings.Contains(errb, "-shards") {
-		t.Fatalf("negative -shards: code=%d stderr=%q", code, errb)
-	}
-}
-
 // TestGoroutineEngineRemoved pins the removal of the goroutine engine: the
-// name is unknown in experiment and sweep mode alike, and both exit 2 with
-// the registry's error.
+// name is unknown to a sweep, which exits 2 with the registry's error, and
+// -engine is a sweep-only flag, so experiment mode exits 2 with the
+// cross-mode error before any engine name is read.
 func TestGoroutineEngineRemoved(t *testing.T) {
-	const want = `congest: unknown engine "goroutine" (have [shard step])`
-	for _, args := range [][]string{{"-engine", "goroutine", "-run", "T1"}, {"-sweep", "-engine", "goroutine"}} {
-		out, errb, code := runCapture(t, args...)
-		if code != 2 || out != "" || !strings.Contains(errb, want) {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 with %q", args, code, out, errb, want)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-engine", "goroutine", "-run", "T1"}, "-engine is a sweep axis flag; add -sweep (or drop it)"},
+		{[]string{"-sweep", "-engine", "goroutine"}, `congest: unknown engine "goroutine" (have [shard step])`},
+	} {
+		out, errb, code := runCapture(t, c.args...)
+		if code != 2 || out != "" || !strings.Contains(errb, c.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 with %q", c.args, code, out, errb, c.want)
 		}
 	}
 }

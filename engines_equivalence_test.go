@@ -508,8 +508,9 @@ func (u unwrapping) Unwrap() any                                   { return u.in
 // TestEngineAbortsMatchReference is the abort leg of the cross-engine
 // contract: every way a run can fail at the round barrier — the round
 // limit, a map send to a non-neighbour, a port outbox longer than the
-// degree, and the per-round and total budget verdicts (strictly exceeding,
-// per-round checked first, budgets found through Unwrap) — must fail
+// degree, the per-round and total budget verdicts (strictly exceeding,
+// per-round checked first, budgets found through Unwrap), and an adversary
+// injection on a non-edge (counted against the budget first) — must fail
 // identically, to the byte, on the reference simulator and on every engine.
 func TestEngineAbortsMatchReference(t *testing.T) {
 	g := graph.Circulant(10, 2)
@@ -534,6 +535,13 @@ func TestEngineAbortsMatchReference(t *testing.T) {
 		pr.ExchangePorts(make([]congest.Msg, pr.Degree()+int(rt.ID())%2))
 	}
 	flood := algorithms.FloodMax(12)
+	// Two non-edges of circulant(10,2) around one edge, the smaller
+	// offender second: the injections count against the budget, and within
+	// it the run aborts naming (0,5).
+	nonEdge := func() congest.Adversary {
+		sel := adversary.SelectFixed([]graph.Edge{graph.NewEdge(3, 8), graph.NewEdge(0, 5), graph.NewEdge(1, 2)})
+		return adversary.NewMobileByzantine(g, 3, 3, sel, adversary.CorruptInject)
+	}
 	cases := []struct {
 		name  string
 		cfg   congest.Config
@@ -548,6 +556,8 @@ func TestEngineAbortsMatchReference(t *testing.T) {
 		{"total", congest.Config{Adversary: declaredBudget{flip(2), 2, 5}}, flood, "total edge-rounds, budget 5"},
 		{"total-exact", congest.Config{Adversary: declaredBudget{flip(1), 1, 12}}, flood, ""},
 		{"unwrap", congest.Config{Adversary: unwrapping{declaredBudget{flip(3), 1, 1000}}}, flood, "edges touched in round 0, budget 1"},
+		{"non-edge", congest.Config{Adversary: nonEdge()}, flood, "adversary injected on non-edge (0,5)"},
+		{"non-edge-over-budget", congest.Config{Adversary: declaredBudget{nonEdge(), 2, 1000}}, flood, "3 edges touched in round 0, budget 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

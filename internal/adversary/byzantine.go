@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"bytes"
 	"math/rand"
 
 	"mobilecongest/internal/congest"
@@ -180,13 +181,13 @@ func (b *Byzantine) Intercept(round int, tr *congest.RoundTraffic) {
 		fwd, bwd := tr.Get(sf), tr.Get(sb)
 		nf, nb := b.corrupt(b.rng, round, e, fwd, bwd)
 		changed := false
-		// msgEq deliberately treats nil and empty alike: dropping a silent
+		// bytes.Equal deliberately treats nil and empty alike: dropping a silent
 		// direction (or "injecting" an empty message) is a no-op, not a
 		// budget spend. Writes on edges the selector picked outside the
 		// graph (sf/sb == -1, possible with SelectFixed's user-supplied
 		// lists) go through SetEdge, which turns them into the run-aborting
 		// non-edge injection error rather than a panic.
-		if !msgEq(nf, fwd) {
+		if !bytes.Equal(nf, fwd) {
 			changed = true
 			if sf >= 0 {
 				tr.Set(sf, nf)
@@ -194,7 +195,7 @@ func (b *Byzantine) Intercept(round int, tr *congest.RoundTraffic) {
 				tr.SetEdge(graph.DirEdge{From: e.U, To: e.V}, nf)
 			}
 		}
-		if !msgEq(nb, bwd) {
+		if !bytes.Equal(nb, bwd) {
 			changed = true
 			if sb >= 0 {
 				tr.Set(sb, nb)
@@ -207,16 +208,4 @@ func (b *Byzantine) Intercept(round int, tr *congest.RoundTraffic) {
 		}
 	}
 	b.spent += touched
-}
-
-func msgEq(a, b congest.Msg) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -65,7 +65,7 @@ func TestBandwidthUnlimitedByDefault(t *testing.T) {
 		}
 		pr.ExchangePorts(out)
 	}
-	if _, err := (StepEngine{}).Run(Config{Graph: graph.Path(3), Seed: 1}, proto); err != nil {
+	if _, err := (ShardEngine{Shards: 1}).Run(Config{Graph: graph.Path(3), Seed: 1}, proto); err != nil {
 		t.Fatalf("unlimited run failed: %v", err)
 	}
 }
@@ -92,7 +92,7 @@ func TestCongestionObserverBandwidthRecords(t *testing.T) {
 		}
 	}
 	// Enforcement is off (Config.Bandwidth zero): BudgetBits only counts.
-	if _, err := (StepEngine{}).Run(Config{Graph: g, Seed: 1, Observers: []Observer{co}}, proto); err != nil {
+	if _, err := (ShardEngine{Shards: 1}).Run(Config{Graph: g, Seed: 1, Observers: []Observer{co}}, proto); err != nil {
 		t.Fatal(err)
 	}
 	bw := co.Bandwidth()

@@ -5,11 +5,12 @@
 // traffic, lets the adversary intercept it within an engine-enforced edge
 // budget, and releases the barrier.
 //
-// Execution is pluggable via the Engine interface. ShardEngine resumes nodes
-// as coroutines over parallel CSR node shards, and StepEngine (the default)
-// is its single-shard form. Both are deterministic given Config.Seed and
-// produce identical Results, which the equivalence suites check against a
-// test-only reference simulator written from the model's definition.
+// One engine, ShardEngine, executes runs: it resumes nodes as coroutines
+// over parallel CSR node shards, and its single-shard form is registered as
+// "step" (the default) next to "shard" in Engines. Runs are deterministic
+// given Config.Seed and identical at every shard count, which the
+// equivalence suites check against a test-only reference simulator written
+// from the model's definition.
 //
 // Internally a run moves traffic through a flat, edge-indexed round buffer
 // (see edgeLayout) whose payloads live in packed per-round byte arenas: each
@@ -28,7 +29,7 @@
 // over the same buffer; neither ever sees a map. Run-level measurement is
 // pluggable via the Observer pipeline (Config.Observers); the engine's own
 // statistics are a StatsObserver it installs itself. Repeated runs over the
-// same graph can reuse a RunContext (see ContextRunner), amortizing the
+// same graph can reuse a RunContext (see Engine.RunIn), amortizing the
 // layout, round buffers, port slabs, node cores, and RNG state across runs.
 //
 // The model is KT1: every node knows n, its own ID, and the IDs of its
@@ -220,9 +221,9 @@ var ErrBandwidthExceeded = errors.New("congest: bandwidth exceeded")
 const defaultMaxRounds = 1 << 20
 
 // Run executes proto on every node of cfg.Graph with the default engine,
-// StepEngine, and returns outputs and communication statistics. Code that
-// wants to pick the execution substrate uses an Engine directly (or the root
-// package's Scenario API).
+// the single-shard ShardEngine ("step"), and returns outputs and
+// communication statistics. Code that wants another shard count uses a
+// ShardEngine directly (or the root package's Scenario API).
 func Run(cfg Config, proto Protocol) (*Result, error) {
-	return StepEngine{}.Run(cfg, proto)
+	return ShardEngine{Shards: 1}.Run(cfg, proto)
 }

@@ -60,7 +60,7 @@ func waitParkedCoroutines(t *testing.T, nodes []*stepNode, want int, gc bool) {
 }
 
 // coroEngines are the engines that run nodes as coroutines.
-var coroEngines = []ContextRunner{StepEngine{}, ShardEngine{Shards: 3}}
+var coroEngines = []Engine{ShardEngine{Shards: 1}, ShardEngine{Shards: 3}}
 
 // sameResult fails the test unless got equals want in Stats and Outputs.
 func sameResult(t *testing.T, label string, got, want *Result) {
@@ -82,7 +82,7 @@ func TestCoroutinesParkOnContextUntilClose(t *testing.T) {
 	g := graph.Circulant(24, 3)
 	cfg := Config{Graph: g, Seed: 2}
 	for _, e := range coroEngines {
-		t.Run(e.(Engine).Name(), func(t *testing.T) {
+		t.Run(e.Name(), func(t *testing.T) {
 			want, err := e.RunIn(nil, cfg, silentRandProto(5))
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +140,7 @@ func TestCoroutinesParkOnContextUntilClose(t *testing.T) {
 // has its parked coroutines stopped by its GC cleanup.
 func TestDroppedContextCoroutinesReclaimed(t *testing.T) {
 	for _, e := range coroEngines {
-		t.Run(e.(Engine).Name(), func(t *testing.T) {
+		t.Run(e.Name(), func(t *testing.T) {
 			slab := func() []*stepNode {
 				rc := NewRunContext()
 				for i := 0; i < 2; i++ {
@@ -163,7 +163,7 @@ func TestDroppedContextCoroutinesReclaimed(t *testing.T) {
 // aborted one, or a panicking one.
 func TestEngineRunLeavesNoCoroutines(t *testing.T) {
 	g := graph.Circulant(24, 3)
-	for _, e := range []Engine{StepEngine{}, ShardEngine{Shards: 3}} {
+	for _, e := range []Engine{ShardEngine{Shards: 1}, ShardEngine{Shards: 3}} {
 		t.Run(e.Name(), func(t *testing.T) {
 			seen := make([]*stepNode, g.N())
 			record := func(inner Protocol) Protocol {
@@ -206,7 +206,7 @@ func TestEngineRunLeavesNoCoroutines(t *testing.T) {
 func TestCoroutineSlabFollowsGraphSize(t *testing.T) {
 	small, large, smaller, tiny := graph.Circulant(10, 2), graph.Circulant(30, 3), graph.Cycle(8), graph.Cycle(7)
 	for _, e := range coroEngines {
-		t.Run(e.(Engine).Name(), func(t *testing.T) {
+		t.Run(e.Name(), func(t *testing.T) {
 			rc := NewRunContext()
 			defer rc.Close()
 			run := func(g *graph.Graph) {
@@ -287,8 +287,8 @@ func tooLongOutboxAt(u graph.NodeID, r int, inner Protocol) Protocol {
 // small ints allocates the same at n=24 as at n=96 — no coroutine, payload
 // or other per-node object is allocated per run.
 func TestWarmContextAllocsIndependentOfN(t *testing.T) {
-	for _, e := range []ContextRunner{StepEngine{}, ShardEngine{Shards: 2}} {
-		t.Run(e.(Engine).Name(), func(t *testing.T) {
+	for _, e := range []Engine{ShardEngine{Shards: 1}, ShardEngine{Shards: 2}} {
+		t.Run(e.Name(), func(t *testing.T) {
 			rc := NewRunContext()
 			defer rc.Close()
 			// One payload buffer per node, owned by the test so the protocol

@@ -9,59 +9,49 @@ import (
 	"mobilecongest/internal/registry"
 )
 
-// Engine executes a protocol on every node of a configured network. The
-// built-in engines are one family: every node is an iter.Pull coroutine, and
-// every round is validated, collected, intercepted, and delivered through
-// the same runCore code path, so all simulation semantics (round structure,
-// adversary budget accounting, statistics, observer calls) are shared.
+// Engine executes a protocol on every node of a configured network. There is
+// one implementation, ShardEngine, registered under two names: every node is
+// an iter.Pull coroutine, and every round is validated, collected,
+// intercepted, and delivered through runCore, so all simulation semantics
+// (round structure, adversary budget accounting, statistics, observer calls)
+// are shared.
 //
-//   - ShardEngine steps contiguous CSR node shards in parallel on a
-//     persistent worker pool — the engine for large graphs on multi-core
+//   - "shard" (ShardEngine{}) steps contiguous CSR node shards in parallel on
+//     a persistent worker pool — the engine for large graphs on multi-core
 //     hosts. Pool and coroutines stay parked on the RunContext between runs.
-//   - StepEngine is ShardEngine{Shards: 1}: the same coroutines resumed by
-//     the calling goroutine alone. It is the default engine.
+//   - "step" (ShardEngine{Shards: 1}) resumes the same coroutines on the
+//     calling goroutine alone. It is the default engine.
 //
 // A node runs only between its exchanges, so a protocol must not block on
 // its own (channels, locks held across an exchange) waiting for another
 // node.
 //
-// All engines are deterministic given Config.Seed and MUST produce identical
-// Results for identical Configs. The cross-engine equivalence tests enforce
-// this against a test-only reference simulator written from the model's
-// definition, which shares none of the engines' code.
+// Runs are deterministic given Config.Seed, and every shard count MUST
+// produce identical Results for identical Configs. The cross-engine
+// equivalence tests enforce this against a test-only reference simulator
+// written from the model's definition, which shares none of the engine's
+// code.
 type Engine interface {
 	// Name is the registry key ("step", "shard").
 	Name() string
-	// Run executes proto on every node of cfg.Graph.
+	// Run executes proto on every node of cfg.Graph in a throwaway
+	// RunContext; it is RunIn with a nil context.
 	Run(cfg Config, proto Protocol) (*Result, error)
+	// RunIn executes proto on every node of cfg.Graph, reusing rc's state
+	// (rebinding it if cfg.Graph differs from the context's current graph).
+	RunIn(rc *RunContext, cfg Config, proto Protocol) (*Result, error)
 }
 
-// Engines is the name-keyed engine registry; RegisterEngine extends it, and
-// the root package's plan axes and specs check engine names against it.
-var Engines = newEngines()
-
-func newEngines() *registry.Table[Engine] {
+// Engines is the name-keyed engine registry: "step" and "shard". The root
+// package's plan axes and specs check engine names against it, and
+// Engines.Get resolves them.
+var Engines = func() *registry.Table[Engine] {
 	t := registry.New[Engine]("congest", "engine")
-	for _, e := range []Engine{StepEngine{}, ShardEngine{}} {
+	for _, e := range []Engine{ShardEngine{Shards: 1}, ShardEngine{}} {
 		t.Register(e.Name(), e)
 	}
 	return t
-}
-
-// RegisterEngine adds (or replaces) an engine under its Name, making it
-// resolvable by EngineByName — and therefore usable from the root package's
-// WithEngineName, sweeps, and the CLI, like the topology and adversary
-// registries.
-func RegisterEngine(e Engine) { Engines.Register(e.Name(), e) }
-
-// EngineByName returns the registered engine with the given name. The empty
-// name is an error rather than a silent default: callers that want the
-// default engine pick StepEngine explicitly, as congest.Run and the root
-// Scenario API do.
-func EngineByName(name string) (Engine, error) { return Engines.Get(name) }
-
-// EngineNames lists the registered engine names in sorted order.
-func EngineNames() []string { return Engines.Names() }
+}()
 
 // nodeCore is the engine-independent per-node state backing PortRuntime.
 // Engines embed it and supply only the barrier (ExchangePorts and the map

@@ -21,7 +21,7 @@ var allEngines = []struct {
 	e    Engine
 }{
 	{"goroutine", ShardEngine{Shards: 1 << 16}},
-	{"step", StepEngine{}},
+	{"step", ShardEngine{Shards: 1}},
 	{"shard", ShardEngine{Shards: 3}},
 }
 
@@ -35,43 +35,23 @@ func forEngine(t *testing.T, fn func(t *testing.T, e Engine)) {
 
 func TestEngineByName(t *testing.T) {
 	for _, name := range []string{"step", "shard"} {
-		e, err := EngineByName(name)
+		e, err := Engines.Get(name)
 		if err != nil || e.Name() != name {
-			t.Fatalf("EngineByName(%q) = %v, %v", name, e, err)
+			t.Fatalf("Engines.Get(%q) = %v, %v", name, e, err)
 		}
 	}
-	if _, err := EngineByName(""); err == nil {
+	if _, err := Engines.Get(""); err == nil {
 		t.Fatal("empty engine name accepted; it must error rather than pick a silent default")
 	}
-	if _, err := EngineByName("warp"); err == nil {
+	if _, err := Engines.Get("warp"); err == nil {
 		t.Fatal("unknown engine name accepted")
 	}
 	// The goroutine engine is gone; its name is unknown like any other.
-	if _, err := EngineByName("goroutine"); err == nil || err.Error() != `congest: unknown engine "goroutine" (have [shard step])` {
-		t.Fatalf("EngineByName(goroutine) error = %v", err)
+	if _, err := Engines.Get("goroutine"); err == nil || err.Error() != `congest: unknown engine "goroutine" (have [shard step])` {
+		t.Fatalf("Engines.Get(goroutine) error = %v", err)
 	}
-	if got := EngineNames(); !reflect.DeepEqual(got, []string{"shard", "step"}) {
-		t.Fatalf("EngineNames() = %v", got)
-	}
-}
-
-// renamedEngine is a trivial custom engine for registry tests.
-type renamedEngine struct{ StepEngine }
-
-func (renamedEngine) Name() string { return "custom-test" }
-
-func TestRegisterEngine(t *testing.T) {
-	saved := Engines
-	Engines = newEngines()
-	t.Cleanup(func() { Engines = saved })
-	RegisterEngine(renamedEngine{})
-	e, err := EngineByName("custom-test")
-	if err != nil || e.Name() != "custom-test" {
-		t.Fatalf("registered engine not resolvable: %v, %v", e, err)
-	}
-	res, err := e.Run(Config{Graph: graph.Path(2), Seed: 1}, floodMax(1))
-	if err != nil || res.Stats.Rounds != 1 {
-		t.Fatalf("custom engine run: %v, %v", res, err)
+	if got := Engines.Names(); !reflect.DeepEqual(got, []string{"shard", "step"}) {
+		t.Fatalf("Engines.Names() = %v", got)
 	}
 }
 
@@ -205,7 +185,7 @@ func TestEnginesEquivalence(t *testing.T) {
 			for aname, adv := range advs {
 				for seed := int64(0); seed < 3; seed++ {
 					cfg := Config{Graph: g, Seed: seed, Adversary: adv}
-					want, err1 := (StepEngine{}).Run(cfg, proto)
+					want, err1 := (ShardEngine{Shards: 1}).Run(cfg, proto)
 					got, err2 := (ShardEngine{Shards: 3}).Run(cfg, proto)
 					if (err1 == nil) != (err2 == nil) {
 						t.Fatalf("%s/%s/%s seed %d: errors differ: %v vs %v", pname, gname, aname, seed, err1, err2)
@@ -336,7 +316,7 @@ func TestStepEngineWrappedRuntime(t *testing.T) {
 		}
 		payload(w)
 	}
-	res, err := (StepEngine{}).Run(Config{Graph: g, Seed: 1}, proto)
+	res, err := (ShardEngine{Shards: 1}).Run(Config{Graph: g, Seed: 1}, proto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestCongestionObserverHistogram(t *testing.T) {
 			rt.Exchange(out)
 		}
 	}
-	if _, err := (StepEngine{}).Run(Config{Graph: g, Seed: 1, Observers: []Observer{co}}, proto); err != nil {
+	if _, err := (ShardEngine{Shards: 1}).Run(Config{Graph: g, Seed: 1, Observers: []Observer{co}}, proto); err != nil {
 		t.Fatal(err)
 	}
 	want := map[graph.Edge]int{{U: 0, V: 1}: 5, {U: 1, V: 2}: 0}
@@ -143,7 +143,7 @@ func TestCorruptionLogEvents(t *testing.T) {
 func TestJSONLTraceStream(t *testing.T) {
 	var buf bytes.Buffer
 	jt := NewJSONLTrace(&buf, "unit")
-	res, err := (StepEngine{}).Run(Config{
+	res, err := (ShardEngine{Shards: 1}).Run(Config{
 		Graph: graph.Path(2), Seed: 1, Observers: []Observer{jt},
 	}, floodMax(3))
 	if err != nil {

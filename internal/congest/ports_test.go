@@ -210,19 +210,15 @@ func TestPortNativeFaultFreeMaterializesNoMaps(t *testing.T) {
 func TestPortNativeFaultFreeZeroAllocPerRound(t *testing.T) {
 	g := graph.Circulant(24, 3)
 	forEngine(t, func(t *testing.T, e Engine) {
-		cr, ok := e.(ContextRunner)
-		if !ok {
-			t.Fatalf("engine %s does not implement ContextRunner", e.Name())
-		}
 		rc := NewRunContext()
 		measure := func(rounds int) float64 {
 			proto := portFlood(rounds)
 			// Warm the context so slab/touched capacities reach steady state.
-			if _, err := cr.RunIn(rc, Config{Graph: g, Seed: 3}, proto); err != nil {
+			if _, err := e.RunIn(rc, Config{Graph: g, Seed: 3}, proto); err != nil {
 				t.Fatal(err)
 			}
 			return testing.AllocsPerRun(10, func() {
-				if _, err := cr.RunIn(rc, Config{Graph: g, Seed: 3}, proto); err != nil {
+				if _, err := e.RunIn(rc, Config{Graph: g, Seed: 3}, proto); err != nil {
 					t.Fatal(err)
 				}
 			})

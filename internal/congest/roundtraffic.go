@@ -31,14 +31,20 @@ type RoundTraffic struct {
 
 	// invalid records non-edge injections from SetEdge; they count against
 	// the budget and then abort the round.
-	invalid []graph.DirEdge
+	invalid []nonEdgeWrite
 
 	// settle/apply scratch, reused across rounds.
 	changed   []int32      // dirty slots whose override actually differs
 	undirMark []bool       // per undirected edge: already counted this round
 	undirList []int32      // touched undirected edge indices, insertion order
 	edgesOut  []graph.Edge // sorted touched edges handed to the round view
-	keep      []bool       // parallel-settle verdict per dirty index
+	keep      []bool       // settle verdict per dirty index: the override differs
+}
+
+// nonEdgeWrite is one SetEdge injection on a pair that is not an edge.
+type nonEdgeWrite struct {
+	de graph.DirEdge
+	m  Msg
 }
 
 func newRoundTraffic(l *edgeLayout) *RoundTraffic {
@@ -65,15 +71,19 @@ func NewRoundTraffic(g *graph.Graph, tr Traffic) (*RoundTraffic, error) {
 }
 
 // Delivered returns the view's current traffic — the collected round with
-// the adversary's Set overrides applied — as a fresh map. It is a test
-// helper for free-standing views (NewRoundTraffic); inside a run the engine
-// folds overrides into the delivered round itself.
+// the adversary's Set overrides applied, plus any SetEdge injections on
+// non-edges (which would abort a run) — as a fresh map. It is a test helper
+// for free-standing views (NewRoundTraffic); inside a run the engine folds
+// overrides into the delivered round itself.
 func (t *RoundTraffic) Delivered() Traffic {
 	out := make(Traffic, t.buf.len())
 	for s := 0; s < t.Slots(); s++ {
 		if m := t.Get(int32(s)); m != nil {
 			out[t.DirEdge(int32(s))] = m
 		}
+	}
+	for _, w := range t.invalid {
+		out[w.de] = w.m
 	}
 	return out
 }
@@ -87,6 +97,7 @@ func (t *RoundTraffic) begin(b *roundBuffer) {
 		t.dirtyBits[s>>6] &^= 1 << uint(s&63)
 	}
 	t.dirty = t.dirty[:0]
+	clear(t.invalid)
 	t.invalid = t.invalid[:0]
 }
 
@@ -164,7 +175,7 @@ func (t *RoundTraffic) SetEdge(de graph.DirEdge, m Msg) {
 		return
 	}
 	if m != nil {
-		t.injectInvalid(de)
+		t.injectInvalid(de, m)
 	}
 }
 
@@ -186,8 +197,8 @@ func (t *RoundTraffic) All() iter.Seq2[int32, Msg] {
 // injectInvalid records a non-edge injection from SetEdge. It is
 // budget-accounted like any touched edge and then aborts the round after the
 // budget verdict.
-func (t *RoundTraffic) injectInvalid(de graph.DirEdge) {
-	t.invalid = append(t.invalid, de)
+func (t *RoundTraffic) injectInvalid(de graph.DirEdge, m Msg) {
+	t.invalid = append(t.invalid, nonEdgeWrite{de, m})
 }
 
 // parallelSettleMin is the dirty-set size below which the chunked overlay
@@ -200,48 +211,33 @@ const parallelSettleMin = 32
 // non-edge, the error to abort the round with — after the caller's budget
 // verdict. The returned slice is reused and valid until the next round.
 //
-// When the shard engine hands in its pool and the dirty set is large, the
-// per-slot byte comparisons — the O(dirty · |msg|) part — run chunked over
-// the pool into a verdict array; the fold below consumes the verdicts in the
-// same dirty order the sequential path walks, so the result is byte-identical
-// regardless of pool (a nil pool always takes the sequential path).
+// The per-slot byte comparisons — the O(dirty · |msg|) part — fill a
+// verdict per dirty slot, chunked over the shard engine's pool when it hands
+// one in and the dirty set is large. One fold then consumes the verdicts in
+// dirty order, so the result is byte-identical regardless of pool.
 func (t *RoundTraffic) settle(pool *shardPool) ([]graph.Edge, error) {
 	t.changed = t.changed[:0]
 	t.undirList = t.undirList[:0]
-	if pool != nil && pool.size > 0 && len(t.dirty) >= parallelSettleMin {
-		if cap(t.keep) < len(t.dirty) {
-			t.keep = make([]bool, len(t.dirty))
-		}
-		keep, dirty, nd := t.keep[:len(t.dirty)], t.dirty, len(t.dirty)
+	nd := len(t.dirty)
+	if cap(t.keep) < nd {
+		t.keep = make([]bool, nd)
+	}
+	t.keep = t.keep[:nd]
+	if pool != nil && pool.size > 0 && nd >= parallelSettleMin {
 		shards := pool.shards()
-		pool.run(func(k int) {
-			for i := nd * k / shards; i < nd*(k+1)/shards; i++ {
-				s := dirty[i]
-				keep[i] = !msgSame(t.buf.get(s), t.mod[s])
-			}
-		})
-		for i, s := range t.dirty {
-			if !keep[i] {
-				continue
-			}
-			t.changed = append(t.changed, s)
-			u := t.buf.layout.undir[s]
-			if !t.undirMark[u] {
-				t.undirMark[u] = true
-				t.undirList = append(t.undirList, u)
-			}
-		}
+		pool.run(func(k int) { t.judge(nd*k/shards, nd*(k+1)/shards) })
 	} else {
-		for _, s := range t.dirty {
-			if msgSame(t.buf.get(s), t.mod[s]) {
-				continue
-			}
-			t.changed = append(t.changed, s)
-			u := t.buf.layout.undir[s]
-			if !t.undirMark[u] {
-				t.undirMark[u] = true
-				t.undirList = append(t.undirList, u)
-			}
+		t.judge(0, nd)
+	}
+	for i, s := range t.dirty {
+		if !t.keep[i] {
+			continue
+		}
+		t.changed = append(t.changed, s)
+		u := t.buf.layout.undir[s]
+		if !t.undirMark[u] {
+			t.undirMark[u] = true
+			t.undirList = append(t.undirList, u)
 		}
 	}
 	edges := t.edgesOut[:0]
@@ -255,8 +251,9 @@ func (t *RoundTraffic) settle(pool *shardPool) ([]graph.Edge, error) {
 		// Non-edges can never collide with graph edges, so deduplication is
 		// only among the (few) invalid injections themselves. The reported
 		// offender is the smallest, keeping the error deterministic.
-		report := t.invalid[0]
-		for _, de := range t.invalid {
+		report := t.invalid[0].de
+		for _, w := range t.invalid {
+			de := w.de
 			if de.From < report.From || (de.From == report.From && de.To < report.To) {
 				report = de
 			}
@@ -285,6 +282,15 @@ func (t *RoundTraffic) settle(pool *shardPool) ([]graph.Edge, error) {
 		return nil, err
 	}
 	return edges, err
+}
+
+// judge sets the verdict of the dirty slots with index in [lo, hi): whether
+// the override differs from the collected message.
+func (t *RoundTraffic) judge(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		s := t.dirty[i]
+		t.keep[i] = !msgSame(t.buf.get(s), t.mod[s])
+	}
 }
 
 // apply folds the settled overlay into the round buffer, which becomes the

@@ -42,8 +42,10 @@ type RunContext struct {
 	inSlab  []Msg
 
 	// Shard-engine state: the parked worker pool (persists across runs so
-	// repeated runs reuse goroutines) and the per-shard scratch.
+	// repeated runs reuse goroutines) with the GC cleanup that closes it if
+	// the context is dropped without Close, and the per-shard scratch.
 	pool         *shardPool
+	poolCleanup  runtime.Cleanup
 	shardCap     int       // LimitShards cap on the default shard count
 	bounds       []int32   // cached shard node boundaries for boundsShards
 	boundsShards int       // shard count bounds was computed for; 0 = stale
@@ -61,15 +63,6 @@ type RunContext struct {
 
 // NewRunContext returns an empty context; it binds to a graph on first use.
 func NewRunContext() *RunContext { return &RunContext{} }
-
-// ContextRunner is implemented by engines that can execute a run inside a
-// reusable RunContext. Every built-in engine implements it; Engine.Run is
-// equivalent to RunIn with a fresh context.
-type ContextRunner interface {
-	// RunIn executes proto on every node of cfg.Graph, reusing rc's state
-	// (rebinding it if cfg.Graph differs from the context's current graph).
-	RunIn(rc *RunContext, cfg Config, proto Protocol) (*Result, error)
-}
 
 // bind points the context at g, rebuilding the graph-shaped state unless the
 // context is already bound to the very same graph.
@@ -99,9 +92,17 @@ func (rc *RunContext) bind(g *graph.Graph) {
 // dropped without Close are covered by GC cleanups that release both,
 // eventually.
 func (rc *RunContext) Close() {
+	rc.closePool()
+	rc.closeCoroutines()
+}
+
+// closePool stops the parked worker pool and its GC cleanup, so a replaced
+// or closed pool is not kept reachable until the context itself is
+// collected.
+func (rc *RunContext) closePool() {
+	rc.poolCleanup.Stop()
 	rc.pool.close()
 	rc.pool = nil
-	rc.closeCoroutines()
 }
 
 // coroutines returns the context's slab of node coroutines, grown to at
@@ -166,12 +167,12 @@ func (rc *RunContext) ensurePool(workers int) *shardPool {
 		return nil
 	}
 	if rc.pool == nil || rc.pool.size != workers {
-		rc.pool.close()
+		rc.closePool()
 		rc.pool = newShardPool(workers)
 		// Safety net for contexts dropped without Close: when the context
 		// becomes unreachable, release the pool's goroutines. The cleanup
 		// holds the pool, not the context, so it never pins the context live.
-		runtime.AddCleanup(rc, func(p *shardPool) { p.close() }, rc.pool)
+		rc.poolCleanup = runtime.AddCleanup(rc, (*shardPool).close, rc.pool)
 	}
 	return rc.pool
 }

@@ -36,37 +36,18 @@ import (
 // context creates no goroutines or coroutines per run, and the fault-free
 // steady state stays zero-alloc per round. Pick this engine for large graphs
 // (n ≳ 10⁴) on multi-core hosts; for small graphs the per-phase barriers
-// cost more than the parallelism returns and the single-shard StepEngine
-// wins.
+// cost more than the parallelism returns and the single-shard engine
+// ("step") wins.
 type ShardEngine struct {
 	// Shards is the number of contiguous node shards, which is also the
 	// worker parallelism of every phase. 0 (the default) uses GOMAXPROCS,
 	// bounded by the RunContext's LimitShards cap; either way the count is
 	// clamped to [1, n]. 1 runs the whole round on the calling goroutine —
-	// no pool, no barriers — and is what StepEngine runs.
+	// no pool, no barriers — and is the "step" engine. Its coroutines park
+	// on the RunContext exactly like a multi-shard run's (the two share
+	// them), and a single-shard run leaves any pool parked on the context
+	// untouched.
 	Shards int
-}
-
-// StepEngine is the single-shard ShardEngine under its own registry name:
-// every node is a coroutine resumed in node order by the calling goroutine,
-// with no pool and no phase barriers. It is the default engine. The
-// separate name keeps cell seeds, cache keys, and Record.Engine stable. Its
-// coroutines park on the RunContext between runs exactly like the shard
-// engine's (the two share them), and a single-shard run leaves any pool
-// parked on the context untouched.
-type StepEngine struct{}
-
-// Name implements Engine.
-func (StepEngine) Name() string { return "step" }
-
-// Run implements Engine.
-func (e StepEngine) Run(cfg Config, proto Protocol) (*Result, error) {
-	return e.RunIn(nil, cfg, proto)
-}
-
-// RunIn implements ContextRunner.
-func (StepEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (*Result, error) {
-	return ShardEngine{Shards: 1}.RunIn(rc, cfg, proto)
 }
 
 // abortSignal unwinds a node coroutine's protocol when the engine aborts or
@@ -190,8 +171,15 @@ func (cs *coroSlab) stop() {
 	}
 }
 
-// Name implements Engine.
-func (ShardEngine) Name() string { return "shard" }
+// Name implements Engine: "step" for the single-shard engine, "shard" for
+// every other shard count. The two names keep cell seeds, cache keys, and
+// Record.Engine stable.
+func (e ShardEngine) Name() string {
+	if e.Shards == 1 {
+		return "step"
+	}
+	return "shard"
+}
 
 // Run implements Engine.
 func (e ShardEngine) Run(cfg Config, proto Protocol) (*Result, error) {
@@ -216,7 +204,7 @@ func (e ShardEngine) shardCount(rc *RunContext, n int) int {
 	return s
 }
 
-// RunIn implements ContextRunner. A nil rc runs in a throwaway context that
+// RunIn implements Engine. A nil rc runs in a throwaway context that
 // is closed before RunIn returns, so the run leaves no coroutine parked.
 func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Result, err error) {
 	if rc == nil {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"mobilecongest/internal/graph"
 )
@@ -51,7 +52,7 @@ func TestShardEngineMatchesStepAcrossShardCounts(t *testing.T) {
 		for pname, mkProto := range protos {
 			for aname, mkAdv := range advs {
 				cfg := Config{Graph: g, Seed: 11, Adversary: mkAdv()}
-				want, err := StepEngine{}.Run(cfg, mkProto())
+				want, err := ShardEngine{Shards: 1}.Run(cfg, mkProto())
 				if err != nil {
 					t.Fatalf("%s/%s/%s: step: %v", gname, pname, aname, err)
 				}
@@ -128,7 +129,7 @@ func badSender(bad map[graph.NodeID]bool) Protocol {
 func TestShardEngineErrorMatchesStep(t *testing.T) {
 	g := graph.Circulant(24, 3)
 	bad := map[graph.NodeID]bool{2: true, 20: true} // distinct shards at Shards=3
-	_, wantErr := StepEngine{}.Run(Config{Graph: g, Seed: 5}, badSender(bad))
+	_, wantErr := ShardEngine{Shards: 1}.Run(Config{Graph: g, Seed: 5}, badSender(bad))
 	if wantErr == nil {
 		t.Fatal("step engine accepted a non-neighbor send")
 	}
@@ -248,6 +249,36 @@ func TestShardEnginePoolReuseAndClose(t *testing.T) {
 	waitPoolWorkers(t, rebuilt, 3)
 	rc.Close()
 	waitPoolWorkers(t, rebuilt, 0)
+}
+
+// TestReplacedPoolIsCollectable pins the pool's GC cleanup to the pool's
+// lifetime on the context: once a resize has replaced a pool and Close has
+// stopped its successor, nothing the still-live context holds keeps the
+// first pool reachable.
+func TestReplacedPoolIsCollectable(t *testing.T) {
+	g := graph.Circulant(24, 3)
+	rc := NewRunContext()
+	run := func(shards int) {
+		t.Helper()
+		if _, err := (ShardEngine{Shards: shards}).RunIn(rc, Config{Graph: g, Seed: 1}, portFlood(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(4)
+	first := weak.Make(rc.pool)
+	run(2) // resize: replaces the first pool
+	waitPoolWorkers(t, first.Value(), 0)
+	rc.Close()
+	run(4)
+	deadline := time.Now().Add(5 * time.Second)
+	for first.Value() != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("replaced pool still reachable after GC")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	rc.Close()
 }
 
 // TestShardEngineZeroAllocExplicitCounts is the shard-engine zero-alloc pin

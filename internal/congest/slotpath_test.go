@@ -84,7 +84,7 @@ func TestAdversaryUnwrapHook(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
 		g := graph.Circulant(12, 2)
 		run := func(rc *RunContext, adv Adversary) error {
-			_, err := e.(ContextRunner).RunIn(rc, Config{Graph: g, Seed: 6, Adversary: adv}, floodMax(5))
+			_, err := e.RunIn(rc, Config{Graph: g, Seed: 6, Adversary: adv}, floodMax(5))
 			return err
 		}
 
@@ -117,10 +117,6 @@ func TestAdversaryUnwrapHook(t *testing.T) {
 // buffers leak nothing between runs, and stats reset fully.
 func TestRunContextReuseDeterministic(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
-		cr, ok := e.(ContextRunner)
-		if !ok {
-			t.Fatalf("engine %s does not implement ContextRunner", e.Name())
-		}
 		g := graph.Circulant(14, 2)
 		cfg := Config{Graph: g, Seed: 9}
 		proto := randProto(4)
@@ -131,7 +127,7 @@ func TestRunContextReuseDeterministic(t *testing.T) {
 		}
 		rc := NewRunContext()
 		for rep := 0; rep < 3; rep++ {
-			got, err := cr.RunIn(rc, cfg, proto)
+			got, err := e.RunIn(rc, cfg, proto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +141,7 @@ func TestRunContextReuseDeterministic(t *testing.T) {
 			}
 		}
 		// Different seeds through the same context still diverge.
-		other, err := cr.RunIn(rc, Config{Graph: g, Seed: 10}, proto)
+		other, err := e.RunIn(rc, Config{Graph: g, Seed: 10}, proto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +198,7 @@ func silentRandProto(rounds int) Protocol {
 // rebuild.
 func TestRunContextReuseAcrossEngines(t *testing.T) {
 	g := graph.Circulant(14, 2)
-	run := func(e ContextRunner, rc *RunContext) (*Result, []RoundTrace) {
+	run := func(e Engine, rc *RunContext) (*Result, []RoundTrace) {
 		t.Helper()
 		tr := NewTraceObserver()
 		res, err := e.RunIn(rc, Config{
@@ -226,7 +222,7 @@ func TestRunContextReuseAcrossEngines(t *testing.T) {
 		{name: "bad-outbox", cfg: Config{Graph: g, Seed: 11}, proto: tooLongOutboxAt(9, 2, silentRandProto(6))},
 		{name: "panic", cfg: Config{Graph: g, Seed: 11}, proto: panicAt(5, 2, silentRandProto(6)), panics: true},
 	}
-	fail := func(e ContextRunner, rc *RunContext, name string, cfg Config, proto Protocol, wantErr error, panics bool) {
+	fail := func(e Engine, rc *RunContext, name string, cfg Config, proto Protocol, wantErr error, panics bool) {
 		t.Helper()
 		if panics {
 			defer func() {
@@ -243,8 +239,8 @@ func TestRunContextReuseAcrossEngines(t *testing.T) {
 	rc := NewRunContext()
 	defer rc.Close()
 	var pool *shardPool
-	for i, e := range []ContextRunner{StepEngine{}, ShardEngine{Shards: 3}, StepEngine{}, ShardEngine{Shards: 3}, StepEngine{}} {
-		name := e.(Engine).Name()
+	for i, e := range []Engine{ShardEngine{Shards: 1}, ShardEngine{Shards: 3}, ShardEngine{Shards: 1}, ShardEngine{Shards: 3}, ShardEngine{Shards: 1}} {
+		name := e.Name()
 		want, wantTrace := run(e, nil)
 		check := func(label string) {
 			t.Helper()
@@ -284,7 +280,7 @@ func TestRunContextReuseAcrossEngines(t *testing.T) {
 			}
 			check("after " + f.name)
 		}
-		if _, ok := e.(ShardEngine); ok {
+		if name == "shard" {
 			if pool != nil && rc.pool != pool {
 				t.Fatalf("run %d: shard(3) rebuilt the context's pool", i)
 			}
@@ -313,7 +309,7 @@ func TestRunContextRebindsAcrossGraphs(t *testing.T) {
 	g1 := graph.Clique(6)
 	g2 := graph.Cycle(9)
 	rc := NewRunContext()
-	e := StepEngine{}
+	e := ShardEngine{Shards: 1}
 	for rep := 0; rep < 2; rep++ {
 		for _, g := range []*graph.Graph{g1, g2} {
 			want, err := e.Run(Config{Graph: g, Seed: 4}, floodMax(3))
@@ -336,7 +332,6 @@ func TestRunContextRebindsAcrossGraphs(t *testing.T) {
 // corrupts identically — and identically to a fresh-context run.
 func TestRunContextReuseWithAdversary(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
-		cr := e.(ContextRunner)
 		g := graph.Circulant(12, 2)
 		adv := slotFlipper{f: 1}
 		cfg := func() Config { return Config{Graph: g, Seed: 6, Adversary: adv} }
@@ -346,7 +341,7 @@ func TestRunContextReuseWithAdversary(t *testing.T) {
 		}
 		rc := NewRunContext()
 		for rep := 0; rep < 2; rep++ {
-			got, err := cr.RunIn(rc, cfg(), floodMax(5))
+			got, err := e.RunIn(rc, cfg(), floodMax(5))
 			if err != nil {
 				t.Fatal(err)
 			}

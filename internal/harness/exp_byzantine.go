@@ -85,7 +85,7 @@ func runF2(seed int64) (*Table, error) {
 	} {
 		g := resilient.RandomExpander(tc.n, tc.d, seed)
 		adv := adversary.NewMobileByzantine(g, tc.f, seed, adversary.SelectRandom, adversary.CorruptFlip)
-		sh, packRounds, err := resilient.ExpanderSharedOn(currentEngine(), g, tc.k, 12, 7, seed, adv)
+		sh, packRounds, err := resilient.ExpanderShared(g, tc.k, 12, 7, seed, adv)
 		if err != nil {
 			return nil, err
 		}

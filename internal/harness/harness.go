@@ -13,33 +13,6 @@ import (
 	mc "mobilecongest"
 )
 
-// engineName is the engine every experiment's simulations run on. The step
-// engine is the default because the suite is simulation-bound and the two
-// engines are result-equivalent by contract.
-var engineName = mc.EngineStep.Name()
-
-// UseEngine selects the execution engine (by registry name) for all
-// experiments; cmd/mobilesim wires its -engine flag here. (The experiment
-// benchmarks in bench_test.go run on this package default; BenchmarkRun
-// selects engines on its own scenarios.)
-func UseEngine(name string) error {
-	if _, err := mc.NewEngine(name); err != nil {
-		return err
-	}
-	engineName = name
-	return nil
-}
-
-// currentEngine resolves the harness-wide engine instance; engineName is
-// validated whenever it is set, so resolution cannot fail.
-func currentEngine() mc.Engine {
-	e, err := mc.NewEngine(engineName)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // observe, when non-nil, builds fresh observers for every simulation the
 // harness runs; cmd/mobilesim wires its -trace flag here.
 var observe func() []mc.Observer
@@ -49,11 +22,13 @@ var observe func() []mc.Observer
 // simulation and its results attached to that run only.
 func UseObservers(factory func() []mc.Observer) { observe = factory }
 
-// runScenario executes one simulation on the harness-wide engine, with the
-// harness-wide observers attached. It is the single funnel every
-// experiment's runs go through.
+// runScenario executes one simulation on the Scenario's default engine, with
+// the harness-wide observers attached. It is the single funnel every
+// experiment's runs go through. Tables do not depend on the engine: the
+// experiments read no clock, and the equivalence suites pin every engine's
+// results.
 func runScenario(proto mc.Protocol, opts ...mc.ScenarioOption) (*mc.Result, error) {
-	opts = append(opts, mc.WithProtocol(proto), mc.WithEngineName(engineName))
+	opts = append(opts, mc.WithProtocol(proto))
 	if observe != nil {
 		opts = append(opts, mc.WithObserver(observe()...))
 	}

@@ -90,7 +90,7 @@ func TestImplementationsMethodSets(t *testing.T) {
 		}
 		engines = append(engines, recv.(*types.Named).Obj().Name())
 	}
-	for _, want := range []string{"StepEngine", "ShardEngine"} {
+	for _, want := range []string{"ShardEngine"} {
 		ok := false
 		for _, got := range engines {
 			if got == want {
@@ -116,12 +116,12 @@ func TestImplementationsMethodSets(t *testing.T) {
 }
 
 // TestReachability checks BFS over static and value-taken edges with an
-// interface-expand hook: the step engine's delegation to the shard engine
-// reaches the shared round pipeline (through the phase method values handed
+// interface-expand hook: the engine's RunIn reaches the shared round
+// pipeline (through the phase method values handed
 // to the pool) and, once dynamic edges resolve, the concrete observers.
 func TestReachability(t *testing.T) {
 	pkg, g := loadCongest(t)
-	runIn := method(t, pkg.Types, "StepEngine", "RunIn")
+	runIn := method(t, pkg.Types, "ShardEngine", "RunIn")
 	expand := func(fn *types.Func) []*types.Func {
 		var out []*types.Func
 		for _, callee := range g.Callees(fn) {
@@ -140,7 +140,7 @@ func TestReachability(t *testing.T) {
 		{"StatsObserver", "RoundDelivered"}, // only via the interface expand
 	} {
 		if !reach[method(t, pkg.Types, want.typ, want.name)] {
-			t.Errorf("StepEngine.RunIn does not reach %s.%s", want.typ, want.name)
+			t.Errorf("ShardEngine.RunIn does not reach %s.%s", want.typ, want.name)
 		}
 	}
 }

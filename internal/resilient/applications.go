@@ -41,17 +41,9 @@ func GeneralShared(g *graph.Graph, k, depthBound int) *Shared {
 // itself* (padded variant) and assembling the resulting weak packing: the
 // expander application needs no trusted preprocessing. It returns the
 // Shared artifact plus the rounds spent. The inner simulation runs on the
-// step engine (results are identical on every engine); use ExpanderSharedOn
-// to pick one.
+// default engine (results are identical on every engine).
 func ExpanderShared(g *graph.Graph, k, z, pad int, seed int64, adv congest.Adversary) (*Shared, int, error) {
-	return ExpanderSharedOn(congest.StepEngine{}, g, k, z, pad, seed, adv)
-}
-
-// ExpanderSharedOn is ExpanderShared with the inner packing simulation run on
-// an explicit engine, so callers that select an execution engine (the harness,
-// sweeps) reach this simulation too.
-func ExpanderSharedOn(e congest.Engine, g *graph.Graph, k, z, pad int, seed int64, adv congest.Adversary) (*Shared, int, error) {
-	res, err := e.Run(congest.Config{
+	res, err := congest.Run(congest.Config{
 		Graph:     g,
 		Seed:      seed,
 		Adversary: adv,

@@ -342,6 +342,6 @@ func TestKeyDerivationFailurePanicsAtRunTime(t *testing.T) {
 			t.Fatalf("panic %v, want %q", r, want)
 		}
 	}()
-	congest.StepEngine{}.Run(congest.Config{Graph: g, Seed: 1}, proto)
+	congest.Run(congest.Config{Graph: g, Seed: 1}, proto)
 	t.Fatal("run with an unbuildable extractor returned")
 }

@@ -20,8 +20,8 @@
 //     ccpath.Compile over cyclecover.Build.
 //
 // This root package is the simulator's single entry surface. A simulation is
-// described by a Scenario built from functional options and executed on a
-// pluggable Engine:
+// described by a Scenario built from functional options and executed on an
+// Engine:
 //
 //	res, err := mobilecongest.NewScenario(
 //		mobilecongest.WithTopology("clique", 16, 0),
@@ -30,12 +30,12 @@
 //		mobilecongest.WithSeed(7),
 //	).Run()
 //
-// Two engines are registered. "step", the default, resumes every node as a
-// coroutine on the calling goroutine; it is the single-shard form of "shard",
-// which steps contiguous node shards in parallel for large graphs. Both
-// produce identical Results for identical scenarios; the equivalence suites
-// check them against a test-only reference simulator written from the
-// model's definition.
+// One engine type runs every simulation, registered under two names.
+// "step", the default, resumes every node as a coroutine on the calling
+// goroutine; it is the single-shard form of "shard", which steps contiguous
+// node shards in parallel for large graphs. Both produce identical Results
+// for identical scenarios; the equivalence suites check them against a
+// test-only reference simulator written from the model's definition.
 //
 // The simulation pipeline is slot-native end to end. Protocols program
 // against PortRuntime (via Ports): a node's ports are its neighbours in

@@ -25,12 +25,16 @@ import (
 // all recomputed from the sent and delivered maps.
 //
 // A Scenario can drive it (WithEngine). It calls no cfg.Observers, whose
-// RoundView only an engine can build: Run leaves its trace in trace. It
-// cannot see a non-edge injection through RoundTraffic.SetEdge, which the
-// free-standing view does not report; the engine unit tests cover that.
+// RoundView only an engine can build: Run leaves its trace in trace.
 type refEngine struct{ trace []congest.RoundTrace }
 
 func (*refEngine) Name() string { return "reference" }
+
+// RunIn is Run: the reference keeps nothing between runs, so it ignores the
+// context.
+func (e *refEngine) RunIn(_ *congest.RunContext, cfg congest.Config, proto Protocol) (*Result, error) {
+	return e.Run(cfg, proto)
+}
 
 // refNode is one node's runtime in the reference simulator.
 type refNode struct {
@@ -214,12 +218,22 @@ func (e *refEngine) Run(cfg congest.Config, proto Protocol) (*Result, error) {
 			return fail(fmt.Errorf("%w: %d total edge-rounds, budget %d",
 				congest.ErrBudgetExceeded, st.CorruptedEdgeRounds+len(corrupted), total.TotalEdgeRounds()))
 		}
+		// After the budget verdicts, an injection on a non-edge (which
+		// counted against the budget above) aborts, naming the smallest.
+		var nonEdges []graph.DirEdge
+		for de := range delivered {
+			if !g.HasEdge(de.From, de.To) {
+				nonEdges = append(nonEdges, de)
+			}
+		}
+		if len(nonEdges) > 0 {
+			de := slices.MinFunc(nonEdges, cmpDirEdge)
+			return fail(fmt.Errorf("congest: adversary injected on non-edge (%d,%d)", de.From, de.To))
+		}
 
 		rt := congest.RoundTrace{Round: round, Msgs: []congest.TraceMsg{}, Corrupted: corrupted}
 		// Canonical order: ascending sender, then receiver.
-		for _, de := range slices.SortedFunc(maps.Keys(delivered), func(a, b graph.DirEdge) int {
-			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-		}) {
+		for _, de := range slices.SortedFunc(maps.Keys(delivered), cmpDirEdge) {
 			m := delivered[de]
 			rt.Msgs = append(rt.Msgs, congest.TraceMsg{From: de.From, To: de.To, Data: m.Clone()})
 			st.Messages++
@@ -245,6 +259,11 @@ func (e *refEngine) Run(cfg congest.Config, proto Protocol) (*Result, error) {
 		res.Outputs[i] = v.output
 	}
 	return res, nil
+}
+
+// cmpDirEdge orders directed edges by sender, then receiver.
+func cmpDirEdge(a, b graph.DirEdge) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }
 
 // refCorrupted returns the undirected edges whose delivered message differs

@@ -7,38 +7,34 @@ import (
 	"mobilecongest/internal/congest"
 )
 
-// Engine is the pluggable execution substrate; see congest.Engine.
+// Engine is the execution engine; see congest.Engine.
 type Engine = congest.Engine
 
-// The two built-in engines. EngineShard runs every node as a coroutine,
-// stepped as a parallel-for over contiguous CSR node shards (GOMAXPROCS
-// shards by default; see NewShardEngine for the knob) — the engine for large
-// graphs on multi-core hosts. EngineStep, the default for scenarios, is its
-// single-shard form: every node resumed on the calling goroutine. Both
-// produce identical Results, which the cross-engine equivalence tests check
-// against a test-only reference simulator.
+// The two built-in engines, both the one congest.ShardEngine. EngineShard
+// steps every node as a coroutine over contiguous CSR node shards in
+// parallel (GOMAXPROCS shards by default; see NewShardEngine for the knob) —
+// the engine for large graphs on multi-core hosts. EngineStep, the default
+// for scenarios, is its single-shard form: every node resumed on the calling
+// goroutine. Both produce identical Results, which the cross-engine
+// equivalence tests check against a test-only reference simulator.
 var (
-	EngineStep  Engine = congest.StepEngine{}
+	EngineStep  Engine = congest.ShardEngine{Shards: 1}
 	EngineShard Engine = congest.ShardEngine{}
 )
 
-// NewEngine resolves an engine by registry name ("step", "shard"). An empty name is an error; leave the engine unset on a Scenario
-// to get the step-engine default.
-func NewEngine(name string) (Engine, error) { return congest.EngineByName(name) }
+// NewEngine resolves an engine by registry name ("step", "shard"). An empty
+// name is an error; leave the engine unset on a Scenario to get the
+// step-engine default.
+func NewEngine(name string) (Engine, error) { return congest.Engines.Get(name) }
 
 // NewShardEngine returns a shard engine with a fixed shard (worker) count;
 // shards <= 0 keeps the automatic default (GOMAXPROCS, divided down by
-// Plan.Stream across its workers). Use WithEngine to install it on a
-// scenario, or RegisterEngine to make the fixed count the registry's "shard".
+// Plan.Stream across its workers), and 1 is EngineStep. Use WithEngine to
+// install it on a scenario.
 func NewShardEngine(shards int) Engine { return congest.ShardEngine{Shards: shards} }
 
-// RegisterEngine adds (or replaces) an engine in the name-keyed registry
-// used by WithEngineName, sweeps, and the CLI — the engine counterpart of
-// RegisterTopology and RegisterAdversary.
-func RegisterEngine(e Engine) { congest.RegisterEngine(e) }
-
 // EngineNames lists the registered engine names.
-func EngineNames() []string { return congest.EngineNames() }
+func EngineNames() []string { return congest.Engines.Names() }
 
 // advSeedMix decorrelates registry-built adversary randomness from the node
 // randomness derived from the same scenario seed.
@@ -333,15 +329,7 @@ func (s *Scenario) runIn(rc *congest.RunContext) (*Result, error) {
 		Bandwidth: s.bandwidth,
 		Observers: s.observers,
 	}
-	var res *Result
-	var runErr error
-	if cr, ok := s.Engine().(congest.ContextRunner); ok {
-		res, runErr = cr.RunIn(rc, cfg, proto)
-	} else {
-		// Externally registered engines may predate RunContext; they still
-		// work, just without cross-run reuse.
-		res, runErr = s.Engine().Run(cfg, proto)
-	}
+	res, runErr := s.Engine().RunIn(rc, cfg, proto)
 	if runErr != nil && s.name != "" {
 		return nil, fmt.Errorf("scenario %s: %w", s.name, runErr)
 	}

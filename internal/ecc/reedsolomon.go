@@ -2,7 +2,10 @@
 // (Theorem 1.8 of the paper) with Berlekamp-Welch decoding from corrupted
 // codewords. ECCSafeBroadcast (Section 3.2.1) encodes the dominating-mismatch
 // list into one share per spanning tree and decodes the closest codeword at
-// every node; the code here provides exactly that interface.
+// every node; the code here provides exactly that interface. Every
+// evaluation point of a Code has its own gf.MulTable, built once in NewCode,
+// so encoding, interpolation and the decoder's matrix build multiply by a
+// point with two table loads.
 package ecc
 
 import (
@@ -16,12 +19,17 @@ import (
 // symbols, codewords are n symbols obtained by evaluating the degree-(k-1)
 // message polynomial at the points g^1 ... g^n. Its relative distance is
 // (n-k+1)/n and Berlekamp-Welch corrects up to (n-k)/2 symbol errors.
+//
+// A Code is read-only after NewCode, so one instance is safe for concurrent
+// use by any number of goroutines. It holds one 1 KiB table per position.
 type Code struct {
 	f *gf.Field
 	n int
 	k int
 	// points[i] is the evaluation point of codeword position i.
 	points []gf.Elem
+	// tabs[i] multiplies by points[i].
+	tabs []gf.MulTable
 }
 
 // ErrDecodeFailure is returned when the received word is too corrupted to
@@ -34,11 +42,12 @@ func NewCode(f *gf.Field, n, k int) (*Code, error) {
 	if k < 1 || k > n || n >= f.Order() {
 		return nil, fmt.Errorf("ecc: invalid parameters n=%d k=%d for field order %d", n, k, f.Order())
 	}
-	pts := make([]gf.Elem, n)
-	for i := range pts {
-		pts[i] = f.Exp(i + 1)
+	c := &Code{f: f, n: n, k: k, points: make([]gf.Elem, n), tabs: make([]gf.MulTable, n)}
+	for i := range c.points {
+		c.points[i] = f.Exp(i + 1)
+		c.tabs[i] = f.MulTable(c.points[i])
 	}
-	return &Code{f: f, n: n, k: k, points: pts}, nil
+	return c, nil
 }
 
 // N returns the block length.
@@ -57,8 +66,8 @@ func (c *Code) Encode(msg []gf.Elem) ([]gf.Elem, error) {
 		return nil, fmt.Errorf("ecc: message length %d, want %d", len(msg), c.k)
 	}
 	out := make([]gf.Elem, c.n)
-	for i, pt := range c.points {
-		out[i] = c.f.EvalPoly(msg, pt)
+	for i := range c.tabs {
+		out[i] = c.tabs[i].EvalPoly(msg)
 	}
 	return out, nil
 }
@@ -84,24 +93,24 @@ func (c *Code) Decode(recv []gf.Elem) ([]gf.Elem, error) {
 	a := gf.NewMatrix(c.f, c.n, nUnknowns)
 	b := make([]gf.Elem, c.n)
 	for i := 0; i < c.n; i++ {
-		x := c.points[i]
-		y := recv[i]
+		x := &c.tabs[i]
 		// Q coefficients: q_0 ... q_{k+e-1}, columns 0..k+e-1.
 		pw := gf.Elem(1)
 		for j := 0; j < c.k+e; j++ {
 			a.Set(i, j, pw)
-			pw = c.f.Mul(pw, x)
+			pw = x.Mul(pw)
 		}
 		// E coefficients: e_0 ... e_{e-1}, columns k+e .. k+2e-1; the
 		// equation is Q(x) - y*E(x) = 0 with E monic of degree e, i.e.
 		// Q(x) = y*(x^e + sum e_j x^j)  =>
 		// Q(x) + y*sum e_j x^j = y*x^e  (char 2: minus is plus).
-		pw = 1
+		// yp runs through y*x^j and ends at y*x^e.
+		yp := recv[i]
 		for j := 0; j < e; j++ {
-			a.Set(i, c.k+e+j, c.f.Mul(y, pw))
-			pw = c.f.Mul(pw, x)
+			a.Set(i, c.k+e+j, yp)
+			yp = x.Mul(yp)
 		}
-		b[i] = c.f.Mul(y, c.f.Pow(x, e))
+		b[i] = yp
 	}
 	sol, err := solveLeastOverdetermined(c.f, a, b)
 	if err != nil {
@@ -135,7 +144,10 @@ func (c *Code) Decode(recv []gf.Elem) ([]gf.Elem, error) {
 // the first k positions, and succeeds only if the re-encoding matches recv
 // at every other position. The first k points are distinct, so the
 // interpolating polynomial of degree < k is unique; Newton's divided
-// differences find it in O(k^2) field operations.
+// differences find it in O(k^2) field operations. The divided differences
+// divide by the k(k-1)/2 sums x_i + x_{i-j}; a table per sum would take
+// about 3 MiB at k=79, so they keep Field.Div. The expansion and the check
+// multiply by the points' tables.
 func (c *Code) interpolateExact(recv []gf.Elem) ([]gf.Elem, error) {
 	f, k, xs := c.f, c.k, c.points
 	// Divided differences in place: dd[i] becomes f[x_0, ..., x_i].
@@ -152,14 +164,15 @@ func (c *Code) interpolateExact(recv []gf.Elem) ([]gf.Elem, error) {
 	msg[0] = dd[k-1]
 	for i := k - 2; i >= 0; i-- {
 		deg := k - 2 - i // degree of p before this step
+		x := &c.tabs[i]
 		msg[deg+1] = msg[deg]
 		for d := deg; d >= 1; d-- {
-			msg[d] = f.Add(msg[d-1], f.Mul(xs[i], msg[d]))
+			msg[d] = msg[d-1] ^ x.Mul(msg[d])
 		}
-		msg[0] = f.Add(f.Mul(xs[i], msg[0]), dd[i])
+		msg[0] = x.Mul(msg[0]) ^ dd[i]
 	}
 	for i := k; i < c.n; i++ {
-		if f.EvalPoly(msg, xs[i]) != recv[i] {
+		if c.tabs[i].EvalPoly(msg) != recv[i] {
 			return nil, ErrDecodeFailure
 		}
 	}

@@ -249,3 +249,136 @@ func TestInterpolateExactMatchesGauss(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeMatchesEvalPoly checks the tabled encoder symbol by symbol
+// against Field.EvalPoly at the position's point g^(i+1), for the correction
+// and seed geometries of the hardened clique and the edge cases k=n and k=1.
+func TestEncodeMatchesEvalPoly(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, nk := range [][2]int{{160, 79}, {16, 4}, {12, 12}, {9, 1}} {
+		c, err := NewCode(testField, nk[0], nk[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 10; trial++ {
+			msg := make([]gf.Elem, c.K())
+			for i := range msg {
+				msg[i] = gf.Elem(rng.Intn(gf.Order16))
+			}
+			cw, err := c.Encode(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range cw {
+				if want := testField.EvalPoly(msg, testField.Exp(i+1)); got != want {
+					t.Fatalf("[%d,%d] trial %d: symbol %d = %d, want %d", c.N(), c.K(), trial, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// benchCorrection returns the [160,79] code of the hardened-clique f=2
+// correction plan and one random codeword of it.
+func benchCorrection(b *testing.B) (*Code, []gf.Elem, []gf.Elem) {
+	c, err := NewCode(testField, 160, 79)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	msg := make([]gf.Elem, c.K())
+	for i := range msg {
+		msg[i] = gf.Elem(rng.Intn(gf.Order16))
+	}
+	cw, err := c.Encode(msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c, msg, cw
+}
+
+func BenchmarkEncode(b *testing.B) {
+	c, msg, _ := benchCorrection(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.Encode(msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeClean(b *testing.B) {
+	c, _, cw := benchCorrection(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.Decode(cw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzDecode checks the decoder's two promises on an [max(n,1), 1+k%len]
+// code. data supplies symbols two bytes at a time (zero once exhausted):
+// first the message and the corruption, then an arbitrary received word.
+//   - A codeword with at most MaxErrors corrupted symbols decodes to its
+//     message.
+//   - An arbitrary word never panics, and a message Decode returns
+//     re-encodes to within MaxErrors of that word.
+func FuzzDecode(f *testing.F) {
+	f.Add(uint8(16), uint8(4), []byte("seed plan"))
+	f.Add(uint8(160), uint8(78), []byte{0xff, 0x00, 0x12, 0x34, 0x56})
+	f.Add(uint8(12), uint8(11), []byte{})
+	f.Add(uint8(7), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
+	f.Fuzz(func(t *testing.T, n, k uint8, data []byte) {
+		c, err := NewCode(testField, max(int(n), 1), 1+int(k)%max(int(n), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := func() gf.Elem {
+			var s gf.Elem
+			if len(data) >= 2 {
+				s, data = gf.Elem(data[0])<<8|gf.Elem(data[1]), data[2:]
+			}
+			return s
+		}
+		msg := make([]gf.Elem, c.K())
+		for i := range msg {
+			msg[i] = next()
+		}
+		recv, err := c.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each corruption is a position and an XOR mask; a zero mask or a
+		// repeated position only lowers the error count.
+		for e := 0; e < c.MaxErrors(); e++ {
+			pos, mask := int(next())%c.N(), next()
+			recv[pos] ^= mask
+		}
+		got, err := c.Decode(recv)
+		if err != nil {
+			t.Fatalf("[%d,%d]: %d errors or fewer: %v", c.N(), c.K(), c.MaxErrors(), err)
+		}
+		for i := range msg {
+			if got[i] != msg[i] {
+				t.Fatalf("[%d,%d]: decoded symbol %d = %d, want %d", c.N(), c.K(), i, got[i], msg[i])
+			}
+		}
+
+		word := make([]gf.Elem, c.N())
+		for i := range word {
+			word[i] = next()
+		}
+		got, err = c.Decode(word)
+		if err != nil {
+			return
+		}
+		cw, err := c.Encode(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := Hamming(cw, word); d > c.MaxErrors() {
+			t.Fatalf("[%d,%d]: decoded message re-encodes %d symbols from the word, MaxErrors %d", c.N(), c.K(), d, c.MaxErrors())
+		}
+	})
+}

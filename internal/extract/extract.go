@@ -12,9 +12,9 @@
 // polynomial y_j = Σ_i x_i·β_j^(i+1), which Horner's rule evaluates as
 // acc ← (acc + x_i)·β_j for i = n-1 down to 0. Multiplying by the constant
 // β_j is GF(2)-linear in the bits of its operand, so v·β_j = lo_j[v & 0xff]
-// ⊕ hi_j[v >> 8] for two 256-entry tables per output, each filled from 8
-// basis products. The tables depend only on m (2·256·m entries), cost two
-// loads per multiply, and let Lanes independent streams share them.
+// ⊕ hi_j[v >> 8] for the two 256-entry halves of β_j's gf.MulTable. The
+// tables depend only on m (one 1 KiB table per output), cost two loads per
+// multiply, and let Lanes independent streams share them.
 package extract
 
 import (
@@ -27,26 +27,6 @@ import (
 // once: four GF(2^16) symbols make one 8-byte key word.
 const Lanes = 4
 
-// mulTable multiplies a GF(2^16) element by a fixed constant c:
-// v·c = t[0][v&0xff] ^ t[1][v>>8].
-type mulTable [2][256]gf.Elem
-
-// fill builds the table for c by linearity: the products of c with the 16
-// single-bit elements, then every other entry as the XOR of two entries
-// with fewer bits set.
-func (t *mulTable) fill(f *gf.Field, c gf.Elem) {
-	for h := range t {
-		for k := 0; k < 8 && 8*h+k < f.K(); k++ {
-			t[h][1<<k] = f.Mul(c, gf.Elem(1)<<(8*h+k))
-		}
-		for b := 1; b < 256; b++ {
-			if low := b & -b; low != b {
-				t[h][b] = t[h][b^low] ^ t[h][low]
-			}
-		}
-	}
-}
-
 // Extractor derives m hidden keys from n partially-observed random values,
 // where resilience holds as long as the adversary observed at most n-m of
 // them. It is read-only after New, so one instance may serve any number of
@@ -54,7 +34,7 @@ func (t *mulTable) fill(f *gf.Field, c gf.Elem) {
 type Extractor struct {
 	f    *gf.Field
 	n, m int
-	tabs []mulTable // tabs[j] multiplies by β_j = g^j
+	tabs []gf.MulTable // tabs[j] multiplies by β_j = g^j
 }
 
 // New constructs an extractor mapping n input elements to m output keys,
@@ -66,9 +46,9 @@ func New(f *gf.Field, n, m int) (*Extractor, error) {
 	if n >= f.Order()-1 {
 		return nil, fmt.Errorf("extract: n=%d too large for field order %d", n, f.Order())
 	}
-	e := &Extractor{f: f, n: n, m: m, tabs: make([]mulTable, m)}
+	e := &Extractor{f: f, n: n, m: m, tabs: make([]gf.MulTable, m)}
 	for j := range e.tabs {
-		e.tabs[j].fill(f, f.Exp(j))
+		e.tabs[j] = f.MulTable(f.Exp(j))
 	}
 	return e, nil
 }

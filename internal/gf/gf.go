@@ -5,6 +5,9 @@
 // Elements of GF(2^k) are represented as unsigned integers whose bits are the
 // coefficients of a polynomial over GF(2); addition is XOR and multiplication
 // is carried out modulo a fixed primitive polynomial via log/antilog tables.
+// A loop that multiplies many values by one fixed constant (a Reed-Solomon
+// evaluation point in internal/ecc, an extractor output in internal/extract)
+// uses that constant's MulTable instead.
 package gf
 
 import "fmt"
@@ -132,6 +135,48 @@ func (f *Field) EvalPoly(coeffs []Elem, x Elem) Elem {
 	var acc Elem
 	for i := len(coeffs) - 1; i >= 0; i-- {
 		acc = f.Add(f.Mul(acc, x), coeffs[i])
+	}
+	return acc
+}
+
+// MulTable multiplies a field element by a fixed constant c:
+// v·c = t[0][v&0xff] ^ t[1][v>>8]. Multiplying by c is GF(2)-linear in the
+// bits of v, so the low and high bytes of v contribute independently and
+// each 256-entry half is filled from 8 single-bit products. A table is
+// 1 KiB and read-only once built. It replaces Field.Mul's zero checks and
+// its three loads from the 768 KiB log/antilog tables of GF(2^16) with two
+// loads from a table that stays in cache while a loop multiplies by the
+// same constant.
+type MulTable [2][256]Elem
+
+// MulTable builds the constant-multiply table for c: the products of c with
+// the k single-bit elements, then every other entry as the XOR of two
+// entries with fewer bits set.
+func (f *Field) MulTable(c Elem) MulTable {
+	var t MulTable
+	for h := range t {
+		for k := 0; k < 8 && 8*h+k < f.k; k++ {
+			t[h][1<<k] = f.Mul(c, Elem(1)<<(8*h+k))
+		}
+		for b := 1; b < 256; b++ {
+			if low := b & -b; low != b {
+				t[h][b] = t[h][b^low] ^ t[h][low]
+			}
+		}
+	}
+	return t
+}
+
+// Mul returns v·c for the table's constant c.
+func (t *MulTable) Mul(v Elem) Elem { return t[0][byte(v)] ^ t[1][v>>8] }
+
+// EvalPoly evaluates the polynomial with coefficients coeffs (coeffs[i] is
+// the coefficient of x^i) at the table's constant, by Horner's rule. It
+// equals Field.EvalPoly(coeffs, c).
+func (t *MulTable) EvalPoly(coeffs []Elem) Elem {
+	var acc Elem
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = t[0][byte(acc)] ^ t[1][acc>>8] ^ coeffs[i]
 	}
 	return acc
 }

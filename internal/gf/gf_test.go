@@ -216,3 +216,48 @@ func TestField8Arithmetic(t *testing.T) {
 		}
 	}
 }
+
+// TestMulTableExhaustive16 compares MulTable.Mul with Field.Mul on every
+// GF(2^16) operand, for the constants 0, 1, g, g^-1 and a fixed
+// pseudo-random set.
+func TestMulTableExhaustive16(t *testing.T) {
+	f := NewField16()
+	consts := []Elem{0, 1, f.Exp(1), f.Inv(f.Exp(1))}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 8; i++ {
+		consts = append(consts, Elem(rng.Intn(Order16)))
+	}
+	for _, c := range consts {
+		tab := f.MulTable(c)
+		for v := 0; v < Order16; v++ {
+			if got, want := tab.Mul(Elem(v)), f.Mul(Elem(v), c); got != want {
+				t.Fatalf("MulTable(%d).Mul(%d) = %d, want %d", c, v, got, want)
+			}
+		}
+	}
+}
+
+// TestMulTableExhaustive8 does the same on GF(2^8) for every constant and
+// operand; its tables fill only the low half (8*h+k < K).
+func TestMulTableExhaustive8(t *testing.T) {
+	f := NewField8()
+	for c := 0; c < Order8; c++ {
+		tab := f.MulTable(Elem(c))
+		for v := 0; v < Order8; v++ {
+			if got, want := tab.Mul(Elem(v)), f.Mul(Elem(v), Elem(c)); got != want {
+				t.Fatalf("GF(2^8) MulTable(%d).Mul(%d) = %d, want %d", c, v, got, want)
+			}
+		}
+	}
+}
+
+func TestMulTableEvalPolyQuick(t *testing.T) {
+	f := NewField16()
+	same := func(coeffs []Elem, x Elem) bool {
+		tab := f.MulTable(x)
+		return tab.EvalPoly(coeffs) == f.EvalPoly(coeffs, x)
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Error(err)
+	}
+}

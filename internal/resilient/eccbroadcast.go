@@ -8,6 +8,8 @@
 package resilient
 
 import (
+	"sync"
+
 	"mobilecongest/internal/congest"
 	"mobilecongest/internal/ecc"
 	"mobilecongest/internal/gf"
@@ -43,9 +45,26 @@ func NewECCPlan(k, maxBytes int) ECCPlan {
 	return ECCPlan{K: k, MsgBytes: 2 * ell, W: w}
 }
 
-// Code instantiates the plan's Reed-Solomon code.
+// eccCodes memoizes ECCPlan.Code, mapping each plan to its *ecc.Code. Every
+// node of every run encodes and decodes with the same few geometries, and a
+// code costs one 1 KiB table per codeword symbol to build, so each geometry
+// is built once per process and then shared. The memo holds K*W KiB per
+// distinct plan (160 KiB for the hardened-clique f=2 correction plan) for
+// the life of the process.
+var eccCodes sync.Map
+
+// Code returns the plan's Reed-Solomon code. Equal plans share one
+// read-only *ecc.Code, which is safe for concurrent use.
 func (p ECCPlan) Code() (*ecc.Code, error) {
-	return ecc.NewCode(eccField, p.K*p.W, p.MsgBytes/2)
+	if c, ok := eccCodes.Load(p); ok {
+		return c.(*ecc.Code), nil
+	}
+	c, err := ecc.NewCode(eccField, p.K*p.W, p.MsgBytes/2)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := eccCodes.LoadOrStore(p, c)
+	return shared.(*ecc.Code), nil
 }
 
 // encodeShares pads msg to the plan size, RS-encodes it, and splits the

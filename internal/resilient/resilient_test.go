@@ -1,12 +1,15 @@
 package resilient
 
 import (
+	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mobilecongest/internal/adversary"
 	"mobilecongest/internal/algorithms"
 	"mobilecongest/internal/congest"
+	"mobilecongest/internal/ecc"
 	"mobilecongest/internal/graph"
 )
 
@@ -29,6 +32,76 @@ func TestECCPlanGeometry(t *testing.T) {
 	podd := NewECCPlan(8, 7)
 	if podd.MsgBytes%2 != 0 {
 		t.Fatal("odd maxBytes not rounded up")
+	}
+}
+
+// TestECCPlanCodeShared runs many goroutines that fetch codes for equal and
+// unequal plans and use them for encode/decode round trips, one clean and
+// one with K/4 bad shares per worker and plan. Equal plans must share one
+// *ecc.Code, unequal ones must not, and every round trip must return the
+// message (run it under -race).
+func TestECCPlanCodeShared(t *testing.T) {
+	// NewECCPlan(16, 157) rounds up to the plan of NewECCPlan(16, 158), the
+	// hardened-clique f=2 correction geometry [160,79].
+	plans := []ECCPlan{NewECCPlan(16, 8), NewECCPlan(16, 158), NewECCPlan(16, 157), NewECCPlan(12, 26), NewECCPlan(8, 7)}
+	const workers, rounds = 8, 2
+	got := make([][]*ecc.Code, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			got[w] = make([]*ecc.Code, len(plans))
+			for r := 0; r < rounds; r++ {
+				for i, p := range plans {
+					code, err := p.Code()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if r == 0 {
+						got[w][i] = code
+					} else if code != got[w][i] {
+						t.Errorf("worker %d: plan %+v returned a second code", w, p)
+					}
+					msg := make([]byte, p.MsgBytes)
+					rng.Read(msg)
+					shares, err := p.encodeShares(msg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if (w+r)%2 == 1 {
+						for _, j := range rng.Perm(p.K)[:p.K/4] {
+							shares[j] = []byte{byte(rng.Intn(256))}
+						}
+					}
+					dec, ok := p.decodeShares(shares)
+					if !ok || !bytes.Equal(dec, msg) {
+						t.Errorf("worker %d: plan %+v round trip failed (ok=%v)", w, p, ok)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := 1; w < workers; w++ {
+		for i := range plans {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("plan %+v: workers 0 and %d got different codes", plans[i], w)
+			}
+		}
+	}
+	for i := range plans {
+		for j := range plans {
+			if same := got[0][i] == got[0][j]; same != (plans[i] == plans[j]) {
+				t.Fatalf("plans %+v and %+v: shared code %v, equal plans %v", plans[i], plans[j], same, plans[i] == plans[j])
+			}
+		}
 	}
 }
 

@@ -16,7 +16,8 @@
 //	               (NDJSON) as cells finish; set "workers":1 for grid
 //	               order. Cells already in the cache are served without
 //	               recomputation. 400 on malformed or misnamed specs, 413
-//	               past the cell cap, 429 when saturated (Retry-After: 1).
+//	               past the body-size or cell cap, 429 when saturated
+//	               (Retry-After: 1).
 //	GET  /stats    cache hit/miss/eviction counters and hit rate, in-flight
 //	               sweeps, worker usage, served records, and whole-sweep
 //	               latency percentiles.

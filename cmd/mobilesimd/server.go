@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -24,7 +25,7 @@ type serverConfig struct {
 	maxWorkers int
 	// maxCells bounds one request's expansion; bigger specs get 413.
 	maxCells int
-	// maxBody bounds the spec body size.
+	// maxBody bounds the spec body size; bigger bodies get 413.
 	maxBody int64
 }
 
@@ -127,7 +128,12 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := mc.ReadPlanSpec(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	if err != nil {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("spec body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -135,9 +135,9 @@ func TestRepeatSweepServedFromCache(t *testing.T) {
 }
 
 // TestSweepRejections covers the refusal paths: bad method, malformed and
-// misnamed specs, and the cell cap.
+// misnamed specs, the body-size cap and the cell cap.
 func TestSweepRejections(t *testing.T) {
-	_, ts := testServer(t, serverConfig{maxCells: 16})
+	_, ts := testServer(t, serverConfig{maxCells: 16, maxBody: 1 << 10})
 	if resp, err := http.Get(ts.URL + "/sweep"); err != nil {
 		t.Fatal(err)
 	} else {
@@ -156,6 +156,7 @@ func TestSweepRejections(t *testing.T) {
 		"removed-engine": {`{"engines":["goroutine"]}`, http.StatusBadRequest},
 		"p-no-proto":     {`{"ps":[3]}`, http.StatusBadRequest},
 		"too-many":       {`{"ns":[4],"reps":17}`, http.StatusRequestEntityTooLarge},
+		"body-too-large": {`{"ns":[4]` + strings.Repeat(" ", 1<<10) + `}`, http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(name, func(t *testing.T) {
 			code, body := postSweep(t, ts.URL, c.spec)
@@ -181,6 +182,51 @@ func TestSweepCellOverflowRejected(t *testing.T) {
 				t.Fatalf("status %d (want 413): %s", code, body)
 			}
 		})
+	}
+}
+
+// TestMissSweepStreamsIncrementally pins incremental delivery: a miss
+// sweep's first record reaches the client while a later cell is still
+// computing. The p=2 cell's protocol build blocks until the client has read
+// the first record, so a server that held records back would time out.
+func TestMissSweepStreamsIncrementally(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	mc.RegisterProtocol("test-block-p2", func(g *mc.Graph, p mc.ProtoParams) (mc.Protocol, any, error) {
+		if p.Rounds == 2 {
+			<-release
+		}
+		return mc.BuildProtocol("floodmax", g, p)
+	})
+	_, ts := testServer(t, serverConfig{})
+	t.Cleanup(unblock) // runs before the server closes
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/sweep",
+		strings.NewReader(`{"protocols":["test-block-p2"],"ps":[1,2],"workers":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("no response while the p=2 cell was blocked: %v", err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	first, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("first record did not arrive while the p=2 cell was blocked: %v", err)
+	}
+	unblock()
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := decodeRecords(t, string(first)+string(rest))
+	if len(recs) != 2 || recs[0].Error != "" || recs[1].Error != "" || !strings.Contains(recs[0].Name, ",p=1,") {
+		t.Fatalf("records = %+v, want two clean cells, p=1 first", recs)
 	}
 }
 

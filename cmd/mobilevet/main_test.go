@@ -2,12 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"mobilecongest/internal/lint"
 )
 
 // buildTool compiles the mobilevet binary into a scratch dir.
@@ -38,13 +37,6 @@ func TestStandalone(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "legacy map Exchange") {
 		t.Errorf("flagged fixture output missing the portnative diagnostic:\n%s", out)
-	}
-
-	// Disabling the only reporting analyzer must turn the run clean.
-	cmd = exec.Command(bin, "-portnative=false", "./...")
-	cmd.Dir = filepath.Join("..", "..", "internal", "lint", "portnative", "testdata", "src", "flagged")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Errorf("disabled analyzer: want exit 0, got %v\n%s", err, out)
 	}
 }
 
@@ -98,50 +90,37 @@ func TestStandaloneJSON(t *testing.T) {
 	}
 }
 
-// TestVettoolProtocol exercises the go vet integration: the -V=full and
-// -flags probes, then a real `go vet -vettool` run over clean and flagged
-// packages.
+// TestVettoolProtocol pins that mobilevet has one driver: the go vet tool
+// protocol's probes and the per-analyzer switches are usage errors, so
+// `go vet -vettool` cannot run it. Cross-package facts still reach their
+// consumers through the standalone driver's dependency runs.
 func TestVettoolProtocol(t *testing.T) {
 	bin := buildTool(t)
 
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	if !strings.Contains(string(out), "mobilevet version") {
-		t.Errorf("-V=full output %q lacks the version banner", out)
-	}
-
-	out, err = exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	for _, a := range lint.Suite() {
-		if !strings.Contains(string(out), `"`+a.Name+`"`) {
-			t.Errorf("-flags output lacks analyzer flag %q:\n%s", a.Name, out)
+	for _, args := range [][]string{
+		{"-V=full"},
+		{"-flags"},
+		{"-maprange=false", "./..."},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("mobilevet %s: want exit 2, got %v\n%s", strings.Join(args, " "), err, out)
+		}
+		if !strings.Contains(string(out), "usage: mobilevet [-json] <packages>") {
+			t.Errorf("mobilevet %s: output lacks the usage line:\n%s", strings.Join(args, " "), out)
 		}
 	}
 
-	if out, err := exec.Command("go", "vet", "-vettool="+bin, "mobilecongest/internal/vote").CombinedOutput(); err != nil {
-		t.Errorf("go vet -vettool on clean package: %v\n%s", err, out)
+	if out, err := exec.Command("go", "vet", "-vettool="+bin, "mobilecongest/internal/vote").CombinedOutput(); err == nil {
+		t.Errorf("go vet -vettool: want failure, got success\n%s", out)
 	}
 
-	// internal/congest is only clean when the hotpath facts its hot paths
-	// depend on (exported by internal/graph's VetxOnly run) decode from the
-	// .vetx files — without them hotalloc reports the fact-completeness
-	// diagnostic on graph accessor calls, so a clean exit IS the fact
-	// round-trip assertion for the unitchecker protocol.
-	if out, err := exec.Command("go", "vet", "-vettool="+bin, "mobilecongest/internal/congest").CombinedOutput(); err != nil {
-		t.Errorf("go vet -vettool with cross-package facts: %v\n%s", err, out)
-	}
-
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = filepath.Join("..", "..", "internal", "lint", "portnative", "testdata", "src", "flagged")
-	vetOut, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool on flagged fixture: want failure, got success\n%s", vetOut)
-	}
-	if !strings.Contains(string(vetOut), "legacy map Exchange") {
-		t.Errorf("go vet output missing the portnative diagnostic:\n%s", vetOut)
+	// The fixture's hot root calls into a sibling package, so it is clean
+	// only when that package's hotpath fact, exported by its FactsOnly
+	// dependency run, reaches the target: without it hotalloc reports the
+	// fact-completeness diagnostic on the call.
+	if out, err := exec.Command(bin, "mobilecongest/cmd/mobilevet/testdata/facts/hot").CombinedOutput(); err != nil {
+		t.Errorf("standalone run with cross-package facts: %v\n%s", err, out)
 	}
 }

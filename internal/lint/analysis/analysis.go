@@ -28,8 +28,8 @@ import (
 // An Analyzer describes one analysis pass: a named invariant checked over a
 // single type-checked package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, disable flags, and
-	// //lint:ignore directives. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics and //lint:ignore
+	// directives. It must be a valid Go identifier.
 	Name string
 
 	// Doc is the help text: first line is a one-sentence summary.
@@ -72,7 +72,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // ExportObjectFact attaches fact to obj, which must be a fact-addressable
 // (package-level, or method of a package-level type) object of the package
 // under analysis. The fact becomes visible to later passes over dependent
-// packages and is serialized into the vetx file under `go vet -vettool`.
+// packages.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if obj == nil || obj.Pkg() != p.Pkg {
 		panic(fmt.Sprintf("%s: ExportObjectFact: object %v not in package %s", p.Analyzer.Name, obj, p.Pkg.Path()))
@@ -237,7 +237,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	store := NewFactStore()
 	var findings []Finding
 	for _, pkg := range pkgs {
-		fs, err := RunPackage(pkg, analyzers, store)
+		fs, err := runPackage(pkg, analyzers, store)
 		if err != nil {
 			return nil, err
 		}
@@ -247,10 +247,9 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	return findings, nil
 }
 
-// RunPackage applies analyzers to one package against a shared fact store
-// whose dependency sets are already populated. Unitchecker drivers call
-// this directly with a store decoded from vetx files.
-func RunPackage(pkg *Package, analyzers []*Analyzer, store *FactStore) ([]Finding, error) {
+// runPackage applies analyzers to one package against a shared fact store
+// whose dependency sets are already populated.
+func runPackage(pkg *Package, analyzers []*Analyzer, store *FactStore) ([]Finding, error) {
 	var findings []Finding
 	var dirs []*IgnoreDirective
 	if !pkg.FactsOnly {
@@ -302,7 +301,8 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, store *FactStore) ([]Findin
 	}
 	for _, dir := range dirs {
 		// A directive naming an analyzer that is not running this
-		// invocation (disabled by flag) cannot be proven stale.
+		// invocation (analysistest runs one analyzer at a time) cannot be
+		// proven stale.
 		allRunning := true
 		for _, name := range dir.Analyzers {
 			if !running[name] {
@@ -336,10 +336,4 @@ func SortFindings(findings []Finding) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-}
-
-// PackageFacts exposes the facts exported on one package by a RunPackage
-// call — what a unitchecker driver writes to its vetx output.
-func PackageFacts(store *FactStore, path string) *FactSet {
-	return store.Get(path)
 }

@@ -10,7 +10,8 @@ import (
 // TestDirectiveHygiene pins the suppression contract: a directive without
 // an analyzer list and reason is malformed, a directive whose analyzer runs
 // but matches no diagnostic is stale, and a directive naming an analyzer
-// outside the running set is left alone (it may be disabled by flag).
+// outside the running set is left alone (analysistest runs one analyzer at
+// a time).
 func TestDirectiveHygiene(t *testing.T) {
 	pkgs, err := analysis.Load("testdata/src/directives", ".")
 	if err != nil {

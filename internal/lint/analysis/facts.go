@@ -1,19 +1,16 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"strings"
 )
 
 // Facts: the cross-package half of the x/tools analysis contract, mirrored
-// on stdlib. An analyzer that declares FactTypes may attach serializable
-// facts to package-level objects of the package it is analyzing; when a
-// dependent package is analyzed later (the loader yields packages in
-// dependency order), the same analyzer can import those facts by object.
+// on stdlib. An analyzer that declares FactTypes may attach facts to
+// package-level objects of the package it is analyzing; when a dependent
+// package is analyzed later (the loader yields packages in dependency
+// order), the same analyzer can import those facts by object.
 //
 // x/tools keys facts by objectpath; this mirror uses a simpler name path
 // that covers exactly the objects the mobilevet suite exports facts on:
@@ -21,15 +18,13 @@ import (
 // types ("T.M"), and interface methods ("Iface.M"). Object identity is
 // deliberately not used as the key — a dependency seen through export data
 // and the same dependency type-checked from source yield distinct
-// *types.Package values, and the vetx round-trip under `go vet -vettool`
-// crosses processes entirely — so facts are stored per import path under a
+// *types.Package values — so facts are stored per import path under a
 // stable textual key and re-resolved against whatever types.Package the
 // consumer holds.
 
 // A Fact is an observation about a package-level object, exported by one
 // pass over the object's package and importable by passes over dependent
-// packages. Implementations must be JSON-serializable (exported fields) and
-// implement the marker method.
+// packages. Fact types are told apart by the AFact marker method.
 type Fact interface {
 	AFact() // marker: only fact types implement this
 }
@@ -191,83 +186,6 @@ func (s *FactSet) Len() int {
 	return n
 }
 
-// wireFact is the serialized form of one fact.
-type wireFact struct {
-	Obj  string          `json:"obj"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// Encode serializes the set deterministically (sorted by object key, then
-// fact type) — the payload of a vetx file.
-func (s *FactSet) Encode() ([]byte, error) {
-	keys := make([]string, 0, len(s.m))
-	for key := range s.m {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	var wire []wireFact
-	for _, key := range keys {
-		byType := s.m[key]
-		names := make([]string, 0, len(byType))
-		for name := range byType {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			data, err := json.Marshal(byType[name])
-			if err != nil {
-				return nil, fmt.Errorf("encoding fact %s on %q: %v", name, key, err)
-			}
-			wire = append(wire, wireFact{Obj: key, Type: name, Data: data})
-		}
-	}
-	return json.Marshal(wire)
-}
-
-// DecodeFactSet reconstructs a fact set from Encode output. Fact types are
-// resolved through the registry built from the running analyzers'
-// FactTypes; facts of unknown types are skipped (an analyzer disabled this
-// run cannot consume them anyway).
-func DecodeFactSet(data []byte, registry map[string]reflect.Type) (*FactSet, error) {
-	s := NewFactSet()
-	if len(data) == 0 {
-		return s, nil
-	}
-	var wire []wireFact
-	if err := json.Unmarshal(data, &wire); err != nil {
-		return nil, fmt.Errorf("decoding fact set: %v", err)
-	}
-	for _, w := range wire {
-		rt, ok := registry[w.Type]
-		if !ok {
-			continue
-		}
-		ptr := reflect.New(rt)
-		if err := json.Unmarshal(w.Data, ptr.Interface()); err != nil {
-			return nil, fmt.Errorf("decoding fact %s on %q: %v", w.Type, w.Obj, err)
-		}
-		s.put(w.Obj, ptr.Interface().(Fact))
-	}
-	return s, nil
-}
-
-// FactRegistry maps fact type names to their reflect types for the given
-// analyzers — the decode side of the wire format.
-func FactRegistry(analyzers []*Analyzer) map[string]reflect.Type {
-	reg := make(map[string]reflect.Type)
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			t := reflect.TypeOf(f)
-			if t.Kind() == reflect.Pointer {
-				t = t.Elem()
-			}
-			reg[t.Name()] = t
-		}
-	}
-	return reg
-}
-
 // FactStore accumulates per-package fact sets across an analysis run,
 // keyed by import path (identity-free: see the package comment).
 type FactStore struct {
@@ -276,10 +194,6 @@ type FactStore struct {
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore { return &FactStore{byPath: make(map[string]*FactSet)} }
-
-// Set installs the fact set for an import path (e.g. decoded from a vetx
-// file, or produced by analyzing the package earlier in dependency order).
-func (st *FactStore) Set(path string, s *FactSet) { st.byPath[path] = s }
 
 // Get returns the fact set for an import path, or nil.
 func (st *FactStore) Get(path string) *FactSet { return st.byPath[path] }

@@ -56,8 +56,7 @@ type listPackage struct {
 // directories) relative to dir — any directory inside the module — and
 // returns the matched packages, parsed and type-checked. Test files are not
 // loaded: the suite's invariants target production code, and tests
-// deliberately exercise the legacy compat surfaces the analyzers reject
-// (use `go vet -vettool` for test-inclusive runs).
+// deliberately exercise the legacy compat surfaces the analyzers reject.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-export", "-json", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -114,7 +113,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 				paths = append(paths, filepath.Join(p.Dir, gf))
 			}
 		}
-		pkg, err := checkPackage(fset, imp, p.ImportPath, p.Dir, paths, "")
+		pkg, err := checkPackage(fset, imp, p.ImportPath, p.Dir, paths)
 		if err != nil {
 			return nil, err
 		}
@@ -124,21 +123,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// CheckFiles type-checks an explicit file list as one package — the
-// unitchecker entry point, where the go command has already planned the
-// build and supplies per-import export files through lookup.
-func CheckFiles(importPath string, goFiles []string, goVersion string, lookup func(path string) (io.ReadCloser, error)) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	var dir string
-	if len(goFiles) > 0 {
-		dir = filepath.Dir(goFiles[0])
-	}
-	return checkPackage(fset, imp, importPath, dir, goFiles, goVersion)
-}
-
 // checkPackage parses and type-checks one package's files (absolute paths).
-func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string, goVersion string) (*Package, error) {
+func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, gf := range goFiles {
 		f, err := parser.ParseFile(fset, gf, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -155,7 +141,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: imp, GoVersion: goVersion}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)

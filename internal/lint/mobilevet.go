@@ -5,8 +5,7 @@
 // boundaries via exported facts), map-order folds, the port-native
 // boundary, the round-view ownership contract (no view retained past its
 // round, carried across a round loop, or written through), and shard-worker
-// write isolation. cmd/mobilevet runs the suite standalone or as a
-// `go vet -vettool`.
+// write isolation. cmd/mobilevet runs the suite over go list patterns.
 package lint
 
 import (

@@ -19,14 +19,14 @@ import (
 type stopReplay struct{}
 
 // replayRuntime feeds the payload its incoming transcripts and captures the
-// outbox of round `stopAt`.
+// outbox of round `stopAt`. The embedded WrappedRuntime gives payloads both
+// exchange forms over one port-indexed simulation, exchange.
 type replayRuntime struct {
-	congest.Runtime
+	congest.WrappedRuntime
 	sim      *rewindSim
-	seed     int64
-	round    int
 	stopAt   int
-	captured map[graph.NodeID]congest.Msg
+	in       []congest.Msg
+	captured []congest.Msg
 	rng      *rand.Rand
 	output   any
 	done     bool
@@ -35,30 +35,32 @@ type replayRuntime struct {
 // Rand returns the replay-stable payload randomness.
 func (r *replayRuntime) Rand() *rand.Rand { return r.rng }
 
-// Round returns the simulated round.
-func (r *replayRuntime) Round() int { return r.round }
-
-// Shared exposes the payload's own artifact.
+// Shared exposes the payload's own artifact, nil included: falling back to
+// the base runtime would hand the payload the compiler's artifact.
 func (r *replayRuntime) Shared() any { return r.sim.sh.Payload }
 
 // SetOutput captures the payload output.
 func (r *replayRuntime) SetOutput(v any) { r.output = v }
 
-// Exchange serves transcript rounds locally and captures the stop round.
-func (r *replayRuntime) Exchange(out map[graph.NodeID]congest.Msg) map[graph.NodeID]congest.Msg {
-	if r.round == r.stopAt {
+// exchange serves transcript rounds locally as the port inbox and captures
+// the stop round's port-indexed outbox.
+func (r *replayRuntime) exchange(out []congest.Msg) []congest.Msg {
+	round := r.Round()
+	if round == r.stopAt {
 		r.captured = out
 		panic(stopReplay{})
 	}
-	in := make(map[graph.NodeID]congest.Msg)
-	for _, v := range r.sim.rt.Neighbors() {
-		t := r.sim.piIn[v]
-		if r.round < len(t) && t[r.round].present {
-			in[v] = unpackEntry(t[r.round])
+	nbs := r.Neighbors()
+	if r.in == nil {
+		r.in = make([]congest.Msg, len(nbs))
+	}
+	for p, v := range nbs {
+		r.in[p] = nil
+		if t := r.sim.piIn[v]; round < len(t) && t[round].present {
+			r.in[p] = unpackEntry(t[round])
 		}
 	}
-	r.round++
-	return in
+	return r.in
 }
 
 func unpackEntry(e entry) congest.Msg {
@@ -88,11 +90,11 @@ func packMsg(m congest.Msg) entry {
 // first), plus its output and termination flag.
 func (s *rewindSim) replay(payload congest.Protocol, gamma int) (map[graph.NodeID]entry, any, bool) {
 	rr := &replayRuntime{
-		Runtime: s.rt,
-		sim:     s,
-		stopAt:  gamma,
-		rng:     rand.New(rand.NewSource(s.payloadSeed)),
+		sim:    s,
+		stopAt: gamma,
+		rng:    rand.New(rand.NewSource(s.payloadSeed)),
 	}
+	rr.Base, rr.ExchangePortsFn = s.rt, rr.exchange
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -105,11 +107,14 @@ func (s *rewindSim) replay(payload congest.Protocol, gamma int) (map[graph.NodeI
 		rr.done = true
 	}()
 	out := make(map[graph.NodeID]entry, len(rr.captured))
-	for v, m := range rr.captured {
+	for p, m := range rr.captured {
+		if m == nil {
+			continue
+		}
 		if len(m) > 8 {
 			panic("rewind: payload message exceeds 8 bytes")
 		}
-		out[v] = packMsg(m)
+		out[rr.Neighbor(p)] = packMsg(m)
 	}
 	return out, rr.output, rr.done
 }

@@ -13,33 +13,61 @@ import (
 	"mobilecongest/internal/secure"
 )
 
+// payloadMode is how bufferFlood's nodes own the payloads they send.
+type payloadMode int
+
+const (
+	// freshPayload sends a newly allocated payload every round.
+	freshPayload payloadMode = iota
+	// reusedPayload encodes every round into one buffer and scribbles over
+	// it as soon as ExchangePorts returns, which the copy path allows.
+	reusedPayload
+	// lentPayload encodes into two buffers in turn and lends every
+	// exchange; right after each exchange returns it scribbles over the
+	// buffer lent at the exchange before, which the lending contract allows.
+	lentPayload
+	// brokenLend lends one buffer and scribbles over it right after its own
+	// exchange returns, while receivers may still read it: a breach of the
+	// lending contract that only the by-reference path can show.
+	brokenLend
+)
+
 // bufferFlood is a 2-byte flood whose node folds every inbox into a running
-// hash. With reuse set, each node encodes every round into one buffer it
-// allocates once, sends it on all ports, and scribbles over it as soon as
-// ExchangePorts returns — before reading the inbox — which the ownership
-// contract allows. Without reuse it sends a fresh payload each round. Any
-// layer that keeps a reference to a sent payload past the exchange (an
-// engine that does not copy at collection, a compiler that reads a payload
-// message after its simulated round) makes the two forms diverge.
-func bufferFlood(rounds int, reuse bool) Protocol {
+// hash, sending its payloads as mode says. Each scribble happens before the
+// node reads its inbox. Any layer that keeps a reference to a sent payload
+// longer than the mode allows (an engine that does not copy an unlent
+// payload, a compiler that reads a payload message after its simulated
+// round, a lent buffer delivered after its lender moved on) makes the form
+// diverge from freshPayload.
+func bufferFlood(rounds int, mode payloadMode) Protocol {
 	return func(rt congest.Runtime) {
 		pr := congest.Ports(rt)
 		best := uint16(rt.ID()) * 37 % 1000
 		acc := uint64(rt.ID())
-		buf := make(congest.Msg, 2)
+		bufs := [2]congest.Msg{make(congest.Msg, 2), make(congest.Msg, 2)}
 		for r := 0; r < rounds; r++ {
-			m := buf
-			if !reuse {
+			m := bufs[0]
+			switch mode {
+			case freshPayload:
 				m = make(congest.Msg, 2)
+			case lentPayload:
+				m = bufs[r%2]
 			}
 			m[0], m[1] = byte(best>>8), byte(best)
 			out := pr.OutBuf()
 			for p := range out {
 				out[p] = m
 			}
+			if mode == lentPayload || mode == brokenLend {
+				pr.LendOut()
+			}
 			in := pr.ExchangePorts(out)
-			if reuse {
+			switch {
+			case mode == reusedPayload || mode == brokenLend:
 				m[0], m[1] = 0xde, 0xad
+			case mode == lentPayload && r > 0:
+				prev := bufs[(r-1)%2]
+				prev[0], prev[1] = 0xde, 0xad
 			}
 			for p, mm := range in {
 				if len(mm) != 2 {
@@ -59,10 +87,13 @@ func bufferFlood(rounds int, reuse bool) Protocol {
 
 // TestPayloadBufferReuseContract pins the PortRuntime.ExchangePorts
 // ownership rule that the algorithms package's per-node payload buffers
-// rely on: a sender may overwrite a sent payload once the exchange returns.
-// The buffer-reusing flood must give the same Result as its copy-per-round
-// twin on every engine and on the reference simulator, bare and under every
-// compiler boundary that wraps a payload's exchange in a WrappedRuntime.
+// rely on — a sender may overwrite a sent payload once the exchange
+// returns — and its lending form, which rsim's frames rely on: a lent
+// payload may be overwritten once the exchange after it returns. The
+// buffer-reusing and the lending flood must give the same Result as their
+// copy-per-round twin on every engine and on the reference simulator, bare
+// and under every compiler boundary that wraps a payload's exchange in a
+// WrappedRuntime (where lending is a no-op).
 func TestPayloadBufferReuseContract(t *testing.T) {
 	const r = 3
 	circ := graph.Circulant(10, 2)
@@ -115,26 +146,60 @@ func TestPayloadBufferReuseContract(t *testing.T) {
 		for _, leg := range engines {
 			e := leg.e
 			t.Run(c.name+"/"+leg.name, func(t *testing.T) {
-				run := func(reuse bool) *congest.Result {
+				run := func(mode payloadMode) *congest.Result {
 					t.Helper()
 					cfg := congest.Config{Graph: c.g, Seed: 7, Shared: c.shared, MaxRounds: 1 << 23}
 					if c.adv != nil {
 						cfg.Adversary = c.adv(c.g)
 					}
-					res, err := e.Run(cfg, c.compile(bufferFlood(r, reuse)))
+					res, err := e.Run(cfg, c.compile(bufferFlood(r, mode)))
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res
 				}
-				want, got := run(false), run(true)
-				if got.Stats != want.Stats {
-					t.Fatalf("buffer-reusing payload stats %+v != copy-per-round %+v", got.Stats, want.Stats)
-				}
-				if !reflect.DeepEqual(got.Outputs, want.Outputs) {
-					t.Fatalf("buffer-reusing payload outputs %v != copy-per-round %v", got.Outputs, want.Outputs)
+				want := run(freshPayload)
+				for _, form := range []struct {
+					name string
+					mode payloadMode
+				}{{"buffer-reusing", reusedPayload}, {"lending", lentPayload}} {
+					got := run(form.mode)
+					if got.Stats != want.Stats {
+						t.Fatalf("%s payload stats %+v != copy-per-round %+v", form.name, got.Stats, want.Stats)
+					}
+					if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+						t.Fatalf("%s payload outputs %v != copy-per-round %v", form.name, got.Outputs, want.Outputs)
+					}
 				}
 			})
 		}
+	}
+}
+
+// TestBrokenLendDiverges is the negative control of the lending leg: a
+// node that scribbles over a lent buffer right after its own exchange
+// breaks the contract, and its receivers must see it on the engine, which
+// delivers lent payloads by reference. The reference simulator copies every
+// payload, so there the breach stays invisible. Were lending a silent copy,
+// the lending leg above would prove nothing. The control runs on the
+// single-shard engine only: across shards the breach is a data race, which
+// is what the race detector reports there (TestLendOutDeliversByReference
+// checks the by-reference path at two shards).
+func TestBrokenLendDiverges(t *testing.T) {
+	const r = 3
+	g := graph.Circulant(10, 2)
+	run := func(e Engine, mode payloadMode) []any {
+		t.Helper()
+		res, err := e.Run(congest.Config{Graph: g, Seed: 7}, bufferFlood(r, mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Outputs
+	}
+	if !reflect.DeepEqual(run(&refEngine{}, brokenLend), run(&refEngine{}, freshPayload)) {
+		t.Fatal("the reference delivered a lent payload by reference; it must copy")
+	}
+	if reflect.DeepEqual(run(EngineStep, brokenLend), run(EngineStep, freshPayload)) {
+		t.Fatal("step: scribbling a lent buffer right after its exchange went unseen; lent payloads are not delivered by reference")
 	}
 }

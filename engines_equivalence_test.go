@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,6 +36,9 @@ import (
 // Every trial additionally runs a port-vs-map protocol leg: the same
 // protocol logic written against the map Exchange on the reference and the
 // engines, which must be byte-identical to the port-native reference run.
+// Trials of the randomload family also run a lending leg: the same traffic
+// sent from buffers the nodes lend (lentLoad), which the engines deliver by
+// reference, again byte-identical to the reference run.
 //
 // Finally, every trial's step-engine run is pinned to
 // testdata/engine_equivalence_golden.txt: its Stats and digests of its
@@ -174,20 +178,22 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	}
 
 	// Each family yields the port-native protocol plus a map-Exchange mirror
-	// of the same logic, for the port-vs-map compat leg.
-	protoFams := []func(g *graph.Graph, r *rand.Rand) (string, Protocol, Protocol){
-		func(g *graph.Graph, r *rand.Rand) (string, Protocol, Protocol) {
+	// of the same logic, for the port-vs-map compat leg, and optionally a
+	// lending form of the same traffic, for the lending leg. Only randomload
+	// has one: lentLoad with its draws, whose map mirror is randomLoad.
+	protoFams := []func(g *graph.Graph, r *rand.Rand) (name string, port, mapMirror, lending Protocol){
+		func(g *graph.Graph, r *rand.Rand) (string, Protocol, Protocol, Protocol) {
 			rounds := g.Diameter() + 1 + r.Intn(3)
-			return fmt.Sprintf("floodmax(%d)", rounds), algorithms.FloodMax(rounds), mapFloodMax(rounds)
+			return fmt.Sprintf("floodmax(%d)", rounds), algorithms.FloodMax(rounds), mapFloodMax(rounds), nil
 		},
-		func(g *graph.Graph, r *rand.Rand) (string, Protocol, Protocol) {
+		func(g *graph.Graph, r *rand.Rand) (string, Protocol, Protocol, Protocol) {
 			rounds := g.Diameter() + 1
 			val := r.Uint64() % 1000
-			return fmt.Sprintf("broadcast(%d)", rounds), algorithms.Broadcast(0, val, rounds), mapBroadcast(0, val, rounds)
+			return fmt.Sprintf("broadcast(%d)", rounds), algorithms.Broadcast(0, val, rounds), mapBroadcast(0, val, rounds), nil
 		},
-		func(g *graph.Graph, r *rand.Rand) (string, Protocol, Protocol) {
+		func(g *graph.Graph, r *rand.Rand) (string, Protocol, Protocol, Protocol) {
 			rounds := 3 + r.Intn(6)
-			return fmt.Sprintf("randomload(%d)", rounds), portRandomLoad(rounds), randomLoad(rounds)
+			return fmt.Sprintf("randomload(%d)", rounds), portRandomLoad(rounds), randomLoad(rounds), lentLoad(rounds, 1, true)
 		},
 	}
 
@@ -253,7 +259,7 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	var golden []string
 	for trial := 0; trial < trials; trial++ {
 		gname, g := graphFams[rng.Intn(len(graphFams))](rng)
-		pname, proto, mapProto := protoFams[rng.Intn(len(protoFams))](g, rng)
+		pname, proto, mapProto, lendProto := protoFams[rng.Intn(len(protoFams))](g, rng)
 		f := 1 + rng.Intn(3)
 		advSeed := rng.Int63()
 		fam := advFams[rng.Intn(len(advFams))](g, f, advSeed)
@@ -327,11 +333,63 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 		for _, e := range []Engine{&refEngine{}, EngineStep, EngineShard} {
 			check("map protocol on "+e.Name(), run(e, mapProto))
 		}
+		// Lending leg: the same traffic sent from lent buffers, which the
+		// engines deliver by reference and the reference copies, must be
+		// indistinguishable from the copied run at every shard count.
+		if lendProto != nil {
+			check("lending protocol on reference", run(&refEngine{}, lendProto))
+			check("lending protocol on step", run(EngineStep, lendProto))
+			for _, sc := range []int{1, 2, runtime.GOMAXPROCS(0), 64} {
+				check(fmt.Sprintf("lending protocol on shard(%d)", sc), run(NewShardEngine(sc), lendProto))
+			}
+		}
 	}
 	checkGolden(t, engineEquivalenceGoldenFile, golden)
 }
 
 const engineEquivalenceGoldenFile = "testdata/engine_equivalence_golden.txt"
+
+// lentLoad is the lending protocol family of the equivalence suites. Each
+// round a node draws per port, from its private RNG, whether the port stays
+// silent (one in three, when silent is set) and a payload of minLen..24
+// random bytes. It writes the payloads into one of two per-port buffer sets
+// it owns, in turn, and lends every exchange, so a set is rewritten only
+// after the exchange following the one that lent it has returned. Inboxes
+// fold into a running hash with data-dependent early termination. With
+// minLen 1 and silent ports it draws exactly as randomLoad does, so the two
+// send byte-identical traffic; with minLen 0 some lent payloads are empty.
+func lentLoad(rounds, minLen int, silent bool) Protocol {
+	return func(rt congest.Runtime) {
+		pr := congest.Ports(rt)
+		sets := [2][]congest.Msg{make([]congest.Msg, pr.Degree()), make([]congest.Msg, pr.Degree())}
+		acc := uint64(rt.ID())
+		for r := 0; r < rounds; r++ {
+			bufs := sets[r%2]
+			out := pr.OutBuf()
+			for p := range out {
+				if silent && rt.Rand().Intn(3) == 0 {
+					continue // silent edge this round
+				}
+				n := minLen + rt.Rand().Intn(25-minLen)
+				m := slices.Grow(bufs[p][:0], n)[:n]
+				rt.Rand().Read(m)
+				bufs[p], out[p] = m, m
+			}
+			pr.LendOut()
+			in := pr.ExchangePorts(out)
+			for _, m := range in {
+				if m == nil {
+					continue
+				}
+				acc ^= congest.U64(m) + uint64(len(m))
+			}
+			if acc%13 == 0 {
+				break // early, data-dependent termination
+			}
+		}
+		rt.SetOutput(acc)
+	}
+}
 
 // runTraced runs proto on e and returns the run's per-round trace next to
 // its result.
@@ -377,7 +435,9 @@ func digest(b []byte) string {
 // passing trials, and the identical deterministic
 // congest.ErrBandwidthExceeded error — same smallest offender, same text —
 // on violating ones. Any divergence in where the engines check the budget
-// (collection order, shard boundaries) shows up here.
+// (collection order, shard boundaries) shows up here. Every trial runs a
+// copied load and a lending one (lentLoad), whose lent payloads the engines
+// deliver by reference, so a lent payload meets the same verdict.
 func TestEngineEquivalenceBandwidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xBA))
 	const trials = 60
@@ -421,11 +481,10 @@ func TestEngineEquivalenceBandwidth(t *testing.T) {
 		}
 	}
 
-	violations := 0
+	violations := map[string]int{} // per leg
 	for trial := 0; trial < trials; trial++ {
 		gname, g := graphFams[rng.Intn(len(graphFams))](rng)
 		rounds := 2 + rng.Intn(4)
-		proto := sizedLoad(rounds)
 		// Budget: mostly inside the 8..192-bit payload range (violating with
 		// seed-dependent offenders), sometimes 0 (unlimited) or generous.
 		var budget int
@@ -440,52 +499,62 @@ func TestEngineEquivalenceBandwidth(t *testing.T) {
 		seed := rng.Int63()
 		label := fmt.Sprintf("trial %d: %s rounds=%d bw=%d seed=%d", trial, gname, rounds, budget, seed)
 
-		run := func(e Engine) (*Result, []byte, error) {
-			res, rounds, err := runTraced(e, congest.Config{Graph: g, Seed: seed, Bandwidth: budget, MaxRounds: 1 << 16}, proto)
-			tr, jerr := json.Marshal(rounds)
-			if jerr != nil {
-				t.Fatal(jerr)
-			}
-			return res, tr, err
-		}
-
-		want, wtr, err1 := run(&refEngine{})
-		engines := []Engine{EngineStep, NewShardEngine(1), NewShardEngine(2),
-			NewShardEngine(runtime.GOMAXPROCS(0)), NewShardEngine(64)}
-		if err1 != nil {
-			if !errors.Is(err1, congest.ErrBandwidthExceeded) {
-				t.Fatalf("%s: unexpected error class: %v", label, err1)
-			}
-			violations++
-			for _, e := range engines {
-				_, _, err2 := run(e)
-				if err2 == nil || err2.Error() != err1.Error() {
-					t.Fatalf("%s: %s error %q, want %q", label, e.Name(), err2, err1)
+		// Every trial runs the copied traffic and the lending family's
+		// (lentLoad with 0..24-byte payloads, so some lent payloads are
+		// empty and some over budget), each against its own reference run.
+		for _, leg := range []struct {
+			name  string
+			proto Protocol
+		}{{"sized", sizedLoad(rounds)}, {"lending", lentLoad(rounds, 0, false)}} {
+			run := func(e Engine) (*Result, []byte, error) {
+				res, rounds, err := runTraced(e, congest.Config{Graph: g, Seed: seed, Bandwidth: budget, MaxRounds: 1 << 16}, leg.proto)
+				tr, jerr := json.Marshal(rounds)
+				if jerr != nil {
+					t.Fatal(jerr)
 				}
+				return res, tr, err
 			}
-			continue
-		}
-		wout := fmt.Sprintf("%#v", want.Outputs)
-		for _, e := range engines {
-			res, trb, err2 := run(e)
-			if err2 != nil {
-				t.Fatalf("%s: %s failed where the reference passed: %v", label, e.Name(), err2)
+
+			want, wtr, err1 := run(&refEngine{})
+			engines := []Engine{EngineStep, NewShardEngine(1), NewShardEngine(2),
+				NewShardEngine(runtime.GOMAXPROCS(0)), NewShardEngine(64)}
+			if err1 != nil {
+				if !errors.Is(err1, congest.ErrBandwidthExceeded) {
+					t.Fatalf("%s %s: unexpected error class: %v", label, leg.name, err1)
+				}
+				violations[leg.name]++
+				for _, e := range engines {
+					_, _, err2 := run(e)
+					if err2 == nil || err2.Error() != err1.Error() {
+						t.Fatalf("%s %s: %s error %q, want %q", label, leg.name, e.Name(), err2, err1)
+					}
+				}
+				continue
 			}
-			if res.Stats != want.Stats {
-				t.Fatalf("%s: stats differ on %s:\n reference %+v\n engine    %+v",
-					label, e.Name(), want.Stats, res.Stats)
-			}
-			if out := fmt.Sprintf("%#v", res.Outputs); out != wout {
-				t.Fatalf("%s: outputs differ on %s:\n reference %s\n engine    %s",
-					label, e.Name(), wout, out)
-			}
-			if string(trb) != string(wtr) {
-				t.Fatalf("%s: traces differ on %s", label, e.Name())
+			wout := fmt.Sprintf("%#v", want.Outputs)
+			for _, e := range engines {
+				res, trb, err2 := run(e)
+				if err2 != nil {
+					t.Fatalf("%s %s: %s failed where the reference passed: %v", label, leg.name, e.Name(), err2)
+				}
+				if res.Stats != want.Stats {
+					t.Fatalf("%s %s: stats differ on %s:\n reference %+v\n engine    %+v",
+						label, leg.name, e.Name(), want.Stats, res.Stats)
+				}
+				if out := fmt.Sprintf("%#v", res.Outputs); out != wout {
+					t.Fatalf("%s %s: outputs differ on %s:\n reference %s\n engine    %s",
+						label, leg.name, e.Name(), wout, out)
+				}
+				if string(trb) != string(wtr) {
+					t.Fatalf("%s %s: traces differ on %s", label, leg.name, e.Name())
+				}
 			}
 		}
 	}
-	if violations == 0 {
-		t.Fatal("corpus produced no bandwidth violations; budgets no longer straddle the size distribution")
+	for _, leg := range []string{"sized", "lending"} {
+		if violations[leg] == 0 {
+			t.Fatalf("%s corpus produced no bandwidth violations; budgets no longer straddle the size distribution", leg)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package mobilecongest
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -52,6 +53,56 @@ func TestHardenedCliqueGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, hardenedGoldenFile, got)
+}
+
+// TestHardenedCliqueMatchesReference checks the Theorem 1.6 compiler, whose
+// rsim frames the engines deliver by reference, against the reference
+// simulator, which copies every payload: on a small byzantine cell
+// (clique6, flip f=1), step and the shard engine at 1, 2, GOMAXPROCS and 64
+// shards must give the reference's Stats, outputs and trace byte for byte.
+func TestHardenedCliqueMatchesReference(t *testing.T) {
+	run := func(e Engine) (*Result, []byte) {
+		t.Helper()
+		tr := NewTraceObserver()
+		res, err := NewScenario(
+			WithTopology("clique", 6, 0),
+			WithProtocolName("hardened-clique"),
+			WithAdversaryName("flip", 1),
+			WithEngine(e),
+			WithSeed(1),
+			WithObserver(tr),
+		).Run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		b, err := json.Marshal(traceOf(e, tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, b
+	}
+	want, wtr := run(&refEngine{})
+	if want.Stats.CorruptedEdgeRounds == 0 {
+		t.Fatal("the adversary corrupted nothing; the cell no longer exercises the byzantine path")
+	}
+	wout := fmt.Sprintf("%#v", want.Outputs)
+	check := func(name string, e Engine) {
+		t.Helper()
+		got, gtr := run(e)
+		if got.Stats != want.Stats {
+			t.Fatalf("%s: stats %+v, reference %+v", name, got.Stats, want.Stats)
+		}
+		if gout := fmt.Sprintf("%#v", got.Outputs); gout != wout {
+			t.Fatalf("%s: outputs differ from the reference:\n reference %s\n engine    %s", name, wout, gout)
+		}
+		if string(gtr) != string(wtr) {
+			t.Fatalf("%s: trace differs from the reference", name)
+		}
+	}
+	check("step", EngineStep)
+	for _, sc := range []int{1, 2, runtime.GOMAXPROCS(0), 64} {
+		check(fmt.Sprintf("shard(%d)", sc), NewShardEngine(sc))
+	}
 }
 
 // checkGolden compares got line by line with the golden file at path, or

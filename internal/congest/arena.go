@@ -5,8 +5,11 @@ package congest
 // headers, a round buffer stores one 8-byte msgRef per slot — a packed
 // (chunk, offset, length) view into a per-round byte arena — and the payload
 // bytes themselves live contiguously in the arena. Collection copies each
-// outbox payload into the arena (so the engine never aliases
-// protocol-owned buffers), and every downstream reader — the adversary's
+// outbox payload into the arena, so the sender may reuse its buffer once the
+// exchange returns. A payload the sender lent (PortRuntime.LendOut) is not
+// copied: the arena keeps a capacity-clipped reference to the sender's bytes
+// in its spill list, which the lending contract keeps unchanged until every
+// receiver has moved on. Every downstream reader — the adversary's
 // RoundTraffic Get path, the delivery gather, the observers — resolves the
 // view back to a []byte subslice without allocating. The arena is truncated,
 // not freed, each round, so a warm run's rounds allocate nothing.
@@ -28,7 +31,8 @@ package congest
 // Oversized payloads and chunk-offset overflows take the spill path: the
 // payload is cloned into the chunk's spill list and the offset field holds
 // the spill index (the length field is unused there — spilled payloads carry
-// their own length). The budget check converts lengths to bits (8·len).
+// their own length). Lent payloads take the same path without the clone.
+// The budget check converts lengths to bits (8·len).
 type msgRef uint64
 
 const (
@@ -68,6 +72,7 @@ var emptyMsg = Msg{}
 type msgArena struct {
 	chunks [][]byte
 	spill  [][]Msg
+	lent   []bool // per chunk: lend kept a sender's buffer since takeLent
 }
 
 // ensure grows the writer count to at least n chunks.
@@ -77,6 +82,9 @@ func (a *msgArena) ensure(n int) {
 	}
 	for len(a.spill) < n {
 		a.spill = append(a.spill, nil)
+	}
+	for len(a.lent) < n {
+		a.lent = append(a.lent, false)
 	}
 }
 
@@ -95,13 +103,29 @@ func (a *msgArena) reset() {
 	for k := range a.chunks {
 		a.chunks[k] = a.chunks[k][:0]
 	}
+	a.releaseSpill()
+}
+
+// releaseSpill drops every spilled payload reference — the clones and the
+// lent senders' buffers — keeping the lists' capacities.
+func (a *msgArena) releaseSpill() {
 	for k := range a.spill {
 		sp := a.spill[k]
-		for i := range sp {
-			sp[i] = nil
-		}
+		clear(sp)
 		a.spill[k] = sp[:0]
 	}
+}
+
+// takeLent reports whether lend kept a sender's buffer in any chunk since
+// the last call, and forgets it. The record outlives reset, so it covers a
+// whole run.
+func (a *msgArena) takeLent() bool {
+	lent := false
+	for k := range a.lent {
+		lent = lent || a.lent[k]
+		a.lent[k] = false
+	}
+	return lent
 }
 
 // put copies m's bytes into chunk k and returns the packed reference.
@@ -122,9 +146,24 @@ func (a *msgArena) put(k int, m Msg) msgRef {
 	return packRef(k, off, len(m))
 }
 
+// lend records m in chunk k without copying it: the spill list keeps
+// m[:len(m):len(m)], whose clipped capacity stops a receiver's append from
+// reaching the sender's buffer. A zero-length payload and a spill-index
+// overflow take put instead. The same concurrency rule as put applies.
+func (a *msgArena) lend(k int, m Msg) msgRef {
+	idx := len(a.spill[k])
+	if len(m) == 0 || idx > refMaxOff {
+		return a.put(k, m)
+	}
+	a.spill[k] = append(a.spill[k], m[:len(m):len(m)])
+	a.lent[k] = true
+	return refPresent | refSpill | msgRef(k)<<refChunkShift | msgRef(idx)
+}
+
 // get resolves a reference to its payload bytes: nil for a silent slot, a
 // shared canonical empty Msg for a present zero-byte one, otherwise a
-// capacity-clipped subslice of the owning chunk (or the spilled clone).
+// capacity-clipped subslice of the owning chunk (or the spilled clone or
+// lent payload).
 // Growing a chunk with later puts is safe for already-resolved slices —
 // append copies the prefix, and the superseded backing array stays valid and
 // is never rewritten.

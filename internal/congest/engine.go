@@ -73,6 +73,10 @@ type nodeCore struct {
 	outPending []Msg // slice handed to ExchangePorts, consumed at collection
 	badTo      graph.NodeID
 	badSend    bool // map compat Exchange addressed a non-neighbor; abort at collection
+	// outLent says LendOut covers outPending; it is read and cleared with
+	// it. It sits in badSend's tail padding, so it adds no bytes to a
+	// nodeCore.
+	outLent bool
 }
 
 func (s *nodeCore) ID() graph.NodeID          { return s.id }
@@ -109,6 +113,7 @@ func (s *nodeCore) Degree() int                 { return len(s.neighbors) }
 func (s *nodeCore) Neighbor(p int) graph.NodeID { return s.neighbors[p] }
 func (s *nodeCore) Port(v graph.NodeID) int     { return portIndex(s.neighbors, v) }
 func (s *nodeCore) OutBuf() []Msg               { return s.outBuf }
+func (s *nodeCore) LendOut()                    { s.outLent = true }
 
 // mapOutToPorts folds a legacy map outbox into the port outbox. A send to a
 // non-neighbor is recorded (smallest offender, for a deterministic error)

@@ -40,17 +40,29 @@ type PortRuntime interface {
 	// the port-native twin of Exchange.
 	//
 	// Ownership: the engine consumes out (entries are cleared during
-	// collection, and each payload's bytes are copied into the round's
-	// packed arena) and owns the returned inbox, which is only valid until
-	// the next exchange — delivered payloads are arena-backed views the
-	// engine rewrites two rounds later. A protocol must not retain or mutate
-	// received messages in place (copy what it keeps). A sent Msg must stay
-	// untouched until the exchange returns; after that the sender may reuse
-	// its payload buffer, so a node can encode every round into one buffer
-	// it allocates once. Sending one Msg on several ports is fine. A
-	// WrappedRuntime's ExchangePortsFn upholds the same rule: it copies or
-	// consumes every payload message before it returns.
+	// collection) and owns the returned inbox, which is only valid until
+	// the next exchange — delivered payloads are views the engine rewrites
+	// or releases two rounds later. A protocol must not retain or mutate
+	// received messages in place (copy what it keeps). Unless the exchange
+	// was lent (LendOut), each payload's bytes are copied into the round's
+	// packed arena: a sent Msg must stay untouched until the exchange
+	// returns, and after that the sender may reuse its payload buffer, so a
+	// node can encode every round into one buffer it allocates once. Sending
+	// one Msg on several ports is fine. A WrappedRuntime's ExchangePortsFn
+	// upholds the same rule: it copies or consumes every payload message
+	// before it returns.
 	ExchangePorts(out []Msg) []Msg
+	// LendOut lends the payloads of the node's next ExchangePorts to the
+	// engine, which may deliver them to the receivers by reference instead
+	// of copying them. The flag covers that one exchange. The sender must
+	// own the lent bytes — never lend a received inbox view or a
+	// RoundTraffic.Get payload — and must not write a lent payload until
+	// the exchange after the lending one has returned: by then every
+	// receiver has called its own next exchange, so no reader is left. A
+	// node that re-sends an unchanged frame every round lends it and builds
+	// a changed one in a second buffer. Runtimes that copy anyway (a
+	// WrappedRuntime, the map shim) treat LendOut as a no-op.
+	LendOut()
 }
 
 // Ports returns rt's port-native interface: rt itself when it is already a
@@ -97,6 +109,10 @@ func (p *portShim) Shared() any               { return p.rt.Shared() }
 func (p *portShim) Exchange(out map[graph.NodeID]Msg) map[graph.NodeID]Msg {
 	return p.rt.Exchange(out)
 }
+
+// LendOut is a no-op: the shim folds the outbox into a map the underlying
+// runtime consumes like any other exchange.
+func (p *portShim) LendOut() {}
 
 func (p *portShim) Degree() int { return len(p.rt.Neighbors()) }
 

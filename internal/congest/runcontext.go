@@ -233,6 +233,26 @@ func (rc *RunContext) resetSlabs() {
 	clear(rc.inSlab)
 }
 
+// releaseLent is called when a run ends. A run that lent payloads, or one
+// that aborted (an error or a panic), may leave the context holding lent
+// buffers: in the port slabs' outbox entries and delivered inbox views, and
+// in the round arenas' spill lists. releaseLent drops those references, so
+// a context parked between runs pins no buffer a node lent. A run that
+// finished without lending leaves the slabs to the next run's resetSlabs.
+func (rc *RunContext) releaseLent(aborted bool) {
+	release := aborted
+	for a := range rc.cur.arenas {
+		release = rc.cur.arenas[a].takeLent() || release
+	}
+	if !release {
+		return
+	}
+	rc.resetSlabs()
+	for a := range rc.cur.arenas {
+		rc.cur.arenas[a].releaseSpill()
+	}
+}
+
 // nodeCores (re)derives the per-node state for a run. Node randomness is
 // seeded from seed in node-index order, so every engine — and every run
 // reusing this context — hands node i the same RNG stream for the same seed.

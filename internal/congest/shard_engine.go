@@ -215,7 +215,10 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 	if err != nil {
 		return nil, err
 	}
-	defer func() { core.runDone(err) }()
+	defer func() {
+		rc.releaseLent(err != nil)
+		core.runDone(err)
+	}()
 	n := core.g.N()
 
 	shards := e.shardCount(rc, n)
@@ -239,12 +242,13 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 	// coroutines parked inside a protocol that no later run can resume:
 	// drop the slab so the next run builds a fresh one. The round it
 	// abandoned may have collected slots no shard list recorded, so the
-	// round buffer is emptied whole.
+	// round buffer is emptied whole, and its slabs may hold lent payloads.
 	unwound := true
 	defer func() {
 		if unwound {
 			rc.closeCoroutines()
 			core.cur.discard()
+			rc.releaseLent(true)
 		}
 	}()
 
@@ -409,21 +413,25 @@ func (c *runCore) gather(lo, hi int32) {
 // collectShard folds one parked node's pending port outbox into the round's
 // collection buffer, consuming (clearing) it so the node's reusable OutBuf
 // comes back empty. Port p of node u is slot rowStart[u]+p by construction.
-// Each payload is copied into arena chunk k, and every newly occupied slot is
-// appended to touched, shard k's private list, which the engine merges in
-// shard order. Nodes are collected in ascending order within a list and shard
+// Each payload is copied into arena chunk k — or, when the node lent its
+// outbox (LendOut), recorded in the chunk by reference, since the lending
+// contract keeps the sender's bytes unchanged until every receiver has moved
+// on. The lending flag covers this one collection: it is read and cleared
+// together with the pending outbox. Every newly occupied slot is appended
+// to touched, shard k's private list, which the engine merges in shard
+// order. Nodes are collected in ascending order within a list and shard
 // ranges are ascending, so the buffer keeps its canonical ascending slot
 // order without a sort, and shards collect concurrently into their disjoint
 // CSR slot ranges without contending on the arena.
 //
 // It also surfaces the per-node validation errors: a map compat Exchange
 // that addressed a non-neighbor, a port outbox longer than the degree, and —
-// when the run declares a bandwidth budget — a message exceeding it. Ports
-// are walked in ascending order, so the offender an error names is
-// deterministic: the smallest (node, port) that violates.
+// when the run declares a bandwidth budget — a message exceeding it, lent or
+// not. Ports are walked in ascending order, so the offender an error names
+// is deterministic: the smallest (node, port) that violates.
 func (c *runCore) collectShard(nc *nodeCore, k int, touched *[]int32) error {
-	out := nc.outPending
-	nc.outPending = nil
+	out, lent := nc.outPending, nc.outLent
+	nc.outPending, nc.outLent = nil, false
 	if nc.badSend {
 		return badSendError(nc)
 	}
@@ -443,7 +451,11 @@ func (c *runCore) collectShard(nc *nodeCore, k int, touched *[]int32) error {
 		if refs[s] == 0 {
 			*touched = append(*touched, s)
 		}
-		refs[s] = arena.put(k, m)
+		if lent {
+			refs[s] = arena.lend(k, m)
+		} else {
+			refs[s] = arena.put(k, m)
+		}
 		out[p] = nil
 	}
 	return nil

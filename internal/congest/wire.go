@@ -188,6 +188,11 @@ func (w *WrappedRuntime) ExchangePorts(out []Msg) []Msg {
 	return in
 }
 
+// LendOut is a no-op: ExchangePortsFn copies or consumes every payload
+// before it returns, so the wrapper never delivers a sender's bytes by
+// reference.
+func (w *WrappedRuntime) LendOut() {}
+
 // SilentRound performs an Exchange sending nothing — handy for protocols
 // that must stay in lock-step while idle.
 func SilentRound(rt Runtime) {

@@ -142,7 +142,7 @@ func runF5(seed int64) (*Table, error) {
 				if rt.ID() == 0 {
 					payloads[0] = payload
 				}
-				got := rsim.BroadcastDown(rt, tv, payloads, depth, rep)
+				got := rsim.BroadcastDown(rt, new(rsim.Outbox), tv, payloads, depth, rep)
 				rt.SetOutput(len(got[0]) == 1 && got[0][0] == 0x5A)
 			}
 			res, err := runScenario(proto,
@@ -454,7 +454,7 @@ func runA2(seed int64) (*Table, error) {
 				if rt.ID() == 0 {
 					payloads[0] = payload
 				}
-				got := rsim.BroadcastDown(rt, tv, payloads, depth, repC)
+				got := rsim.BroadcastDown(rt, new(rsim.Outbox), tv, payloads, depth, repC)
 				rt.SetOutput(len(got[0]) == 1 && got[0][0] == 0x77)
 			}
 			res, err := runScenario(proto,

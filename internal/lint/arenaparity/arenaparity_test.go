@@ -1,6 +1,7 @@
 // Package arenaparity_test holds the fixtures of roundview's carried check,
-// which replaced the arenaparity analyzer: arena views that outlive a loop
-// calling ExchangePorts.
+// which replaced the arenaparity analyzer — arena views that outlive a loop
+// calling ExchangePorts — and of its lent check: received views stored into
+// an outbox the function lends (lent.go).
 package arenaparity_test
 
 import (

@@ -2,8 +2,11 @@
 // the engine's round views. Node inboxes and outboxes
 // (PortRuntime.ExchangePorts, OutBuf), RoundTraffic.Get payloads and
 // RoundViews all alias per-run buffers the engine reuses every round; the
-// inboxes and Get payloads live in parity double-buffered round arenas,
-// valid through the next round's collection and rewritten two rounds later.
+// inboxes and Get payloads live in parity double-buffered round arenas, or,
+// for a payload its sender lent (PortRuntime.LendOut), in the sender's own
+// buffer, which the sender keeps unchanged for as long. Either way a view
+// is valid through the next round's collection and rewritten two rounds
+// later.
 // A view kept past its round, carried across a round loop, or written
 // through corrupts silently: the bytes under the alias change with no fault
 // the race detector or a test can see, and the byte-identical cross-engine
@@ -11,7 +14,7 @@
 //
 // The analyzer makes one taint pass per function outside congest (the
 // engine owns the buffers) and records, for every local that aliases a view,
-// the kinds of view it aliases. Three checks read that taint:
+// the kinds of view it aliases. Four checks read that taint:
 //
 //   - retained: a round-scoped view stored into a struct field or a
 //     package-level variable, or captured by a closure that escapes via
@@ -23,14 +26,19 @@
 //     canonical reuse), and writing into the outbox passed to ExchangePorts
 //     (the engine copies payloads out of it at collection, within the
 //     parity window);
+//   - lent: in a function that calls PortRuntime.LendOut, an arena or
+//     read-only view stored into the outbox passed to ExchangePorts,
+//     anywhere in the function. The outbox exemption above assumes the
+//     engine copies; a lent payload is delivered by reference instead, and
+//     its sender must own it;
 //   - written: a store, ++/--, in-place sort or slices call, copy, append or
 //     clear through a read-only view. Every reader shares these buffers:
 //     observers see the same RoundView in attachment order, and a received
 //     message may not be mutated in place.
 //
 // The fixtures of each check live in the test package named after the
-// analyzer it replaced: slabretain (retained), arenaparity (carried) and
-// obsreadonly (written).
+// analyzer it replaced: slabretain (retained), arenaparity (carried and
+// lent) and obsreadonly (written).
 package roundview
 
 import (
@@ -92,9 +100,13 @@ func run(pass *analysis.Pass) error {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				c := &checker{pass: pass, taint: make(map[types.Object]kind)}
 				c.propagate(fd)
+				outbox := outboxes(pass.TypesInfo, fd.Body)
 				c.checkRetained(fd.Body)
-				c.checkCarried(fd.Body, nil, outboxes(pass.TypesInfo, fd.Body))
+				c.checkCarried(fd.Body, nil, outbox)
 				c.checkWritten(fd.Body)
+				if callsCongest(pass.TypesInfo, fd.Body, "LendOut") {
+					c.checkLent(fd.Body, outbox)
+				}
 			}
 		}
 	}
@@ -323,8 +335,33 @@ func (c *checker) checkCarried(n ast.Node, loop ast.Node, outbox map[types.Objec
 	})
 }
 
+// checkLent flags, in a function that lends its outbox (LendOut), an arena
+// or read-only view stored into a slice the function hands to
+// ExchangePorts. The engine delivers a lent payload by reference, so a
+// forwarded inbox view or Get payload would reach the receivers as another
+// node's buffer or a slot of the engine's arena, both rewritten while they
+// read it.
+func (c *checker) checkLent(body *ast.BlockStmt, outbox map[types.Object]bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		s, ok := n.(*ast.AssignStmt)
+		if !ok || len(s.Lhs) != len(s.Rhs) {
+			return true
+		}
+		for i, rhs := range s.Rhs {
+			if _, isIndex := ast.Unparen(s.Lhs[i]).(*ast.IndexExpr); !isIndex || c.kinds(rhs)&(arena|readOnly) == 0 {
+				continue
+			}
+			if root := lintutil.RootIdent(s.Lhs[i]); root != nil && outbox[c.objOf(root)] {
+				c.pass.Reportf(rhs.Pos(), "received view stored in lent outbox %s; the engine delivers lent payloads by reference — send a copy, or do not lend", root.Name)
+			}
+		}
+		return true
+	})
+}
+
 // outboxes collects the slices body hands to ExchangePorts: writes into
-// them are same-round sends the engine copies out at collection.
+// them are same-round sends the engine copies out at collection, unless
+// the function lends them (see checkLent).
 func outboxes(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	outbox := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -350,9 +387,14 @@ func callsExchange(info *types.Info, loop ast.Node) bool {
 	case *ast.RangeStmt:
 		body = l.Body
 	}
+	return callsCongest(info, body, "ExchangePorts")
+}
+
+// callsCongest reports whether n calls the named congest method.
+func callsCongest(info *types.Info, n ast.Node, name string) bool {
 	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && lintutil.IsCongestMethod(info, call, "ExchangePorts") {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && lintutil.IsCongestMethod(info, call, name) {
 			found = true
 		}
 		return !found

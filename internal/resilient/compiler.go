@@ -224,6 +224,7 @@ type simulator struct {
 	depth int
 	round int
 	in    []congest.Msg // the payload's port inbox, reused per round
+	out   rsim.Outbox   // the node's rsim frames, kept across calls
 
 	sketches sketch.RecoveryImages // per-tree sketch images, reused per iteration
 }

@@ -38,7 +38,7 @@ func (s *simulator) broadcastSeed() (uint64, bool) {
 	if isRoot {
 		msg = congest.PutU64(nil, s.rt.Rand().Uint64())
 	}
-	got, ok := ECCSafeBroadcast(s.rt, s.trees, s.seedPlan(), msg, s.depth, s.cfg.Rep)
+	got, ok := ECCSafeBroadcast(s.rt, &s.out, s.trees, s.seedPlan(), msg, s.depth, s.cfg.Rep)
 	if !ok {
 		return 0, false
 	}
@@ -69,7 +69,7 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 	locals := s.sketches.Build(seeds, sparsity, func(upd func(e sketch.Elem, f int64)) {
 		s.localStream(sent, est, upd)
 	})
-	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, wireMerge(sketch.EncodedSize(sparsity)), s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, wireMerge(sketch.EncodedSize(sparsity)), s.depth, s.cfg.Rep)
 
 	// Root: decode each tree's aggregate and take the across-tree majority
 	// of the canonical correction list.
@@ -96,7 +96,7 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 	} else if s.isRoot() {
 		corrMsg = encodeCorrections(nil)
 	}
-	got, ok := ECCSafeBroadcast(s.rt, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
+	got, ok := ECCSafeBroadcast(s.rt, &s.out, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
 	if !ok {
 		return nil, false
 	}
@@ -137,7 +137,7 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 		}
 		locals[ti] = buf
 	}
-	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, wireMerge(t*sketch.EncodedL0Size), s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, wireMerge(t*sketch.EncodedL0Size), s.depth, s.cfg.Rep)
 
 	var corrMsg []byte
 	if s.isRoot() && seedOK {
@@ -145,7 +145,7 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 	} else if s.isRoot() {
 		corrMsg = encodeCorrections(nil)
 	}
-	got, ok := ECCSafeBroadcast(s.rt, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
+	got, ok := ECCSafeBroadcast(s.rt, &s.out, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
 	if !ok {
 		return nil, false
 	}

@@ -132,8 +132,8 @@ func (p ECCPlan) decodeShares(shares [][]byte) ([]byte, bool) {
 // every node decodes the closest codeword (Lemma 3.6). Nodes other than the
 // root pass msg=nil. Returns the decoded message and whether decoding
 // succeeded. Must be invoked in lock-step by all nodes with identical plan,
-// depthBound and rep.
-func ECCSafeBroadcast(rt congest.Runtime, trees []rsim.TreeView, plan ECCPlan, msg []byte, depthBound, rep int) ([]byte, bool) {
+// depthBound and rep. ob is the node's rsim.Outbox.
+func ECCSafeBroadcast(rt congest.Runtime, ob *rsim.Outbox, trees []rsim.TreeView, plan ECCPlan, msg []byte, depthBound, rep int) ([]byte, bool) {
 	payloads := make([][]byte, len(trees))
 	isRoot := false
 	for _, tv := range trees {
@@ -152,7 +152,7 @@ func ECCSafeBroadcast(rt congest.Runtime, trees []rsim.TreeView, plan ECCPlan, m
 			}
 		}
 	}
-	got := rsim.BroadcastDown(rt, trees, payloads, depthBound, rep)
+	got := rsim.BroadcastDown(rt, ob, trees, payloads, depthBound, rep)
 	if isRoot && msg != nil {
 		// The root already knows the message.
 		padded := make([]byte, plan.MsgBytes)

@@ -240,7 +240,7 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 		seedMsg = congest.PutU64(nil, s.rt.Rand().Uint64())
 	}
 	seedPlan := resilient.NewECCPlan(k, 8)
-	seedBytes, seedOK := resilient.ECCSafeBroadcast(s.rt, s.trees, seedPlan, seedMsg, s.depth, s.cfg.Rep)
+	seedBytes, seedOK := resilient.ECCSafeBroadcast(s.rt, &s.out, s.trees, seedPlan, seedMsg, s.depth, s.cfg.Rep)
 	seed := congest.U64(seedBytes)
 
 	// The word stream: what I sent this phase (re-encoded) and what I
@@ -267,7 +267,7 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 	locals := s.sketches.Build(seeds, sparsity, stream)
 	size := sketch.EncodedSize(sparsity)
 	merge := func(_ int, a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
-	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, merge, s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, merge, s.depth, s.cfg.Rep)
 
 	// Root: decode per tree, majority across trees, broadcast.
 	type fix struct {
@@ -298,7 +298,7 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 		corrMsg = encodeFixes(nil)
 	}
 	plan := resilient.NewECCPlan(k, 2+12*(sparsity))
-	got, ok := resilient.ECCSafeBroadcast(s.rt, s.trees, plan, corrMsg, s.depth, s.cfg.Rep)
+	got, ok := resilient.ECCSafeBroadcast(s.rt, &s.out, s.trees, plan, corrMsg, s.depth, s.cfg.Rep)
 	out := make(map[graph.NodeID]initMsg, len(nbs))
 	for v, m := range recv {
 		out[v] = m
@@ -417,8 +417,8 @@ func (s *rewindSim) aggregateState(goodLocal, myLen uint64) (good uint64, maxLen
 		}
 		return congest.PutU64(congest.PutU64(nil, g), l)
 	}
-	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, merge, s.depth, s.cfg.Rep)
-	got := rsim.BroadcastDown(s.rt, s.trees, rootAggs, s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, merge, s.depth, s.cfg.Rep)
+	got := rsim.BroadcastDown(s.rt, &s.out, s.trees, rootAggs, s.depth, s.cfg.Rep)
 	votes := make(map[[2]uint64]int)
 	for _, m := range got {
 		if len(m) >= 16 {

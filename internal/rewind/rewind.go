@@ -122,6 +122,7 @@ type rewindSim struct {
 	lastInitSent map[graph.NodeID][]uint64
 
 	sketches sketch.RecoveryImages // per-tree correction sketches, reused per phase
+	out      rsim.Outbox           // the node's rsim frames, kept across calls
 
 	trace Trace
 }

@@ -11,9 +11,28 @@ import (
 	"mobilecongest/internal/treepack"
 )
 
+// refFrames is the reference's outbox: fresh per-port frames, built in
+// every round and sent without lending.
+type refFrames [][]byte
+
+func (f refFrames) add(port, treeID int, payload []byte) {
+	f[port] = appendSection(f[port], treeID, payload)
+}
+
+func (f refFrames) exchange(pr congest.PortRuntime) []congest.Msg {
+	out := pr.OutBuf()
+	for p, fr := range f {
+		if len(fr) > 0 {
+			out[p] = fr
+		}
+	}
+	return pr.ExchangePorts(out)
+}
+
 // refBroadcastDown is the reference BroadcastDown: it rebuilds every frame
-// from scratch in every round.
-func refBroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
+// from scratch in every round. It takes an Outbox only to share
+// BroadcastDown's signature.
+func refBroadcastDown(rt congest.Runtime, _ *Outbox, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
 	pr := congest.Ports(rt)
 	have := make([][]byte, len(trees))
 	commits := make([]committer, len(trees))
@@ -24,7 +43,7 @@ func refBroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, d
 		commits[j] = newCommitter(rep)
 	}
 	for r := 0; r < Rounds(depthBound, rep); r++ {
-		fr := make(frames, pr.Degree())
+		fr := make(refFrames, pr.Degree())
 		for j, tv := range trees {
 			if tv.Depth < 0 || have[j] == nil {
 				continue
@@ -52,7 +71,7 @@ func refBroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, d
 
 // refConvergecastUp is the reference ConvergecastUp: it rebuilds every
 // frame from scratch in every round.
-func refConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
+func refConvergecastUp(rt congest.Runtime, _ *Outbox, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
 	pr := congest.Ports(rt)
 	commits := make([][]committer, len(trees))
 	ready := make([][]byte, len(trees))
@@ -69,7 +88,7 @@ func refConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, me
 		}
 	}
 	for r := 0; r < Rounds(depthBound, rep); r++ {
-		fr := make(frames, pr.Degree())
+		fr := make(refFrames, pr.Degree())
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || ready[j] == nil {
 				continue
@@ -113,21 +132,59 @@ func refConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, me
 	return res
 }
 
-// frameRecorder is a PortRuntime that logs a copy of every outbox it sends.
+// frameRecorder is a PortRuntime that logs a copy of every outbox it sends
+// and checks the lending contract. For every exchange lent by LendOut it
+// keeps each frame's view next to a copy; when the following exchange
+// returns, every view must still equal its copy, since the engine may
+// deliver a lent frame by reference until then. The first breach is kept in
+// broken, naming the frame.
 type frameRecorder struct {
 	congest.PortRuntime
 	rounds [][]congest.Msg
+	lends  int         // exchanges lent
+	lend   bool        // LendOut was called for the next exchange
+	lent   []lentFrame // the frames lent at the previous exchange
+	broken string
+}
+
+// lentFrame is one frame lent on port at exchange: the view the engine
+// received and a copy taken when it was sent.
+type lentFrame struct {
+	exchange, port int
+	view, sent     congest.Msg
+}
+
+func (r *frameRecorder) LendOut() {
+	r.lend = true
+	r.PortRuntime.LendOut()
 }
 
 func (r *frameRecorder) ExchangePorts(out []congest.Msg) []congest.Msg {
+	x := len(r.rounds)
 	sent := make([]congest.Msg, len(out))
+	var lent []lentFrame
 	for p, m := range out {
 		if m != nil {
 			sent[p] = append(congest.Msg{}, m...)
+			if r.lend {
+				lent = append(lent, lentFrame{exchange: x, port: p, view: m, sent: sent[p]})
+			}
 		}
 	}
 	r.rounds = append(r.rounds, sent)
-	return r.PortRuntime.ExchangePorts(out)
+	if r.lend {
+		r.lends++
+	}
+	r.lend = false
+	in := r.PortRuntime.ExchangePorts(out)
+	for _, f := range r.lent {
+		if r.broken == "" && !bytes.Equal(f.view, f.sent) {
+			r.broken = fmt.Sprintf("frame lent on port %d at exchange %d was rewritten before exchange %d returned: %x, lent as %x",
+				f.port, f.exchange, x, f.view, f.sent)
+		}
+	}
+	r.lent = lent
+	return in
 }
 
 // heapPacking packs k trees on n nodes: tree j is a binary heap over the
@@ -158,9 +215,12 @@ func foldXor(_ int, a, b []byte) []byte {
 }
 
 // oracleRun is one node's record of a broadcast followed by a convergecast:
-// every frame it sent, and both results.
+// every frame it sent, how many exchanges it lent, the first breach of the
+// lending contract, and both results.
 type oracleRun struct {
 	frames   [][]congest.Msg
+	lends    int
+	broken   string
 	down, up [][]byte
 }
 
@@ -168,7 +228,10 @@ type oracleRun struct {
 // rebuild a frame only after a tree commits, send in every round exactly the
 // frames the rebuild-every-round reference sends, on a depth-3 packing where
 // trees commit level by level mid-call, fault-free and under a mobile flip
-// adversary that delays commits.
+// adversary that delays commits. Both calls share one Outbox, as a compiler
+// node's calls do, and lend every exchange; the recorder checks that no
+// frame lent at one exchange is rewritten before the next one returns,
+// within a call and across the two.
 func TestFramesMatchRebuildEveryRound(t *testing.T) {
 	const n, k, depth, rep = 10, 4, 3, 3
 	g := graph.Clique(n)
@@ -193,10 +256,11 @@ func TestFramesMatchRebuildEveryRound(t *testing.T) {
 				}
 				locals[j] = []byte{byte(rt.ID()), byte(j), byte(rt.ID() * 7)}
 			}
+			var ob Outbox
 			var out oracleRun
-			out.down = down(rec, views, payloads, depth, rep)
-			out.up = up(rec, views, locals, foldXor, depth, rep)
-			out.frames = rec.rounds
+			out.down = down(rec, &ob, views, payloads, depth, rep)
+			out.up = up(rec, &ob, views, locals, foldXor, depth, rep)
+			out.frames, out.lends, out.broken = rec.rounds, rec.lends, rec.broken
 			rt.SetOutput(out)
 		}
 		var adv congest.Adversary
@@ -215,6 +279,12 @@ func TestFramesMatchRebuildEveryRound(t *testing.T) {
 			got, want := run(f, true), run(f, false)
 			rebuilt := [2]bool{} // a non-empty frame changed mid-call, per primitive
 			for v := range got {
+				if got[v].broken != "" {
+					t.Fatalf("node %d: %s", v, got[v].broken)
+				}
+				if got[v].lends != 2*callRounds {
+					t.Fatalf("node %d: lent %d of %d exchanges", v, got[v].lends, 2*callRounds)
+				}
 				if fmt.Sprint(got[v].down, got[v].up) != fmt.Sprint(want[v].down, want[v].up) {
 					t.Fatalf("node %d: results differ from the reference", v)
 				}

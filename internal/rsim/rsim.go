@@ -20,15 +20,19 @@
 // which is exactly the load-eta scheduling of Lemma 3.3 (an adversary
 // corrupting the edge corrupts all eta trees on it, as in the paper).
 //
-// Buffer ownership: each call builds its outgoing frames in one buffer per
-// port and re-sends them unchanged every round. A frame's content depends
-// only on which trees this node has committed, so a call rebuilds its frames
-// in place, in the same tree order, only in a round after a tree it forwards
-// committed. That relies on the congest.PortRuntime contract that every
-// engine copies outbox bytes into its round arena at collection, so a sender
-// may send the same buffer again once the exchange returns. Received frames
-// are arena views, so a committer copies a candidate value out once, before
-// the engine's parity double-buffering rewrites the view.
+// Buffer ownership: each node keeps one Outbox across calls, with two sets
+// of per-port frame buffers, and re-sends its current set unchanged every
+// round. A frame's content depends only on which trees this node has
+// committed, so a call rebuilds its frames, in the same tree order, only in
+// a round after a tree it forwards committed. Every exchange lends the
+// frames to the engine (congest.PortRuntime.LendOut), which delivers them
+// by reference instead of copying them into its round arena. A rebuild
+// therefore switches to the other set: the set lent at the previous
+// exchange stays untouched until the exchange after it has returned, as the
+// lending contract requires, and the set it writes was last lent before
+// that. Received frames are views into other nodes' frames or into the
+// engine's arena, so a committer copies a candidate value out once, before
+// the sender or the engine rewrites the view.
 package rsim
 
 import (
@@ -160,30 +164,47 @@ func section(m congest.Msg, treeID int) (payload []byte, ok bool) {
 	return payload, ok
 }
 
-// frames holds one outgoing frame per port, kept across rounds and rebuilt
-// in place only after a commit (see the package doc for why reuse is safe).
-type frames [][]byte
+// Outbox is one node's outgoing frames: two sets of per-port frame buffers,
+// of which one is current. A node keeps one Outbox across its
+// BroadcastDown and ConvergecastUp calls, so the buffers grow once per run
+// rather than once per call. The zero value is ready to use. An Outbox
+// belongs to one node and one runtime; the package doc explains why the
+// second set makes lending its frames safe.
+type Outbox struct {
+	sets [2][][]byte
+	cur  int
+}
 
-// reset empties every frame ahead of a rebuild, keeping the buffers.
-func (f frames) reset() {
+// reset switches to the other set and empties its frames ahead of a
+// rebuild, keeping the buffers. The set it leaves may have been lent at the
+// previous exchange, whose receivers may still be reading it.
+func (o *Outbox) reset(degree int) {
+	o.cur ^= 1
+	f := o.sets[o.cur]
+	if len(f) != degree {
+		f = make([][]byte, degree)
+		o.sets[o.cur] = f
+	}
 	for p := range f {
 		f[p] = f[p][:0]
 	}
 }
 
-func (f frames) add(port, treeID int, payload []byte) {
+func (o *Outbox) add(port, treeID int, payload []byte) {
+	f := o.sets[o.cur]
 	f[port] = appendSection(f[port], treeID, payload)
 }
 
-// exchange sends every non-empty frame and returns the round's inbox. The
-// frames stay as they are, ready to be sent again.
-func (f frames) exchange(pr congest.PortRuntime) []congest.Msg {
+// exchange lends every non-empty frame of the current set and returns the
+// round's inbox. The frames stay as they are, ready to be sent again.
+func (o *Outbox) exchange(pr congest.PortRuntime) []congest.Msg {
 	out := pr.OutBuf()
-	for p, fr := range f {
+	for p, fr := range o.sets[o.cur] {
 		if len(fr) > 0 {
 			out[p] = fr
 		}
 	}
+	pr.LendOut()
 	return pr.ExchangePorts(out)
 }
 
@@ -236,8 +257,8 @@ func (c *committer) Offer(v []byte) bool {
 // Runs Rounds(depthBound, rep) physical rounds and returns this node's
 // received payload per tree (nil when the tree never committed — a failed
 // tree). Every participating node must call it at the same round with the
-// same depthBound and rep.
-func BroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
+// same depthBound and rep. ob is the node's Outbox.
+func BroadcastDown(rt congest.Runtime, ob *Outbox, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
 	pr := congest.Ports(rt)
 	have := make([][]byte, len(trees))
 	commits := make([]committer, len(trees))
@@ -247,25 +268,24 @@ func BroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, dept
 		}
 		commits[j] = newCommitter(rep)
 	}
-	fr := make(frames, pr.Degree())
 	total := Rounds(depthBound, rep)
 	stale := true // a tree this node forwards committed since the last build
 	for r := 0; r < total; r++ {
 		if stale {
-			fr.reset()
+			ob.reset(pr.Degree())
 			for j, tv := range trees {
 				if tv.Depth < 0 || have[j] == nil {
 					continue
 				}
 				for _, c := range tv.Children {
 					if p := pr.Port(c); p >= 0 {
-						fr.add(p, j, have[j])
+						ob.add(p, j, have[j])
 					}
 				}
 			}
 			stale = false
 		}
-		in := fr.exchange(pr)
+		in := ob.exchange(pr)
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || have[j] != nil {
 				continue
@@ -295,8 +315,9 @@ type MergeFn func(treeIdx int, a, b []byte) []byte
 // aggregate — only once all children have committed, so retransmissions are
 // identical and the parent's commit threshold applies. Returns, at each
 // tree's root, the tree aggregate (nil elsewhere or on failure). Must be
-// called in lock-step by all nodes with equal depthBound and rep.
-func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
+// called in lock-step by all nodes with equal depthBound and rep. ob is the
+// node's Outbox.
+func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
 	pr := congest.Ports(rt)
 	// commits[first[j]+i] tracks child i of tree j.
 	first := make([]int, len(trees)+1)
@@ -316,23 +337,22 @@ func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge
 			ready[j] = locals[j]
 		}
 	}
-	fr := make(frames, pr.Degree())
 	total := Rounds(depthBound, rep)
 	stale := true // a tree this node forwards committed since the last build
 	for r := 0; r < total; r++ {
 		if stale {
-			fr.reset()
+			ob.reset(pr.Degree())
 			for j, tv := range trees {
 				if tv.Depth <= 0 || tv.Parent < 0 || ready[j] == nil {
 					continue
 				}
 				if p := pr.Port(tv.Parent); p >= 0 {
-					fr.add(p, j, ready[j])
+					ob.add(p, j, ready[j])
 				}
 			}
 			stale = false
 		}
-		in := fr.exchange(pr)
+		in := ob.exchange(pr)
 		for j, tv := range trees {
 			if tv.Depth < 0 || ready[j] != nil {
 				continue

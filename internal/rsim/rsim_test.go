@@ -74,7 +74,7 @@ func TestBroadcastDownFaultFree(t *testing.T) {
 				payloads[j] = payload
 			}
 		}
-		got := BroadcastDown(rt, views, payloads, 2, 3)
+		got := BroadcastDown(rt, new(Outbox), views, payloads, 2, 3)
 		okAll := true
 		for j := range got {
 			if !bytes.Equal(got[j], payload) {
@@ -109,7 +109,7 @@ func TestBroadcastDownUnderMobileAdversary(t *testing.T) {
 				payloads[j] = payload
 			}
 		}
-		got := BroadcastDown(rt, views, payloads, 2, rep)
+		got := BroadcastDown(rt, new(Outbox), views, payloads, 2, rep)
 		good := 0
 		for j := range got {
 			if bytes.Equal(got[j], payload) {
@@ -147,7 +147,7 @@ func TestConvergecastUpFaultFree(t *testing.T) {
 		for j := range views {
 			locals[j] = congest.U64Msg(uint64(rt.ID()) + 1)
 		}
-		got := ConvergecastUp(rt, views, locals, mergeXor, 2, 3)
+		got := ConvergecastUp(rt, new(Outbox), views, locals, mergeXor, 2, 3)
 		if rt.ID() == graph.NodeID(n-1) {
 			good := 0
 			for j := range got {
@@ -185,7 +185,7 @@ func TestConvergecastUnderMobileAdversary(t *testing.T) {
 		for j := range views {
 			locals[j] = congest.U64Msg(uint64(rt.ID()) + 1)
 		}
-		got := ConvergecastUp(rt, views, locals, mergeXor, 2, rep)
+		got := ConvergecastUp(rt, new(Outbox), views, locals, mergeXor, 2, rep)
 		if rt.ID() == graph.NodeID(n-1) {
 			good := 0
 			for j := range got {
@@ -224,7 +224,7 @@ func TestRSThreshold(t *testing.T) {
 		if rt.ID() == 0 {
 			payloads[0] = payload
 		}
-		got := BroadcastDown(rt, views, payloads, depth, rep)
+		got := BroadcastDown(rt, new(Outbox), views, payloads, depth, rep)
 		rt.SetOutput(bytes.Equal(got[0], payload))
 	}
 

@@ -68,6 +68,9 @@ func (v *refNode) Neighbor(p int) graph.NodeID { return v.Neighbors()[p] }
 func (v *refNode) OutBuf() []congest.Msg       { return v.outBuf }
 func (v *refNode) Port(u graph.NodeID) int     { return slices.Index(v.Neighbors(), u) }
 
+// LendOut is a no-op: the reference copies every payload at collection.
+func (v *refNode) LendOut() {}
+
 // ExchangePorts hands the outbox to the coordinator and blocks until the
 // round's inbox comes back. A closed deliver channel means the run aborted:
 // the node's goroutine exits.

@@ -41,7 +41,6 @@ const (
 // diverge from freshPayload.
 func bufferFlood(rounds int, mode payloadMode) Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		best := uint16(rt.ID()) * 37 % 1000
 		acc := uint64(rt.ID())
 		bufs := [2]congest.Msg{make(congest.Msg, 2), make(congest.Msg, 2)}
@@ -54,14 +53,14 @@ func bufferFlood(rounds int, mode payloadMode) Protocol {
 				m = bufs[r%2]
 			}
 			m[0], m[1] = byte(best>>8), byte(best)
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for p := range out {
 				out[p] = m
 			}
 			if mode == lentPayload || mode == brokenLend {
-				pr.LendOut()
+				rt.LendOut()
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			switch {
 			case mode == reusedPayload || mode == brokenLend:
 				m[0], m[1] = 0xde, 0xad
@@ -85,7 +84,7 @@ func bufferFlood(rounds int, mode payloadMode) Protocol {
 	}
 }
 
-// TestPayloadBufferReuseContract pins the PortRuntime.ExchangePorts
+// TestPayloadBufferReuseContract pins the Runtime.ExchangePorts
 // ownership rule that the algorithms package's per-node payload buffers
 // rely on — a sender may overwrite a sent payload once the exchange
 // returns — and its lending form, which rsim's frames rely on: a lent

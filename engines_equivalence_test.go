@@ -107,10 +107,9 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	}
 	portRandomLoad := func(rounds int) Protocol {
 		return func(rt congest.Runtime) {
-			pr := congest.Ports(rt)
 			acc := uint64(rt.ID())
 			for r := 0; r < rounds; r++ {
-				out := pr.OutBuf()
+				out := rt.OutBuf()
 				for p := range out {
 					if rt.Rand().Intn(3) == 0 {
 						continue // silent edge this round
@@ -119,7 +118,7 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 					rt.Rand().Read(m)
 					out[p] = m
 				}
-				in := pr.ExchangePorts(out)
+				in := rt.ExchangePorts(out)
 				for _, m := range in {
 					if m == nil {
 						continue
@@ -360,12 +359,11 @@ const engineEquivalenceGoldenFile = "testdata/engine_equivalence_golden.txt"
 // send byte-identical traffic; with minLen 0 some lent payloads are empty.
 func lentLoad(rounds, minLen int, silent bool) Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
-		sets := [2][]congest.Msg{make([]congest.Msg, pr.Degree()), make([]congest.Msg, pr.Degree())}
+		sets := [2][]congest.Msg{make([]congest.Msg, rt.Degree()), make([]congest.Msg, rt.Degree())}
 		acc := uint64(rt.ID())
 		for r := 0; r < rounds; r++ {
 			bufs := sets[r%2]
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for p := range out {
 				if silent && rt.Rand().Intn(3) == 0 {
 					continue // silent edge this round
@@ -375,8 +373,8 @@ func lentLoad(rounds, minLen int, silent bool) Protocol {
 				rt.Rand().Read(m)
 				bufs[p], out[p] = m, m
 			}
-			pr.LendOut()
-			in := pr.ExchangePorts(out)
+			rt.LendOut()
+			in := rt.ExchangePorts(out)
 			for _, m := range in {
 				if m == nil {
 					continue
@@ -463,16 +461,15 @@ func TestEngineEquivalenceBandwidth(t *testing.T) {
 	// which node violates first is seed-determined.
 	sizedLoad := func(rounds int) Protocol {
 		return func(rt congest.Runtime) {
-			pr := congest.Ports(rt)
 			acc := uint64(rt.ID())
 			for r := 0; r < rounds; r++ {
-				out := pr.OutBuf()
+				out := rt.OutBuf()
 				for p := range out {
 					m := make(congest.Msg, 1+rt.Rand().Intn(24))
 					rt.Rand().Read(m)
 					out[p] = m
 				}
-				in := pr.ExchangePorts(out)
+				in := rt.ExchangePorts(out)
 				for _, m := range in {
 					acc ^= congest.U64(m) + uint64(len(m))
 				}
@@ -600,8 +597,7 @@ func TestEngineAbortsMatchReference(t *testing.T) {
 		rt.Exchange(out)
 	}
 	longOutbox := func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
-		pr.ExchangePorts(make([]congest.Msg, pr.Degree()+int(rt.ID())%2))
+		rt.ExchangePorts(make([]congest.Msg, rt.Degree()+int(rt.ID())%2))
 	}
 	flood := algorithms.FloodMax(12)
 	// Two non-edges of circulant(10,2) around one edge, the smaller

@@ -31,19 +31,18 @@ func main() {
 // across all ports.
 func maxFlood(r int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		reading := uint16(congest.U64(rt.Input()))
 		best := reading
 		improved := true
 		for i := 0; i < r; i++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			if improved {
 				m := congest.Msg{byte(best >> 8), byte(best)}
 				for p := range out {
 					out[p] = m
 				}
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			improved = false
 			for _, m := range in {
 				if len(m) == 2 {

@@ -3,9 +3,9 @@
 // number of rounds (exchanging on every edge each round where needed), which
 // is the synchrony discipline the paper's round-by-round simulations assume.
 //
-// All protocols here are port-native: they program against
-// congest.PortRuntime (via congest.Ports), moving each round through the
-// runtime's reusable port buffers instead of allocating outbox/inbox maps.
+// All protocols here are port-native: they exchange through
+// congest.Runtime.ExchangePorts, moving each round through the runtime's
+// reusable port buffers instead of allocating outbox/inbox maps.
 // Each node encodes every round's payload into one buffer it allocates once
 // per run and sends that buffer on all of its ports: ExchangePorts copies
 // each sent payload before it returns, so the node may overwrite the buffer
@@ -41,16 +41,15 @@ func SumInputs(n int, seed int64) ([][]byte, uint64) {
 // payload.
 func FloodMax(rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		best := uint64(rt.ID())
 		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			m := congest.PutU64(buf[:0], best)
 			for p := range out {
 				out[p] = m
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for _, mm := range in {
 				if mm == nil {
 					continue
@@ -72,19 +71,18 @@ func FloodMax(rounds int) congest.Protocol {
 // smallest, so the protocol stays deterministic regardless of inbox order.
 func Broadcast(root graph.NodeID, value uint64, rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		var have uint64
 		if rt.ID() == root {
 			have = value
 		}
 		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			m := congest.PutU64(buf[:0], have)
 			for p := range out {
 				out[p] = m
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			if have == 0 {
 				for _, mm := range in {
 					if mm == nil {
@@ -107,19 +105,18 @@ func Broadcast(root graph.NodeID, value uint64, rounds int) congest.Protocol {
 // deterministic.
 func BroadcastInput(root graph.NodeID, rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		var have uint64
 		if rt.ID() == root {
 			have = congest.U64(rt.Input())
 		}
 		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			m := congest.PutU64(buf[:0], have)
 			for p := range out {
 				out[p] = m
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			if have == 0 {
 				for _, mm := range in {
 					if mm == nil {
@@ -146,7 +143,6 @@ type BFSResult struct {
 // parent. Wire format: distance+1 (so 0 means "unreached").
 func BFS(root graph.NodeID, rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		dist := -1
 		parent := graph.NodeID(-1)
 		if rt.ID() == root {
@@ -155,17 +151,17 @@ func BFS(root graph.NodeID, rounds int) congest.Protocol {
 		}
 		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			m := congest.PutU64(buf[:0], uint64(dist+1))
 			for p := range out {
 				out[p] = m
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for p, mm := range in {
 				if mm == nil {
 					continue
 				}
-				from := pr.Neighbor(p)
+				from := rt.Neighbor(p)
 				d := int(congest.U64(mm))
 				if d > 0 && (dist < 0 || d < dist+1) { // neighbour at distance d-1
 					if dist < 0 || d-1+1 < dist {
@@ -186,7 +182,6 @@ func BFS(root graph.NodeID, rounds int) congest.Protocol {
 // executed as a single fixed schedule so all nodes stay in lock-step.
 func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		myVal := congest.U64(rt.Input())
 		buf := make(congest.Msg, 0, 8)
 		// Phase 1: BFS layers.
@@ -197,12 +192,12 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 			parent = root
 		}
 		for r := 0; r < radius; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			m := congest.PutU64(buf[:0], uint64(dist+1))
 			for p := range out {
 				out[p] = m
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for p, mm := range in {
 				if mm == nil {
 					continue
@@ -210,7 +205,7 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 				d := int(congest.U64(mm))
 				if d > 0 && (dist < 0 || d < dist) {
 					dist = d
-					parent = pr.Neighbor(p)
+					parent = rt.Neighbor(p)
 				}
 			}
 		}
@@ -218,18 +213,18 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 		// at round radius-d; it accumulates child contributions first.
 		acc := myVal
 		for r := 0; r < radius; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			if dist > 0 && r == radius-dist {
-				if p := pr.Port(parent); p >= 0 {
+				if p := rt.Port(parent); p >= 0 {
 					out[p] = congest.PutU64(buf[:0], acc)
 				}
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for p, mm := range in {
 				if mm == nil {
 					continue
 				}
-				if from := pr.Neighbor(p); from != parent || rt.ID() == root {
+				if from := rt.Neighbor(p); from != parent || rt.ID() == root {
 					acc += congest.U64(mm)
 				}
 				// Late BFS ties can make two nodes claim each other; parent
@@ -242,14 +237,14 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 			total = acc
 		}
 		for r := 0; r < radius; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			m := congest.PutU64(buf[:0], total)
 			for p := range out {
 				out[p] = m
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			if total == 0 && parent >= 0 {
-				if p := pr.Port(parent); p >= 0 && in[p] != nil {
+				if p := rt.Port(parent); p >= 0 && in[p] != nil {
 					total = congest.U64(in[p])
 				}
 			}
@@ -265,15 +260,14 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 // value, making it a sharp correctness probe for the byzantine compilers.
 func TokenRing(rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
-		succPort := pr.Port(successor(rt))
+		succPort := rt.Port(successor(rt))
 		token := uint64(rt.ID()) + 1
 		var trace uint64
 		buf := make(congest.Msg, 0, 8)
 		for r := 0; r < rounds; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			out[succPort] = congest.PutU64(buf[:0], token)
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for _, mm := range in {
 				if mm == nil {
 					continue

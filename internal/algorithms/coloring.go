@@ -24,17 +24,16 @@ type ColorRingResult struct {
 // the same fixed schedule.
 func ColorRing(iterations int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		pred, succ := ringNeighbors(rt)
-		predPort, succPort := pr.Port(pred), pr.Port(succ)
+		predPort, succPort := rt.Port(pred), rt.Port(succ)
 		color := uint64(rt.ID())
 		buf := make(congest.Msg, 0, 8)
 		// Phase 1: Cole-Vishkin iterations. Each round: send my colour to
 		// my successor; combine with predecessor's.
 		for it := 0; it < iterations; it++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			out[succPort] = congest.PutU64(buf[:0], color)
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			pc := color // self-fallback keeps the protocol total under corruption
 			if m := in[predPort]; m != nil {
 				pc = congest.U64(m)
@@ -45,11 +44,11 @@ func ColorRing(iterations int) congest.Protocol {
 		// with that colour re-colour to the smallest colour unused by both
 		// ring neighbours. Each step needs both neighbours' colours.
 		for c := uint64(5); c >= 3; c-- {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			m := congest.PutU64(buf[:0], color)
 			out[succPort] = m
 			out[predPort] = m
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			var nb []uint64
 			if m := in[predPort]; m != nil {
 				nb = append(nb, congest.U64(m))

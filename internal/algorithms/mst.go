@@ -69,7 +69,6 @@ func decodeWeights(input []byte, n int) []uint64 {
 // weight at every node.
 func MSTClique() congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		n := rt.N()
 		weights := decodeWeights(rt.Input(), n)
 		comp := make([]graph.NodeID, n)
@@ -84,18 +83,18 @@ func MSTClique() congest.Protocol {
 		buf := make(congest.Msg, 0, 8)
 		for p := 0; p < phases; p++ {
 			// Round 1: announce component IDs.
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			announce := congest.PutU64(buf[:0], uint64(comp[rt.ID()]))
 			for i := range out {
 				out[i] = announce
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for i, m := range in {
 				if m == nil {
 					continue
 				}
 				if c := congest.U64(m); c < uint64(n) {
-					comp[pr.Neighbor(i)] = graph.NodeID(c)
+					comp[rt.Neighbor(i)] = graph.NodeID(c)
 				}
 			}
 			// Local: lightest incident edge leaving my component.
@@ -114,9 +113,9 @@ func MSTClique() congest.Protocol {
 			// leader. Leaders collect; everyone else sends an empty slot to
 			// nobody (silent).
 			leader := comp[rt.ID()]
-			out = pr.OutBuf()
+			out = rt.OutBuf()
 			if bestV >= 0 && leader != rt.ID() {
-				if lp := pr.Port(leader); lp >= 0 {
+				if lp := rt.Port(leader); lp >= 0 {
 					out[lp] = packCandidate(bestW, rt.ID(), bestV)
 				} else {
 					// Non-clique topology: abort the run with the canonical
@@ -127,7 +126,7 @@ func MSTClique() congest.Protocol {
 					panic("algorithms: MSTClique component leader is not adjacent")
 				}
 			}
-			in = pr.ExchangePorts(out)
+			in = rt.ExchangePorts(out)
 			// Leader picks the component minimum (including its own
 			// candidate).
 			type cand struct {
@@ -140,7 +139,7 @@ func MSTClique() congest.Protocol {
 			}
 			if leader == rt.ID() {
 				for i, m := range in {
-					if m == nil || comp[pr.Neighbor(i)] != leader || len(m) < 8 {
+					if m == nil || comp[rt.Neighbor(i)] != leader || len(m) < 8 {
 						continue
 					}
 					w, u, v := unpackCandidate(m)
@@ -151,14 +150,14 @@ func MSTClique() congest.Protocol {
 				}
 			}
 			// Round 3: leaders announce merge edges to everyone.
-			out = pr.OutBuf()
+			out = rt.OutBuf()
 			if leader == rt.ID() && best != nil {
 				msg := packCandidate(best.w, best.u, best.v)
 				for i := range out {
 					out[i] = msg
 				}
 			}
-			in = pr.ExchangePorts(out)
+			in = rt.ExchangePorts(out)
 			// Everyone (including leaders) collects all announced merge
 			// edges and merges components identically.
 			type merge struct {

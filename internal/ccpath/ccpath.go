@@ -102,7 +102,7 @@ func Compile(payload congest.Protocol, f int) congest.Protocol {
 		if 2*f+1 > sh.Cover.K {
 			panic(fmt.Sprintf("ccpath: cover has K=%d paths, cannot defend f=%d", sh.Cover.K, f))
 		}
-		sim := &simulator{rt: rt, pr: congest.Ports(rt), sh: sh, f: f}
+		sim := &simulator{rt: rt, sh: sh, f: f}
 		w := &congest.WrappedRuntime{Base: rt, ExchangePortsFn: sim.exchange, ShadowShared: sh.Payload}
 		payload(w)
 	}
@@ -110,7 +110,6 @@ func Compile(payload congest.Protocol, f int) congest.Protocol {
 
 type simulator struct {
 	rt congest.Runtime
-	pr congest.PortRuntime
 	sh *Shared
 	f  int
 }
@@ -119,12 +118,11 @@ type simulator struct {
 // for the payload's port outbox, returning its port inbox. The pipelined
 // window rounds run on the port boundary.
 func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
-	pr := s.pr
 	me := s.rt.ID()
 	g := s.sh.G
 	window := s.sh.WindowRounds(s.f)
 	dilation := s.sh.Cover.Dilation
-	result := make([]congest.Msg, pr.Degree())
+	result := make([]congest.Msg, s.rt.Degree())
 
 	for cls := 0; cls < s.sh.Cover.NumColors; cls++ {
 		myHops := s.sh.hops[cls][me]
@@ -134,7 +132,7 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 		// votes[flowID-of-incoming-edge][value] accumulates sink copies.
 		votes := make(map[int]map[string]int)
 		for t := 0; t < window; t++ {
-			pout := pr.OutBuf()
+			pout := s.rt.OutBuf()
 			for _, h := range myHops {
 				if h.next < 0 {
 					continue
@@ -146,7 +144,7 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 					fl := flows[h.flowID]
 					e := g.Edges()[fl.edgeIdx]
 					var payload congest.Msg
-					if p := pr.Port(e.Other(me)); p < len(out) {
+					if p := s.rt.Port(e.Other(me)); p < len(out) {
 						payload = out[p]
 					}
 					m = encodePayload(payload)
@@ -159,15 +157,15 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 				// One flow per directed edge within a class, so plain
 				// concatenation order is stable: tag with flowID byte for
 				// robustness against classes touching a node twice.
-				p := pr.Port(h.next)
+				p := s.rt.Port(h.next)
 				pout[p] = appendFlowMsg(pout[p], h.flowID, m)
 			}
-			in := pr.ExchangePorts(pout)
+			in := s.rt.ExchangePorts(pout)
 			for _, h := range myHops {
 				if h.prev < 0 {
 					continue
 				}
-				p := pr.Port(h.prev)
+				p := s.rt.Port(h.prev)
 				if p < 0 || in[p] == nil {
 					continue
 				}
@@ -209,7 +207,7 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 			best, bestCnt := vote.Winner(vs)
 			if 2*bestCnt > total {
 				if dec := decodePayload([]byte(best)); dec != nil {
-					result[pr.Port(sender)] = dec
+					result[s.rt.Port(sender)] = dec
 				}
 			}
 		}

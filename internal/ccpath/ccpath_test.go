@@ -1,7 +1,8 @@
 package ccpath
 
 import (
-	"math/rand"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mobilecongest/internal/adversary"
@@ -90,23 +91,19 @@ func TestCompileRejectsOverBudget(t *testing.T) {
 	g := graph.Circulant(10, 2)
 	sh := buildShared(t, g, 3)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("f beyond cover capacity accepted")
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "cannot defend f=5") {
+			t.Fatalf("f beyond cover capacity: panic %q, want the capacity rejection", msg)
 		}
 	}()
 	Compile(algorithms.FloodMax(1), 5)(stub{sh: sh})
 }
 
-type stub struct{ sh *Shared }
-
-func (s stub) ID() graph.NodeID          { return 0 }
-func (s stub) N() int                    { return 10 }
-func (s stub) Neighbors() []graph.NodeID { return nil }
-func (s stub) Exchange(map[graph.NodeID]congest.Msg) map[graph.NodeID]congest.Msg {
-	panic("unreachable")
+// stub reaches the capacity check, which reads only the run's artifact; the
+// embedded nil Runtime panics on any other call.
+type stub struct {
+	congest.Runtime
+	sh *Shared
 }
-func (s stub) Round() int       { return 0 }
-func (s stub) Rand() *rand.Rand { return rand.New(rand.NewSource(1)) }
-func (s stub) Input() []byte    { return nil }
-func (s stub) SetOutput(any)    {}
-func (s stub) Shared() any      { return s.sh }
+
+func (s stub) Shared() any { return s.sh }

@@ -6,7 +6,7 @@ package congest
 // (chunk, offset, length) view into a per-round byte arena — and the payload
 // bytes themselves live contiguously in the arena. Collection copies each
 // outbox payload into the arena, so the sender may reuse its buffer once the
-// exchange returns. A payload the sender lent (PortRuntime.LendOut) is not
+// exchange returns. A payload the sender lent (Runtime.LendOut) is not
 // copied: the arena keeps a capacity-clipped reference to the sender's bytes
 // in its spill list, which the lending contract keeps unchanged until every
 // receiver has moved on. Every downstream reader — the adversary's

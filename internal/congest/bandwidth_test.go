@@ -36,12 +36,11 @@ func TestBandwidthViolationDeterministic(t *testing.T) {
 func TestBandwidthBoundaryExact(t *testing.T) {
 	send := func(bytes int) Protocol {
 		return func(rt Runtime) {
-			pr := Ports(rt)
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for p := range out {
 				out[p] = make(Msg, bytes)
 			}
-			pr.ExchangePorts(out)
+			rt.ExchangePorts(out)
 		}
 	}
 	forEngine(t, func(t *testing.T, e Engine) {
@@ -58,12 +57,11 @@ func TestBandwidthBoundaryExact(t *testing.T) {
 // large the payloads.
 func TestBandwidthUnlimitedByDefault(t *testing.T) {
 	proto := func(rt Runtime) {
-		pr := Ports(rt)
-		out := pr.OutBuf()
+		out := rt.OutBuf()
 		for p := range out {
 			out[p] = make(Msg, 4096)
 		}
-		pr.ExchangePorts(out)
+		rt.ExchangePorts(out)
 	}
 	if _, err := (ShardEngine{Shards: 1}).Run(Config{Graph: graph.Path(3), Seed: 1}, proto); err != nil {
 		t.Fatalf("unlimited run failed: %v", err)

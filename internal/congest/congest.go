@@ -1,6 +1,6 @@
 // Package congest implements the synchronous CONGEST simulator in the
 // adversarial communication model of the paper (Section 1.4). Each node runs
-// its protocol as straight-line Go code and blocks in Exchange, which acts as
+// its protocol as straight-line Go code and blocks in ExchangePorts, which acts as
 // the end-of-round barrier; a coordinator gathers the round's directed
 // traffic, lets the adversary intercept it within an engine-enforced edge
 // budget, and releases the barrier.
@@ -18,7 +18,7 @@
 // instead of an independently allocated []byte (see arena.go), so large-n
 // rounds cost a handful of amortized arena appends rather than one heap
 // object per message. The pipeline is slot-native end to end. On the node
-// side, protocols program against PortRuntime: a node's ports are its
+// side, protocols program against Runtime: a node's ports are its
 // neighbours in ascending order, and ExchangePorts moves the round through
 // reusable per-node []Msg slices resolved out of the run's round arenas —
 // the fault-free hot path allocates no per-round maps or slices at all. The map
@@ -116,15 +116,16 @@ type TotalBudget interface {
 }
 
 // Protocol is the per-node code. It runs as the node's coroutine, resumed by
-// the engine between exchanges, and communicates only through rt.Exchange
-// (or its port form); it must not block on its own waiting for another node.
+// the engine between exchanges, and communicates only through
+// rt.ExchangePorts (or the map Exchange); it must not block on its own
+// waiting for another node.
 type Protocol func(rt Runtime)
 
-// Runtime is the map-level interface protocol code programs against.
-// Compilers wrap a Runtime to interpose their simulation machinery between
-// the payload protocol and the physical network. Hot protocols should
-// program against PortRuntime (via Ports), whose slot-native ExchangePorts
-// avoids the per-round map allocations of Exchange.
+// Runtime is the node interface protocol code programs against. A node's
+// ports are its neighbours in ascending ID order, and ExchangePorts moves
+// each round through reusable port-indexed []Msg slices. Compilers wrap a
+// Runtime (see WrappedRuntime) to interpose their simulation machinery
+// between the payload protocol and the physical network.
 type Runtime interface {
 	// ID returns this node's identifier.
 	ID() graph.NodeID
@@ -132,14 +133,53 @@ type Runtime interface {
 	N() int
 	// Neighbors returns this node's neighbour IDs in ascending order (KT1).
 	Neighbors() []graph.NodeID
+	// Degree returns the number of ports (== len(Neighbors())).
+	Degree() int
+	// Neighbor returns the neighbour on port p (== Neighbors()[p]).
+	Neighbor(p int) graph.NodeID
+	// Port returns the port of neighbour v, or -1 when v is not adjacent.
+	Port(v graph.NodeID) int
+	// OutBuf returns the node's reusable port-indexed outbox. The engine
+	// hands back the same slice every round, cleared: ExchangePorts consumes
+	// its entries as it collects them, so a protocol refills it each round
+	// without worrying about stale leftovers.
+	OutBuf() []Msg
+	// ExchangePorts sends out[p] to the neighbour on port p (nil entries
+	// send nothing; out shorter than Degree leaves the tail silent) and
+	// returns the round's inbox, in[p] holding the message received from
+	// port p (nil means silent). It is the synchronous round barrier.
+	//
+	// Ownership: the engine consumes out (entries are cleared during
+	// collection) and owns the returned inbox, which is only valid until
+	// the next exchange — delivered payloads are views the engine rewrites
+	// or releases two rounds later. A protocol must not retain or mutate
+	// received messages in place (copy what it keeps). Unless the exchange
+	// was lent (LendOut), each payload's bytes are copied into the round's
+	// packed arena: a sent Msg must stay untouched until the exchange
+	// returns, and after that the sender may reuse its payload buffer, so a
+	// node can encode every round into one buffer it allocates once. Sending
+	// one Msg on several ports is fine. A WrappedRuntime's ExchangePortsFn
+	// upholds the same rule: it copies or consumes every payload message
+	// before it returns.
+	ExchangePorts(out []Msg) []Msg
+	// LendOut lends the payloads of the node's next ExchangePorts to the
+	// engine, which may deliver them to the receivers by reference instead
+	// of copying them. The flag covers that one exchange. The sender must
+	// own the lent bytes — never lend a received inbox view or a
+	// RoundTraffic.Get payload — and must not write a lent payload until
+	// the exchange after the lending one has returned: by then every
+	// receiver has called its own next exchange, so no reader is left. A
+	// node that re-sends an unchanged frame every round lends it and builds
+	// a changed one in a second buffer. A WrappedRuntime copies anyway and
+	// treats LendOut as a no-op.
+	LendOut()
 	// Exchange sends out[v] to each neighbour v (missing keys send nothing)
-	// and returns the messages received this round keyed by sender. It is
-	// the synchronous round barrier. On the engines' runtimes it is a compat
-	// wrapper over ExchangePorts: the inbox map is materialized per call
-	// (read-only; silent rounds share one canonical empty map), so code on
-	// the hot path should use the port form instead.
+	// and returns the messages received this round keyed by sender. It is a
+	// compat wrapper over ExchangePorts: the inbox map is materialized per
+	// call (read-only; silent rounds share one canonical empty map), so code
+	// on the hot path uses the port form instead.
 	Exchange(out map[graph.NodeID]Msg) map[graph.NodeID]Msg
-	// Round returns the number of completed Exchange calls.
+	// Round returns the number of completed exchanges.
 	Round() int
 	// Rand returns this node's private randomness (hidden from the
 	// adversary).

@@ -246,14 +246,14 @@ func TestStatsCongestion(t *testing.T) {
 // doubledExchange is a compiler-style payload round that costs two physical
 // rounds: the payload's traffic, then a silent round. The first round's
 // inbox is copied out before the second exchange reuses the engine's.
-func doubledExchange(pr PortRuntime) func(out []Msg) []Msg {
+func doubledExchange(rt Runtime) func(out []Msg) []Msg {
 	return func(out []Msg) []Msg {
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		kept := make([]Msg, len(in))
 		for p, m := range in {
 			kept[p] = m.Clone()
 		}
-		pr.ExchangePorts(nil)
+		rt.ExchangePorts(nil)
 		return kept
 	}
 }
@@ -264,7 +264,7 @@ func TestWrappedRuntime(t *testing.T) {
 	// per two physical rounds.
 	proto := func(rt Runtime) {
 		w := &WrappedRuntime{Base: rt}
-		w.ExchangePortsFn = doubledExchange(Ports(rt))
+		w.ExchangePortsFn = doubledExchange(rt)
 		payload := func(v Runtime) {
 			out := map[graph.NodeID]Msg{}
 			for _, nb := range v.Neighbors() {
@@ -334,20 +334,5 @@ func TestNilGraphRejected(t *testing.T) {
 	}
 	if _, err := Run(Config{Graph: graph.Path(2), Inputs: [][]byte{{1}}}, func(Runtime) {}); err == nil {
 		t.Fatal("mismatched inputs accepted")
-	}
-}
-
-func TestSilentRoundHelper(t *testing.T) {
-	g := graph.Path(2)
-	proto := func(rt Runtime) {
-		SilentRound(rt)
-		rt.SetOutput(rt.Round())
-	}
-	res, err := Run(Config{Graph: g, Seed: 1}, proto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outputs[0].(int) != 1 {
-		t.Fatal("SilentRound did not advance the round counter")
 	}
 }

@@ -274,11 +274,10 @@ func tooLongOutboxAt(u graph.NodeID, r int, inner Protocol) Protocol {
 			inner(rt)
 			return
 		}
-		pr := Ports(rt)
 		for rt.Round() < r {
-			pr.ExchangePorts(nil)
+			rt.ExchangePorts(nil)
 		}
-		pr.ExchangePorts(make([]Msg, pr.Degree()+1))
+		rt.ExchangePorts(make([]Msg, rt.Degree()+1))
 	}
 }
 
@@ -295,16 +294,15 @@ func TestWarmContextAllocsIndependentOfN(t *testing.T) {
 			// allocates none per run; each node overwrites its own every round.
 			bufs := make([][8]byte, 96)
 			proto := func(rt Runtime) {
-				pr := Ports(rt)
 				best := uint64(rt.ID())
 				m := Msg(bufs[rt.ID()][:])
 				for r := 0; r < 4; r++ {
 					binary.BigEndian.PutUint64(m, best)
-					out := pr.OutBuf()
+					out := rt.OutBuf()
 					for p := range out {
 						out[p] = m
 					}
-					for _, mm := range pr.ExchangePorts(out) {
+					for _, mm := range rt.ExchangePorts(out) {
 						if mm != nil && U64(mm) > best {
 							best = U64(mm)
 						}

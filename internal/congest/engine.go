@@ -53,7 +53,7 @@ var Engines = func() *registry.Table[Engine] {
 	return t
 }()
 
-// nodeCore is the engine-independent per-node state backing PortRuntime.
+// nodeCore is the engine-independent per-node state backing Runtime.
 // Engines embed it and supply only the barrier (ExchangePorts and the map
 // compat Exchange over it).
 type nodeCore struct {

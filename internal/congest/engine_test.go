@@ -301,7 +301,7 @@ func TestStepEngineWrappedRuntime(t *testing.T) {
 	g := graph.Path(2)
 	proto := func(rt Runtime) {
 		w := &WrappedRuntime{Base: rt}
-		w.ExchangePortsFn = doubledExchange(Ports(rt))
+		w.ExchangePortsFn = doubledExchange(rt)
 		payload := func(v Runtime) {
 			out := map[graph.NodeID]Msg{}
 			for _, nb := range v.Neighbors() {

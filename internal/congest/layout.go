@@ -82,7 +82,7 @@ func (l *edgeLayout) slot(from, to graph.NodeID) int32 {
 // per-round cost is clearing the touched refs, not reallocating the round.
 //
 // Two arenas alternate by round parity: delivered inbox slices resolved in
-// round r must survive while round r+1 collects (the PortRuntime contract —
+// round r must survive while round r+1 collects (the Runtime contract —
 // an inbox is valid until the node's next exchange), so round r+1 appends
 // into the other arena and only round r+2 truncates round r's bytes.
 type roundBuffer struct {

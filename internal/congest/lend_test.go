@@ -12,7 +12,7 @@ import (
 	"mobilecongest/internal/graph"
 )
 
-// The lending contract of PortRuntime.LendOut: a lent payload reaches its
+// The lending contract of Runtime.LendOut: a lent payload reaches its
 // receivers by reference, capacity-clipped, for exactly the one exchange
 // the flag covers; everything else about a send — presence of an empty
 // payload, the bandwidth verdict — is what the copy path gives; and a
@@ -42,23 +42,22 @@ func TestLendOutDeliversByReference(t *testing.T) {
 		// exchange, read by its neighbours after theirs return.
 		bufs := make([][rounds]Msg, g.N())
 		proto := func(rt Runtime) {
-			pr := Ports(rt)
 			u := rt.ID()
 			var report []string
 			for r := 0; r < rounds; r++ {
 				m := make(Msg, 3, 16) // spare capacity a view must not expose
 				m[0], m[1], m[2] = byte(u), byte(r), 0x5a
 				bufs[u][r] = m
-				out := pr.OutBuf()
+				out := rt.OutBuf()
 				for p := range out {
 					out[p] = m
 				}
 				if r == 1 {
-					pr.LendOut()
+					rt.LendOut()
 				}
-				in := pr.ExchangePorts(out)
+				in := rt.ExchangePorts(out)
 				for p, got := range in {
-					v := pr.Neighbor(p)
+					v := rt.Neighbor(p)
 					sent := bufs[v][r]
 					aliased := unsafe.SliceData(got) == unsafe.SliceData(sent)
 					switch {
@@ -94,11 +93,10 @@ func TestLendOutEmptyPayloadPresent(t *testing.T) {
 	g := graph.Path(4)
 	forLendEngine(t, func(t *testing.T, e ShardEngine) {
 		proto := func(rt Runtime) {
-			pr := Ports(rt)
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			out[0] = Msg{} // port 1, if any, stays silent
-			pr.LendOut()
-			in := pr.ExchangePorts(out)
+			rt.LendOut()
+			in := rt.ExchangePorts(out)
 			seen := make([]string, len(in))
 			for p, m := range in {
 				switch {
@@ -134,15 +132,14 @@ func TestLendOutBandwidthAbortText(t *testing.T) {
 	g := graph.Clique(5)
 	send := func(lend bool) Protocol {
 		return func(rt Runtime) {
-			pr := Ports(rt)
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for p := range out {
 				out[p] = make(Msg, 1+int(rt.ID())+p)
 			}
 			if lend {
-				pr.LendOut()
+				rt.LendOut()
 			}
-			pr.ExchangePorts(out)
+			rt.ExchangePorts(out)
 		}
 	}
 	forLendEngine(t, func(t *testing.T, e ShardEngine) {
@@ -175,35 +172,33 @@ func TestLentBufferCollectableAfterRun(t *testing.T) {
 	}{
 		{"lent every exchange", func(lent *weak.Pointer[byte]) Protocol {
 			return func(rt Runtime) {
-				pr := Ports(rt)
 				buf := make(Msg, 64)
 				if rt.ID() == 0 {
 					*lent = weak.Make(&buf[0])
 				}
 				for r := 0; r < 2; r++ {
-					out := pr.OutBuf()
+					out := rt.OutBuf()
 					for p := range out {
 						out[p] = buf
 					}
-					pr.LendOut()
-					pr.ExchangePorts(out)
+					rt.LendOut()
+					rt.ExchangePorts(out)
 				}
 			}
 		}},
 		{"aborted run", func(lent *weak.Pointer[byte]) Protocol {
 			return func(rt Runtime) {
-				pr := Ports(rt)
 				buf := make(Msg, 1)
-				out := pr.OutBuf()
+				out := rt.OutBuf()
 				if rt.ID() == 0 {
 					buf = make(Msg, 256) // over the budget on its first port
 					*lent = weak.Make(&buf[0])
-					pr.LendOut()
+					rt.LendOut()
 				}
 				for p := range out {
 					out[p] = buf
 				}
-				pr.ExchangePorts(out)
+				rt.ExchangePorts(out)
 			}
 		}},
 	}

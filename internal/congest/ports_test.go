@@ -15,18 +15,17 @@ import (
 // so a delivered message stays immutable while receivers read it).
 func portFlood(rounds int) Protocol {
 	return func(rt Runtime) {
-		pr := Ports(rt)
 		best := uint64(rt.ID())
 		var words [2][8]byte
 		for r := 0; r < rounds; r++ {
 			w := words[r&1][:]
 			binary.BigEndian.PutUint64(w, best)
 			m := Msg(w)
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for i := range out {
 				out[i] = m
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for _, mm := range in {
 				if mm != nil {
 					if v := U64(mm); v > best {
@@ -105,19 +104,18 @@ func TestPortRuntimeWiring(t *testing.T) {
 	for name, g := range portTestGraphs(t) {
 		forEngine(t, func(t *testing.T, e Engine) {
 			proto := func(rt Runtime) {
-				pr := Ports(rt)
-				if pr.Degree() != len(rt.Neighbors()) {
-					rt.SetOutput(fmt.Sprintf("degree %d != neighbors %d", pr.Degree(), len(rt.Neighbors())))
+				if rt.Degree() != len(rt.Neighbors()) {
+					rt.SetOutput(fmt.Sprintf("degree %d != neighbors %d", rt.Degree(), len(rt.Neighbors())))
 					return
 				}
-				out := pr.OutBuf()
-				if len(out) != pr.Degree() {
+				out := rt.OutBuf()
+				if len(out) != rt.Degree() {
 					rt.SetOutput("OutBuf length != Degree")
 					return
 				}
 				for p := range out {
-					v := pr.Neighbor(p)
-					if rt.Neighbors()[p] != v || pr.Port(v) != p {
+					v := rt.Neighbor(p)
+					if rt.Neighbors()[p] != v || rt.Port(v) != p {
 						rt.SetOutput(fmt.Sprintf("port %d inconsistent with neighbor %d", p, v))
 						return
 					}
@@ -125,7 +123,7 @@ func TestPortRuntimeWiring(t *testing.T) {
 					m = PutU64(m, uint64(rt.ID()))
 					out[p] = PutU64(m, uint64(p))
 				}
-				in := pr.ExchangePorts(out)
+				in := rt.ExchangePorts(out)
 				recv := make([][2]uint64, len(in)) // per port: (sender ID, sender's port)
 				for p, m := range in {
 					if m == nil {
@@ -133,8 +131,8 @@ func TestPortRuntimeWiring(t *testing.T) {
 						return
 					}
 					from, sentPort := U64(m), U64(m[8:])
-					if graph.NodeID(from) != pr.Neighbor(p) {
-						rt.SetOutput(fmt.Sprintf("port %d delivered from %d, want %d", p, from, pr.Neighbor(p)))
+					if graph.NodeID(from) != rt.Neighbor(p) {
+						rt.SetOutput(fmt.Sprintf("port %d delivered from %d, want %d", p, from, rt.Neighbor(p)))
 						return
 					}
 					recv[p] = [2]uint64{from, sentPort}
@@ -256,7 +254,6 @@ func TestExchangeCompatOverPorts(t *testing.T) {
 		}
 
 		mixed := func(rt Runtime) {
-			pr := Ports(rt)
 			in := rt.Exchange(nil) // nil map: silent round
 			if in == nil {
 				panic("silent inbox must not be nil")
@@ -264,11 +261,11 @@ func TestExchangeCompatOverPorts(t *testing.T) {
 			if len(in) != 0 {
 				panic("expected empty inbox")
 			}
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for p := range out {
 				out[p] = U64Msg(uint64(rt.ID()))
 			}
-			pin := pr.ExchangePorts(out)
+			pin := rt.ExchangePorts(out)
 			sum := uint64(0)
 			for _, m := range pin {
 				sum += U64(m)
@@ -288,10 +285,9 @@ func TestExchangeCompatOverPorts(t *testing.T) {
 func TestPortOutboxTooLongRejected(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
 		bad := func(rt Runtime) {
-			pr := Ports(rt)
-			out := make([]Msg, pr.Degree()+1)
+			out := make([]Msg, rt.Degree()+1)
 			out[len(out)-1] = U64Msg(1)
-			pr.ExchangePorts(out)
+			rt.ExchangePorts(out)
 		}
 		if _, err := e.Run(Config{Graph: graph.Path(3), Seed: 1}, bad); err == nil {
 			t.Fatal("oversized port outbox accepted")
@@ -305,8 +301,7 @@ func TestPortOutboxTooLongRejected(t *testing.T) {
 func TestMapExchangeIgnoresAbandonedOutBuf(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
 		proto := func(rt Runtime) {
-			pr := Ports(rt)
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for p := range out {
 				out[p] = U64Msg(42) // abandoned: the round exchanges via the map form
 			}

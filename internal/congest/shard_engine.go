@@ -73,7 +73,7 @@ type stepNode struct {
 	abort   bool // set by the engine to unwind an aborted run
 }
 
-var _ PortRuntime = (*stepNode)(nil)
+var _ Runtime = (*stepNode)(nil)
 
 // loop is the body of a node coroutine, one iteration per run: run the
 // bound protocol, drop the run-scoped references so a parked coroutine

@@ -163,17 +163,16 @@ func TestRunContextReuseDeterministic(t *testing.T) {
 // the output.
 func silentRandProto(rounds int) Protocol {
 	return func(rt Runtime) {
-		pr := Ports(rt)
 		acc := uint64(rt.ID())
 		for r := 0; r < rounds; r++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for p := range out {
 				if rt.Rand().Intn(3) == 0 {
 					continue
 				}
 				out[p] = U64Msg(rt.Rand().Uint64())
 			}
-			for p, m := range pr.ExchangePorts(out) {
+			for p, m := range rt.ExchangePorts(out) {
 				if m == nil {
 					acc = acc*31 + uint64(p)
 					continue

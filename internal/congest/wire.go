@@ -75,7 +75,7 @@ type WrappedRuntime struct {
 	// Implementations own the returned slice and may reuse it per round.
 	// They must not keep a reference to an out message past return: the
 	// payload may overwrite its buffers as soon as the exchange returns
-	// (see PortRuntime.ExchangePorts).
+	// (see Runtime.ExchangePorts).
 	ExchangePortsFn func(out []Msg) []Msg
 	// ShadowShared, when non-nil, is what the wrapped protocol sees from
 	// Shared() — compilers use it to pass the payload's own preprocessing
@@ -90,7 +90,7 @@ type WrappedRuntime struct {
 	outBuf  []Msg
 }
 
-var _ PortRuntime = (*WrappedRuntime)(nil)
+var _ Runtime = (*WrappedRuntime)(nil)
 
 // ID forwards to the base runtime.
 func (w *WrappedRuntime) ID() graph.NodeID { return w.Base.ID() }
@@ -126,16 +126,14 @@ func (w *WrappedRuntime) Shared() any {
 // Round returns the number of simulated (virtual) rounds completed.
 func (w *WrappedRuntime) Round() int { return w.rounds }
 
-// Degree returns the number of ports (the base runtime's degree).
-func (w *WrappedRuntime) Degree() int { return len(w.Base.Neighbors()) }
+// Degree forwards to the base runtime.
+func (w *WrappedRuntime) Degree() int { return w.Base.Degree() }
 
-// Neighbor returns the neighbour on port p.
-func (w *WrappedRuntime) Neighbor(p int) graph.NodeID { return w.Base.Neighbors()[p] }
+// Neighbor forwards to the base runtime.
+func (w *WrappedRuntime) Neighbor(p int) graph.NodeID { return w.Base.Neighbor(p) }
 
-// Port returns the port of neighbour v, or -1.
-func (w *WrappedRuntime) Port(v graph.NodeID) int {
-	return portIndex(w.Base.Neighbors(), v)
-}
+// Port forwards to the base runtime.
+func (w *WrappedRuntime) Port(v graph.NodeID) int { return w.Base.Port(v) }
 
 // OutBuf returns the wrapper's reusable port-indexed outbox.
 func (w *WrappedRuntime) OutBuf() []Msg {
@@ -192,9 +190,3 @@ func (w *WrappedRuntime) ExchangePorts(out []Msg) []Msg {
 // before it returns, so the wrapper never delivers a sender's bytes by
 // reference.
 func (w *WrappedRuntime) LendOut() {}
-
-// SilentRound performs an Exchange sending nothing — handy for protocols
-// that must stay in lock-step while idle.
-func SilentRound(rt Runtime) {
-	rt.Exchange(map[graph.NodeID]Msg{})
-}

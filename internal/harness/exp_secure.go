@@ -234,20 +234,19 @@ func runT5(seed int64) (*Table, error) {
 	for _, r := range []int{3, 5} {
 		rr := r
 		payload := func(rt congest.Runtime) {
-			pr := congest.Ports(rt)
 			var have uint16
 			if rt.ID() == 0 {
 				have = 0xBEEF
 			}
 			for i := 0; i < rr; i++ {
-				out := pr.OutBuf()
+				out := rt.OutBuf()
 				if have != 0 {
 					m := congest.Msg{byte(have >> 8), byte(have)}
 					for p := range out {
 						out[p] = m
 					}
 				}
-				in := pr.ExchangePorts(out)
+				in := rt.ExchangePorts(out)
 				for _, m := range in {
 					if len(m) == 2 && have == 0 {
 						have = uint16(m[0])<<8 | uint16(m[1])

@@ -1,7 +1,7 @@
-// Package arenaparity_test holds the fixtures of roundview's carried check,
-// which replaced the arenaparity analyzer — arena views that outlive a loop
-// calling ExchangePorts — and of its lent check: received views stored into
-// an outbox the function lends (lent.go).
+// Package arenaparity_test runs roundview's carried check, which replaced
+// the arenaparity analyzer — arena views that outlive a loop calling
+// ExchangePorts — under the test name the analyzer had. The fixtures are
+// roundview's own; TestRoundview runs them together with the other checks.
 package arenaparity_test
 
 import (
@@ -12,5 +12,5 @@ import (
 )
 
 func TestArenaparity(t *testing.T) {
-	analysistest.Run(t, "testdata/src", roundview.Analyzer, "flagged", "clean")
+	analysistest.Run(t, "../roundview/testdata/src/carried", roundview.Analyzer, "flagged", "clean")
 }

@@ -1,6 +1,8 @@
-// Package obsreadonly_test holds the fixtures of roundview's written check,
-// which replaced the obsreadonly analyzer: stores, in-place sorts, copies
-// and other writes through read-only round data.
+// Package obsreadonly_test runs roundview's written check, which replaced
+// the obsreadonly analyzer — stores, in-place sorts, copies and other writes
+// through read-only round data — under the test name the analyzer had. The
+// fixtures are roundview's own; TestRoundview runs them together with the
+// other checks.
 package obsreadonly_test
 
 import (
@@ -11,5 +13,5 @@ import (
 )
 
 func TestObsreadonly(t *testing.T) {
-	analysistest.Run(t, "testdata/src", roundview.Analyzer, "flagged", "clean")
+	analysistest.Run(t, "../roundview/testdata/src/written", roundview.Analyzer, "flagged", "clean")
 }

@@ -7,12 +7,12 @@ import (
 	"mobilecongest/internal/graph"
 )
 
-func portExchange(pr congest.PortRuntime, m congest.Msg) congest.Msg {
-	out := pr.OutBuf()
-	for p := 0; p < pr.Degree(); p++ {
+func portExchange(rt congest.Runtime, m congest.Msg) congest.Msg {
+	out := rt.OutBuf()
+	for p := 0; p < rt.Degree(); p++ {
 		out[p] = m
 	}
-	in := pr.ExchangePorts(out)
+	in := rt.ExchangePorts(out)
 	return in[0]
 }
 

@@ -1,9 +1,9 @@
 // Package roundview defines an analyzer guarding the ownership contract of
 // the engine's round views. Node inboxes and outboxes
-// (PortRuntime.ExchangePorts, OutBuf), RoundTraffic.Get payloads and
+// (Runtime.ExchangePorts, OutBuf), RoundTraffic.Get payloads and
 // RoundViews all alias per-run buffers the engine reuses every round; the
 // inboxes and Get payloads live in parity double-buffered round arenas, or,
-// for a payload its sender lent (PortRuntime.LendOut), in the sender's own
+// for a payload its sender lent (Runtime.LendOut), in the sender's own
 // buffer, which the sender keeps unchanged for as long. Either way a view
 // is valid through the next round's collection and rewritten two rounds
 // later.
@@ -22,11 +22,11 @@
 //   - carried: inside a round loop (a loop whose body calls ExchangePorts,
 //     the round-advancing call), an arena view stored into a variable or
 //     container declared outside the loop. Two stores are exempt: assigning
-//     the acquisition call's own result (`in = pr.ExchangePorts(out)`, the
+//     the acquisition call's own result (`in = rt.ExchangePorts(out)`, the
 //     canonical reuse), and writing into the outbox passed to ExchangePorts
 //     (the engine copies payloads out of it at collection, within the
 //     parity window);
-//   - lent: in a function that calls PortRuntime.LendOut, an arena or
+//   - lent: in a function that calls Runtime.LendOut, an arena or
 //     read-only view stored into the outbox passed to ExchangePorts,
 //     anywhere in the function. The outbox exemption above assumes the
 //     engine copies; a lent payload is delivered by reference instead, and
@@ -36,9 +36,8 @@
 //     observers see the same RoundView in attachment order, and a received
 //     message may not be mutated in place.
 //
-// The fixtures of each check live in the test package named after the
-// analyzer it replaced: slabretain (retained), arenaparity (carried and
-// lent) and obsreadonly (written).
+// The fixtures of each check live in testdata/src, in the package named
+// after the check (retained, carried, lent, written).
 package roundview
 
 import (

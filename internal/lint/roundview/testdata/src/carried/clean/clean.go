@@ -6,12 +6,12 @@ package clean
 
 import "mobilecongest/internal/congest"
 
-func relay(pr congest.PortRuntime, rounds, deg int) {
+func relay(rt congest.Runtime, rounds, deg int) {
 	out := make([]congest.Msg, deg)
 	keep := make(congest.Msg, 0, 64)
 	var in []congest.Msg
 	for r := 0; r < rounds; r++ {
-		in = pr.ExchangePorts(out) // canonical reuse: overwritten every round
+		in = rt.ExchangePorts(out) // canonical reuse: overwritten every round
 		for p := range in {
 			out[p] = in[(p+1)%len(in)] // forwarding: parity keeps views valid through collection
 		}
@@ -30,11 +30,11 @@ func relay(pr congest.PortRuntime, rounds, deg int) {
 
 // probe samples the final round's view; the harness copies it before the
 // next Run reuses the arena, so the carry is suppressed with the reason.
-func probe(pr congest.PortRuntime, rounds int) congest.Msg {
+func probe(rt congest.Runtime, rounds int) congest.Msg {
 	out := make([]congest.Msg, 1)
 	var last congest.Msg
 	for r := 0; r < rounds; r++ {
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		//lint:ignore roundview harness copies the view before the engine advances
 		last = in[0]
 	}

@@ -6,11 +6,11 @@ package flagged
 
 import "mobilecongest/internal/congest"
 
-func carryAcross(pr congest.PortRuntime, rounds int) congest.Msg {
+func carryAcross(rt congest.Runtime, rounds int) congest.Msg {
 	out := make([]congest.Msg, 4)
 	var prev congest.Msg
 	for r := 0; r < rounds; r++ {
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		m := in[0]
 		if len(m) > len(prev) {
 			prev = m // want `carried across rounds in prev`
@@ -19,21 +19,21 @@ func carryAcross(pr congest.PortRuntime, rounds int) congest.Msg {
 	return prev
 }
 
-func accumulate(pr congest.PortRuntime, rounds int) []congest.Msg {
+func accumulate(rt congest.Runtime, rounds int) []congest.Msg {
 	out := make([]congest.Msg, 4)
 	history := make([]congest.Msg, 0, rounds)
 	for r := 0; r < rounds; r++ {
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		history = append(history, in[0]) // want `carried across rounds in history`
 	}
 	return history
 }
 
-func stashSlots(pr congest.PortRuntime, rounds int) {
+func stashSlots(rt congest.Runtime, rounds int) {
 	out := make([]congest.Msg, 4)
 	slots := make([]congest.Msg, rounds)
 	for r := 0; r < rounds; r++ {
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		slots[r] = in[1] // want `stored across rounds in slots`
 	}
 	_ = slots
@@ -41,11 +41,11 @@ func stashSlots(pr congest.PortRuntime, rounds int) {
 
 // sniffTraffic retains a RoundTraffic payload view across the round boundary;
 // the Get result lives in the same parity arena as the inboxes.
-func sniffTraffic(pr congest.PortRuntime, tr *congest.RoundTraffic, rounds int) {
+func sniffTraffic(rt congest.Runtime, tr *congest.RoundTraffic, rounds int) {
 	out := make([]congest.Msg, 2)
 	var heaviest congest.Msg
 	for r := 0; r < rounds; r++ {
-		pr.ExchangePorts(out)
+		rt.ExchangePorts(out)
 		m := tr.Get(int32(r))
 		if len(m) > len(heaviest) {
 			heaviest = m // want `carried across rounds in heaviest`

@@ -9,15 +9,15 @@ type collector struct {
 	sizes  []int
 }
 
-func (c *collector) consumeWithinRound(pr congest.PortRuntime, out []congest.Msg) {
-	in := pr.ExchangePorts(out)
+func (c *collector) consumeWithinRound(rt congest.Runtime, out []congest.Msg) {
+	in := rt.ExchangePorts(out)
 	for _, m := range in {
 		c.sizes = append(c.sizes, len(m))
 	}
 }
 
-func (c *collector) retainCopies(pr congest.PortRuntime, out []congest.Msg) {
-	in := pr.ExchangePorts(out)
+func (c *collector) retainCopies(rt congest.Runtime, out []congest.Msg) {
+	in := rt.ExchangePorts(out)
 	for _, m := range in {
 		if m != nil {
 			c.copies = append(c.copies, append([]byte(nil), m...))
@@ -29,8 +29,8 @@ type stager struct {
 	scratch []congest.Msg
 }
 
-func (s *stager) stage(pr congest.PortRuntime, out []congest.Msg) {
-	in := pr.ExchangePorts(out)
+func (s *stager) stage(rt congest.Runtime, out []congest.Msg) {
+	in := rt.ExchangePorts(out)
 	//lint:ignore roundview scratch is consumed before this round's handler returns
 	s.scratch = in
 }

@@ -10,13 +10,13 @@ type sniffer struct {
 	view  *congest.RoundView
 }
 
-func (s *sniffer) retainInbox(pr congest.PortRuntime, out []congest.Msg) {
-	in := pr.ExchangePorts(out)
+func (s *sniffer) retainInbox(rt congest.Runtime, out []congest.Msg) {
+	in := rt.ExchangePorts(out)
 	s.inbox = in // want `stored in struct field`
 }
 
-func retainGlobal(pr congest.PortRuntime) {
-	lastInbox = pr.OutBuf() // want `package-level variable`
+func retainGlobal(rt congest.Runtime) {
+	lastInbox = rt.OutBuf() // want `package-level variable`
 }
 
 func (s *sniffer) RoundStart(round int) {}
@@ -27,8 +27,8 @@ func (s *sniffer) RoundDelivered(round int, view *congest.RoundView) {
 
 func (s *sniffer) RunDone(stats congest.Stats, err error) {}
 
-func leakClosure(pr congest.PortRuntime, out []congest.Msg) func() congest.Msg {
-	in := pr.ExchangePorts(out)
+func leakClosure(rt congest.Runtime, out []congest.Msg) func() congest.Msg {
+	in := rt.ExchangePorts(out)
 	return func() congest.Msg { return in[0] } // want `escapes via return`
 }
 
@@ -53,8 +53,8 @@ type historian struct {
 	hist []congest.Msg
 }
 
-func (h *historian) keepInbox(pr congest.PortRuntime, out []congest.Msg) {
-	in := pr.ExchangePorts(out)
+func (h *historian) keepInbox(rt congest.Runtime, out []congest.Msg) {
+	in := rt.ExchangePorts(out)
 	h.hist = append(h.hist, in[0]) // want `stored in struct field hist`
 }
 

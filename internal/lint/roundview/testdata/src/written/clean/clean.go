@@ -47,12 +47,12 @@ func (redactor) RoundDelivered(round int, view *congest.RoundView) {
 
 // fillOutbox writes into the OutBuf slots, which the node owns until it
 // exchanges them.
-func fillOutbox(pr congest.PortRuntime, payload congest.Msg) []congest.Msg {
-	out := pr.OutBuf()
+func fillOutbox(rt congest.Runtime, payload congest.Msg) []congest.Msg {
+	out := rt.OutBuf()
 	for p := range out {
 		out[p] = payload
 	}
-	return pr.ExchangePorts(out)
+	return rt.ExchangePorts(out)
 }
 
 // flipCopy corrupts a clone of the intercepted payload, never the arena.

@@ -44,8 +44,8 @@ func (injector) RoundDelivered(round int, view *congest.RoundView) {
 }
 
 // flipBits is a protocol mutating a received message in place.
-func flipBits(pr congest.PortRuntime, out []congest.Msg) {
-	for _, m := range pr.ExchangePorts(out) {
+func flipBits(rt congest.Runtime, out []congest.Msg) {
+	for _, m := range rt.ExchangePorts(out) {
 		if len(m) > 0 {
 			m[0] ^= 1 // want `mutates read-only round data`
 		}

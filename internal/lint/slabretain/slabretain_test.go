@@ -1,6 +1,8 @@
-// Package slabretain_test holds the fixtures of roundview's retained check,
-// which replaced the slabretain analyzer: round views stored into a field or
-// a package variable, or captured by an escaping closure.
+// Package slabretain_test runs roundview's retained check, which replaced
+// the slabretain analyzer — round views stored into a field or a package
+// variable, or captured by an escaping closure — under the test name the
+// analyzer had. The fixtures are roundview's own; TestRoundview runs them
+// together with the other checks.
 package slabretain_test
 
 import (
@@ -11,5 +13,5 @@ import (
 )
 
 func TestSlabretain(t *testing.T) {
-	analysistest.Run(t, "testdata/src", roundview.Analyzer, "flagged", "clean")
+	analysistest.Run(t, "../roundview/testdata/src/retained", roundview.Analyzer, "flagged", "clean")
 }

@@ -202,7 +202,6 @@ func Compile(payload congest.Protocol, cfg Config) congest.Protocol {
 		}
 		sim := &simulator{
 			rt:    rt,
-			pr:    congest.Ports(rt),
 			cfg:   cfg,
 			sh:    sh,
 			trees: sh.Views[rt.ID()],
@@ -217,7 +216,6 @@ func Compile(payload congest.Protocol, cfg Config) congest.Protocol {
 // simulator holds one node's compiler state.
 type simulator struct {
 	rt    congest.Runtime
-	pr    congest.PortRuntime
 	cfg   Config
 	sh    *Shared
 	trees []rsim.TreeView
@@ -235,11 +233,11 @@ type simulator struct {
 func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 	for p, m := range out {
 		if len(m) > MaxPayloadBytes {
-			panic(fmt.Sprintf("resilient: payload message to %d has %d bytes, max %d", s.pr.Neighbor(p), len(m), MaxPayloadBytes))
+			panic(fmt.Sprintf("resilient: payload message to %d has %d bytes, max %d", s.rt.Neighbor(p), len(m), MaxPayloadBytes))
 		}
 	}
 	// Step 1: single-round message exchange.
-	pout := s.pr.OutBuf()
+	pout := s.rt.OutBuf()
 	sent := make(map[graph.NodeID]estimate, len(out))
 	for p, m := range out {
 		if m == nil {
@@ -247,13 +245,13 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 		}
 		pout[p] = m
 		v, l := packPayload(m)
-		sent[s.pr.Neighbor(p)] = estimate{present: true, data: v, length: l}
+		sent[s.rt.Neighbor(p)] = estimate{present: true, data: v, length: l}
 	}
-	est := make(map[graph.NodeID]estimate, s.pr.Degree())
-	for p, m := range s.pr.ExchangePorts(pout) {
+	est := make(map[graph.NodeID]estimate, s.rt.Degree())
+	for p, m := range s.rt.ExchangePorts(pout) {
 		if m != nil {
 			v, l := packPayload(m)
-			est[s.pr.Neighbor(p)] = estimate{present: true, data: v, length: l}
+			est[s.rt.Neighbor(p)] = estimate{present: true, data: v, length: l}
 		}
 	}
 
@@ -281,11 +279,11 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 
 	// Materialize corrected inbox.
 	if s.in == nil {
-		s.in = make([]congest.Msg, s.pr.Degree())
+		s.in = make([]congest.Msg, s.rt.Degree())
 	}
 	for p := range s.in {
 		s.in[p] = nil
-		if e := est[s.pr.Neighbor(p)]; e.present {
+		if e := est[s.rt.Neighbor(p)]; e.present {
 			s.in[p] = unpackPayload(e.data, e.length)
 		}
 	}

@@ -2,7 +2,9 @@ package resilient
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -268,38 +270,32 @@ func TestL0CompilerUnderMobileByzantine(t *testing.T) {
 }
 
 func TestCompilerRejectsOversizedPayload(t *testing.T) {
-	n := 6
-	g := graph.Clique(n)
-	sh := CliqueShared(n)
+	sh := CliqueShared(6)
 	big := func(rt congest.Runtime) {
-		out := map[graph.NodeID]congest.Msg{rt.Neighbors()[0]: make(congest.Msg, 9)}
-		rt.Exchange(out)
+		out := rt.OutBuf()
+		out[0] = make(congest.Msg, 9)
+		rt.ExchangePorts(out)
 	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized payload accepted")
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "payload message to 1 has 9 bytes, max 8") {
+			t.Fatalf("oversized payload: panic %q, want the size rejection", msg)
 		}
 	}()
-	// Run synchronously on one fake runtime by invoking the compiled
-	// protocol via the engine; the panic propagates out of the node
-	// goroutine and fails the run. Recover via engine? The engine does not
-	// recover arbitrary panics, so call the protocol directly with a stub.
-	_ = g
+	// The engine does not recover arbitrary panics, so call the compiled
+	// protocol directly on a stub runtime.
 	Compile(big, Config{F: 1})(stubRuntime{sh: sh})
 }
 
-// stubRuntime is a minimal Runtime that panics on Exchange — enough to reach
-// the payload-size check.
-type stubRuntime struct{ sh *Shared }
-
-func (s stubRuntime) ID() graph.NodeID          { return 0 }
-func (s stubRuntime) N() int                    { return 6 }
-func (s stubRuntime) Neighbors() []graph.NodeID { return []graph.NodeID{1, 2, 3, 4, 5} }
-func (s stubRuntime) Exchange(map[graph.NodeID]congest.Msg) map[graph.NodeID]congest.Msg {
-	panic("stub exchange")
+// stubRuntime is node 0 of the 6-clique with just the methods the compiler
+// and the wrapped payload call before the payload-size check; the embedded
+// nil Runtime panics on anything else.
+type stubRuntime struct {
+	congest.Runtime
+	sh *Shared
 }
-func (s stubRuntime) Round() int       { return 0 }
-func (s stubRuntime) Rand() *rand.Rand { return rand.New(rand.NewSource(1)) }
-func (s stubRuntime) Input() []byte    { return nil }
-func (s stubRuntime) SetOutput(any)    {}
-func (s stubRuntime) Shared() any      { return s.sh }
+
+func (s stubRuntime) ID() graph.NodeID            { return 0 }
+func (s stubRuntime) Degree() int                 { return 5 }
+func (s stubRuntime) Neighbor(p int) graph.NodeID { return graph.NodeID(p + 1) }
+func (s stubRuntime) Shared() any                 { return s.sh }

@@ -160,7 +160,6 @@ func decodeInitMsg(w []uint64) initMsg {
 // votes per word position (per-word voting matches the word-level
 // correction that follows).
 func (s *rewindSim) roundInit(nextOut map[graph.NodeID]entry, seed uint64, myHash map[graph.NodeID]uint64, gamma int, done bool) map[graph.NodeID]initMsg {
-	pr := congest.Ports(s.rt)
 	nbs := s.rt.Neighbors()
 	outMsgs := make([]congest.Msg, len(nbs)) // per port
 	for p, v := range nbs {
@@ -186,11 +185,11 @@ func (s *rewindSim) roundInit(nextOut map[graph.NodeID]entry, seed uint64, myHas
 	}
 	var ws []uint64
 	for r := 0; r < s.cfg.InitRep; r++ {
-		out := pr.OutBuf()
+		out := s.rt.OutBuf()
 		for p, m := range outMsgs {
 			out[p] = m.Clone()
 		}
-		in := pr.ExchangePorts(out)
+		in := s.rt.ExchangePorts(out)
 		for p, m := range in {
 			if m == nil {
 				continue

@@ -2,6 +2,7 @@ package rewind
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mobilecongest/internal/congest"
@@ -10,31 +11,29 @@ import (
 	"mobilecongest/internal/treepack"
 )
 
-// stubRT is a map-only Runtime whose Exchange must never be reached (replay
-// serves all rounds from transcripts and aborts at the capture round).
+// stubRT is a Runtime whose network must never be reached (replay serves
+// all rounds from transcripts and aborts at the capture round): it defines
+// only the node-local methods replay calls, and the embedded nil Runtime
+// panics on anything else.
 type stubRT struct {
+	congest.Runtime
 	id  graph.NodeID
 	nbs []graph.NodeID
-	sh  *resilient.Shared
 }
 
-func (s stubRT) ID() graph.NodeID          { return s.id }
-func (s stubRT) N() int                    { return 3 }
-func (s stubRT) Neighbors() []graph.NodeID { return s.nbs }
-func (s stubRT) Exchange(map[graph.NodeID]congest.Msg) map[graph.NodeID]congest.Msg {
-	panic("replay must not touch the network")
-}
-func (s stubRT) Round() int       { return 0 }
-func (s stubRT) Rand() *rand.Rand { return rand.New(rand.NewSource(7)) }
-func (s stubRT) Input() []byte    { return congest.PutU64(nil, 5) }
-func (s stubRT) SetOutput(any)    {}
-func (s stubRT) Shared() any      { return s.sh }
+func (s stubRT) ID() graph.NodeID            { return s.id }
+func (s stubRT) Neighbors() []graph.NodeID   { return s.nbs }
+func (s stubRT) Degree() int                 { return len(s.nbs) }
+func (s stubRT) Neighbor(p int) graph.NodeID { return s.nbs[p] }
+func (s stubRT) Port(v graph.NodeID) int     { return slices.Index(s.nbs, v) }
+func (s stubRT) Rand() *rand.Rand            { return rand.New(rand.NewSource(7)) }
+func (s stubRT) Input() []byte               { return congest.PutU64(nil, 5) }
 
 func newStubSim() *rewindSim {
 	g := graph.Path(3)
 	p := &treepack.Packing{Root: 0, Trees: []*treepack.Tree{treepack.NewTree(3, 0)}}
 	sh := resilient.NewShared(g, p)
-	rt := stubRT{id: 1, nbs: []graph.NodeID{0, 2}, sh: sh}
+	rt := stubRT{id: 1, nbs: []graph.NodeID{0, 2}}
 	return newRewindSim(rt, Config{R: 3, F: 1}.withDefaults(), sh)
 }
 
@@ -56,19 +55,18 @@ func echoPayload(rt congest.Runtime) {
 
 // echoPortsPayload is echoPayload on the port boundary.
 func echoPortsPayload(rt congest.Runtime) {
-	pr := congest.Ports(rt)
-	acc := congest.U64(pr.Input())
+	acc := congest.U64(rt.Input())
 	for r := 0; r < 3; r++ {
-		out := pr.OutBuf()
+		out := rt.OutBuf()
 		for p := range out {
 			out[p] = congest.U64Msg(acc)
 		}
-		in := pr.ExchangePorts(out)
-		if m := in[pr.Port(0)]; m != nil {
+		in := rt.ExchangePorts(out)
+		if m := in[rt.Port(0)]; m != nil {
 			acc += congest.U64(m)
 		}
 	}
-	pr.SetOutput(acc)
+	rt.SetOutput(acc)
 }
 
 // echoPayloads runs each replay case against both exchange forms.

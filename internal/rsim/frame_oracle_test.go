@@ -19,21 +19,20 @@ func (f refFrames) add(port, treeID int, payload []byte) {
 	f[port] = appendSection(f[port], treeID, payload)
 }
 
-func (f refFrames) exchange(pr congest.PortRuntime) []congest.Msg {
-	out := pr.OutBuf()
+func (f refFrames) exchange(rt congest.Runtime) []congest.Msg {
+	out := rt.OutBuf()
 	for p, fr := range f {
 		if len(fr) > 0 {
 			out[p] = fr
 		}
 	}
-	return pr.ExchangePorts(out)
+	return rt.ExchangePorts(out)
 }
 
 // refBroadcastDown is the reference BroadcastDown: it rebuilds every frame
 // from scratch in every round. It takes an Outbox only to share
 // BroadcastDown's signature.
 func refBroadcastDown(rt congest.Runtime, _ *Outbox, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
-	pr := congest.Ports(rt)
 	have := make([][]byte, len(trees))
 	commits := make([]committer, len(trees))
 	for j := range trees {
@@ -43,23 +42,23 @@ func refBroadcastDown(rt congest.Runtime, _ *Outbox, trees []TreeView, payloads 
 		commits[j] = newCommitter(rep)
 	}
 	for r := 0; r < Rounds(depthBound, rep); r++ {
-		fr := make(refFrames, pr.Degree())
+		fr := make(refFrames, rt.Degree())
 		for j, tv := range trees {
 			if tv.Depth < 0 || have[j] == nil {
 				continue
 			}
 			for _, c := range tv.Children {
-				if p := pr.Port(c); p >= 0 {
+				if p := rt.Port(c); p >= 0 {
 					fr.add(p, j, have[j])
 				}
 			}
 		}
-		in := fr.exchange(pr)
+		in := fr.exchange(rt)
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || have[j] != nil {
 				continue
 			}
-			if p := pr.Port(tv.Parent); p >= 0 && in[p] != nil {
+			if p := rt.Port(tv.Parent); p >= 0 && in[p] != nil {
 				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec) {
 					have[j] = commits[j].value
 				}
@@ -72,7 +71,6 @@ func refBroadcastDown(rt congest.Runtime, _ *Outbox, trees []TreeView, payloads 
 // refConvergecastUp is the reference ConvergecastUp: it rebuilds every
 // frame from scratch in every round.
 func refConvergecastUp(rt congest.Runtime, _ *Outbox, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
-	pr := congest.Ports(rt)
 	commits := make([][]committer, len(trees))
 	ready := make([][]byte, len(trees))
 	for j, tv := range trees {
@@ -88,16 +86,16 @@ func refConvergecastUp(rt congest.Runtime, _ *Outbox, trees []TreeView, locals [
 		}
 	}
 	for r := 0; r < Rounds(depthBound, rep); r++ {
-		fr := make(refFrames, pr.Degree())
+		fr := make(refFrames, rt.Degree())
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || ready[j] == nil {
 				continue
 			}
-			if p := pr.Port(tv.Parent); p >= 0 {
+			if p := rt.Port(tv.Parent); p >= 0 {
 				fr.add(p, j, ready[j])
 			}
 		}
-		in := fr.exchange(pr)
+		in := fr.exchange(rt)
 		for j, tv := range trees {
 			if tv.Depth < 0 || ready[j] != nil {
 				continue
@@ -106,7 +104,7 @@ func refConvergecastUp(rt congest.Runtime, _ *Outbox, trees []TreeView, locals [
 			for i, c := range tv.Children {
 				cm := &commits[j][i]
 				if !cm.done {
-					if p := pr.Port(c); p >= 0 && in[p] != nil {
+					if p := rt.Port(c); p >= 0 && in[p] != nil {
 						if sec, ok := section(in[p], j); ok {
 							cm.Offer(sec)
 						}
@@ -132,14 +130,14 @@ func refConvergecastUp(rt congest.Runtime, _ *Outbox, trees []TreeView, locals [
 	return res
 }
 
-// frameRecorder is a PortRuntime that logs a copy of every outbox it sends
+// frameRecorder is a Runtime that logs a copy of every outbox it sends
 // and checks the lending contract. For every exchange lent by LendOut it
 // keeps each frame's view next to a copy; when the following exchange
 // returns, every view must still equal its copy, since the engine may
 // deliver a lent frame by reference until then. The first breach is kept in
 // broken, naming the frame.
 type frameRecorder struct {
-	congest.PortRuntime
+	congest.Runtime
 	rounds [][]congest.Msg
 	lends  int         // exchanges lent
 	lend   bool        // LendOut was called for the next exchange
@@ -156,7 +154,7 @@ type lentFrame struct {
 
 func (r *frameRecorder) LendOut() {
 	r.lend = true
-	r.PortRuntime.LendOut()
+	r.Runtime.LendOut()
 }
 
 func (r *frameRecorder) ExchangePorts(out []congest.Msg) []congest.Msg {
@@ -176,7 +174,7 @@ func (r *frameRecorder) ExchangePorts(out []congest.Msg) []congest.Msg {
 		r.lends++
 	}
 	r.lend = false
-	in := r.PortRuntime.ExchangePorts(out)
+	in := r.Runtime.ExchangePorts(out)
 	for _, f := range r.lent {
 		if r.broken == "" && !bytes.Equal(f.view, f.sent) {
 			r.broken = fmt.Sprintf("frame lent on port %d at exchange %d was rewritten before exchange %d returned: %x, lent as %x",
@@ -246,7 +244,7 @@ func TestFramesMatchRebuildEveryRound(t *testing.T) {
 			down, up = refBroadcastDown, refConvergecastUp
 		}
 		proto := func(rt congest.Runtime) {
-			rec := &frameRecorder{PortRuntime: congest.Ports(rt)}
+			rec := &frameRecorder{Runtime: rt}
 			views := rt.Shared().([][]TreeView)[rt.ID()]
 			payloads := make([][]byte, k)
 			locals := make([][]byte, k)

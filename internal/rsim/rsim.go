@@ -25,7 +25,7 @@
 // round. A frame's content depends only on which trees this node has
 // committed, so a call rebuilds its frames, in the same tree order, only in
 // a round after a tree it forwards committed. Every exchange lends the
-// frames to the engine (congest.PortRuntime.LendOut), which delivers them
+// frames to the engine (congest.Runtime.LendOut), which delivers them
 // by reference instead of copying them into its round arena. A rebuild
 // therefore switches to the other set: the set lent at the previous
 // exchange stays untouched until the exchange after it has returned, as the
@@ -197,15 +197,15 @@ func (o *Outbox) add(port, treeID int, payload []byte) {
 
 // exchange lends every non-empty frame of the current set and returns the
 // round's inbox. The frames stay as they are, ready to be sent again.
-func (o *Outbox) exchange(pr congest.PortRuntime) []congest.Msg {
-	out := pr.OutBuf()
+func (o *Outbox) exchange(rt congest.Runtime) []congest.Msg {
+	out := rt.OutBuf()
 	for p, fr := range o.sets[o.cur] {
 		if len(fr) > 0 {
 			out[p] = fr
 		}
 	}
-	pr.LendOut()
-	return pr.ExchangePorts(out)
+	rt.LendOut()
+	return rt.ExchangePorts(out)
 }
 
 // committer tracks copies of candidate values on one (tree, neighbour)
@@ -259,7 +259,6 @@ func (c *committer) Offer(v []byte) bool {
 // tree). Every participating node must call it at the same round with the
 // same depthBound and rep. ob is the node's Outbox.
 func BroadcastDown(rt congest.Runtime, ob *Outbox, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
-	pr := congest.Ports(rt)
 	have := make([][]byte, len(trees))
 	commits := make([]committer, len(trees))
 	for j := range trees {
@@ -272,25 +271,25 @@ func BroadcastDown(rt congest.Runtime, ob *Outbox, trees []TreeView, payloads []
 	stale := true // a tree this node forwards committed since the last build
 	for r := 0; r < total; r++ {
 		if stale {
-			ob.reset(pr.Degree())
+			ob.reset(rt.Degree())
 			for j, tv := range trees {
 				if tv.Depth < 0 || have[j] == nil {
 					continue
 				}
 				for _, c := range tv.Children {
-					if p := pr.Port(c); p >= 0 {
+					if p := rt.Port(c); p >= 0 {
 						ob.add(p, j, have[j])
 					}
 				}
 			}
 			stale = false
 		}
-		in := ob.exchange(pr)
+		in := ob.exchange(rt)
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || have[j] != nil {
 				continue
 			}
-			if p := pr.Port(tv.Parent); p >= 0 && in[p] != nil {
+			if p := rt.Port(tv.Parent); p >= 0 && in[p] != nil {
 				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec) {
 					have[j] = commits[j].value
 					stale = stale || len(tv.Children) > 0
@@ -318,7 +317,6 @@ type MergeFn func(treeIdx int, a, b []byte) []byte
 // called in lock-step by all nodes with equal depthBound and rep. ob is the
 // node's Outbox.
 func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
-	pr := congest.Ports(rt)
 	// commits[first[j]+i] tracks child i of tree j.
 	first := make([]int, len(trees)+1)
 	for j, tv := range trees {
@@ -341,18 +339,18 @@ func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][
 	stale := true // a tree this node forwards committed since the last build
 	for r := 0; r < total; r++ {
 		if stale {
-			ob.reset(pr.Degree())
+			ob.reset(rt.Degree())
 			for j, tv := range trees {
 				if tv.Depth <= 0 || tv.Parent < 0 || ready[j] == nil {
 					continue
 				}
-				if p := pr.Port(tv.Parent); p >= 0 {
+				if p := rt.Port(tv.Parent); p >= 0 {
 					ob.add(p, j, ready[j])
 				}
 			}
 			stale = false
 		}
-		in := ob.exchange(pr)
+		in := ob.exchange(rt)
 		for j, tv := range trees {
 			if tv.Depth < 0 || ready[j] != nil {
 				continue
@@ -364,7 +362,7 @@ func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][
 				if cm.done {
 					continue
 				}
-				if p := pr.Port(c); p >= 0 && in[p] != nil {
+				if p := rt.Port(c); p >= 0 && in[p] != nil {
 					if sec, ok := section(in[p], j); ok {
 						cm.Offer(sec)
 					}

@@ -44,7 +44,6 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 		if !ok {
 			panic("secure: run Config.Shared must be *secure.BroadcastShared")
 		}
-		pr := congest.Ports(rt)
 		views := sh.Views[rt.ID()]
 		k := len(views)
 		depth := rsim.MaxDepth(sh.Views)
@@ -59,12 +58,12 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 		if ell < keysPerEdge+1 {
 			ell = keysPerEdge + 1
 		}
-		sent, recv := exchangeSecrets(pr, ell)
+		sent, recv := exchangeSecrets(rt, ell)
 		kx := newKeyExtractor(ell, keysPerEdge, "broadcast")
 		sendKeys := kx.pools(sent)
 		recvKeys := kx.pools(recv)
-		usedSend := make([]int, pr.Degree())
-		usedRecv := make([]int, pr.Degree())
+		usedSend := make([]int, rt.Degree())
+		usedRecv := make([]int, rt.Degree())
 
 		// Source: XOR-share the secret.
 		isSource := false
@@ -98,21 +97,21 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 				have[j] = shares[j]
 			}
 		}
-		sendBuf := make([][]byte, pr.Degree())
+		sendBuf := make([][]byte, rt.Degree())
 		type sendRec struct {
 			port int
 			tree int
 		}
 		var sends []sendRec
 		for slot := 0; slot <= depth; slot++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			sends = sends[:0]
 			for j, tv := range views {
 				if tv.Depth < 0 || have[j] == nil || slot != tv.Depth {
 					continue
 				}
 				for _, c := range tv.Children {
-					sends = append(sends, sendRec{port: pr.Port(c), tree: j})
+					sends = append(sends, sendRec{port: rt.Port(c), tree: j})
 				}
 			}
 			for _, sr := range sends {
@@ -128,12 +127,12 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 				buf = padInto(append(buf, byte(sr.tree)), have[sr.tree], key)
 				sendBuf[sr.port], out[sr.port] = buf, buf
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for p, m := range in {
 				if m == nil {
 					continue
 				}
-				from := pr.Neighbor(p)
+				from := rt.Neighbor(p)
 				for off := 0; off+shareMsg <= len(m); off += shareMsg {
 					tree := int(m[off])
 					if tree < 0 || tree >= k {

@@ -76,8 +76,7 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		}
 		// Step 1: r keys of 6 bytes per edge-direction. Reuse the 8-byte
 		// pool machinery (we use the first 6 bytes of each key).
-		pr := congest.Ports(rt)
-		sent, recv := exchangeSecrets(pr, ell)
+		sent, recv := exchangeSecrets(rt, ell)
 		sendKeys := kx.pools(sent)
 		recvKeys := kx.pools(recv)
 
@@ -97,7 +96,7 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		}
 		inner := &congest.WrappedRuntime{
 			Base:            rt,
-			ExchangePortsFn: pr.ExchangePorts,
+			ExchangePortsFn: rt.ExchangePorts,
 			ShadowShared:    sh,
 			InputFn:         func() []byte { return seedInput },
 		}
@@ -118,7 +117,7 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		}
 
 		round := 0
-		deg := pr.Degree()
+		deg := rt.Degree()
 		dec := make([]congest.Msg, deg)
 		// Per-port pad buffers, reused every round (see StaticToMobile);
 		// plain is scratch for one received ciphertext at a time.
@@ -130,8 +129,8 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 			if round >= cfg.R {
 				panic("secure: payload exceeded its declared rounds")
 			}
-			enc := pr.OutBuf()
-			for p := 0; p < pr.Degree(); p++ {
+			enc := rt.OutBuf()
+			for p := 0; p < rt.Degree(); p++ {
 				var cipher [csCipherBytes]byte
 				if m := out[p]; m != nil {
 					var sym gf.Elem
@@ -155,7 +154,7 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 				}
 				enc[p] = padInto(portBuf(encBuf, p, csCipherBytes), cipher[:], sendKeys[p].Key(round))
 			}
-			in := pr.ExchangePorts(enc)
+			in := rt.ExchangePorts(enc)
 			for p, m := range in {
 				dec[p] = nil
 				if m == nil {

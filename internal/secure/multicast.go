@@ -62,9 +62,8 @@ func MobileSecureMulticast() congest.Protocol {
 		if !ok {
 			panic("secure: run Config.Shared must be *secure.MulticastShared")
 		}
-		pr := congest.Ports(rt)
 		me := rt.ID()
-		deg := pr.Degree()
+		deg := rt.Degree()
 		r := len(sh.Instances)
 
 		// Key phase: one key per edge per instance, chosen by the higher-ID
@@ -72,18 +71,18 @@ func MobileSecureMulticast() congest.Protocol {
 		keys := make([][][]byte, r)
 		for j := 0; j < r; j++ {
 			keys[j] = make([][]byte, deg)
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			for p := 0; p < deg; p++ {
-				if v := pr.Neighbor(p); me > v {
+				if v := rt.Neighbor(p); me > v {
 					k := make([]byte, 8)
 					rt.Rand().Read(k)
 					keys[j][p] = k
 					out[p] = congest.Msg(k).Clone()
 				}
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for p, m := range in {
-				if m != nil && me < pr.Neighbor(p) {
+				if m != nil && me < rt.Neighbor(p) {
 					keys[j][p] = m.Clone()
 				}
 			}
@@ -110,7 +109,7 @@ func MobileSecureMulticast() congest.Protocol {
 		depthMax := sh.MaxDepth()
 		totalRounds := r + depthMax // staggered windows
 		for phys := 0; phys < totalRounds; phys++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			appendMsg := func(p int, j int, val uint64) {
 				m := congest.PutU64(congest.Msg{byte(j)}, val)
 				out[p] = append(out[p], xorTail(m, keys[j][p])...)
@@ -125,7 +124,7 @@ func MobileSecureMulticast() congest.Protocol {
 				if x == 0 {
 					// Non-tree edges: higher endpoint draws.
 					for p := 0; p < deg; p++ {
-						if v := pr.Neighbor(p); isTreeEdgeOf(tree, me, v) || me < v {
+						if v := rt.Neighbor(p); isTreeEdgeOf(tree, me, v) || me < v {
 							continue
 						}
 						val := rt.Rand().Uint64()
@@ -137,7 +136,7 @@ func MobileSecureMulticast() congest.Protocol {
 				// Depth slot: node at depth d sends at x = depthMax-d+1.
 				if me != tree.Target && tree.Depth[me] == depthMax-x+1 {
 					var acc uint64
-					parentPort := pr.Port(tree.Parent[me])
+					parentPort := rt.Port(tree.Parent[me])
 					for p := 0; p < deg; p++ {
 						if p != parentPort {
 							acc ^= st.edgeVal[p]
@@ -152,7 +151,7 @@ func MobileSecureMulticast() congest.Protocol {
 					}
 				}
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for p, m := range in {
 				if m == nil {
 					continue

@@ -100,8 +100,8 @@ func portBuf(flat []byte, p, size int) []byte {
 // Randomness is drawn in ascending port (== neighbour) order, matching the
 // pre-port map implementation byte for byte. One send buffer serves every
 // round: the engine copies outbox bytes at collection.
-func exchangeSecrets(pr congest.PortRuntime, ell int) (sent, recv [][]gf.Elem) {
-	deg := pr.Degree()
+func exchangeSecrets(rt congest.Runtime, ell int) (sent, recv [][]gf.Elem) {
+	deg := rt.Degree()
 	n := ell * wordSymbols
 	syms := make([]gf.Elem, 2*deg*n)
 	sent = make([][]gf.Elem, deg)
@@ -111,9 +111,9 @@ func exchangeSecrets(pr congest.PortRuntime, ell int) (sent, recv [][]gf.Elem) {
 		recv[p] = syms[(2*p+1)*n : (2*p+2)*n : (2*p+2)*n]
 	}
 	buf := make([]byte, deg*keyBytes)
-	rng := pr.Rand()
+	rng := rt.Rand()
 	for r := 0; r < ell; r++ {
-		out := pr.OutBuf()
+		out := rt.OutBuf()
 		for p := 0; p < deg; p++ {
 			m := buf[p*keyBytes : (p+1)*keyBytes]
 			for i := 0; i < wordSymbols; i++ {
@@ -124,7 +124,7 @@ func exchangeSecrets(pr congest.PortRuntime, ell int) (sent, recv [][]gf.Elem) {
 			}
 			out[p] = m
 		}
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		for p := 0; p < deg; p++ {
 			m := in[p] // eavesdroppers never drop messages
 			for i := 0; i < wordSymbols; i++ {
@@ -187,12 +187,11 @@ func StaticToMobile(payload congest.Protocol, r, t int) congest.Protocol {
 	ell := r + t
 	kx := newKeyExtractor(ell, r, "static-to-mobile")
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
-		sent, recv := exchangeSecrets(pr, ell)
+		sent, recv := exchangeSecrets(rt, ell)
 		sendKeys := kx.pools(sent)
 		recvKeys := kx.pools(recv)
 		round := 0
-		deg := pr.Degree()
+		deg := rt.Degree()
 		dec := make([]congest.Msg, deg)
 		// Per-port pad buffers: the engine copies sent bytes at collection,
 		// and the decrypted inbox, like the engine's, is only valid until
@@ -204,7 +203,7 @@ func StaticToMobile(payload congest.Protocol, r, t int) congest.Protocol {
 			if round >= r {
 				panic(fmt.Sprintf("secure: payload exceeded its declared %d rounds", r))
 			}
-			penc := pr.OutBuf()
+			penc := rt.OutBuf()
 			for p, m := range out {
 				if m == nil {
 					continue
@@ -214,7 +213,7 @@ func StaticToMobile(payload congest.Protocol, r, t int) congest.Protocol {
 				}
 				penc[p] = padInto(portBuf(encBuf, p, keyBytes), m, sendKeys[p].Key(round))
 			}
-			in := pr.ExchangePorts(penc)
+			in := rt.ExchangePorts(penc)
 			for p, m := range in {
 				if m == nil {
 					dec[p] = nil

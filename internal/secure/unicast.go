@@ -68,7 +68,6 @@ func StaticSecureUnicast(s graph.NodeID) congest.Protocol {
 // per-edge values live in a port-indexed slice and every round moves through
 // the runtime's reusable port buffers.
 func runStaticUnicast(rt congest.Runtime, sh *UnicastShared, s graph.NodeID, keyFor func(port int) []byte) {
-	pr := congest.Ports(rt)
 	me := rt.ID()
 	depthMax := sh.MaxDepth()
 	var secret uint64
@@ -77,11 +76,11 @@ func runStaticUnicast(rt congest.Runtime, sh *UnicastShared, s graph.NodeID, key
 	}
 
 	// edgeVal[p] is the value of the edge on port p once known.
-	edgeVal := make([]uint64, pr.Degree())
+	edgeVal := make([]uint64, rt.Degree())
 	parent := sh.Parent[me]
 	parentPort := -1
 	if parent >= 0 {
-		parentPort = pr.Port(parent)
+		parentPort = rt.Port(parent)
 	}
 	isTreeEdge := func(a, b graph.NodeID) bool {
 		return sh.Parent[a] == b || sh.Parent[b] == a
@@ -95,9 +94,9 @@ func runStaticUnicast(rt congest.Runtime, sh *UnicastShared, s graph.NodeID, key
 	decrypt := encrypt
 
 	// Round 1: non-tree edges — the higher-ID endpoint draws the value.
-	out := pr.OutBuf()
-	for p := 0; p < pr.Degree(); p++ {
-		v := pr.Neighbor(p)
+	out := rt.OutBuf()
+	for p := 0; p < rt.Degree(); p++ {
+		v := rt.Neighbor(p)
 		if isTreeEdge(me, v) || me < v {
 			continue
 		}
@@ -105,7 +104,7 @@ func runStaticUnicast(rt congest.Runtime, sh *UnicastShared, s graph.NodeID, key
 		edgeVal[p] = val
 		out[p] = encrypt(p, congest.U64Msg(val))
 	}
-	in := pr.ExchangePorts(out)
+	in := rt.ExchangePorts(out)
 	for p, m := range in {
 		if m != nil {
 			edgeVal[p] = congest.U64(decrypt(p, m))
@@ -116,7 +115,7 @@ func runStaticUnicast(rt congest.Runtime, sh *UnicastShared, s graph.NodeID, key
 	// value in round (depthMax - d + 2); shallower nodes have all child
 	// values by then.
 	for r := 0; r < depthMax; r++ {
-		out = pr.OutBuf()
+		out = rt.OutBuf()
 		if me != sh.Target && sh.Depth[me] == depthMax-r && parentPort >= 0 {
 			var acc uint64
 			for p := range edgeVal {
@@ -131,7 +130,7 @@ func runStaticUnicast(rt congest.Runtime, sh *UnicastShared, s graph.NodeID, key
 			edgeVal[parentPort] = acc
 			out[parentPort] = encrypt(parentPort, congest.U64Msg(acc))
 		}
-		in = pr.ExchangePorts(out)
+		in = rt.ExchangePorts(out)
 		for p, m := range in {
 			if m != nil {
 				edgeVal[p] = congest.U64(decrypt(p, m))
@@ -165,20 +164,19 @@ func MobileSecureUnicast(s graph.NodeID) congest.Protocol {
 			panic("secure: run Config.Shared must be *secure.UnicastShared")
 		}
 		// Preliminary round: K(u,v) chosen by the higher-ID endpoint.
-		pr := congest.Ports(rt)
-		keys := make([][]byte, pr.Degree())
-		out := pr.OutBuf()
-		for p := 0; p < pr.Degree(); p++ {
-			if v := pr.Neighbor(p); rt.ID() > v {
+		keys := make([][]byte, rt.Degree())
+		out := rt.OutBuf()
+		for p := 0; p < rt.Degree(); p++ {
+			if v := rt.Neighbor(p); rt.ID() > v {
 				k := make([]byte, 8)
 				rt.Rand().Read(k)
 				keys[p] = k
 				out[p] = congest.Msg(k).Clone()
 			}
 		}
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		for p, m := range in {
-			if m != nil && rt.ID() < pr.Neighbor(p) {
+			if m != nil && rt.ID() < rt.Neighbor(p) {
 				keys[p] = m.Clone()
 			}
 		}

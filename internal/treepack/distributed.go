@@ -31,20 +31,19 @@ type DistPackingResult struct {
 // paper computes general-graph packings in a trusted preprocessing phase).
 func DistributedGreedyPacking(k, flood int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
-		load := make([]int, pr.Degree()) // per-port local edge load
+		load := make([]int, rt.Degree()) // per-port local edge load
 		parents := make([]graph.NodeID, 0, k)
 		for iter := 0; iter < k; iter++ {
-			parent := buildTreePrim(pr, load, flood)
+			parent := buildTreePrim(rt, load, flood)
 			parents = append(parents, parent)
 			// Count the tree edge's load on both endpoints.
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			if parent >= 0 {
-				pp := pr.Port(parent)
+				pp := rt.Port(parent)
 				load[pp]++
 				out[pp] = congest.U64Msg(1)
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			for p, m := range in {
 				if m != nil && congest.U64(m) == 1 {
 					load[p]++
@@ -72,26 +71,26 @@ const noCand = ^uint64(0)
 // (-1 for the root, node n-1). Each of the n-1 join steps: (1) exchange
 // in-tree flags, (2) flood the fragment's cheapest outgoing edge, (3) the
 // winning inside endpoint invites the outside endpoint, which joins.
-func buildTreePrim(pr congest.PortRuntime, load []int, flood int) graph.NodeID {
-	me := pr.ID()
-	deg := pr.Degree()
-	root := graph.NodeID(pr.N() - 1)
+func buildTreePrim(rt congest.Runtime, load []int, flood int) graph.NodeID {
+	me := rt.ID()
+	deg := rt.Degree()
+	root := graph.NodeID(rt.N() - 1)
 	inTree := me == root
 	parent := graph.NodeID(-1)
 	nbIn := make([]bool, deg)
 
-	for step := 0; step < pr.N()-1; step++ {
+	for step := 0; step < rt.N()-1; step++ {
 		// Round 1: share in-tree status.
 		flag := uint64(0)
 		if inTree {
 			flag = 1
 		}
-		out := pr.OutBuf()
+		out := rt.OutBuf()
 		word := congest.U64Msg(flag)
 		for p := range out {
 			out[p] = word
 		}
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		for p := range nbIn {
 			nbIn[p] = in[p] != nil && congest.U64(in[p]) == 1
 		}
@@ -103,15 +102,15 @@ func buildTreePrim(pr congest.PortRuntime, load []int, flood int) graph.NodeID {
 					continue
 				}
 				w := weightOf(load[p])
-				if better(w, me, pr.Neighbor(p), bestW, bestA, bestB) {
-					bestW, bestA, bestB = w, me, pr.Neighbor(p)
+				if better(w, me, rt.Neighbor(p), bestW, bestA, bestB) {
+					bestW, bestA, bestB = w, me, rt.Neighbor(p)
 				}
 			}
 		}
 		// Flood the fragment minimum over inside-inside edges (the inside
 		// subgraph is connected: it contains the tree built so far).
 		for fr := 0; fr < flood; fr++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			if inTree {
 				enc := encodeCand(bestW, bestA, bestB)
 				for p := 0; p < deg; p++ {
@@ -120,7 +119,7 @@ func buildTreePrim(pr congest.PortRuntime, load []int, flood int) graph.NodeID {
 					}
 				}
 			}
-			in := pr.ExchangePorts(out)
+			in := rt.ExchangePorts(out)
 			if !inTree {
 				continue
 			}
@@ -136,25 +135,25 @@ func buildTreePrim(pr congest.PortRuntime, load []int, flood int) graph.NodeID {
 		}
 		// Round 3: the winning inside endpoint invites; the invited node
 		// joins with the inviter as parent.
-		out = pr.OutBuf()
+		out = rt.OutBuf()
 		if inTree && bestA == me && bestB >= 0 {
-			if bp := pr.Port(bestB); bp >= 0 {
+			if bp := rt.Port(bestB); bp >= 0 {
 				out[bp] = congest.U64Msg(0x4A4F494E) // "JOIN"
 			} else {
 				// A corrupted flood candidate can name a non-neighbor; abort
 				// with the canonical error, like the map outbox used to (and
 				// never fall through desynced if a wrapper tolerates it).
 				//lint:ignore portnative deliberate abort path: the map Exchange is the canonical way to trigger the engine's non-neighbor error
-				pr.Exchange(map[graph.NodeID]congest.Msg{bestB: congest.U64Msg(0x4A4F494E)})
+				rt.Exchange(map[graph.NodeID]congest.Msg{bestB: congest.U64Msg(0x4A4F494E)})
 				panic("treepack: invited join target is not adjacent")
 			}
 		}
-		in = pr.ExchangePorts(out)
+		in = rt.ExchangePorts(out)
 		if !inTree {
 			for p, m := range in {
 				if m != nil && congest.U64(m) == 0x4A4F494E {
 					inTree = true
-					parent = pr.Neighbor(p)
+					parent = rt.Neighbor(p)
 					break
 				}
 			}

@@ -35,13 +35,12 @@ func ExpanderPackingPadded(k, z, pad int) congest.Protocol {
 
 func expanderProtocol(k, z, pad int) congest.Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
-		deg := pr.Degree()
+		deg := rt.Degree()
 		// Logical round 1: higher-ID endpoint picks each edge's colour.
 		myColor := make([]uint64, deg) // proposals for edges I own, by port
 		mine := make([]bool, deg)
 		for p := 0; p < deg; p++ {
-			if v := pr.Neighbor(p); rt.ID() > v {
+			if v := rt.Neighbor(p); rt.ID() > v {
 				myColor[p] = uint64(rt.Rand().Intn(k))
 				mine[p] = true
 			}
@@ -55,7 +54,7 @@ func expanderProtocol(k, z, pad int) congest.Protocol {
 				}
 			}
 		}
-		colorIn := paddedExchange(pr, buildOut, pad)
+		colorIn := paddedExchange(rt, buildOut, pad)
 		color := make([]int, deg) // final colour per incident edge, by port
 		for p := 0; p < deg; p++ {
 			switch {
@@ -88,7 +87,7 @@ func expanderProtocol(k, z, pad int) congest.Protocol {
 					out[p] = congest.U64Msg(best[c])
 				}
 			}
-			in := paddedExchange(pr, buildBFS, pad)
+			in := paddedExchange(rt, buildBFS, pad)
 			for p := 0; p < deg; p++ {
 				c := color[p]
 				if c < 0 || in[p] == nil {
@@ -97,7 +96,7 @@ func expanderProtocol(k, z, pad int) congest.Protocol {
 				val := congest.U64(in[p])
 				if val > best[c] && val <= uint64(rt.N()) {
 					best[c] = val
-					parent[c] = pr.Neighbor(p)
+					parent[c] = rt.Neighbor(p)
 				}
 			}
 		}
@@ -107,31 +106,31 @@ func expanderProtocol(k, z, pad int) congest.Protocol {
 			for p := 0; p < deg; p++ {
 				var mask uint64
 				for c := 0; c < k && c < 64; c++ {
-					if parent[c] == pr.Neighbor(p) {
+					if parent[c] == rt.Neighbor(p) {
 						mask |= 1 << uint(c)
 					}
 				}
 				out[p] = congest.U64Msg(mask)
 			}
 		}
-		paddedExchange(pr, buildNotify, pad)
+		paddedExchange(rt, buildNotify, pad)
 		rt.SetOutput(ExpanderResult{Parent: parent})
 	}
 }
 
 // paddedExchange builds and sends the same port outbox pad times and returns
 // the per-port majority message (nil when no majority).
-func paddedExchange(pr congest.PortRuntime, build func(out []congest.Msg), pad int) []congest.Msg {
+func paddedExchange(rt congest.Runtime, build func(out []congest.Msg), pad int) []congest.Msg {
 	if pad <= 1 {
-		out := pr.OutBuf()
+		out := rt.OutBuf()
 		build(out)
-		return pr.ExchangePorts(out)
+		return rt.ExchangePorts(out)
 	}
-	counts := make([]map[string]int, pr.Degree())
+	counts := make([]map[string]int, rt.Degree())
 	for r := 0; r < pad; r++ {
-		out := pr.OutBuf()
+		out := rt.OutBuf()
 		build(out)
-		in := pr.ExchangePorts(out)
+		in := rt.ExchangePorts(out)
 		for p, m := range in {
 			if m == nil {
 				continue
@@ -142,7 +141,7 @@ func paddedExchange(pr congest.PortRuntime, build func(out []congest.Msg), pad i
 			counts[p][string(m)]++
 		}
 	}
-	res := make([]congest.Msg, pr.Degree())
+	res := make([]congest.Msg, rt.Degree())
 	for p, cs := range counts {
 		bestMsg, bestCnt := vote.Winner(cs)
 		if bestCnt*2 > pad {

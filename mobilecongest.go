@@ -38,8 +38,8 @@
 // test-only reference simulator written from the model's definition.
 //
 // The simulation pipeline is slot-native end to end. Protocols program
-// against PortRuntime (via Ports): a node's ports are its neighbours in
-// ascending order, and ExchangePorts moves each round through reusable
+// against Runtime: a node's ports are its neighbours in ascending order,
+// and ExchangePorts moves each round through reusable
 // port-indexed []Msg buffers that alias the run's flat round buffers — a
 // fault-free round allocates no maps at all, and the legacy map Exchange
 // survives as a compat wrapper. The adversary boundary is likewise
@@ -95,11 +95,14 @@ type (
 	Msg = congest.Msg
 	// Protocol is per-node protocol code.
 	Protocol = congest.Protocol
-	// Runtime is the map-level interface protocol code sees.
+	// Runtime is the node interface protocol code programs against.
 	Runtime = congest.Runtime
-	// PortRuntime is the port-indexed (slot-native) runtime protocol code
-	// should program against on hot paths; obtain one with Ports.
-	PortRuntime = congest.PortRuntime
+	// PortRuntime is Runtime.
+	//
+	// Deprecated: use Runtime, which carries the port methods. The alias
+	// stays only because the benchmark harness under bench/ names it; it
+	// goes together with the map Exchange.
+	PortRuntime = Runtime
 	// Result is a run outcome.
 	Result = congest.Result
 	// Adversary intercepts round traffic through the slot-native
@@ -113,12 +116,12 @@ type (
 	RunContext = congest.RunContext
 )
 
-// Ports returns rt's port-native interface: rt itself when it is already
-// port-aware (every engine's runtime and WrappedRuntime are), otherwise a
-// map-backed compat shim. Port-native protocols exchange through reusable
-// port-indexed []Msg buffers and allocate no per-round maps; see the
-// README's "Writing a protocol" section.
-func Ports(rt Runtime) PortRuntime { return congest.Ports(rt) }
+// Ports returns rt.
+//
+// Deprecated: every Runtime is port-native; call its port methods
+// directly. Ports stays only because the benchmark harness under bench/
+// calls it; it goes together with the map Exchange.
+func Ports(rt Runtime) Runtime { return rt }
 
 // NewClique returns the complete graph K_n.
 func NewClique(n int) *Graph { return graph.Clique(n) }

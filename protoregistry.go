@@ -150,7 +150,7 @@ func isRing(g *Graph) bool {
 func protoInputs(proto Protocol, inputs [][]byte) Protocol {
 	return func(rt Runtime) {
 		w := &congest.WrappedRuntime{Base: rt}
-		w.ExchangePortsFn = congest.Ports(rt).ExchangePorts
+		w.ExchangePortsFn = rt.ExchangePorts
 		w.InputFn = func() []byte { return inputs[rt.ID()] }
 		proto(w)
 	}

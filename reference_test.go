@@ -17,7 +17,7 @@ import (
 // written from the model's definition (Section 1.4), so the cross-engine
 // suites check every engine against code that shares none of theirs — no
 // arena, edge layout, coroutine, shard, or run core. Every node runs its
-// protocol in a goroutine of its own against refNode, a plain PortRuntime
+// protocol in a goroutine of its own against refNode, a plain Runtime
 // whose exchange is two channel handoffs. Each round the outboxes become a
 // congest.Traffic map, the adversary rewrites it through the public
 // free-standing view (congest.NewRoundTraffic, then Delivered), and the
@@ -53,7 +53,7 @@ type refNode struct {
 	done          chan struct{}
 }
 
-var _ congest.PortRuntime = (*refNode)(nil)
+var _ congest.Runtime = (*refNode)(nil)
 
 func (v *refNode) ID() graph.NodeID            { return v.id }
 func (v *refNode) N() int                      { return v.g.N() }

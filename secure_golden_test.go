@@ -58,19 +58,18 @@ func registrySecureLine(topo string, n, k int, adv string, f int, seed int64) st
 // for the congestion-sensitive compiler, whose messages are at most 2 bytes.
 func csFloodPayload(r int) Protocol {
 	return func(rt congest.Runtime) {
-		pr := congest.Ports(rt)
 		var have uint16
 		if rt.ID() == 0 {
 			have = 0xBEEF
 		}
 		for i := 0; i < r; i++ {
-			out := pr.OutBuf()
+			out := rt.OutBuf()
 			if have != 0 {
 				for p := range out {
 					out[p] = congest.Msg{byte(have >> 8), byte(have)}
 				}
 			}
-			for _, m := range pr.ExchangePorts(out) {
+			for _, m := range rt.ExchangePorts(out) {
 				if len(m) == 2 && have == 0 {
 					have = uint16(m[0])<<8 | uint16(m[1])
 				}

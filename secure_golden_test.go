@@ -99,6 +99,22 @@ func TestSecureCompilersGolden(t *testing.T) {
 		}
 	}
 
+	// Write adversaries: a corrupted key-phase symbol gives the receiver a
+	// stream that differs from its sender's, so the two endpoints' pools
+	// must be derived from their own streams, never shared between them.
+	for _, c := range []struct {
+		topo string
+		n, k int
+	}{{"circulant", 128, 4}, {"clique", 16, 0}} {
+		for _, adv := range []string{"flip", "inject", "randomize"} {
+			for f := 1; f <= 2; f++ {
+				for seed := int64(1); seed <= 2; seed++ {
+					got = append(got, registrySecureLine(c.topo, c.n, c.k, adv, f, seed))
+				}
+			}
+		}
+	}
+
 	// Mobile-secure broadcast (T4's setting): k = f*3+1 shares over a
 	// circulant, and a clique whose trees share edges.
 	for _, f := range []int{1, 2} {

@@ -14,15 +14,27 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files from the current code")
 
+var goldenShards = flag.Int("shards", 1, "run the hardened-clique and secure-compiler goldens on the shard engine with this many shards; 1 is the step engine, and the records must not change")
+
+// goldenEngine is the engine the hardened-clique and secure-compiler
+// goldens run on: step, or the shard engine at -shards.
+func goldenEngine() Engine {
+	if *goldenShards == 1 {
+		return EngineStep
+	}
+	return NewShardEngine(*goldenShards)
+}
+
 const hardenedGoldenFile = "testdata/hardened_clique_golden.txt"
 
-// hardenedGoldenLine runs one hardened-clique cell on the step engine and
+// hardenedGoldenLine runs one hardened-clique cell on goldenEngine and
 // renders its Stats and an output digest as one line.
 func hardenedGoldenLine(adv string, f, n int, seed int64) string {
 	res, err := NewScenario(
 		WithTopology("clique", n, 0),
 		WithProtocolName("hardened-clique"),
 		WithAdversaryName(adv, f),
+		WithEngine(goldenEngine()),
 		WithSeed(seed),
 	).Run()
 	cell := fmt.Sprintf("%s f=%d n=%d seed=%d", adv, f, n, seed)
@@ -145,10 +157,11 @@ func checkGolden(t *testing.T, path string, got []string) {
 // bytes of one warmed hardened-clique run (clique16, flip f=2, step engine).
 // The compiler's tree primitives build each frame only when a tree commits,
 // and each node encodes its per-tree sketches into one reused buffer that
-// the convergecast folds child sketches into in place. A run makes about
-// 9.8k allocations of about 7.6 MB in all; building frames every round or a
-// fresh sketch and merge result per tree and child puts it back above 12k
-// and 13 MB, and decoding sketches per round in the hundreds of thousands.
+// the convergecast folds child sketches into in place, and the run's memo
+// decodes each broadcast word once. A run makes about 8.2k allocations of
+// about 7.25 MB in all; building frames every round or a fresh sketch and
+// merge result per tree and child puts it back above 12k and 13 MB, and
+// decoding sketches per round in the hundreds of thousands.
 func TestHardenedCliqueAllocCeiling(t *testing.T) {
 	const (
 		ceiling      = 15_000
@@ -185,10 +198,12 @@ func TestHardenedCliqueAllocCeiling(t *testing.T) {
 
 // TestSecureBroadcastAllocCeiling caps the allocations of one warmed
 // secure-broadcast run (circulant128 k=4, eavesdrop f=2, step engine). The
-// Theorem 1.2 key phase shares one table-driven extractor per compiled
-// protocol, reuses its Phase-1 send buffer and pads into per-port buffers,
-// so a run makes about 7.3k allocations; rebuilding a Vandermonde matrix
-// per port or a fresh message per key word would put it back near 200k.
+// Theorem 1.2 key phase shares one table-driven extractor per geometry,
+// extracts each edge-direction's stream once through the run's memo (1024
+// extractions, not 2048), reuses its Phase-1 send buffer and pads into
+// per-port buffers, so a run makes about 4.1k allocations; rebuilding a
+// Vandermonde matrix per port or a fresh message per key word would put it
+// back near 200k.
 func TestSecureBroadcastAllocCeiling(t *testing.T) {
 	const ceiling = 20_000
 	sc := NewScenario(

@@ -192,6 +192,11 @@ type Runtime interface {
 	// nodes before the run (tree packings, cycle covers); nil when the run
 	// has none. Protocols honouring pure KT1 must not use it.
 	Shared() any
+	// Memo returns the run's store for pure node computations, shared by
+	// every node of the run and emptied when it ends (see Memo). It is
+	// simulation machinery, not a channel: a node must only derive through
+	// it what it could compute alone.
+	Memo() *Memo
 }
 
 // Config parameterizes a simulation run.

@@ -65,7 +65,7 @@ type nodeCore struct {
 	input     []byte
 	output    any
 	round     int
-	n         int
+	rc        *RunContext // the run's context: N and the run's Memo
 	shared    any
 
 	outBuf     []Msg // reusable port-indexed outbox (CSR sub-slice of the run's out slab)
@@ -80,12 +80,13 @@ type nodeCore struct {
 }
 
 func (s *nodeCore) ID() graph.NodeID          { return s.id }
-func (s *nodeCore) N() int                    { return s.n }
+func (s *nodeCore) N() int                    { return s.rc.g.N() }
 func (s *nodeCore) Neighbors() []graph.NodeID { return s.neighbors }
 func (s *nodeCore) Round() int                { return s.round }
 func (s *nodeCore) Input() []byte             { return s.input }
 func (s *nodeCore) SetOutput(v any)           { s.output = v }
 func (s *nodeCore) Shared() any               { return s.shared }
+func (s *nodeCore) Memo() *Memo               { return s.rc.runMemo() }
 
 // Rand materializes the node's RNG on first use. The seed was drawn in node
 // order at run start (nodeCores), so the stream is identical to an eagerly

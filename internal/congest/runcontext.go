@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"mobilecongest/internal/graph"
 )
@@ -59,6 +60,12 @@ type RunContext struct {
 	coros       *coroSlab
 	coroCleanup runtime.Cleanup
 	coroWarm    bool // a coroutine-engine run was served; later runs keep the slab
+
+	// memo is the Memo the run's nodes share, created by the first run that
+	// asks for it, so a context whose runs never do carries one nil
+	// pointer. The engine empties it when each run ends; its tables keep
+	// their capacity for the next run.
+	memo atomic.Pointer[Memo]
 }
 
 // NewRunContext returns an empty context; it binds to a graph on first use.
@@ -226,6 +233,24 @@ func (rc *RunContext) shardScratch(shards int) (touched [][]int32, errs []error,
 	return touched, errs, active
 }
 
+// runMemo returns the context's Memo, creating it on first use. Nodes on
+// parallel shards may race to create it; one wins and all share it.
+func (rc *RunContext) runMemo() *Memo {
+	if m := rc.memo.Load(); m != nil {
+		return m
+	}
+	rc.memo.CompareAndSwap(nil, new(Memo))
+	return rc.memo.Load()
+}
+
+// releaseMemo empties the run's memo when the run ends, so no later run
+// sees its entries and a parked context pins none of them.
+func (rc *RunContext) releaseMemo() {
+	if m := rc.memo.Load(); m != nil {
+		m.release()
+	}
+}
+
 // resetSlabs releases any payload references a previous (possibly aborted)
 // run left in the port slabs, so reused contexts leak nothing between runs.
 func (rc *RunContext) resetSlabs() {
@@ -284,7 +309,7 @@ func (rc *RunContext) nodeCores(cfg Config) []nodeCore {
 			rngSeed:   rc.seeder.Int63(),
 			rngStore:  rc.rngs,
 			input:     input,
-			n:         rc.g.N(),
+			rc:        rc,
 			shared:    cfg.Shared,
 			outBuf:    rc.outSlab[base:end:end],
 			inBuf:     rc.inSlab[base:end:end],

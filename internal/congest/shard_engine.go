@@ -217,6 +217,7 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 	}
 	defer func() {
 		rc.releaseLent(err != nil)
+		rc.releaseMemo()
 		core.runDone(err)
 	}()
 	n := core.g.N()

@@ -123,6 +123,10 @@ func (w *WrappedRuntime) Shared() any {
 	return w.Base.Shared()
 }
 
+// Memo forwards to the base runtime: a compiler and its payload share the
+// run's memo.
+func (w *WrappedRuntime) Memo() *Memo { return w.Base.Memo() }
+
 // Round returns the number of simulated (virtual) rounds completed.
 func (w *WrappedRuntime) Round() int { return w.rounds }
 

@@ -65,7 +65,7 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 	// owns its image, so the convergecast folds child sketches into it in
 	// place.
 	k := len(s.trees)
-	seeds := treeSeeds(seed, k)
+	seeds := TreeSeeds(s.rt.Memo(), seed, k)
 	locals := s.sketches.Build(seeds, sparsity, func(upd func(e sketch.Elem, f int64)) {
 		s.localStream(sent, est, upd)
 	})
@@ -126,7 +126,7 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 	k := len(s.trees)
 	t := s.cfg.Samplers
 
-	seeds := samplerSeeds(seed, k, j, t)
+	seeds := samplerSeeds(s.rt.Memo(), seed, k, j, t)
 	locals := make([][]byte, k)
 	for ti := 0; ti < k; ti++ {
 		buf := make([]byte, 0, t*sketch.EncodedL0Size)
@@ -251,27 +251,43 @@ func wireMerge(size int) rsim.MergeFn {
 	return func(_ int, a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
 }
 
-// treeSeeds derives the k per-tree sketch seeds of one iteration.
-func treeSeeds(seed uint64, k int) []uint64 {
-	fold := sketch.NewXorFolder(seed)
-	out := make([]uint64, k)
-	for j := range out {
-		out[j] = fold.Fold(uint64(j) + 1)
-	}
-	return out
+// Every node derives the same seeds from the same broadcast seed, and
+// seeding the fold's fingerprint source costs far more than the few words
+// drawn from it, so both derivations go through the run's memo.
+var (
+	treeSeedTable    = congest.NewMemoTable[uint64, []uint64]()
+	samplerSeedTable = congest.NewMemoTable[uint64, []uint64]()
+)
+
+// TreeSeeds derives the k per-tree sketch seeds of one correction
+// iteration from its broadcast seed, through the run's memo m. The result
+// is shared read-only with every node of the run that derives the same
+// seeds.
+func TreeSeeds(m *congest.Memo, seed uint64, k int) []uint64 {
+	return treeSeedTable.Derive(m, []uint64{seed, uint64(k)}, func() []uint64 {
+		fold := sketch.NewXorFolder(seed)
+		out := make([]uint64, k)
+		for j := range out {
+			out[j] = fold.Fold(uint64(j) + 1)
+		}
+		return out
+	})
 }
 
 // samplerSeeds derives the t sampler seeds of each of k trees for iteration
-// iter, tree-major: tree ti's sampler h is out[ti*t+h].
-func samplerSeeds(seed uint64, k, iter, t int) []uint64 {
-	fold := sketch.NewXorFolder(seed)
-	out := make([]uint64, 0, k*t)
-	for ti := 0; ti < k; ti++ {
-		for h := 0; h < t; h++ {
-			out = append(out, fold.Fold(uint64(ti)+1, uint64(iter)+1, uint64(h)+1))
+// iter, tree-major: tree ti's sampler h is out[ti*t+h]. Like TreeSeeds, it
+// derives through the run's memo m and the result is read-only.
+func samplerSeeds(m *congest.Memo, seed uint64, k, iter, t int) []uint64 {
+	return samplerSeedTable.Derive(m, []uint64{seed, uint64(k), uint64(iter), uint64(t)}, func() []uint64 {
+		fold := sketch.NewXorFolder(seed)
+		out := make([]uint64, 0, k*t)
+		for ti := 0; ti < k; ti++ {
+			for h := 0; h < t; h++ {
+				out = append(out, fold.Fold(uint64(ti)+1, uint64(iter)+1, uint64(h)+1))
+			}
 		}
-	}
-	return out
+		return out
+	})
 }
 
 func maxI(a, b int) int {

@@ -8,6 +8,7 @@
 package resilient
 
 import (
+	"slices"
 	"sync"
 
 	"mobilecongest/internal/congest"
@@ -45,26 +46,38 @@ func NewECCPlan(k, maxBytes int) ECCPlan {
 	return ECCPlan{K: k, MsgBytes: 2 * ell, W: w}
 }
 
-// eccCodes memoizes ECCPlan.Code, mapping each plan to its *ecc.Code. Every
-// node of every run encodes and decodes with the same few geometries, and a
-// code costs one 1 KiB table per codeword symbol to build, so each geometry
-// is built once per process and then shared. The memo holds K*W KiB per
-// distinct plan (160 KiB for the hardened-clique f=2 correction plan) for
-// the life of the process.
-var eccCodes sync.Map
+// eccGeometry is the shared read-only state of one plan: its Reed-Solomon
+// code (or the error building it) and the memo table its decodes are
+// derived through, which maps a received word to its message, or to nil
+// for a word the code could not decode.
+type eccGeometry struct {
+	code    *ecc.Code
+	err     error
+	decoded congest.MemoTable[gf.Elem, []byte]
+}
+
+// eccGeometries maps each ECCPlan to its *eccGeometry. Every node of every
+// run encodes and decodes with the same few geometries, and a code costs
+// one 1 KiB table per codeword symbol to build, so each geometry is built
+// once per process and then shared. The map holds K*W KiB per distinct
+// plan (160 KiB for the hardened-clique f=2 correction plan) for the life
+// of the process.
+var eccGeometries sync.Map
+
+func (p ECCPlan) geometry() *eccGeometry {
+	if g, ok := eccGeometries.Load(p); ok {
+		return g.(*eccGeometry)
+	}
+	code, err := ecc.NewCode(eccField, p.K*p.W, p.MsgBytes/2)
+	g, _ := eccGeometries.LoadOrStore(p, &eccGeometry{code: code, err: err, decoded: congest.NewMemoTable[gf.Elem, []byte]()})
+	return g.(*eccGeometry)
+}
 
 // Code returns the plan's Reed-Solomon code. Equal plans share one
 // read-only *ecc.Code, which is safe for concurrent use.
 func (p ECCPlan) Code() (*ecc.Code, error) {
-	if c, ok := eccCodes.Load(p); ok {
-		return c.(*ecc.Code), nil
-	}
-	c, err := ecc.NewCode(eccField, p.K*p.W, p.MsgBytes/2)
-	if err != nil {
-		return nil, err
-	}
-	shared, _ := eccCodes.LoadOrStore(p, c)
-	return shared.(*ecc.Code), nil
+	g := p.geometry()
+	return g.code, g.err
 }
 
 // encodeShares pads msg to the plan size, RS-encodes it, and splits the
@@ -99,8 +112,12 @@ func (p ECCPlan) encodeShares(msg []byte) ([][]byte, error) {
 
 // decodeShares reassembles the received per-tree shares (nil = missing) into
 // the broadcast message; missing or corrupted trees appear as symbol errors
-// for the RS decoder.
-func (p ECCPlan) decodeShares(shares [][]byte) ([]byte, bool) {
+// for the RS decoder. Every node of a run receives the same word unless the
+// adversary corrupted its copy, so the decode is derived through the run's
+// memo m: the first node to present a received word decodes it, a failure
+// included, and every later node with the same word gets that outcome. The
+// caller owns the returned message.
+func (p ECCPlan) decodeShares(m *congest.Memo, shares [][]byte) ([]byte, bool) {
 	recv := make([]gf.Elem, p.K*p.W)
 	for j := 0; j < p.K && j < len(shares); j++ {
 		sh := shares[j]
@@ -110,20 +127,38 @@ func (p ECCPlan) decodeShares(shares [][]byte) ([]byte, bool) {
 			}
 		}
 	}
-	code, err := p.Code()
-	if err != nil {
+	g := p.geometry()
+	msg := g.decoded.Derive(m, recv, func() []byte { return g.decode(p, recv) })
+	if msg == nil {
 		return nil, false
 	}
-	msgSyms, err := code.Decode(recv)
+	return slices.Clone(msg), true
+}
+
+// onDecode, when tests set it, is called for every received word
+// decodeShares decodes (memo hits excluded), to pin the memo's use.
+var onDecode func()
+
+// decode runs the Reed-Solomon decoder on a received word, returning nil
+// if the plan has no code or the word does not decode. A decoded message
+// is never nil: a plan's MsgBytes is at least 2.
+func (g *eccGeometry) decode(p ECCPlan, recv []gf.Elem) []byte {
+	if onDecode != nil {
+		onDecode()
+	}
+	if g.err != nil {
+		return nil
+	}
+	msgSyms, err := g.code.Decode(recv)
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	out := make([]byte, p.MsgBytes)
 	for i, s := range msgSyms {
 		out[2*i] = byte(s >> 8)
 		out[2*i+1] = byte(s)
 	}
-	return out, true
+	return out
 }
 
 // ECCSafeBroadcast delivers the root's message to every node despite the
@@ -159,5 +194,5 @@ func ECCSafeBroadcast(rt congest.Runtime, ob *rsim.Outbox, trees []rsim.TreeView
 		copy(padded, msg)
 		return padded, true
 	}
-	return plan.decodeShares(got)
+	return plan.decodeShares(rt.Memo(), got)
 }

@@ -41,19 +41,22 @@ func TestECCPlanGeometry(t *testing.T) {
 // unequal plans and use them for encode/decode round trips, one clean and
 // one with K/4 bad shares per worker and plan. Equal plans must share one
 // *ecc.Code, unequal ones must not, and every round trip must return the
-// message (run it under -race).
+// message (run it under -race). The workers decode through one memo, and
+// workers w and w+2 draw the same words, so some decodes are derived by
+// two workers at once and others are memo hits.
 func TestECCPlanCodeShared(t *testing.T) {
 	// NewECCPlan(16, 157) rounds up to the plan of NewECCPlan(16, 158), the
 	// hardened-clique f=2 correction geometry [160,79].
 	plans := []ECCPlan{NewECCPlan(16, 8), NewECCPlan(16, 158), NewECCPlan(16, 157), NewECCPlan(12, 26), NewECCPlan(8, 7)}
 	const workers, rounds = 8, 2
 	got := make([][]*ecc.Code, workers)
+	memo := new(congest.Memo)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
+			rng := rand.New(rand.NewSource(int64(w % 2)))
 			got[w] = make([]*ecc.Code, len(plans))
 			for r := 0; r < rounds; r++ {
 				for i, p := range plans {
@@ -79,7 +82,7 @@ func TestECCPlanCodeShared(t *testing.T) {
 							shares[j] = []byte{byte(rng.Intn(256))}
 						}
 					}
-					dec, ok := p.decodeShares(shares)
+					dec, ok := p.decodeShares(memo, shares)
 					if !ok || !bytes.Equal(dec, msg) {
 						t.Errorf("worker %d: plan %+v round trip failed (ok=%v)", w, p, ok)
 					}
@@ -118,7 +121,7 @@ func TestECCShareRoundTrip(t *testing.T) {
 		t.Fatalf("%d shares, want 12", len(shares))
 	}
 	// Clean decode.
-	got, ok := p.decodeShares(shares)
+	got, ok := p.decodeShares(new(congest.Memo), shares)
 	if !ok {
 		t.Fatal("clean decode failed")
 	}
@@ -129,7 +132,7 @@ func TestECCShareRoundTrip(t *testing.T) {
 	shares[1] = []byte{0xFF, 0xFF, 0xFF, 0xFF}
 	shares[5] = nil
 	shares[9] = []byte{1, 2, 3}
-	got, ok = p.decodeShares(shares)
+	got, ok = p.decodeShares(new(congest.Memo), shares)
 	if !ok {
 		t.Fatal("decode with 3 bad shares failed")
 	}

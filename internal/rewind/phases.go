@@ -256,11 +256,7 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 			}
 		}
 	}
-	fold := sketch.NewXorFolder(seed)
-	seeds := make([]uint64, k)
-	for j := range seeds {
-		seeds[j] = fold.Fold(uint64(j) + 1)
-	}
+	seeds := resilient.TreeSeeds(s.rt.Memo(), seed, k)
 	// Each tree owns its image, so the merge folds child sketches into it
 	// in place.
 	locals := s.sketches.Build(seeds, sparsity, stream)

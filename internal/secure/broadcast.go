@@ -60,8 +60,8 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 		}
 		sent, recv := exchangeSecrets(rt, ell)
 		kx := newKeyExtractor(ell, keysPerEdge, "broadcast")
-		sendKeys := kx.pools(sent)
-		recvKeys := kx.pools(recv)
+		sendKeys := kx.pools(rt.Memo(), sent)
+		recvKeys := kx.pools(rt.Memo(), recv)
 		usedSend := make([]int, rt.Degree())
 		usedRecv := make([]int, rt.Degree())
 

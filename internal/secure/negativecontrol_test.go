@@ -51,7 +51,7 @@ func TestNegativeControlKeyRecoveryAttack(t *testing.T) {
 	if len(streamFwd) != ell*wordSymbols || len(phase2Fwd) == 0 {
 		t.Fatalf("view incomplete: %d key symbols, %d phase-2 messages", len(streamFwd), len(phase2Fwd))
 	}
-	pool := newKeyExtractor(ell, r, "negative control").pools([][]gf.Elem{streamFwd})[0]
+	pool := newKeyExtractor(ell, r, "negative control").pools(new(congest.Memo), [][]gf.Elem{streamFwd})[0]
 	// Decrypt round-0's message 0->1: BroadcastInput sends the secret.
 	plain := padInto(nil, phase2Fwd[0], pool.Key(0))
 	if congest.U64(plain) != secret {

@@ -14,6 +14,7 @@ package secure
 
 import (
 	"fmt"
+	"sync"
 
 	"mobilecongest/internal/congest"
 	"mobilecongest/internal/extract"
@@ -139,39 +140,80 @@ func exchangeSecrets(rt congest.Runtime, ell int) (sent, recv [][]gf.Elem) {
 	return sent, recv
 }
 
-// keyExtractor is a compiled protocol's extractor for ell exchanged words
-// and r keys per edge-direction, built once and shared read-only by every
-// node. A construction error is kept, not returned: every node reports it
-// as a panic once its Phase 1 ends, exactly where a per-node build would
-// have failed.
+// keyGeometry is the shared read-only state of one key-phase geometry
+// (ell exchanged words, r keys per edge-direction): its extractor, a
+// construction error if the geometry is invalid, and the memo table its
+// extractions are derived through.
+type keyGeometry struct {
+	ex      *extract.Extractor
+	err     error
+	derived congest.MemoTable[gf.Elem, []byte]
+}
+
+// onExtract, when tests set it, is called for every stream the key phase
+// extracts (memo hits excluded), to pin the memo's use.
+var onExtract func()
+
+// keyGeometries maps [2]int{ell, r} to its *keyGeometry. Every node of
+// every run with the same geometry shares one extractor, whose r 1 KiB
+// multiply tables are built once per process (17 KiB for the
+// secure-broadcast circulant128 f=2 cell) and kept for its life.
+var keyGeometries sync.Map
+
+// keyExtractor derives a node's Phase-1 key pools for one geometry. A
+// construction error is kept, not returned: every node reports it as a
+// panic once its Phase 1 ends, exactly where a per-node build would have
+// failed.
 type keyExtractor struct {
-	ex  *extract.Extractor
-	err error
+	*keyGeometry
 	tag string
 }
 
 func newKeyExtractor(ell, r int, tag string) keyExtractor {
-	ex, err := extract.New(field, ell, r)
-	return keyExtractor{ex: ex, err: err, tag: tag}
+	key := [2]int{ell, r}
+	geo, ok := keyGeometries.Load(key)
+	if !ok {
+		ex, err := extract.New(field, ell, r)
+		geo, _ = keyGeometries.LoadOrStore(key, &keyGeometry{ex: ex, err: err, derived: congest.NewMemoTable[gf.Elem, []byte]()})
+	}
+	return keyExtractor{keyGeometry: geo.(*keyGeometry), tag: tag}
 }
 
 // pools condenses port-indexed symbol streams into one KeyPool per port.
-func (k keyExtractor) pools(streams [][]gf.Elem) []KeyPool {
+// Both endpoints of an edge-direction hold the same stream unless a write
+// adversary corrupted it in flight, so each stream is extracted through
+// the run's memo: the first endpoint to condense a stream computes its
+// keys and the other gets the same read-only bytes. The streams become
+// memo keys, so the caller must not modify them afterwards.
+func (k keyExtractor) pools(memo *congest.Memo, streams [][]gf.Elem) []KeyPool {
 	if k.err != nil {
 		panic(fmt.Sprintf("secure: %s key derivation: %v", k.tag, k.err))
 	}
-	r := k.ex.M()
 	pools := make([]KeyPool, len(streams))
-	keys := make([]byte, len(streams)*r*keyBytes)
-	ys := make([]gf.Elem, r*wordSymbols)
+	size := k.ex.M() * keyBytes
+	// block holds the keys of the streams this call extracts: it is sized
+	// at the first miss for every port left, so only hit ports before it
+	// save their bytes.
+	var block []byte
+	var ys []gf.Elem
 	for p, stream := range streams {
-		k.ex.ExtractLanes(ys, stream)
-		kp := keys[p*r*keyBytes : (p+1)*r*keyBytes]
-		for i, y := range ys {
-			kp[2*i] = byte(y >> 8)
-			kp[2*i+1] = byte(y)
-		}
-		pools[p].keys = kp
+		pools[p].keys = k.derived.Derive(memo, stream, func() []byte {
+			if block == nil {
+				block = make([]byte, (len(streams)-p)*size)
+				ys = make([]gf.Elem, k.ex.M()*wordSymbols)
+			}
+			keys := block[:size:size]
+			block = block[size:]
+			if onExtract != nil {
+				onExtract()
+			}
+			k.ex.ExtractLanes(ys, stream)
+			for i, y := range ys {
+				keys[2*i] = byte(y >> 8)
+				keys[2*i+1] = byte(y)
+			}
+			return keys
+		})
 	}
 	return pools
 }
@@ -188,8 +230,8 @@ func StaticToMobile(payload congest.Protocol, r, t int) congest.Protocol {
 	kx := newKeyExtractor(ell, r, "static-to-mobile")
 	return func(rt congest.Runtime) {
 		sent, recv := exchangeSecrets(rt, ell)
-		sendKeys := kx.pools(sent)
-		recvKeys := kx.pools(recv)
+		sendKeys := kx.pools(rt.Memo(), sent)
+		recvKeys := kx.pools(rt.Memo(), recv)
 		round := 0
 		deg := rt.Degree()
 		dec := make([]congest.Msg, deg)

@@ -43,6 +43,7 @@ type refNode struct {
 	rng           *rand.Rand
 	input         []byte
 	shared        any
+	memo          *congest.Memo // one per run, shared by its nodes
 	output        any
 	round         int
 	outBuf        []congest.Msg
@@ -63,6 +64,7 @@ func (v *refNode) Rand() *rand.Rand            { return v.rng }
 func (v *refNode) Input() []byte               { return v.input }
 func (v *refNode) SetOutput(o any)             { v.output = o }
 func (v *refNode) Shared() any                 { return v.shared }
+func (v *refNode) Memo() *congest.Memo         { return v.memo }
 func (v *refNode) Degree() int                 { return len(v.Neighbors()) }
 func (v *refNode) Neighbor(p int) graph.NodeID { return v.Neighbors()[p] }
 func (v *refNode) OutBuf() []congest.Msg       { return v.outBuf }
@@ -119,10 +121,11 @@ func (e *refEngine) Run(cfg congest.Config, proto Protocol) (*Result, error) {
 	// seed's source.
 	seeds := rand.NewSource(cfg.Seed)
 	nodes := make([]*refNode, g.N())
+	memo := new(congest.Memo)
 	for i := range nodes {
 		v := &refNode{
 			id: graph.NodeID(i), g: g, rng: rand.New(rand.NewSource(seeds.Int63())),
-			shared: cfg.Shared, outBuf: make([]congest.Msg, g.Degree(graph.NodeID(i))),
+			shared: cfg.Shared, memo: memo, outBuf: make([]congest.Msg, g.Degree(graph.NodeID(i))),
 			post: make(chan []congest.Msg), deliver: make(chan []congest.Msg), done: make(chan struct{}),
 		}
 		if cfg.Inputs != nil {

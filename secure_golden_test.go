@@ -13,7 +13,7 @@ import (
 
 const secureGoldenFile = "testdata/secure_compilers_golden.txt"
 
-// secureGoldenRun runs one secure-compiler cell on the step engine with a
+// secureGoldenRun runs one secure-compiler cell on goldenEngine with a
 // trace observer and renders it through equivalenceGoldenLine: Stats plus
 // digests of the outputs, the full traffic and the eavesdropper's view.
 // Every Phase-2 message is ciphertext, so the traffic digest pins every key
@@ -21,7 +21,7 @@ const secureGoldenFile = "testdata/secure_compilers_golden.txt"
 // sharing the same wrong key still decrypt correctly.
 func secureGoldenRun(label string, seed int64, adv congest.Adversary, opts ...ScenarioOption) string {
 	tr := NewTraceObserver()
-	opts = append(opts, WithSeed(seed), WithAdversary(adv), WithObserver(tr), WithEngineName("step"))
+	opts = append(opts, WithSeed(seed), WithAdversary(adv), WithObserver(tr), WithEngine(goldenEngine()))
 	res, err := NewScenario(opts...).Run()
 	if err != nil {
 		return fmt.Sprintf("%s error=%q", label, err.Error())
@@ -82,10 +82,11 @@ func csFloodPayload(r int) Protocol {
 // TestSecureCompilersGolden pins the key phase of the Theorem 1.2 compiler
 // and the Appendix A.2-A.3 constructions built on it: the registered
 // secure-broadcast cells, MobileSecureBroadcast, and the congestion-sensitive
-// compiler, each under a mobile eavesdropper (and fault-free for the
-// registry cells). The extractor and the key pools may be made faster,
-// never observably different. Regenerate with -update-golden only for a
-// deliberate protocol change.
+// compiler, each under a mobile eavesdropper (and, for the registry cells,
+// fault-free and under the flip, inject and randomize write adversaries).
+// The extractor and the key pools may be made faster, never observably
+// different. -shards runs it on the shard engine. Regenerate with
+// -update-golden only for a deliberate protocol change.
 func TestSecureCompilersGolden(t *testing.T) {
 	var got []string
 	for _, c := range []struct {

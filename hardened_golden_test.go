@@ -14,27 +14,16 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files from the current code")
 
-var goldenShards = flag.Int("shards", 1, "run the hardened-clique and secure-compiler goldens on the shard engine with this many shards; 1 is the step engine, and the records must not change")
-
-// goldenEngine is the engine the hardened-clique and secure-compiler
-// goldens run on: step, or the shard engine at -shards.
-func goldenEngine() Engine {
-	if *goldenShards == 1 {
-		return EngineStep
-	}
-	return NewShardEngine(*goldenShards)
-}
-
 const hardenedGoldenFile = "testdata/hardened_clique_golden.txt"
 
-// hardenedGoldenLine runs one hardened-clique cell on goldenEngine and
-// renders its Stats and an output digest as one line.
-func hardenedGoldenLine(adv string, f, n int, seed int64) string {
+// hardenedGoldenLine runs one hardened-clique cell on engine e and renders
+// its Stats and an output digest as one line.
+func hardenedGoldenLine(e Engine, adv string, f, n int, seed int64) string {
 	res, err := NewScenario(
 		WithTopology("clique", n, 0),
 		WithProtocolName("hardened-clique"),
 		WithAdversaryName(adv, f),
-		WithEngine(goldenEngine()),
+		WithEngine(e),
 		WithSeed(seed),
 	).Run()
 	cell := fmt.Sprintf("%s f=%d n=%d seed=%d", adv, f, n, seed)
@@ -51,20 +40,23 @@ func hardenedGoldenLine(adv string, f, n int, seed int64) string {
 // included) and outputs over the byzantine adversary menu, f, n, and seeds.
 // The tree primitives it runs on (rsim, sketch, ecc) may be made faster, but
 // never observably different: any change to a frame byte, a merge result, or
-// a decoded correction list moves Bytes or the outputs here. Regenerate with
+// a decoded correction list moves Bytes or the outputs here. It runs on the
+// step engine and on 4 shards (see checkGoldenOnEngines). Regenerate with
 // -update-golden only for a deliberate protocol change.
 func TestHardenedCliqueGolden(t *testing.T) {
-	var got []string
-	for _, adv := range []string{"flip", "drop", "randomize", "swap", "inject", "busiest"} {
-		for _, f := range []int{1, 2, 3} {
-			for _, n := range []int{6, 16} {
-				for _, seed := range []int64{1, 2} {
-					got = append(got, hardenedGoldenLine(adv, f, n, seed))
+	checkGoldenOnEngines(t, hardenedGoldenFile, func(e Engine) []string {
+		var got []string
+		for _, adv := range []string{"flip", "drop", "randomize", "swap", "inject", "busiest"} {
+			for _, f := range []int{1, 2, 3} {
+				for _, n := range []int{6, 16} {
+					for _, seed := range []int64{1, 2} {
+						got = append(got, hardenedGoldenLine(e, adv, f, n, seed))
+					}
 				}
 			}
 		}
-	}
-	checkGolden(t, hardenedGoldenFile, got)
+		return got
+	})
 }
 
 // TestHardenedCliqueMatchesReference checks the Theorem 1.6 compiler, whose
@@ -114,6 +106,22 @@ func TestHardenedCliqueMatchesReference(t *testing.T) {
 	check("step", EngineStep)
 	for _, sc := range []int{1, 2, runtime.GOMAXPROCS(0), 64} {
 		check(fmt.Sprintf("shard(%d)", sc), NewShardEngine(sc))
+	}
+}
+
+// checkGoldenOnEngines checks the lines cells renders on the step engine
+// against the golden file at path (see checkGolden), then requires the same
+// lines on 4 parallel shards, where nodes on different shards derive the
+// same run-memo entries at once.
+func checkGoldenOnEngines(t *testing.T, path string, cells func(Engine) []string) {
+	t.Helper()
+	want := cells(EngineStep)
+	checkGolden(t, path, want)
+	got := cells(NewShardEngine(4))
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s line %d on 4 shards:\n got %s\nwant %s (step)", path, i+1, got[i], want[i])
+		}
 	}
 }
 

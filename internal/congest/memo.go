@@ -111,10 +111,9 @@ func (m *Memo) release() {
 	}
 }
 
-// memoHash hashes the key's words for bucket choice: FNV-1a over four
+// memoHash hashes the key's words for the table's index: FNV-1a over four
 // interleaved lanes, so the multiplies do not wait on each other, folded
-// together and finished with a splitmix64 mix, since FNV's low bits (which
-// pick the slot) depend only on the operands' low bits.
+// together with the key's length. The index map mixes the result itself.
 func memoHash[E MemoWord](key []E) uint64 {
 	const prime = 1099511628211
 	h0, h1, h2, h3 := uint64(14695981039346656037), uint64(1), uint64(2), uint64(3)
@@ -129,32 +128,29 @@ func memoHash[E MemoWord](key []E) uint64 {
 	for ; i < len(key); i++ {
 		h0 = (h0 ^ uint64(key[i])) * prime
 	}
-	h := (((h0^h1)*prime^h2)*prime^h3)*prime ^ uint64(len(key))
-	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
-	h = (h ^ h>>27) * 0x94d049bb133111eb
-	return h ^ h>>31
+	return (((h0^h1)*prime^h2)*prime^h3)*prime ^ uint64(len(key))
 }
 
-// memoTable is an open-addressing hash table with linear probing. Entries
-// are never deleted within a run; release clears them all at once.
+// memoTable holds one function's entries for a run. index maps a key hash
+// to 1 + the position in entries of the newest entry with that hash; older
+// entries with the same hash chain through next. Entries are never deleted
+// within a run, and release empties both while keeping their capacity.
 type memoTable[E MemoWord, V any] struct {
-	slots []memoSlot[E, V] // power-of-two length, or nil
-	n     int              // occupied slots
+	index   map[uint64]int32
+	entries []memoEntry[E, V]
 }
 
-type memoSlot[E MemoWord, V any] struct {
-	hash uint64
+type memoEntry[E MemoWord, V any] struct {
 	key  []E
 	val  V
-	full bool
+	next int32 // 1 + position of the previous entry with the same hash, or 0
 }
 
 // find returns the value stored for key, whose hash is h.
 func (t *memoTable[E, V]) find(h uint64, key []E) (V, bool) {
-	mask := uint64(len(t.slots) - 1)
-	for i := h & mask; len(t.slots) > 0 && t.slots[i].full; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.hash == h && slices.Equal(s.key, key) {
-			return s.val, true
+	for i := t.index[h]; i != 0; i = t.entries[i-1].next {
+		if e := &t.entries[i-1]; slices.Equal(e.key, key) {
+			return e.val, true
 		}
 	}
 	var zero V
@@ -167,36 +163,16 @@ func (t *memoTable[E, V]) insert(h uint64, key []E, v V) V {
 	if old, ok := t.find(h, key); ok {
 		return old
 	}
-	if 4*(t.n+1) > 3*len(t.slots) {
-		t.grow()
+	if t.index == nil {
+		t.index = make(map[uint64]int32)
 	}
-	t.place(memoSlot[E, V]{hash: h, key: key, val: v, full: true})
-	t.n++
+	t.entries = append(t.entries, memoEntry[E, V]{key: key, val: v, next: t.index[h]})
+	t.index[h] = int32(len(t.entries))
 	return v
 }
 
-// grow doubles the table (to 64 slots at first) and re-places its entries.
-func (t *memoTable[E, V]) grow() {
-	old := t.slots
-	t.slots = make([]memoSlot[E, V], max(2*len(old), 64))
-	for _, s := range old {
-		if s.full {
-			t.place(s)
-		}
-	}
-}
-
-// place puts s in the first free slot of its probe sequence.
-func (t *memoTable[E, V]) place(s memoSlot[E, V]) {
-	mask := uint64(len(t.slots) - 1)
-	i := s.hash & mask
-	for t.slots[i].full {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = s
-}
-
 func (t *memoTable[E, V]) release() {
-	clear(t.slots)
-	t.n = 0
+	clear(t.index)
+	clear(t.entries)
+	t.entries = t.entries[:0]
 }

@@ -11,8 +11,7 @@ import (
 	"mobilecongest/internal/graph"
 )
 
-// TestMemoExactKeys derives enough keys to grow the table several times and
-// checks that a key hits only on an element-wise equal key: a copy in other
+// TestMemoExactKeys derives a thousand keys and checks that a key hits only on an element-wise equal key: a copy in other
 // memory hits, while a key that differs in one element, a prefix and an
 // extension each miss.
 func TestMemoExactKeys(t *testing.T) {
@@ -55,6 +54,29 @@ func TestMemoExactKeys(t *testing.T) {
 		if computed != before+1 {
 			t.Fatalf("key %v hit the entry of %v", k, key)
 		}
+	}
+}
+
+// TestMemoTableCollisions stores distinct keys under one hash, as a hash
+// collision would, and checks that each finds its own value and that the
+// first value stored for a key stays.
+func TestMemoTableCollisions(t *testing.T) {
+	var tab memoTable[uint16, int]
+	for i := range 5 {
+		if v := tab.insert(42, []uint16{uint16(i)}, i); v != i {
+			t.Fatalf("insert %d returned %d", i, v)
+		}
+	}
+	for i := range 5 {
+		if v, ok := tab.find(42, []uint16{uint16(i)}); !ok || v != i {
+			t.Fatalf("key %d: got %d, %v", i, v, ok)
+		}
+	}
+	if _, ok := tab.find(42, []uint16{9}); ok {
+		t.Fatal("an absent key with a stored hash was found")
+	}
+	if v := tab.insert(42, []uint16{3}, 99); v != 3 {
+		t.Fatalf("a second insert of key 3 returned %d, want the first value 3", v)
 	}
 }
 
@@ -159,9 +181,12 @@ func TestMemoRunScoped(t *testing.T) {
 					continue
 				}
 				st := s.(*memoTable[uint64, []byte])
-				for i, sl := range st.slots {
-					if st.n != 0 || sl.full || sl.key != nil || sl.val != nil {
-						t.Fatalf("%s run %d: the parked context still holds slot %d (%d entries)", e.Name(), run, i, st.n)
+				if len(st.index) != 0 || len(st.entries) != 0 {
+					t.Fatalf("%s run %d: the parked context still holds %d index keys and %d entries", e.Name(), run, len(st.index), len(st.entries))
+				}
+				for i, en := range st.entries[:cap(st.entries)] {
+					if en.key != nil || en.val != nil {
+						t.Fatalf("%s run %d: the parked context still pins entry %d", e.Name(), run, i)
 					}
 				}
 			}

@@ -47,9 +47,9 @@ func NewECCPlan(k, maxBytes int) ECCPlan {
 }
 
 // eccGeometry is the shared read-only state of one plan: its Reed-Solomon
-// code (or the error building it) and the memo table its decodes are
-// derived through, which maps a received word to its message, or to nil
-// for a word the code could not decode.
+// code (or, for an invalid plan, the error building it) and the memo table
+// its decodes are derived through, which maps a received word to its
+// message, or to nil for a word the code could not decode.
 type eccGeometry struct {
 	code    *ecc.Code
 	err     error
@@ -59,9 +59,11 @@ type eccGeometry struct {
 // eccGeometries maps each ECCPlan to its *eccGeometry. Every node of every
 // run encodes and decodes with the same few geometries, and a code costs
 // one 1 KiB table per codeword symbol to build, so each geometry is built
-// once per process and then shared. The map holds K*W KiB per distinct
-// plan (160 KiB for the hardened-clique f=2 correction plan) for the life
-// of the process.
+// once per process and then shared. Only valid plans are stored, so the
+// map, and the memo-table slots each run's memo keeps, grow with the number
+// of distinct valid plans the process ever uses: K*W KiB each (160 KiB for
+// the hardened-clique f=2 correction plan), kept for the life of the
+// process.
 var eccGeometries sync.Map
 
 func (p ECCPlan) geometry() *eccGeometry {
@@ -69,7 +71,10 @@ func (p ECCPlan) geometry() *eccGeometry {
 		return g.(*eccGeometry)
 	}
 	code, err := ecc.NewCode(eccField, p.K*p.W, p.MsgBytes/2)
-	g, _ := eccGeometries.LoadOrStore(p, &eccGeometry{code: code, err: err, decoded: congest.NewMemoTable[gf.Elem, []byte]()})
+	if err != nil {
+		return &eccGeometry{err: err}
+	}
+	g, _ := eccGeometries.LoadOrStore(p, &eccGeometry{code: code, decoded: congest.NewMemoTable[gf.Elem, []byte]()})
 	return g.(*eccGeometry)
 }
 
@@ -128,6 +133,9 @@ func (p ECCPlan) decodeShares(m *congest.Memo, shares [][]byte) ([]byte, bool) {
 		}
 	}
 	g := p.geometry()
+	if g.err != nil {
+		return nil, false
+	}
 	msg := g.decoded.Derive(m, recv, func() []byte { return g.decode(p, recv) })
 	if msg == nil {
 		return nil, false
@@ -140,14 +148,11 @@ func (p ECCPlan) decodeShares(m *congest.Memo, shares [][]byte) ([]byte, bool) {
 var onDecode func()
 
 // decode runs the Reed-Solomon decoder on a received word, returning nil
-// if the plan has no code or the word does not decode. A decoded message
-// is never nil: a plan's MsgBytes is at least 2.
+// if the word does not decode. A decoded message is never nil: a plan's
+// MsgBytes is at least 2.
 func (g *eccGeometry) decode(p ECCPlan, recv []gf.Elem) []byte {
 	if onDecode != nil {
 		onDecode()
-	}
-	if g.err != nil {
-		return nil
 	}
 	msgSyms, err := g.code.Decode(recv)
 	if err != nil {

@@ -41,22 +41,30 @@ func TestECCPlanGeometry(t *testing.T) {
 // unequal plans and use them for encode/decode round trips, one clean and
 // one with K/4 bad shares per worker and plan. Equal plans must share one
 // *ecc.Code, unequal ones must not, and every round trip must return the
-// message (run it under -race). The workers decode through one memo, and
-// workers w and w+2 draw the same words, so some decodes are derived by
-// two workers at once and others are memo hits.
+// message (run it under -race). The first workers each decode through
+// their own memo, so every word they draw is decoded on the shared code at
+// once; the rest repeat their seeds two times over through one shared
+// memo, so equal words are derived by several workers at once or are memo
+// hits.
 func TestECCPlanCodeShared(t *testing.T) {
 	// NewECCPlan(16, 157) rounds up to the plan of NewECCPlan(16, 158), the
 	// hardened-clique f=2 correction geometry [160,79].
 	plans := []ECCPlan{NewECCPlan(16, 8), NewECCPlan(16, 158), NewECCPlan(16, 157), NewECCPlan(12, 26), NewECCPlan(8, 7)}
-	const workers, rounds = 8, 2
+	const seeds, repeats, rounds = 8, 2, 2
+	const workers = seeds * (1 + repeats)
 	got := make([][]*ecc.Code, workers)
-	memo := new(congest.Memo)
+	shared := new(congest.Memo)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w % 2)))
+			seed := w % seeds
+			rng := rand.New(rand.NewSource(int64(seed)))
+			memo := shared
+			if w < seeds {
+				memo = new(congest.Memo)
+			}
 			got[w] = make([]*ecc.Code, len(plans))
 			for r := 0; r < rounds; r++ {
 				for i, p := range plans {
@@ -77,7 +85,7 @@ func TestECCPlanCodeShared(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if (w+r)%2 == 1 {
+					if (seed+r)%2 == 1 {
 						for _, j := range rng.Perm(p.K)[:p.K/4] {
 							shares[j] = []byte{byte(rng.Intn(256))}
 						}

@@ -141,8 +141,8 @@ func exchangeSecrets(rt congest.Runtime, ell int) (sent, recv [][]gf.Elem) {
 }
 
 // keyGeometry is the shared read-only state of one key-phase geometry
-// (ell exchanged words, r keys per edge-direction): its extractor, a
-// construction error if the geometry is invalid, and the memo table its
+// (ell exchanged words, r keys per edge-direction): its extractor (or, for
+// an invalid geometry, the construction error) and the memo table its
 // extractions are derived through.
 type keyGeometry struct {
 	ex      *extract.Extractor
@@ -157,7 +157,10 @@ var onExtract func()
 // keyGeometries maps [2]int{ell, r} to its *keyGeometry. Every node of
 // every run with the same geometry shares one extractor, whose r 1 KiB
 // multiply tables are built once per process (17 KiB for the
-// secure-broadcast circulant128 f=2 cell) and kept for its life.
+// secure-broadcast circulant128 f=2 cell) and kept for its life. Only
+// valid geometries are stored, so the map, and the memo-table slots each
+// run's memo keeps, grow with the number of distinct valid (ell, r) pairs
+// the process ever uses, not with the number of runs.
 var keyGeometries sync.Map
 
 // keyExtractor derives a node's Phase-1 key pools for one geometry. A
@@ -174,7 +177,10 @@ func newKeyExtractor(ell, r int, tag string) keyExtractor {
 	geo, ok := keyGeometries.Load(key)
 	if !ok {
 		ex, err := extract.New(field, ell, r)
-		geo, _ = keyGeometries.LoadOrStore(key, &keyGeometry{ex: ex, err: err, derived: congest.NewMemoTable[gf.Elem, []byte]()})
+		if err != nil {
+			return keyExtractor{keyGeometry: &keyGeometry{err: err}, tag: tag}
+		}
+		geo, _ = keyGeometries.LoadOrStore(key, &keyGeometry{ex: ex, derived: congest.NewMemoTable[gf.Elem, []byte]()})
 	}
 	return keyExtractor{keyGeometry: geo.(*keyGeometry), tag: tag}
 }

@@ -13,15 +13,15 @@ import (
 
 const secureGoldenFile = "testdata/secure_compilers_golden.txt"
 
-// secureGoldenRun runs one secure-compiler cell on goldenEngine with a
+// secureGoldenRun runs one secure-compiler cell on engine e with a
 // trace observer and renders it through equivalenceGoldenLine: Stats plus
 // digests of the outputs, the full traffic and the eavesdropper's view.
 // Every Phase-2 message is ciphertext, so the traffic digest pins every key
 // byte both endpoints derived; outputs alone would not, since two endpoints
 // sharing the same wrong key still decrypt correctly.
-func secureGoldenRun(label string, seed int64, adv congest.Adversary, opts ...ScenarioOption) string {
+func secureGoldenRun(e Engine, label string, seed int64, adv congest.Adversary, opts ...ScenarioOption) string {
 	tr := NewTraceObserver()
-	opts = append(opts, WithSeed(seed), WithAdversary(adv), WithObserver(tr), WithEngine(goldenEngine()))
+	opts = append(opts, WithSeed(seed), WithAdversary(adv), WithObserver(tr), WithEngine(e))
 	res, err := NewScenario(opts...).Run()
 	if err != nil {
 		return fmt.Sprintf("%s error=%q", label, err.Error())
@@ -37,7 +37,7 @@ func secureGoldenRun(label string, seed int64, adv congest.Adversary, opts ...Sc
 // WithProtocolName/WithAdversaryName would (same protocol and adversary
 // seeds, protocol F = f also when the adversary is "none"), keeping the
 // adversary instance so its view can be digested.
-func registrySecureLine(topo string, n, k int, adv string, f int, seed int64) string {
+func registrySecureLine(e Engine, topo string, n, k int, adv string, f int, seed int64) string {
 	label := fmt.Sprintf("secure-broadcast %s%d k=%d %s f=%d seed=%d", topo, n, k, adv, f, seed)
 	g, err := BuildTopology(topo, n, k)
 	if err != nil {
@@ -51,7 +51,7 @@ func registrySecureLine(topo string, n, k int, adv string, f int, seed int64) st
 	if err != nil {
 		return fmt.Sprintf("%s error=%q", label, err.Error())
 	}
-	return secureGoldenRun(label, seed, a, WithGraph(g), WithProtocol(proto), WithShared(shared))
+	return secureGoldenRun(e, label, seed, a, WithGraph(g), WithProtocol(proto), WithShared(shared))
 }
 
 // csFloodPayload floods a 2-byte value from node 0 for r rounds: a payload
@@ -85,9 +85,15 @@ func csFloodPayload(r int) Protocol {
 // compiler, each under a mobile eavesdropper (and, for the registry cells,
 // fault-free and under the flip, inject and randomize write adversaries).
 // The extractor and the key pools may be made faster, never observably
-// different. -shards runs it on the shard engine. Regenerate with
-// -update-golden only for a deliberate protocol change.
+// different. It runs on the step engine and on 4 shards (see
+// checkGoldenOnEngines). Regenerate with -update-golden only for a
+// deliberate protocol change.
 func TestSecureCompilersGolden(t *testing.T) {
+	checkGoldenOnEngines(t, secureGoldenFile, secureGoldenLines)
+}
+
+// secureGoldenLines renders every TestSecureCompilersGolden cell on engine e.
+func secureGoldenLines(e Engine) []string {
 	var got []string
 	for _, c := range []struct {
 		topo string
@@ -95,7 +101,7 @@ func TestSecureCompilersGolden(t *testing.T) {
 	}{{"circulant", 128, 4}, {"circulant", 64, 3}, {"clique", 16, 0}} {
 		for _, adv := range []string{"eavesdrop", "none"} {
 			for seed := int64(1); seed <= 4; seed++ {
-				got = append(got, registrySecureLine(c.topo, c.n, c.k, adv, 2, seed))
+				got = append(got, registrySecureLine(e, c.topo, c.n, c.k, adv, 2, seed))
 			}
 		}
 	}
@@ -110,7 +116,7 @@ func TestSecureCompilersGolden(t *testing.T) {
 		for _, adv := range []string{"flip", "inject", "randomize"} {
 			for f := 1; f <= 2; f++ {
 				for seed := int64(1); seed <= 2; seed++ {
-					got = append(got, registrySecureLine(c.topo, c.n, c.k, adv, f, seed))
+					got = append(got, registrySecureLine(e, c.topo, c.n, c.k, adv, f, seed))
 				}
 			}
 		}
@@ -129,7 +135,7 @@ func TestSecureCompilersGolden(t *testing.T) {
 				inputs := make([][]byte, c.g.N())
 				inputs[c.source] = congest.PutU64(nil, 0xCAFE+uint64(seed))
 				label := fmt.Sprintf("mobile-secure-broadcast %s f=%d seed=%d", c.name, f, seed)
-				got = append(got, secureGoldenRun(label, seed, adversary.NewMobileEavesdropper(c.g, f, seed),
+				got = append(got, secureGoldenRun(e, label, seed, adversary.NewMobileEavesdropper(c.g, f, seed),
 					WithGraph(c.g), WithProtocol(secure.MobileSecureBroadcast(f)), WithShared(sh), WithInputs(inputs)))
 			}
 		}
@@ -142,10 +148,10 @@ func TestSecureCompilersGolden(t *testing.T) {
 	for _, cfg := range []secure.CSConfig{{R: 3, F: 1, Cong: 3}, {R: 5, F: 1, Cong: 5}, {R: 4, F: 2, Cong: 2, KeySlack: 3}} {
 		for seed := int64(1); seed <= 2; seed++ {
 			label := fmt.Sprintf("congestion-sensitive circulant(10,2) r=%d f=%d cong=%d slack=%d seed=%d", cfg.R, cfg.F, cfg.Cong, cfg.KeySlack, seed)
-			got = append(got, secureGoldenRun(label, seed, adversary.NewMobileEavesdropper(g, cfg.F, seed),
+			got = append(got, secureGoldenRun(e, label, seed, adversary.NewMobileEavesdropper(g, cfg.F, seed),
 				WithGraph(g), WithProtocol(secure.CompileCongestionSensitive(csFloodPayload(cfg.R), cfg)), WithShared(sh)))
 		}
 	}
 
-	checkGolden(t, secureGoldenFile, got)
+	return got
 }

@@ -165,11 +165,12 @@ func checkGolden(t *testing.T, path string, got []string) {
 // bytes of one warmed hardened-clique run (clique16, flip f=2, step engine).
 // The compiler's tree primitives build each frame only when a tree commits,
 // and each node encodes its per-tree sketches into one reused buffer that
-// the convergecast folds child sketches into in place, and the run's memo
-// decodes each broadcast word once. A run makes about 8.2k allocations of
-// about 7.25 MB in all; building frames every round or a fresh sketch and
-// merge result per tree and child puts it back above 12k and 13 MB, and
-// decoding sketches per round in the hundreds of thousands.
+// the convergecast folds child sketches into in place, collects its sketch
+// stream into one slice sized from its degree, and the run's memo decodes
+// each broadcast word once. A run makes about 8.2k allocations of about
+// 7.28 MB in all; building frames every round or a fresh sketch and merge
+// result per tree and child puts it back above 12k and 13 MB, and decoding
+// sketches per round in the hundreds of thousands.
 func TestHardenedCliqueAllocCeiling(t *testing.T) {
 	const (
 		ceiling      = 15_000

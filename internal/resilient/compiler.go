@@ -225,6 +225,7 @@ type simulator struct {
 	out   rsim.Outbox   // the node's rsim frames, kept across calls
 
 	sketches sketch.RecoveryImages // per-tree sketch images, reused per iteration
+	samplers sketch.L0Images       // per-tree ℓ0 sampler images, reused per iteration
 }
 
 // exchange simulates one payload round: raw exchange, then mismatch
@@ -291,7 +292,10 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 }
 
 // localStream feeds this node's turnstile stream into upd: sent messages
-// with +1, current estimates with -1 (Section 3.2.2 Step 2).
+// with +1, current estimates with -1 (Section 3.2.2 Step 2). It walks the
+// maps in their random order, which no image sees: the sketches are
+// linear. Each iteration streams once, into every tree's sketches (see
+// sketch.RecoveryImages.Build), and the stream has at most 2·Degree updates.
 func (s *simulator) localStream(sent, est map[graph.NodeID]estimate, upd func(e sketch.Elem, f int64)) {
 	me := s.rt.ID()
 	for to, e := range sent {

@@ -66,6 +66,7 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 	// place.
 	k := len(s.trees)
 	seeds := TreeSeeds(s.rt.Memo(), seed, k)
+	s.sketches.Reserve(2 * s.rt.Degree())
 	locals := s.sketches.Build(seeds, sparsity, func(upd func(e sketch.Elem, f int64)) {
 		s.localStream(sent, est, upd)
 	})
@@ -127,16 +128,12 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 	t := s.cfg.Samplers
 
 	seeds := samplerSeeds(s.rt.Memo(), seed, k, j, t)
-	locals := make([][]byte, k)
-	for ti := 0; ti < k; ti++ {
-		buf := make([]byte, 0, t*sketch.EncodedL0Size)
-		for h := 0; h < t; h++ {
-			sm := sketch.NewL0Sampler(seeds[ti*t+h])
-			s.localStream(sent, est, sm.Update)
-			buf = append(buf, sm.Encode()...)
-		}
-		locals[ti] = buf
-	}
+	// Tree ti's image holds its t samplers back to back; each tree owns
+	// its image, so the convergecast folds child sketches into it in place.
+	s.samplers.Reserve(2 * s.rt.Degree())
+	locals := s.samplers.Build(seeds, t, func(upd func(e sketch.Elem, f int64)) {
+		s.localStream(sent, est, upd)
+	})
 	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, wireMerge(t*sketch.EncodedL0Size), s.depth, s.cfg.Rep)
 
 	var corrMsg []byte

@@ -23,12 +23,19 @@ const l0Levels = 40
 // NewL0Sampler creates an empty sampler from the given randomness seed.
 // Samplers merge only when created from equal seeds.
 func NewL0Sampler(seed uint64) *L0Sampler {
-	s := &L0Sampler{seed: seed, lkey: mix64(seed ^ 0x9e3779b97f4a7c15)}
-	s.levels = make([]OneSparse, l0Levels)
+	s := &L0Sampler{levels: make([]OneSparse, l0Levels)}
+	s.reseed(seed)
+	return s
+}
+
+// reseed empties s and rekeys it with a new seed, keeping its storage:
+// afterwards s is identical to NewL0Sampler(seed).
+func (s *L0Sampler) reseed(seed uint64) {
+	s.seed = seed
+	s.lkey = mix64(seed ^ 0x9e3779b97f4a7c15)
 	for i := range s.levels {
 		s.levels[i] = oneSparse(seed + uint64(i)*0x2545f4914f6cdd1d)
 	}
-	return s
 }
 
 // level returns the deepest level element e participates in: e is in levels
@@ -45,9 +52,15 @@ func (s *L0Sampler) level(e Elem) int {
 
 // Update adds element e with frequency freq.
 func (s *L0Sampler) Update(e Elem, freq int64) {
-	top := s.level(e)
+	u := prepare(e, freq)
+	s.apply(&u)
+}
+
+// apply adds the prepared update u to every level it participates in.
+func (s *L0Sampler) apply(u *prepared) {
+	top := s.level(u.e)
 	for l := 0; l <= top; l++ {
-		s.levels[l].Update(e, freq)
+		s.levels[l].apply(u)
 	}
 }
 
@@ -86,11 +99,15 @@ func (s *L0Sampler) Empty() bool {
 
 // Encode serializes the sampler (32 bytes per level).
 func (s *L0Sampler) Encode() []byte {
-	out := make([]byte, 0, 32*len(s.levels))
+	return s.appendTo(make([]byte, 0, 32*len(s.levels)))
+}
+
+// appendTo appends the Encode image to dst and returns the extended slice.
+func (s *L0Sampler) appendTo(dst []byte) []byte {
 	for i := range s.levels {
-		out = s.levels[i].appendTo(out)
+		dst = s.levels[i].appendTo(dst)
 	}
-	return out
+	return dst
 }
 
 // DecodeL0Sampler parses a sampler wire image produced with the same seed.
@@ -105,6 +122,50 @@ func DecodeL0Sampler(seed uint64, data []byte) *L0Sampler {
 
 // EncodedL0Size is the wire size of an encoded sampler.
 const EncodedL0Size = 32 * l0Levels
+
+// L0Images encodes groups of ℓ0 samplers, one group per image, through a
+// single L0Sampler reseeded per seed, following RecoveryImages: a node
+// keeps one across calls, so its per-tree samplers cost no allocation after
+// the first call.
+type L0Images struct {
+	sm     *L0Sampler
+	stream preparedStream
+	buf    []byte
+	images [][]byte
+}
+
+// Reserve makes room for a stream of n updates, so that Build collects one
+// of up to n updates without growing its storage.
+func (li *L0Images) Reserve(n int) { li.stream.reserve(n) }
+
+// Build feeds stream's updates to one sampler per seed and returns
+// len(seeds)/per images, for a positive per: image i holds the Encode
+// images of the samplers of seeds[i*per : (i+1)*per], back to back. It
+// calls stream once, and the samplers are linear, so the order of the
+// updates does not change any image. The images stay valid until the
+// next Build; each is capped at its own length and owned by the caller
+// exclusively.
+func (li *L0Images) Build(seeds []uint64, per int, stream func(update func(e Elem, freq int64))) [][]byte {
+	size := per * EncodedL0Size
+	if li.sm == nil {
+		li.sm = NewL0Sampler(0)
+	}
+	li.stream.collect(stream)
+	groups := len(seeds) / per
+	li.buf = growImages(li.buf, groups*size)
+	li.images = li.images[:0]
+	for g := 0; g < groups; g++ {
+		for _, seed := range seeds[g*per : (g+1)*per] {
+			li.sm.reseed(seed)
+			for i := range li.stream.list {
+				li.sm.apply(&li.stream.list[i])
+			}
+			li.buf = li.sm.appendTo(li.buf)
+		}
+		li.images = append(li.images, li.buf[len(li.buf)-size:len(li.buf):len(li.buf)])
+	}
+	return li.images
+}
 
 // XorFolder derives auxiliary seeds from one broadcast seed, for the
 // compilers that need per-(tree, iteration, sampler) seeds. It draws the

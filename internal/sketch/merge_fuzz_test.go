@@ -43,6 +43,22 @@ func FuzzMergeEncoded(f *testing.F) {
 	f.Add(uint64(9), uint8(0), false, hang, img)
 	f.Add(uint64(6), uint8(0), true, sm.Encode(), sm.Encode()[:33])
 	f.Add(uint64(6), uint8(2), true, bytes.Repeat([]byte{0xff}, 3*EncodedL0Size+7), []byte{1})
+	// Full-size images on both sides whose every word is unreduced: the
+	// whole-triple fold must reduce a's words as load does, not only b's.
+	for _, c := range []struct {
+		param uint8
+		l0    bool
+		size  int
+	}{{3, false, EncodedSize(4)}, {0, false, EncodedSize(1)}, {0, true, EncodedL0Size}, {2, true, 3 * EncodedL0Size}} {
+		ones := bytes.Repeat([]byte{0xff}, c.size)
+		p31 := bytes.Repeat([]byte{0xff}, c.size)
+		for off := 0; off < c.size; off += 32 {
+			binary.BigEndian.PutUint64(p31[off+16:], prime.P31)
+		}
+		f.Add(uint64(7), c.param, c.l0, ones, p31)
+		f.Add(uint64(7), c.param, c.l0, p31, ones)
+		f.Add(uint64(7), c.param, c.l0, p31, p31)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, param uint8, l0 bool, a, b []byte) {
 		var size int
 		var want []byte

@@ -114,23 +114,74 @@ func oneSparse(seed uint64) OneSparse {
 
 // Update adds element e with frequency freq (typically ±1).
 func (o *OneSparse) Update(e Elem, freq int64) {
-	o.count += freq
+	u := prepare(e, freq)
+	o.apply(&u)
+}
+
+// prepared is one stream update with the parts of its arithmetic that no
+// fingerprint seed enters: the residues of |freq| and of |freq|·e. A sketch
+// that takes the same stream under many seeds prepares each update once.
+type prepared struct {
+	e    Elem
+	freq int64  // the sums subtract when freq < 0
+	f61  uint64 // |freq| mod P61
+	m61  uint64 // |freq|·e mod P61
+	m31  uint64 // |freq|·e mod P31
+}
+
+// prepare computes e's and freq's seed-free residues.
+func prepare(e Elem, freq int64) prepared {
 	f61 := prime.Mod61(uint64(freq & 0x7fffffffffffffff))
-	neg := freq < 0
-	if neg {
+	if freq < 0 {
 		f61 = prime.Mod61(uint64(-freq))
 	}
-	m61 := prime.Mul61(f61, e.mod61())
-	m31 := prime.Mul31(prime.Mod31(f61), e.mod31())
-	mt := prime.Mul61(f61, zValue(o.key, e))
-	if neg {
-		o.s61 = prime.Sub61(o.s61, m61)
-		o.s31 = prime.Sub31(o.s31, m31)
+	return prepared{
+		e:    e,
+		freq: freq,
+		f61:  f61,
+		m61:  prime.Mul61(f61, e.mod61()),
+		m31:  prime.Mul31(prime.Mod31(f61), e.mod31()),
+	}
+}
+
+// apply adds the prepared update u: only its fingerprint tag depends on
+// o's seed.
+func (o *OneSparse) apply(u *prepared) {
+	o.count += u.freq
+	mt := prime.Mul61(u.f61, zValue(o.key, u.e))
+	if u.freq < 0 {
+		o.s61 = prime.Sub61(o.s61, u.m61)
+		o.s31 = prime.Sub31(o.s31, u.m31)
 		o.tag = prime.Sub61(o.tag, mt)
 	} else {
-		o.s61 = prime.Add61(o.s61, m61)
-		o.s31 = prime.Add31(o.s31, m31)
+		o.s61 = prime.Add61(o.s61, u.m61)
+		o.s31 = prime.Add31(o.s31, u.m31)
 		o.tag = prime.Add61(o.tag, mt)
+	}
+}
+
+// preparedStream collects a turnstile stream as prepared updates, so that
+// the stream is walked, and each update's seed-free residues computed, once
+// however many seeded sketches then take it. add points back at the
+// stream, so a preparedStream is not copied once it has collected.
+type preparedStream struct {
+	list []prepared
+	add  func(e Elem, freq int64) // appends to list, bound once
+}
+
+// collect empties u and fills it from stream.
+func (u *preparedStream) collect(stream func(update func(e Elem, freq int64))) {
+	if u.add == nil {
+		u.add = func(e Elem, freq int64) { u.list = append(u.list, prepare(e, freq)) }
+	}
+	u.list = u.list[:0]
+	stream(u.add)
+}
+
+// reserve grows u's storage to hold n updates without reallocating.
+func (u *preparedStream) reserve(n int) {
+	if cap(u.list) < n {
+		u.list = make([]prepared, 0, n)
 	}
 }
 
@@ -233,7 +284,9 @@ func (o *OneSparse) load(data []byte, off int) {
 // the last whole triple is dropped. The fold is in place: when len(a) >=
 // size it overwrites a[:size] and returns it, so the caller must own a. A
 // shorter a is first copied into a fresh zero-padded image, and a short or
-// nil b reads as zero-padded, as the decoders read them.
+// nil b reads as zero-padded, as the decoders read them. When b holds a
+// whole image, each 32-byte triple of both sides is read, reduced as load
+// reduces it, summed and written back in one pass.
 func MergeEncoded(a, b []byte, size int) []byte {
 	size -= size % 32
 	if len(a) < size {
@@ -242,6 +295,17 @@ func MergeEncoded(a, b []byte, size int) []byte {
 		a = grown
 	}
 	a = a[:size]
+	if len(b) >= size {
+		be := binary.BigEndian
+		for off := 0; off < size; off += 32 {
+			x, y := a[off:off+32:off+32], b[off:off+32:off+32]
+			be.PutUint64(x, be.Uint64(x)+be.Uint64(y))
+			be.PutUint64(x[8:], prime.Add61(prime.Mod61(be.Uint64(x[8:])), prime.Mod61(be.Uint64(y[8:]))))
+			be.PutUint64(x[16:], prime.Add31(prime.Mod31(be.Uint64(x[16:])), prime.Mod31(be.Uint64(y[16:]))))
+			be.PutUint64(x[24:], prime.Add61(prime.Mod61(be.Uint64(x[24:])), prime.Mod61(be.Uint64(y[24:]))))
+		}
+		return a
+	}
 	var x, y OneSparse
 	for off := 0; off+32 <= size; off += 32 {
 		x.load(a, off)

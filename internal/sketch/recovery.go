@@ -51,8 +51,14 @@ func (r *Recovery) bucketOf(row int, e Elem) int {
 
 // Update adds element e with frequency freq.
 func (r *Recovery) Update(e Elem, freq int64) {
+	u := prepare(e, freq)
+	r.apply(&u)
+}
+
+// apply adds the prepared update u to its bucket in every row.
+func (r *Recovery) apply(u *prepared) {
 	for i := 0; i < r.rows; i++ {
-		r.buckets[i*r.width+r.bucketOf(i, e)].Update(e, freq)
+		r.buckets[i*r.width+r.bucketOf(i, u.e)].apply(u)
 	}
 }
 
@@ -142,33 +148,48 @@ func (r *Recovery) AppendTo(dst []byte) []byte {
 // the first call.
 type RecoveryImages struct {
 	rec    *Recovery
-	update func(e Elem, freq int64) // rec.Update, bound once
+	stream preparedStream
 	buf    []byte
 	images [][]byte
 }
 
+// Reserve makes room for a stream of n updates, so that Build collects one
+// of up to n updates without growing its storage.
+func (ri *RecoveryImages) Reserve(n int) { ri.stream.reserve(n) }
+
 // Build returns the encoded image of each seed's sketch after stream has
-// fed it its updates. The images stay valid until the next Build. Each is
-// capped at its own length, so folding into one with MergeEncoded never
-// touches another, and the caller owns each exclusively.
+// fed it its updates. It calls stream once and keeps each update with its
+// seed-free residues; each seed's sketch then adds only the update's
+// buckets and fingerprint tags. The sketch is linear, so the order in
+// which stream feeds the updates does not change any image. The images
+// stay valid until the next Build. Each is capped at its own length, so
+// folding into one with MergeEncoded never touches another, and the caller
+// owns each exclusively.
 func (ri *RecoveryImages) Build(seeds []uint64, s int, stream func(update func(e Elem, freq int64))) [][]byte {
 	size := EncodedSize(s)
 	if ri.rec == nil || ri.rec.S() != max(s, 1) {
 		ri.rec = NewRecovery(0, s)
-		ri.update = ri.rec.Update
 	}
-	if cap(ri.buf) < len(seeds)*size {
-		ri.buf = make([]byte, 0, len(seeds)*size)
-	}
-	ri.buf = ri.buf[:0]
+	ri.stream.collect(stream)
+	ri.buf = growImages(ri.buf, len(seeds)*size)
 	ri.images = ri.images[:0]
 	for _, seed := range seeds {
 		ri.rec.Reseed(seed)
-		stream(ri.update)
+		for i := range ri.stream.list {
+			ri.rec.apply(&ri.stream.list[i])
+		}
 		ri.buf = ri.rec.AppendTo(ri.buf)
 		ri.images = append(ri.images, ri.buf[len(ri.buf)-size:len(ri.buf):len(ri.buf)])
 	}
 	return ri.images
+}
+
+// growImages returns buf emptied, with room for n bytes.
+func growImages(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, 0, n)
+	}
+	return buf[:0]
 }
 
 // EncodedSize returns the wire size for sparsity s.

@@ -380,3 +380,60 @@ func BenchmarkRecoveryDecode(b *testing.B) {
 		}
 	}
 }
+
+// The byz-clique shape of one node's correction step: hardened-clique on
+// clique16 under f = 2 sketches at sparsity 4f+2 = 10, streams 15 sent
+// messages (+1) and 15 estimates (-1), and keeps one seed per tree of the
+// 16-star packing.
+const (
+	benchSparsity = 10
+	benchTrees    = 16
+	benchUpdates  = 30
+)
+
+func benchSeeds(base uint64) []uint64 {
+	seeds := make([]uint64, benchTrees)
+	for j := range seeds {
+		seeds[j] = mix64(base + uint64(j))
+	}
+	return seeds
+}
+
+func benchStream(update func(e Elem, freq int64)) {
+	for i := 0; i < benchUpdates; i++ {
+		freq := int64(1)
+		if i >= benchUpdates/2 {
+			freq = -1
+		}
+		update(Pack(uint32(i%(benchUpdates/2))<<5|uint32(i&1), mix64(uint64(i))), freq)
+	}
+}
+
+// BenchmarkRecoveryImagesBuild: one node's per-tree sketch images for one
+// correction iteration.
+func BenchmarkRecoveryImagesBuild(b *testing.B) {
+	seeds := benchSeeds(1)
+	var ri RecoveryImages
+	ri.Build(seeds, benchSparsity, benchStream)
+	b.ReportAllocs()
+	for b.Loop() {
+		ri.Build(seeds, benchSparsity, benchStream)
+	}
+}
+
+// BenchmarkMergeEncoded: one convergecast step, folding a child's sketch
+// image into each tree's image in place.
+func BenchmarkMergeEncoded(b *testing.B) {
+	seeds := benchSeeds(1)
+	var own, child RecoveryImages
+	images := own.Build(seeds, benchSparsity, benchStream)
+	children := child.Build(seeds, benchSparsity, benchStream)
+	size := EncodedSize(benchSparsity)
+	b.ReportAllocs()
+	b.SetBytes(int64(benchTrees * size))
+	for b.Loop() {
+		for j := range images {
+			MergeEncoded(images[j], children[j], size)
+		}
+	}
+}

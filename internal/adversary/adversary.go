@@ -15,6 +15,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mobilecongest/internal/congest"
@@ -41,6 +42,7 @@ type Eavesdropper struct {
 	view     []Observation
 	static   bool
 	fixed    []graph.Edge // chosen lazily for static mode
+	perm     []int        // randomEdges' permutation, reused per round
 }
 
 var (
@@ -99,11 +101,11 @@ func (a *Eavesdropper) ControlledEdges(round int) []graph.Edge {
 		return a.schedule[round%len(a.schedule)]
 	case a.static:
 		if a.fixed == nil {
-			a.fixed = randomEdges(a.g, a.f, a.rng)
+			a.fixed = randomEdges(a.g, a.f, a.rng, &a.perm)
 		}
 		return a.fixed
 	default:
-		return randomEdges(a.g, a.f, a.rng)
+		return randomEdges(a.g, a.f, a.rng, &a.perm)
 	}
 }
 
@@ -150,17 +152,33 @@ func (a *Eavesdropper) ViewBytes() []byte {
 	return out
 }
 
-func randomEdges(g *graph.Graph, f int, rng *rand.Rand) []graph.Edge {
+// randomEdges returns f distinct uniformly random edges of g: the first f
+// of a random permutation of its edge list, which it writes into *perm,
+// grown as needed and kept by the caller for the next round.
+func randomEdges(g *graph.Graph, f int, rng *rand.Rand, perm *[]int) []graph.Edge {
 	edges := g.Edges()
 	if f >= len(edges) {
 		out := make([]graph.Edge, len(edges))
 		copy(out, edges)
 		return out
 	}
-	perm := rng.Perm(len(edges))[:f]
+	*perm = permInto((*perm)[:0], len(edges), rng)
 	out := make([]graph.Edge, f)
-	for i, p := range perm {
+	for i, p := range (*perm)[:f] {
 		out[i] = edges[p]
 	}
 	return out
+}
+
+// permInto appends a random permutation of [0, n) to dst and returns it. It
+// draws from rng exactly as rng.Perm(n) does, so it returns the same
+// permutation and leaves rng in the same state.
+func permInto(dst []int, n int, rng *rand.Rand) []int {
+	dst = slices.Grow(dst, n)[:n]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
+	return dst
 }

@@ -388,3 +388,48 @@ func TestMaxIntHelper(t *testing.T) {
 		t.Fatal("maxInt wrong")
 	}
 }
+
+// TestRandomEdgesMatchesPerm pins the reused permutation to rand.Perm:
+// for several (n, f, seed), each round's edges are those of
+// rng.Perm(len(edges))[:f] on an RNG with the same seed, and the next
+// draw of both RNGs agrees, so swapping the permutation buffer changes no
+// adversary's choices; an f that covers the graph takes every edge without
+// a draw. One buffer serves every case, growing and shrinking between
+// graphs.
+func TestRandomEdgesMatchesPerm(t *testing.T) {
+	var perm []int
+	for _, n := range []int{3, 6, 16, 5} {
+		g := graph.Clique(n)
+		edges := g.Edges()
+		for _, f := range []int{1, 2, 3, len(edges) - 1} {
+			for _, seed := range []int64{1, 2, 99} {
+				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				for round := 0; round < 4; round++ {
+					sel := randomEdges(g, f, got, &perm)
+					if f >= len(edges) {
+						// Every edge, in order, and no draw.
+						if !reflect.DeepEqual(sel, edges) {
+							t.Fatalf("n=%d f=%d: %v, want every edge %v", n, f, sel, edges)
+						}
+						if a, b := got.Int63(), want.Int63(); a != b {
+							t.Fatalf("n=%d f=%d seed=%d: selecting every edge drew from the RNG", n, f, seed)
+						}
+						continue
+					}
+					p := want.Perm(len(edges))
+					if len(sel) != f {
+						t.Fatalf("n=%d f=%d seed=%d round %d: %d edges, want %d", n, f, seed, round, len(sel), f)
+					}
+					for i, e := range sel {
+						if e != edges[p[i]] {
+							t.Fatalf("n=%d f=%d seed=%d round %d: edge %d is %v, rand.Perm picks %v", n, f, seed, round, i, e, edges[p[i]])
+						}
+					}
+					if a, b := got.Int63(), want.Int63(); a != b {
+						t.Fatalf("n=%d f=%d seed=%d round %d: next draw %d, after rand.Perm %d", n, f, seed, round, a, b)
+					}
+				}
+			}
+		}
+	}
+}

@@ -39,6 +39,8 @@ type SelectorState struct {
 	load        []int
 	loadTouched []int32
 	sel         []int32 // top-f candidate indices, best-first
+
+	perm []int // SelectRandom's permutation scratch
 }
 
 // reset clears the per-run state, keeping the allocated scratch.

@@ -12,8 +12,8 @@ import (
 // mutable state lives in the SelectorState, never in the Selector value.
 
 // SelectRandom picks f uniformly random graph edges.
-func SelectRandom(_ *SelectorState, rng *rand.Rand, _ int, g *graph.Graph, _ *congest.RoundTraffic, f int) []graph.Edge {
-	return randomEdges(g, f, rng)
+func SelectRandom(st *SelectorState, rng *rand.Rand, _ int, g *graph.Graph, _ *congest.RoundTraffic, f int) []graph.Edge {
+	return randomEdges(g, f, rng, &st.perm)
 }
 
 // SelectBusiest picks the f edges carrying the most payload bytes this

@@ -193,9 +193,10 @@ type Runtime interface {
 	// has none. Protocols honouring pure KT1 must not use it.
 	Shared() any
 	// Memo returns the run's store for pure node computations, shared by
-	// every node of the run and emptied when it ends (see Memo). It is
-	// simulation machinery, not a channel: a node must only derive through
-	// it what it could compute alone.
+	// every node of the run and emptied when it ends (see Memo), and the
+	// holder of each node's NodeScratch values. It is simulation
+	// machinery, not a channel: a node must only derive through it what it
+	// could compute alone.
 	Memo() *Memo
 }
 

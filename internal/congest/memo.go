@@ -30,11 +30,15 @@ import (
 //     sees another's entries and a context parked between runs pins none of
 //     them.
 //
+// A Memo also keeps each node's NodeScratch values, which, unlike its
+// tables, outlive the run (see NodeScratch).
+//
 // A Memo is safe for concurrent use by the nodes of a run. Runtime.Memo
 // returns the run's memo; the zero value is an empty memo.
 type Memo struct {
-	mu     sync.Mutex
-	tables []memoStore // indexed by MemoTable id - 1; nil until used
+	mu      sync.Mutex
+	tables  []memoStore // indexed by MemoTable id - 1; nil until used
+	scratch []any       // indexed by NodeScratch id - 1: *scratchNodes[T], nil until used
 }
 
 // memoStore is the type-erased face of a memoTable, for release.
@@ -109,6 +113,77 @@ func (m *Memo) release() {
 			s.release()
 		}
 	}
+}
+
+// NodeScratch names one kind of per-node working storage: the buffers a
+// protocol's node grows to its needs and length-resets before every use,
+// so that their contents never carry from one use to the next. Declare one
+// per package, like a MemoTable, with NewNodeScratch.
+//
+// Unlike a MemoTable's entries, a node's scratch value outlives the run:
+// the RunContext whose Memo holds it hands the same value to the same node
+// in each of its later runs, so warm runs reuse the storage instead of
+// growing it again. The context drops every scratch value when it rebinds
+// to another graph and when it is closed; a context parked between runs
+// pins them until then. A Memo that serves a single run (the reference
+// simulator makes one per run) hands out fresh values.
+//
+// A node's value is its own: no other node reads or writes it, and the
+// node holds it for at most one use at a time, so a protocol must not nest
+// two users of the same NodeScratch at one node.
+type NodeScratch[T any] struct {
+	id int
+}
+
+// scratchNodes holds one NodeScratch's values, indexed by node.
+type scratchNodes[T any] struct {
+	nodes []*T
+}
+
+// nodeScratchIDs hands out NodeScratch ids, starting at 1, so a zero
+// NodeScratch fails loudly instead of aliasing another.
+var nodeScratchIDs atomic.Int64
+
+// NewNodeScratch declares a new kind of node scratch. Like tables, kinds
+// are never freed, so declare one per package (or per use), never one per
+// run or per node.
+func NewNodeScratch[T any]() NodeScratch[T] {
+	return NodeScratch[T]{id: int(nodeScratchIDs.Add(1))}
+}
+
+// Of returns the calling node's value of s in the run's memo: the value
+// the node left in it at the end of an earlier run of the same context,
+// or a zero T on first use. The node may keep the pointer until its run
+// ends.
+func (s NodeScratch[T]) Of(rt Runtime) *T {
+	m, id := rt.Memo(), int(rt.ID())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.scratch) < s.id {
+		m.scratch = append(m.scratch, make([]any, s.id-len(m.scratch))...)
+	}
+	tab, _ := m.scratch[s.id-1].(*scratchNodes[T])
+	if tab == nil {
+		tab = new(scratchNodes[T])
+		m.scratch[s.id-1] = tab
+	}
+	if len(tab.nodes) <= id {
+		tab.nodes = append(tab.nodes, make([]*T, max(rt.N(), id+1)-len(tab.nodes))...)
+	}
+	v := tab.nodes[id]
+	if v == nil {
+		v = new(T)
+		tab.nodes[id] = v
+	}
+	return v
+}
+
+// dropScratch forgets every node's scratch values. The context calls it
+// between runs, when it rebinds to another graph or is closed.
+func (m *Memo) dropScratch() {
+	m.mu.Lock()
+	m.scratch = nil
+	m.mu.Unlock()
 }
 
 // memoHash hashes the key's words for the table's index: FNV-1a over four

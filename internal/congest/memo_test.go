@@ -227,3 +227,80 @@ func ExampleMemoTable() {
 	// 144
 	// 144
 }
+
+// TestNodeScratchLifetime follows one NodeScratch through a context's runs:
+// each node gets a value of its own, the same one in every later run on
+// the same graph (on any engine), with what the node left in it; a rebind
+// to another graph, or Close, hands out fresh values; a Memo outside any
+// context (the reference simulator's, one per run) starts fresh, and
+// ending a run (Memo.release) keeps the values.
+func TestNodeScratchLifetime(t *testing.T) {
+	type visits struct{ n int }
+	scratch := NewNodeScratch[visits]()
+	type seen struct {
+		v *visits
+		n int
+	}
+	proto := func(rt Runtime) {
+		v := scratch.Of(rt)
+		v.n++
+		rt.SetOutput(seen{v, v.n})
+	}
+	g, other := graph.Clique(5), graph.Clique(5)
+	rc := NewRunContext()
+	defer rc.Close()
+	var prev []seen
+	run := func(label string, e Engine, g *graph.Graph, wantVisits int, same bool) {
+		t.Helper()
+		res, err := e.RunIn(rc, Config{Graph: g, Seed: 1}, proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]seen, len(res.Outputs))
+		for u, o := range res.Outputs {
+			got[u] = o.(seen)
+			if got[u].n != wantVisits {
+				t.Fatalf("%s: node %d found %d visits, want %d", label, u, got[u].n, wantVisits)
+			}
+			for w := range u {
+				if got[w].v == got[u].v {
+					t.Fatalf("%s: nodes %d and %d share a value", label, w, u)
+				}
+			}
+			if prev != nil && (got[u].v == prev[u].v) != same {
+				t.Fatalf("%s: node %d kept its value %v, want %v", label, u, !same, same)
+			}
+		}
+		prev = got
+	}
+	run("first run", ShardEngine{Shards: 1}, g, 1, false)
+	run("second run", ShardEngine{Shards: 1}, g, 2, true)
+	run("on 3 shards", ShardEngine{Shards: 3}, g, 3, true)
+	run("rebound", ShardEngine{Shards: 1}, other, 1, false)
+	run("rebound back", ShardEngine{Shards: 1}, g, 1, false)
+	rc.Close()
+	run("after Close", ShardEngine{Shards: 3}, g, 1, false)
+
+	m := new(Memo)
+	rt := &memoRuntime{m: m, id: 2, n: 5}
+	v := scratch.Of(rt)
+	v.n = 7
+	m.release()
+	if w := scratch.Of(rt); w != v || w.n != 7 {
+		t.Fatal("ending a run dropped a node's scratch")
+	}
+	if w := scratch.Of(&memoRuntime{m: new(Memo), id: 2, n: 5}); w == v || w.n != 0 {
+		t.Fatal("a fresh memo handed out an old value")
+	}
+}
+
+// memoRuntime is a Runtime that serves only a memo, an ID and N.
+type memoRuntime struct {
+	Runtime
+	m     *Memo
+	id, n int
+}
+
+func (r *memoRuntime) Memo() *Memo      { return r.m }
+func (r *memoRuntime) ID() graph.NodeID { return graph.NodeID(r.id) }
+func (r *memoRuntime) N() int           { return r.n }

@@ -64,7 +64,8 @@ type RunContext struct {
 	// memo is the Memo the run's nodes share, created by the first run that
 	// asks for it, so a context whose runs never do carries one nil
 	// pointer. The engine empties it when each run ends; its tables keep
-	// their capacity for the next run.
+	// their capacity for the next run, and its node scratch values stay
+	// until the context rebinds or closes.
 	memo atomic.Pointer[Memo]
 }
 
@@ -86,21 +87,24 @@ func (rc *RunContext) bind(g *graph.Graph) {
 	rc.inSlab = make([]Msg, rc.layout.slots())
 	rc.stats = NewStatsObserver()
 	rc.boundsShards = 0 // shard boundaries are layout-shaped
+	rc.dropScratch()    // node scratch is sized to the old graph's nodes
 	// rc.rngs is deliberately kept: per-node RNGs are graph-independent and
 	// re-seeded per run, so they survive rebinding. The shard pool and the
 	// shard scratch capacities likewise survive: neither depends on the graph.
 }
 
 // Close releases what the context keeps parked between runs: the shard
-// pool's worker goroutines and the node coroutines of the step and shard
-// engines. The context stays usable — a later run simply re-creates them —
-// so Close is about reclaiming goroutines promptly when a worker (a
-// Plan.Stream worker, a finished sweep) retires its context. Contexts
-// dropped without Close are covered by GC cleanups that release both,
-// eventually.
+// pool's worker goroutines, the node coroutines of the step and shard
+// engines, and the nodes' NodeScratch values. The context stays usable — a
+// later run simply re-creates them — so Close is about reclaiming
+// goroutines and memory promptly when a worker (a Plan.Stream worker, a
+// finished sweep) retires its context. Contexts dropped without Close are
+// covered by GC cleanups that release the goroutines, eventually; the
+// scratch goes with the context.
 func (rc *RunContext) Close() {
 	rc.closePool()
 	rc.closeCoroutines()
+	rc.dropScratch()
 }
 
 // closePool stops the parked worker pool and its GC cleanup, so a replaced
@@ -248,6 +252,14 @@ func (rc *RunContext) runMemo() *Memo {
 func (rc *RunContext) releaseMemo() {
 	if m := rc.memo.Load(); m != nil {
 		m.release()
+	}
+}
+
+// dropScratch forgets the nodes' NodeScratch values, so the next run
+// starts from fresh ones.
+func (rc *RunContext) dropScratch() {
+	if m := rc.memo.Load(); m != nil {
+		m.dropScratch()
 	}
 }
 

@@ -221,12 +221,22 @@ type simulator struct {
 	trees []rsim.TreeView
 	depth int
 	round int
-	in    []congest.Msg // the payload's port inbox, reused per round
-	out   rsim.Outbox   // the node's rsim frames, kept across calls
-
-	sketches sketch.RecoveryImages // per-tree sketch images, reused per iteration
-	samplers sketch.L0Images       // per-tree ℓ0 sampler images, reused per iteration
+	sc    *nodeScratch // the node's buffers, fetched at its first exchange
 }
+
+// nodeScratch is one node's compiler buffers. The run's context keeps
+// them across its runs (see congest.NodeScratch), and every use rewrites
+// them from empty, so no run reads what an earlier run left.
+type nodeScratch struct {
+	in  []congest.Msg // the payload's port inbox, reused per round
+	out rsim.Outbox   // the node's rsim frames, kept across calls
+
+	sketches  sketch.RecoveryImages // per-tree sketch images, reused per iteration
+	samplers  sketch.L0Images       // per-tree ℓ0 sampler images, reused per iteration
+	rec, work sketch.Recovery       // the root's decode of one tree's aggregate
+}
+
+var scratches = congest.NewNodeScratch[nodeScratch]()
 
 // exchange simulates one payload round: raw exchange, then mismatch
 // correction (Steps 1-3 of Section 3.2.2). out is the payload's port
@@ -236,6 +246,9 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 		if len(m) > MaxPayloadBytes {
 			panic(fmt.Sprintf("resilient: payload message to %d has %d bytes, max %d", s.rt.Neighbor(p), len(m), MaxPayloadBytes))
 		}
+	}
+	if s.sc == nil {
+		s.sc = scratches.Of(s.rt)
 	}
 	// Step 1: single-round message exchange.
 	pout := s.rt.OutBuf()
@@ -279,16 +292,18 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 	s.round++
 
 	// Materialize corrected inbox.
-	if s.in == nil {
-		s.in = make([]congest.Msg, s.rt.Degree())
+	in := s.sc.in
+	if len(in) != s.rt.Degree() {
+		in = make([]congest.Msg, s.rt.Degree())
+		s.sc.in = in
 	}
-	for p := range s.in {
-		s.in[p] = nil
+	for p := range in {
+		in[p] = nil
 		if e := est[s.rt.Neighbor(p)]; e.present {
-			s.in[p] = unpackPayload(e.data, e.length)
+			in[p] = unpackPayload(e.data, e.length)
 		}
 	}
-	return s.in
+	return in
 }
 
 // localStream feeds this node's turnstile stream into upd: sent messages

@@ -38,7 +38,7 @@ func (s *simulator) broadcastSeed() (uint64, bool) {
 	if isRoot {
 		msg = congest.PutU64(nil, s.rt.Rand().Uint64())
 	}
-	got, ok := ECCSafeBroadcast(s.rt, &s.out, s.trees, s.seedPlan(), msg, s.depth, s.cfg.Rep)
+	got, ok := ECCSafeBroadcast(s.rt, &s.sc.out, s.trees, s.seedPlan(), msg, s.depth, s.cfg.Rep)
 	if !ok {
 		return 0, false
 	}
@@ -66,11 +66,11 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 	// place.
 	k := len(s.trees)
 	seeds := TreeSeeds(s.rt.Memo(), seed, k)
-	s.sketches.Reserve(2 * s.rt.Degree())
-	locals := s.sketches.Build(seeds, sparsity, func(upd func(e sketch.Elem, f int64)) {
+	s.sc.sketches.Reserve(2 * s.rt.Degree())
+	locals := s.sc.sketches.Build(seeds, sparsity, func(upd func(e sketch.Elem, f int64)) {
 		s.localStream(sent, est, upd)
 	})
-	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, wireMerge(sketch.EncodedSize(sparsity)), s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, &s.sc.out, s.trees, locals, wireMerge(sketch.EncodedSize(sparsity)), s.depth, s.cfg.Rep)
 
 	// Root: decode each tree's aggregate and take the across-tree majority
 	// of the canonical correction list.
@@ -81,8 +81,8 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 			if agg == nil {
 				continue
 			}
-			r := sketch.DecodeRecovery(seeds[j], sparsity, agg)
-			items, ok := r.Decode()
+			s.sc.rec.Load(seeds[j], sparsity, agg)
+			items, ok := s.sc.rec.DecodeWith(&s.sc.work)
 			if !ok {
 				continue
 			}
@@ -97,7 +97,7 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 	} else if s.isRoot() {
 		corrMsg = encodeCorrections(nil)
 	}
-	got, ok := ECCSafeBroadcast(s.rt, &s.out, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
+	got, ok := ECCSafeBroadcast(s.rt, &s.sc.out, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
 	if !ok {
 		return nil, false
 	}
@@ -130,11 +130,11 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 	seeds := samplerSeeds(s.rt.Memo(), seed, k, j, t)
 	// Tree ti's image holds its t samplers back to back; each tree owns
 	// its image, so the convergecast folds child sketches into it in place.
-	s.samplers.Reserve(2 * s.rt.Degree())
-	locals := s.samplers.Build(seeds, t, func(upd func(e sketch.Elem, f int64)) {
+	s.sc.samplers.Reserve(2 * s.rt.Degree())
+	locals := s.sc.samplers.Build(seeds, t, func(upd func(e sketch.Elem, f int64)) {
 		s.localStream(sent, est, upd)
 	})
-	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, wireMerge(t*sketch.EncodedL0Size), s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, &s.sc.out, s.trees, locals, wireMerge(t*sketch.EncodedL0Size), s.depth, s.cfg.Rep)
 
 	var corrMsg []byte
 	if s.isRoot() && seedOK {
@@ -142,7 +142,7 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 	} else if s.isRoot() {
 		corrMsg = encodeCorrections(nil)
 	}
-	got, ok := ECCSafeBroadcast(s.rt, &s.out, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
+	got, ok := ECCSafeBroadcast(s.rt, &s.sc.out, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
 	if !ok {
 		return nil, false
 	}

@@ -25,7 +25,6 @@ type replayRuntime struct {
 	congest.WrappedRuntime
 	sim      *rewindSim
 	stopAt   int
-	in       []congest.Msg
 	captured []congest.Msg
 	rng      *rand.Rand
 	output   any
@@ -51,16 +50,18 @@ func (r *replayRuntime) exchange(out []congest.Msg) []congest.Msg {
 		panic(stopReplay{})
 	}
 	nbs := r.Neighbors()
-	if r.in == nil {
-		r.in = make([]congest.Msg, len(nbs))
+	in := r.sim.replayIn
+	if len(in) != len(nbs) {
+		in = make([]congest.Msg, len(nbs))
+		r.sim.replayIn = in
 	}
 	for p, v := range nbs {
-		r.in[p] = nil
+		in[p] = nil
 		if t := r.sim.piIn[v]; round < len(t) && t[round].present {
-			r.in[p] = unpackEntry(t[round])
+			in[p] = unpackEntry(t[round])
 		}
 	}
-	return r.in
+	return in
 }
 
 func unpackEntry(e entry) congest.Msg {
@@ -232,6 +233,7 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 	nbs := s.rt.Neighbors()
 	k := len(s.trees)
 	sparsity := 8*s.cfg.F + 8
+	sc := s.scratch()
 
 	// Broadcast the iteration seed from the packing root.
 	var seedMsg []byte
@@ -239,7 +241,7 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 		seedMsg = congest.PutU64(nil, s.rt.Rand().Uint64())
 	}
 	seedPlan := resilient.NewECCPlan(k, 8)
-	seedBytes, seedOK := resilient.ECCSafeBroadcast(s.rt, &s.out, s.trees, seedPlan, seedMsg, s.depth, s.cfg.Rep)
+	seedBytes, seedOK := resilient.ECCSafeBroadcast(s.rt, &sc.out, s.trees, seedPlan, seedMsg, s.depth, s.cfg.Rep)
 	seed := congest.U64(seedBytes)
 
 	// The word stream: what I sent this phase (re-encoded) and what I
@@ -259,10 +261,10 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 	seeds := resilient.TreeSeeds(s.rt.Memo(), seed, k)
 	// Each tree owns its image, so the merge folds child sketches into it
 	// in place.
-	locals := s.sketches.Build(seeds, sparsity, stream)
+	locals := sc.sketches.Build(seeds, sparsity, stream)
 	size := sketch.EncodedSize(sparsity)
 	merge := func(_ int, a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
-	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, merge, s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, &sc.out, s.trees, locals, merge, s.depth, s.cfg.Rep)
 
 	// Root: decode per tree, majority across trees, broadcast.
 	type fix struct {
@@ -276,8 +278,8 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 			if agg == nil {
 				continue
 			}
-			r := sketch.DecodeRecovery(seeds[j], sparsity, agg)
-			items, ok := r.Decode()
+			sc.rec.Load(seeds[j], sparsity, agg)
+			items, ok := sc.rec.DecodeWith(&sc.work)
 			if !ok {
 				continue
 			}
@@ -293,7 +295,7 @@ func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.Node
 		corrMsg = encodeFixes(nil)
 	}
 	plan := resilient.NewECCPlan(k, 2+12*(sparsity))
-	got, ok := resilient.ECCSafeBroadcast(s.rt, &s.out, s.trees, plan, corrMsg, s.depth, s.cfg.Rep)
+	got, ok := resilient.ECCSafeBroadcast(s.rt, &sc.out, s.trees, plan, corrMsg, s.depth, s.cfg.Rep)
 	out := make(map[graph.NodeID]initMsg, len(nbs))
 	for v, m := range recv {
 		out[v] = m
@@ -412,8 +414,9 @@ func (s *rewindSim) aggregateState(goodLocal, myLen uint64) (good uint64, maxLen
 		}
 		return congest.PutU64(congest.PutU64(nil, g), l)
 	}
-	rootAggs := rsim.ConvergecastUp(s.rt, &s.out, s.trees, locals, merge, s.depth, s.cfg.Rep)
-	got := rsim.BroadcastDown(s.rt, &s.out, s.trees, rootAggs, s.depth, s.cfg.Rep)
+	sc := s.scratch()
+	rootAggs := rsim.ConvergecastUp(s.rt, &sc.out, s.trees, locals, merge, s.depth, s.cfg.Rep)
+	got := rsim.BroadcastDown(s.rt, &sc.out, s.trees, rootAggs, s.depth, s.cfg.Rep)
 	votes := make(map[[2]uint64]int)
 	for _, m := range got {
 		if len(m) >= 16 {

@@ -121,10 +121,30 @@ type rewindSim struct {
 	// "+1 side" of the correction stream.
 	lastInitSent map[graph.NodeID][]uint64
 
-	sketches sketch.RecoveryImages // per-tree correction sketches, reused per phase
-	out      rsim.Outbox           // the node's rsim frames, kept across calls
+	sc       *nodeScratch  // the node's buffers, fetched at first use (scratch)
+	replayIn []congest.Msg // the replayed payload's port inbox, reused per round
 
 	trace Trace
+}
+
+// nodeScratch is one node's compiler buffers. The run's context keeps
+// them across its runs (see congest.NodeScratch), and every use rewrites
+// them from empty, so no run reads what an earlier run left.
+type nodeScratch struct {
+	out       rsim.Outbox           // the node's rsim frames, kept across calls
+	sketches  sketch.RecoveryImages // per-tree correction sketches, reused per phase
+	rec, work sketch.Recovery       // the root's decode of one tree's aggregate
+}
+
+var scratches = congest.NewNodeScratch[nodeScratch]()
+
+// scratch returns the node's buffers. Replay serves its rounds locally, so
+// the first phase that reaches the network fetches them.
+func (s *rewindSim) scratch() *nodeScratch {
+	if s.sc == nil {
+		s.sc = scratches.Of(s.rt)
+	}
+	return s.sc
 }
 
 func newRewindSim(rt congest.Runtime, cfg Config, sh *resilient.Shared) *rewindSim {

@@ -59,7 +59,7 @@ func refBroadcastDown(rt congest.Runtime, _ *Outbox, trees []TreeView, payloads 
 				continue
 			}
 			if p := rt.Port(tv.Parent); p >= 0 && in[p] != nil {
-				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec) {
+				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec, nil) {
 					have[j] = commits[j].value
 				}
 			}
@@ -106,7 +106,7 @@ func refConvergecastUp(rt congest.Runtime, _ *Outbox, trees []TreeView, locals [
 				if !cm.done {
 					if p := rt.Port(c); p >= 0 && in[p] != nil {
 						if sec, ok := section(in[p], j); ok {
-							cm.Offer(sec)
+							cm.Offer(sec, nil)
 						}
 					}
 				}
@@ -307,4 +307,92 @@ func TestFramesMatchRebuildEveryRound(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConvergecastRecyclesCandidates: consecutive ConvergecastUp calls on
+// one Outbox copy their candidates into the same buffers, fault-free and
+// under a mobile flip adversary that adds corrupted candidates, and still
+// return what the reference, which copies every candidate into fresh
+// storage, returns. A result of one call must not change when the next
+// call reuses the buffers, and a BroadcastDown in between keeps its own.
+func TestConvergecastRecyclesCandidates(t *testing.T) {
+	const n, k, depth, rep = 10, 4, 3, 3
+	g := graph.Clique(n)
+	p := heapPacking(n, k)
+	type record struct {
+		up1, up1Then, up2 [][]byte
+		down              [][]byte
+		used1, used2      int
+		bufs              int
+	}
+	run := func(f int, real bool) []record {
+		up := ConvergecastUp
+		if !real {
+			up = refConvergecastUp
+		}
+		proto := func(rt congest.Runtime) {
+			views := rt.Shared().([][]TreeView)[rt.ID()]
+			locals := func(salt byte) [][]byte {
+				l := make([][]byte, k)
+				for j := range l {
+					l[j] = []byte{byte(rt.ID()), byte(j), salt, byte(rt.ID()) * salt}
+				}
+				return l
+			}
+			payloads := make([][]byte, k)
+			for j := range views {
+				if views[j].Depth == 0 {
+					payloads[j] = []byte{0xD0 + byte(j)}
+				}
+			}
+			var ob Outbox
+			var out record
+			out.up1 = up(rt, &ob, views, locals(3), foldXor, depth, rep)
+			out.used1 = ob.cands.used
+			out.up1Then = clone2(out.up1)
+			out.down = BroadcastDown(rt, &ob, views, payloads, depth, rep)
+			out.up2 = up(rt, &ob, views, locals(5), foldXor, depth, rep)
+			out.used2, out.bufs = ob.cands.used, len(ob.cands.bufs)
+			rt.SetOutput(out)
+		}
+		var adv congest.Adversary
+		if f > 0 {
+			adv = adversary.NewMobileByzantine(g, f, 23, adversary.SelectRandom, adversary.CorruptFlip)
+		}
+		res := runPacking(t, g, p, adv, proto)
+		outs := make([]record, n)
+		for v, o := range res.Outputs {
+			outs[v] = o.(record)
+		}
+		return outs
+	}
+	for _, f := range []int{0, 2} {
+		got, want := run(f, true), run(f, false)
+		copied := 0
+		for v := range got {
+			gv, wv := got[v], want[v]
+			if fmt.Sprint(gv.up1, gv.down, gv.up2) != fmt.Sprint(wv.up1, wv.down, wv.up2) {
+				t.Fatalf("f=%d node %d: results differ from the reference", f, v)
+			}
+			if fmt.Sprint(gv.up1) != fmt.Sprint(gv.up1Then) {
+				t.Fatalf("f=%d node %d: the first convergecast's result changed during the second", f, v)
+			}
+			// Fault-free, each call copies one candidate per child.
+			if gv.bufs != max(gv.used1, gv.used2) || f == 0 && gv.used1 != gv.used2 {
+				t.Fatalf("f=%d node %d: %d and %d candidates in %d buffers; the second call did not recycle the first's", f, v, gv.used1, gv.used2, gv.bufs)
+			}
+			copied += gv.used1
+		}
+		if copied == 0 {
+			t.Fatalf("f=%d: no node copied a candidate", f)
+		}
+	}
+}
+
+func clone2(b [][]byte) [][]byte {
+	out := make([][]byte, len(b))
+	for i := range b {
+		out[i] = bytes.Clone(b[i])
+	}
+	return out
 }

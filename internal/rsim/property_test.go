@@ -67,9 +67,9 @@ func TestCommitterProperties(t *testing.T) {
 		commits := 0
 		for i := 0; i < threshold; i++ {
 			if len(noise) > 0 {
-				c.Offer([]byte{noise[i%len(noise)], byte(i)})
+				c.Offer([]byte{noise[i%len(noise)], byte(i)}, nil)
 			}
-			if c.Offer(real) {
+			if c.Offer(real, nil) {
 				commits++
 			}
 		}
@@ -81,7 +81,7 @@ func TestCommitterProperties(t *testing.T) {
 			return false
 		}
 		// Further offers must not change the value.
-		c.Offer([]byte{9, 9, 9})
+		c.Offer([]byte{9, 9, 9}, nil)
 		return string(c.value) == string(real)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -32,7 +32,11 @@
 // lending contract requires, and the set it writes was last lent before
 // that. Received frames are views into other nodes' frames or into the
 // engine's arena, so a committer copies a candidate value out once, before
-// the sender or the engine rewrites the view.
+// the sender or the engine rewrites the view. ConvergecastUp copies its
+// candidates into buffers the Outbox recycles at its next ConvergecastUp
+// call: a committed child aggregate only feeds the merge (see MergeFn),
+// so no candidate outlives the call. BroadcastDown returns what its
+// committers adopt, so its candidates are fresh copies.
 package rsim
 
 import (
@@ -165,14 +169,38 @@ func section(m congest.Msg, treeID int) (payload []byte, ok bool) {
 }
 
 // Outbox is one node's outgoing frames: two sets of per-port frame buffers,
-// of which one is current. A node keeps one Outbox across its
-// BroadcastDown and ConvergecastUp calls, so the buffers grow once per run
-// rather than once per call. The zero value is ready to use. An Outbox
-// belongs to one node and one runtime; the package doc explains why the
-// second set makes lending its frames safe.
+// of which one is current, and the buffers ConvergecastUp copies candidate
+// values into. A node keeps one Outbox across its BroadcastDown and
+// ConvergecastUp calls, and may keep it across runs, so the buffers grow
+// once rather than once per call. The zero value is ready to use. An Outbox
+// belongs to one node and one runtime at a time; the package doc explains
+// why the second set makes lending its frames safe.
 type Outbox struct {
-	sets [2][][]byte
-	cur  int
+	sets  [2][][]byte
+	cur   int
+	cands candidateBufs
+}
+
+// candidateBufs recycles the candidate copies of one ConvergecastUp call:
+// the first used buffers hold this call's candidates. A nil *candidateBufs
+// copies every candidate into fresh storage.
+type candidateBufs struct {
+	bufs [][]byte
+	used int
+}
+
+// copyOf returns a copy of v, in the next recycled buffer unless c is nil.
+func (c *candidateBufs) copyOf(v []byte) []byte {
+	if c == nil {
+		return append([]byte{}, v...)
+	}
+	if c.used == len(c.bufs) {
+		c.bufs = append(c.bufs, nil)
+	}
+	b := append(c.bufs[c.used][:0], v...)
+	c.bufs[c.used] = b
+	c.used++
+	return b
 }
 
 // reset switches to the other set and empties its frames ahead of a
@@ -229,10 +257,10 @@ func newCommitter(threshold int) committer {
 
 // Offer records one received copy and reports whether the stream has
 // committed. v may be a view into an engine arena: a new candidate is copied
-// out once, since the engine rewrites that view two rounds later. The scan
-// is linear in the distinct values seen, and only corruption adds more than
-// one.
-func (c *committer) Offer(v []byte) bool {
+// out once, into bufs (fresh storage if bufs is nil), since the engine
+// rewrites that view two rounds later. The scan is linear in the distinct
+// values seen, and only corruption adds more than one.
+func (c *committer) Offer(v []byte, bufs *candidateBufs) bool {
 	if c.done {
 		return true
 	}
@@ -241,7 +269,7 @@ func (c *committer) Offer(v []byte) bool {
 		i++
 	}
 	if i == len(c.cands) {
-		c.cands = append(c.cands, candidate{v: append([]byte{}, v...)})
+		c.cands = append(c.cands, candidate{v: bufs.copyOf(v)})
 	}
 	c.cands[i].n++
 	if c.cands[i].n >= c.threshold {
@@ -290,7 +318,7 @@ func BroadcastDown(rt congest.Runtime, ob *Outbox, trees []TreeView, payloads []
 				continue
 			}
 			if p := rt.Port(tv.Parent); p >= 0 && in[p] != nil {
-				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec) {
+				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec, nil) {
 					have[j] = commits[j].value
 					stale = stale || len(tv.Children) > 0
 				}
@@ -303,9 +331,11 @@ func BroadcastDown(rt congest.Runtime, ob *Outbox, trees []TreeView, payloads []
 // MergeFn combines two encoded aggregates for one tree and returns the
 // result. ConvergecastUp hands locals[j] to merge as its first argument, and
 // each later merge of tree j the previous result; b is a committed child
-// aggregate, owned by rsim. A merge may fold b into a in place and return a
-// only when the caller owns each locals[j] exclusively: a locals slice
-// shared across trees must be merged into fresh storage.
+// aggregate, owned by rsim, which reuses its storage once the call
+// returns, so a merge must neither retain b nor return it. A merge may fold
+// b into a in place and return a only when the caller owns each locals[j]
+// exclusively: a locals slice shared across trees must be merged into fresh
+// storage.
 type MergeFn func(treeIdx int, a, b []byte) []byte
 
 // ConvergecastUp aggregates per-tree local values to each tree's root:
@@ -329,6 +359,8 @@ func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][
 	for i := range commits {
 		commits[i] = newCommitter(rep)
 	}
+	// The previous call's candidates fed only its merges.
+	ob.cands.used = 0
 	ready := make([][]byte, len(trees)) // my complete subtree aggregate
 	for j, tv := range trees {
 		if tv.Depth >= 0 && len(tv.Children) == 0 {
@@ -364,7 +396,7 @@ func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][
 				}
 				if p := rt.Port(c); p >= 0 && in[p] != nil {
 					if sec, ok := section(in[p], j); ok {
-						cm.Offer(sec)
+						cm.Offer(sec, &ob.cands)
 					}
 				}
 				if !cm.done {

@@ -18,16 +18,25 @@ type Recovery struct {
 // 2s-wide rows and a logarithmic number of rows, the standard parameters
 // under which peeling succeeds w.h.p.
 func NewRecovery(seed uint64, s int) *Recovery {
+	r := new(Recovery)
+	r.reshape(s)
+	r.Reseed(seed)
+	return r
+}
+
+// reshape gives r the geometry of sparsity s, reusing its storage when the
+// geometry is unchanged. Its buckets and row keys are left for Reseed.
+func (r *Recovery) reshape(s int) {
 	if s < 1 {
 		s = 1
 	}
-	rows := 6
-	width := 2 * s
-	r := &Recovery{rows: rows, width: width}
-	r.buckets = make([]OneSparse, rows*width)
-	r.rowKey = make([]uint64, rows)
-	r.Reseed(seed)
-	return r
+	r.rows, r.width = 6, 2*s
+	if len(r.buckets) != r.rows*r.width {
+		r.buckets = make([]OneSparse, r.rows*r.width)
+	}
+	if len(r.rowKey) != r.rows {
+		r.rowKey = make([]uint64, r.rows)
+	}
 }
 
 // Reseed empties r and rekeys it with a new seed, keeping its sparsity and
@@ -79,8 +88,15 @@ type Item struct {
 // peeling stalls before emptying the sketch (support larger than s, or a
 // corrupted sketch).
 func (r *Recovery) Decode() (items []Item, ok bool) {
-	// Work on a copy so Decode is non-destructive.
-	work := NewRecovery(r.seed, r.S())
+	return r.DecodeWith(new(Recovery))
+}
+
+// DecodeWith is Decode peeling a copy of r made in work's storage, which
+// it overwrites; r itself is left unchanged. A caller that decodes many
+// sketches keeps one work value (the zero value will do) for all of them.
+func (r *Recovery) DecodeWith(work *Recovery) (items []Item, ok bool) {
+	work.reshape(r.S())
+	work.Reseed(r.seed)
 	work.Merge(r)
 	for iter := 0; iter <= 4*r.width*r.rows; iter++ {
 		progressed := false
@@ -203,9 +219,17 @@ func EncodedSize(s int) int {
 // DecodeRecovery parses a wire image produced with the same seed and
 // sparsity. Corrupted bytes yield a garbage (but well-formed) sketch.
 func DecodeRecovery(seed uint64, s int, data []byte) *Recovery {
-	r := NewRecovery(seed, s)
+	r := new(Recovery)
+	r.Load(seed, s, data)
+	return r
+}
+
+// Load makes r the sketch DecodeRecovery(seed, s, data) returns, reusing
+// r's storage; the zero Recovery is ready to load.
+func (r *Recovery) Load(seed uint64, s int, data []byte) {
+	r.reshape(s)
+	r.Reseed(seed)
 	for b := range r.buckets {
 		r.buckets[b].load(data, 32*b)
 	}
-	return r
 }

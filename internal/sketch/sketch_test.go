@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -287,6 +288,48 @@ func TestRecoveryDecodeNonDestructive(t *testing.T) {
 	items, ok := r.Decode()
 	if !ok || len(items) != 1 || items[0].E != e {
 		t.Fatal("second decode differs — Decode is destructive")
+	}
+}
+
+// TestRecoveryLoadDecodeWith: one Recovery loaded again and again and one
+// work value decoding into them, across sparsities and seeds, give exactly
+// DecodeRecovery and Decode: the same image, the same items, the same
+// verdict, an unchanged loaded sketch, and a supported stream, an
+// overflowing one and garbage bytes alike.
+func TestRecoveryLoadDecodeWith(t *testing.T) {
+	var loaded, work Recovery
+	rng := rand.New(rand.NewSource(3))
+	for i, c := range []struct {
+		s, support int
+	}{{3, 2}, {10, 9}, {1, 1}, {3, 8}, {10, 0}, {4, -1}, {3, 3}} {
+		seed := rng.Uint64()
+		var img []byte
+		if c.support < 0 {
+			img = make([]byte, EncodedSize(c.s))
+			rng.Read(img)
+		} else {
+			r := NewRecovery(seed, c.s)
+			for j := 0; j < c.support; j++ {
+				r.Update(Pack(uint32(j+1), rng.Uint64()), int64(1-2*(j%2)))
+			}
+			img = r.Encode()
+		}
+		want := DecodeRecovery(seed, c.s, img)
+		loaded.Load(seed, c.s, img)
+		if !bytes.Equal(loaded.Encode(), want.Encode()) || loaded.S() != want.S() {
+			t.Fatalf("case %d: Load differs from DecodeRecovery", i)
+		}
+		wantItems, wantOK := want.Decode()
+		gotItems, gotOK := loaded.DecodeWith(&work)
+		if fmt.Sprint(gotItems, gotOK) != fmt.Sprint(wantItems, wantOK) {
+			t.Fatalf("case %d: DecodeWith gives %v %v, Decode %v %v", i, gotItems, gotOK, wantItems, wantOK)
+		}
+		if !bytes.Equal(loaded.Encode(), want.Encode()) {
+			t.Fatalf("case %d: DecodeWith changed the sketch it decoded", i)
+		}
+		if c.support >= 0 && c.support <= c.s && !gotOK {
+			t.Fatalf("case %d: a %d-sparse stream did not decode at s=%d", i, c.support, c.s)
+		}
 	}
 }
 

@@ -169,16 +169,19 @@ func checkGolden(t *testing.T, path string, got []string) {
 // stream into one slice sized from its degree, and the run's memo decodes
 // each broadcast word once. Every node keeps its frames, candidate copies,
 // sketch images and decode sketches in its node scratch, which the
-// scenario's context keeps across runs, and the adversary reuses its edge
-// permutation. A warmed run makes about 6.0k allocations of about 1.47 MB
-// in all; rebuilding the node buffers per run puts it back at about
-// 7.3 MB, building frames every round or a fresh sketch and merge result
-// per tree and child above 12k allocations and 13 MB, and decoding sketches
-// per round in the hundreds of thousands.
+// scenario's context keeps across runs, together with the tree primitives'
+// committers and per-tree slices; the adversary reuses its edge permutation
+// and corrupts into its round view's Alloc slab. A warmed run makes about
+// 3.2k allocations of about 245 KB in all (255 KB under the race
+// detector); the ceilings leave about 25% over that. Cloning every
+// corrupted frame puts it back at about 1.47 MB, rebuilding the node
+// buffers per run at about 7.3 MB, building frames every round or a fresh
+// sketch and merge result per tree and child above 12k allocations and
+// 13 MB, and decoding sketches per round in the hundreds of thousands.
 func TestHardenedCliqueAllocCeiling(t *testing.T) {
 	const (
-		ceiling      = 15_000
-		bytesCeiling = 3_000_000
+		ceiling      = 4_100
+		bytesCeiling = 320_000
 	)
 	sc := NewScenario(
 		WithTopology("clique", 16, 0),

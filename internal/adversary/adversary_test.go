@@ -277,11 +277,15 @@ func TestRotatingSelectorReusableAcrossRuns(t *testing.T) {
 
 func TestCorruptDropAndInject(t *testing.T) {
 	m := congest.U64Msg(7)
-	f, b := CorruptDrop(nil, 0, graph.NewEdge(0, 1), m, m)
+	f, b := CorruptDrop(nil, nil, 0, graph.NewEdge(0, 1), m, m)
 	if f != nil || b != nil {
 		t.Fatal("drop did not drop")
 	}
-	fi, bi := CorruptInject(rand.New(rand.NewSource(1)), 0, graph.NewEdge(0, 1), nil, nil)
+	tr, err := congest.NewRoundTraffic(graph.Clique(2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, bi := CorruptInject(tr, rand.New(rand.NewSource(1)), 0, graph.NewEdge(0, 1), nil, nil)
 	if len(fi) == 0 || len(bi) == 0 {
 		t.Fatal("inject returned nothing")
 	}
@@ -289,7 +293,7 @@ func TestCorruptDropAndInject(t *testing.T) {
 
 func TestCorruptSwap(t *testing.T) {
 	a, b := congest.U64Msg(1), congest.U64Msg(2)
-	f, w := CorruptSwap(nil, 0, graph.NewEdge(0, 1), a, b)
+	f, w := CorruptSwap(nil, nil, 0, graph.NewEdge(0, 1), a, b)
 	if congest.U64(f) != 2 || congest.U64(w) != 1 {
 		t.Fatal("swap did not swap")
 	}

@@ -11,10 +11,13 @@ import (
 // Corruption mutates the two directed messages crossing a controlled edge
 // (either may be nil when nothing was sent) and returns their replacements.
 // Returning the inputs unchanged wastes the edge. The inputs are shared with
-// the engine's round buffer and must not be mutated in place — corrupt a
-// clone (Msg.Clone) and return that. The strategy sees the whole round's
+// the engine's round buffer and must not be mutated in place: write a
+// replacement into tr.Alloc(n) (copy the input there first to change only
+// part of it), or return an input as it is to replay it elsewhere. The
+// engine copies the replacements into the delivered round, so they need
+// live only until the round's Intercept returns. tr is the round's whole
 // traffic, matching the all-powerful byzantine adversary of the paper.
-type Corruption func(rng *rand.Rand, round int, e graph.Edge, fwd, bwd congest.Msg) (congest.Msg, congest.Msg)
+type Corruption func(tr *congest.RoundTraffic, rng *rand.Rand, round int, e graph.Edge, fwd, bwd congest.Msg) (congest.Msg, congest.Msg)
 
 // Selector picks which undirected edges to control this round, given the
 // slot-native view of the round's traffic. st is the per-run selector state
@@ -181,7 +184,7 @@ func (b *Byzantine) Intercept(round int, tr *congest.RoundTraffic) {
 	for _, e := range edges {
 		sf, sb := tr.EdgeSlots(e)
 		fwd, bwd := tr.Get(sf), tr.Get(sb)
-		nf, nb := b.corrupt(b.rng, round, e, fwd, bwd)
+		nf, nb := b.corrupt(tr, b.rng, round, e, fwd, bwd)
 		changed := false
 		// bytes.Equal deliberately treats nil and empty alike: dropping a silent
 		// direction (or "injecting" an empty message) is a no-op, not a

@@ -124,19 +124,21 @@ func SelectRotating(st *SelectorState, _ *rand.Rand, _ int, g *graph.Graph, _ *c
 	return out
 }
 
-// Corruption strategies.
+// Corruption strategies. Those that forge bytes write them into the round
+// view's Alloc slab, so a warm run corrupts without allocating.
 
 // CorruptFlip XORs a random non-zero pattern into each present message —
 // guaranteed to change the payload.
-func CorruptFlip(rng *rand.Rand, _ int, _ graph.Edge, fwd, bwd congest.Msg) (congest.Msg, congest.Msg) {
-	return flip(rng, fwd), flip(rng, bwd)
+func CorruptFlip(tr *congest.RoundTraffic, rng *rand.Rand, _ int, _ graph.Edge, fwd, bwd congest.Msg) (congest.Msg, congest.Msg) {
+	return flip(tr, rng, fwd), flip(tr, rng, bwd)
 }
 
-func flip(rng *rand.Rand, m congest.Msg) congest.Msg {
+func flip(tr *congest.RoundTraffic, rng *rand.Rand, m congest.Msg) congest.Msg {
 	if len(m) == 0 {
 		return m
 	}
-	out := m.Clone()
+	out := tr.Alloc(len(m))
+	copy(out, m)
 	i := rng.Intn(len(out))
 	out[i] ^= byte(1 + rng.Intn(255))
 	return out
@@ -144,34 +146,37 @@ func flip(rng *rand.Rand, m congest.Msg) congest.Msg {
 
 // CorruptRandomize replaces each present message with uniform random bytes
 // of the same length.
-func CorruptRandomize(rng *rand.Rand, _ int, _ graph.Edge, fwd, bwd congest.Msg) (congest.Msg, congest.Msg) {
-	return randomize(rng, fwd), randomize(rng, bwd)
+func CorruptRandomize(tr *congest.RoundTraffic, rng *rand.Rand, _ int, _ graph.Edge, fwd, bwd congest.Msg) (congest.Msg, congest.Msg) {
+	return randomize(tr, rng, fwd), randomize(tr, rng, bwd)
 }
 
-func randomize(rng *rand.Rand, m congest.Msg) congest.Msg {
+func randomize(tr *congest.RoundTraffic, rng *rand.Rand, m congest.Msg) congest.Msg {
 	if len(m) == 0 {
 		return m
 	}
-	out := make(congest.Msg, len(m))
+	out := tr.Alloc(len(m))
 	rng.Read(out)
 	return out
 }
 
 // CorruptDrop deletes both directions (message omission).
-func CorruptDrop(_ *rand.Rand, _ int, _ graph.Edge, _, _ congest.Msg) (congest.Msg, congest.Msg) {
+func CorruptDrop(_ *congest.RoundTraffic, _ *rand.Rand, _ int, _ graph.Edge, _, _ congest.Msg) (congest.Msg, congest.Msg) {
 	return nil, nil
 }
 
 // CorruptSwap crosses the two directions, replaying each endpoint's message
-// back at the other's peer.
-func CorruptSwap(_ *rand.Rand, _ int, _ graph.Edge, fwd, bwd congest.Msg) (congest.Msg, congest.Msg) {
-	return bwd.Clone(), fwd.Clone()
+// back at the other's peer. The inputs go back as they are: the engine
+// copies each into the delivered round, and rewrites neither before then.
+func CorruptSwap(_ *congest.RoundTraffic, _ *rand.Rand, _ int, _ graph.Edge, fwd, bwd congest.Msg) (congest.Msg, congest.Msg) {
+	return bwd, fwd
 }
 
 // CorruptInject forges fixed-pattern messages in both directions even when
-// nothing was sent; length 9 avoids colliding with common word sizes.
-func CorruptInject(rng *rand.Rand, _ int, _ graph.Edge, _, _ congest.Msg) (congest.Msg, congest.Msg) {
-	forged := make(congest.Msg, 9)
+// nothing was sent; length 9 avoids colliding with common word sizes. Both
+// directions carry the same forged bytes, which the engine copies once per
+// direction.
+func CorruptInject(tr *congest.RoundTraffic, rng *rand.Rand, _ int, _ graph.Edge, _, _ congest.Msg) (congest.Msg, congest.Msg) {
+	forged := tr.Alloc(9)
 	rng.Read(forged)
-	return forged, forged.Clone()
+	return forged, forged
 }

@@ -87,7 +87,8 @@ type Adversary interface {
 	// engine diffs overrides against the collected traffic for budget
 	// accounting, then folds them into the delivered round). Messages read
 	// from the view are shared with the engine's round buffer and must not
-	// be mutated in place — corrupt by Setting a modified clone.
+	// be mutated in place — corrupt by copying into Alloc, changing the
+	// copy, and Setting it.
 	Intercept(round int, tr *RoundTraffic)
 }
 

@@ -2,9 +2,10 @@ package congest
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 
 	"mobilecongest/internal/graph"
 )
@@ -22,6 +23,10 @@ import (
 // the engine reuses it (and everything it hands out) on the next round.
 type RoundTraffic struct {
 	buf *roundBuffer // pristine collection buffer for the round
+
+	// slab backs Alloc: truncated by begin, so a warm run's overrides are
+	// carved from storage its earlier rounds grew.
+	slab []byte
 
 	// The adversary's write overlay: mod[s] is the override for slot s when
 	// its dirtyBits bit is set; dirty lists the overridden slots.
@@ -89,9 +94,10 @@ func (t *RoundTraffic) Delivered() Traffic {
 }
 
 // begin attaches the view to the round's collection buffer and clears the
-// previous round's overlay.
+// previous round's overlay and Alloc slab.
 func (t *RoundTraffic) begin(b *roundBuffer) {
 	t.buf = b
+	t.slab = t.slab[:0]
 	for _, s := range t.dirty {
 		t.mod[s] = nil
 		t.dirtyBits[s>>6] &^= 1 << uint(s&63)
@@ -145,12 +151,35 @@ func (t *RoundTraffic) Get(s int32) Msg {
 	return t.buf.get(s)
 }
 
+// Alloc returns n writable bytes for this round's overrides, carved from a
+// slab the view keeps across rounds: an adversary corrupts into them
+// (copy a Get payload, then change it) instead of allocating a clone. No
+// two results of one round overlap. They are valid until the round ends —
+// the engine copies every override into the round when it applies the
+// overlay — so Set them, but never keep them past the Intercept call.
+func (t *RoundTraffic) Alloc(n int) Msg {
+	off := len(t.slab)
+	if t.slab == nil || n > cap(t.slab)-off {
+		// A new array sized for the round so far: the results already
+		// handed out keep the old one.
+		t.slab = make([]byte, 0, max(2*cap(t.slab), off+n))
+		off = 0
+	}
+	t.slab = t.slab[:off+n]
+	return Msg(t.slab[off : off+n : off+n])
+}
+
 // Set overrides the message delivered on slot s this round: a corruption
 // (non-nil m), an injection on a silent edge, or a drop (nil m). Setting a
 // slot back to a value byte-identical with the sender's message costs no
 // budget — the engine diffs overrides against the collected round, so only
 // real differences count as touched edges. Set panics on an invalid slot;
 // slots come from Slot, EdgeSlots, or All.
+//
+// Set does not take m over: the engine copies it into the round's arena
+// when it applies the overlay, after Intercept returns. m must stay
+// unchanged until then; it may be a Get payload, an Alloc result, or the
+// adversary's own buffer, which it may reuse in a later round.
 func (t *RoundTraffic) Set(s int32, m Msg) {
 	if s < 0 || int(s) >= len(t.mod) {
 		panic(fmt.Sprintf("congest: RoundTraffic.Set on invalid slot %d", s))
@@ -271,11 +300,8 @@ func (t *RoundTraffic) settle(pool *shardPool) ([]graph.Edge, error) {
 		}
 		err = fmt.Errorf("congest: adversary injected on non-edge (%d,%d)", report.From, report.To)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	t.edgesOut = edges
 	if len(edges) == 0 {
@@ -294,9 +320,10 @@ func (t *RoundTraffic) judge(lo, hi int) {
 }
 
 // apply folds the settled overlay into the round buffer, which becomes the
-// delivered round. Override payloads are copied into the round arena — the
-// adversary keeps ownership of the slices it Set. Must follow settle (it
-// consumes the changed list).
+// delivered round. Override payloads are copied into the round arena, so an
+// override — an Alloc result, a Get payload, or the adversary's own slice —
+// only has to live until apply returns; the delivered round never aliases
+// it. Must follow settle (it consumes the changed list).
 func (t *RoundTraffic) apply() {
 	if len(t.changed) == 0 {
 		return

@@ -1,7 +1,8 @@
 // Package roundview defines an analyzer guarding the ownership contract of
 // the engine's round views. Node inboxes and outboxes
-// (Runtime.ExchangePorts, OutBuf), RoundTraffic.Get payloads and
-// RoundViews all alias per-run buffers the engine reuses every round; the
+// (Runtime.ExchangePorts, OutBuf), RoundTraffic.Get payloads and Alloc
+// results, and RoundViews all alias per-run buffers the engine reuses
+// every round; the
 // inboxes and Get payloads live in parity double-buffered round arenas, or,
 // for a payload its sender lent (Runtime.LendOut), in the sender's own
 // buffer, which the sender keeps unchanged for as long. Either way a view
@@ -72,12 +73,14 @@ const (
 )
 
 // sources maps the congest methods whose results are views to the kinds
-// they alias. OutBuf is round-scoped but the node's own to write.
+// they alias. OutBuf and Alloc are round-scoped but their caller's to
+// write: a node's outbox, and an adversary's override slab.
 var sources = map[string]kind{
 	"ExchangePorts": roundScoped | arena | readOnly,
 	"Get":           roundScoped | arena | readOnly,
 	"OutBuf":        roundScoped,
 	"All":           roundScoped,
+	"Alloc":         roundScoped,
 }
 
 // paramKinds maps the congest types whose pointer parameters are views on

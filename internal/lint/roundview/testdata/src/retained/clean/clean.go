@@ -44,3 +44,23 @@ func (g *getSampler) copyGet(tr *congest.RoundTraffic, slot int32) {
 		g.sample = m.Clone() // arena view copied before retention
 	}
 }
+
+// flipper corrupts into an Alloc result and Sets it within the round: the
+// slab is the adversary's to write, and the engine copies what it Sets.
+type flipper struct{}
+
+func (flipper) Intercept(round int, tr *congest.RoundTraffic) {
+	if m := tr.Get(0); len(m) > 0 {
+		out := tr.Alloc(len(m))
+		copy(out, m)
+		out[0] ^= 0xFF
+		tr.Set(0, out)
+	}
+}
+
+// forge returns an Alloc result to its caller, as a Corruption does.
+func forge(tr *congest.RoundTraffic) congest.Msg {
+	out := tr.Alloc(9)
+	out[8] = 1
+	return out
+}

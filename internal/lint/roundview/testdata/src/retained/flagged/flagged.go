@@ -61,3 +61,16 @@ func (h *historian) keepInbox(rt congest.Runtime, out []congest.Msg) {
 func (h *historian) keepGet(tr *congest.RoundTraffic, slot int32) {
 	h.hist = append(h.hist, tr.Get(slot)) // want `stored in struct field hist`
 }
+
+// replayer keeps its forged message to replay it in a later round, but an
+// Alloc result is carved from the view's slab, which the next round reuses.
+type replayer struct {
+	forged congest.Msg
+}
+
+func (r *replayer) Intercept(round int, tr *congest.RoundTraffic) {
+	m := tr.Alloc(9)
+	m[0] = byte(round)
+	r.forged = m // want `stored in struct field forged`
+	tr.Set(0, m)
+}

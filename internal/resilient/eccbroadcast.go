@@ -166,6 +166,10 @@ func (g *eccGeometry) decode(p ECCPlan, recv []gf.Elem) []byte {
 	return out
 }
 
+// eccPayloads keeps each node's per-tree share slice for ECCSafeBroadcast
+// across its calls and runs.
+var eccPayloads = congest.NewNodeScratch[[][]byte]()
+
 // ECCSafeBroadcast delivers the root's message to every node despite the
 // mobile adversary: the root RS-encodes the (padded) message, each tree
 // carries one share via the RS-compiled broadcast (rsim.BroadcastDown), and
@@ -174,7 +178,12 @@ func (g *eccGeometry) decode(p ECCPlan, recv []gf.Elem) []byte {
 // succeeded. Must be invoked in lock-step by all nodes with identical plan,
 // depthBound and rep. ob is the node's rsim.Outbox.
 func ECCSafeBroadcast(rt congest.Runtime, ob *rsim.Outbox, trees []rsim.TreeView, plan ECCPlan, msg []byte, depthBound, rep int) ([]byte, bool) {
-	payloads := make([][]byte, len(trees))
+	pp := eccPayloads.Of(rt)
+	if cap(*pp) < len(trees) {
+		*pp = make([][]byte, len(trees))
+	}
+	payloads := (*pp)[:len(trees)]
+	clear(payloads)
 	isRoot := false
 	for _, tv := range trees {
 		if tv.Depth == 0 {

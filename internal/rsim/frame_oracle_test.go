@@ -3,6 +3,7 @@ package rsim
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"mobilecongest/internal/adversary"
@@ -313,8 +314,10 @@ func TestFramesMatchRebuildEveryRound(t *testing.T) {
 // one Outbox copy their candidates into the same buffers, fault-free and
 // under a mobile flip adversary that adds corrupted candidates, and still
 // return what the reference, which copies every candidate into fresh
-// storage, returns. A result of one call must not change when the next
-// call reuses the buffers, and a BroadcastDown in between keeps its own.
+// storage, returns. The bytes of one call's result must not change when the
+// next call reuses the buffers (the returned slice itself is the Outbox's
+// until that call, so the test keeps a copy of it), and a BroadcastDown in
+// between keeps its own.
 func TestConvergecastRecyclesCandidates(t *testing.T) {
 	const n, k, depth, rep = 10, 4, 3, 3
 	g := graph.Clique(n)
@@ -347,7 +350,7 @@ func TestConvergecastRecyclesCandidates(t *testing.T) {
 			}
 			var ob Outbox
 			var out record
-			out.up1 = up(rt, &ob, views, locals(3), foldXor, depth, rep)
+			out.up1 = slices.Clone(up(rt, &ob, views, locals(3), foldXor, depth, rep))
 			out.used1 = ob.cands.used
 			out.up1Then = clone2(out.up1)
 			out.down = BroadcastDown(rt, &ob, views, payloads, depth, rep)

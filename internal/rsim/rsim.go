@@ -37,6 +37,13 @@
 // call: a committed child aggregate only feeds the merge (see MergeFn),
 // so no candidate outlives the call. BroadcastDown returns what its
 // committers adopt, so its candidates are fresh copies.
+//
+// The Outbox also keeps each call's bookkeeping: the committers with their
+// candidate lists, and the per-tree slices, including the slice a call
+// returns. A call length-resets them on entry, so BroadcastDown's result is
+// valid until the next BroadcastDown on the same Outbox, and
+// ConvergecastUp's until the next ConvergecastUp; the byte slices in them
+// are the caller's for as long as their own contracts say.
 package rsim
 
 import (
@@ -169,16 +176,48 @@ func section(m congest.Msg, treeID int) (payload []byte, ok bool) {
 }
 
 // Outbox is one node's outgoing frames: two sets of per-port frame buffers,
-// of which one is current, and the buffers ConvergecastUp copies candidate
-// values into. A node keeps one Outbox across its BroadcastDown and
-// ConvergecastUp calls, and may keep it across runs, so the buffers grow
-// once rather than once per call. The zero value is ready to use. An Outbox
-// belongs to one node and one runtime at a time; the package doc explains
-// why the second set makes lending its frames safe.
+// of which one is current, the buffers ConvergecastUp copies candidate
+// values into, and the calls' bookkeeping. A node keeps one Outbox across
+// its BroadcastDown and ConvergecastUp calls, and may keep it across runs,
+// so the buffers grow once rather than once per call. The zero value is
+// ready to use. An Outbox belongs to one node and one runtime at a time;
+// the package doc explains why the second set makes lending its frames
+// safe.
 type Outbox struct {
 	sets  [2][][]byte
 	cur   int
 	cands candidateBufs
+
+	commits []committer // the call's committers; ConvergecastUp's by first
+	first   []int       // ConvergecastUp: tree j's committers start at first[j]
+	have    [][]byte    // BroadcastDown's result
+	ready   [][]byte    // ConvergecastUp's subtree aggregates, then its result
+}
+
+// committers returns n committers at the given threshold for one call,
+// reusing the previous call's committers and their candidate lists.
+func (o *Outbox) committers(n, threshold int) []committer {
+	if cap(o.commits) < n {
+		o.commits = make([]committer, n)
+	}
+	cs := o.commits[:n]
+	for i := range cs {
+		cands := cs[i].cands
+		clear(cands)
+		cs[i] = newCommitter(threshold)
+		cs[i].cands = cands[:0]
+	}
+	return cs
+}
+
+// zeroed returns s resized to n with every entry zero, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // candidateBufs recycles the candidate copies of one ConvergecastUp call:
@@ -275,7 +314,6 @@ func (c *committer) Offer(v []byte, bufs *candidateBufs) bool {
 	if c.cands[i].n >= c.threshold {
 		c.value = c.cands[i].v
 		c.done = true
-		c.cands = nil
 	}
 	return c.done
 }
@@ -285,15 +323,16 @@ func (c *committer) Offer(v []byte, bufs *candidateBufs) bool {
 // Runs Rounds(depthBound, rep) physical rounds and returns this node's
 // received payload per tree (nil when the tree never committed — a failed
 // tree). Every participating node must call it at the same round with the
-// same depthBound and rep. ob is the node's Outbox.
+// same depthBound and rep. ob is the node's Outbox; the returned slice is
+// ob's until the next BroadcastDown on it.
 func BroadcastDown(rt congest.Runtime, ob *Outbox, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
-	have := make([][]byte, len(trees))
-	commits := make([]committer, len(trees))
+	ob.have = zeroed(ob.have, len(trees))
+	have := ob.have
+	commits := ob.committers(len(trees), rep)
 	for j := range trees {
 		if trees[j].Depth == 0 { // root
 			have[j] = payloads[j]
 		}
-		commits[j] = newCommitter(rep)
 	}
 	total := Rounds(depthBound, rep)
 	stale := true // a tree this node forwards committed since the last build
@@ -345,23 +384,23 @@ type MergeFn func(treeIdx int, a, b []byte) []byte
 // identical and the parent's commit threshold applies. Returns, at each
 // tree's root, the tree aggregate (nil elsewhere or on failure). Must be
 // called in lock-step by all nodes with equal depthBound and rep. ob is the
-// node's Outbox.
+// node's Outbox; the returned slice is ob's until the next ConvergecastUp
+// on it.
 func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
 	// commits[first[j]+i] tracks child i of tree j.
-	first := make([]int, len(trees)+1)
+	ob.first = zeroed(ob.first, len(trees)+1)
+	first := ob.first
 	for j, tv := range trees {
 		first[j+1] = first[j]
 		if tv.Depth >= 0 {
 			first[j+1] += len(tv.Children)
 		}
 	}
-	commits := make([]committer, first[len(trees)])
-	for i := range commits {
-		commits[i] = newCommitter(rep)
-	}
+	commits := ob.committers(first[len(trees)], rep)
 	// The previous call's candidates fed only its merges.
 	ob.cands.used = 0
-	ready := make([][]byte, len(trees)) // my complete subtree aggregate
+	ob.ready = zeroed(ob.ready, len(trees))
+	ready := ob.ready // my complete subtree aggregate
 	for j, tv := range trees {
 		if tv.Depth >= 0 && len(tv.Children) == 0 {
 			ready[j] = locals[j]
@@ -413,11 +452,11 @@ func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][
 			}
 		}
 	}
-	res := make([][]byte, len(trees))
+	// Only the roots' aggregates are the result.
 	for j, tv := range trees {
-		if tv.Depth == 0 {
-			res[j] = ready[j]
+		if tv.Depth != 0 {
+			ready[j] = nil
 		}
 	}
-	return res
+	return ready
 }

@@ -170,18 +170,19 @@ func checkGolden(t *testing.T, path string, got []string) {
 // each broadcast word once. Every node keeps its frames, candidate copies,
 // sketch images and decode sketches in its node scratch, which the
 // scenario's context keeps across runs, together with the tree primitives'
-// committers and per-tree slices; the adversary reuses its edge permutation
-// and corrupts into its round view's Alloc slab. A warmed run makes about
-// 3.2k allocations of about 245 KB in all (255 KB under the race
-// detector); the ceilings leave about 25% over that. Cloning every
+// committers and per-tree slices; BroadcastDown copies its adopted payloads
+// into the recycled candidate buffers too. The adversary reuses its edge
+// permutation and selection and corrupts into its round view's Alloc slab.
+// A warmed run makes about 2.1k allocations of about 226 KB in all (232 KB
+// under the race detector); the ceilings leave about 25% over that. Cloning every
 // corrupted frame puts it back at about 1.47 MB, rebuilding the node
 // buffers per run at about 7.3 MB, building frames every round or a fresh
 // sketch and merge result per tree and child above 12k allocations and
 // 13 MB, and decoding sketches per round in the hundreds of thousands.
 func TestHardenedCliqueAllocCeiling(t *testing.T) {
 	const (
-		ceiling      = 4_100
-		bytesCeiling = 320_000
+		ceiling      = 2_600
+		bytesCeiling = 290_000
 	)
 	sc := NewScenario(
 		WithTopology("clique", 16, 0),
@@ -217,7 +218,7 @@ func TestHardenedCliqueAllocCeiling(t *testing.T) {
 // Theorem 1.2 key phase shares one table-driven extractor per geometry,
 // extracts each edge-direction's stream once through the run's memo (1024
 // extractions, not 2048), reuses its Phase-1 send buffer and pads into
-// per-port buffers, so a run makes about 4.1k allocations; rebuilding a
+// per-port buffers, so a run makes about 3.9k allocations; rebuilding a
 // Vandermonde matrix per port or a fresh message per key word would put it
 // back near 200k.
 func TestSecureBroadcastAllocCeiling(t *testing.T) {

@@ -42,7 +42,7 @@ type Eavesdropper struct {
 	view     []Observation
 	static   bool
 	fixed    []graph.Edge // chosen lazily for static mode
-	perm     []int        // randomEdges' permutation, reused per round
+	draw     edgeDraw     // randomEdges' scratch; the static set is a copy
 }
 
 var (
@@ -91,7 +91,7 @@ func (a *Eavesdropper) ResetRun() {
 }
 
 // ControlledEdges returns the edges the adversary listens on in the given
-// round.
+// round. A mobile eavesdropper's result is valid until its next call.
 func (a *Eavesdropper) ControlledEdges(round int) []graph.Edge {
 	switch {
 	case a.schedule != nil:
@@ -101,11 +101,11 @@ func (a *Eavesdropper) ControlledEdges(round int) []graph.Edge {
 		return a.schedule[round%len(a.schedule)]
 	case a.static:
 		if a.fixed == nil {
-			a.fixed = randomEdges(a.g, a.f, a.rng, &a.perm)
+			a.fixed = slices.Clone(a.draw.randomEdges(a.g, a.f, a.rng))
 		}
 		return a.fixed
 	default:
-		return randomEdges(a.g, a.f, a.rng, &a.perm)
+		return a.draw.randomEdges(a.g, a.f, a.rng)
 	}
 }
 
@@ -152,22 +152,28 @@ func (a *Eavesdropper) ViewBytes() []byte {
 	return out
 }
 
+// edgeDraw is randomEdges' scratch: a permutation of the edge list and the
+// selected edges, both reused from one selection to the next.
+type edgeDraw struct {
+	perm  []int
+	edges []graph.Edge
+}
+
 // randomEdges returns f distinct uniformly random edges of g: the first f
-// of a random permutation of its edge list, which it writes into *perm,
-// grown as needed and kept by the caller for the next round.
-func randomEdges(g *graph.Graph, f int, rng *rand.Rand, perm *[]int) []graph.Edge {
+// of a random permutation of its edge list. The result is d's until the
+// next call on d.
+func (d *edgeDraw) randomEdges(g *graph.Graph, f int, rng *rand.Rand) []graph.Edge {
 	edges := g.Edges()
 	if f >= len(edges) {
-		out := make([]graph.Edge, len(edges))
-		copy(out, edges)
-		return out
+		d.edges = append(d.edges[:0], edges...)
+		return d.edges
 	}
-	*perm = permInto((*perm)[:0], len(edges), rng)
-	out := make([]graph.Edge, f)
-	for i, p := range (*perm)[:f] {
-		out[i] = edges[p]
+	d.perm = permInto(d.perm[:0], len(edges), rng)
+	d.edges = d.edges[:0]
+	for _, p := range d.perm[:f] {
+		d.edges = append(d.edges, edges[p])
 	}
-	return out
+	return d.edges
 }
 
 // permInto appends a random permutation of [0, n) to dst and returns it. It

@@ -3,6 +3,7 @@ package adversary
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -398,10 +399,10 @@ func TestMaxIntHelper(t *testing.T) {
 // rng.Perm(len(edges))[:f] on an RNG with the same seed, and the next
 // draw of both RNGs agrees, so swapping the permutation buffer changes no
 // adversary's choices; an f that covers the graph takes every edge without
-// a draw. One buffer serves every case, growing and shrinking between
+// a draw. One scratch serves every case, growing and shrinking between
 // graphs.
 func TestRandomEdgesMatchesPerm(t *testing.T) {
-	var perm []int
+	var d edgeDraw
 	for _, n := range []int{3, 6, 16, 5} {
 		g := graph.Clique(n)
 		edges := g.Edges()
@@ -409,7 +410,7 @@ func TestRandomEdgesMatchesPerm(t *testing.T) {
 			for _, seed := range []int64{1, 2, 99} {
 				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 				for round := 0; round < 4; round++ {
-					sel := randomEdges(g, f, got, &perm)
+					sel := d.randomEdges(g, f, got)
 					if f >= len(edges) {
 						// Every edge, in order, and no draw.
 						if !reflect.DeepEqual(sel, edges) {
@@ -435,5 +436,31 @@ func TestRandomEdgesMatchesPerm(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEavesdropperSelectionScratch: once warm, a mobile eavesdropper picks
+// each round's edges without allocating, and a static one keeps its edge
+// set in storage of its own, which later selections on the scratch cannot
+// overwrite.
+func TestEavesdropperSelectionScratch(t *testing.T) {
+	g := graph.Clique(8)
+	eve := NewMobileEavesdropper(g, 3, 4)
+	eve.ControlledEdges(0)
+	round := 1
+	if allocs := testing.AllocsPerRun(50, func() {
+		eve.ControlledEdges(round)
+		round++
+	}); allocs != 0 {
+		t.Fatalf("a warm mobile selection allocates %.0f times, want 0", allocs)
+	}
+
+	static := NewStaticEavesdropper(g, 3, 4)
+	fixed := static.ControlledEdges(0)
+	want := slices.Clone(fixed)
+	static.draw.randomEdges(g, 3, static.rng)
+	static.draw.randomEdges(g, 3, static.rng)
+	if got := static.ControlledEdges(1); !slices.Equal(got, want) || !slices.Equal(fixed, want) {
+		t.Fatalf("static edge set changed from %v to %v (held %v) after later selections", want, got, fixed)
 	}
 }

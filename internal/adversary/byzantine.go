@@ -3,6 +3,7 @@ package adversary
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 
 	"mobilecongest/internal/congest"
 	"mobilecongest/internal/graph"
@@ -25,7 +26,8 @@ type Corruption func(tr *congest.RoundTraffic, rng *rand.Rand, round int, e grap
 // strategies ignore it. Selector values themselves must stay stateless —
 // rotation cursors, load scratch, and the like belong in st, which is what
 // makes one Selector value safely shareable across adversaries, repeated
-// runs, and sweep cells.
+// runs, and sweep cells. The returned slice may be scratch in st, valid
+// until the next selection.
 type Selector func(st *SelectorState, rng *rand.Rand, round int, g *graph.Graph, tr *congest.RoundTraffic, f int) []graph.Edge
 
 // SelectorState is the per-run mutable state available to selection
@@ -43,7 +45,7 @@ type SelectorState struct {
 	loadTouched []int32
 	sel         []int32 // top-f candidate indices, best-first
 
-	perm []int // SelectRandom's permutation scratch
+	draw edgeDraw // SelectRandom's scratch; its result is valid for one round
 }
 
 // reset clears the per-run state, keeping the allocated scratch.
@@ -171,7 +173,7 @@ func (b *Byzantine) Intercept(round int, tr *congest.RoundTraffic) {
 	var edges []graph.Edge
 	if b.staticMode {
 		if b.fixed == nil {
-			b.fixed = b.select_(&b.st, b.rng, round, b.g, tr, b.f)
+			b.fixed = slices.Clone(b.select_(&b.st, b.rng, round, b.g, tr, b.f))
 		}
 		edges = b.fixed
 	} else {

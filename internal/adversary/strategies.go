@@ -13,7 +13,7 @@ import (
 
 // SelectRandom picks f uniformly random graph edges.
 func SelectRandom(st *SelectorState, rng *rand.Rand, _ int, g *graph.Graph, _ *congest.RoundTraffic, f int) []graph.Edge {
-	return randomEdges(g, f, rng, &st.perm)
+	return st.draw.randomEdges(g, f, rng)
 }
 
 // SelectBusiest picks the f edges carrying the most payload bytes this

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"mobilecongest/internal/graph"
 	"mobilecongest/internal/registry"
@@ -61,7 +62,7 @@ type nodeCore struct {
 	neighbors []graph.NodeID
 	rng       *rand.Rand // nil until the protocol's first Rand call (see Rand)
 	rngSeed   int64
-	rngStore  []*rand.Rand // the context's per-node RNG cache (rc.rngs)
+	rngStore  []*nodeRNG // the context's per-node RNG cache (rc.rngs)
 	input     []byte
 	output    any
 	round     int
@@ -92,22 +93,64 @@ func (s *nodeCore) Memo() *Memo               { return s.rc.runMemo() }
 // order at run start (nodeCores), so the stream is identical to an eagerly
 // built RNG — but protocols that never draw randomness (most of the
 // fault-free hot path) skip the ~5KB rand source per node entirely, the
-// dominant setup allocation at large n. The constructed value is cached on
-// the context and re-seeded on the next run that uses it. Safe under the
+// dominant setup allocation at large n. The constructed generator is cached
+// on the context, and a later run that uses it restores it from a seeded
+// copy instead of re-seeding it (nodeRNG.restart). Safe under the
 // concurrent engines: each node touches only its own rngStore slot, and run
 // boundaries order cross-run access.
 func (s *nodeCore) Rand() *rand.Rand {
 	if s.rng == nil {
-		r := s.rngStore[s.id]
-		if r == nil {
-			r = rand.New(rand.NewSource(s.rngSeed))
-			s.rngStore[s.id] = r
+		if g := s.rngStore[s.id]; g != nil {
+			s.rng = g.restart(s.rngSeed)
 		} else {
-			r.Seed(s.rngSeed)
+			g = newNodeRNG(s.rngSeed)
+			s.rngStore[s.id] = g
+			s.rng = g.r
 		}
-		s.rng = r
 	}
 	return s.rng
+}
+
+// nodeRNG is one node's generator as a RunContext keeps it across runs: the
+// live source behind r, and a copy of that source as seeded with seed. The
+// copy is made by the first run that reuses the generator, so a run on a
+// fresh context pays only for the live source.
+type nodeRNG struct {
+	r      *rand.Rand
+	src    rand.Source // r's source
+	seeded rand.Source // the state Seed(seed) leaves in a source; nil until a reuse
+	seed   int64
+}
+
+func newNodeRNG(seed int64) *nodeRNG {
+	src := rand.NewSource(seed)
+	return &nodeRNG{r: rand.New(src), src: src, seed: seed}
+}
+
+// restart rewinds r to the start of seed's stream, as r.Seed(seed) would.
+// It copies the seeded state into the live source instead of re-running the
+// 607-word seeding, which it runs (on the copy) only when seed is new.
+func (g *nodeRNG) restart(seed int64) *rand.Rand {
+	switch {
+	case g.seeded == nil:
+		g.seeded = rand.NewSource(seed)
+	case seed != g.seed:
+		g.seeded.Seed(seed)
+	}
+	g.seed = seed
+	copySource(g.src, g.seeded)
+	// A Rand fresh over the same source: this zeroes the Read position,
+	// which Seed also resets.
+	*g.r = *rand.New(g.src)
+	return g.r
+}
+
+// copySource overwrites dst's generator state with src's. Both come from
+// rand.NewSource, whose state is a plain value (the lagged Fibonacci
+// vector and its two taps) behind a pointer, so assigning the pointee
+// copies the generator exactly.
+func copySource(dst, src rand.Source) {
+	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
 }
 
 func (s *nodeCore) Degree() int                 { return len(s.neighbors) }

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -325,5 +326,67 @@ func TestStepEngineWrappedRuntime(t *testing.T) {
 	}
 	if res.Outputs[0].(uint64) != 101 || res.Outputs[1].(uint64) != 100 {
 		t.Fatalf("outputs wrong: %v", res.Outputs)
+	}
+}
+
+// TestNodeRandReuseMatchesFresh runs seeds 1, 2, 1, 1 in one context, on
+// each engine, and checks every node's draws against a fresh
+// rand.New(rand.NewSource(s)) for its seed s: a warm run restores each
+// generator from its seeded copy, and that must replay the stream exactly,
+// Read position included. In the seed-2 run only even nodes draw, so the
+// third run restores some generators whose copy was never made and some
+// whose copy holds the other seed. Once every copy holds the run's seed, a
+// run's Rand calls allocate nothing.
+func TestNodeRandReuseMatchesFresh(t *testing.T) {
+	type draws struct {
+		head    [3]byte
+		u       uint64
+		n       int
+		tail    [5]byte
+		skipped bool
+	}
+	draw := func(r *rand.Rand) (d draws) {
+		r.Read(d.head[:])
+		d.u = r.Uint64()
+		d.n = r.Intn(1000)
+		r.Read(d.tail[:]) // leaves part of a word unread for the next run
+		return d
+	}
+	g := graph.Cycle(9)
+	for _, e := range []ShardEngine{{Shards: 1}, {Shards: 3}} {
+		rc := NewRunContext()
+		for run, seed := range []int64{1, 2, 1, 1} {
+			evenOnly := seed == 2
+			res, err := e.RunIn(rc, Config{Graph: g, Seed: seed}, func(rt Runtime) {
+				if evenOnly && rt.ID()%2 == 1 {
+					rt.SetOutput(draws{skipped: true})
+					return
+				}
+				rt.SetOutput(draw(rt.Rand()))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeder := rand.New(rand.NewSource(seed))
+			for v, o := range res.Outputs {
+				want := draw(rand.New(rand.NewSource(seeder.Int63())))
+				if evenOnly && v%2 == 1 {
+					want = draws{skipped: true}
+				}
+				if o != want {
+					t.Fatalf("%s run %d (seed %d) node %d: drew %+v, a fresh generator %+v", e.Name(), run, seed, v, o, want)
+				}
+			}
+		}
+		cfg := Config{Graph: g, Seed: 1}
+		if allocs := testing.AllocsPerRun(20, func() {
+			cores := rc.nodeCores(cfg)
+			for i := range cores {
+				cores[i].Rand().Uint64()
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: a warm same-seed run's Rand calls allocate %.0f times, want 0", e.Name(), allocs)
+		}
+		rc.Close()
 	}
 }

@@ -34,7 +34,7 @@ type RunContext struct {
 	cores  []nodeCore
 	stats  *StatsObserver
 	seeder *rand.Rand
-	rngs   []*rand.Rand
+	rngs   []*nodeRNG
 
 	// Port slabs: every node's reusable outbox and inbox are CSR sub-slices
 	// of these slot-indexed slabs (node u owns rowStart[u]:rowStart[u+1] of
@@ -89,7 +89,7 @@ func (rc *RunContext) bind(g *graph.Graph) {
 	rc.boundsShards = 0 // shard boundaries are layout-shaped
 	rc.dropScratch()    // node scratch is sized to the old graph's nodes
 	// rc.rngs is deliberately kept: per-node RNGs are graph-independent and
-	// re-seeded per run, so they survive rebinding. The shard pool and the
+	// restored per run, so they survive rebinding. The shard pool and the
 	// shard scratch capacities likewise survive: neither depends on the graph.
 }
 
@@ -298,8 +298,9 @@ func (rc *RunContext) releaseLent(aborted bool) {
 // lazily, on the node's first Rand call: a protocol that never draws
 // randomness pays nothing for the ~5KB rand source per node — the dominant
 // setup allocation at large n. Constructed RNGs are cached in rc.rngs across
-// runs (re-seeding on next use resets their state, including the Read
-// position).
+// runs; a later run restores each from a seeded copy of its source
+// (nodeRNG.restart, which also resets the Read position), so repeated runs
+// of one seed skip the seeding altogether.
 func (rc *RunContext) nodeCores(cfg Config) []nodeCore {
 	if rc.seeder == nil {
 		rc.seeder = rand.New(rand.NewSource(cfg.Seed))

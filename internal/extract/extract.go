@@ -14,7 +14,9 @@
 // β_j is GF(2)-linear in the bits of its operand, so v·β_j = lo_j[v & 0xff]
 // ⊕ hi_j[v >> 8] for the two 256-entry halves of β_j's gf.MulTable. The
 // tables depend only on m (one 1 KiB table per output), cost two loads per
-// multiply, and let Lanes independent streams share them.
+// multiply, and let Lanes independent streams share them. ExtractLanes
+// evaluates two outputs per pass over x, so each pass runs 2·Lanes
+// independent chains.
 package extract
 
 import (
@@ -67,30 +69,63 @@ func (e *Extractor) Resilience() int { return e.n - e.m }
 // lane w's input is x[w], x[Lanes+w], x[2·Lanes+w], ... and its key j,
 // y_j = sum_i M[i][j] * x_i, lands in dst[j·Lanes+w]. If at most
 // Resilience() of a lane's inputs are known to the adversary and the rest
-// are uniform, its outputs are i.i.d. uniform in the adversary's view. The
-// lanes are independent Horner chains over shared tables, which hides the
-// latency of each chain's table loads. It panics unless
-// len(x) == Lanes·N() and len(dst) == Lanes·M().
+// are uniform, its outputs are i.i.d. uniform in the adversary's view. Each
+// pass over x computes two keys, j and j+1, for every lane: eight
+// independent Horner chains over two table pairs, which hides the latency
+// of each chain's table loads. An odd M() ends with a single-key pass. It
+// panics unless len(x) == Lanes·N() and len(dst) == Lanes·M().
 func (e *Extractor) ExtractLanes(dst, x []gf.Elem) {
 	if len(x) != Lanes*e.n || len(dst) != Lanes*e.m {
 		panic(fmt.Sprintf("extract: ExtractLanes(dst[%d], x[%d]) on an n=%d m=%d extractor", len(dst), len(x), e.n, e.m))
 	}
-	for j := range e.tabs {
-		lo, hi := &e.tabs[j][0], &e.tabs[j][1]
-		// uint32 accumulators keep the four chains and both table
-		// pointers in registers; the products are 16-bit either way.
-		var a0, a1, a2, a3 uint32
-		for i := len(x); i >= Lanes; i -= Lanes {
-			xs := x[i-Lanes : i : i]
-			v0, v1, v2, v3 := a0^uint32(xs[0]), a1^uint32(xs[1]), a2^uint32(xs[2]), a3^uint32(xs[3])
-			a0 = uint32(lo[byte(v0)] ^ hi[byte(v0>>8)])
-			a1 = uint32(lo[byte(v1)] ^ hi[byte(v1>>8)])
-			a2 = uint32(lo[byte(v2)] ^ hi[byte(v2>>8)])
-			a3 = uint32(lo[byte(v3)] ^ hi[byte(v3>>8)])
-		}
-		ys := dst[j*Lanes : j*Lanes+Lanes : j*Lanes+Lanes]
-		ys[0], ys[1], ys[2], ys[3] = gf.Elem(a0), gf.Elem(a1), gf.Elem(a2), gf.Elem(a3)
+	j := 0
+	for ; j+1 < len(e.tabs); j += 2 {
+		keysPair((*[2 * Lanes]gf.Elem)(dst[j*Lanes:]), x, &e.tabs[j], &e.tabs[j+1])
 	}
+	if j < len(e.tabs) {
+		keysOne((*[Lanes]gf.Elem)(dst[j*Lanes:]), x, &e.tabs[j])
+	}
+}
+
+// keysPair writes the keys of tables s and t for every lane of x into
+// ys: s's in ys[:Lanes], t's in ys[Lanes:].
+func keysPair(ys *[2 * Lanes]gf.Elem, x []gf.Elem, s, t *gf.MulTable) {
+	slo, shi, tlo, thi := &s[0], &s[1], &t[0], &t[1]
+	// uint32 accumulators keep the eight chains and the four table
+	// pointers in registers; the products are 16-bit either way.
+	var a0, a1, a2, a3, b0, b1, b2, b3 uint32
+	for i := len(x); i >= Lanes; i -= Lanes {
+		xs := x[i-Lanes : i : i]
+		v, w := a0^uint32(xs[0]), b0^uint32(xs[0])
+		a0 = uint32(slo[byte(v)] ^ shi[byte(v>>8)])
+		b0 = uint32(tlo[byte(w)] ^ thi[byte(w>>8)])
+		v, w = a1^uint32(xs[1]), b1^uint32(xs[1])
+		a1 = uint32(slo[byte(v)] ^ shi[byte(v>>8)])
+		b1 = uint32(tlo[byte(w)] ^ thi[byte(w>>8)])
+		v, w = a2^uint32(xs[2]), b2^uint32(xs[2])
+		a2 = uint32(slo[byte(v)] ^ shi[byte(v>>8)])
+		b2 = uint32(tlo[byte(w)] ^ thi[byte(w>>8)])
+		v, w = a3^uint32(xs[3]), b3^uint32(xs[3])
+		a3 = uint32(slo[byte(v)] ^ shi[byte(v>>8)])
+		b3 = uint32(tlo[byte(w)] ^ thi[byte(w>>8)])
+	}
+	ys[0], ys[1], ys[2], ys[3] = gf.Elem(a0), gf.Elem(a1), gf.Elem(a2), gf.Elem(a3)
+	ys[4], ys[5], ys[6], ys[7] = gf.Elem(b0), gf.Elem(b1), gf.Elem(b2), gf.Elem(b3)
+}
+
+// keysOne writes the keys of table s for every lane of x into ys.
+func keysOne(ys *[Lanes]gf.Elem, x []gf.Elem, s *gf.MulTable) {
+	lo, hi := &s[0], &s[1]
+	var a0, a1, a2, a3 uint32
+	for i := len(x); i >= Lanes; i -= Lanes {
+		xs := x[i-Lanes : i : i]
+		v0, v1, v2, v3 := a0^uint32(xs[0]), a1^uint32(xs[1]), a2^uint32(xs[2]), a3^uint32(xs[3])
+		a0 = uint32(lo[byte(v0)] ^ hi[byte(v0>>8)])
+		a1 = uint32(lo[byte(v1)] ^ hi[byte(v1>>8)])
+		a2 = uint32(lo[byte(v2)] ^ hi[byte(v2>>8)])
+		a3 = uint32(lo[byte(v3)] ^ hi[byte(v3>>8)])
+	}
+	ys[0], ys[1], ys[2], ys[3] = gf.Elem(a0), gf.Elem(a1), gf.Elem(a2), gf.Elem(a3)
 }
 
 // VerifyResilience checks algebraically that for the given set of observed

@@ -249,3 +249,26 @@ func BenchmarkExtract(b *testing.B) {
 		ex.ExtractLanes(dst, x)
 	}
 }
+
+// FuzzExtractLanes checks the kernel against the reference for fuzzed
+// shapes (1 <= m <= n <= 200) and lanes. The seeds cover m = 1 (only the
+// single-key pass), m = 2 (only the paired pass) and odd m > 1 (pairs, then
+// the single-key tail).
+func FuzzExtractLanes(f *testing.F) {
+	for i, c := range [][2]int{{1, 1}, {5, 1}, {2, 2}, {9, 2}, {7, 3}, {85, 17}, {200, 199}} {
+		f.Add(uint8(c[0]-1), uint8(c[1]-1), int64(i)) // n, m
+	}
+	f.Fuzz(func(t *testing.T, nb, mb uint8, seed int64) {
+		n := 1 + int(nb)%200
+		m := 1 + int(mb)%n
+		rng := rand.New(rand.NewSource(seed))
+		var in [Lanes][]gf.Elem
+		for w := range in {
+			in[w] = make([]gf.Elem, n)
+			for i := range in[w] {
+				in[w][i] = gf.Elem(rng.Intn(gf.Order16))
+			}
+		}
+		checkAgainstReference(t, n, m, in)
+	})
+}

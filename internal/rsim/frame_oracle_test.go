@@ -257,7 +257,8 @@ func TestFramesMatchRebuildEveryRound(t *testing.T) {
 			}
 			var ob Outbox
 			var out oracleRun
-			out.down = down(rec, &ob, views, payloads, depth, rep)
+			// The adopted payloads live until the next call on ob.
+			out.down = clone2(down(rec, &ob, views, payloads, depth, rep))
 			out.up = up(rec, &ob, views, locals, foldXor, depth, rep)
 			out.frames, out.lends, out.broken = rec.rounds, rec.lends, rec.broken
 			rt.SetOutput(out)
@@ -311,22 +312,24 @@ func TestFramesMatchRebuildEveryRound(t *testing.T) {
 }
 
 // TestConvergecastRecyclesCandidates: consecutive ConvergecastUp calls on
-// one Outbox copy their candidates into the same buffers, fault-free and
-// under a mobile flip adversary that adds corrupted candidates, and still
-// return what the reference, which copies every candidate into fresh
-// storage, returns. The bytes of one call's result must not change when the
-// next call reuses the buffers (the returned slice itself is the Outbox's
-// until that call, so the test keeps a copy of it), and a BroadcastDown in
-// between keeps its own.
+// one Outbox, and a BroadcastDown between them, copy their candidates into
+// the same buffers, fault-free and under a mobile flip adversary that adds
+// corrupted candidates, and still return what the reference, which copies
+// every candidate into fresh storage, returns. The bytes of a
+// convergecast's result must not change when the next call reuses the
+// buffers (the returned slice itself is the Outbox's until that call, so
+// the test keeps a copy of it). BroadcastDown's adopted payloads live only
+// until the next call, so the test copies them before it.
 func TestConvergecastRecyclesCandidates(t *testing.T) {
 	const n, k, depth, rep = 10, 4, 3, 3
 	g := graph.Clique(n)
 	p := heapPacking(n, k)
+	allViews := Views(p)
 	type record struct {
-		up1, up1Then, up2 [][]byte
-		down              [][]byte
-		used1, used2      int
-		bufs              int
+		up1, up1Then, up2   [][]byte
+		down                [][]byte
+		used1, usedD, used2 int
+		bufs                int
 	}
 	run := func(f int, real bool) []record {
 		up := ConvergecastUp
@@ -353,7 +356,8 @@ func TestConvergecastRecyclesCandidates(t *testing.T) {
 			out.up1 = slices.Clone(up(rt, &ob, views, locals(3), foldXor, depth, rep))
 			out.used1 = ob.cands.used
 			out.up1Then = clone2(out.up1)
-			out.down = BroadcastDown(rt, &ob, views, payloads, depth, rep)
+			out.down = clone2(BroadcastDown(rt, &ob, views, payloads, depth, rep))
+			out.usedD = ob.cands.used
 			out.up2 = up(rt, &ob, views, locals(5), foldXor, depth, rep)
 			out.used2, out.bufs = ob.cands.used, len(ob.cands.bufs)
 			rt.SetOutput(out)
@@ -371,7 +375,7 @@ func TestConvergecastRecyclesCandidates(t *testing.T) {
 	}
 	for _, f := range []int{0, 2} {
 		got, want := run(f, true), run(f, false)
-		copied := 0
+		copied, copiedD := 0, 0
 		for v := range got {
 			gv, wv := got[v], want[v]
 			if fmt.Sprint(gv.up1, gv.down, gv.up2) != fmt.Sprint(wv.up1, wv.down, wv.up2) {
@@ -380,14 +384,22 @@ func TestConvergecastRecyclesCandidates(t *testing.T) {
 			if fmt.Sprint(gv.up1) != fmt.Sprint(gv.up1Then) {
 				t.Fatalf("f=%d node %d: the first convergecast's result changed during the second", f, v)
 			}
-			// Fault-free, each call copies one candidate per child.
-			if gv.bufs != max(gv.used1, gv.used2) || f == 0 && gv.used1 != gv.used2 {
-				t.Fatalf("f=%d node %d: %d and %d candidates in %d buffers; the second call did not recycle the first's", f, v, gv.used1, gv.used2, gv.bufs)
+			// Fault-free, each convergecast copies one candidate per child,
+			// and the broadcast one per payload it adopts.
+			adopted := 0
+			for j, b := range gv.down {
+				if b != nil && allViews[v][j].Depth > 0 {
+					adopted++
+				}
+			}
+			if gv.bufs != max(gv.used1, gv.usedD, gv.used2) || f == 0 && (gv.used1 != gv.used2 || gv.usedD != adopted) {
+				t.Fatalf("f=%d node %d: %d, %d and %d candidates in %d buffers (%d payloads adopted); a later call did not recycle an earlier one's", f, v, gv.used1, gv.usedD, gv.used2, gv.bufs, adopted)
 			}
 			copied += gv.used1
+			copiedD += gv.usedD
 		}
-		if copied == 0 {
-			t.Fatalf("f=%d: no node copied a candidate", f)
+		if copied == 0 || copiedD == 0 {
+			t.Fatalf("f=%d: %d convergecast and %d broadcast candidates copied, want some of each", f, copied, copiedD)
 		}
 	}
 }

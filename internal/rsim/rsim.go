@@ -32,18 +32,19 @@
 // lending contract requires, and the set it writes was last lent before
 // that. Received frames are views into other nodes' frames or into the
 // engine's arena, so a committer copies a candidate value out once, before
-// the sender or the engine rewrites the view. ConvergecastUp copies its
-// candidates into buffers the Outbox recycles at its next ConvergecastUp
-// call: a committed child aggregate only feeds the merge (see MergeFn),
-// so no candidate outlives the call. BroadcastDown returns what its
-// committers adopt, so its candidates are fresh copies.
+// the sender or the engine rewrites the view. Both calls copy their
+// candidates into buffers the Outbox recycles at its next call of either
+// kind: a committed child aggregate only feeds ConvergecastUp's merge (see
+// MergeFn), and the payloads BroadcastDown adopts are its result, which
+// lives only until that next call.
 //
 // The Outbox also keeps each call's bookkeeping: the committers with their
 // candidate lists, and the per-tree slices, including the slice a call
-// returns. A call length-resets them on entry, so BroadcastDown's result is
-// valid until the next BroadcastDown on the same Outbox, and
-// ConvergecastUp's until the next ConvergecastUp; the byte slices in them
-// are the caller's for as long as their own contracts say.
+// returns. A call length-resets them on entry, so BroadcastDown's result,
+// the slice and the adopted payloads in it, is valid until the next rsim
+// call on the same Outbox, and ConvergecastUp's slice until the next
+// ConvergecastUp; the aggregates in it are the caller's for as long as the
+// merge's contract says.
 package rsim
 
 import (
@@ -176,8 +177,8 @@ func section(m congest.Msg, treeID int) (payload []byte, ok bool) {
 }
 
 // Outbox is one node's outgoing frames: two sets of per-port frame buffers,
-// of which one is current, the buffers ConvergecastUp copies candidate
-// values into, and the calls' bookkeeping. A node keeps one Outbox across
+// of which one is current, the buffers both calls copy candidate values
+// into, and the calls' bookkeeping. A node keeps one Outbox across
 // its BroadcastDown and ConvergecastUp calls, and may keep it across runs,
 // so the buffers grow once rather than once per call. The zero value is
 // ready to use. An Outbox belongs to one node and one runtime at a time;
@@ -220,9 +221,9 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// candidateBufs recycles the candidate copies of one ConvergecastUp call:
-// the first used buffers hold this call's candidates. A nil *candidateBufs
-// copies every candidate into fresh storage.
+// candidateBufs recycles the candidate copies of one BroadcastDown or
+// ConvergecastUp call: the first used buffers hold this call's candidates.
+// A nil *candidateBufs copies every candidate into fresh storage.
 type candidateBufs struct {
 	bufs [][]byte
 	used int
@@ -323,12 +324,17 @@ func (c *committer) Offer(v []byte, bufs *candidateBufs) bool {
 // Runs Rounds(depthBound, rep) physical rounds and returns this node's
 // received payload per tree (nil when the tree never committed — a failed
 // tree). Every participating node must call it at the same round with the
-// same depthBound and rep. ob is the node's Outbox; the returned slice is
-// ob's until the next BroadcastDown on it.
+// same depthBound and rep. ob is the node's Outbox; the returned slice and
+// the payloads it adopted (every entry but a root's own payloads[j]) are
+// ob's until the next BroadcastDown or ConvergecastUp on it, so a caller
+// that keeps a payload longer copies it.
 func BroadcastDown(rt congest.Runtime, ob *Outbox, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
 	ob.have = zeroed(ob.have, len(trees))
 	have := ob.have
 	commits := ob.committers(len(trees), rep)
+	// The previous call's candidates are its result or fed its merges;
+	// either way they are dead now.
+	ob.cands.used = 0
 	for j := range trees {
 		if trees[j].Depth == 0 { // root
 			have[j] = payloads[j]
@@ -357,7 +363,7 @@ func BroadcastDown(rt congest.Runtime, ob *Outbox, trees []TreeView, payloads []
 				continue
 			}
 			if p := rt.Port(tv.Parent); p >= 0 && in[p] != nil {
-				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec, nil) {
+				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec, &ob.cands) {
 					have[j] = commits[j].value
 					stale = stale || len(tv.Children) > 0
 				}
@@ -397,7 +403,8 @@ func ConvergecastUp(rt congest.Runtime, ob *Outbox, trees []TreeView, locals [][
 		}
 	}
 	commits := ob.committers(first[len(trees)], rep)
-	// The previous call's candidates fed only its merges.
+	// The previous call's candidates fed only its merges, or were a
+	// BroadcastDown result, which lives only until this call.
 	ob.cands.used = 0
 	ob.ready = zeroed(ob.ready, len(trees))
 	ready := ob.ready // my complete subtree aggregate

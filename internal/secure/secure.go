@@ -116,24 +116,37 @@ func exchangeSecrets(rt congest.Runtime, ell int) (sent, recv [][]gf.Elem) {
 	for r := 0; r < ell; r++ {
 		out := rt.OutBuf()
 		for p := 0; p < deg; p++ {
-			m := buf[p*keyBytes : (p+1)*keyBytes]
-			for i := 0; i < wordSymbols; i++ {
-				s := gf.Elem(rng.Intn(field.Order()))
+			m := (*[keyBytes]byte)(buf[p*keyBytes:])
+			ss := (*[wordSymbols]gf.Elem)(sent[p][r*wordSymbols:])
+			for i := range ss {
+				// rng.Intn(1<<16) in one source step: for a power of
+				// two it is Int31()&0xffff, bits 32–47 of Uint64().
+				s := gf.Elem(rng.Uint64() >> 32)
 				m[2*i] = byte(s >> 8)
 				m[2*i+1] = byte(s)
-				sent[p][r*wordSymbols+i] = s
+				ss[i] = s
 			}
-			out[p] = m
+			out[p] = m[:]
 		}
 		in := rt.ExchangePorts(out)
 		for p := 0; p < deg; p++ {
-			m := in[p] // eavesdroppers never drop messages
-			for i := 0; i < wordSymbols; i++ {
+			rs := (*[wordSymbols]gf.Elem)(recv[p][r*wordSymbols:])
+			m := in[p]
+			if len(m) >= keyBytes {
+				mm := (*[keyBytes]byte)(m)
+				for i := range rs {
+					rs[i] = gf.Elem(mm[2*i])<<8 | gf.Elem(mm[2*i+1])
+				}
+				continue
+			}
+			// Eavesdroppers never drop or shorten messages, but a write
+			// adversary may: the missing symbols read as zero.
+			for i := range rs {
 				var s gf.Elem
 				if 2*i+1 < len(m) {
 					s = gf.Elem(m[2*i])<<8 | gf.Elem(m[2*i+1])
 				}
-				recv[p][r*wordSymbols+i] = s
+				rs[i] = s
 			}
 		}
 	}

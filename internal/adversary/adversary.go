@@ -40,6 +40,7 @@ type Eavesdropper struct {
 	rng      *rand.Rand
 	schedule [][]graph.Edge // schedule[i] = edges controlled in round i (cycled)
 	view     []Observation
+	slab     []byte // the run's observed bytes; view's Data are views of it
 	static   bool
 	fixed    []graph.Edge // chosen lazily for static mode
 	draw     edgeDraw     // randomEdges' scratch; the static set is a copy
@@ -81,12 +82,14 @@ func (a *Eavesdropper) PerRoundEdges() int { return a.f }
 
 // ResetRun implements congest.RunResetter: it re-seeds the adversary's
 // randomness and drops the previous run's view and static edge set, so runs
-// from one instance are independent and identically distributed.
+// from one instance are independent and identically distributed. The
+// view's storage is kept for the next run, which overwrites it.
 func (a *Eavesdropper) ResetRun() {
 	if a.rng != nil {
 		a.rng.Seed(a.seed)
 	}
-	a.view = nil
+	a.view = a.view[:0]
+	a.slab = a.slab[:0]
 	a.fixed = nil
 }
 
@@ -110,7 +113,9 @@ func (a *Eavesdropper) ControlledEdges(round int) []graph.Edge {
 }
 
 // Intercept implements congest.Adversary: it records the messages on the
-// controlled edges' slots and delivers the traffic unchanged.
+// controlled edges' slots and delivers the traffic unchanged. Each
+// observation's bytes are copied into the run's slab; a slab that must
+// grow moves to a new array, so earlier observations keep their bytes.
 func (a *Eavesdropper) Intercept(round int, tr *congest.RoundTraffic) {
 	for _, e := range a.ControlledEdges(round) {
 		fwd, bwd := tr.EdgeSlots(e)
@@ -119,17 +124,23 @@ func (a *Eavesdropper) Intercept(round int, tr *congest.RoundTraffic) {
 				continue
 			}
 			if m := tr.Get(s); m != nil {
-				a.view = append(a.view, Observation{Round: round, Edge: tr.DirEdge(s), Data: m.Clone()})
+				start := len(a.slab)
+				a.slab = append(a.slab, m...)
+				data := a.slab[start:len(a.slab):len(a.slab)]
+				a.view = append(a.view, Observation{Round: round, Edge: tr.DirEdge(s), Data: data})
 			}
 		}
 	}
 }
 
-// View returns everything the eavesdropper saw.
+// View returns everything the eavesdropper saw in its current or last run.
+// The observations and their Data are valid until the instance's next run,
+// which reuses their storage: copy what must outlive it.
 func (a *Eavesdropper) View() []Observation { return a.view }
 
 // ViewBytes flattens the view into a canonical byte string for
-// distribution-comparison tests.
+// distribution-comparison tests. It reads View, so call it before the
+// instance's next run; the returned bytes are the caller's.
 func (a *Eavesdropper) ViewBytes() []byte {
 	obs := make([]Observation, len(a.view))
 	copy(obs, a.view)

@@ -464,3 +464,58 @@ func TestEavesdropperSelectionScratch(t *testing.T) {
 		t.Fatalf("static edge set changed from %v to %v (held %v) after later selections", want, got, fixed)
 	}
 }
+
+// TestEavesdropperViewReuse: a warm mobile eavesdropper records a whole run
+// without allocating, since ResetRun keeps the view's storage and each
+// observation's bytes go into the run's slab, and each run's view is the
+// one a fresh instance records. The messages vary in size, so the first
+// run grows its slab while it holds earlier observations.
+func TestEavesdropperViewReuse(t *testing.T) {
+	g := graph.Clique(8)
+	const rounds = 12
+	trs := make([]*congest.RoundTraffic, rounds)
+	for r := range trs {
+		traffic := congest.Traffic{}
+		for _, e := range g.Edges() {
+			for _, de := range []graph.DirEdge{{From: e.U, To: e.V}, {From: e.V, To: e.U}} {
+				m := make(congest.Msg, 1+(r*7+int(de.From)*3+int(de.To))%13)
+				for i := range m {
+					m[i] = byte(r*31 + int(de.From)*5 + int(de.To) + i)
+				}
+				traffic[de] = m
+			}
+		}
+		trs[r] = mustRoundTraffic(t, g, traffic)
+	}
+	run := func(eve *Eavesdropper) {
+		eve.ResetRun()
+		for r, tr := range trs {
+			eve.Intercept(r, tr)
+		}
+	}
+	want := func() []byte {
+		fresh := NewMobileEavesdropper(g, 3, 9)
+		run(fresh)
+		return fresh.ViewBytes()
+	}()
+	eve := NewMobileEavesdropper(g, 3, 9)
+	for i := range 3 {
+		run(eve)
+		if got := eve.ViewBytes(); string(got) != string(want) {
+			t.Fatalf("run %d: the view differs from a fresh instance's", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { run(eve) }); allocs != 0 {
+		t.Fatalf("a warm run of %d intercepts allocates %.0f times, want 0", rounds, allocs)
+	}
+	if got := eve.ViewBytes(); string(got) != string(want) {
+		t.Fatal("the last warm run's view differs from a fresh instance's")
+	}
+	held := 0
+	for _, o := range eve.View() {
+		held += len(o.Data)
+	}
+	if len(eve.slab) != held {
+		t.Fatalf("the slab holds %d bytes for a run that observed %d", len(eve.slab), held)
+	}
+}

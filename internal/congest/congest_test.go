@@ -294,6 +294,37 @@ func TestWrappedRuntime(t *testing.T) {
 	}
 }
 
+// TestWrappedRuntimeRebind: a wrapper kept from an earlier run restarts
+// its round count and hands back its outbox cleared, keeping it for a base
+// of the same degree and resizing it for another.
+func TestWrappedRuntimeRebind(t *testing.T) {
+	w := &WrappedRuntime{ExchangePortsFn: func([]Msg) []Msg { return nil }}
+	w.Rebind(degreeRuntime{deg: 3})
+	out := w.OutBuf()
+	out[1] = Msg{7}
+	w.ExchangePorts(nil)
+	out[2] = Msg{8} // left behind by a run that never exchanged again
+	w.Rebind(degreeRuntime{deg: 3})
+	if w.Round() != 0 {
+		t.Fatalf("round %d after Rebind, want 0", w.Round())
+	}
+	if again := w.OutBuf(); &again[0] != &out[0] || again[2] != nil {
+		t.Fatalf("outbox after Rebind: kept %v, entries %v; want the same one, cleared", &again[0] == &out[0], again)
+	}
+	w.Rebind(degreeRuntime{deg: 5})
+	if got := len(w.OutBuf()); got != 5 {
+		t.Fatalf("outbox of %d ports for a degree-5 base", got)
+	}
+}
+
+// degreeRuntime is a Runtime that serves only its degree.
+type degreeRuntime struct {
+	Runtime
+	deg int
+}
+
+func (d degreeRuntime) Degree() int { return d.deg }
+
 func TestWireCodec(t *testing.T) {
 	if U64(PutU64(nil, 0x1122334455667788)) != 0x1122334455667788 {
 		t.Fatal("U64 round trip failed")

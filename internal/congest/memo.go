@@ -39,6 +39,7 @@ type Memo struct {
 	mu      sync.Mutex
 	tables  []memoStore // indexed by MemoTable id - 1; nil until used
 	scratch []any       // indexed by NodeScratch id - 1: *scratchNodes[T], nil until used
+	runs    atomic.Uint64
 }
 
 // memoStore is the type-erased face of a memoTable, for release.
@@ -113,7 +114,14 @@ func (m *Memo) release() {
 			s.release()
 		}
 	}
+	m.runs.Add(1)
 }
+
+// Runs returns the number of runs the memo has served to their end. It
+// changes only between runs, so a node that keeps per-use storage in a
+// NodeScratch can tell its first use in a run from a later use in the same
+// run by comparing it with the count it saw at its last use.
+func (m *Memo) Runs() uint64 { return m.runs.Load() }
 
 // NodeScratch names one kind of per-node working storage: the buffers a
 // protocol's node grows to its needs and length-resets before every use,

@@ -233,7 +233,7 @@ func ExampleMemoTable() {
 // the same graph (on any engine), with what the node left in it; a rebind
 // to another graph, or Close, hands out fresh values; a Memo outside any
 // context (the reference simulator's, one per run) starts fresh, and
-// ending a run (Memo.release) keeps the values.
+// ending a run (Memo.release) keeps the values and counts the run.
 func TestNodeScratchLifetime(t *testing.T) {
 	type visits struct{ n int }
 	scratch := NewNodeScratch[visits]()
@@ -285,9 +285,15 @@ func TestNodeScratchLifetime(t *testing.T) {
 	rt := &memoRuntime{m: m, id: 2, n: 5}
 	v := scratch.Of(rt)
 	v.n = 7
+	if m.Runs() != 0 {
+		t.Fatalf("a fresh memo has served %d runs, want 0", m.Runs())
+	}
 	m.release()
 	if w := scratch.Of(rt); w != v || w.n != 7 {
 		t.Fatal("ending a run dropped a node's scratch")
+	}
+	if m.Runs() != 1 {
+		t.Fatalf("the memo has served %d runs after one ended, want 1", m.Runs())
 	}
 	if w := scratch.Of(&memoRuntime{m: new(Memo), id: 2, n: 5}); w == v || w.n != 0 {
 		t.Fatal("a fresh memo handed out an old value")

@@ -139,6 +139,18 @@ func (w *WrappedRuntime) Neighbor(p int) graph.NodeID { return w.Base.Neighbor(p
 // Port forwards to the base runtime.
 func (w *WrappedRuntime) Port(v graph.NodeID) int { return w.Base.Port(v) }
 
+// Rebind readies a wrapper kept from an earlier run (in a NodeScratch, say)
+// for a run over base: the round count restarts, and the outbox, cleared,
+// is kept when base has the degree it was sized for. The other fields stay
+// as they are.
+func (w *WrappedRuntime) Rebind(base Runtime) {
+	w.Base, w.rounds = base, 0
+	if len(w.outBuf) != base.Degree() {
+		w.outBuf = nil
+	}
+	clear(w.outBuf)
+}
+
 // OutBuf returns the wrapper's reusable port-indexed outbox.
 func (w *WrappedRuntime) OutBuf() []Msg {
 	if w.outBuf == nil {

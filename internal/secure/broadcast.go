@@ -58,10 +58,9 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 		if ell < keysPerEdge+1 {
 			ell = keysPerEdge + 1
 		}
-		sent, recv := exchangeSecrets(rt, ell)
-		kx := newKeyExtractor(ell, keysPerEdge, "broadcast")
-		sendKeys := kx.pools(rt.Memo(), sent)
-		recvKeys := kx.pools(rt.Memo(), recv)
+		kp := takeKeyPhase(rt)
+		exchangeSecrets(rt, ell, kp)
+		sendKeys, recvKeys := newKeyExtractor(ell, keysPerEdge, "broadcast").keys(rt.Memo(), kp)
 		usedSend := make([]int, rt.Degree())
 		usedRecv := make([]int, rt.Degree())
 

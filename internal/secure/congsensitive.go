@@ -76,9 +76,11 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		}
 		// Step 1: r keys of 6 bytes per edge-direction. Reuse the 8-byte
 		// pool machinery (we use the first 6 bytes of each key).
-		sent, recv := exchangeSecrets(rt, ell)
-		sendKeys := kx.pools(rt.Memo(), sent)
-		recvKeys := kx.pools(rt.Memo(), recv)
+		// The inline broadcast of Step 2 runs a second key phase while
+		// these keys are live; takeKeyPhase gives it storage of its own.
+		kp := takeKeyPhase(rt)
+		exchangeSecrets(rt, ell, kp)
+		sendKeys, recvKeys := kx.keys(rt.Memo(), kp)
 
 		// Step 2: the packing root broadcasts the hash seed; we reuse the
 		// mobile-secure broadcast inline. The root's "input" here is drawn

@@ -51,7 +51,9 @@ func TestNegativeControlKeyRecoveryAttack(t *testing.T) {
 	if len(streamFwd) != ell*wordSymbols || len(phase2Fwd) == 0 {
 		t.Fatalf("view incomplete: %d key symbols, %d phase-2 messages", len(streamFwd), len(phase2Fwd))
 	}
-	pool := newKeyExtractor(ell, r, "negative control").pools(new(congest.Memo), [][]gf.Elem{streamFwd})[0]
+	streams := [][]gf.Elem{streamFwd}
+	sendKeys, _ := newKeyExtractor(ell, r, "negative control").keys(new(congest.Memo), &keyPhase{sent: streams, recv: streams})
+	pool := sendKeys[0]
 	// Decrypt round-0's message 0->1: BroadcastInput sends the secret.
 	plain := padInto(nil, phase2Fwd[0], pool.Key(0))
 	if congest.U64(plain) != secret {

@@ -14,6 +14,7 @@ package secure
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mobilecongest/internal/congest"
@@ -93,25 +94,92 @@ func portBuf(flat []byte, p, size int) []byte {
 	return flat[p*size : p*size : (p+1)*size]
 }
 
+// keyPhase is one key phase's storage at one node: the Phase-1 streams
+// and send buffer, the extracted pools, and, for StaticToMobile, the
+// Phase-2 wrapper the payload runs on with its pad buffers. The run's
+// context keeps it across runs (see congest.NodeScratch), and every use
+// length-resets what it reads, so no run sees what an earlier run left.
+//
+// The streams are run-memo keys and the key blocks memo values that other
+// nodes read, so neither may change before the run ends: takeKeyPhase
+// hands every key phase of a node's run a keyPhase of its own, and the
+// node rewrites one only in a later run.
+type keyPhase struct {
+	syms       []gf.Elem   // both streams of every port, flat
+	sent, recv [][]gf.Elem // port-indexed views of syms
+	buf        []byte      // the Phase-1 send buffer
+	sendKeys   []KeyPool   // per-port pools, views of block or of another node's
+	recvKeys   []KeyPool
+	block      []byte    // the keys of the streams this node extracted
+	ys         []gf.Elem // the extractor's output lanes
+
+	// StaticToMobile's Phase 2 (see padExchange).
+	w              congest.WrappedRuntime
+	base           congest.Runtime
+	r, round       int
+	dec            []congest.Msg
+	encBuf, decBuf []byte
+}
+
+// nodeKeyPhases is a node's key-phase storage: the first used of its
+// phases serve the key phases of the node's current run, in order
+// (CompileCongestionSensitive runs a second one, its inline broadcast's,
+// while its own keys are live).
+type nodeKeyPhases struct {
+	run    uint64 // the memo's run count when phases[:used] were handed out
+	used   int
+	phases []*keyPhase
+}
+
+var keyScratch = congest.NewNodeScratch[nodeKeyPhases]()
+
+// takeKeyPhase returns storage for one key phase of the calling node's
+// run: the k-th call of a run gets the keyPhase the k-th call of the node's
+// previous run used, and no other call of the run gets it.
+func takeKeyPhase(rt congest.Runtime) *keyPhase {
+	s := keyScratch.Of(rt)
+	if run := rt.Memo().Runs(); s.run != run {
+		s.run, s.used = run, 0
+	}
+	if s.used == len(s.phases) {
+		s.phases = append(s.phases, new(keyPhase))
+	}
+	kp := s.phases[s.used]
+	s.used++
+	return kp
+}
+
+// sized returns s resized to n elements, reusing its storage when it is
+// large enough. The contents are not reset.
+func sized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
 // exchangeSecrets runs ell rounds in which every node sends keyBytes fresh
-// random bytes to every neighbour, and returns port-indexed symbol streams:
-// sent[p][j] = j-th symbol I sent on port p; recv[p][j] = j-th symbol I
-// received on port p. Both endpoints of an edge end with identical views of
-// both streams — the shared randomness pool of Theorem 1.2's first phase.
-// Randomness is drawn in ascending port (== neighbour) order, matching the
-// pre-port map implementation byte for byte. One send buffer serves every
-// round: the engine copies outbox bytes at collection.
-func exchangeSecrets(rt congest.Runtime, ell int) (sent, recv [][]gf.Elem) {
+// random bytes to every neighbour, and fills kp's port-indexed symbol
+// streams: sent[p][j] = j-th symbol I sent on port p; recv[p][j] = j-th
+// symbol I received on port p. Both endpoints of an edge end with
+// identical views of both streams — the shared randomness pool of Theorem
+// 1.2's first phase. Randomness is drawn in ascending port (== neighbour)
+// order, matching the pre-port map implementation byte for byte. One send
+// buffer serves every round: the engine copies outbox bytes at collection.
+//
+// The streams are kp's: every symbol is rewritten here, and pools makes
+// them memo keys, which stay untouched until the run ends because kp serves
+// no other key phase of the run (see takeKeyPhase).
+func exchangeSecrets(rt congest.Runtime, ell int, kp *keyPhase) {
 	deg := rt.Degree()
 	n := ell * wordSymbols
-	syms := make([]gf.Elem, 2*deg*n)
-	sent = make([][]gf.Elem, deg)
-	recv = make([][]gf.Elem, deg)
+	kp.syms = sized(kp.syms, 2*deg*n)
+	kp.sent = sized(kp.sent, deg)
+	kp.recv = sized(kp.recv, deg)
+	syms, sent, recv := kp.syms, kp.sent, kp.recv
 	for p := range sent {
 		sent[p] = syms[2*p*n : (2*p+1)*n : (2*p+1)*n]
 		recv[p] = syms[(2*p+1)*n : (2*p+2)*n : (2*p+2)*n]
 	}
-	buf := make([]byte, deg*keyBytes)
+	kp.buf = sized(kp.buf, deg*keyBytes)
+	buf := kp.buf
 	rng := rt.Rand()
 	for r := 0; r < ell; r++ {
 		out := rt.OutBuf()
@@ -150,7 +218,6 @@ func exchangeSecrets(rt congest.Runtime, ell int) (sent, recv [][]gf.Elem) {
 			}
 		}
 	}
-	return sent, recv
 }
 
 // keyGeometry is the shared read-only state of one key-phase geometry
@@ -198,31 +265,38 @@ func newKeyExtractor(ell, r int, tag string) keyExtractor {
 	return keyExtractor{keyGeometry: geo.(*keyGeometry), tag: tag}
 }
 
-// pools condenses port-indexed symbol streams into one KeyPool per port.
-// Both endpoints of an edge-direction hold the same stream unless a write
-// adversary corrupted it in flight, so each stream is extracted through
-// the run's memo: the first endpoint to condense a stream computes its
-// keys and the other gets the same read-only bytes. The streams become
-// memo keys, so the caller must not modify them afterwards.
-func (k keyExtractor) pools(memo *congest.Memo, streams [][]gf.Elem) []KeyPool {
+// keys condenses kp's streams, which exchangeSecrets filled, into one
+// KeyPool per port and direction, and returns them (kp.sendKeys and
+// kp.recvKeys).
+func (k keyExtractor) keys(memo *congest.Memo, kp *keyPhase) (sendKeys, recvKeys []KeyPool) {
 	if k.err != nil {
 		panic(fmt.Sprintf("secure: %s key derivation: %v", k.tag, k.err))
 	}
-	pools := make([]KeyPool, len(streams))
+	deg := len(kp.sent)
 	size := k.ex.M() * keyBytes
-	// block holds the keys of the streams this call extracts: it is sized
-	// at the first miss for every port left, so only hit ports before it
-	// save their bytes.
-	var block []byte
-	var ys []gf.Elem
+	kp.block = sized(kp.block, 2*deg*size)
+	kp.ys = sized(kp.ys, k.ex.M()*wordSymbols)
+	kp.sendKeys = k.pools(memo, kp.sent, sized(kp.sendKeys, deg), kp.block[:deg*size], kp.ys)
+	kp.recvKeys = k.pools(memo, kp.recv, sized(kp.recvKeys, deg), kp.block[deg*size:], kp.ys)
+	return kp.sendKeys, kp.recvKeys
+}
+
+// pools condenses port-indexed symbol streams into one KeyPool per port,
+// written to pools. Both endpoints of an edge-direction hold the same
+// stream unless a write adversary corrupted it in flight, so each stream
+// is extracted through the run's memo: the first endpoint to condense a
+// stream computes its keys into its port's part of block, and the other
+// gets the same read-only bytes; ys is the extractor's lane scratch.
+//
+// Ownership: the memo keeps the streams as keys and the key blocks as
+// values until the run ends, and other nodes read the blocks until then,
+// so the caller's keyPhase holds both and is not rewritten before its
+// node's next run. A pool is valid until the run ends.
+func (k keyExtractor) pools(memo *congest.Memo, streams [][]gf.Elem, pools []KeyPool, block []byte, ys []gf.Elem) []KeyPool {
+	size := k.ex.M() * keyBytes
 	for p, stream := range streams {
 		pools[p].keys = k.derived.Derive(memo, stream, func() []byte {
-			if block == nil {
-				block = make([]byte, (len(streams)-p)*size)
-				ys = make([]gf.Elem, k.ex.M()*wordSymbols)
-			}
-			keys := block[:size:size]
-			block = block[size:]
+			keys := block[p*size : (p+1)*size : (p+1)*size]
 			if onExtract != nil {
 				onExtract()
 			}
@@ -248,43 +322,58 @@ func StaticToMobile(payload congest.Protocol, r, t int) congest.Protocol {
 	ell := r + t
 	kx := newKeyExtractor(ell, r, "static-to-mobile")
 	return func(rt congest.Runtime) {
-		sent, recv := exchangeSecrets(rt, ell)
-		sendKeys := kx.pools(rt.Memo(), sent)
-		recvKeys := kx.pools(rt.Memo(), recv)
-		round := 0
-		deg := rt.Degree()
-		dec := make([]congest.Msg, deg)
-		// Per-port pad buffers: the engine copies sent bytes at collection,
-		// and the decrypted inbox, like the engine's, is only valid until
-		// the next exchange.
-		encBuf := make([]byte, deg*keyBytes)
-		decBuf := make([]byte, deg*keyBytes)
-		w := &congest.WrappedRuntime{Base: rt}
-		w.ExchangePortsFn = func(out []congest.Msg) []congest.Msg {
-			if round >= r {
-				panic(fmt.Sprintf("secure: payload exceeded its declared %d rounds", r))
-			}
-			penc := rt.OutBuf()
-			for p, m := range out {
-				if m == nil {
-					continue
-				}
-				if len(m) > keyBytes {
-					panic("secure: payload message exceeds 8 bytes")
-				}
-				penc[p] = padInto(portBuf(encBuf, p, keyBytes), m, sendKeys[p].Key(round))
-			}
-			in := rt.ExchangePorts(penc)
-			for p, m := range in {
-				if m == nil {
-					dec[p] = nil
-					continue
-				}
-				dec[p] = padInto(portBuf(decBuf, p, keyBytes), m, recvKeys[p].Key(round))
-			}
-			round++
-			return dec
-		}
-		payload(w)
+		kp := takeKeyPhase(rt)
+		exchangeSecrets(rt, ell, kp)
+		kx.keys(rt.Memo(), kp)
+		payload(kp.bindPads(rt, r))
 	}
+}
+
+// bindPads readies kp's Phase-2 wrapper for a run over rt whose payload
+// exchanges at most r times, and returns it. The wrapper, its outbox and
+// the pad buffers are kept with kp across runs.
+func (kp *keyPhase) bindPads(rt congest.Runtime, r int) *congest.WrappedRuntime {
+	deg := rt.Degree()
+	if kp.w.ExchangePortsFn == nil {
+		kp.w.ExchangePortsFn = kp.padExchange
+	}
+	kp.w.Rebind(rt)
+	kp.base, kp.r, kp.round = rt, r, 0
+	kp.dec = sized(kp.dec, deg)
+	// Per-port pad buffers: the engine copies sent bytes at collection,
+	// and the decrypted inbox, like the engine's, is only valid until the
+	// next exchange.
+	kp.encBuf = sized(kp.encBuf, deg*keyBytes)
+	kp.decBuf = sized(kp.decBuf, deg*keyBytes)
+	return &kp.w
+}
+
+// padExchange simulates one payload round of StaticToMobile's Phase 2:
+// every message is one-time-padded with its edge-direction's key for the
+// round.
+func (kp *keyPhase) padExchange(out []congest.Msg) []congest.Msg {
+	rt, round := kp.base, kp.round
+	if round >= kp.r {
+		panic(fmt.Sprintf("secure: payload exceeded its declared %d rounds", kp.r))
+	}
+	penc := rt.OutBuf()
+	for p, m := range out {
+		if m == nil {
+			continue
+		}
+		if len(m) > keyBytes {
+			panic("secure: payload message exceeds 8 bytes")
+		}
+		penc[p] = padInto(portBuf(kp.encBuf, p, keyBytes), m, kp.sendKeys[p].Key(round))
+	}
+	in := rt.ExchangePorts(penc)
+	for p, m := range in {
+		if m == nil {
+			kp.dec[p] = nil
+			continue
+		}
+		kp.dec[p] = padInto(portBuf(kp.decBuf, p, keyBytes), m, kp.recvKeys[p].Key(round))
+	}
+	kp.round++
+	return kp.dec
 }

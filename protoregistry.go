@@ -147,14 +147,32 @@ func isRing(g *Graph) bool {
 // generate their own. The wrapper is transparent on the wire — exchanges
 // pass straight through to the underlying port runtime — so traces and
 // stats are identical to running the inner protocol with Config.Inputs.
+// Each node's wrapper and its outbox are kept in node scratch across the
+// runs of a context; registry protocols never nest, so a node has one
+// protoInputs wrapper at a time.
 func protoInputs(proto Protocol, inputs [][]byte) Protocol {
 	return func(rt Runtime) {
-		w := &congest.WrappedRuntime{Base: rt}
-		w.ExchangePortsFn = rt.ExchangePorts
-		w.InputFn = func() []byte { return inputs[rt.ID()] }
-		proto(w)
+		s := inputNodes.Of(rt)
+		if s.w.ExchangePortsFn == nil {
+			s.w.ExchangePortsFn, s.w.InputFn = s.exchange, s.input
+		}
+		s.w.Rebind(rt)
+		s.inputs = inputs
+		proto(&s.w)
 	}
 }
+
+// inputNode is one node's protoInputs wrapper.
+type inputNode struct {
+	w      congest.WrappedRuntime
+	inputs [][]byte
+}
+
+var inputNodes = congest.NewNodeScratch[inputNode]()
+
+func (s *inputNode) exchange(out []Msg) []Msg { return s.w.Base.ExchangePorts(out) }
+
+func (s *inputNode) input() []byte { return s.inputs[s.w.Base.ID()] }
 
 func init() {
 	RegisterProtocol("floodmax", func(g *Graph, p ProtoParams) (Protocol, any, error) {

@@ -77,6 +77,7 @@ type Scenario struct {
 	inputs    [][]byte
 	observers []Observer
 	runCtx    *congest.RunContext // reused across repeated Run calls
+	namedAdv  Adversary           // advName's instance, reused across Run calls when it resets per run
 	err       error               // first configuration error, surfaced at Run
 }
 
@@ -157,7 +158,9 @@ func WithAdversary(a Adversary) ScenarioOption {
 
 // WithAdversaryName sets the adversary by registry name with per-round edge
 // strength f. The instance is built at Run time against the resolved graph,
-// seeded deterministically from the scenario seed.
+// seeded deterministically from the scenario seed. An instance that resets
+// per run (congest.RunResetter, as every built-in one does) is kept for the
+// Scenario's later runs; any other is built again for every run.
 func WithAdversaryName(name string, f int) ScenarioOption {
 	return func(s *Scenario) { s.advName, s.advF = name, f; s.adv = nil }
 }
@@ -258,13 +261,14 @@ func (s *Scenario) Engine() Engine {
 // support (see the type doc). Per-run state configured by *instance* rather
 // than by name is still shared: a WithAdversary instance and WithObserver
 // observers are not cloned, so scenarios meant for fan-out should configure
-// the adversary with WithAdversaryName (built fresh per run) and attach
+// the adversary with WithAdversaryName (built per Scenario value, never
+// shared with a clone) and attach
 // observers per clone. If the topology was configured by name and not yet
 // resolved, each clone builds its own (identical) graph; call Graph() once
 // before cloning to share one instance.
 func (s *Scenario) Clone() *Scenario {
 	c := *s
-	c.runCtx = nil
+	c.runCtx, c.namedAdv = nil, nil
 	// Snapshot the observer list so a later WithObserver-style append on one
 	// copy can never alias the other's backing array.
 	c.observers = append([]Observer(nil), s.observers...)
@@ -314,9 +318,18 @@ func (s *Scenario) runIn(rc *congest.RunContext) (*Result, error) {
 	}
 	adv := s.adv
 	if adv == nil && s.advName != "" {
-		adv, err = BuildAdversary(s.advName, g, s.advF, s.seed^advSeedMix)
-		if err != nil {
-			return nil, err
+		adv = s.namedAdv
+		if adv == nil {
+			adv, err = BuildAdversary(s.advName, g, s.advF, s.seed^advSeedMix)
+			if err != nil {
+				return nil, err
+			}
+			// The engine resets such an instance at the start of every
+			// run, so a later run behaves as on a fresh one and reuses its
+			// storage.
+			if _, ok := adv.(congest.RunResetter); ok {
+				s.namedAdv = adv
+			}
 		}
 	}
 	cfg := congest.Config{

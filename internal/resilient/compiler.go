@@ -92,51 +92,72 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// estimate is one received-message estimate: present or absent.
-type estimate struct {
-	present bool
-	data    uint64 // payload bytes, big-endian packed
-	length  int    // original message length (<= MaxPayloadBytes)
+// PackedMsg is one payload message packed into a word, or an absent one:
+// the message's bytes big-endian in Data and its length in Length. It is
+// the compilers' per-edge estimate and transcript symbol.
+type PackedMsg struct {
+	Present bool
+	Data    uint64
+	Length  int // at most MaxPayloadBytes
 }
 
-// packPayload encodes a payload message (<= 8 bytes) into the 64-bit
-// element payload with its length in the edge-index tag bits.
-func packPayload(m congest.Msg) (uint64, int) {
+// PackPayload packs a payload message of at most MaxPayloadBytes bytes; a
+// nil message packs to the absent PackedMsg.
+func PackPayload(m congest.Msg) PackedMsg {
+	if m == nil {
+		return PackedMsg{}
+	}
+	l := min(len(m), MaxPayloadBytes)
 	var v uint64
-	for i := 0; i < len(m) && i < MaxPayloadBytes; i++ {
-		v = v<<8 | uint64(m[i])
+	for _, b := range m[:l] {
+		v = v<<8 | uint64(b)
 	}
-	l := len(m)
-	if l > MaxPayloadBytes {
-		l = MaxPayloadBytes
-	}
-	return v, l
+	return PackedMsg{Present: true, Data: v, Length: l}
 }
 
-// unpackPayload reverses packPayload.
-func unpackPayload(v uint64, l int) congest.Msg {
-	m := make(congest.Msg, l)
-	for i := l - 1; i >= 0; i-- {
+// UnpackPayload reverses PackPayload: an absent message unpacks to nil.
+func UnpackPayload(e PackedMsg) congest.Msg {
+	if !e.Present {
+		return nil
+	}
+	m := make(congest.Msg, e.Length)
+	v := e.Data
+	for i := e.Length - 1; i >= 0; i-- {
 		m[i] = byte(v)
 		v >>= 8
 	}
 	return m
 }
 
-// dirIndex gives the consistent stream index of a directed edge: edge index
-// shifted, low bit for direction, next bits for payload length.
-func dirIndex(g *graph.Graph, from, to graph.NodeID, payloadLen int) uint32 {
+// DirIndex gives the consistent stream index of a directed edge: the edge
+// index shifted, a 4-bit tag (a payload length, a word index) in the next
+// bits, and the direction in the low bit.
+func DirIndex(g *graph.Graph, from, to graph.NodeID, tag int) uint32 {
 	ei := g.EdgeIndex(from, to)
 	d := uint32(0)
 	if from > to {
 		d = 1
 	}
-	return uint32(ei)<<5 | uint32(payloadLen&0xF)<<1 | d
+	return uint32(ei)<<5 | uint32(tag&0xF)<<1 | d
 }
 
-// splitDirIndex recovers (edge index, payload length, direction bit).
-func splitDirIndex(idx uint32) (ei int, payloadLen int, dirBit int) {
-	return int(idx >> 5), int(idx >> 1 & 0xF), int(idx & 1)
+// IncomingPort inverts DirIndex at rt's node: it returns the port the
+// indexed edge comes in on and the index's tag, or ok false if the index
+// names no edge of g into the node.
+func IncomingPort(rt congest.Runtime, g *graph.Graph, idx uint32) (port, tag int, ok bool) {
+	ei := int(idx >> 5)
+	if ei >= g.M() {
+		return 0, 0, false
+	}
+	e := g.Edges()[ei]
+	from, to := e.U, e.V
+	if idx&1 == 1 {
+		from, to = e.V, e.U
+	}
+	if to != rt.ID() {
+		return 0, 0, false
+	}
+	return rt.Port(from), int(idx >> 1 & 0xF), true
 }
 
 // correction is one entry of the broadcast mismatch list.
@@ -200,12 +221,12 @@ func Compile(payload congest.Protocol, cfg Config) congest.Protocol {
 		if !ok {
 			panic("resilient: run Config.Shared must be *resilient.Shared")
 		}
+		sc := scratches.Of(rt)
 		sim := &simulator{
-			rt:    rt,
-			cfg:   cfg,
-			sh:    sh,
-			trees: sh.Views[rt.ID()],
-			depth: rsim.MaxDepth(sh.Views),
+			TreeNode: TreeNode{RT: rt, Trees: sh.Views[rt.ID()], Depth: rsim.MaxDepth(sh.Views), Rep: cfg.Rep, Scratch: &sc.Scratch},
+			cfg:      cfg,
+			sh:       sh,
+			sc:       sc,
 		}
 		w := &congest.WrappedRuntime{Base: rt, ExchangePortsFn: sim.exchange}
 		w.ShadowShared = sh.Payload
@@ -215,25 +236,22 @@ func Compile(payload congest.Protocol, cfg Config) congest.Protocol {
 
 // simulator holds one node's compiler state.
 type simulator struct {
-	rt    congest.Runtime
+	TreeNode
 	cfg   Config
 	sh    *Shared
-	trees []rsim.TreeView
-	depth int
 	round int
-	sc    *nodeScratch // the node's buffers, fetched at its first exchange
+	sc    *nodeScratch
 }
 
 // nodeScratch is one node's compiler buffers. The run's context keeps
 // them across its runs (see congest.NodeScratch), and every use rewrites
 // them from empty, so no run reads what an earlier run left.
 type nodeScratch struct {
-	in  []congest.Msg // the payload's port inbox, reused per round
-	out rsim.Outbox   // the node's rsim frames, kept across calls
-
-	sketches  sketch.RecoveryImages // per-tree sketch images, reused per iteration
-	samplers  sketch.L0Images       // per-tree ℓ0 sampler images, reused per iteration
-	rec, work sketch.Recovery       // the root's decode of one tree's aggregate
+	Scratch
+	in        []congest.Msg   // the payload's port inbox, reused per round
+	sent, est []PackedMsg     // per port: the message sent, the estimate of the one received
+	settled   []bool          // per port: applyCorrections has decided the estimate
+	samplers  sketch.L0Images // per-tree ℓ0 sampler images, reused per iteration
 }
 
 var scratches = congest.NewNodeScratch[nodeScratch]()
@@ -244,29 +262,27 @@ var scratches = congest.NewNodeScratch[nodeScratch]()
 func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 	for p, m := range out {
 		if len(m) > MaxPayloadBytes {
-			panic(fmt.Sprintf("resilient: payload message to %d has %d bytes, max %d", s.rt.Neighbor(p), len(m), MaxPayloadBytes))
+			panic(fmt.Sprintf("resilient: payload message to %d has %d bytes, max %d", s.RT.Neighbor(p), len(m), MaxPayloadBytes))
 		}
 	}
-	if s.sc == nil {
-		s.sc = scratches.Of(s.rt)
+	sc := s.sc
+	if deg := s.RT.Degree(); len(sc.in) != deg {
+		sc.in = make([]congest.Msg, deg)
+		sc.sent = make([]PackedMsg, deg)
+		sc.est = make([]PackedMsg, deg)
+		sc.settled = make([]bool, deg)
 	}
 	// Step 1: single-round message exchange.
-	pout := s.rt.OutBuf()
-	sent := make(map[graph.NodeID]estimate, len(out))
+	pout := s.RT.OutBuf()
+	clear(sc.sent)
 	for p, m := range out {
-		if m == nil {
-			continue
-		}
-		pout[p] = m
-		v, l := packPayload(m)
-		sent[s.rt.Neighbor(p)] = estimate{present: true, data: v, length: l}
-	}
-	est := make(map[graph.NodeID]estimate, s.rt.Degree())
-	for p, m := range s.rt.ExchangePorts(pout) {
 		if m != nil {
-			v, l := packPayload(m)
-			est[s.rt.Neighbor(p)] = estimate{present: true, data: v, length: l}
+			pout[p] = m
+			sc.sent[p] = PackPayload(m)
 		}
+	}
+	for p, m := range s.RT.ExchangePorts(pout) {
+		sc.est[p] = PackPayload(m)
 	}
 
 	// Steps 2+3: correction iterations.
@@ -278,12 +294,12 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 		var corr []correction
 		var decoded bool
 		if s.cfg.Mode == SparseMode {
-			corr, decoded = s.sparseIteration(sent, est, j)
+			corr, decoded = s.sparseIteration()
 		} else {
-			corr, decoded = s.l0Iteration(sent, est, j)
+			corr, decoded = s.l0Iteration(j)
 		}
 		if decoded {
-			s.applyCorrections(corr, est)
+			s.applyCorrections(corr)
 		}
 		if s.cfg.TraceFn != nil {
 			s.cfg.TraceFn(s.round, j, len(corr))
@@ -292,83 +308,52 @@ func (s *simulator) exchange(out []congest.Msg) []congest.Msg {
 	s.round++
 
 	// Materialize corrected inbox.
-	in := s.sc.in
-	if len(in) != s.rt.Degree() {
-		in = make([]congest.Msg, s.rt.Degree())
-		s.sc.in = in
+	for p, e := range sc.est {
+		sc.in[p] = UnpackPayload(e)
 	}
-	for p := range in {
-		in[p] = nil
-		if e := est[s.rt.Neighbor(p)]; e.present {
-			in[p] = unpackPayload(e.data, e.length)
-		}
-	}
-	return in
+	return sc.in
 }
 
-// localStream feeds this node's turnstile stream into upd: sent messages
-// with +1, current estimates with -1 (Section 3.2.2 Step 2). It walks the
-// maps in their random order, which no image sees: the sketches are
-// linear. Each iteration streams once, into every tree's sketches (see
+// localStream feeds this node's turnstile stream into upd, port by port:
+// sent messages with +1, current estimates with -1 (Section 3.2.2 Step 2).
+// Each iteration streams once, into every tree's sketches (see
 // sketch.RecoveryImages.Build), and the stream has at most 2·Degree updates.
-func (s *simulator) localStream(sent, est map[graph.NodeID]estimate, upd func(e sketch.Elem, f int64)) {
-	me := s.rt.ID()
-	for to, e := range sent {
-		if !e.present {
-			continue
+func (s *simulator) localStream(upd func(e sketch.Elem, f int64)) {
+	me := s.RT.ID()
+	for p, e := range s.sc.sent {
+		if e.Present {
+			upd(sketch.Pack(DirIndex(s.sh.G, me, s.RT.Neighbor(p), e.Length), e.Data), 1)
 		}
-		idx := dirIndex(s.sh.G, me, to, e.length)
-		upd(sketch.Pack(idx, e.data), 1)
 	}
-	for from, e := range est {
-		if !e.present {
-			continue
+	for p, e := range s.sc.est {
+		if e.Present {
+			upd(sketch.Pack(DirIndex(s.sh.G, s.RT.Neighbor(p), me, e.Length), e.Data), -1)
 		}
-		idx := dirIndex(s.sh.G, from, me, e.length)
-		upd(sketch.Pack(idx, e.data), -1)
 	}
 }
 
-// applyCorrections rewrites the estimates per the broadcast list: a plus
-// entry for an incoming edge replaces the estimate with the true message; a
-// minus entry matching the current (wrong) estimate deletes it unless a plus
-// entry supersedes.
-func (s *simulator) applyCorrections(corr []correction, est map[graph.NodeID]estimate) {
-	me := s.rt.ID()
-	plusFor := make(map[graph.NodeID]correction)
-	minusFor := make(map[graph.NodeID]correction)
+// applyCorrections rewrites the estimates per the broadcast list. The last
+// plus entry for an incoming edge replaces the estimate with the true
+// message; for an edge with no plus entry, the last minus entry deletes the
+// estimate if it equals it.
+func (s *simulator) applyCorrections(corr []correction) {
+	est, settled := s.sc.est, s.sc.settled
+	clear(settled)
 	for _, c := range corr {
-		ei, l, dirBit := splitDirIndex(c.idx)
-		if ei < 0 || ei >= s.sh.G.M() {
-			continue
-		}
-		edge := s.sh.G.Edges()[ei]
-		from, to := edge.U, edge.V
-		if dirBit == 1 {
-			from, to = edge.V, edge.U
-		}
-		if to != me {
-			continue
-		}
-		_ = l
-		if c.plus {
-			plusFor[from] = c
-		} else {
-			minusFor[from] = c
+		if p, l, ok := IncomingPort(s.RT, s.sh.G, c.idx); ok && c.plus {
+			est[p] = PackedMsg{Present: true, Data: c.data, Length: l}
+			settled[p] = true
 		}
 	}
-	for from, c := range plusFor {
-		_, l, _ := splitDirIndex(c.idx)
-		est[from] = estimate{present: true, data: c.data, length: l}
-	}
-	for from, c := range minusFor {
-		if _, hasPlus := plusFor[from]; hasPlus {
+	for i := len(corr) - 1; i >= 0; i-- {
+		c := corr[i]
+		p, l, ok := IncomingPort(s.RT, s.sh.G, c.idx)
+		if !ok || c.plus || settled[p] {
 			continue
 		}
-		cur, ok := est[from]
-		_, l, _ := splitDirIndex(c.idx)
-		if ok && cur.present && cur.data == c.data && cur.length == l {
-			delete(est, from)
+		settled[p] = true
+		if est[p] == (PackedMsg{Present: true, Data: c.data, Length: l}) {
+			est[p] = PackedMsg{}
 		}
 	}
 }

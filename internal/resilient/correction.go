@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"mobilecongest/internal/congest"
-	"mobilecongest/internal/graph"
 	"mobilecongest/internal/rsim"
 	"mobilecongest/internal/sketch"
 	"mobilecongest/internal/vote"
@@ -22,82 +21,92 @@ import (
 //     recovery, support thresholds for ℓ0 samples);
 //  d. the list is ECC-safe-broadcast and everyone rewrites its estimates.
 
-// seedPlan is the fixed ECC plan for broadcasting the 8-byte iteration seed.
-func (s *simulator) seedPlan() ECCPlan { return NewECCPlan(len(s.trees), 8) }
-
-// corrPlan is the fixed ECC plan for broadcasting correction lists.
-func (s *simulator) corrPlan() ECCPlan {
-	maxCorr := 4*s.cfg.F + 4
-	return NewECCPlan(len(s.trees), 2+correctionBytes*maxCorr)
+// TreeNode is one node's side of the tree subprotocols in one run: its
+// runtime, its views of the packing's trees, the packing's depth bound
+// (rsim.MaxDepth), the per-slot repetition t_RS, and the buffers the node
+// keeps across runs. Every node of a run calls its methods in lock-step.
+type TreeNode struct {
+	RT    congest.Runtime
+	Trees []rsim.TreeView
+	Depth int
+	Rep   int
+	*Scratch
 }
 
-// broadcastSeed has the root draw and disseminate the iteration seed.
-func (s *simulator) broadcastSeed() (uint64, bool) {
+// Scratch is the buffers a TreeNode reuses: its rsim frames, its per-tree
+// correction sketches and the root's decode of one tree's aggregate. A
+// compiler keeps it in its node scratch (congest.NodeScratch), so the run's
+// context keeps it across runs; every use rewrites it from empty.
+type Scratch struct {
+	Out       rsim.Outbox
+	sketches  sketch.RecoveryImages
+	rec, work sketch.Recovery
+}
+
+// broadcastSeed has the root draw a correction round's seed and
+// ECC-safe-broadcast it. A node whose broadcast failed gets seed 0.
+func (n *TreeNode) broadcastSeed() (uint64, bool) {
 	var msg []byte
-	isRoot := s.isRoot()
-	if isRoot {
-		msg = congest.PutU64(nil, s.rt.Rand().Uint64())
+	if rsim.IsRoot(n.Trees) {
+		msg = congest.PutU64(nil, n.RT.Rand().Uint64())
 	}
-	got, ok := ECCSafeBroadcast(s.rt, &s.sc.out, s.trees, s.seedPlan(), msg, s.depth, s.cfg.Rep)
-	if !ok {
-		return 0, false
-	}
-	return congest.U64(got), true
+	got, ok := ECCSafeBroadcast(n.RT, &n.Out, n.Trees, NewECCPlan(len(n.Trees), 8), msg, n.Depth, n.Rep)
+	return congest.U64(got), ok
 }
 
-func (s *simulator) isRoot() bool {
-	for _, tv := range s.trees {
-		if tv.Depth == 0 {
-			return true
-		}
-	}
-	return false
-}
+// SparseCorrect runs one sparse-recovery correction round, the Õ(D_TP+f)
+// correction of Section 1.2.2 and Lemma 4.2's d-message-correction:
+//
+//  1. the root draws a seed and ECC-safe-broadcasts it;
+//  2. every node folds stream, its local turnstile stream, into one
+//     s-sparse recovery sketch per tree, and the sketches are
+//     merge-convergecast to the root;
+//  3. the root decodes each tree's aggregate, encodes the recovered items
+//     with encode and takes the majority encoding across trees; without a
+//     seed or a majority it sends encode(nil);
+//  4. the root's list is ECC-safe-broadcast, padded to listBytes.
+//
+// It returns the broadcast list and whether this node decoded it.
+func (n *TreeNode) SparseCorrect(sparsity int, stream func(upd func(e sketch.Elem, f int64)), encode func(items []sketch.Item) []byte, listBytes int) ([]byte, bool) {
+	seed, seedOK := n.broadcastSeed()
+	// Each tree's sketch has its own seed, and each tree owns its image,
+	// so the convergecast folds child sketches into it in place.
+	k := len(n.Trees)
+	seeds := TreeSeeds(n.RT.Memo(), seed, k)
+	locals := n.sketches.Build(seeds, sparsity, stream)
+	rootAggs := rsim.ConvergecastUp(n.RT, &n.Out, n.Trees, locals, wireMerge(sketch.EncodedSize(sparsity)), n.Depth, n.Rep)
 
-// sparseIteration runs one sparse-recovery correction (the Õ(D_TP+f)
-// compiler of Section 1.2.2). Returns the correction list decoded from the
-// root's broadcast.
-func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) ([]correction, bool) {
-	seed, seedOK := s.broadcastSeed()
-	sparsity := 4*s.cfg.F + 2
-
-	// Local sketches per tree (independent randomness per tree). Each tree
-	// owns its image, so the convergecast folds child sketches into it in
-	// place.
-	k := len(s.trees)
-	seeds := TreeSeeds(s.rt.Memo(), seed, k)
-	s.sc.sketches.Reserve(2 * s.rt.Degree())
-	locals := s.sc.sketches.Build(seeds, sparsity, func(upd func(e sketch.Elem, f int64)) {
-		s.localStream(sent, est, upd)
-	})
-	rootAggs := rsim.ConvergecastUp(s.rt, &s.sc.out, s.trees, locals, wireMerge(sketch.EncodedSize(sparsity)), s.depth, s.cfg.Rep)
-
-	// Root: decode each tree's aggregate and take the across-tree majority
-	// of the canonical correction list.
-	var corrMsg []byte
-	if s.isRoot() && seedOK {
+	var list []byte
+	if rsim.IsRoot(n.Trees) {
+		list = encode(nil)
 		votes := make(map[string]int)
 		for j, agg := range rootAggs {
-			if agg == nil {
+			if agg == nil || !seedOK {
 				continue
 			}
-			s.sc.rec.Load(seeds[j], sparsity, agg)
-			items, ok := s.sc.rec.DecodeWith(&s.sc.work)
-			if !ok {
-				continue
+			n.rec.Load(seeds[j], sparsity, agg)
+			if items, ok := n.rec.DecodeWith(&n.work); ok {
+				votes[string(encode(items))]++
 			}
-			votes[string(encodeCorrections(itemsToCorrections(items)))]++
 		}
-		best, bestCnt := vote.Winner(votes)
-		if 2*bestCnt > k {
-			corrMsg = []byte(best)
-		} else {
-			corrMsg = encodeCorrections(nil)
+		if best, cnt := vote.Winner(votes); 2*cnt > k {
+			list = []byte(best)
 		}
-	} else if s.isRoot() {
-		corrMsg = encodeCorrections(nil)
 	}
-	got, ok := ECCSafeBroadcast(s.rt, &s.sc.out, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
+	return ECCSafeBroadcast(n.RT, &n.Out, n.Trees, NewECCPlan(k, listBytes), list, n.Depth, n.Rep)
+}
+
+// listBytes is the size of a broadcast correction list: its count and at
+// most 4f+4 entries.
+func (s *simulator) listBytes() int { return 2 + correctionBytes*(4*s.cfg.F+4) }
+
+// sparseIteration runs one sparse-recovery correction with sparsity 4f+2
+// and returns the correction list decoded from the root's broadcast.
+func (s *simulator) sparseIteration() ([]correction, bool) {
+	s.sketches.Reserve(2 * s.RT.Degree())
+	got, ok := s.SparseCorrect(4*s.cfg.F+2, s.localStream, func(items []sketch.Item) []byte {
+		return encodeCorrections(itemsToCorrections(items))
+	}, s.listBytes())
 	if !ok {
 		return nil, false
 	}
@@ -122,27 +131,27 @@ func itemsToCorrections(items []sketch.Item) []correction {
 // l0Iteration runs one iteration of Algorithm ImprovedMobileByzantineSim:
 // t independent ℓ0 samples per tree, support counting at the root, and a
 // thresholded dominating-mismatch broadcast (Eq. 8).
-func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]correction, bool) {
+func (s *simulator) l0Iteration(j int) ([]correction, bool) {
 	seed, seedOK := s.broadcastSeed()
-	k := len(s.trees)
+	k := len(s.Trees)
 	t := s.cfg.Samplers
 
-	seeds := samplerSeeds(s.rt.Memo(), seed, k, j, t)
+	seeds := samplerSeeds(s.RT.Memo(), seed, k, j, t)
 	// Tree ti's image holds its t samplers back to back; each tree owns
 	// its image, so the convergecast folds child sketches into it in place.
-	s.sc.samplers.Reserve(2 * s.rt.Degree())
-	locals := s.sc.samplers.Build(seeds, t, func(upd func(e sketch.Elem, f int64)) {
-		s.localStream(sent, est, upd)
-	})
-	rootAggs := rsim.ConvergecastUp(s.rt, &s.sc.out, s.trees, locals, wireMerge(t*sketch.EncodedL0Size), s.depth, s.cfg.Rep)
+	s.sc.samplers.Reserve(2 * s.RT.Degree())
+	locals := s.sc.samplers.Build(seeds, t, s.localStream)
+	rootAggs := rsim.ConvergecastUp(s.RT, &s.Out, s.Trees, locals, wireMerge(t*sketch.EncodedL0Size), s.Depth, s.Rep)
 
 	var corrMsg []byte
-	if s.isRoot() && seedOK {
-		corrMsg = encodeCorrections(s.rootSelectDominating(rootAggs, seeds, j))
-	} else if s.isRoot() {
-		corrMsg = encodeCorrections(nil)
+	if rsim.IsRoot(s.Trees) {
+		var picked []correction
+		if seedOK {
+			picked = s.rootSelectDominating(rootAggs, seeds, j)
+		}
+		corrMsg = encodeCorrections(picked)
 	}
-	got, ok := ECCSafeBroadcast(s.rt, &s.sc.out, s.trees, s.corrPlan(), corrMsg, s.depth, s.cfg.Rep)
+	got, ok := ECCSafeBroadcast(s.RT, &s.Out, s.Trees, NewECCPlan(k, s.listBytes()), corrMsg, s.Depth, s.Rep)
 	if !ok {
 		return nil, false
 	}
@@ -154,7 +163,7 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 // those above Delta_j, capped to the broadcast capacity. seeds are the
 // iteration's sampler seeds, tree-major.
 func (s *simulator) rootSelectDominating(rootAggs [][]byte, seeds []uint64, j int) []correction {
-	k := len(s.trees)
+	k := len(s.Trees)
 	t := s.cfg.Samplers
 	type obs struct {
 		e    sketch.Elem

@@ -184,13 +184,7 @@ func ECCSafeBroadcast(rt congest.Runtime, ob *rsim.Outbox, trees []rsim.TreeView
 	}
 	payloads := (*pp)[:len(trees)]
 	clear(payloads)
-	isRoot := false
-	for _, tv := range trees {
-		if tv.Depth == 0 {
-			isRoot = true
-			break
-		}
-	}
+	isRoot := rsim.IsRoot(trees)
 	if isRoot && msg != nil {
 		shares, err := plan.encodeShares(msg)
 		if err == nil {

@@ -299,14 +299,49 @@ func TestCompilerRejectsOversizedPayload(t *testing.T) {
 }
 
 // stubRuntime is node 0 of the 6-clique with just the methods the compiler
-// and the wrapped payload call before the payload-size check; the embedded
-// nil Runtime panics on anything else.
+// and the wrapped payload call before the payload-size check, and the port
+// lookup applyCorrections makes; the embedded nil Runtime panics on
+// anything else.
 type stubRuntime struct {
 	congest.Runtime
 	sh *Shared
 }
 
 func (s stubRuntime) ID() graph.NodeID            { return 0 }
+func (s stubRuntime) N() int                      { return 6 }
+func (s stubRuntime) Memo() *congest.Memo         { return new(congest.Memo) }
 func (s stubRuntime) Degree() int                 { return 5 }
 func (s stubRuntime) Neighbor(p int) graph.NodeID { return graph.NodeID(p + 1) }
+func (s stubRuntime) Port(v graph.NodeID) int     { return int(v) - 1 }
 func (s stubRuntime) Shared() any                 { return s.sh }
+
+// TestApplyCorrections checks how node 0 of the 6-clique applies a
+// broadcast correction list to its estimates (ports 0-4 are nodes 1-5): a
+// plus entry beats a minus entry for the same incoming edge, a minus entry
+// deletes an estimate only when it equals it, and an entry for an edge that
+// does not come into node 0, or with an edge index past the graph's, is
+// ignored.
+func TestApplyCorrections(t *testing.T) {
+	sh := CliqueShared(6)
+	g := sh.G
+	s := &simulator{TreeNode: TreeNode{RT: stubRuntime{sh: sh}}, sh: sh, sc: &nodeScratch{settled: make([]bool, 5)}}
+	msg := func(data uint64, l int) PackedMsg { return PackedMsg{Present: true, Data: data, Length: l} }
+	s.sc.est = []PackedMsg{msg(7, 1), msg(5, 1), msg(5, 1), msg(5, 1), msg(4, 1)}
+	s.applyCorrections([]correction{
+		{idx: DirIndex(g, 1, 0, 1), data: 9, plus: true}, // port 0: the plus entry wins over both minus entries
+		{idx: DirIndex(g, 1, 0, 1), data: 9, plus: false},
+		{idx: DirIndex(g, 1, 0, 1), data: 7, plus: false},
+		{idx: DirIndex(g, 2, 0, 1), data: 5, plus: false},       // port 1: equal, deleted
+		{idx: DirIndex(g, 3, 0, 1), data: 6, plus: false},       // port 2: another value, kept
+		{idx: DirIndex(g, 4, 0, 2), data: 5, plus: false},       // port 3: another length, kept
+		{idx: DirIndex(g, 0, 5, 1), data: 4, plus: false},       // node 0's outgoing edge to port 4
+		{idx: DirIndex(g, 2, 3, 1), data: 8, plus: true},        // an edge between other nodes
+		{idx: uint32(g.M())<<5 | 1<<1 | 1, data: 3, plus: true}, // no such edge
+	})
+	want := []PackedMsg{msg(9, 1), {}, msg(5, 1), msg(5, 1), msg(4, 1)}
+	for p := range want {
+		if s.sc.est[p] != want[p] {
+			t.Errorf("port %d: estimate %+v, want %+v", p, s.sc.est[p], want[p])
+		}
+	}
+}

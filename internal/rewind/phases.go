@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"mobilecongest/internal/congest"
-	"mobilecongest/internal/graph"
 	"mobilecongest/internal/resilient"
 	"mobilecongest/internal/rsim"
 	"mobilecongest/internal/sketch"
@@ -49,53 +48,30 @@ func (r *replayRuntime) exchange(out []congest.Msg) []congest.Msg {
 		r.captured = out
 		panic(stopReplay{})
 	}
-	nbs := r.Neighbors()
 	in := r.sim.replayIn
-	if len(in) != len(nbs) {
-		in = make([]congest.Msg, len(nbs))
+	if len(in) != r.Degree() {
+		in = make([]congest.Msg, r.Degree())
 		r.sim.replayIn = in
 	}
-	for p, v := range nbs {
+	for p, t := range r.sim.piIn {
 		in[p] = nil
-		if t := r.sim.piIn[v]; round < len(t) && t[round].present {
-			in[p] = unpackEntry(t[round])
+		if round < len(t) {
+			in[p] = resilient.UnpackPayload(t[round])
 		}
 	}
 	return in
 }
 
-func unpackEntry(e entry) congest.Msg {
-	m := make(congest.Msg, e.length)
-	v := e.data
-	for i := e.length - 1; i >= 0; i-- {
-		m[i] = byte(v)
-		v >>= 8
-	}
-	return m
-}
-
-func packMsg(m congest.Msg) entry {
-	var v uint64
-	l := len(m)
-	if l > 8 {
-		l = 8
-	}
-	for i := 0; i < l; i++ {
-		v = v<<8 | uint64(m[i])
-	}
-	return entry{present: true, data: v, length: l}
-}
-
 // replay re-runs the payload against the committed transcripts and returns
-// the outbox it would send in round gamma (empty if the payload terminates
-// first), plus its output and termination flag.
-func (s *rewindSim) replay(payload congest.Protocol, gamma int) (map[graph.NodeID]entry, any, bool) {
+// the port outbox it would send in round gamma (all absent if the payload
+// terminates first), plus its output and termination flag.
+func (s *rewindSim) replay(payload congest.Protocol, gamma int) ([]resilient.PackedMsg, any, bool) {
 	rr := &replayRuntime{
 		sim:    s,
 		stopAt: gamma,
 		rng:    rand.New(rand.NewSource(s.payloadSeed)),
 	}
-	rr.Base, rr.ExchangePortsFn = s.rt, rr.exchange
+	rr.Base, rr.ExchangePortsFn = s.RT, rr.exchange
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -107,15 +83,12 @@ func (s *rewindSim) replay(payload congest.Protocol, gamma int) (map[graph.NodeI
 		payload(rr)
 		rr.done = true
 	}()
-	out := make(map[graph.NodeID]entry, len(rr.captured))
+	out := make([]resilient.PackedMsg, s.RT.Degree())
 	for p, m := range rr.captured {
-		if m == nil {
-			continue
-		}
-		if len(m) > 8 {
+		if len(m) > resilient.MaxPayloadBytes {
 			panic("rewind: payload message exceeds 8 bytes")
 		}
-		out[rr.Neighbor(p)] = packMsg(m)
+		out[p] = resilient.PackPayload(m)
 	}
 	return out, rr.output, rr.done
 }
@@ -134,51 +107,49 @@ type initMsg struct {
 
 const initWords = 4
 
-func (m initMsg) encode() []uint64 {
+func (m initMsg) encode() [initWords]uint64 {
 	w3 := m.length & 0xF << 48
 	if m.present {
 		w3 |= 1 << 56
 	}
 	w3 |= m.gamma & 0xFFFFFFFF
-	return []uint64{m.data, m.seed, m.hash, w3}
+	return [initWords]uint64{m.data, m.seed, m.hash, w3}
 }
 
-func decodeInitMsg(w []uint64) initMsg {
-	var m initMsg
-	if len(w) < initWords {
-		return m
+func decodeInitMsg(w [initWords]uint64) initMsg {
+	return initMsg{
+		data:    w[0],
+		seed:    w[1],
+		hash:    w[2],
+		present: w[3]>>56&1 == 1,
+		length:  w[3] >> 48 & 0xF,
+		gamma:   w[3] & 0xFFFFFFFF,
 	}
-	m.data = w[0]
-	m.seed = w[1]
-	m.hash = w[2]
-	m.present = w[3]>>56&1 == 1
-	m.length = w[3] >> 48 & 0xF
-	m.gamma = w[3] & 0xFFFFFFFF
-	return m
 }
 
-// roundInit repeats the init tuple InitRep times per neighbour and majority-
+// roundInit repeats the init tuple InitRep times per port and majority-
 // votes per word position (per-word voting matches the word-level
-// correction that follows).
-func (s *rewindSim) roundInit(nextOut map[graph.NodeID]entry, seed uint64, myHash map[graph.NodeID]uint64, gamma int, done bool) map[graph.NodeID]initMsg {
-	nbs := s.rt.Neighbors()
-	outMsgs := make([]congest.Msg, len(nbs)) // per port
-	for p, v := range nbs {
-		m := initMsg{seed: seed, hash: myHash[v], gamma: uint64(gamma)}
-		if e, ok := nextOut[v]; ok && e.present && !done {
+// correction that follows). nextOut and myHash are per port, like the
+// result.
+func (s *rewindSim) roundInit(nextOut []resilient.PackedMsg, seed uint64, myHash []uint64, gamma int, done bool) []initMsg {
+	deg := len(nextOut)
+	outMsgs := make([]congest.Msg, deg)
+	for p, e := range nextOut {
+		m := initMsg{seed: seed, hash: myHash[p], gamma: uint64(gamma)}
+		if e.Present && !done {
 			m.present = true
-			m.data = e.data
-			m.length = uint64(e.length)
+			m.data = e.Data
+			m.length = uint64(e.Length)
 		}
 		enc := m.encode()
-		s.lastInitSent[v] = enc
+		s.lastInitSent[p] = enc
 		var buf congest.Msg
 		for _, w := range enc {
 			buf = congest.PutU64(buf, w)
 		}
 		outMsgs[p] = buf
 	}
-	votes := make([][initWords]map[uint64]int, len(nbs))
+	votes := make([][initWords]map[uint64]int, deg)
 	for p := range votes {
 		for i := range votes[p] {
 			votes[p][i] = make(map[uint64]int)
@@ -186,11 +157,11 @@ func (s *rewindSim) roundInit(nextOut map[graph.NodeID]entry, seed uint64, myHas
 	}
 	var ws []uint64
 	for r := 0; r < s.cfg.InitRep; r++ {
-		out := s.rt.OutBuf()
+		out := s.RT.OutBuf()
 		for p, m := range outMsgs {
 			out[p] = m.Clone()
 		}
-		in := s.rt.ExchangePorts(out)
+		in := s.RT.ExchangePorts(out)
 		for p, m := range in {
 			if m == nil {
 				continue
@@ -201,146 +172,75 @@ func (s *rewindSim) roundInit(nextOut map[graph.NodeID]entry, seed uint64, myHas
 			}
 		}
 	}
-	result := make(map[graph.NodeID]initMsg, len(nbs))
-	for p, v := range nbs {
+	result := make([]initMsg, deg)
+	for p := range result {
 		var ws [initWords]uint64
-		for i := 0; i < initWords; i++ {
+		for i := range ws {
 			ws[i], _ = vote.Winner(votes[p][i])
 		}
-		result[v] = decodeInitMsg(ws[:])
+		result[p] = decodeInitMsg(ws)
 	}
 	return result
 }
 
 // --- message-correcting phase (Lemma 4.2) ---
 
-// corrWord identifies one word of one directed init tuple.
-func corrWordIndex(g *graph.Graph, from, to graph.NodeID, word int) uint32 {
-	ei := g.EdgeIndex(from, to)
-	d := uint32(0)
-	if from > to {
-		d = 1
-	}
-	return uint32(ei)<<5 | uint32(word&0xF)<<1 | d
-}
+// fixBytes is the wire size of one fix: a word's directed-edge index
+// (resilient.DirIndex, tagged with the word's position) and its true value.
+const fixBytes = 12
 
 // messageCorrect runs the d-message-correction procedure on the word-level
-// view of the init tuples: sent words stream with +1, received (voted)
-// words with -1; the sparse-recovery pipeline of Section 3 recovers and
-// broadcasts the corrections.
-func (s *rewindSim) messageCorrect(recv map[graph.NodeID]initMsg) map[graph.NodeID]initMsg {
-	me := s.rt.ID()
-	nbs := s.rt.Neighbors()
-	k := len(s.trees)
+// view of the per-port init tuples: sent words stream with +1, received
+// (voted) words with -1, and Section 3's sparse-recovery round
+// (resilient.TreeNode.SparseCorrect) recovers and broadcasts the true
+// words, which replace the voted ones. It rewrites recv in place.
+func (s *rewindSim) messageCorrect(recv []initMsg) []initMsg {
+	me, g := s.RT.ID(), s.sh.G
 	sparsity := 8*s.cfg.F + 8
-	sc := s.scratch()
-
-	// Broadcast the iteration seed from the packing root.
-	var seedMsg []byte
-	if s.isRoot() {
-		seedMsg = congest.PutU64(nil, s.rt.Rand().Uint64())
-	}
-	seedPlan := resilient.NewECCPlan(k, 8)
-	seedBytes, seedOK := resilient.ECCSafeBroadcast(s.rt, &sc.out, s.trees, seedPlan, seedMsg, s.depth, s.cfg.Rep)
-	seed := congest.U64(seedBytes)
-
-	// The word stream: what I sent this phase (re-encoded) and what I
-	// received after voting.
 	stream := func(upd func(e sketch.Elem, f int64)) {
-		for _, v := range nbs {
-			sentWords := s.lastInitSent[v]
-			for w, val := range sentWords {
-				upd(sketch.Pack(corrWordIndex(s.sh.G, me, v, w), val), 1)
+		for p, sent := range s.lastInitSent {
+			v := s.RT.Neighbor(p)
+			for w, val := range sent {
+				upd(sketch.Pack(resilient.DirIndex(g, me, v, w), val), 1)
 			}
-			rw := recv[v].encode()
-			for w, val := range rw {
-				upd(sketch.Pack(corrWordIndex(s.sh.G, v, me, w), val), -1)
+			for w, val := range recv[p].encode() {
+				upd(sketch.Pack(resilient.DirIndex(g, v, me, w), val), -1)
 			}
 		}
 	}
-	seeds := resilient.TreeSeeds(s.rt.Memo(), seed, k)
-	// Each tree owns its image, so the merge folds child sketches into it
-	// in place.
-	locals := sc.sketches.Build(seeds, sparsity, stream)
-	size := sketch.EncodedSize(sparsity)
-	merge := func(_ int, a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
-	rootAggs := rsim.ConvergecastUp(s.rt, &sc.out, s.trees, locals, merge, s.depth, s.cfg.Rep)
-
-	// Root: decode per tree, majority across trees, broadcast.
-	type fix struct {
-		idx  uint32
-		data uint64
+	if got, ok := s.SparseCorrect(sparsity, stream, encodeFixes, 2+fixBytes*sparsity); ok {
+		s.applyFixes(recv, decodeFixes(got))
 	}
-	var corrMsg []byte
-	if s.isRoot() && seedOK {
-		votes := make(map[string]int)
-		for j, agg := range rootAggs {
-			if agg == nil {
-				continue
-			}
-			sc.rec.Load(seeds[j], sparsity, agg)
-			items, ok := sc.rec.DecodeWith(&sc.work)
-			if !ok {
-				continue
-			}
-			votes[string(encodeFixes(items))]++
-		}
-		best, bestCnt := vote.Winner(votes)
-		if 2*bestCnt > k {
-			corrMsg = []byte(best)
-		} else {
-			corrMsg = encodeFixes(nil)
-		}
-	} else if s.isRoot() {
-		corrMsg = encodeFixes(nil)
-	}
-	plan := resilient.NewECCPlan(k, 2+12*(sparsity))
-	got, ok := resilient.ECCSafeBroadcast(s.rt, &sc.out, s.trees, plan, corrMsg, s.depth, s.cfg.Rep)
-	out := make(map[graph.NodeID]initMsg, len(nbs))
-	for v, m := range recv {
-		out[v] = m
-	}
-	if !ok {
-		return out
-	}
-	// Apply plus-entries addressed to me: replace the voted word.
-	words := make(map[graph.NodeID][initWords]uint64, len(nbs))
-	for _, v := range nbs {
-		var ws [initWords]uint64
-		copy(ws[:], out[v].encode())
-		words[v] = ws
-	}
-	for _, f := range decodeFixes(got) {
-		ei := int(f.idx >> 5)
-		word := int(f.idx >> 1 & 0xF)
-		dirBit := int(f.idx & 1)
-		if ei < 0 || ei >= s.sh.G.M() || word >= initWords {
-			continue
-		}
-		edge := s.sh.G.Edges()[ei]
-		from, to := edge.U, edge.V
-		if dirBit == 1 {
-			from, to = edge.V, edge.U
-		}
-		if to != me {
-			continue
-		}
-		ws := words[from]
-		ws[word] = f.data
-		words[from] = ws
-	}
-	for _, v := range nbs {
-		ws := words[v]
-		out[v] = decodeInitMsg(ws[:])
-	}
-	return out
+	return recv
 }
 
+// applyFixes replaces each word of recv that a fix addresses to this node
+// with the fix's true value. A fix for another node's edge, or for a word
+// past the tuple's end, changes nothing.
+func (s *rewindSim) applyFixes(recv []initMsg, fixes []fixItem) {
+	words := make([][initWords]uint64, len(recv))
+	for p, m := range recv {
+		words[p] = m.encode()
+	}
+	for _, f := range fixes {
+		if p, w, ok := resilient.IncomingPort(s.RT, s.sh.G, f.idx); ok && w < initWords {
+			words[p][w] = f.data
+		}
+	}
+	for p, ws := range words {
+		recv[p] = decodeInitMsg(ws)
+	}
+}
+
+// fixItem is one entry of the broadcast fix list: the true value of one
+// word of one directed init tuple.
 type fixItem struct {
 	idx  uint32
 	data uint64
 }
 
+// encodeFixes encodes the recovered items' true words, sorted, as the fix
+// list.
 func encodeFixes(items []sketch.Item) []byte {
 	var fixes []fixItem
 	for _, it := range items {
@@ -371,20 +271,11 @@ func decodeFixes(b []byte) []fixItem {
 	n := int(b[0])<<8 | int(b[1])
 	var out []fixItem
 	off := 2
-	for i := 0; i < n && off+12 <= len(b); i++ {
+	for i := 0; i < n && off+fixBytes <= len(b); i++ {
 		out = append(out, fixItem{idx: congest.U32(b[off:]), data: congest.U64(b[off+4:])})
-		off += 12
+		off += fixBytes
 	}
 	return out
-}
-
-func (s *rewindSim) isRoot() bool {
-	for _, tv := range s.trees {
-		if tv.Depth == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // --- rewind-if-error phase ---
@@ -393,7 +284,7 @@ func (s *rewindSim) isRoot() bool {
 // nodes, via per-tree upcast+downcast with across-tree majority at every
 // node (the Pi_j protocols of Section 4.1).
 func (s *rewindSim) aggregateState(goodLocal, myLen uint64) (good uint64, maxLen uint64) {
-	k := len(s.trees)
+	k := len(s.Trees)
 	locals := make([][]byte, k)
 	enc := congest.PutU64(congest.PutU64(nil, goodLocal), myLen)
 	for j := 0; j < k; j++ {
@@ -414,9 +305,8 @@ func (s *rewindSim) aggregateState(goodLocal, myLen uint64) (good uint64, maxLen
 		}
 		return congest.PutU64(congest.PutU64(nil, g), l)
 	}
-	sc := s.scratch()
-	rootAggs := rsim.ConvergecastUp(s.rt, &sc.out, s.trees, locals, merge, s.depth, s.cfg.Rep)
-	got := rsim.BroadcastDown(s.rt, &sc.out, s.trees, rootAggs, s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.RT, &s.Out, s.Trees, locals, merge, s.Depth, s.Rep)
+	got := rsim.BroadcastDown(s.RT, &s.Out, s.Trees, rootAggs, s.Depth, s.Rep)
 	votes := make(map[[2]uint64]int)
 	for _, m := range got {
 		if len(m) >= 16 {

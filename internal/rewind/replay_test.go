@@ -13,8 +13,8 @@ import (
 
 // stubRT is a Runtime whose network must never be reached (replay serves
 // all rounds from transcripts and aborts at the capture round): it defines
-// only the node-local methods replay calls, and the embedded nil Runtime
-// panics on anything else.
+// only the node-local methods newRewindSim and replay call, and the
+// embedded nil Runtime panics on anything else.
 type stubRT struct {
 	congest.Runtime
 	id  graph.NodeID
@@ -22,6 +22,8 @@ type stubRT struct {
 }
 
 func (s stubRT) ID() graph.NodeID            { return s.id }
+func (s stubRT) N() int                      { return 3 }
+func (s stubRT) Memo() *congest.Memo         { return new(congest.Memo) }
 func (s stubRT) Neighbors() []graph.NodeID   { return s.nbs }
 func (s stubRT) Degree() int                 { return len(s.nbs) }
 func (s stubRT) Neighbor(p int) graph.NodeID { return s.nbs[p] }
@@ -87,10 +89,9 @@ func TestReplayCapturesRoundOutbox(t *testing.T) {
 			if done {
 				t.Fatal("payload reported done at round 0")
 			}
-			for _, v := range []graph.NodeID{0, 2} {
-				e, ok := out[v]
-				if !ok || !e.present || e.data != 5 || e.length != 8 {
-					t.Fatalf("round-0 outbox to %d = %+v", v, e)
+			for p, e := range out {
+				if !e.Present || e.Data != 5 || e.Length != 8 {
+					t.Fatalf("round-0 outbox on port %d = %+v", p, e)
 				}
 			}
 		})
@@ -101,14 +102,15 @@ func TestReplayUsesCommittedTranscripts(t *testing.T) {
 	for _, c := range echoPayloads {
 		t.Run(c.name, func(t *testing.T) {
 			s := newStubSim()
-			// Commit round 0: received 10 from node 0, nothing from node 2.
-			s.piIn[0] = []entry{{present: true, data: 10, length: 8}}
-			s.piIn[2] = []entry{{present: false}}
-			s.pi[0] = []entry{{present: true, data: 5, length: 8}}
-			s.pi[2] = []entry{{present: true, data: 5, length: 8}}
+			// Commit round 0: received 10 from node 0 (port 0), nothing
+			// from node 2 (port 1).
+			s.piIn[0] = []resilient.PackedMsg{{Present: true, Data: 10, Length: 8}}
+			s.piIn[1] = []resilient.PackedMsg{{Present: false}}
+			s.pi[0] = []resilient.PackedMsg{{Present: true, Data: 5, Length: 8}}
+			s.pi[1] = []resilient.PackedMsg{{Present: true, Data: 5, Length: 8}}
 			out, _, _ := s.replay(c.payload, 1)
 			// Round 1 output = 5 + 10.
-			if e := out[0]; !e.present || e.data != 15 {
+			if e := out[0]; !e.Present || e.Data != 15 {
 				t.Fatalf("round-1 outbox = %+v, want 15", e)
 			}
 		})
@@ -119,15 +121,15 @@ func TestReplayDeterministic(t *testing.T) {
 	for _, c := range echoPayloads {
 		t.Run(c.name, func(t *testing.T) {
 			s := newStubSim()
-			s.piIn[0] = []entry{{present: true, data: 3, length: 8}}
-			s.piIn[2] = []entry{{present: false}}
-			s.pi[0] = []entry{{present: true, data: 5, length: 8}}
-			s.pi[2] = []entry{{present: true, data: 5, length: 8}}
+			s.piIn[0] = []resilient.PackedMsg{{Present: true, Data: 3, Length: 8}}
+			s.piIn[1] = []resilient.PackedMsg{{Present: false}}
+			s.pi[0] = []resilient.PackedMsg{{Present: true, Data: 5, Length: 8}}
+			s.pi[1] = []resilient.PackedMsg{{Present: true, Data: 5, Length: 8}}
 			a, _, _ := s.replay(c.payload, 1)
 			b, _, _ := s.replay(c.payload, 1)
-			for _, v := range []graph.NodeID{0, 2} {
-				if a[v] != b[v] {
-					t.Fatalf("replay not deterministic at %d: %+v vs %+v", v, a[v], b[v])
+			for p := range a {
+				if a[p] != b[p] {
+					t.Fatalf("replay not deterministic on port %d: %+v vs %+v", p, a[p], b[p])
 				}
 			}
 		})
@@ -141,17 +143,19 @@ func TestReplayTerminationDetected(t *testing.T) {
 			// Full 3-round transcript: replay to round 3 runs the payload to
 			// completion.
 			for r := 0; r < 3; r++ {
-				s.piIn[0] = append(s.piIn[0], entry{present: true, data: 1, length: 8})
-				s.piIn[2] = append(s.piIn[2], entry{present: false})
-				s.pi[0] = append(s.pi[0], entry{present: true, data: 5, length: 8})
-				s.pi[2] = append(s.pi[2], entry{present: true, data: 5, length: 8})
+				s.piIn[0] = append(s.piIn[0], resilient.PackedMsg{Present: true, Data: 1, Length: 8})
+				s.piIn[1] = append(s.piIn[1], resilient.PackedMsg{Present: false})
+				s.pi[0] = append(s.pi[0], resilient.PackedMsg{Present: true, Data: 5, Length: 8})
+				s.pi[1] = append(s.pi[1], resilient.PackedMsg{Present: true, Data: 5, Length: 8})
 			}
 			out, result, done := s.replay(c.payload, 3)
 			if !done {
 				t.Fatal("payload not done after full transcript")
 			}
-			if len(out) != 0 {
-				t.Fatalf("done payload still has outbox %v", out)
+			for p, e := range out {
+				if e.Present {
+					t.Fatalf("done payload still sends %+v on port %d", e, p)
+				}
 			}
 			if result.(uint64) != 5+3 {
 				t.Fatalf("payload output = %v, want 8", result)
@@ -160,16 +164,27 @@ func TestReplayTerminationDetected(t *testing.T) {
 	}
 }
 
+// TestEntryWordsRoundTrip checks the one payload pack/unpack pair the
+// compilers share, on an 8-byte, a 3-byte and an absent message.
 func TestEntryWordsRoundTrip(t *testing.T) {
-	for _, e := range []entry{{present: true, data: 0xDEADBEEF, length: 8}, {present: false}} {
-		m := unpackEntry(e)
-		if e.present {
-			back := packMsg(m)
-			if back != e {
+	for _, e := range []resilient.PackedMsg{
+		{Present: true, Data: 0xDEADBEEF, Length: 8},
+		{Present: true, Data: 0x010203, Length: 3},
+		{Present: false},
+	} {
+		m := resilient.UnpackPayload(e)
+		if e.Present {
+			if back := resilient.PackPayload(m); back != e {
 				t.Fatalf("entry round trip: %+v -> %+v", e, back)
 			}
 		} else if len(m) != 0 {
 			t.Fatal("absent entry unpacked to non-empty message")
 		}
+	}
+	if m := resilient.UnpackPayload(resilient.PackedMsg{Present: true, Data: 0x010203, Length: 3}); !slices.Equal(m, congest.Msg{1, 2, 3}) {
+		t.Fatalf("3-byte entry unpacked to %x", m)
+	}
+	if e := resilient.PackPayload(nil); e.Present {
+		t.Fatalf("nil message packed to %+v", e)
 	}
 }

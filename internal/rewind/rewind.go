@@ -21,11 +21,9 @@ package rewind
 
 import (
 	"mobilecongest/internal/congest"
-	"mobilecongest/internal/graph"
 	"mobilecongest/internal/hashfam"
 	"mobilecongest/internal/resilient"
 	"mobilecongest/internal/rsim"
-	"mobilecongest/internal/sketch"
 )
 
 // Config parameterizes the rewind compiler.
@@ -87,88 +85,50 @@ func Compile(payload congest.Protocol, cfg Config) congest.Protocol {
 	}
 }
 
-// entry is one transcript symbol: a received or sent message (possibly
-// absent) for one neighbour in one simulated round.
-type entry struct {
-	present bool
-	data    uint64
-	length  int
-}
-
-func (e entry) words() []uint64 {
-	p := uint64(0)
-	if e.present {
-		p = 1
-	}
-	return []uint64{p, e.data, uint64(e.length)}
-}
-
 type rewindSim struct {
-	rt    congest.Runtime
-	cfg   Config
-	sh    *resilient.Shared
-	trees []rsim.TreeView
-	depth int
+	resilient.TreeNode
+	cfg Config
+	sh  *resilient.Shared
 
-	// pi[v] is the outgoing transcript to neighbour v; piIn[v] the incoming
-	// transcript estimate from v (the paper's pi and pi~).
-	pi   map[graph.NodeID][]entry
-	piIn map[graph.NodeID][]entry
+	// pi[p] is the outgoing transcript to the neighbour on port p; piIn[p]
+	// the incoming transcript estimate from it (the paper's pi and pi~).
+	pi, piIn [][]resilient.PackedMsg
 
 	// payloadSeed makes payload replays deterministic.
 	payloadSeed int64
-	// lastInitSent records the init words sent in the current phase, the
-	// "+1 side" of the correction stream.
-	lastInitSent map[graph.NodeID][]uint64
+	// lastInitSent[p] holds the init words sent on port p in the current
+	// phase, the "+1 side" of the correction stream.
+	lastInitSent [][initWords]uint64
 
-	sc       *nodeScratch  // the node's buffers, fetched at first use (scratch)
 	replayIn []congest.Msg // the replayed payload's port inbox, reused per round
 
 	trace Trace
 }
 
-// nodeScratch is one node's compiler buffers. The run's context keeps
-// them across its runs (see congest.NodeScratch), and every use rewrites
-// them from empty, so no run reads what an earlier run left.
-type nodeScratch struct {
-	out       rsim.Outbox           // the node's rsim frames, kept across calls
-	sketches  sketch.RecoveryImages // per-tree correction sketches, reused per phase
-	rec, work sketch.Recovery       // the root's decode of one tree's aggregate
-}
-
-var scratches = congest.NewNodeScratch[nodeScratch]()
-
-// scratch returns the node's buffers. Replay serves its rounds locally, so
-// the first phase that reaches the network fetches them.
-func (s *rewindSim) scratch() *nodeScratch {
-	if s.sc == nil {
-		s.sc = scratches.Of(s.rt)
-	}
-	return s.sc
-}
+// scratches keeps each node's tree-subprotocol buffers across the runs of
+// its context (see congest.NodeScratch).
+var scratches = congest.NewNodeScratch[resilient.Scratch]()
 
 func newRewindSim(rt congest.Runtime, cfg Config, sh *resilient.Shared) *rewindSim {
-	s := &rewindSim{
-		rt:           rt,
+	deg := rt.Degree()
+	return &rewindSim{
+		TreeNode:     resilient.TreeNode{RT: rt, Trees: sh.Views[rt.ID()], Depth: rsim.MaxDepth(sh.Views), Rep: cfg.Rep, Scratch: scratches.Of(rt)},
 		cfg:          cfg,
 		sh:           sh,
-		trees:        sh.Views[rt.ID()],
-		depth:        rsim.MaxDepth(sh.Views),
-		pi:           make(map[graph.NodeID][]entry),
-		piIn:         make(map[graph.NodeID][]entry),
+		pi:           make([][]resilient.PackedMsg, deg),
+		piIn:         make([][]resilient.PackedMsg, deg),
 		payloadSeed:  rt.Rand().Int63(),
-		lastInitSent: make(map[graph.NodeID][]uint64),
+		lastInitSent: make([][initWords]uint64, deg),
 	}
-	return s
 }
 
 // gamma is the node's current transcript length (Invariant 1 keeps all of a
 // node's transcripts equal length).
 func (s *rewindSim) gamma() int {
-	for _, v := range s.rt.Neighbors() {
-		return len(s.pi[v])
+	if len(s.pi) == 0 {
+		return 0
 	}
-	return 0
+	return len(s.pi[0])
 }
 
 // run drives the payload as a restartable pure function of the incoming
@@ -177,50 +137,36 @@ func (s *rewindSim) gamma() int {
 // transcripts (with a fixed per-node randomness seed) yields the messages
 // the paper's "m_i(u,v) according to A given pi~" denotes.
 func (s *rewindSim) run(payload congest.Protocol) {
-	nbs := s.rt.Neighbors()
 	for g := 0; g < s.cfg.GlobalRounds; g++ {
 		gamma := s.gamma()
 		// Compute next messages by replaying the payload against the
 		// current incoming transcripts.
-		nextOut, outputs, done := s.replay(payload, gamma)
-		_ = outputs
+		nextOut, _, done := s.replay(payload, gamma)
 		// --- Round-Initialization phase ---
-		seed := s.rt.Rand().Uint64()
-		myHash := s.transcriptHash(seed)
-		initMsgs := s.roundInit(nextOut, seed, myHash, gamma, done)
+		seed := s.RT.Rand().Uint64()
+		initMsgs := s.roundInit(nextOut, seed, s.transcriptHash(seed), gamma, done)
 		// --- Message-Correcting phase ---
 		corrected := s.messageCorrect(initMsgs)
 		// --- Rewind-If-Error phase ---
 		goodLocal := uint64(1)
-		for _, v := range nbs {
-			c, okc := corrected[v]
-			if !okc {
-				goodLocal = 0
-				continue
-			}
-			// Verify the sender's view of my outgoing transcript... the
+		for p, c := range corrected {
+			// Verify the sender's view of my outgoing transcript: the
 			// paper checks |pi~| == l' and hash agreement.
-			if int(c.gamma) != gamma {
-				goodLocal = 0
-				continue
-			}
-			want := hashfam.NewFingerprint(c.seed).Hash64(transcriptWords(s.piIn[v]))
-			if want != c.hash {
+			if int(c.gamma) != gamma || hashfam.NewFingerprint(c.seed).Hash64(transcriptWords(s.piIn[p])) != c.hash {
 				goodLocal = 0
 			}
 		}
 		goodState, maxLen := s.aggregateState(goodLocal, uint64(gamma))
 		switch {
 		case goodState == 1:
-			for _, v := range nbs {
-				c := corrected[v]
-				s.piIn[v] = append(s.piIn[v], entry{present: c.present, data: c.data, length: int(c.length)})
-				s.pi[v] = append(s.pi[v], nextOut[v])
+			for p, c := range corrected {
+				s.piIn[p] = append(s.piIn[p], resilient.PackedMsg{Present: c.present, Data: c.data, Length: int(c.length)})
+				s.pi[p] = append(s.pi[p], nextOut[p])
 			}
 		case goodState == 0 && gamma == int(maxLen) && gamma > 0:
-			for _, v := range nbs {
-				s.piIn[v] = s.piIn[v][:len(s.piIn[v])-1]
-				s.pi[v] = s.pi[v][:len(s.pi[v])-1]
+			for p := range s.pi {
+				s.piIn[p] = s.piIn[p][:len(s.piIn[p])-1]
+				s.pi[p] = s.pi[p][:len(s.pi[p])-1]
 			}
 			s.trace.Rewinds++
 		}
@@ -229,25 +175,31 @@ func (s *rewindSim) run(payload congest.Protocol) {
 	// Final output: replay the payload one last time against the final
 	// transcripts.
 	_, out, _ := s.replay(payload, s.gamma())
-	s.rt.SetOutput(Output{Payload: out, Trace: s.trace})
+	s.RT.SetOutput(Output{Payload: out, Trace: s.trace})
 }
 
-// transcriptHash fingerprints all outgoing transcripts under seed. The
-// paper fingerprints per-edge; hashing each edge's transcript separately and
-// sending per-neighbour values is what roundInit transmits.
-func (s *rewindSim) transcriptHash(seed uint64) map[graph.NodeID]uint64 {
-	out := make(map[graph.NodeID]uint64, len(s.rt.Neighbors()))
+// transcriptHash fingerprints each port's outgoing transcript under seed.
+// The paper fingerprints per edge; these per-port values are what
+// roundInit transmits.
+func (s *rewindSim) transcriptHash(seed uint64) []uint64 {
 	f := hashfam.NewFingerprint(seed)
-	for _, v := range s.rt.Neighbors() {
-		out[v] = f.Hash64(transcriptWords(s.pi[v]))
+	out := make([]uint64, len(s.pi))
+	for p, t := range s.pi {
+		out[p] = f.Hash64(transcriptWords(t))
 	}
 	return out
 }
 
-func transcriptWords(t []entry) []uint64 {
+// transcriptWords lists each symbol of t as three words: presence, data
+// and length.
+func transcriptWords(t []resilient.PackedMsg) []uint64 {
 	var w []uint64
 	for _, e := range t {
-		w = append(w, e.words()...)
+		present := uint64(0)
+		if e.Present {
+			present = 1
+		}
+		w = append(w, present, e.Data, uint64(e.Length))
 	}
 	return w
 }

@@ -142,6 +142,16 @@ func MaxDepth(views [][]TreeView) int {
 	return max
 }
 
+// IsRoot reports whether the node whose views these are roots any tree.
+func IsRoot(trees []TreeView) bool {
+	for _, tv := range trees {
+		if tv.Depth == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Rounds returns the physical round count used by BroadcastDown and
 // ConvergecastUp with the given depth bound and repetition: the pipeline
 // needs rep*(depth+1) rounds to commit level by level, doubled for delay

@@ -65,14 +65,8 @@ func MobileSecureBroadcast(f int) congest.Protocol {
 		usedRecv := make([]int, rt.Degree())
 
 		// Source: XOR-share the secret.
-		isSource := false
-		for _, tv := range views {
-			if tv.Depth == 0 {
-				isSource = true
-			}
-		}
 		shares := make([][]byte, k)
-		if isSource {
+		if rsim.IsRoot(views) {
 			secret := congest.U64(rt.Input())
 			var acc uint64
 			for j := 0; j < k-1; j++ {

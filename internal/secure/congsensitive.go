@@ -4,6 +4,7 @@ import (
 	"mobilecongest/internal/congest"
 	"mobilecongest/internal/gf"
 	"mobilecongest/internal/hashfam"
+	"mobilecongest/internal/rsim"
 )
 
 // Congestion-sensitive compiler with perfect mobile security (Appendix A.3,
@@ -59,6 +60,29 @@ func csEncrypt(h [3]*hashfam.Hash, m gf.Elem) [3]gf.Elem {
 	return out
 }
 
+// csImage is h*'s image of one message symbol: a ciphertext before its pad.
+type csImage [3]gf.Elem
+
+// csInverses maps h*'s images back to their symbols. h* is a pure function
+// of the broadcast seed and c, and every node that decoded the same seed
+// derives the same h*, so its inverse is built once per run, through the
+// run's memo, and shared read-only; a node that decoded another seed gets a
+// table of its own.
+var csInverses = congest.NewMemoTable[uint64, map[csImage]gf.Elem]()
+
+// csInverse returns the inverse table of the h* that seed and c give,
+// through m.
+func csInverse(m *congest.Memo, seed uint64, c int) map[csImage]gf.Elem {
+	return csInverses.Derive(m, []uint64{seed, uint64(c)}, func() map[csImage]gf.Elem {
+		h := csHash(congest.PutU64(nil, seed), c)
+		table := make(map[csImage]gf.Elem, field.Order())
+		for sym := 0; sym < field.Order(); sym++ {
+			table[csImage(csEncrypt(h, gf.Elem(sym)))] = gf.Elem(sym)
+		}
+		return table
+	})
+}
+
 // CompileCongestionSensitive wraps a payload whose messages are at most
 // 2 bytes. The run's Shared must be a *BroadcastShared rooted anywhere (it
 // carries the packing for the global secret broadcast); the source of the
@@ -86,14 +110,8 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		// mobile-secure broadcast inline. The root's "input" here is drawn
 		// from its private randomness, not rt.Input (which belongs to the
 		// payload), so we inline the call with a shadow input.
-		isRoot := false
-		for _, tv := range sh.Views[rt.ID()] {
-			if tv.Depth == 0 {
-				isRoot = true
-			}
-		}
 		var seedInput []byte
-		if isRoot {
+		if rsim.IsRoot(sh.Views[rt.ID()]) {
 			seedInput = congest.PutU64(nil, rt.Rand().Uint64())
 		}
 		inner := &congest.WrappedRuntime{
@@ -111,12 +129,8 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 		}
 		h := csHash(congest.PutU64(nil, seedOut), c)
 
-		// Step 3: build the inverse table once (2^16 entries).
-		type img [3]gf.Elem
-		table := make(map[img]gf.Elem, field.Order())
-		for m := 0; m < field.Order(); m++ {
-			table[img(csEncrypt(h, gf.Elem(m)))] = gf.Elem(m)
-		}
+		// Step 3: h*'s inverse table (2^16 entries), built once per run.
+		table := csInverse(rt.Memo(), seedOut, c)
 
 		round := 0
 		deg := rt.Degree()
@@ -163,7 +177,7 @@ func CompileCongestionSensitive(payload congest.Protocol, cfg CSConfig) congest.
 					continue
 				}
 				plain = padInto(plain[:0], m, recvKeys[p].Key(round))
-				var ci img
+				var ci csImage
 				for i := 0; i < 3; i++ {
 					if 2*i+1 < len(plain) {
 						ci[i] = gf.Elem(plain[2*i])<<8 | gf.Elem(plain[2*i+1])

@@ -3,6 +3,7 @@ package mobilecongest
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mobilecongest/internal/adversary"
@@ -154,4 +155,37 @@ func secureGoldenLines(e Engine) []string {
 	}
 
 	return got
+}
+
+// TestCongestionSensitiveAllocCeiling caps the bytes one warmed
+// congestion-sensitive run allocates (circulant(10,2), r=3, f=1, cong=3,
+// eavesdrop f=1, step engine). Every node derives the same h* from the
+// broadcast seed, and the run's memo builds its 2^16-entry inverse table
+// once for all of them. A warmed run allocates about 1.41 MB in all, most
+// of it the table; the ceiling leaves about 25% over that. Building the
+// table at every node puts it back at about 12.4 MB.
+func TestCongestionSensitiveAllocCeiling(t *testing.T) {
+	const bytesCeiling = 1_750_000
+	g := graph.Circulant(10, 2)
+	cfg := secure.CSConfig{R: 3, F: 1, Cong: 3}
+	sc := NewScenario(WithGraph(g), WithProtocol(secure.CompileCongestionSensitive(csFloodPayload(cfg.R), cfg)),
+		WithShared(secure.NewBroadcastShared(g, 9, 4, 5)), WithAdversary(adversary.NewMobileEavesdropper(g, cfg.F, 1)),
+		WithEngineName("step"), WithSeed(1))
+	run := func() {
+		if _, err := sc.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The context parks its node coroutines from its second run on.
+	run()
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if allocated > bytesCeiling {
+		t.Fatalf("congestion-sensitive circulant(10,2) r=3 f=1 cong=3: %d bytes allocated per run, ceiling %d", allocated, bytesCeiling)
+	}
+	t.Logf("%d bytes per run", allocated)
 }

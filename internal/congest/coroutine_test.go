@@ -252,6 +252,65 @@ func TestCoroutineSlabFollowsGraphSize(t *testing.T) {
 	}
 }
 
+// TestParkAndHandOff pins what a parked context keeps and what a hand-off
+// moves: HandOff carries the shard pool's workers and the coroutine slab
+// to the next context, which keeps them parked from its first run on and
+// extends the slab in place for a larger graph; Park releases both and
+// keeps the binding, with its layout, for the next run. Every run matches
+// a fresh context.
+func TestParkAndHandOff(t *testing.T) {
+	small, large := graph.Circulant(12, 2), graph.Circulant(30, 3)
+	e := ShardEngine{Shards: 3}
+	run := func(rc *RunContext, g *graph.Graph) {
+		t.Helper()
+		want, err := e.RunIn(nil, Config{Graph: g, Seed: 5}, silentRandProto(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.RunIn(rc, Config{Graph: g, Seed: 5}, silentRandProto(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("n=%d", g.N()), got, want)
+	}
+	a := NewRunContext()
+	defer a.Close()
+	run(a, small)
+	run(a, small)
+	pool, slab := a.pool, append([]*stepNode(nil), a.coros.nodes...)
+	layout := a.layout
+
+	b := NewRunContext()
+	defer b.Close()
+	a.HandOff(b)
+	if a.pool != nil || a.coros != nil {
+		t.Fatal("HandOff left goroutines on the context it leaves")
+	}
+	if b.pool != pool || b.coros == nil || !reflect.DeepEqual(b.coros.nodes, slab) {
+		t.Fatal("HandOff did not move the shard pool and the coroutine slab")
+	}
+	waitPoolWorkers(t, pool, pool.size)
+	waitParkedCoroutines(t, slab, small.N(), false)
+	run(b, large)
+	if b.coros == nil || len(b.coros.nodes) != large.N() || !reflect.DeepEqual(b.coros.nodes[:small.N()], slab) {
+		t.Fatal("the first run after HandOff did not keep and extend the slab it was handed")
+	}
+	grown := append([]*stepNode(nil), b.coros.nodes...)
+
+	b.Park()
+	if b.pool != nil || b.coros != nil {
+		t.Fatal("Park left goroutines on the context")
+	}
+	waitPoolWorkers(t, pool, 0)
+	waitParkedCoroutines(t, grown, 0, false)
+	run(a, small)
+	if a.g != small || a.layout != layout {
+		t.Fatal("a parked context rebuilt its layout for the graph it is bound to")
+	}
+	run(b, large)
+	waitParkedCoroutines(t, b.coros.nodes, large.N(), false)
+}
+
 // panicAt wraps inner so that node u panics when it reaches round r.
 func panicAt(u graph.NodeID, r int, inner Protocol) Protocol {
 	return func(rt Runtime) {

@@ -23,9 +23,14 @@ import (
 // *graph.Graph. Binding is by pointer identity: reuse pays off only when the
 // caller also reuses the Graph value, which Scenario and Plan do.
 //
+// Between runs a context can be parked (Park): it gives up its goroutines
+// and keeps the rest, bound to its graph, for a later run. The root
+// package's Plans share a pool of parked contexts, one per registry graph
+// a Plan worker left, so a later Plan over the same topology starts warm.
+//
 // A RunContext serves one run at a time; sharing one between concurrent runs
-// is a data race. Concurrent callers use one context each (Plan gives every
-// worker its own).
+// is a data race. Concurrent callers use one context each (a Plan worker
+// holds one at a time, taken from that pool or new).
 type RunContext struct {
 	g      *graph.Graph
 	layout *edgeLayout
@@ -102,9 +107,42 @@ func (rc *RunContext) bind(g *graph.Graph) {
 // covered by GC cleanups that release the goroutines, eventually; the
 // scratch goes with the context.
 func (rc *RunContext) Close() {
+	rc.Park()
+	rc.dropScratch()
+}
+
+// Park releases the goroutines the context keeps between runs — the shard
+// pool's workers and the node coroutines — and keeps everything else: the
+// binding to its graph with the layout, slabs, round arenas and RNGs, and
+// the run memo with the nodes' NodeScratch values. A parked context holds
+// no goroutine, so it can wait idle for its next run (the root package
+// pools idle contexts across Plans this way); that run builds the
+// coroutines it needs and keeps them parked, like any later run.
+func (rc *RunContext) Park() {
 	rc.closePool()
 	rc.closeCoroutines()
-	rc.dropScratch()
+}
+
+// HandOff moves the goroutines rc keeps between runs — its shard pool and
+// its node coroutines — to next, which releases its own first. Neither is
+// shaped by a graph, so a caller that leaves rc for a context bound to
+// another graph (a Plan worker moving to the next topology) keeps its
+// goroutines instead of stopping them on one context and starting them on
+// the other. rc is left parked; next keeps the coroutines from its first
+// run on.
+func (rc *RunContext) HandOff(next *RunContext) {
+	next.Park()
+	if rc.pool != nil {
+		rc.poolCleanup.Stop()
+		next.pool, rc.pool = rc.pool, nil
+		next.poolCleanup = runtime.AddCleanup(next, (*shardPool).close, next.pool)
+	}
+	if rc.coros != nil {
+		rc.coroCleanup.Stop()
+		next.coros, rc.coros = rc.coros, nil
+		next.coroCleanup = runtime.AddCleanup(next, (*coroSlab).stop, next.coros)
+		next.coroWarm = true
+	}
 }
 
 // closePool stops the parked worker pool and its GC cleanup, so a replaced

@@ -22,6 +22,7 @@ type Table[V any] struct {
 
 	mu      sync.RWMutex
 	entries map[string]V
+	gen     uint64 // Register calls so far
 }
 
 // New returns an empty table whose unknown-name errors start with prefix
@@ -36,6 +37,17 @@ func (t *Table[V]) Register(name string, v V) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.entries[name] = v
+	t.gen++
+}
+
+// Generation counts the Register calls made on the table. A caller that
+// keeps what it built from an entry stamps it with the generation read
+// before the lookup, and trusts it only while the generation is unchanged:
+// any Register since may have replaced the entry.
+func (t *Table[V]) Generation() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.gen
 }
 
 // Get returns the entry registered under name, or the unknown-name error.

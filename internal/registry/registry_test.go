@@ -9,9 +9,13 @@ func TestTable(t *testing.T) {
 	tb := New[int]("pkg", "widget")
 	tb.Register("b", 2)
 	tb.Register("a", 1)
+	gen := tb.Generation()
 	tb.Register("b", 3) // replaces
 	if v, err := tb.Get("b"); err != nil || v != 3 {
 		t.Fatalf("Get(b) = %d, %v", v, err)
+	}
+	if tb.Generation() == gen {
+		t.Fatal("replacing an entry left the generation unchanged")
 	}
 	if !tb.Has("a") || tb.Has("c") {
 		t.Fatal("Has disagrees with the registered names")

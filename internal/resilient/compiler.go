@@ -222,13 +222,17 @@ func Compile(payload congest.Protocol, cfg Config) congest.Protocol {
 			panic("resilient: run Config.Shared must be *resilient.Shared")
 		}
 		sc := scratches.Of(rt)
-		sim := &simulator{
+		sc.sim = simulator{
 			TreeNode: TreeNode{RT: rt, Trees: sh.Views[rt.ID()], Depth: rsim.MaxDepth(sh.Views), Rep: cfg.Rep, Scratch: &sc.Scratch},
 			cfg:      cfg,
 			sh:       sh,
 			sc:       sc,
 		}
-		w := &congest.WrappedRuntime{Base: rt, ExchangePortsFn: sim.exchange}
+		w := &sc.w
+		if w.ExchangePortsFn == nil {
+			w.ExchangePortsFn = sc.sim.exchange
+		}
+		w.Rebind(rt)
 		w.ShadowShared = sh.Payload
 		payload(w)
 	}
@@ -248,10 +252,12 @@ type simulator struct {
 // them from empty, so no run reads what an earlier run left.
 type nodeScratch struct {
 	Scratch
-	in        []congest.Msg   // the payload's port inbox, reused per round
-	sent, est []PackedMsg     // per port: the message sent, the estimate of the one received
-	settled   []bool          // per port: applyCorrections has decided the estimate
-	samplers  sketch.L0Images // per-tree ℓ0 sampler images, reused per iteration
+	sim       simulator              // the node's compiler state, rewritten per run
+	w         congest.WrappedRuntime // the payload's runtime over sim, rebound per run
+	in        []congest.Msg          // the payload's port inbox, reused per round
+	sent, est []PackedMsg            // per port: the message sent, the estimate of the one received
+	settled   []bool                 // per port: applyCorrections has decided the estimate
+	samplers  sketch.L0Images        // per-tree ℓ0 sampler images, reused per iteration
 }
 
 var scratches = congest.NewNodeScratch[nodeScratch]()

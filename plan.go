@@ -224,7 +224,11 @@ type Plan struct {
 	// MaxRounds bounds each run (0 = engine default).
 	MaxRounds int
 	// Workers is the number of concurrent cell runners for Stream/Run
-	// (0 = GOMAXPROCS). Each worker owns one reusable congest.RunContext.
+	// (0 = GOMAXPROCS). A worker runs consecutive cells on one graph in one
+	// congest.RunContext. Between graphs it parks that context in a pool
+	// every Plan of the process shares and takes one bound to the next
+	// graph, when one is parked. Plans with VaryFunc axes keep their graphs
+	// and contexts to themselves: each worker owns one reusable context.
 	Workers int
 	// CaptureTrace attaches a TraceObserver to every cell and stores the
 	// captured rounds in the cell's Record.Trace. Traces hold full
@@ -251,31 +255,22 @@ type Plan struct {
 // planCell is one expanded plan point. A nil scenario marks a cell resolved
 // from the cache at expansion: its record is already final and the workers
 // just deliver it. cacheKey is non-empty when the freshly computed record
-// should be inserted after the run.
+// should be inserted after the run. g is the graph the cell runs on, and
+// pool its key in the run-context pool; pool is zero in plans whose
+// contexts are private.
 type planCell struct {
 	rec      Record
 	scenario *Scenario
 	trace    *TraceObserver // non-nil when the plan captures traces
 	cache    *ResultCache
 	cacheKey string
-}
-
-// topoCache shares one built graph (and its lazily-computed default
-// workload length) across every cell of the same (topology, n, k).
-type topoCache struct {
-	g         *Graph
-	defRounds int
-}
-
-func (tc *topoCache) defaultRounds() int {
-	if tc.defRounds == 0 {
-		tc.defRounds = tc.g.Diameter() + 1
-	}
-	return tc.defRounds
+	g        *Graph
+	pool     graphKey
 }
 
 // cells expands the plan's cross product, validating every registry name up
-// front and building each distinct topology once.
+// front and taking each distinct topology from the run-context pool or
+// building it, once.
 func (p Plan) cells() ([]planCell, error) {
 	seen := map[axisKind]bool{}
 	for _, ax := range p.Axes {
@@ -306,7 +301,14 @@ func (p Plan) cells() ([]planCell, error) {
 		return nil, fmt.Errorf("mobilecongest: ProtocolParamAxis requires a ProtocolAxis (the parameter only reaches registry protocols)")
 	}
 
-	graphs := map[string]*topoCache{}
+	// A VaryFunc may reach the cell's graph through the Scenario, and the
+	// label cannot name what it does; such plans build their own graphs and
+	// keep their contexts private, as they keep out of the result cache.
+	pooled := !seen[axisCustom]
+	// The generation is read before any build, so a graph built while a
+	// RegisterTopology runs is stamped stale, never current.
+	gen := topologies.Generation()
+	graphs := map[graphKey]*Graph{}
 	var cells []planCell
 	var simParts, allParts []string
 
@@ -340,16 +342,18 @@ func (p Plan) cells() ([]planCell, error) {
 			}
 		}
 
-		key := fmt.Sprintf("%s/%d/%d", spec.topoName, spec.topoN, spec.topoK)
-		tc := graphs[key]
-		if tc == nil {
-			g, err := BuildTopology(spec.topoName, spec.topoN, spec.topoK)
-			if err != nil {
+		key := graphKey{topo: spec.topoName, n: spec.topoN, k: spec.topoK, gen: gen}
+		g := graphs[key]
+		if g == nil && pooled {
+			g = runContexts.graph(key)
+		}
+		if g == nil {
+			var err error
+			if g, err = BuildTopology(spec.topoName, spec.topoN, spec.topoK); err != nil {
 				return err
 			}
-			tc = &topoCache{g: g}
-			graphs[key] = tc
 		}
+		graphs[key] = g
 
 		// Observers are per-run state, so every cell gets its own instances.
 		var obs []Observer
@@ -364,12 +368,12 @@ func (p Plan) cells() ([]planCell, error) {
 
 		opts := []ScenarioOption{
 			WithName(label),
-			WithGraph(tc.g),
+			WithGraph(g),
 		}
 		if spec.protoName != "" {
 			opts = append(opts, WithProtocolName(spec.protoName), WithProtocolParam(spec.protoP))
 		} else {
-			opts = append(opts, WithProtocol(algorithms.FloodMax(tc.defaultRounds())))
+			opts = append(opts, WithProtocol(algorithms.FloodMax(g.Diameter()+1)))
 		}
 		opts = append(opts,
 			WithAdversaryName(spec.advName, spec.advF),
@@ -402,7 +406,11 @@ func (p Plan) cells() ([]planCell, error) {
 			trace:    tr,
 			cache:    p.Cache,
 			cacheKey: cacheKey,
+			g:        g,
 		})
+		if pooled {
+			cells[len(cells)-1].pool = key
+		}
 		return nil
 	}
 	expand = func(axis int, spec cellSpec) error {
@@ -440,15 +448,60 @@ func (p Plan) cells() ([]planCell, error) {
 	return cells, nil
 }
 
-// runPlanCell executes one cell inside the worker's reusable run context and
-// folds the outcome into its record; failures are recorded, never fatal.
-// Cells resolved from the cache at expansion (nil scenario) are already
-// final — their record keeps the elapsed time of the run that filled the
-// cache, so a warm replay is byte-identical to the cold sweep it mirrors.
-func runPlanCell(c *planCell, rc *congest.RunContext) {
+// planWorker is one runCells worker's hold on a run context: rc, bound (or
+// about to be bound) to g, the graph of the worker's last cell.
+type planWorker struct {
+	rc     *congest.RunContext
+	g      *Graph
+	pool   graphKey // rc's key in the run-context pool; zero when rc is private
+	shards int      // the LimitShards cap of the worker's contexts
+}
+
+// context returns the context to run c in. Consecutive cells on one graph
+// share one context. On a new graph the worker takes the pooled context
+// bound to it, or a new one, hands it the goroutines the old context kept
+// between runs, and parks the old one. A private context (a plan with
+// VaryFunc axes) serves every cell of the worker, rebinding as it goes.
+func (w *planWorker) context(c *planCell) *congest.RunContext {
+	if w.rc != nil && (c.g == w.g || c.pool == graphKey{}) {
+		return w.rc
+	}
+	next := runContexts.take(c.pool, c.g)
+	if next == nil {
+		next = congest.NewRunContext()
+	}
+	next.LimitShards(w.shards)
+	if w.rc != nil {
+		w.rc.HandOff(next)
+		w.release()
+	}
+	w.rc, w.g, w.pool = next, c.g, c.pool
+	return next
+}
+
+// release parks the worker's context in the pool, or closes it when it is
+// private, so no goroutine the worker started outlives it.
+func (w *planWorker) release() {
+	switch {
+	case w.rc == nil:
+	case w.pool != graphKey{}:
+		runContexts.park(w.pool, w.g, w.rc)
+	default:
+		w.rc.Close()
+	}
+	w.rc = nil
+}
+
+// run executes one cell and folds the outcome into its record; failures are
+// recorded, never fatal. Cells resolved from the cache at expansion (nil
+// scenario) are already final — their record keeps the elapsed time of the
+// run that filled the cache, so a warm replay is byte-identical to the cold
+// sweep it mirrors.
+func (w *planWorker) run(c *planCell) {
 	if c.scenario == nil {
 		return
 	}
+	rc := w.context(c)
 	start := time.Now()
 	res, err := c.scenario.runIn(rc)
 	c.rec.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -474,7 +527,8 @@ func runPlanCell(c *planCell, rc *congest.RunContext) {
 // caller's goroutine) with each cell index as it finishes. deliver returning
 // false, or ctx cancellation, stops dispatching new cells; in-flight cells
 // still complete (and, on cancellation, are still delivered) before runCells
-// returns with every worker goroutine exited.
+// returns with every worker goroutine exited and every worker's context
+// parked or closed, so no shard pool or node coroutine outlives it.
 func runCells(ctx context.Context, workers int, cells []planCell, deliver func(int) bool) {
 	if len(cells) == 0 {
 		return
@@ -509,18 +563,18 @@ func runCells(ctx context.Context, workers int, cells []planCell, deliver func(i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One reusable run context per worker: consecutive cells on the
-			// same topology share the run's layout, buffers, and RNG
-			// allocations instead of rebuilding them per cell. Shard-engine
-			// cells divide the machine across the P workers instead of each
-			// grabbing GOMAXPROCS shards (an explicit ShardEngine.Shards
-			// still overrides); Close releases any parked shard pool and
-			// node coroutines when the worker retires.
-			rc := congest.NewRunContext()
-			defer rc.Close()
-			rc.LimitShards(max(1, runtime.GOMAXPROCS(0)/workers))
+			// Cells run in contexts bound to their graphs, kept warm across
+			// cells and, through the run-context pool, across Plans: the
+			// run's layout, buffers, RNGs and node scratch are reused
+			// instead of rebuilt. Shard-engine cells divide the machine
+			// across the P workers instead of each grabbing GOMAXPROCS
+			// shards (an explicit ShardEngine.Shards still overrides).
+			// Retiring parks or closes the worker's context, which releases
+			// its shard pool and node coroutines.
+			w := planWorker{shards: max(1, runtime.GOMAXPROCS(0)/workers)}
+			defer w.release()
 			for i := range jobs {
-				runPlanCell(&cells[i], rc)
+				w.run(&cells[i])
 				select {
 				case results <- i:
 				case <-stop:

@@ -3,6 +3,7 @@ package mobilecongest
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"mobilecongest/internal/algorithms"
 	"mobilecongest/internal/congest"
@@ -114,10 +115,22 @@ func protoEcc(g *Graph, r int, root NodeID) (int, error) {
 }
 
 // protoValue derives the canonical nonzero payload value of a seed (the
-// broadcast protocols reserve 0 as "none").
+// broadcast protocols reserve 0 as "none"): the first draw of
+// rand.New(rand.NewSource(seed)).Int63n(1_000_000), plus one. It re-seeds
+// one shared generator instead of allocating that 5 KB source on every
+// protocol build.
 func protoValue(seed int64) uint64 {
-	return 1 + uint64(rand.New(rand.NewSource(seed)).Int63n(1_000_000))
+	protoRand.mu.Lock()
+	defer protoRand.mu.Unlock()
+	protoRand.r.Seed(seed)
+	return 1 + uint64(protoRand.r.Int63n(1_000_000))
 }
+
+// protoRand is the generator protoValue re-seeds on every call.
+var protoRand = struct {
+	mu sync.Mutex
+	r  *rand.Rand
+}{r: rand.New(rand.NewSource(0))}
 
 func isClique(g *Graph) bool {
 	for u := 0; u < g.N(); u++ {

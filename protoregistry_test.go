@@ -3,6 +3,7 @@ package mobilecongest
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -261,5 +262,36 @@ func TestProtocolNameScenarioSemantics(t *testing.T) {
 	}
 	if res.Stats.Rounds != 3 {
 		t.Fatalf("WithProtocolParam(3): rounds = %d, want 3", res.Stats.Rounds)
+	}
+}
+
+// TestProtoValuePinned pins the payload value each seed derives, as a fresh
+// rand.New(rand.NewSource(seed)).Int63n(1_000_000) plus one gives it, and
+// pins that deriving it allocates nothing: protoValue runs on every
+// registry build of the broadcast protocols.
+func TestProtoValuePinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want uint64
+	}{
+		{0, 165506},
+		{1, 779411},
+		{-1, 389677},
+		{7, 43956},
+		{42, 278676},
+		{1 << 31, 779411},
+		{math.MaxInt64, 779411},
+		{math.MinInt64, 86224},
+		{protoSeedMix, 107439},
+		{1 ^ protoSeedMix, 473177},
+		{42 ^ protoSeedMix, 492633},
+		{-123456789, 513162},
+	} {
+		if got := protoValue(c.seed); got != c.want {
+			t.Errorf("protoValue(%d) = %d, want %d", c.seed, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { protoValue(42) }); n != 0 {
+		t.Fatalf("protoValue allocated %.2f times per call", n)
 	}
 }

@@ -145,37 +145,26 @@ func TestPlanCacheErrorRecordsBypass(t *testing.T) {
 	}
 }
 
-// TestPlanCacheIneligibleCells: plans whose behavior the content address
-// cannot name — per-cell Observers, VaryFunc custom axes — never consult or
-// fill the cache.
+// TestPlanCacheIneligibleCells: plans with per-cell Observers, which watch
+// rounds a cache replay never executes, never consult or fill the cache.
 func TestPlanCacheIneligibleCells(t *testing.T) {
-	cases := map[string]func(*mc.Plan){
-		"observers": func(p *mc.Plan) {
-			p.Observers = func(string) []mc.Observer { return nil }
-		},
-		"varyfunc": func(p *mc.Plan) {
-			p.Axes = append(p.Axes, mc.VaryFunc("mode", []string{"a"}, func(*mc.Scenario, string) {}))
-		},
-	}
-	for name, mutate := range cases {
-		t.Run(name, func(t *testing.T) {
-			cache := mc.NewResultCache(0)
-			plan := mc.Plan{
-				Axes:     []mc.Axis{mc.NAxis(6), mc.RepsAxis(2)},
-				BaseSeed: 1,
-				Workers:  1,
-				Cache:    cache,
-			}
-			mutate(&plan)
-			if _, err := plan.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			s := cache.Stats()
-			if s.Hits+s.Misses+s.Puts != 0 || s.Entries != 0 {
-				t.Fatalf("ineligible cells touched the cache: %+v", s)
-			}
-		})
-	}
+	t.Run("observers", func(t *testing.T) {
+		cache := mc.NewResultCache(0)
+		plan := mc.Plan{
+			Axes:      []mc.Axis{mc.NAxis(6), mc.RepsAxis(2)},
+			BaseSeed:  1,
+			Workers:   1,
+			Observers: func(string) []mc.Observer { return nil },
+			Cache:     cache,
+		}
+		if _, err := plan.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s := cache.Stats()
+		if s.Hits+s.Misses+s.Puts != 0 || s.Entries != 0 {
+			t.Fatalf("ineligible cells touched the cache: %+v", s)
+		}
+	})
 }
 
 // TestPlanCacheKeyedByMaxRoundsAndTrace: MaxRounds and CaptureTrace change

@@ -26,10 +26,13 @@ type graphKey struct {
 
 // poolSlots caps the layout slots (directed edges) of the graphs the pool's
 // contexts are bound to, summed. A context's layout, port slabs and round
-// buffers all grow with its slots, so the cap bounds what the pool keeps
-// alive: about the state of one n=32768 circulant (k=4), some 60 MB, or
-// of 65 clique64 contexts. Node scratch (a compiler's per-node buffers) is
-// not counted; a context's scratch stays with it while it is parked.
+// buffers all grow with its slots, so for plain protocols the cap bounds
+// what the pool keeps alive: about the state of one n=32768 circulant
+// (k=4), some 60 MB, or of 65 clique64 contexts. It does not bound a
+// compiler's: a context keeps its node scratch and run memo while it is
+// parked, about 11 KB a slot for hardened-clique (some 44 MB for clique64),
+// so a pool full of those holds about 2.9 GB (ROADMAP.md, "Bound what the
+// run-context pool keeps by bytes").
 const poolSlots = 1 << 18
 
 // idleContext is one parked context and the graph it is bound to.

@@ -145,6 +145,64 @@ func streamSpec(t *testing.T, sp PlanSpec) []Record {
 	return recs
 }
 
+// TestPooledObservedPlansMatchCold runs a Plan that captures traces and
+// builds a CorruptionLog per cell, over the Theorem 1.6 compiler and
+// FloodMax under flip: once on an empty pool, then twice more on a warm
+// pool, each after another Plan on the same cliques. Every record, its
+// trace included, and every cell's corruption log must equal the cold run's.
+func TestPooledObservedPlansMatchCold(t *testing.T) {
+	sp := PlanSpec{Topologies: []string{"clique"}, Ns: []int{8}, Protocols: []string{"hardened-clique", "floodmax"},
+		Adversaries: []string{"flip"}, Fs: []int{2}, Engines: []string{"step", "shard"}, Reps: 2, BaseSeed: 5, Workers: 2}
+	other := poolSpecs()[0]
+	run := func() ([]Record, map[string][]CorruptionEvent) {
+		t.Helper()
+		p, err := sp.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		logs := map[string]*CorruptionLog{}
+		p.CaptureTrace = true
+		p.Observers = func(name string) []Observer {
+			mu.Lock()
+			defer mu.Unlock()
+			logs[name] = NewCorruptionLog()
+			return []Observer{logs[name]}
+		}
+		recs, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := map[string][]CorruptionEvent{}
+		for i := range recs {
+			if recs[i].Error != "" || len(recs[i].Trace) == 0 {
+				t.Fatalf("cell %s: error %q, %d trace rounds", recs[i].Name, recs[i].Error, len(recs[i].Trace))
+			}
+			recs[i].ElapsedMS = 0
+			events[recs[i].Name] = logs[recs[i].Name].Events()
+		}
+		return recs, events
+	}
+	drainContextPool()
+	want, wantEvents := run()
+	if len(wantEvents[want[0].Name]) == 0 {
+		t.Fatal("the flip adversary corrupted nothing; the log comparison is vacuous")
+	}
+	for round := range 2 {
+		runSpec(t, other)
+		if runContexts.graph(graphKey{topo: "clique", n: 8, gen: topologies.Generation()}) == nil {
+			t.Fatal("no clique8 context is parked; the traced Plan would run cold")
+		}
+		got, gotEvents := run()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: pooled traced records differ from a cold run:\n got %+v\nwant %+v", round, got, want)
+		}
+		if !reflect.DeepEqual(gotEvents, wantEvents) {
+			t.Fatalf("round %d: pooled cells' corruption logs differ from a cold run", round)
+		}
+	}
+}
+
 // TestPoolRegisterTopologyReplacement: replacing a topology between two
 // Plans makes the second run on the new graph, not on the pooled one.
 func TestPoolRegisterTopologyReplacement(t *testing.T) {

@@ -1,10 +1,10 @@
 // planexperiment demonstrates the experiment Plan API end to end: a
 // protocol-registry axis (including a compiled protocol with its trusted
-// preprocessing artifact resolved by name), a user-defined axis via
-// VaryFunc, streamed execution with progress as cells complete, and
-// Summarize aggregation over repetitions — the paper's comparative
-// methodology (compiler overhead vs. payload, across topologies and
-// adversary strengths) expressed without writing a protocol.
+// preprocessing artifact resolved by name), swept node counts and
+// eavesdropper strengths, streamed execution with progress as cells
+// complete, and Summarize aggregation over repetitions — the paper's
+// comparative methodology (compiler overhead vs. payload, across graph sizes
+// and adversary strengths) expressed without writing a protocol.
 package main
 
 import (

@@ -32,13 +32,22 @@ func newShardPool(size int) *shardPool {
 		quit:   make(chan struct{}),
 		panics: make([]any, size),
 	}
+	// Every worker checks in before the pool is handed out, so each one has
+	// run and is parking on kick when the first phase starts. A worker that
+	// had not yet run could otherwise sit behind the coordinator and one
+	// busy worker, which take the buffered kicks between them, and first
+	// park rounds or runs later: the runtime's wait record for that first
+	// park is an allocation that lands in whatever round it happens in.
+	p.wg.Add(size)
 	for i := 0; i < size; i++ {
 		go p.work()
 	}
+	p.wg.Wait()
 	return p
 }
 
 func (p *shardPool) work() {
+	p.wg.Done()
 	for {
 		select {
 		case <-p.quit:

@@ -50,8 +50,8 @@
 // RNG state across runs.
 //
 // Parameter studies are experiment Plans: an ordered list of Axis values
-// (topology, n, k, protocol, adversary, f, engine, reps, plus user-defined
-// axes via VaryFunc) whose cross product runs with deterministic per-cell
+// (topology, n, k, protocol and its parameter, adversary, f, engine,
+// bandwidth, reps) whose cross product runs with deterministic per-cell
 // seeds, streamed as cells finish or collected in grid order, and
 // aggregated over repetitions with Summarize:
 //

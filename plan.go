@@ -16,8 +16,8 @@ import (
 
 // The experiment Plan API: the primary way to describe a parameter study.
 // A Plan holds an ordered list of Axes — each axis is one swept dimension
-// (topology family, node count, protocol name, adversary, engine, a
-// user-defined knob via VaryFunc) — and executes their cross product with
+// (topology family, node count, protocol name and parameter, adversary and
+// strength, engine, bandwidth) — and executes their cross product with
 // deterministic per-cell seeds, either streamed as cells finish
 // (Plan.Stream) or collected in grid order (Plan.Run).
 //
@@ -40,12 +40,6 @@ type cellSpec struct {
 	engName      string
 	bandwidth    int
 	rep          int
-	custom       []customSetting
-}
-
-type customSetting struct {
-	apply func(*Scenario, string)
-	value string
 }
 
 // axisValue is one point on an axis: an optional label fragment (feeding
@@ -56,15 +50,12 @@ type axisValue struct {
 	set  func(*cellSpec)
 }
 
-// axisKind identifies the built-in dimension an axis configures, so plan
-// validation can reason about structure (duplicate built-ins, the p-axis
-// pairing rule) without trusting display names, which user VaryFunc axes
-// are free to reuse.
+// axisKind identifies the dimension an axis configures, so plan validation
+// can reason about structure (duplicate axes, the p-axis pairing rule).
 type axisKind int
 
 const (
-	axisCustom axisKind = iota
-	axisTopology
+	axisTopology axisKind = iota
 	axisN
 	axisK
 	axisProtocol
@@ -77,8 +68,7 @@ const (
 )
 
 // Axis is one dimension of a Plan: a named, ordered list of values. Build
-// axes with the typed constructors (TopologyAxis, NAxis, ProtocolAxis, ...)
-// or VaryFunc for user-defined dimensions.
+// axes with the typed constructors (TopologyAxis, NAxis, ProtocolAxis, ...).
 type Axis struct {
 	name   string
 	kind   axisKind
@@ -186,30 +176,6 @@ func RepsAxis(reps int) Axis {
 	return Axis{name: "reps", kind: axisReps, values: vals}
 }
 
-// VaryFunc declares a user-defined axis: for each value, apply is invoked
-// with the cell's assembled Scenario and the value, after the built-in
-// options are set — mutate the scenario by invoking ScenarioOptions on it,
-// e.g.
-//
-//	VaryFunc("maxrounds", []string{"4", "8"}, func(s *Scenario, v string) {
-//	    n, _ := strconv.Atoi(v)
-//	    WithMaxRounds(n)(s)
-//	})
-//
-// Each value contributes a canonical seed-relevant "name=value" label
-// fragment, exactly like the built-in simulation axes.
-func VaryFunc(name string, values []string, apply func(s *Scenario, value string)) Axis {
-	vals := make([]axisValue, len(values))
-	for i, v := range values {
-		vals[i] = axisValue{part: name + "=" + v, seed: true, set: func(c *cellSpec) {
-			// Copy-on-append: sibling branches of the expansion share the
-			// prefix slice and must never alias one growing backing array.
-			c.custom = append(append([]customSetting(nil), c.custom...), customSetting{apply: apply, value: v})
-		}}
-	}
-	return Axis{name: name, kind: axisCustom, values: vals}
-}
-
 // Plan is an experiment description: the ordered cross product of its axes,
 // one Scenario per cell. The zero value of every field is usable; a Plan
 // with no axes describes a single default cell.
@@ -221,14 +187,19 @@ type Plan struct {
 	Axes []Axis
 	// BaseSeed feeds the per-cell seed derivation (CellSeed).
 	BaseSeed int64
-	// MaxRounds bounds each run (0 = engine default).
+	// MaxRounds bounds each run (0 = engine default). It is one value for
+	// the whole Plan; sweep it as one Plan per value.
 	MaxRounds int
 	// Workers is the number of concurrent cell runners for Stream/Run
 	// (0 = GOMAXPROCS). A worker runs consecutive cells on one graph in one
 	// congest.RunContext. Between graphs it parks that context in a pool
 	// every Plan of the process shares and takes one bound to the next
-	// graph, when one is parked. Plans with VaryFunc axes keep their graphs
-	// and contexts to themselves: each worker owns one reusable context.
+	// graph, when one is parked. The pool caps the layout slots (directed
+	// edges) it keeps parked, not their bytes: for plain protocols that is
+	// some 60 MB, but a compiler context also keeps its node scratch, about
+	// 11 KB a slot for hardened-clique, so a full pool of those holds
+	// about 2.9 GB (ROADMAP.md, "Bound what the run-context pool keeps by
+	// bytes").
 	Workers int
 	// CaptureTrace attaches a TraceObserver to every cell and stores the
 	// captured rounds in the cell's Record.Trace. Traces hold full
@@ -245,10 +216,10 @@ type Plan struct {
 	// at expansion — no graph, Scenario, or RunContext is touched — and
 	// yielded through the normal worker pipeline, preserving Run's
 	// deterministic order and Stream's cancellation semantics; freshly
-	// computed error-free records are inserted. Cells whose behavior the
-	// content address cannot identify — per-cell Observers, VaryFunc custom
-	// axes — always run. One cache may back any
-	// number of concurrent Plans; see NewResultCache / OpenResultCache.
+	// computed error-free records are inserted. Plans with per-cell
+	// Observers always run their cells: the observers watch rounds a
+	// replay never executes. One cache may back any number of concurrent
+	// Plans; see NewResultCache / OpenResultCache.
 	Cache *ResultCache
 }
 
@@ -256,8 +227,7 @@ type Plan struct {
 // from the cache at expansion: its record is already final and the workers
 // just deliver it. cacheKey is non-empty when the freshly computed record
 // should be inserted after the run. g is the graph the cell runs on, and
-// pool its key in the run-context pool; pool is zero in plans whose
-// contexts are private.
+// pool its key in the run-context pool.
 type planCell struct {
 	rec      Record
 	scenario *Scenario
@@ -282,29 +252,19 @@ func (p Plan) cells() ([]planCell, error) {
 				return nil, err
 			}
 		}
-		// Duplicate built-in axes would stack label fragments for one
-		// dimension ("n=16,n=32") while only the innermost value applies;
-		// custom axes may reuse names freely (kinds, not display names,
-		// decide — a VaryFunc axis called "p" is its own dimension).
-		if ax.kind != axisCustom {
-			if seen[ax.kind] {
-				return nil, fmt.Errorf("mobilecongest: duplicate %s axis", ax.name)
-			}
-			seen[ax.kind] = true
+		// Duplicate axes would stack label fragments for one dimension
+		// ("n=16,n=32") while only the innermost value applies.
+		if seen[ax.kind] {
+			return nil, fmt.Errorf("mobilecongest: duplicate %s axis", ax.name)
 		}
+		seen[ax.kind] = true
 	}
 	// A p axis without a protocol axis would perturb every cell's seed while
 	// changing nothing about the run — a fabricated effect. Fail loudly.
-	// (Plans that set the protocol through VaryFunc should vary its
-	// parameter the same way.)
 	if seen[axisProtocolParam] && !seen[axisProtocol] {
 		return nil, fmt.Errorf("mobilecongest: ProtocolParamAxis requires a ProtocolAxis (the parameter only reaches registry protocols)")
 	}
 
-	// A VaryFunc may reach the cell's graph through the Scenario, and the
-	// label cannot name what it does; such plans build their own graphs and
-	// keep their contexts private, as they keep out of the result cache.
-	pooled := !seen[axisCustom]
 	// The generation is read before any build, so a graph built while a
 	// RegisterTopology runs is stamped stale, never current.
 	gen := topologies.Generation()
@@ -321,14 +281,13 @@ func (p Plan) cells() ([]planCell, error) {
 
 		// Cache consult comes first: a hit resolves the cell from its record
 		// alone — no topology build, no Scenario, and later no RunContext.
-		// Only cells whose behavior the content address fully identifies are
-		// eligible: per-cell Observers watch rounds a replay never executes,
-		// and VaryFunc closures are code the label cannot name. The cell name carries every axis fragment plus the rep;
-		// MaxRounds and trace capture shape the record without appearing in
-		// it, so they extend the key, and the engine (absent from default
-		// cells' names) is its own key component.
+		// Per-cell Observers watch rounds a replay never executes, so their
+		// plans bypass the cache. The cell name carries every axis fragment
+		// plus the rep; MaxRounds and trace capture shape the record without
+		// appearing in it, so they extend the key, and the engine (absent
+		// from default cells' names) is its own key component.
 		var cacheKey string
-		if p.Cache != nil && p.Observers == nil && len(spec.custom) == 0 {
+		if p.Cache != nil && p.Observers == nil {
 			cacheKey = name
 			if p.MaxRounds != 0 {
 				cacheKey = fmt.Sprintf("%s,maxrounds=%d", cacheKey, p.MaxRounds)
@@ -344,7 +303,7 @@ func (p Plan) cells() ([]planCell, error) {
 
 		key := graphKey{topo: spec.topoName, n: spec.topoN, k: spec.topoK, gen: gen}
 		g := graphs[key]
-		if g == nil && pooled {
+		if g == nil {
 			g = runContexts.graph(key)
 		}
 		if g == nil {
@@ -383,18 +342,14 @@ func (p Plan) cells() ([]planCell, error) {
 			WithMaxRounds(p.MaxRounds),
 			WithObserver(obs...),
 		)
-		s := NewScenario(opts...)
-		for _, cs := range spec.custom {
-			cs.apply(s, cs.value)
-		}
 		cells = append(cells, planCell{
 			rec: Record{
 				Name:      name,
 				Topology:  spec.topoName,
 				N:         spec.topoN,
 				K:         spec.topoK,
-				Protocol:  s.protoName, // after custom applies: VaryFunc may retarget it
-				P:         s.protoP,
+				Protocol:  spec.protoName,
+				P:         spec.protoP,
 				Adversary: spec.advName,
 				F:         spec.advF,
 				Engine:    spec.engName,
@@ -402,15 +357,13 @@ func (p Plan) cells() ([]planCell, error) {
 				Rep:       spec.rep,
 				Seed:      seed,
 			},
-			scenario: s,
+			scenario: NewScenario(opts...),
 			trace:    tr,
 			cache:    p.Cache,
 			cacheKey: cacheKey,
 			g:        g,
+			pool:     key,
 		})
-		if pooled {
-			cells[len(cells)-1].pool = key
-		}
 		return nil
 	}
 	expand = func(axis int, spec cellSpec) error {
@@ -453,17 +406,16 @@ func (p Plan) cells() ([]planCell, error) {
 type planWorker struct {
 	rc     *congest.RunContext
 	g      *Graph
-	pool   graphKey // rc's key in the run-context pool; zero when rc is private
+	pool   graphKey // rc's key in the run-context pool
 	shards int      // the LimitShards cap of the worker's contexts
 }
 
 // context returns the context to run c in. Consecutive cells on one graph
 // share one context. On a new graph the worker takes the pooled context
 // bound to it, or a new one, hands it the goroutines the old context kept
-// between runs, and parks the old one. A private context (a plan with
-// VaryFunc axes) serves every cell of the worker, rebinding as it goes.
+// between runs, and parks the old one.
 func (w *planWorker) context(c *planCell) *congest.RunContext {
-	if w.rc != nil && (c.g == w.g || c.pool == graphKey{}) {
+	if w.rc != nil && c.g == w.g {
 		return w.rc
 	}
 	next := runContexts.take(c.pool, c.g)
@@ -479,17 +431,13 @@ func (w *planWorker) context(c *planCell) *congest.RunContext {
 	return next
 }
 
-// release parks the worker's context in the pool, or closes it when it is
-// private, so no goroutine the worker started outlives it.
+// release parks the worker's context in the pool, which keeps no goroutine
+// the worker started.
 func (w *planWorker) release() {
-	switch {
-	case w.rc == nil:
-	case w.pool != graphKey{}:
+	if w.rc != nil {
 		runContexts.park(w.pool, w.g, w.rc)
-	default:
-		w.rc.Close()
+		w.rc = nil
 	}
-	w.rc = nil
 }
 
 // run executes one cell and folds the outcome into its record; failures are
@@ -528,7 +476,7 @@ func (w *planWorker) run(c *planCell) {
 // false, or ctx cancellation, stops dispatching new cells; in-flight cells
 // still complete (and, on cancellation, are still delivered) before runCells
 // returns with every worker goroutine exited and every worker's context
-// parked or closed, so no shard pool or node coroutine outlives it.
+// parked, so no shard pool or node coroutine outlives it.
 func runCells(ctx context.Context, workers int, cells []planCell, deliver func(int) bool) {
 	if len(cells) == 0 {
 		return
@@ -569,8 +517,8 @@ func runCells(ctx context.Context, workers int, cells []planCell, deliver func(i
 			// instead of rebuilt. Shard-engine cells divide the machine
 			// across the P workers instead of each grabbing GOMAXPROCS
 			// shards (an explicit ShardEngine.Shards still overrides).
-			// Retiring parks or closes the worker's context, which releases
-			// its shard pool and node coroutines.
+			// Retiring parks the worker's context, which releases its shard
+			// pool and node coroutines.
 			w := planWorker{shards: max(1, runtime.GOMAXPROCS(0)/workers)}
 			defer w.release()
 			for i := range jobs {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -338,48 +337,6 @@ func TestPlanProtocolAxis(t *testing.T) {
 	}
 }
 
-// TestPlanVaryFuncAxis: user-defined axes apply their setting per cell and
-// contribute canonical seed-relevant label fragments.
-func TestPlanVaryFuncAxis(t *testing.T) {
-	plan := Plan{
-		Axes: []Axis{
-			TopologyAxis("cycle"),
-			NAxis(10),
-			VaryFunc("maxrounds", []string{"2", "4"}, func(s *Scenario, v string) {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				WithMaxRounds(n)(s)
-			}),
-		},
-		BaseSeed: 2,
-	}
-	recs, err := plan.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
-	}
-	// FloodMax on cycle(10) wants diameter+1 = 6 rounds; the axis caps the
-	// run, so the engine aborts with its round-limit error at 2 and 4.
-	for i, wantRounds := range []int{2, 4} {
-		r := recs[i]
-		wantPart := fmt.Sprintf("maxrounds=%d", wantRounds)
-		simLabel := fmt.Sprintf("topo=cycle,n=10,%s", wantPart)
-		if want := CellSeed(2, simLabel, 0); r.Seed != want {
-			t.Fatalf("record %d seed = %d, want CellSeed over %q = %d", i, r.Seed, simLabel, want)
-		}
-		if r.Error == "" {
-			t.Fatalf("record %d: expected the capped run to surface the round-limit error, got none", i)
-		}
-	}
-	if recs[0].Seed == recs[1].Seed {
-		t.Fatal("custom axis did not extend the seed derivation")
-	}
-}
-
 func TestPlanEmptyAxisRejected(t *testing.T) {
 	if _, err := (Plan{Axes: []Axis{TopologyAxis()}}).Run(context.Background()); err == nil {
 		t.Fatal("empty axis accepted")
@@ -395,25 +352,9 @@ func TestPlanEmptyAxisRejected(t *testing.T) {
 	if _, err := (Plan{Axes: []Axis{ProtocolAxis("floodmax"), ProtocolParamAxis(4)}}).Run(context.Background()); err != nil {
 		t.Fatalf("p axis with protocol axis rejected: %v", err)
 	}
-	// The pairing rule is keyed on axis kind, not display name: a VaryFunc
-	// axis that happens to be called "protocol" does not satisfy it, and one
-	// called "p" is not subject to it.
-	if _, err := (Plan{Axes: []Axis{
-		VaryFunc("protocol", []string{"x"}, func(*Scenario, string) {}),
-		ProtocolParamAxis(4),
-	}}).Run(context.Background()); err == nil {
-		t.Fatal("VaryFunc named \"protocol\" satisfied the ProtocolParamAxis pairing rule")
-	}
-	if _, err := (Plan{Axes: []Axis{
-		TopologyAxis("clique"),
-		VaryFunc("p", []string{"x"}, func(*Scenario, string) {}),
-	}}).Run(context.Background()); err != nil {
-		t.Fatalf("VaryFunc named \"p\" wrongly subjected to the pairing rule: %v", err)
-	}
-	// Duplicate built-in axes are rejected; duplicate custom names are fine
-	// (each VaryFunc is its own dimension).
+	// Duplicate axes are rejected.
 	if _, err := (Plan{Axes: []Axis{NAxis(8), NAxis(16)}}).Run(context.Background()); err == nil {
-		t.Fatal("duplicate built-in axis accepted")
+		t.Fatal("duplicate axis accepted")
 	}
 	// A configuration error surfaces as the stream's only element.
 	n := 0

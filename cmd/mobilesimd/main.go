@@ -19,8 +19,9 @@
 //	               past the body-size or cell cap, 429 when saturated
 //	               (Retry-After: 1).
 //	GET  /stats    cache hit/miss/eviction counters and hit rate, in-flight
-//	               sweeps, worker usage, served records, and whole-sweep
-//	               latency percentiles.
+//	               sweeps, worker usage, served records, whole-sweep
+//	               latency percentiles, and what the run-context pool holds
+//	               (parked contexts, their layout slots, kept adversaries).
 //	GET  /healthz  liveness.
 //
 // Admission control: at most -max-sweeps requests execute concurrently and

@@ -195,6 +195,10 @@ type statsReply struct {
 	WorkersMax     int           `json:"workers_max"`
 	RecordsServed  uint64        `json:"records_served"`
 	Latency        latencyReply  `json:"sweep_latency_ms"`
+	// Pool is the run-context pool every sweep's cells run from: parked
+	// contexts, their graphs' layout slots, and the adversaries kept with
+	// them.
+	Pool mc.PoolStats `json:"context_pool"`
 }
 
 type latencyReply struct {
@@ -218,6 +222,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Latency:        s.latencySnapshot(),
 	}
 	s.mu.Unlock()
+	reply.Pool = mc.ContextPoolStats()
 	if lookups := cs.Hits + cs.Misses; lookups > 0 {
 		reply.HitRate = float64(cs.Hits) / float64(lookups)
 	}

@@ -134,6 +134,30 @@ func TestRepeatSweepServedFromCache(t *testing.T) {
 	}
 }
 
+// TestStatsShowContextPool: after a miss sweep over two cliques under
+// flip, /stats reports the two contexts the sweep's worker parked, their
+// graphs' layout slots, and the flip adversary each keeps. The pool is the
+// process's, so earlier tests may have parked more.
+func TestStatsShowContextPool(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	if code, body := postSweep(t, ts.URL, smallSpec); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats statsReply
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	// clique8 and clique12 lay out 2×28 + 2×66 directed-edge slots.
+	if p := stats.Pool; p.Contexts < 2 || p.Slots < 188 || p.Adversaries < 2 {
+		t.Fatalf("context pool after a miss sweep: %+v, want at least 2 contexts, 188 slots and 2 adversaries", p)
+	}
+}
+
 // TestSweepRejections covers the refusal paths: bad method, malformed and
 // misnamed specs, the body-size cap and the cell cap.
 func TestSweepRejections(t *testing.T) {

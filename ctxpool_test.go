@@ -2,11 +2,14 @@ package mobilecongest
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"mobilecongest/internal/adversary"
 	"mobilecongest/internal/algorithms"
 	"mobilecongest/internal/congest"
 	"mobilecongest/internal/graph"
@@ -48,7 +51,9 @@ func runSpec(t *testing.T, sp PlanSpec) []Record {
 // poolSpecs are Plans that share topologies with one another: the Theorem
 // 1.6 compiler and FloodMax on cliques under flip, the Theorem 1.2
 // compiler and BFS on circulants under eavesdrop, a mixed plan over both
-// families, each on both engines.
+// families, each on both engines, and FloodMax and BFS over both families
+// under every kind of kept adversary at f 1 and 2 (more than a context
+// keeps, so kept ones are also evicted).
 func poolSpecs() []PlanSpec {
 	return []PlanSpec{
 		{Topologies: []string{"clique"}, Ns: []int{8, 16}, Protocols: []string{"hardened-clique", "floodmax"},
@@ -57,59 +62,132 @@ func poolSpecs() []PlanSpec {
 			Adversaries: []string{"eavesdrop"}, Fs: []int{2}, Engines: []string{"shard", "step"}, Workers: 1},
 		{Topologies: []string{"clique", "circulant"}, Ns: []int{8, 14}, Ks: []int{3}, Protocols: []string{"floodmax"},
 			Adversaries: []string{"flip", "eavesdrop"}, Engines: []string{"step", "shard"}, Reps: 2, Workers: 3},
+		{Topologies: []string{"clique", "circulant"}, Ns: []int{8, 14}, Ks: []int{3}, Protocols: []string{"floodmax", "bfs"},
+			Adversaries: []string{"flip", "drop", "busiest", "static-flip", "eavesdrop"}, Fs: []int{1, 2}, Workers: 2},
+	}
+}
+
+// loggedRun is a cell's record and the corruptions its run logged. A
+// record alone seldom shows which edges an adversary picked, so comparing
+// the logs is what catches an adversary drawing from the wrong seed.
+type loggedRun struct {
+	Record
+	events []CorruptionEvent
+}
+
+// runLogged runs a spec's Plan with a CorruptionLog on every cell and
+// returns each cell's record, wall time zeroed, and log.
+func runLogged(t *testing.T, sp PlanSpec) []loggedRun {
+	t.Helper()
+	p, err := sp.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	logs := map[string]*CorruptionLog{}
+	p.Observers = func(name string) []Observer {
+		mu.Lock()
+		defer mu.Unlock()
+		logs[name] = NewCorruptionLog()
+		return []Observer{logs[name]}
+	}
+	recs, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]loggedRun, len(recs))
+	for i, rec := range recs {
+		if rec.Error != "" {
+			t.Fatalf("cell %s: %s", rec.Name, rec.Error)
+		}
+		rec.ElapsedMS = 0
+		runs[i] = loggedRun{rec, logs[rec.Name].Events()}
+	}
+	return runs
+}
+
+// freshRun returns run with its statistics and corruption log from a
+// Scenario of its own: a new context, and a new adversary built by name
+// for the cell's seed.
+func freshRun(t *testing.T, run loggedRun) loggedRun {
+	t.Helper()
+	rec, cl := run.Record, NewCorruptionLog()
+	res, err := NewScenario(WithTopology(rec.Topology, rec.N, rec.K), WithProtocolName(rec.Protocol), WithProtocolParam(rec.P),
+		WithAdversaryName(rec.Adversary, rec.F), WithEngineName(rec.Engine), WithBandwidth(rec.Bandwidth), WithSeed(rec.Seed),
+		WithObserver(cl)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Rounds, rec.Messages, rec.Bytes = res.Stats.Rounds, res.Stats.Messages, res.Stats.Bytes
+	rec.MaxMsgBytes, rec.MaxEdgeCongestion, rec.CorruptedEdgeRounds = res.Stats.MaxMsgBytes, res.Stats.MaxEdgeCongestion, res.Stats.CorruptedEdgeRounds
+	return loggedRun{rec, cl.Events()}
+}
+
+// requireFresh fails unless every run equals its cell's own Scenario's.
+func requireFresh(t *testing.T, what string, runs []loggedRun) {
+	t.Helper()
+	for _, run := range runs {
+		if want := freshRun(t, run); !reflect.DeepEqual(run, want) {
+			t.Fatalf("%s: cell %s differs from its own Scenario:\n got %+v\nwant %+v", what, run.Name, run, want)
+		}
 	}
 }
 
 // TestPooledPlansMatchCold runs Plans that share topologies one after
-// another, with the run contexts and graphs earlier Plans parked, and
-// requires every record to equal the same Plan's on an empty pool.
+// another, with the run contexts, graphs and adversaries earlier Plans
+// parked, and requires every record and corruption log to equal the same
+// Plan's on an empty pool, and that to equal each cell's run in a Scenario
+// of its own.
 func TestPooledPlansMatchCold(t *testing.T) {
 	specs := poolSpecs()
 	seeds := []int64{1, 2}
-	cold := map[int]map[int64][]Record{}
+	cold := map[int]map[int64][]loggedRun{}
 	for i, sp := range specs {
-		cold[i] = map[int64][]Record{}
+		cold[i] = map[int64][]loggedRun{}
 		for _, seed := range seeds {
 			drainContextPool()
 			sp.BaseSeed = seed
-			cold[i][seed] = runSpec(t, sp)
+			cold[i][seed] = runLogged(t, sp)
+			requireFresh(t, fmt.Sprintf("spec %d, seed %d", i, seed), cold[i][seed])
 		}
 	}
 	for round := range 2 {
 		for _, seed := range seeds {
 			for i, sp := range specs {
 				sp.BaseSeed = seed
-				if got := runSpec(t, sp); !reflect.DeepEqual(got, cold[i][seed]) {
+				if got := runLogged(t, sp); !reflect.DeepEqual(got, cold[i][seed]) {
 					t.Fatalf("round %d, spec %d, seed %d: pooled records differ from a cold run:\n got %+v\nwant %+v", round, i, seed, got, cold[i][seed])
 				}
 			}
 		}
 	}
-	if runContexts.slots == 0 {
-		t.Fatal("the Plans parked no context; the comparison is vacuous")
+	if st := ContextPoolStats(); st.Slots == 0 || st.Adversaries == 0 {
+		t.Fatalf("the Plans parked %+v; the comparison is vacuous", st)
 	}
 }
 
-// TestPooledPlansConcurrent streams two Plans on the same topologies at
-// once, twice over, so their workers take and park the same keys
-// concurrently (run it under -race), and requires each Plan's records to
-// match its cold run.
+// TestPooledPlansConcurrent streams three Plans on the same topologies at
+// once, twice over, so their workers take and park the same keys, and the
+// flip and eavesdrop adversaries kept with them, concurrently (run it under
+// -race), and requires each Plan's records to match its cold run.
 func TestPooledPlansConcurrent(t *testing.T) {
 	specs := poolSpecs()
-	a, b := specs[0], specs[2]
-	a.BaseSeed, b.BaseSeed = 3, 4
-	drainContextPool()
-	wantA := runSpec(t, a)
-	drainContextPool()
-	wantB := runSpec(t, b)
+	plans := []PlanSpec{specs[0], specs[2], specs[3]}
+	want := make([][]Record, len(plans))
+	for i := range plans {
+		plans[i].BaseSeed = int64(3 + i)
+		drainContextPool()
+		want[i] = runSpec(t, plans[i])
+	}
 	for range 2 {
 		var wg sync.WaitGroup
-		var gotA, gotB []Record
-		wg.Add(2)
-		go func() { defer wg.Done(); gotA = streamSpec(t, a) }()
-		go func() { defer wg.Done(); gotB = streamSpec(t, b) }()
+		got := make([][]Record, len(plans))
+		for i, sp := range plans {
+			wg.Add(1)
+			go func() { defer wg.Done(); got[i] = streamSpec(t, sp) }()
+		}
 		wg.Wait()
-		if !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotB, wantB) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatal("concurrent pooled Plans differ from their cold runs")
 		}
 	}
@@ -244,6 +322,67 @@ func TestPoolRegisterTopologyReplacement(t *testing.T) {
 	}
 }
 
+// TestPoolRegisterAdversaryReplacement: replacing a built-in adversary
+// between two Plans makes the second build the new one for every cell, not
+// run the instance the first left with its pooled context.
+func TestPoolRegisterAdversaryReplacement(t *testing.T) {
+	adversaries.Register("test-pool-adv", advEntry{builtIn: true, build: func(g *Graph, f int, seed int64) (Adversary, error) {
+		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip), nil
+	}})
+	sp := PlanSpec{Topologies: []string{"clique"}, Ns: []int{8}, Protocols: []string{"floodmax"},
+		Adversaries: []string{"test-pool-adv"}, Reps: 3, Workers: 1}
+	drainContextPool()
+	first := runLogged(t, sp)
+	if ContextPoolStats().Adversaries == 0 {
+		t.Fatal("the first Plan kept no adversary; the check is vacuous")
+	}
+	var builds atomic.Int32
+	RegisterAdversary("test-pool-adv", func(g *Graph, f int, seed int64) (Adversary, error) {
+		builds.Add(1)
+		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptDrop), nil
+	})
+	second := runLogged(t, sp)
+	if n := builds.Load(); n != int32(len(second)) {
+		t.Fatalf("the Plan after the replacement built %d adversaries for %d cells", n, len(second))
+	}
+	requireFresh(t, "after the replacement", second)
+	if reflect.DeepEqual(first, second) {
+		t.Fatal("the flipping and the dropping adversary gave the same runs; the check is vacuous")
+	}
+}
+
+// wrappedByzantine is a user adversary that embeds a built-in one, and so
+// has its Reseed method.
+type wrappedByzantine struct{ *adversary.Byzantine }
+
+// TestPoolKeepsOnlyBuiltInAdversaries: a user-registered adversary is built
+// anew for every cell, also when its instances have a Reseed method, since
+// its factory may derive more than the instance's seed from its seed
+// argument: here one hands the instance seed+1, another wraps it. Warm
+// Plans must run every cell as its own Scenario does.
+func TestPoolKeepsOnlyBuiltInAdversaries(t *testing.T) {
+	var builds atomic.Int32
+	RegisterAdversary("test-derived-seed", func(g *Graph, f int, seed int64) (Adversary, error) {
+		builds.Add(1)
+		return adversary.NewMobileByzantine(g, f, seed+1, adversary.SelectRandom, adversary.CorruptFlip), nil
+	})
+	RegisterAdversary("test-wrapped", func(g *Graph, f int, seed int64) (Adversary, error) {
+		builds.Add(1)
+		return wrappedByzantine{adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip)}, nil
+	})
+	sp := PlanSpec{Topologies: []string{"clique"}, Ns: []int{8}, Protocols: []string{"floodmax"},
+		Adversaries: []string{"test-derived-seed", "test-wrapped"}, Reps: 3, Workers: 1}
+	for round := range 2 {
+		sp.BaseSeed = int64(round + 1)
+		builds.Store(0)
+		runs := runLogged(t, sp)
+		if n := builds.Load(); n != int32(len(runs)) {
+			t.Fatalf("round %d: %d user adversaries built for %d cells", round, n, len(runs))
+		}
+		requireFresh(t, fmt.Sprintf("round %d", round), runs)
+	}
+}
+
 // TestPoolSlotCap parks contexts for more slots than the cap and checks
 // that the pool keeps the most recently parked ones within it, that its
 // slot count matches its contexts, and that a graph over the cap on its
@@ -256,7 +395,7 @@ func TestPoolSlotCap(t *testing.T) {
 	for range poolSlots/slotsOf(g) + 10 {
 		rc := congest.NewRunContext()
 		parked = append(parked, rc)
-		p.park(key, g, rc)
+		p.park(key, g, rc, keptAdversary{})
 		sum := 0
 		for _, e := range p.idle {
 			sum += slotsOf(e.g)
@@ -275,25 +414,26 @@ func TestPoolSlotCap(t *testing.T) {
 		}
 	}
 	big := graph.Circulant(poolSlots/8+1, 4)
-	p.park(graphKey{topo: "circulant", n: big.N(), k: 4, gen: key.gen}, big, congest.NewRunContext())
+	p.park(graphKey{topo: "circulant", n: big.N(), k: 4, gen: key.gen}, big, congest.NewRunContext(), keptAdversary{})
 	if p.graph(graphKey{topo: "circulant", n: big.N(), k: 4, gen: key.gen}) != nil {
 		t.Fatal("the pool kept a context over its slot cap")
 	}
-	if p.take(key, g) != parked[len(parked)-1] {
+	if rc, _ := p.take(key, g); rc != parked[len(parked)-1] {
 		t.Fatal("take did not return the most recently parked context")
 	}
 }
 
 // TestWarmMissAllocCeiling caps what the served-mixed sweep (16 cells over
 // two cliques and two circulants, a new base seed each time, so every cell
-// runs) allocates once its graphs and contexts are pooled: about 2.5k
-// allocations of about 181 KB in all (231 KB under the race detector). The
-// ceilings leave about 25% over that. Rebuilding the graphs and contexts
-// per Plan puts it back at about 5.8k allocations and 1.56 MB.
+// runs) allocates once its graphs, contexts and flip adversaries are
+// pooled: about 2.45k allocations of about 97 KB in all (112 KB under the
+// race detector). The ceilings leave about 25% over that. Building a new
+// adversary per cell puts it at about 181 KB, and rebuilding the graphs
+// and contexts per Plan too at about 5.8k allocations and 1.56 MB.
 func TestWarmMissAllocCeiling(t *testing.T) {
 	const (
-		ceiling      = 3_200
-		bytesCeiling = 290_000
+		ceiling      = 3_150
+		bytesCeiling = 140_000
 	)
 	sp := PlanSpec{
 		Topologies:  []string{"clique", "circulant"},

@@ -10,7 +10,11 @@
 // through the engine's congest.RoundTraffic view, so adversarial rounds
 // never materialize a traffic map. All adversaries also implement
 // congest.RunResetter, so a single instance is reusable across repeated runs
-// and sweep cells with per-run determinism.
+// and sweep cells with per-run determinism. The seeded ones (Byzantine and
+// the strategy-driven Eavesdropper) also take a new seed with Reseed: the
+// next ResetRun restarts their kept generator from it (congest.SeededRand),
+// so an instance kept across sweep cells draws exactly as a fresh one built
+// with the cell's seed, without rebuilding its source or scratch.
 package adversary
 
 import (
@@ -37,7 +41,8 @@ type Eavesdropper struct {
 	g        *graph.Graph
 	f        int
 	seed     int64
-	rng      *rand.Rand
+	gen      congest.SeededRand
+	rng      *rand.Rand     // gen restarted from seed; nil until the run's first draw
 	schedule [][]graph.Edge // schedule[i] = edges controlled in round i (cycled)
 	view     []Observation
 	slab     []byte // the run's observed bytes; view's Data are views of it
@@ -54,7 +59,7 @@ var (
 
 // NewMobileEavesdropper listens on f fresh random edges every round.
 func NewMobileEavesdropper(g *graph.Graph, f int, seed int64) *Eavesdropper {
-	return &Eavesdropper{g: g, f: f, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Eavesdropper{g: g, f: f, seed: seed}
 }
 
 // NewStaticEavesdropper listens on one fixed random set of f edges.
@@ -80,17 +85,29 @@ func NewScheduledEavesdropper(g *graph.Graph, schedule [][]graph.Edge) *Eavesdro
 // modify traffic, so the budget is vacuous, but declaring it documents f.
 func (a *Eavesdropper) PerRoundEdges() int { return a.f }
 
-// ResetRun implements congest.RunResetter: it re-seeds the adversary's
-// randomness and drops the previous run's view and static edge set, so runs
-// from one instance are independent and identically distributed. The
-// view's storage is kept for the next run, which overwrites it.
+// ResetRun implements congest.RunResetter: it restarts the adversary's
+// randomness from its seed (at the run's first draw) and drops the previous
+// run's view and static edge set, so runs from one instance are
+// independent and identically distributed. The view's storage is kept for
+// the next run, which overwrites it.
 func (a *Eavesdropper) ResetRun() {
-	if a.rng != nil {
-		a.rng.Seed(a.seed)
-	}
+	a.rng = nil
 	a.view = a.view[:0]
 	a.slab = a.slab[:0]
 	a.fixed = nil
+}
+
+// Reseed sets the seed the next run starts from: after Reseed(s) and
+// ResetRun, the instance listens exactly as one built with seed s.
+func (a *Eavesdropper) Reseed(seed int64) { a.seed = seed }
+
+// rand returns the run's generator, restarting it from the seed on the
+// run's first draw.
+func (a *Eavesdropper) rand() *rand.Rand {
+	if a.rng == nil {
+		a.rng = a.gen.Restart(a.seed)
+	}
+	return a.rng
 }
 
 // ControlledEdges returns the edges the adversary listens on in the given
@@ -104,11 +121,11 @@ func (a *Eavesdropper) ControlledEdges(round int) []graph.Edge {
 		return a.schedule[round%len(a.schedule)]
 	case a.static:
 		if a.fixed == nil {
-			a.fixed = slices.Clone(a.draw.randomEdges(a.g, a.f, a.rng))
+			a.fixed = slices.Clone(a.draw.randomEdges(a.g, a.f, a.rand()))
 		}
 		return a.fixed
 	default:
-		return a.draw.randomEdges(a.g, a.f, a.rng)
+		return a.draw.randomEdges(a.g, a.f, a.rand())
 	}
 }
 

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -517,5 +518,42 @@ func TestEavesdropperViewReuse(t *testing.T) {
 	}
 	if len(eve.slab) != held {
 		t.Fatalf("the slab holds %d bytes for a run that observed %d", len(eve.slab), held)
+	}
+}
+
+// TestReseedMatchesFresh keeps one instance of each seeded adversary kind
+// and reseeds it through new, repeated and returning seeds: every run must
+// corrupt (or observe) exactly as an instance built with that seed.
+func TestReseedMatchesFresh(t *testing.T) {
+	g := graph.Clique(7)
+	kinds := map[string]func(seed int64) congest.Adversary{
+		"flip":       func(s int64) congest.Adversary { return NewMobileByzantine(g, 2, s, SelectRandom, CorruptFlip) },
+		"busiest":    func(s int64) congest.Adversary { return NewMobileByzantine(g, 2, s, SelectBusiest, CorruptRandomize) },
+		"static":     func(s int64) congest.Adversary { return NewStaticByzantine(g, 2, s, SelectRandom, CorruptInject) },
+		"eve":        func(s int64) congest.Adversary { return NewMobileEavesdropper(g, 2, s) },
+		"static-eve": func(s int64) congest.Adversary { return NewStaticEavesdropper(g, 2, s) },
+	}
+	run := func(adv congest.Adversary) string {
+		cl := congest.NewCorruptionLog()
+		if _, err := congest.Run(congest.Config{Graph: g, Seed: 11, Adversary: adv, Observers: []congest.Observer{cl}}, chatter(6)); err != nil {
+			t.Fatal(err)
+		}
+		if eve, ok := adv.(*Eavesdropper); ok {
+			return string(eve.ViewBytes())
+		}
+		return fmt.Sprint(cl.Events())
+	}
+	for name, build := range kinds {
+		kept := build(1)
+		for _, seed := range []int64{1, 3, 4, 4, 3, -8} {
+			kept.(interface{ Reseed(int64) }).Reseed(seed)
+			got, want := run(kept), run(build(seed))
+			if got != want {
+				t.Fatalf("%s reseeded to %d: its run differs from a fresh instance's", name, seed)
+			}
+			if len(want) <= 2 {
+				t.Fatalf("%s seed %d: the adversary did nothing; the comparison is vacuous", name, seed)
+			}
+		}
 	}
 }

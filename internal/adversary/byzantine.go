@@ -73,7 +73,8 @@ type Byzantine struct {
 	g       *graph.Graph
 	f       int
 	seed    int64
-	rng     *rand.Rand
+	gen     congest.SeededRand
+	rng     *rand.Rand // gen restarted from seed; nil until the run's first draw
 	corrupt Corruption
 	select_ Selector
 	st      SelectorState
@@ -95,7 +96,7 @@ var (
 // NewMobileByzantine corrupts f fresh edges every round using the given
 // selector and corruption.
 func NewMobileByzantine(g *graph.Graph, f int, seed int64, sel Selector, cor Corruption) *Byzantine {
-	return &Byzantine{g: g, f: f, seed: seed, rng: rand.New(rand.NewSource(seed)), corrupt: cor, select_: sel}
+	return &Byzantine{g: g, f: f, seed: seed, corrupt: cor, select_: sel}
 }
 
 // NewStaticByzantine corrupts one fixed set of f edges every round.
@@ -146,16 +147,21 @@ func (b *Byzantine) TotalEdgeRounds() int {
 // Spent reports how many edge-rounds have been corrupted so far.
 func (b *Byzantine) Spent() int { return b.spent }
 
-// ResetRun implements congest.RunResetter: it re-seeds the adversary's
-// randomness and zeroes the spent budget, the static edge set, and the
-// selector state (rotation cursors), so runs from one instance corrupt
-// identical edge sequences for identical seeds.
+// ResetRun implements congest.RunResetter: it restarts the adversary's
+// randomness from its seed and zeroes the spent budget, the static edge
+// set, and the selector state (rotation cursors), so runs from one instance
+// corrupt identical edge sequences for identical seeds. The generator
+// restarts at the run's first draw.
 func (b *Byzantine) ResetRun() {
-	b.rng.Seed(b.seed)
+	b.rng = nil
 	b.st.reset()
 	b.spent = 0
 	b.fixed = nil
 }
+
+// Reseed sets the seed the next run starts from: after Reseed(s) and
+// ResetRun, the instance corrupts exactly as one built with seed s.
+func (b *Byzantine) Reseed(seed int64) { b.seed = seed }
 
 // Intercept implements congest.Adversary: it corrupts the selected edges'
 // messages by slot, within the round's budget.
@@ -169,6 +175,9 @@ func (b *Byzantine) Intercept(round int, tr *congest.RoundTraffic) {
 	}
 	if budget <= 0 {
 		return
+	}
+	if b.rng == nil {
+		b.rng = b.gen.Restart(b.seed)
 	}
 	var edges []graph.Edge
 	if b.staticMode {

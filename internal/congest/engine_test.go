@@ -331,12 +331,12 @@ func TestStepEngineWrappedRuntime(t *testing.T) {
 
 // TestNodeRandReuseMatchesFresh runs seeds 1, 2, 1, 1 in one context, on
 // each engine, and checks every node's draws against a fresh
-// rand.New(rand.NewSource(s)) for its seed s: a warm run restores each
-// generator from its seeded copy, and that must replay the stream exactly,
-// Read position included. In the seed-2 run only even nodes draw, so the
-// third run restores some generators whose copy was never made and some
-// whose copy holds the other seed. Once every copy holds the run's seed, a
-// run's Rand calls allocate nothing.
+// rand.New(rand.NewSource(s)) for its seed s: a warm run restarts each
+// generator (SeededRand), and that must replay the stream exactly, Read
+// position included. In the seed-2 run only even nodes draw, so the third
+// run restarts some generators from the seed they last had and some from
+// another. Once every generator has repeated the run's seed, a run's Rand
+// calls allocate nothing.
 func TestNodeRandReuseMatchesFresh(t *testing.T) {
 	type draws struct {
 		head    [3]byte
@@ -388,5 +388,41 @@ func TestNodeRandReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("%s: a warm same-seed run's Rand calls allocate %.0f times, want 0", e.Name(), allocs)
 		}
 		rc.Close()
+	}
+}
+
+// TestSeededRandMatchesFresh restarts one SeededRand through new, repeated
+// and returning seeds, with draws of every kind between them (a partial
+// Read among them), and checks each restart's stream against a fresh
+// rand.New(rand.NewSource(seed)). Once the generator has repeated a seed,
+// neither a new seed nor a repeated one allocates.
+func TestSeededRandMatchesFresh(t *testing.T) {
+	draw := func(r *rand.Rand) (d [4]int64) {
+		var b [3]byte
+		r.Read(b[:])
+		d[0] = int64(b[0])<<16 | int64(b[1])<<8 | int64(b[2])
+		d[1] = int64(r.Uint64())
+		d[2] = int64(r.Intn(1000))
+		d[3] = r.Int63()
+		r.Read(b[:2]) // leaves part of a word unread for the next restart
+		return d
+	}
+	var g SeededRand
+	for i, seed := range []int64{5, 5, 9, 5, 5, 9, 9, 7, -3, 7} {
+		r := g.Restart(seed)
+		if got, want := draw(r), draw(rand.New(rand.NewSource(seed))); got != want {
+			t.Fatalf("restart %d (seed %d): drew %v, a fresh generator %v", i, seed, got, want)
+		}
+		if i > 0 && r != g.r {
+			t.Fatal("Restart returned another *rand.Rand")
+		}
+	}
+	seed := int64(100)
+	if allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		g.Restart(seed).Uint64()
+		g.Restart(seed).Uint64()
+	}); allocs != 0 {
+		t.Fatalf("warm restarts allocate %.0f times, want 0", allocs)
 	}
 }

@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -38,8 +37,8 @@ type RunContext struct {
 	rt     *RoundTraffic
 	cores  []nodeCore
 	stats  *StatsObserver
-	seeder *rand.Rand
-	rngs   []*nodeRNG
+	seeder SeededRand
+	rngs   []*SeededRand
 
 	// Port slabs: every node's reusable outbox and inbox are CSR sub-slices
 	// of these slot-indexed slabs (node u owns rowStart[u]:rowStart[u+1] of
@@ -336,15 +335,11 @@ func (rc *RunContext) releaseLent(aborted bool) {
 // lazily, on the node's first Rand call: a protocol that never draws
 // randomness pays nothing for the ~5KB rand source per node — the dominant
 // setup allocation at large n. Constructed RNGs are cached in rc.rngs across
-// runs; a later run restores each from a seeded copy of its source
-// (nodeRNG.restart, which also resets the Read position), so repeated runs
-// of one seed skip the seeding altogether.
+// runs; a later run restarts each (SeededRand.Restart, which also resets
+// the Read position), so repeated runs of one seed skip the seeding
+// altogether.
 func (rc *RunContext) nodeCores(cfg Config) []nodeCore {
-	if rc.seeder == nil {
-		rc.seeder = rand.New(rand.NewSource(cfg.Seed))
-	} else {
-		rc.seeder.Seed(cfg.Seed)
-	}
+	seeder := rc.seeder.Restart(cfg.Seed)
 	for len(rc.rngs) < rc.g.N() {
 		rc.rngs = append(rc.rngs, nil)
 	}
@@ -357,7 +352,7 @@ func (rc *RunContext) nodeCores(cfg Config) []nodeCore {
 		rc.cores[i] = nodeCore{
 			id:        graph.NodeID(i),
 			neighbors: rc.g.Neighbors(graph.NodeID(i)),
-			rngSeed:   rc.seeder.Int63(),
+			rngSeed:   seeder.Int63(),
 			rngStore:  rc.rngs,
 			input:     input,
 			rc:        rc,

@@ -72,7 +72,13 @@ type Fingerprint struct {
 // NewFingerprint draws a fingerprint function from a 64-bit seed. Seeds are
 // what nodes exchange in the round-initialization phase (R_i(u,v)).
 func NewFingerprint(seed uint64) Fingerprint {
-	rng := rand.New(rand.NewSource(int64(seed)))
+	return FingerprintFrom(rand.New(rand.NewSource(int64(seed))))
+}
+
+// FingerprintFrom draws a fingerprint function from rng, which must start
+// at its seed's stream: FingerprintFrom(g.Restart(int64(seed))) on a kept
+// congest.SeededRand is NewFingerprint(seed) without a new source.
+func FingerprintFrom(rng *rand.Rand) Fingerprint {
 	return Fingerprint{
 		point:  rng.Uint64()%(prime.P61-1) + 1,
 		offset: rng.Uint64() % prime.P61,

@@ -2,8 +2,9 @@
 // bit-determinism contract inside the simulator's internal packages: every
 // run is a pure function of its cell seed, so protocol, adversary, and
 // compiler code must draw randomness only from the seeded RNGs the runtime
-// hands out (Runtime.Rand, SelectorState, cell-seeded rand.New sources) and
-// must never read the wall clock. Ambient randomness — the math/rand
+// hands out (Runtime.Rand, SelectorState, cell-seeded rand.New sources, and
+// congest.SeededRand, a kept generator whose Restart(seed) starts seed's
+// stream) and must never read the wall clock. Ambient randomness — the math/rand
 // top-level functions backed by the global source, crypto/rand, time.Now —
 // silently breaks reproducibility and the 120-trial cross-engine
 // equivalence suite.
@@ -28,7 +29,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // seededConstructors are the math/rand entry points that take an explicit
-// source or seed — the only sanctioned way into the package.
+// source or seed — the only sanctioned way into the package. Methods pass
+// unchecked, so congest.SeededRand.Restart, which takes the seed itself,
+// and every draw on the *rand.Rand it returns are sanctioned too.
 var seededConstructors = map[string]bool{
 	"New":       true,
 	"NewSource": true,

@@ -69,7 +69,7 @@ func (s *rewindSim) replay(payload congest.Protocol, gamma int) ([]resilient.Pac
 	rr := &replayRuntime{
 		sim:    s,
 		stopAt: gamma,
-		rng:    rand.New(rand.NewSource(s.payloadSeed)),
+		rng:    s.scratch.replay.Restart(s.payloadSeed),
 	}
 	rr.Base, rr.ExchangePortsFn = s.RT, rr.exchange
 	func() {

@@ -101,18 +101,28 @@ type rewindSim struct {
 	lastInitSent [][initWords]uint64
 
 	replayIn []congest.Msg // the replayed payload's port inbox, reused per round
+	scratch  *nodeScratch
 
 	trace Trace
 }
 
-// scratches keeps each node's tree-subprotocol buffers across the runs of
-// its context (see congest.NodeScratch).
-var scratches = congest.NewNodeScratch[resilient.Scratch]()
+// nodeScratch is what a node keeps across the runs of its context (see
+// congest.NodeScratch): its tree-subprotocol buffers, and the generators
+// it restarts from a seed many times a run, the payload's for each replay
+// and the transcript fingerprints'.
+type nodeScratch struct {
+	tree                resilient.Scratch
+	replay, fingerprint congest.SeededRand
+}
+
+var scratches = congest.NewNodeScratch[nodeScratch]()
 
 func newRewindSim(rt congest.Runtime, cfg Config, sh *resilient.Shared) *rewindSim {
 	deg := rt.Degree()
+	sc := scratches.Of(rt)
 	return &rewindSim{
-		TreeNode:     resilient.TreeNode{RT: rt, Trees: sh.Views[rt.ID()], Depth: rsim.MaxDepth(sh.Views), Rep: cfg.Rep, Scratch: scratches.Of(rt)},
+		TreeNode:     resilient.TreeNode{RT: rt, Trees: sh.Views[rt.ID()], Depth: rsim.MaxDepth(sh.Views), Rep: cfg.Rep, Scratch: &sc.tree},
+		scratch:      sc,
 		cfg:          cfg,
 		sh:           sh,
 		pi:           make([][]resilient.PackedMsg, deg),
@@ -152,7 +162,7 @@ func (s *rewindSim) run(payload congest.Protocol) {
 		for p, c := range corrected {
 			// Verify the sender's view of my outgoing transcript: the
 			// paper checks |pi~| == l' and hash agreement.
-			if int(c.gamma) != gamma || hashfam.NewFingerprint(c.seed).Hash64(transcriptWords(s.piIn[p])) != c.hash {
+			if int(c.gamma) != gamma || s.fingerprint(c.seed).Hash64(transcriptWords(s.piIn[p])) != c.hash {
 				goodLocal = 0
 			}
 		}
@@ -178,11 +188,17 @@ func (s *rewindSim) run(payload congest.Protocol) {
 	s.RT.SetOutput(Output{Payload: out, Trace: s.trace})
 }
 
+// fingerprint is hashfam.NewFingerprint(seed), drawn from the node's kept
+// generator.
+func (s *rewindSim) fingerprint(seed uint64) hashfam.Fingerprint {
+	return hashfam.FingerprintFrom(s.scratch.fingerprint.Restart(int64(seed)))
+}
+
 // transcriptHash fingerprints each port's outgoing transcript under seed.
 // The paper fingerprints per edge; these per-port values are what
 // roundInit transmits.
 func (s *rewindSim) transcriptHash(seed uint64) []uint64 {
-	f := hashfam.NewFingerprint(seed)
+	f := s.fingerprint(seed)
 	out := make([]uint64, len(s.pi))
 	for p, t := range s.pi {
 		out[p] = f.Hash64(transcriptWords(t))

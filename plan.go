@@ -192,14 +192,15 @@ type Plan struct {
 	MaxRounds int
 	// Workers is the number of concurrent cell runners for Stream/Run
 	// (0 = GOMAXPROCS). A worker runs consecutive cells on one graph in one
-	// congest.RunContext. Between graphs it parks that context in a pool
-	// every Plan of the process shares and takes one bound to the next
-	// graph, when one is parked. The pool caps the layout slots (directed
-	// edges) it keeps parked, not their bytes: for plain protocols that is
-	// some 60 MB, but a compiler context also keeps its node scratch, about
-	// 11 KB a slot for hardened-clique, so a full pool of those holds
-	// about 2.9 GB (ROADMAP.md, "Bound what the run-context pool keeps by
-	// bytes").
+	// congest.RunContext, which keeps the last built-in adversary those
+	// cells built by name (a later cell restarts it from its own seed).
+	// Between graphs it parks that context in a pool every Plan of the
+	// process shares and takes one bound to the next graph, when one is
+	// parked. The pool caps the layout slots (directed edges) it keeps
+	// parked, not their bytes: for plain protocols that is some 60 MB, but
+	// a compiler context also keeps its node scratch, about 11 KB a slot
+	// for hardened-clique, so a full pool of those holds about 2.9 GB
+	// (ROADMAP.md, "Bound what the run-context pool keeps by bytes").
 	Workers int
 	// CaptureTrace attaches a TraceObserver to every cell and stores the
 	// captured rounds in the cell's Record.Trace. Traces hold full
@@ -226,8 +227,9 @@ type Plan struct {
 // planCell is one expanded plan point. A nil scenario marks a cell resolved
 // from the cache at expansion: its record is already final and the workers
 // just deliver it. cacheKey is non-empty when the freshly computed record
-// should be inserted after the run. g is the graph the cell runs on, and
-// pool its key in the run-context pool.
+// should be inserted after the run. g is the graph the cell runs on, pool
+// its key in the run-context pool, and adv the key its named adversary is
+// kept under (zero when it is not a built-in one).
 type planCell struct {
 	rec      Record
 	scenario *Scenario
@@ -236,6 +238,7 @@ type planCell struct {
 	cacheKey string
 	g        *Graph
 	pool     graphKey
+	adv      advKey
 }
 
 // cells expands the plan's cross product, validating every registry name up
@@ -267,7 +270,7 @@ func (p Plan) cells() ([]planCell, error) {
 
 	// The generation is read before any build, so a graph built while a
 	// RegisterTopology runs is stamped stale, never current.
-	gen := topologies.Generation()
+	gen, advGen := topologies.Generation(), adversaries.Generation()
 	graphs := map[graphKey]*Graph{}
 	var cells []planCell
 	var simParts, allParts []string
@@ -363,6 +366,7 @@ func (p Plan) cells() ([]planCell, error) {
 			cacheKey: cacheKey,
 			g:        g,
 			pool:     key,
+			adv:      keptKey(spec, advGen),
 		})
 		return nil
 	}
@@ -402,12 +406,14 @@ func (p Plan) cells() ([]planCell, error) {
 }
 
 // planWorker is one runCells worker's hold on a run context: rc, bound (or
-// about to be bound) to g, the graph of the worker's last cell.
+// about to be bound) to g, the graph of the worker's last cell, and the
+// adversary rc keeps.
 type planWorker struct {
 	rc     *congest.RunContext
 	g      *Graph
 	pool   graphKey // rc's key in the run-context pool
-	shards int      // the LimitShards cap of the worker's contexts
+	adv    keptAdversary
+	shards int // the LimitShards cap of the worker's contexts
 }
 
 // context returns the context to run c in. Consecutive cells on one graph
@@ -418,7 +424,7 @@ func (w *planWorker) context(c *planCell) *congest.RunContext {
 	if w.rc != nil && c.g == w.g {
 		return w.rc
 	}
-	next := runContexts.take(c.pool, c.g)
+	next, adv := runContexts.take(c.pool, c.g)
 	if next == nil {
 		next = congest.NewRunContext()
 	}
@@ -427,16 +433,51 @@ func (w *planWorker) context(c *planCell) *congest.RunContext {
 		w.rc.HandOff(next)
 		w.release()
 	}
-	w.rc, w.g, w.pool = next, c.g, c.pool
+	w.rc, w.g, w.pool, w.adv = next, c.g, c.pool, adv
 	return next
 }
 
-// release parks the worker's context in the pool, which keeps no goroutine
-// the worker started.
+// release parks the worker's context in the pool, with the adversary it
+// keeps; the pool keeps no goroutine the worker started.
 func (w *planWorker) release() {
 	if w.rc != nil {
-		runContexts.park(w.pool, w.g, w.rc)
-		w.rc = nil
+		runContexts.park(w.pool, w.g, w.rc, w.adv)
+		w.rc, w.adv = nil, keptAdversary{}
+	}
+}
+
+// keptKey returns the key a cell's named adversary is kept under: zero
+// unless its registration is a built-in one, whose instances restart from a
+// new seed exactly as a new build (a user's AdversaryFunc may derive more
+// than the seed from its seed argument). gen is the registry's generation,
+// read before the lookup.
+func keptKey(spec cellSpec, gen uint64) advKey {
+	if e, _ := adversaries.Get(spec.advName); !e.builtIn {
+		return advKey{}
+	}
+	return advKey{name: spec.advName, f: spec.advF, gen: gen}
+}
+
+// lendAdversary gives c's scenario the adversary the worker's context
+// keeps, when c's is kept under the same key, restarted from the cell's
+// seed as BuildAdversary would seed a new one. It reports whether it did.
+func (w *planWorker) lendAdversary(c *planCell) bool {
+	if w.adv.adv == nil || w.adv.key != c.adv {
+		return false
+	}
+	w.adv.adv.Reseed(c.scenario.seed ^ advSeedMix)
+	c.scenario.namedAdv = w.adv.adv
+	return true
+}
+
+// keepAdversary keeps the adversary c's scenario built by name with the
+// worker's context, in place of the one it kept. The registry must still
+// be at c's generation: then no Register preceded the build, which used
+// the built-in entry keptKey saw.
+func (w *planWorker) keepAdversary(c *planCell) {
+	a, ok := c.scenario.namedAdv.(reseeder)
+	if ok && c.adv != (advKey{}) && adversaries.Generation() == c.adv.gen {
+		w.adv = keptAdversary{key: c.adv, adv: a}
 	}
 }
 
@@ -450,8 +491,12 @@ func (w *planWorker) run(c *planCell) {
 		return
 	}
 	rc := w.context(c)
+	lent := w.lendAdversary(c)
 	start := time.Now()
 	res, err := c.scenario.runIn(rc)
+	if !lent {
+		w.keepAdversary(c)
+	}
 	c.rec.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
 		c.rec.Error = err.Error()
@@ -513,10 +558,11 @@ func runCells(ctx context.Context, workers int, cells []planCell, deliver func(i
 			defer wg.Done()
 			// Cells run in contexts bound to their graphs, kept warm across
 			// cells and, through the run-context pool, across Plans: the
-			// run's layout, buffers, RNGs and node scratch are reused
-			// instead of rebuilt. Shard-engine cells divide the machine
-			// across the P workers instead of each grabbing GOMAXPROCS
-			// shards (an explicit ShardEngine.Shards still overrides).
+			// run's layout, buffers, RNGs, node scratch and named
+			// adversaries are reused instead of rebuilt. Shard-engine cells
+			// divide the machine across the P workers instead of each
+			// grabbing GOMAXPROCS shards (an explicit ShardEngine.Shards
+			// still overrides).
 			// Retiring parks the worker's context, which releases its shard
 			// pool and node coroutines.
 			w := planWorker{shards: max(1, runtime.GOMAXPROCS(0)/workers)}

@@ -28,16 +28,27 @@ type TopologyFunc func(n, k int) (*Graph, error)
 // A nil Adversary (fault-free) is a valid return.
 type AdversaryFunc func(g *Graph, f int, seed int64) (Adversary, error)
 
+// advEntry is a registered adversary family. builtIn marks the families
+// registered here, which hand the seed to their instance unchanged and
+// derive nothing else from it, so a Plan may restart one of their instances
+// from another cell's seed (Reseed) instead of building it again.
+type advEntry struct {
+	build   AdversaryFunc
+	builtIn bool
+}
+
 var (
 	topologies  = registry.New[TopologyFunc]("mobilecongest", "topology")
-	adversaries = registry.New[AdversaryFunc]("mobilecongest", "adversary")
+	adversaries = registry.New[advEntry]("mobilecongest", "adversary")
 )
 
 // RegisterTopology adds (or replaces) a named topology family.
 func RegisterTopology(name string, fn TopologyFunc) { topologies.Register(name, fn) }
 
 // RegisterAdversary adds (or replaces) a named adversary family.
-func RegisterAdversary(name string, fn AdversaryFunc) { adversaries.Register(name, fn) }
+func RegisterAdversary(name string, fn AdversaryFunc) {
+	adversaries.Register(name, advEntry{build: fn})
+}
 
 // BuildTopology instantiates a registered topology.
 func BuildTopology(name string, n, k int) (*Graph, error) {
@@ -56,11 +67,11 @@ func HasAdversary(name string) bool { return adversaries.Has(name) }
 
 // BuildAdversary instantiates a registered adversary.
 func BuildAdversary(name string, g *Graph, f int, seed int64) (Adversary, error) {
-	fn, err := adversaries.Get(name)
+	e, err := adversaries.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return fn(g, f, seed)
+	return e.build(g, f, seed)
 }
 
 // Topologies lists the registered topology names, sorted.
@@ -120,13 +131,16 @@ func init() {
 		return graph.RandomRegular(n, d, rand.New(rand.NewSource(int64(n)*1_000_003+int64(d)))), nil
 	})
 
-	RegisterAdversary("none", func(*Graph, int, int64) (Adversary, error) {
+	builtIn := func(name string, fn AdversaryFunc) {
+		adversaries.Register(name, advEntry{build: fn, builtIn: true})
+	}
+	builtIn("none", func(*Graph, int, int64) (Adversary, error) {
 		return nil, nil
 	})
-	RegisterAdversary("eavesdrop", func(g *Graph, f int, seed int64) (Adversary, error) {
+	builtIn("eavesdrop", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewMobileEavesdropper(g, f, seed), nil
 	})
-	RegisterAdversary("static-eavesdrop", func(g *Graph, f int, seed int64) (Adversary, error) {
+	builtIn("static-eavesdrop", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewStaticEavesdropper(g, f, seed), nil
 	})
 	mobileByz := func(cor adversary.Corruption) AdversaryFunc {
@@ -134,15 +148,15 @@ func init() {
 			return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, cor), nil
 		}
 	}
-	RegisterAdversary("flip", mobileByz(adversary.CorruptFlip))
-	RegisterAdversary("drop", mobileByz(adversary.CorruptDrop))
-	RegisterAdversary("randomize", mobileByz(adversary.CorruptRandomize))
-	RegisterAdversary("swap", mobileByz(adversary.CorruptSwap))
-	RegisterAdversary("inject", mobileByz(adversary.CorruptInject))
-	RegisterAdversary("busiest", func(g *Graph, f int, seed int64) (Adversary, error) {
+	builtIn("flip", mobileByz(adversary.CorruptFlip))
+	builtIn("drop", mobileByz(adversary.CorruptDrop))
+	builtIn("randomize", mobileByz(adversary.CorruptRandomize))
+	builtIn("swap", mobileByz(adversary.CorruptSwap))
+	builtIn("inject", mobileByz(adversary.CorruptInject))
+	builtIn("busiest", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectBusiest, adversary.CorruptFlip), nil
 	})
-	RegisterAdversary("static-flip", func(g *Graph, f int, seed int64) (Adversary, error) {
+	builtIn("static-flip", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewStaticByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip), nil
 	})
 }

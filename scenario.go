@@ -160,7 +160,11 @@ func WithAdversary(a Adversary) ScenarioOption {
 // strength f. The instance is built at Run time against the resolved graph,
 // seeded deterministically from the scenario seed. An instance that resets
 // per run (congest.RunResetter, as every built-in one does) is kept for the
-// Scenario's later runs; any other is built again for every run.
+// Scenario's later runs; any other is built again for every run. A Plan
+// cell of a built-in seeded adversary may instead run the instance an
+// earlier cell built on the same graph, name and f: restarted from this
+// cell's seed (Reseed), it draws exactly as a new one. Adversaries
+// registered with RegisterAdversary are always built for the cell.
 func WithAdversaryName(name string, f int) ScenarioOption {
 	return func(s *Scenario) { s.advName, s.advF = name, f; s.adv = nil }
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"runtime"
 	"testing"
 
 	"mobilecongest/internal/adversary"
@@ -98,4 +99,41 @@ func TestTreeCompilersGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, treeCompilersGoldenFile, got)
+}
+
+// TestRewindAllocCeiling caps what one warm rewind clique8 run (the
+// golden's cell, under flip f=1, step engine) allocates. Each node replays
+// its payload once per global round and draws a transcript fingerprint per
+// port, each from a generator it keeps in node scratch and restarts from
+// the seed (congest.SeededRand). A warm run allocates about 1.27 MB (1.30
+// MB under the race detector), and the ceiling leaves about 25% over that.
+// A new math/rand source for every replay and fingerprint put it at 5.2 MB.
+func TestRewindAllocCeiling(t *testing.T) {
+	const bytesCeiling = 1_650_000
+	g := graph.Clique(8)
+	sc := NewScenario(
+		WithGraph(g),
+		WithProtocol(rewind.Compile(algorithms.FloodMax(2), rewind.Config{R: 2, F: 1, Rep: 3})),
+		WithShared(rewind.CliqueShared(8)),
+		WithAdversaryName("flip", 1),
+		WithSeed(1),
+	)
+	run := func() {
+		if _, err := sc.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocated := (after.TotalAlloc - before.TotalAlloc) / runs
+	if allocated > bytesCeiling {
+		t.Fatalf("rewind clique8 flip f=1: %d bytes allocated per warm run, ceiling %d", allocated, bytesCeiling)
+	}
+	t.Logf("%d bytes, %d allocs per warm run", allocated, (after.Mallocs-before.Mallocs)/runs)
 }

@@ -27,8 +27,8 @@
 // adversaries read and mutate the round through a RoundTraffic view indexed
 // by edge slot, and observers read the delivered round through a RoundView
 // over the same buffer; neither ever sees a map. Run-level measurement is
-// pluggable via the Observer pipeline (Config.Observers); the engine's own
-// statistics are a StatsObserver it installs itself. Repeated runs over the
+// pluggable via the Observer pipeline (Config.Observers); the engine counts
+// its own statistics as it delivers each round. Repeated runs over the
 // same graph can reuse a RunContext (see Engine.RunIn), amortizing the
 // layout, round buffers, port slabs, node cores, and RNG state across runs.
 //
@@ -240,8 +240,8 @@ type Stats struct {
 	Bytes int
 	// MaxMsgBytes is the largest single message.
 	MaxMsgBytes int
-	// MaxEdgeCongestion is the maximum number of rounds any undirected edge
-	// carried at least one message.
+	// MaxEdgeCongestion is the maximum number of directed messages any
+	// undirected edge carried over the run, both directions counted.
 	MaxEdgeCongestion int
 	// CorruptedEdgeRounds counts undirected edge-rounds the adversary
 	// touched.

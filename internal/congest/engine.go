@@ -88,17 +88,22 @@ func (s *nodeCore) SetOutput(v any)           { s.output = v }
 func (s *nodeCore) Shared() any               { return s.shared }
 func (s *nodeCore) Memo() *Memo               { return s.rc.runMemo() }
 
-// Rand materializes the node's RNG on first use. The seed was drawn in node
-// order at run start (nodeCores), so the stream is identical to an eagerly
-// built RNG — but protocols that never draw randomness (most of the
-// fault-free hot path) skip the ~5KB rand source per node entirely, the
-// dominant setup allocation at large n. The constructed generator is cached
-// on the context, and a later run that uses it restarts it (SeededRand),
-// which copies a repeated seed's state instead of re-seeding. Safe under the
-// concurrent engines: each node touches only its own rngStore slot, and run
-// boundaries order cross-run access.
+// Rand materializes the node's RNG on first use. Node seeds are drawn on
+// demand: the run's first Rand call, on any node, draws every node's seed
+// in node order from the run's seed (RunContext.seedNodes, once per run),
+// so each node gets the stream an eager draw at run start would give it,
+// and a run in which no node draws randomness (floodmax, bfs) never seeds
+// the context's seeder. The RNG itself is built lazily too: a protocol
+// that never draws skips the ~5KB rand source per node, the dominant setup
+// allocation at large n. The constructed generator is cached on the
+// context, and a later run that uses it restarts it (SeededRand), which
+// copies a repeated seed's state instead of re-seeding. Safe under the
+// concurrent engines: the seeds are written under the run's sync.Once,
+// which every drawing node passes first, each node touches only its own
+// rngStore slot, and run boundaries order cross-run access.
 func (s *nodeCore) Rand() *rand.Rand {
 	if s.rng == nil {
+		s.rc.seedOnce.Do(s.rc.seedNodes)
 		g := s.rngStore[s.id]
 		if g == nil {
 			g = new(SeededRand)
@@ -174,20 +179,20 @@ func (s *nodeCore) portsToMapIn(in []Msg) map[graph.NodeID]Msg {
 }
 
 // runCore holds the engine-independent run state: validated config, the
-// context carrying the flat edge layout with its reusable round buffer and
-// adversary boundary scratch, the observer pipeline, and the adversary
-// budget accounting. Keeping this logic in one place is what guarantees all
-// engines count rounds, messages, and corrupted edge-rounds identically —
-// and fire observers at identical points with identical views.
+// context (which carries the flat edge layout, the reusable round buffer,
+// the adversary boundary scratch and the run's statistics), the observers,
+// and the adversary budget accounting. Keeping this logic in one place is what
+// guarantees all engines count rounds, messages, and corrupted edge-rounds
+// identically — and fire observers at identical points with identical
+// views.
 type runCore struct {
 	cfg       Config
 	rc        *RunContext
 	g         *graph.Graph
 	maxRounds int
 	layout    *edgeLayout
-	cur       *roundBuffer // collection buffer for the in-flight round
-	observers []Observer   // internal stats observer first, then cfg.Observers
-	stats     *StatsObserver
+	cur       *roundBuffer   // collection buffer for the in-flight round
+	observers []Observer     // cfg.Observers
 	perRound  PerRoundBudget // non-nil when the adversary declares one
 	total     TotalBudget    // non-nil when the adversary declares one
 	bwBits    int            // enforced bits/edge/round budget; 0 = unlimited
@@ -213,9 +218,10 @@ func newRunCore(rc *RunContext, cfg Config) (*runCore, error) {
 		rc = NewRunContext()
 	}
 	rc.bind(g)
-	rc.stats.Reset()
 	rc.cur.reset()
 	rc.resetSlabs()
+	rc.stats = Stats{}
+	clear(rc.delivered)
 	c := &runCore{
 		cfg:       cfg,
 		rc:        rc,
@@ -223,8 +229,7 @@ func newRunCore(rc *RunContext, cfg Config) (*runCore, error) {
 		maxRounds: maxRounds,
 		layout:    rc.layout,
 		cur:       rc.cur,
-		observers: append([]Observer{rc.stats}, cfg.Observers...),
-		stats:     rc.stats,
+		observers: cfg.Observers,
 	}
 	if cfg.Bandwidth > 0 {
 		c.bwBits = cfg.Bandwidth
@@ -356,11 +361,22 @@ func (c *runCore) interceptAdversary() ([]graph.Edge, error) {
 	return touched, nil
 }
 
-// deliverRound fires RoundDelivered on the delivered buffer (c.cur) and
-// ticks the round clock — the tail every engine runs after its gather.
+// deliverRound adds the delivered round (c.cur, gathered) to the run's
+// statistics, fires RoundDelivered on it, and ticks the round clock — the
+// tail every engine runs after its gather. The round's messages are the
+// buffer's occupied slots after the adversary's apply; its bytes and
+// largest message are the shards' gather sums.
 //
 //mobilevet:hotpath
 func (c *runCore) deliverRound(corrupted []graph.Edge) {
+	st, sums := &c.rc.stats, c.rc.shardSums
+	st.Rounds++
+	st.Messages += c.cur.len()
+	st.CorruptedEdgeRounds += len(corrupted)
+	for k := range sums {
+		st.Bytes += sums[k].bytes
+		st.MaxMsgBytes = max(st.MaxMsgBytes, sums[k].maxMsg)
+	}
 	// The view is reused across rounds — observers may not retain it (see
 	// Observer.RoundDelivered), so one per run suffices.
 	c.view = RoundView{buf: c.cur, corrupted: corrupted}
@@ -370,16 +386,25 @@ func (c *runCore) deliverRound(corrupted []graph.Edge) {
 	c.round++
 }
 
-// finish assembles the Result from the internal stats observer.
-func (c *runCore) finish(outputs []any) *Result {
-	return &Result{Stats: c.stats.Stats(), Outputs: outputs}
+// finalStats returns the run's statistics, with MaxEdgeCongestion folded
+// from the per-slot delivered counts gather kept: an undirected edge
+// carried the messages of both its slots.
+func (c *runCore) finalStats() Stats {
+	st := c.rc.stats
+	cnt, rev := c.rc.delivered, c.layout.revSlot
+	for s, n := range cnt {
+		st.MaxEdgeCongestion = max(st.MaxEdgeCongestion, int(n+cnt[rev[s]]))
+	}
+	return st
 }
 
-// runDone notifies every observer that the run ended, successfully or not.
-// Engines call it on every exit path, exactly once per run.
-func (c *runCore) runDone(err error) {
-	st := c.stats.Stats()
+// runDone notifies every observer that the run ended, successfully or not,
+// and returns the run's statistics. Engines call it on every exit path,
+// exactly once per run.
+func (c *runCore) runDone(err error) Stats {
+	st := c.finalStats()
 	for _, o := range c.observers {
 		o.RunDone(st, err)
 	}
+	return st
 }

@@ -391,6 +391,73 @@ func TestNodeRandReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestNodeSeedsOnDemand checks that node seeds drawn on demand are the
+// seeds an eager draw at run start gave: only every third node draws,
+// some in round 0 and some after two exchanges, and each must get, as its
+// generator's seed, the i-th Int63 of rand.New(rand.NewSource(seed)) for
+// its index i. It runs on the step engine and on 4 shards, whose nodes
+// seed concurrently, in fresh contexts and in one warm context with
+// alternating seeds. A floodmax run, which draws nothing, must leave a
+// fresh context's seeder unseeded.
+func TestNodeSeedsOnDemand(t *testing.T) {
+	g := graph.Circulant(24, 2)
+	type draw struct {
+		seed, first int64
+	}
+	proto := func(rt Runtime) {
+		u := int(rt.ID())
+		if u%3 == 0 && u%2 == 1 {
+			rt.ExchangePorts(rt.OutBuf())
+			rt.ExchangePorts(rt.OutBuf())
+		}
+		if u%3 == 0 {
+			r := rt.Rand()
+			rt.SetOutput(draw{seed: rt.(*stepNode).rngSeed, first: r.Int63()})
+		}
+		rt.ExchangePorts(rt.OutBuf())
+	}
+	check := func(t *testing.T, res *Result, seed int64) {
+		t.Helper()
+		seeder := rand.New(rand.NewSource(seed))
+		for v, o := range res.Outputs {
+			s := seeder.Int63()
+			if v%3 != 0 {
+				if o != nil {
+					t.Fatalf("seed %d: node %d drew %v", seed, v, o)
+				}
+				continue
+			}
+			if want := (draw{seed: s, first: rand.New(rand.NewSource(s)).Int63()}); o != want {
+				t.Fatalf("seed %d: node %d drew %+v, want %+v", seed, v, o, want)
+			}
+		}
+	}
+	for _, e := range []ShardEngine{{Shards: 1}, {Shards: 4}} {
+		warm := NewRunContext()
+		for _, seed := range []int64{3, 11, 3, 11} {
+			fresh := NewRunContext()
+			for _, rc := range []*RunContext{fresh, warm} {
+				res, err := e.RunIn(rc, Config{Graph: g, Seed: seed}, proto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, res, seed)
+			}
+			fresh.Close()
+		}
+		warm.Close()
+
+		rc := NewRunContext()
+		if _, err := e.RunIn(rc, Config{Graph: g, Seed: 3}, floodMax(3)); err != nil {
+			t.Fatal(err)
+		}
+		if rc.seeder.src != nil {
+			t.Fatalf("%s: a floodmax run seeded the context's seeder", e.Name())
+		}
+		rc.Close()
+	}
+}
+
 // TestSeededRandMatchesFresh restarts one SeededRand through new, repeated
 // and returning seeds, with draws of every kind between them (a partial
 // Read among them), and checks each restart's stream against a fresh

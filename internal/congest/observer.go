@@ -8,12 +8,11 @@ import (
 	"mobilecongest/internal/graph"
 )
 
-// The observer pipeline: run-level measurement is no longer a hard-coded
-// fold inside the engine. Anything that wants to watch a run — statistics,
-// traffic traces, congestion histograms, corruption logs, streaming JSONL —
+// The observer pipeline: anything that wants to watch a run — traffic
+// traces, congestion histograms, corruption logs, streaming JSONL —
 // implements Observer and is attached through Config.Observers (or the root
-// package's WithObserver). The engine's own Stats is itself just a
-// StatsObserver it installs internally.
+// package's WithObserver). The engine counts the run's Stats itself, as its
+// gather delivers each round, and hands them to every observer's RunDone.
 
 // Observer receives a run's round lifecycle events. Implementations must not
 // mutate anything they are handed; every engine invokes observers at the same
@@ -63,65 +62,6 @@ func (v *RoundView) All() iter.Seq2[graph.DirEdge, Msg] {
 			}
 		}
 	}
-}
-
-// StatsObserver accumulates the run's communication statistics — the Stats a
-// Result carries. Every run installs one internally (stats collection is
-// always on); attach another only if you want an independent copy.
-type StatsObserver struct {
-	stats    Stats
-	edgeCong []int32 // per undirected edge: delivered directed messages
-}
-
-// NewStatsObserver returns an empty statistics accumulator.
-func NewStatsObserver() *StatsObserver { return &StatsObserver{} }
-
-// Reset clears the accumulated statistics so the observer can serve a new
-// run; the per-edge congestion scratch is kept (zeroed in place) since its
-// size is bound to the graph, which a reusing RunContext keeps stable.
-func (o *StatsObserver) Reset() {
-	o.stats = Stats{}
-	for i := range o.edgeCong {
-		o.edgeCong[i] = 0
-	}
-}
-
-// RoundStart implements Observer.
-func (o *StatsObserver) RoundStart(int) {}
-
-// RoundDelivered implements Observer.
-func (o *StatsObserver) RoundDelivered(_ int, view *RoundView) {
-	b := view.buf
-	if o.edgeCong == nil {
-		//lint:ignore hotalloc one-time lazy init, amortized over the run
-		o.edgeCong = make([]int32, b.layout.g.M())
-	}
-	o.stats.Rounds++
-	for _, s := range b.touched {
-		m := b.get(s)
-		o.stats.Messages++
-		o.stats.Bytes += len(m)
-		if len(m) > o.stats.MaxMsgBytes {
-			o.stats.MaxMsgBytes = len(m)
-		}
-		o.edgeCong[b.layout.undir[s]]++
-	}
-	o.stats.CorruptedEdgeRounds += len(view.corrupted)
-}
-
-// RunDone implements Observer.
-func (o *StatsObserver) RunDone(Stats, error) {}
-
-// Stats returns the statistics accumulated so far, with the per-edge
-// congestion counts folded into MaxEdgeCongestion.
-func (o *StatsObserver) Stats() Stats {
-	st := o.stats
-	for _, c := range o.edgeCong {
-		if int(c) > st.MaxEdgeCongestion {
-			st.MaxEdgeCongestion = int(c)
-		}
-	}
-	return st
 }
 
 // TraceMsg is one delivered directed message in a captured trace. Data

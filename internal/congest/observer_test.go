@@ -3,35 +3,219 @@ package congest
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mobilecongest/internal/graph"
 )
 
-// TestStatsObserverMatchesResult: an externally attached StatsObserver must
-// accumulate exactly the Stats the Result carries — the internal collector
-// is literally the same observer type on the same pipeline.
+// TestStatsObserverMatchesResult: an externally attached observer must
+// receive in RunDone exactly the Stats the Result carries, and both must
+// equal a recount of the trace it saw.
 func TestStatsObserverMatchesResult(t *testing.T) {
 	forEngine(t, func(t *testing.T, e Engine) {
-		st := NewStatsObserver()
+		tr, rec := NewTraceObserver(), &lifecycleRecorder{}
 		res, err := e.Run(Config{
 			Graph: graph.Circulant(12, 2), Seed: 3,
 			Adversary: injector{edge: graph.DirEdge{From: 0, To: 1}},
-			Observers: []Observer{st},
+			Observers: []Observer{tr, rec},
 		}, floodMax(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Stats() != res.Stats {
-			t.Fatalf("observer stats %+v != result stats %+v", st.Stats(), res.Stats)
+		if rec.done != 1 || rec.doneStats != res.Stats {
+			t.Fatalf("observer stats %+v (%d RunDone calls) != result stats %+v", rec.doneStats, rec.done, res.Stats)
+		}
+		if want := recountStats(tr.Rounds()); res.Stats != want {
+			t.Fatalf("result stats %+v, the trace recounts %+v", res.Stats, want)
 		}
 		if res.Stats.CorruptedEdgeRounds == 0 {
 			t.Fatal("injector should have corrupted edge-rounds")
 		}
 	})
 }
+
+// TestRunStatsCountDeliveredTraffic checks the Stats the engine counts in
+// its gather pass against a recount of the delivered traffic a
+// TraceObserver saw, on every exit path of a run: a normal end, the round
+// limit, a budget abort and a bandwidth abort. It runs them one after
+// another in one context per shard count, so the counts a run leaves
+// behind must not leak into the next: 1 to 4 shards over a lollipop graph
+// whose slot-balanced shards hold unequal node counts, and one shard per
+// node. The adversary drops each round's largest message, shrinks another
+// and injects on a silent edge, so the delivered traffic differs from the
+// collected; every third node lends its outbox, so spilled refs are
+// counted too. Result.Stats, when the run succeeds, and the Stats RunDone
+// receives must equal the recount.
+func TestRunStatsCountDeliveredTraffic(t *testing.T) {
+	g := lollipop(5, 7)
+	const rounds = 6
+	cases := []struct {
+		name      string
+		maxRounds int
+		adv       statsAdversary
+		bandwidth int
+		oversize  bool // node 8 sends past the bandwidth in round 3
+		wantErr   error
+	}{
+		{name: "end", maxRounds: 100, adv: statsAdversary{abortRound: -1}},
+		{name: "round-limit", maxRounds: 4, adv: statsAdversary{abortRound: -1}, wantErr: ErrRoundLimit},
+		{name: "budget", maxRounds: 100, adv: statsAdversary{abortRound: 3}, wantErr: ErrBudgetExceeded},
+		{name: "bandwidth", maxRounds: 100, adv: statsAdversary{abortRound: -1}, bandwidth: 64, oversize: true, wantErr: ErrBandwidthExceeded},
+		{name: "end-again", maxRounds: 100, adv: statsAdversary{abortRound: -1}},
+	}
+	for _, shards := range []int{1, 2, 3, 4, 1 << 16} {
+		rc := NewRunContext()
+		if shards > 1 && shards <= 4 {
+			rc.bind(g)
+			b := rc.shardBounds(shards)
+			if sizes := shardSizes(b); slices.Min(sizes) == slices.Max(sizes) {
+				t.Fatalf("%d shards: bounds %v split the nodes evenly", shards, b)
+			}
+		}
+		e := ShardEngine{Shards: shards}
+		for _, c := range cases {
+			tr, rec := NewTraceObserver(), &lifecycleRecorder{}
+			oversize := c.oversize
+			res, err := e.RunIn(rc, Config{
+				Graph: g, Seed: 7, MaxRounds: c.maxRounds, Bandwidth: c.bandwidth,
+				Adversary: c.adv, Observers: []Observer{tr, rec},
+			}, func(rt Runtime) {
+				u := int(rt.ID())
+				for r := 0; r < rounds; r++ {
+					out := rt.OutBuf()
+					for p := range out {
+						switch n := (u + 2*r + 3*p) % 7; {
+						case n == 0:
+							out[p] = nil
+						case oversize && u == 8 && r == 3:
+							out[p] = make(Msg, 20)
+						case u == 0 && p == 0:
+							// The round's one largest message, which the
+							// adversary drops.
+							out[p] = make(Msg, 6+r%2)
+						default:
+							// Fresh bytes every round, so a lent outbox stays
+							// unchanged until every receiver has moved on.
+							m := make(Msg, n-1)
+							for i := range m {
+								m[i] = byte(u + r + p + i)
+							}
+							out[p] = m
+						}
+					}
+					if u%3 == 0 {
+						rt.LendOut()
+					}
+					rt.ExchangePorts(out)
+				}
+			})
+			if !errors.Is(err, c.wantErr) || (err == nil) != (c.wantErr == nil) {
+				t.Fatalf("%d shards, %s: err = %v, want %v", shards, c.name, err, c.wantErr)
+			}
+			want := recountStats(tr.Rounds())
+			if want.Messages == 0 || want.CorruptedEdgeRounds == 0 {
+				t.Fatalf("%d shards, %s: the recount saw no traffic or no corruption: %+v", shards, c.name, want)
+			}
+			if rec.done != 1 || rec.doneStats != want {
+				t.Fatalf("%d shards, %s: RunDone (%d calls) got %+v, the trace recounts %+v", shards, c.name, rec.done, rec.doneStats, want)
+			}
+			if err == nil && res.Stats != want {
+				t.Fatalf("%d shards, %s: Result.Stats %+v, the trace recounts %+v", shards, c.name, res.Stats, want)
+			}
+		}
+		rc.Close()
+	}
+}
+
+// lollipop returns a clique on the first k nodes with a path of tail more
+// hanging off its last node: the clique's nodes own most of the slots.
+func lollipop(k, tail int) *graph.Graph {
+	g := graph.New(k + tail)
+	for u := 0; u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			g.AddEdge(graph.NodeID(u), graph.NodeID(v))
+		}
+	}
+	for u := k - 1; u < k+tail-1; u++ {
+		g.AddEdge(graph.NodeID(u), graph.NodeID(u+1))
+	}
+	return g
+}
+
+// shardSizes returns the node count of each shard of bounds.
+func shardSizes(bounds []int32) []int32 {
+	sizes := make([]int32, len(bounds)-1)
+	for k := range sizes {
+		sizes[k] = bounds[k+1] - bounds[k]
+	}
+	return sizes
+}
+
+// recountStats recounts a run's Stats from its delivered trace.
+func recountStats(rounds []RoundTrace) Stats {
+	st := Stats{Rounds: len(rounds)}
+	perEdge := make(map[graph.Edge]int)
+	for _, r := range rounds {
+		st.CorruptedEdgeRounds += len(r.Corrupted)
+		for _, m := range r.Msgs {
+			st.Messages++
+			st.Bytes += len(m.Data)
+			st.MaxMsgBytes = max(st.MaxMsgBytes, len(m.Data))
+			e := graph.NewEdge(m.From, m.To)
+			perEdge[e]++
+			st.MaxEdgeCongestion = max(st.MaxEdgeCongestion, perEdge[e])
+		}
+	}
+	return st
+}
+
+// statsAdversary drops each round's largest collected message, shrinks
+// another by a byte and injects on a silent edge. In round abortRound it
+// also rewrites every other message, past its budget of 3 edges.
+type statsAdversary struct{ abortRound int }
+
+func (a statsAdversary) Intercept(round int, tr *RoundTraffic) {
+	largest, shrink := int32(-1), int32(-1)
+	for s, m := range tr.All() {
+		if largest < 0 || len(m) > len(tr.Get(largest)) {
+			largest = s
+		}
+	}
+	for s, m := range tr.All() {
+		if s != largest && len(m) >= 2 {
+			shrink = s
+			break
+		}
+	}
+	for s := int32(round); s < int32(tr.Slots()); s++ {
+		if tr.Get(s) == nil {
+			inj := tr.Alloc(5)
+			copy(inj, "forge")
+			tr.Set(s, inj)
+			break
+		}
+	}
+	if round == a.abortRound {
+		for s, m := range tr.All() {
+			if len(m) != 8 {
+				tr.Set(s, U64Msg(uint64(s)))
+			}
+		}
+	}
+	if largest >= 0 {
+		tr.Set(largest, nil)
+	}
+	if shrink >= 0 {
+		m := tr.Get(shrink)
+		tr.Set(shrink, m[:len(m)-1])
+	}
+}
+
+func (statsAdversary) PerRoundEdges() int { return 3 }
 
 // TestTraceObserverRecords: the trace holds every delivered round in
 // canonical (sender, receiver) order with the exact payloads.
@@ -239,6 +423,7 @@ type lifecycleRecorder struct {
 	starts    []int
 	delivered []int
 	done      int
+	doneStats Stats
 	doneErr   error
 }
 
@@ -246,4 +431,7 @@ func (r *lifecycleRecorder) RoundStart(round int) { r.starts = append(r.starts, 
 func (r *lifecycleRecorder) RoundDelivered(round int, _ *RoundView) {
 	r.delivered = append(r.delivered, round)
 }
-func (r *lifecycleRecorder) RunDone(_ Stats, err error) { r.done++; r.doneErr = err }
+func (r *lifecycleRecorder) RunDone(st Stats, err error) {
+	r.done++
+	r.doneStats, r.doneErr = st, err
+}

@@ -3,6 +3,7 @@ package congest
 import (
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"mobilecongest/internal/graph"
@@ -11,7 +12,7 @@ import (
 // RunContext holds the per-graph simulation state a run builds before its
 // first round: the CSR edge layout, the reusable round buffer and the
 // adversary-boundary scratch, the node-core slab with its per-node RNGs, the
-// inbox fan-out slice, and the internal statistics observer. It also parks
+// inbox fan-out slice, and the per-slot delivered counts. It also parks
 // the coroutine engines' node coroutines and shard worker pool between runs.
 // Rebuilding all of that per run dominates the setup cost of short runs; a
 // RunContext lets repeated runs — a Scenario executed in a loop, a sweep
@@ -36,9 +37,21 @@ type RunContext struct {
 	cur    *roundBuffer
 	rt     *RoundTraffic
 	cores  []nodeCore
-	stats  *StatsObserver
-	seeder SeededRand
 	rngs   []*SeededRand
+
+	// Node seeds, drawn on demand: the run's first Rand call restarts seeder
+	// from seed and draws every node's seed (seedNodes) under seedOnce,
+	// which each run resets.
+	seeder   SeededRand
+	seed     int64
+	seedOnce sync.Once
+
+	// The run's statistics: stats holds the delivered rounds' counts so
+	// far, and delivered counts, per in-slot, the messages the run
+	// delivered on it (gather bumps it): the per-edge congestion behind
+	// Stats.MaxEdgeCongestion. Each run clears both.
+	stats     Stats
+	delivered []int32
 
 	// Port slabs: every node's reusable outbox and inbox are CSR sub-slices
 	// of these slot-indexed slabs (node u owns rowStart[u]:rowStart[u+1] of
@@ -51,12 +64,13 @@ type RunContext struct {
 	// the context is dropped without Close, and the per-shard scratch.
 	pool         *shardPool
 	poolCleanup  runtime.Cleanup
-	shardCap     int       // LimitShards cap on the default shard count
-	bounds       []int32   // cached shard node boundaries for boundsShards
-	boundsShards int       // shard count bounds was computed for; 0 = stale
-	shardTouched [][]int32 // per-shard collected-slot lists
-	shardErrs    []error   // per-shard first collection error
-	shardActive  []int     // per-shard live-node counts
+	shardCap     int        // LimitShards cap on the default shard count
+	bounds       []int32    // cached shard node boundaries for boundsShards
+	boundsShards int        // shard count bounds was computed for; 0 = stale
+	shardTouched [][]int32  // per-shard collected-slot lists
+	shardErrs    []error    // per-shard first collection error
+	shardActive  []int      // per-shard live-node counts
+	shardSums    []shardSum // per-shard gather sums of the round, one per shard of the run
 
 	// Coroutine-engine state: the node coroutines parked between runs
 	// (indexed by node, grown to the largest graph served) and the GC
@@ -89,7 +103,7 @@ func (rc *RunContext) bind(g *graph.Graph) {
 	rc.cores = make([]nodeCore, g.N())
 	rc.outSlab = make([]Msg, rc.layout.slots())
 	rc.inSlab = make([]Msg, rc.layout.slots())
-	rc.stats = NewStatsObserver()
+	rc.delivered = make([]int32, rc.layout.slots())
 	rc.boundsShards = 0 // shard boundaries are layout-shaped
 	rc.dropScratch()    // node scratch is sized to the old graph's nodes
 	// rc.rngs is deliberately kept: per-node RNGs are graph-independent and
@@ -251,10 +265,20 @@ func (rc *RunContext) shardBounds(shards int) []int32 {
 	return b
 }
 
+// shardSum is one shard's gather sums for a round: the delivered bytes and
+// the largest delivered message. It is padded to a cache line, so shards
+// writing their sums side by side never share one.
+type shardSum struct {
+	bytes, maxMsg int
+	_             [48]byte
+}
+
 // shardScratch sizes and resets the per-shard scratch for a run: the
 // collected-slot lists keep their capacities across runs (that is what makes
 // shard rounds zero-alloc in a warm context), the error slots clear, and the
-// active counts are (re)derived from the current bounds by the caller.
+// active counts are (re)derived from the current bounds by the caller. The
+// gather sums are resliced to the run's shard count and need no reset:
+// every round's gather overwrites them.
 func (rc *RunContext) shardScratch(shards int) (touched [][]int32, errs []error, active []int) {
 	for len(rc.shardTouched) < shards {
 		rc.shardTouched = append(rc.shardTouched, nil)
@@ -265,6 +289,10 @@ func (rc *RunContext) shardScratch(shards int) (touched [][]int32, errs []error,
 	for len(rc.shardActive) < shards {
 		rc.shardActive = append(rc.shardActive, 0)
 	}
+	if cap(rc.shardSums) < shards {
+		rc.shardSums = make([]shardSum, shards)
+	}
+	rc.shardSums = rc.shardSums[:shards]
 	touched = rc.shardTouched[:shards]
 	errs = rc.shardErrs[:shards]
 	active = rc.shardActive[:shards]
@@ -327,19 +355,15 @@ func (rc *RunContext) releaseLent(aborted bool) {
 	}
 }
 
-// nodeCores (re)derives the per-node state for a run. Node randomness is
-// seeded from seed in node-index order, so every engine — and every run
-// reusing this context — hands node i the same RNG stream for the same seed.
-// The per-node seeds are drawn eagerly (the seeder stream must not depend on
-// which nodes use randomness) but the RNG values themselves are built
-// lazily, on the node's first Rand call: a protocol that never draws
-// randomness pays nothing for the ~5KB rand source per node — the dominant
-// setup allocation at large n. Constructed RNGs are cached in rc.rngs across
-// runs; a later run restarts each (SeededRand.Restart, which also resets
-// the Read position), so repeated runs of one seed skip the seeding
-// altogether.
+// nodeCores (re)derives the per-node state for a run. Node seeds are not
+// drawn here: the run's first Rand call draws them all (seedNodes), so a
+// run in which no node draws randomness skips seeding altogether. The RNG
+// values themselves are built lazily, on each node's first Rand call, and
+// cached in rc.rngs across runs; a later run restarts each
+// (SeededRand.Restart, which also resets the Read position), so repeated
+// runs of one seed skip the seeding altogether.
 func (rc *RunContext) nodeCores(cfg Config) []nodeCore {
-	seeder := rc.seeder.Restart(cfg.Seed)
+	rc.seed, rc.seedOnce = cfg.Seed, sync.Once{}
 	for len(rc.rngs) < rc.g.N() {
 		rc.rngs = append(rc.rngs, nil)
 	}
@@ -352,7 +376,6 @@ func (rc *RunContext) nodeCores(cfg Config) []nodeCore {
 		rc.cores[i] = nodeCore{
 			id:        graph.NodeID(i),
 			neighbors: rc.g.Neighbors(graph.NodeID(i)),
-			rngSeed:   seeder.Int63(),
 			rngStore:  rc.rngs,
 			input:     input,
 			rc:        rc,
@@ -362,4 +385,15 @@ func (rc *RunContext) nodeCores(cfg Config) []nodeCore {
 		}
 	}
 	return rc.cores
+}
+
+// seedNodes draws every node's seed from the run's seed, in node-index
+// order, so every engine — and every run reusing this context — hands node
+// i the same RNG stream for the same seed, whichever node draws first. It
+// runs once per run, under seedOnce, from the first nodeCore.Rand call.
+func (rc *RunContext) seedNodes() {
+	seeder := rc.seeder.Restart(rc.seed)
+	for i := range rc.cores {
+		rc.cores[i].rngSeed = seeder.Int63()
+	}
 }

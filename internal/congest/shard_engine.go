@@ -218,7 +218,10 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 	defer func() {
 		rc.releaseLent(err != nil)
 		rc.releaseMemo()
-		core.runDone(err)
+		st := core.runDone(err)
+		if res != nil {
+			res.Stats = st
+		}
 	}()
 	n := core.g.N()
 
@@ -270,7 +273,7 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 	if err != nil {
 		return nil, err
 	}
-	return core.finish(outputs(cores)), nil
+	return &Result{Outputs: outputs(cores)}, nil
 }
 
 // rounds runs the round loop until every node has terminated or the run
@@ -394,21 +397,35 @@ func (sr *shardRun) computePhase(k int) {
 //mobilevet:hotpath
 func (sr *shardRun) gatherPhase(k int) {
 	rowStart := sr.core.layout.rowStart
-	sr.core.gather(rowStart[sr.bounds[k]], rowStart[sr.bounds[k+1]])
+	sr.core.gather(k, rowStart[sr.bounds[k]], rowStart[sr.bounds[k+1]])
 }
 
-// gather refills the port inboxes of in-slots [lo, hi) from the delivered
-// buffer: the message on slot (u,v) lands in v's inbox, which is its reverse
-// slot in the in slab. The whole range is rewritten — silent edges are
-// re-nilled rather than remembered — so no clear-list survives a round and
-// disjoint ranges fill concurrently without contending. Resolving a packed
-// ref may read another shard's arena chunk; that is safe because collection
-// finished at the phase barrier and nothing writes the buffer now.
-func (c *runCore) gather(lo, hi int32) {
-	in, rev, buf := c.rc.inSlab, c.layout.revSlot, c.cur
+// gather refills the port inboxes of in-slots [lo, hi), shard k's
+// receivers, from the delivered buffer: the message on slot (u,v) lands in
+// v's inbox, which is its reverse slot in the in slab. The whole range is
+// rewritten — silent edges are re-nilled rather than remembered — so no
+// clear-list survives a round and disjoint ranges fill concurrently without
+// contending. Resolving a packed ref may read another shard's arena chunk;
+// that is safe because collection finished at the phase barrier and nothing
+// writes the buffer now.
+//
+// Gather is also where a run counts its traffic, reading each delivered
+// message once: it bumps the in-slot's delivered count (the run's
+// per-edge congestion) and leaves the round's byte total and largest
+// message in shard k's sums, which deliverRound folds into the Stats.
+func (c *runCore) gather(k int, lo, hi int32) {
+	in, cnt, rev, buf := c.rc.inSlab, c.rc.delivered, c.layout.revSlot, c.cur
+	bytes, maxMsg := 0, 0
 	for rs := lo; rs < hi; rs++ {
-		in[rs] = buf.get(rev[rs])
+		m := buf.get(rev[rs])
+		in[rs] = m
+		if m != nil {
+			cnt[rs]++
+			bytes += len(m)
+			maxMsg = max(maxMsg, len(m))
+		}
 	}
+	c.rc.shardSums[k] = shardSum{bytes: bytes, maxMsg: maxMsg}
 }
 
 // collectShard folds one parked node's pending port outbox into the round's

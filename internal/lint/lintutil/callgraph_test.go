@@ -104,14 +104,14 @@ func TestImplementationsMethodSets(t *testing.T) {
 
 	delivered := method(t, pkg.Types, "Observer", "RoundDelivered")
 	impls := lintutil.Implementations(pkg.Types, delivered)
-	foundStats := false
+	foundCongestion := false
 	for _, impl := range impls {
-		if impl == method(t, pkg.Types, "StatsObserver", "RoundDelivered") {
-			foundStats = true
+		if impl == method(t, pkg.Types, "CongestionObserver", "RoundDelivered") {
+			foundCongestion = true
 		}
 	}
-	if !foundStats {
-		t.Errorf("Implementations(Observer.RoundDelivered) missing StatsObserver's")
+	if !foundCongestion {
+		t.Errorf("Implementations(Observer.RoundDelivered) missing CongestionObserver's")
 	}
 }
 
@@ -137,7 +137,7 @@ func TestReachability(t *testing.T) {
 		{"runCore", "collectShard"},
 		{"runCore", "gather"},
 		{"runCore", "deliverRound"},
-		{"StatsObserver", "RoundDelivered"}, // only via the interface expand
+		{"CongestionObserver", "RoundDelivered"}, // only via the interface expand
 	} {
 		if !reach[method(t, pkg.Types, want.typ, want.name)] {
 			t.Errorf("ShardEngine.RunIn does not reach %s.%s", want.typ, want.name)

@@ -41,6 +41,7 @@ type Scratch struct {
 	Out       rsim.Outbox
 	sketches  sketch.RecoveryImages
 	rec, work sketch.Recovery
+	fold      congest.SeededRand // the seed fold's fingerprint generator
 }
 
 // broadcastSeed has the root draw a correction round's seed and
@@ -72,7 +73,7 @@ func (n *TreeNode) SparseCorrect(sparsity int, stream func(upd func(e sketch.Ele
 	// Each tree's sketch has its own seed, and each tree owns its image,
 	// so the convergecast folds child sketches into it in place.
 	k := len(n.Trees)
-	seeds := TreeSeeds(n.RT.Memo(), seed, k)
+	seeds := TreeSeeds(n.RT.Memo(), &n.fold, seed, k)
 	locals := n.sketches.Build(seeds, sparsity, stream)
 	rootAggs := rsim.ConvergecastUp(n.RT, &n.Out, n.Trees, locals, wireMerge(sketch.EncodedSize(sparsity)), n.Depth, n.Rep)
 
@@ -136,7 +137,7 @@ func (s *simulator) l0Iteration(j int) ([]correction, bool) {
 	k := len(s.Trees)
 	t := s.cfg.Samplers
 
-	seeds := samplerSeeds(s.RT.Memo(), seed, k, j, t)
+	seeds := samplerSeeds(s.RT.Memo(), &s.fold, seed, k, j, t)
 	// Tree ti's image holds its t samplers back to back; each tree owns
 	// its image, so the convergecast folds child sketches into it in place.
 	s.sc.samplers.Reserve(2 * s.RT.Degree())
@@ -259,19 +260,21 @@ func wireMerge(size int) rsim.MergeFn {
 
 // Every node derives the same seeds from the same broadcast seed, and
 // seeding the fold's fingerprint source costs far more than the few words
-// drawn from it, so both derivations go through the run's memo.
+// drawn from it, so both derivations go through the run's memo. The node
+// that derives an entry draws the fingerprint from fold, the generator its
+// Scratch keeps, so no derivation builds a rand source.
 var (
 	treeSeedTable    = congest.NewMemoTable[uint64, []uint64]()
 	samplerSeedTable = congest.NewMemoTable[uint64, []uint64]()
 )
 
 // TreeSeeds derives the k per-tree sketch seeds of one correction
-// iteration from its broadcast seed, through the run's memo m. The result
-// is shared read-only with every node of the run that derives the same
-// seeds.
-func TreeSeeds(m *congest.Memo, seed uint64, k int) []uint64 {
+// iteration from its broadcast seed, through the run's memo m, restarting
+// the calling node's generator g when it derives the entry. The result is
+// shared read-only with every node of the run that derives the same seeds.
+func TreeSeeds(m *congest.Memo, g *congest.SeededRand, seed uint64, k int) []uint64 {
 	return treeSeedTable.Derive(m, []uint64{seed, uint64(k)}, func() []uint64 {
-		fold := sketch.NewXorFolder(seed)
+		fold := sketch.NewXorFolder(g.Restart(int64(seed)))
 		out := make([]uint64, k)
 		for j := range out {
 			out[j] = fold.Fold(uint64(j) + 1)
@@ -282,10 +285,11 @@ func TreeSeeds(m *congest.Memo, seed uint64, k int) []uint64 {
 
 // samplerSeeds derives the t sampler seeds of each of k trees for iteration
 // iter, tree-major: tree ti's sampler h is out[ti*t+h]. Like TreeSeeds, it
-// derives through the run's memo m and the result is read-only.
-func samplerSeeds(m *congest.Memo, seed uint64, k, iter, t int) []uint64 {
+// derives through the run's memo m with the node's generator g, and the
+// result is read-only.
+func samplerSeeds(m *congest.Memo, g *congest.SeededRand, seed uint64, k, iter, t int) []uint64 {
 	return samplerSeedTable.Derive(m, []uint64{seed, uint64(k), uint64(iter), uint64(t)}, func() []uint64 {
-		fold := sketch.NewXorFolder(seed)
+		fold := sketch.NewXorFolder(g.Restart(int64(seed)))
 		out := make([]uint64, 0, k*t)
 		for ti := 0; ti < k; ti++ {
 			for h := 0; h < t; h++ {

@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"math/rand"
+
 	"mobilecongest/internal/hashfam"
 	"mobilecongest/internal/prime"
 )
@@ -174,9 +176,11 @@ type XorFolder struct {
 	fp hashfam.Fingerprint
 }
 
-// NewXorFolder draws the fingerprint for seed.
-func NewXorFolder(seed uint64) XorFolder {
-	return XorFolder{fp: hashfam.NewFingerprint(seed)}
+// NewXorFolder draws the fingerprint from rng, which must start at the
+// broadcast seed's stream: NewXorFolder(g.Restart(int64(seed))) on a kept
+// congest.SeededRand folds as a fingerprint freshly seeded from seed.
+func NewXorFolder(rng *rand.Rand) XorFolder {
+	return XorFolder{fp: hashfam.FingerprintFrom(rng)}
 }
 
 // Fold derives the auxiliary seed for parts.

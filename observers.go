@@ -9,17 +9,15 @@ import (
 // Observability surface: observers hook the engine's round lifecycle
 // (RoundStart / RoundDelivered / RunDone) and are attached to a Scenario with
 // WithObserver, to a Plan with CaptureTrace or Observers, or streamed from
-// the CLI with `mobilesim -trace`. The engine's own Stats is itself a
-// StatsObserver it installs internally — the built-ins below add traces,
-// congestion histograms, and corruption logs on the same pipeline.
+// the CLI with `mobilesim -trace`. The engine counts a run's Stats itself
+// (Result.Stats, and the Stats every observer's RunDone receives); the
+// built-ins below add traces, congestion histograms, and corruption logs.
 
 type (
 	// Observer receives round lifecycle events; see congest.Observer.
 	Observer = congest.Observer
 	// RoundView is the per-round delivered-traffic view handed to observers.
 	RoundView = congest.RoundView
-	// StatsObserver accumulates run statistics (what Result.Stats carries).
-	StatsObserver = congest.StatsObserver
 	// TraceObserver records every round's delivered traffic in memory.
 	TraceObserver = congest.TraceObserver
 	// RoundTrace is one captured round: messages plus corrupted edges.
@@ -41,9 +39,6 @@ type (
 	// JSONLTrace streams per-round trace lines to a writer as the run executes.
 	JSONLTrace = congest.JSONLTrace
 )
-
-// NewStatsObserver returns an independent statistics accumulator.
-func NewStatsObserver() *StatsObserver { return congest.NewStatsObserver() }
 
 // NewTraceObserver returns an in-memory per-round traffic trace recorder.
 func NewTraceObserver() *TraceObserver { return congest.NewTraceObserver() }

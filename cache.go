@@ -51,8 +51,9 @@ func NewResultCache(maxBytes int64) *ResultCache {
 
 // OpenResultCache returns a cache whose entries also persist to an
 // append-only JSONL file under dir (created if missing): entries written by
-// the same code version are loaded on open — newest wins, torn tail lines
-// from a crash are ignored — and every insertion is appended durably.
+// the same code version are loaded on open — newest wins, and a line torn
+// by a crash is skipped, while the entries appended after it still load —
+// and every insertion is appended durably.
 func OpenResultCache(maxBytes int64, dir string) (*ResultCache, error) {
 	c, err := resultcache.Open(maxBytes, "", recordCodec, dir)
 	if err != nil {

@@ -28,14 +28,15 @@ type graphKey struct {
 }
 
 // poolSlots caps the layout slots (directed edges) of the graphs the pool's
-// contexts are bound to, summed. A context's layout, port slabs and round
-// buffers all grow with its slots, so for plain protocols the cap bounds
-// what the pool keeps alive: about the state of one n=32768 circulant
-// (k=4), some 60 MB, or of 65 clique64 contexts. It does not bound a
-// compiler's: a context keeps its node scratch and run memo while it is
-// parked, about 11 KB a slot for hardened-clique (some 44 MB for clique64),
-// so a pool full of those holds about 2.9 GB (ROADMAP.md, "Bound what the
-// run-context pool keeps by bytes").
+// contexts are bound to, summed: about one n=32768 circulant (k=4), or 65
+// clique64 contexts. A parked context is closed: it keeps no run memo or
+// node scratch, only its layout, port slabs and round buffers, which grow
+// with its slots, and its nodes' RNGs, about 5 KB a node that drew
+// randomness. On cliques 16 to 48 that is about 180 bytes a slot after
+// floodmax cells and 500 after hardened-clique ones, some 47 MB and
+// 130 MB for a full pool (TestPoolBoundsParkedBytes holds it under 2 KB a
+// slot). On sparse graphs the RNGs dominate: secure-broadcast on cycles
+// reads about 3.3 KB a slot.
 const poolSlots = 1 << 18
 
 // advKey names a built-in adversary a Plan cell builds by name: its name,
@@ -64,8 +65,8 @@ type keptAdversary struct {
 	adv reseeder
 }
 
-// idleContext is one parked context, the graph it is bound to, and the
-// adversary it keeps.
+// idleContext is one parked (closed) context, the graph it is bound to,
+// and the adversary it keeps.
 type idleContext struct {
 	key graphKey
 	g   *Graph
@@ -116,38 +117,30 @@ func (p *contextPool) take(key graphKey, g *Graph) (*congest.RunContext, keptAdv
 	return nil, keptAdversary{}
 }
 
-// park parks rc, whose last run was on g, under key, with the adversary it
-// keeps. It drops the contexts of an earlier registry generation, and then
-// the least recently parked ones while the pool holds more than poolSlots;
-// dropped contexts (rc too, when g alone is over the cap) are closed.
+// park closes rc, whose last run was on g, and parks it under key with the
+// adversary it keeps. It forgets the contexts of an earlier registry
+// generation, and then the least recently parked ones while the pool holds
+// more than poolSlots; rc itself is not kept when g alone is over the cap.
 func (p *contextPool) park(key graphKey, g *Graph, rc *congest.RunContext, adv keptAdversary) {
-	rc.Park()
+	rc.Close()
 	if slotsOf(g) > poolSlots {
-		rc.Close()
 		return
 	}
 	gen := topologies.Generation()
-	var drop []*congest.RunContext
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.idle = append(p.idle, idleContext{key: key, g: g, rc: rc, adv: adv})
 	p.slots += slotsOf(g)
 	p.idle = slices.DeleteFunc(p.idle, func(e idleContext) bool {
 		stale := e.key.gen != gen
 		if stale {
 			p.slots -= slotsOf(e.g)
-			drop = append(drop, e.rc)
 		}
 		return stale
 	})
 	for p.slots > poolSlots {
-		e := p.idle[0]
+		p.slots -= slotsOf(p.idle[0].g)
 		p.idle = slices.Delete(p.idle, 0, 1)
-		p.slots -= slotsOf(e.g)
-		drop = append(drop, e.rc)
-	}
-	p.mu.Unlock()
-	for _, rc := range drop {
-		rc.Close()
 	}
 }
 

@@ -15,16 +15,12 @@ import (
 	"mobilecongest/internal/graph"
 )
 
-// drainContextPool closes and forgets every context the run-context pool
-// holds, so the next Plan starts cold.
+// drainContextPool forgets every context the run-context pool holds (each
+// was closed when it was parked), so the next Plan starts cold.
 func drainContextPool() {
 	runContexts.mu.Lock()
-	idle := runContexts.idle
 	runContexts.idle, runContexts.slots = nil, 0
 	runContexts.mu.Unlock()
-	for _, e := range idle {
-		e.rc.Close()
-	}
 }
 
 // runSpec runs a spec's Plan and returns its records with the wall time
@@ -421,6 +417,43 @@ func TestPoolSlotCap(t *testing.T) {
 	if rc, _ := p.take(key, g); rc != parked[len(parked)-1] {
 		t.Fatal("take did not return the most recently parked context")
 	}
+}
+
+// TestPoolBoundsParkedBytes checks that the pool's slot cap bounds the
+// bytes it keeps for a compiler: a parked context keeps no run memo and no
+// node scratch, so what the pool holds grows with its slots. A 1-worker
+// Plan over clique 16, 32 and 48 under flip f=1 parks three contexts
+// (3,488 slots); the heap they hold, after two GCs and over a drained-pool
+// baseline, must stay under maxBytesPerSlot a slot, so a full pool of such
+// contexts holds under poolSlots times that (512 MB). Hardened-clique
+// reads about 350–500 B a slot and floodmax about 180; a parked context
+// that kept its node scratch would put hardened-clique at about 11.2 KB.
+func TestPoolBoundsParkedBytes(t *testing.T) {
+	const maxBytesPerSlot = 2048
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, proto := range []string{"hardened-clique", "floodmax"} {
+		drainContextPool()
+		base := heap()
+		runSpec(t, PlanSpec{Topologies: []string{"clique"}, Ns: []int{16, 32, 48}, Protocols: []string{proto},
+			Adversaries: []string{"flip"}, Fs: []int{1}, Workers: 1})
+		held := heap() - base
+		st := ContextPoolStats()
+		if st.Contexts != 3 || st.Slots != 3488 {
+			t.Fatalf("%s: the pool holds %d contexts over %d slots, want 3 over 3488", proto, st.Contexts, st.Slots)
+		}
+		perSlot := held / int64(st.Slots)
+		t.Logf("%s: %d bytes parked over %d slots, %d B a slot", proto, held, st.Slots, perSlot)
+		if perSlot > maxBytesPerSlot {
+			t.Fatalf("%s: parked contexts hold %d B a slot, bound %d", proto, perSlot, maxBytesPerSlot)
+		}
+	}
+	drainContextPool()
 }
 
 // TestWarmMissAllocCeiling caps what the served-mixed sweep (16 cells over

@@ -252,12 +252,12 @@ func TestCoroutineSlabFollowsGraphSize(t *testing.T) {
 	}
 }
 
-// TestParkAndHandOff pins what a parked context keeps and what a hand-off
-// moves: HandOff carries the shard pool's workers and the coroutine slab
-// to the next context, which keeps them parked from its first run on and
-// extends the slab in place for a larger graph; Park releases both and
-// keeps the binding, with its layout, for the next run. Every run matches
-// a fresh context.
+// TestParkAndHandOff pins what a parked (closed) context keeps and what a
+// hand-off moves: HandOff carries the shard pool's workers and the
+// coroutine slab to the next context, which keeps them parked from its
+// first run on and extends the slab in place for a larger graph; Close
+// releases both and keeps the binding, with its layout, for the next run.
+// Every run matches a fresh context.
 func TestParkAndHandOff(t *testing.T) {
 	small, large := graph.Circulant(12, 2), graph.Circulant(30, 3)
 	e := ShardEngine{Shards: 3}
@@ -296,10 +296,14 @@ func TestParkAndHandOff(t *testing.T) {
 		t.Fatal("the first run after HandOff did not keep and extend the slab it was handed")
 	}
 	grown := append([]*stepNode(nil), b.coros.nodes...)
+	largeLayout := b.layout
 
-	b.Park()
+	b.Close()
 	if b.pool != nil || b.coros != nil {
-		t.Fatal("Park left goroutines on the context")
+		t.Fatal("Close left goroutines on the context")
+	}
+	if b.g != large || b.layout != largeLayout {
+		t.Fatal("Close dropped the context's graph binding or layout")
 	}
 	waitPoolWorkers(t, pool, 0)
 	waitParkedCoroutines(t, grown, 0, false)
@@ -308,6 +312,9 @@ func TestParkAndHandOff(t *testing.T) {
 		t.Fatal("a parked context rebuilt its layout for the graph it is bound to")
 	}
 	run(b, large)
+	if b.layout != largeLayout {
+		t.Fatal("a closed context rebuilt its layout for the graph it is bound to")
+	}
 	waitParkedCoroutines(t, b.coros.nodes, large.N(), false)
 }
 

@@ -131,10 +131,11 @@ func (m *Memo) Runs() uint64 { return m.runs.Load() }
 // Unlike a MemoTable's entries, a node's scratch value outlives the run:
 // the RunContext whose Memo holds it hands the same value to the same node
 // in each of its later runs, so warm runs reuse the storage instead of
-// growing it again. The context drops every scratch value when it rebinds
-// to another graph and when it is closed; a context parked between runs
-// pins them until then. A Memo that serves a single run (the reference
-// simulator makes one per run) hands out fresh values.
+// growing it again. The context drops its memo, and with it every scratch
+// value, when it rebinds to another graph and when it is closed, so a
+// closed context parked between runs pins none. A Memo that serves a
+// single run (the reference simulator makes one per run) hands out fresh
+// values.
 //
 // A node's value is its own: no other node reads or writes it, and the
 // node holds it for at most one use at a time, so a protocol must not nest
@@ -184,14 +185,6 @@ func (s NodeScratch[T]) Of(rt Runtime) *T {
 		tab.nodes[id] = v
 	}
 	return v
-}
-
-// dropScratch forgets every node's scratch values. The context calls it
-// between runs, when it rebinds to another graph or is closed.
-func (m *Memo) dropScratch() {
-	m.mu.Lock()
-	m.scratch = nil
-	m.mu.Unlock()
 }
 
 // memoHash hashes the key's words for the table's index: FNV-1a over four

@@ -279,6 +279,9 @@ func TestNodeScratchLifetime(t *testing.T) {
 	run("rebound", ShardEngine{Shards: 1}, other, 1, false)
 	run("rebound back", ShardEngine{Shards: 1}, g, 1, false)
 	rc.Close()
+	if rc.memo.Load() != nil {
+		t.Fatal("Close kept the run memo")
+	}
 	run("after Close", ShardEngine{Shards: 3}, g, 1, false)
 
 	m := new(Memo)

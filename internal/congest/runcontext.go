@@ -23,10 +23,11 @@ import (
 // *graph.Graph. Binding is by pointer identity: reuse pays off only when the
 // caller also reuses the Graph value, which Scenario and Plan do.
 //
-// Between runs a context can be parked (Park): it gives up its goroutines
-// and keeps the rest, bound to its graph, for a later run. The root
-// package's Plans share a pool of parked contexts, one per registry graph
-// a Plan worker left, so a later Plan over the same topology starts warm.
+// Between runs a context can be parked by closing it (Close): it gives up
+// its goroutines and its run memo and keeps its buffers and RNGs, bound to
+// its graph, for a later run. The root package's Plans share a pool of
+// closed contexts, one per registry graph a Plan worker left, so a later
+// Plan over the same topology starts warm.
 //
 // A RunContext serves one run at a time; sharing one between concurrent runs
 // is a data race. Concurrent callers use one context each (a Plan worker
@@ -82,8 +83,8 @@ type RunContext struct {
 	// memo is the Memo the run's nodes share, created by the first run that
 	// asks for it, so a context whose runs never do carries one nil
 	// pointer. The engine empties it when each run ends; its tables keep
-	// their capacity for the next run, and its node scratch values stay
-	// until the context rebinds or closes.
+	// their capacity for the next run, and its node scratch values stay.
+	// Rebinding and Close drop the whole memo.
 	memo atomic.Pointer[Memo]
 }
 
@@ -105,35 +106,26 @@ func (rc *RunContext) bind(g *graph.Graph) {
 	rc.inSlab = make([]Msg, rc.layout.slots())
 	rc.delivered = make([]int32, rc.layout.slots())
 	rc.boundsShards = 0 // shard boundaries are layout-shaped
-	rc.dropScratch()    // node scratch is sized to the old graph's nodes
+	rc.memo.Store(nil)  // node scratch is sized to the old graph's nodes
 	// rc.rngs is deliberately kept: per-node RNGs are graph-independent and
 	// restored per run, so they survive rebinding. The shard pool and the
 	// shard scratch capacities likewise survive: neither depends on the graph.
 }
 
-// Close releases what the context keeps parked between runs: the shard
-// pool's worker goroutines, the node coroutines of the step and shard
-// engines, and the nodes' NodeScratch values. The context stays usable — a
-// later run simply re-creates them — so Close is about reclaiming
-// goroutines and memory promptly when a worker (a Plan.Stream worker, a
-// finished sweep) retires its context. Contexts dropped without Close are
-// covered by GC cleanups that release the goroutines, eventually; the
-// scratch goes with the context.
+// Close releases what the context keeps between runs beyond its graph:
+// the shard pool's worker goroutines, the node coroutines of the step and
+// shard engines, and the run memo with the nodes' NodeScratch values. It
+// keeps the binding to its graph with the layout, slabs, round arenas and
+// RNGs, so a closed context holds no goroutine and no per-run state, and
+// can wait idle for its next run (the root package pools idle contexts
+// across Plans this way). It stays usable: a later run re-creates what
+// Close released. Contexts dropped without Close are covered by GC
+// cleanups that release the goroutines, eventually; the rest goes with the
+// context.
 func (rc *RunContext) Close() {
-	rc.Park()
-	rc.dropScratch()
-}
-
-// Park releases the goroutines the context keeps between runs — the shard
-// pool's workers and the node coroutines — and keeps everything else: the
-// binding to its graph with the layout, slabs, round arenas and RNGs, and
-// the run memo with the nodes' NodeScratch values. A parked context holds
-// no goroutine, so it can wait idle for its next run (the root package
-// pools idle contexts across Plans this way); that run builds the
-// coroutines it needs and keeps them parked, like any later run.
-func (rc *RunContext) Park() {
 	rc.closePool()
 	rc.closeCoroutines()
+	rc.memo.Store(nil)
 }
 
 // HandOff moves the goroutines rc keeps between runs — its shard pool and
@@ -141,10 +133,11 @@ func (rc *RunContext) Park() {
 // shaped by a graph, so a caller that leaves rc for a context bound to
 // another graph (a Plan worker moving to the next topology) keeps its
 // goroutines instead of stopping them on one context and starting them on
-// the other. rc is left parked; next keeps the coroutines from its first
-// run on.
+// the other. rc is left with no goroutine; next keeps the coroutines from
+// its first run on.
 func (rc *RunContext) HandOff(next *RunContext) {
-	next.Park()
+	next.closePool()
+	next.closeCoroutines()
 	if rc.pool != nil {
 		rc.poolCleanup.Stop()
 		next.pool, rc.pool = rc.pool, nil
@@ -317,14 +310,6 @@ func (rc *RunContext) runMemo() *Memo {
 func (rc *RunContext) releaseMemo() {
 	if m := rc.memo.Load(); m != nil {
 		m.release()
-	}
-}
-
-// dropScratch forgets the nodes' NodeScratch values, so the next run
-// starts from fresh ones.
-func (rc *RunContext) dropScratch() {
-	if m := rc.memo.Load(); m != nil {
-		m.dropScratch()
 	}
 }
 

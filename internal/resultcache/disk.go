@@ -11,12 +11,14 @@ import (
 
 // The disk tier: an append-only JSONL file, one entry per line. Appends are
 // single write(2) calls on an O_APPEND descriptor, so a crash can tear at
-// most the final line; load stops at the first line that fails to parse and
-// ignores a trailing line with no newline, treating both as the torn tail.
-// There is no in-place mutation and no compaction — entries from older code
-// versions are skipped on load (counted in Stats.DiskSkipped) but left in
-// the file, so a cache directory shared across versions keeps every
-// version's results until the operator clears it.
+// most the line a writer was appending: the file's tail at the crash. Open
+// ends such a torn tail with a newline before it appends, so the next entry
+// starts a line of its own, and load skips each line that fails to parse
+// and reads on. There is no in-place mutation and no compaction — torn
+// lines and entries from other code versions are skipped on load (counted
+// in Stats.DiskSkipped) but left in the file, so a cache directory shared
+// across versions keeps every version's results until the operator clears
+// it.
 
 // diskFileName is the JSONL file inside a cache directory.
 const diskFileName = "results.jsonl"
@@ -46,57 +48,70 @@ func Open[V any](maxBytes int64, version string, codec Codec[V], dir string) (*C
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
 	path := filepath.Join(dir, diskFileName)
-	if err := c.loadDisk(path); err != nil {
+	torn, err := c.loadDisk(path)
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
+	if torn {
+		// End the torn tail's line, so the first append does not join it.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("resultcache: %w", err)
+		}
+	}
 	c.disk = &diskTier{path: path, f: f}
 	return c, nil
 }
 
-// loadDisk replays the JSONL file into the memory tier. A missing file is
-// an empty cache; a malformed or newline-less final line is a torn tail and
-// is ignored along with anything after it.
-func (c *Cache[V]) loadDisk(path string) error {
+// loadDisk replays the JSONL file into the memory tier and reports whether
+// the file ends without a newline (a torn tail). A missing file is an empty
+// cache. A line that fails to parse, the newline-less tail included, is a
+// torn or corrupt append: it is skipped, and the lines after it load.
+func (c *Cache[V]) loadDisk(path string) (torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return false, nil
 		}
-		return fmt.Errorf("resultcache: %w", err)
+		return false, fmt.Errorf("resultcache: %w", err)
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
 	for {
 		line, err := r.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return false, fmt.Errorf("resultcache: reading %s: %w", path, err)
+		}
+		if len(line) > 0 {
+			c.loadLine(line)
+		}
 		if err == io.EOF {
-			// A final chunk without its newline is a torn append; drop it.
-			return nil
+			return len(line) > 0, nil
 		}
-		if err != nil {
-			return fmt.Errorf("resultcache: reading %s: %w", path, err)
-		}
-		var dl diskLine
-		if json.Unmarshal(line, &dl) != nil {
-			// Torn or corrupt line: everything from here on is untrusted.
-			return nil
-		}
-		if dl.Version != c.version {
-			c.diskSkipped++
-			continue
-		}
-		v, err := c.codec.Decode(dl.Value)
-		if err != nil {
-			c.diskSkipped++
-			continue
-		}
-		fk := fullKey{Key: Key{Label: dl.Label, Seed: dl.Seed, Engine: dl.Engine}, Version: dl.Version}
-		c.insert(fk, v, entrySize(fk, len(dl.Value)))
-		c.diskLoaded++
 	}
+}
+
+// loadLine loads one line of the JSONL file into the memory tier, or counts
+// it in DiskSkipped when it fails to parse, holds another version's entry,
+// or fails to decode.
+func (c *Cache[V]) loadLine(line []byte) {
+	var dl diskLine
+	if json.Unmarshal(line, &dl) != nil || dl.Version != c.version {
+		c.diskSkipped++
+		return
+	}
+	v, err := c.codec.Decode(dl.Value)
+	if err != nil {
+		c.diskSkipped++
+		return
+	}
+	fk := fullKey{Key: Key{Label: dl.Label, Seed: dl.Seed, Engine: dl.Engine}, Version: dl.Version}
+	c.insert(fk, v, entrySize(fk, len(dl.Value)))
+	c.diskLoaded++
 }
 
 // append writes one entry line. Callers hold the cache mutex, serializing

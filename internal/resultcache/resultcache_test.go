@@ -193,6 +193,11 @@ func TestDiskTierVersionSkipped(t *testing.T) {
 	}
 }
 
+// TestDiskTierTornTailIgnored tears the file's tail as a crash would (a
+// line cut short before its newline, or a corrupt line) and checks that
+// Open serves the intact entries and skips the torn line, and that entries
+// appended after it survive the next restart: the torn line is skipped and
+// counted, not the end of the file.
 func TestDiskTierTornTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(0, "v1", stringCodec, dir)
@@ -221,23 +226,45 @@ func TestDiskTierTornTailIgnored(t *testing.T) {
 			if err := os.WriteFile(path, append(append([]byte(nil), data...), torn...), 0o644); err != nil {
 				t.Fatal(err)
 			}
+			// Restore the intact file for the next subtest.
+			defer func() {
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			check := func(label string, c *Cache[string], entries int) {
+				t.Helper()
+				for i := 0; i < entries; i++ {
+					if v, ok := c.Get(key(i)); !ok || v != fmt.Sprintf("val-%d", i) {
+						t.Fatalf("%s: entry %d lost to torn tail: %q, %v", label, i, v, ok)
+					}
+				}
+				if _, ok := c.Get(key(9)); ok {
+					t.Fatalf("%s: torn tail entry served", label)
+				}
+				if s := c.Stats(); s.DiskLoaded != entries || s.DiskSkipped != 1 {
+					t.Fatalf("%s: loaded %d and skipped %d lines, want %d and 1", label, s.DiskLoaded, s.DiskSkipped, entries)
+				}
+			}
 			c2, err := Open(0, "v1", stringCodec, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c2.Close()
-			for i := 0; i < 3; i++ {
-				if v, ok := c2.Get(key(i)); !ok || v != fmt.Sprintf("val-%d", i) {
-					t.Fatalf("intact entry %d lost to torn tail: %q, %v", i, v, ok)
+			check("open", c2, 3)
+			for i := 3; i < 6; i++ {
+				if err := c2.Put(key(i), fmt.Sprintf("val-%d", i)); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if _, ok := c2.Get(key(9)); ok {
-				t.Fatal("torn tail entry served")
-			}
-			// Restore the intact file for the next subtest.
-			if err := os.WriteFile(path, data, 0o644); err != nil {
+			if err := c2.Close(); err != nil {
 				t.Fatal(err)
 			}
+			c3, err := Open(0, "v1", stringCodec, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c3.Close()
+			check("reopen after appends", c3, 6)
 		})
 	}
 }

@@ -194,13 +194,13 @@ type Plan struct {
 	// (0 = GOMAXPROCS). A worker runs consecutive cells on one graph in one
 	// congest.RunContext, which keeps the last built-in adversary those
 	// cells built by name (a later cell restarts it from its own seed).
-	// Between graphs it parks that context in a pool every Plan of the
-	// process shares and takes one bound to the next graph, when one is
-	// parked. The pool caps the layout slots (directed edges) it keeps
-	// parked, not their bytes: for plain protocols that is some 60 MB, but
-	// a compiler context also keeps its node scratch, about 11 KB a slot
-	// for hardened-clique, so a full pool of those holds about 2.9 GB
-	// (ROADMAP.md, "Bound what the run-context pool keeps by bytes").
+	// Between graphs it closes that context, parks it in a pool every Plan
+	// of the process shares and takes one bound to the next graph, when one
+	// is parked. A parked context keeps no node scratch, so the pool's cap
+	// on layout slots (directed edges) bounds its bytes: on cliques about
+	// 180 bytes a slot for floodmax and 500 for hardened-clique (its nodes'
+	// RNGs, about 5 KB a node that draws randomness, weigh more on sparse
+	// graphs).
 	Workers int
 	// CaptureTrace attaches a TraceObserver to every cell and stores the
 	// captured rounds in the cell's Record.Trace. Traces hold full
@@ -558,13 +558,14 @@ func runCells(ctx context.Context, workers int, cells []planCell, deliver func(i
 			defer wg.Done()
 			// Cells run in contexts bound to their graphs, kept warm across
 			// cells and, through the run-context pool, across Plans: the
-			// run's layout, buffers, RNGs, node scratch and named
-			// adversaries are reused instead of rebuilt. Shard-engine cells
+			// run's layout, buffers, RNGs and named adversaries are reused
+			// instead of rebuilt (node scratch only within a worker's run
+			// of cells on one graph). Shard-engine cells
 			// divide the machine across the P workers instead of each
 			// grabbing GOMAXPROCS shards (an explicit ShardEngine.Shards
 			// still overrides).
-			// Retiring parks the worker's context, which releases its shard
-			// pool and node coroutines.
+			// Retiring parks the worker's context, which closes it: its
+			// shard pool, node coroutines and run memo go.
 			w := planWorker{shards: max(1, runtime.GOMAXPROCS(0)/workers)}
 			defer w.release()
 			for i := range jobs {

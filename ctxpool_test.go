@@ -219,47 +219,52 @@ func streamSpec(t *testing.T, sp PlanSpec) []Record {
 	return recs
 }
 
-// TestPooledObservedPlansMatchCold runs a Plan that captures traces and
-// builds a CorruptionLog per cell, over the Theorem 1.6 compiler and
-// FloodMax under flip: once on an empty pool, then twice more on a warm
-// pool, each after another Plan on the same cliques. Every record, its
-// trace included, and every cell's corruption log must equal the cold run's.
+// TestPooledObservedPlansMatchCold runs a Plan that builds a TraceObserver
+// and a CorruptionLog per cell, over the Theorem 1.6 compiler and FloodMax
+// under flip: once on an empty pool, then twice more on a warm pool, each
+// after another Plan on the same cliques. Every record, every cell's trace
+// and every cell's corruption log must equal the cold run's.
 func TestPooledObservedPlansMatchCold(t *testing.T) {
 	sp := PlanSpec{Topologies: []string{"clique"}, Ns: []int{8}, Protocols: []string{"hardened-clique", "floodmax"},
 		Adversaries: []string{"flip"}, Fs: []int{2}, Engines: []string{"step", "shard"}, Reps: 2, BaseSeed: 5, Workers: 2}
 	other := poolSpecs()[0]
-	run := func() ([]Record, map[string][]CorruptionEvent) {
+	type observed struct {
+		trace  []RoundTrace
+		events []CorruptionEvent
+	}
+	run := func() ([]Record, map[string]observed) {
 		t.Helper()
 		p, err := sp.Plan()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var mu sync.Mutex
+		traces := map[string]*TraceObserver{}
 		logs := map[string]*CorruptionLog{}
-		p.CaptureTrace = true
 		p.Observers = func(name string) []Observer {
 			mu.Lock()
 			defer mu.Unlock()
-			logs[name] = NewCorruptionLog()
-			return []Observer{logs[name]}
+			traces[name], logs[name] = NewTraceObserver(), NewCorruptionLog()
+			return []Observer{traces[name], logs[name]}
 		}
 		recs, err := p.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		events := map[string][]CorruptionEvent{}
+		obs := map[string]observed{}
 		for i := range recs {
-			if recs[i].Error != "" || len(recs[i].Trace) == 0 {
-				t.Fatalf("cell %s: error %q, %d trace rounds", recs[i].Name, recs[i].Error, len(recs[i].Trace))
+			name := recs[i].Name
+			if recs[i].Error != "" || len(traces[name].Rounds()) == 0 {
+				t.Fatalf("cell %s: error %q, %d trace rounds", name, recs[i].Error, len(traces[name].Rounds()))
 			}
 			recs[i].ElapsedMS = 0
-			events[recs[i].Name] = logs[recs[i].Name].Events()
+			obs[name] = observed{traces[name].Rounds(), logs[name].Events()}
 		}
-		return recs, events
+		return recs, obs
 	}
 	drainContextPool()
-	want, wantEvents := run()
-	if len(wantEvents[want[0].Name]) == 0 {
+	want, wantObs := run()
+	if len(wantObs[want[0].Name].events) == 0 {
 		t.Fatal("the flip adversary corrupted nothing; the log comparison is vacuous")
 	}
 	for round := range 2 {
@@ -267,12 +272,12 @@ func TestPooledObservedPlansMatchCold(t *testing.T) {
 		if runContexts.graph(graphKey{topo: "clique", n: 8, gen: topologies.Generation()}) == nil {
 			t.Fatal("no clique8 context is parked; the traced Plan would run cold")
 		}
-		got, gotEvents := run()
+		got, gotObs := run()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: pooled traced records differ from a cold run:\n got %+v\nwant %+v", round, got, want)
 		}
-		if !reflect.DeepEqual(gotEvents, wantEvents) {
-			t.Fatalf("round %d: pooled cells' corruption logs differ from a cold run", round)
+		if !reflect.DeepEqual(gotObs, wantObs) {
+			t.Fatalf("round %d: pooled cells' traces or corruption logs differ from a cold run", round)
 		}
 	}
 }
@@ -322,9 +327,9 @@ func TestPoolRegisterTopologyReplacement(t *testing.T) {
 // between two Plans makes the second build the new one for every cell, not
 // run the instance the first left with its pooled context.
 func TestPoolRegisterAdversaryReplacement(t *testing.T) {
-	adversaries.Register("test-pool-adv", advEntry{builtIn: true, build: func(g *Graph, f int, seed int64) (Adversary, error) {
+	adversaries.RegisterBuiltIn("test-pool-adv", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip), nil
-	}})
+	})
 	sp := PlanSpec{Topologies: []string{"clique"}, Ns: []int{8}, Protocols: []string{"floodmax"},
 		Adversaries: []string{"test-pool-adv"}, Reps: 3, Workers: 1}
 	drainContextPool()
@@ -420,14 +425,20 @@ func TestPoolSlotCap(t *testing.T) {
 }
 
 // TestPoolBoundsParkedBytes checks that the pool's slot cap bounds the
-// bytes it keeps for a compiler: a parked context keeps no run memo and no
-// node scratch, so what the pool holds grows with its slots. A 1-worker
-// Plan over clique 16, 32 and 48 under flip f=1 parks three contexts
-// (3,488 slots); the heap they hold, after two GCs and over a drained-pool
-// baseline, must stay under maxBytesPerSlot a slot, so a full pool of such
-// contexts holds under poolSlots times that (512 MB). Hardened-clique
-// reads about 350–500 B a slot and floodmax about 180; a parked context
-// that kept its node scratch would put hardened-clique at about 11.2 KB.
+// bytes it keeps for a compiler: a parked context keeps no run memo, no
+// node scratch and no node RNGs, so what the pool holds grows with its
+// slots. Each case is a 1-worker Plan that parks three contexts: clique 16,
+// 32 and 48 under flip f=1 (3,488 slots) for the Theorem 1.6 compiler and
+// for FloodMax, and cycle 64, 128 and 256 under eavesdrop f=1 (896 slots)
+// for the Theorem 1.2 compiler, whose every node draws randomness. The
+// heap they hold, after two GCs and over a drained-pool baseline, must stay
+// under maxBytesPerSlot a slot, so a full pool of such contexts holds under
+// poolSlots times that (512 MB). Hardened-clique reads about 240–400 B a
+// slot, floodmax about 180 and the cycle case about 525 (950 when it is the
+// process's first secure-broadcast Plan, whose one-time builds count too);
+// a parked context that kept its node scratch would put hardened-clique at
+// about 11.2 KB, and one that kept its nodes' RNGs (about 5 KB a node) the
+// cycle case at about 3.3–3.7 KB.
 func TestPoolBoundsParkedBytes(t *testing.T) {
 	const maxBytesPerSlot = 2048
 	heap := func() int64 {
@@ -437,20 +448,32 @@ func TestPoolBoundsParkedBytes(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	for _, proto := range []string{"hardened-clique", "floodmax"} {
+	cliques := func(proto string) PlanSpec {
+		return PlanSpec{Topologies: []string{"clique"}, Ns: []int{16, 32, 48}, Protocols: []string{proto},
+			Adversaries: []string{"flip"}, Fs: []int{1}, Workers: 1}
+	}
+	for _, c := range []struct {
+		name  string
+		spec  PlanSpec
+		slots int
+	}{
+		{"hardened-clique", cliques("hardened-clique"), 3488},
+		{"floodmax", cliques("floodmax"), 3488},
+		{"secure-broadcast on cycles", PlanSpec{Topologies: []string{"cycle"}, Ns: []int{64, 128, 256}, Protocols: []string{"secure-broadcast"},
+			Adversaries: []string{"eavesdrop"}, Fs: []int{1}, Workers: 1}, 896},
+	} {
 		drainContextPool()
 		base := heap()
-		runSpec(t, PlanSpec{Topologies: []string{"clique"}, Ns: []int{16, 32, 48}, Protocols: []string{proto},
-			Adversaries: []string{"flip"}, Fs: []int{1}, Workers: 1})
+		runSpec(t, c.spec)
 		held := heap() - base
 		st := ContextPoolStats()
-		if st.Contexts != 3 || st.Slots != 3488 {
-			t.Fatalf("%s: the pool holds %d contexts over %d slots, want 3 over 3488", proto, st.Contexts, st.Slots)
+		if st.Contexts != 3 || st.Slots != c.slots {
+			t.Fatalf("%s: the pool holds %d contexts over %d slots, want 3 over %d", c.name, st.Contexts, st.Slots, c.slots)
 		}
 		perSlot := held / int64(st.Slots)
-		t.Logf("%s: %d bytes parked over %d slots, %d B a slot", proto, held, st.Slots, perSlot)
+		t.Logf("%s: %d bytes parked over %d slots, %d B a slot", c.name, held, st.Slots, perSlot)
 		if perSlot > maxBytesPerSlot {
-			t.Fatalf("%s: parked contexts hold %d B a slot, bound %d", proto, perSlot, maxBytesPerSlot)
+			t.Fatalf("%s: parked contexts hold %d B a slot, bound %d", c.name, perSlot, maxBytesPerSlot)
 		}
 	}
 	drainContextPool()

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"mobilecongest/internal/graph"
@@ -11,7 +12,7 @@ import (
 // Config.Bandwidth abort at collection with ErrBandwidthExceeded naming the
 // deterministic smallest offender (lowest node, then lowest port), the
 // budget binds exactly at the bit boundary, and CongestionObserver's
-// per-round bandwidth records match hand-computable traffic.
+// per-edge counts match hand-computable traffic.
 
 // TestBandwidthViolationDeterministic: when every node oversends in the same
 // round, every engine reports the identical smallest offender — node 0's
@@ -68,50 +69,34 @@ func TestBandwidthUnlimitedByDefault(t *testing.T) {
 	}
 }
 
-// TestCongestionObserverBandwidthRecords: the observer's per-round records
-// match a hand-computed workload — max, mean, message count, and violations
-// against its observational BudgetBits.
+// TestCongestionObserverBandwidthRecords: the observer's per-edge counts
+// and histogram match a hand-computed workload on an unenforced run whose
+// messages differ in size.
 func TestCongestionObserverBandwidthRecords(t *testing.T) {
 	g := graph.Path(3) // edges {0,1}, {1,2}
 	co := NewCongestionObserver()
-	co.BudgetBits = 64
-	// Round r: node 0 sends 8 bytes to 1; node 2 sends 16 bytes to 1 (128
-	// bits — over the observer's 64-bit budget). Node 1 stays silent.
+	// Each of 3 rounds: node 0 sends 8 bytes to 1 and node 2 sends 16 bytes
+	// to 1. Node 1 stays silent.
 	proto := func(rt Runtime) {
 		for r := 0; r < 3; r++ {
-			out := map[graph.NodeID]Msg{}
+			out := rt.OutBuf()
 			switch rt.ID() {
 			case 0:
-				out[1] = make(Msg, 8)
+				out[rt.Port(1)] = make(Msg, 8)
 			case 2:
-				out[1] = make(Msg, 16)
+				out[rt.Port(1)] = make(Msg, 16)
 			}
-			rt.Exchange(out)
+			rt.ExchangePorts(out)
 		}
 	}
-	// Enforcement is off (Config.Bandwidth zero): BudgetBits only counts.
 	if _, err := (ShardEngine{Shards: 1}).Run(Config{Graph: g, Seed: 1, Observers: []Observer{co}}, proto); err != nil {
 		t.Fatal(err)
 	}
-	bw := co.Bandwidth()
-	if len(bw) != 3 {
-		t.Fatalf("got %d bandwidth rounds, want 3", len(bw))
+	want := map[graph.Edge]int{{U: 0, V: 1}: 3, {U: 1, V: 2}: 3}
+	if got := co.PerEdge(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("PerEdge() = %v, want %v", got, want)
 	}
-	for r, rec := range bw {
-		if rec.Round != r {
-			t.Fatalf("record %d labeled round %d", r, rec.Round)
-		}
-		if rec.Messages != 2 {
-			t.Fatalf("round %d: %d messages, want 2", r, rec.Messages)
-		}
-		if rec.MaxBits != 128 {
-			t.Fatalf("round %d: MaxBits = %d, want 128", r, rec.MaxBits)
-		}
-		if rec.MeanBits != 96 { // (64 + 128) / 2
-			t.Fatalf("round %d: MeanBits = %v, want 96", r, rec.MeanBits)
-		}
-		if rec.Violations != 1 {
-			t.Fatalf("round %d: %d violations, want 1", r, rec.Violations)
-		}
+	if got := co.Histogram(); !reflect.DeepEqual(got, map[int]int{3: 2}) {
+		t.Fatalf("Histogram() = %v, want both edges at 3", got)
 	}
 }

@@ -132,39 +132,12 @@ func edgePairs(edges []graph.Edge) [][2]graph.NodeID {
 	return out
 }
 
-// CongestionObserver builds a per-edge congestion histogram — for every
+// CongestionObserver builds a per-edge congestion histogram: for every
 // undirected edge, how many directed messages were delivered over it during
-// the run (the per-edge breakdown behind Stats.MaxEdgeCongestion) — plus a
-// per-round bandwidth record: how many bits each delivered message used
-// against the CONGEST B bits/edge/round budget (max, mean, and the count
-// exceeding BudgetBits).
+// the run (the per-edge breakdown behind Stats.MaxEdgeCongestion).
 type CongestionObserver struct {
-	// BudgetBits is the bits/edge/round budget the bandwidth records count
-	// violations against; 0 counts none. It is observational only — runs
-	// that should abort on violation set Config.Bandwidth (the root
-	// package's WithBandwidth), which enforces the budget at collection, so
-	// an enforcing run never delivers a violating round for this observer to
-	// see. Set BudgetBits to measure a hypothetical budget instead.
-	BudgetBits int
-
 	g      *graph.Graph
 	counts []int
-	bw     []BandwidthRound
-}
-
-// BandwidthRound is one round's delivered-bandwidth record.
-type BandwidthRound struct {
-	Round int `json:"round"`
-	// Messages is the number of delivered directed messages.
-	Messages int `json:"messages"`
-	// MaxBits is the largest delivered message in bits (8·bytes).
-	MaxBits int `json:"max_bits"`
-	// MeanBits is the mean delivered message size in bits; 0 on a silent
-	// round.
-	MeanBits float64 `json:"mean_bits"`
-	// Violations counts delivered messages strictly exceeding BudgetBits
-	// (always 0 when BudgetBits is 0).
-	Violations int `json:"violations"`
 }
 
 // NewCongestionObserver returns an empty congestion histogram.
@@ -175,30 +148,16 @@ func (o *CongestionObserver) RoundStart(int) {}
 
 // RoundDelivered implements Observer.
 //
-//mobilevet:coldpath diagnostics observer; attaching it opts into per-round record allocations
-func (o *CongestionObserver) RoundDelivered(round int, view *RoundView) {
+//mobilevet:coldpath allocates its per-edge counts once, on the run's first delivered round
+func (o *CongestionObserver) RoundDelivered(_ int, view *RoundView) {
 	b := view.buf
 	if o.counts == nil {
 		o.g = b.layout.g
 		o.counts = make([]int, o.g.M())
 	}
-	rec := BandwidthRound{Round: round, Messages: len(b.touched)}
-	sumBits := 0
 	for _, s := range b.touched {
 		o.counts[b.layout.undir[s]]++
-		bits := len(b.get(s)) * 8
-		sumBits += bits
-		if bits > rec.MaxBits {
-			rec.MaxBits = bits
-		}
-		if o.BudgetBits > 0 && bits > o.BudgetBits {
-			rec.Violations++
-		}
 	}
-	if rec.Messages > 0 {
-		rec.MeanBits = float64(sumBits) / float64(rec.Messages)
-	}
-	o.bw = append(o.bw, rec)
 }
 
 // RunDone implements Observer.
@@ -216,10 +175,6 @@ func (o *CongestionObserver) PerEdge() map[graph.Edge]int {
 	}
 	return out
 }
-
-// Bandwidth returns the per-round delivered-bandwidth records, in round
-// order. Nil before any round.
-func (o *CongestionObserver) Bandwidth() []BandwidthRound { return o.bw }
 
 // Histogram returns, for each congestion value, how many edges carried
 // exactly that many directed messages. Nil before any round.

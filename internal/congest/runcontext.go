@@ -24,10 +24,10 @@ import (
 // caller also reuses the Graph value, which Scenario and Plan do.
 //
 // Between runs a context can be parked by closing it (Close): it gives up
-// its goroutines and its run memo and keeps its buffers and RNGs, bound to
-// its graph, for a later run. The root package's Plans share a pool of
-// closed contexts, one per registry graph a Plan worker left, so a later
-// Plan over the same topology starts warm.
+// its goroutines, its run memo and its nodes' RNGs and keeps its buffers,
+// bound to its graph, for a later run. The root package's Plans share a
+// pool of closed contexts, one per registry graph a Plan worker left, so a
+// later Plan over the same topology starts warm.
 //
 // A RunContext serves one run at a time; sharing one between concurrent runs
 // is a data race. Concurrent callers use one context each (a Plan worker
@@ -107,25 +107,30 @@ func (rc *RunContext) bind(g *graph.Graph) {
 	rc.delivered = make([]int32, rc.layout.slots())
 	rc.boundsShards = 0 // shard boundaries are layout-shaped
 	rc.memo.Store(nil)  // node scratch is sized to the old graph's nodes
-	// rc.rngs is deliberately kept: per-node RNGs are graph-independent and
-	// restored per run, so they survive rebinding. The shard pool and the
+	// rc.rngs survives rebinding: per-node RNGs are graph-independent and
+	// restarted per run (Close is what drops them). The shard pool and the
 	// shard scratch capacities likewise survive: neither depends on the graph.
 }
 
 // Close releases what the context keeps between runs beyond its graph:
 // the shard pool's worker goroutines, the node coroutines of the step and
-// shard engines, and the run memo with the nodes' NodeScratch values. It
-// keeps the binding to its graph with the layout, slabs, round arenas and
-// RNGs, so a closed context holds no goroutine and no per-run state, and
-// can wait idle for its next run (the root package pools idle contexts
-// across Plans this way). It stays usable: a later run re-creates what
-// Close released. Contexts dropped without Close are covered by GC
-// cleanups that release the goroutines, eventually; the rest goes with the
-// context.
+// shard engines, the run memo with the nodes' NodeScratch values, and the
+// nodes' RNGs with everything the node cores still point to from the last
+// run (outputs, inputs, the shared artifact). It keeps the binding to its
+// graph with the layout, slabs and round arenas, so a closed context holds
+// no goroutine and only state shaped by its graph's slots, and can wait
+// idle for its next run (the root package pools idle contexts across Plans
+// this way). It stays usable: a later run re-creates what Close released.
+// Contexts dropped without Close are covered by GC cleanups that release
+// the goroutines, eventually; the rest goes with the context.
 func (rc *RunContext) Close() {
 	rc.closePool()
 	rc.closeCoroutines()
 	rc.memo.Store(nil)
+	// Cleared, not dropped: the next run's nodeCores rewrites every core
+	// and refills the RNG slots lazily, without regrowing either slice.
+	clear(rc.rngs)
+	clear(rc.cores)
 }
 
 // HandOff moves the goroutines rc keeps between runs — its shard pool and

@@ -1,8 +1,9 @@
 // Package registry provides the name table behind the simulator's
 // name-keyed registries: topologies, adversaries and protocols in the root
 // package, engines in congest. Each registry is one Table; the table owns
-// the lock, the lookup, the sorted name list and the unknown-name error, so
-// the registries and the name checks of plans and plan specs share them.
+// the lock, the lookup, the sorted name list, the built-in mark and the
+// unknown-name error, so the registries and the name checks of plans and
+// plan specs share them.
 package registry
 
 import (
@@ -21,26 +22,48 @@ type Table[V any] struct {
 	prefix, kind string
 
 	mu      sync.RWMutex
-	entries map[string]V
-	gen     uint64 // Register calls so far
+	entries map[string]entry[V]
+	gen     uint64 // Register and RegisterBuiltIn calls so far
+}
+
+type entry[V any] struct {
+	v       V
+	builtIn bool
 }
 
 // New returns an empty table whose unknown-name errors start with prefix
 // (the owning package, e.g. "congest") and name the entries kind (e.g.
 // "engine").
 func New[V any](prefix, kind string) *Table[V] {
-	return &Table[V]{prefix: prefix, kind: kind, entries: map[string]V{}}
+	return &Table[V]{prefix: prefix, kind: kind, entries: map[string]entry[V]{}}
 }
 
-// Register adds (or replaces) the entry under name.
-func (t *Table[V]) Register(name string, v V) {
+// Register adds (or replaces) the entry under name. The entry is not
+// built-in, also when it replaces one that was.
+func (t *Table[V]) Register(name string, v V) { t.set(name, entry[V]{v: v}) }
+
+// RegisterBuiltIn adds (or replaces) the entry under name and marks it
+// built-in: one the owning package registers itself, whose behaviour its
+// name and the build's code pin.
+func (t *Table[V]) RegisterBuiltIn(name string, v V) { t.set(name, entry[V]{v: v, builtIn: true}) }
+
+func (t *Table[V]) set(name string, e entry[V]) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries[name] = v
+	t.entries[name] = e
 	t.gen++
 }
 
-// Generation counts the Register calls made on the table. A caller that
+// BuiltIn reports whether the entry under name is a built-in one that no
+// Register has replaced since. What a caller keeps or caches by name alone
+// is sound only for such entries.
+func (t *Table[V]) BuiltIn(name string) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.entries[name].builtIn
+}
+
+// Generation counts the registrations made on the table. A caller that
 // keeps what it built from an entry stamps it with the generation read
 // before the lookup, and trusts it only while the generation is unchanged:
 // any Register since may have replaced the entry.
@@ -53,12 +76,12 @@ func (t *Table[V]) Generation() uint64 {
 // Get returns the entry registered under name, or the unknown-name error.
 func (t *Table[V]) Get(name string) (V, error) {
 	t.mu.RLock()
-	v, ok := t.entries[name]
+	e, ok := t.entries[name]
 	t.mu.RUnlock()
 	if !ok {
-		return v, t.unknown(name)
+		return e.v, t.unknown(name)
 	}
-	return v, nil
+	return e.v, nil
 }
 
 // Has reports whether an entry is registered under name.

@@ -20,6 +20,21 @@ func TestTable(t *testing.T) {
 	if !tb.Has("a") || tb.Has("c") {
 		t.Fatal("Has disagrees with the registered names")
 	}
+	gen = tb.Generation()
+	tb.RegisterBuiltIn("a", 4)
+	if v, _ := tb.Get("a"); v != 4 || !tb.BuiltIn("a") {
+		t.Fatalf("RegisterBuiltIn(a): Get = %d, BuiltIn = %v", v, tb.BuiltIn("a"))
+	}
+	if tb.Generation() == gen {
+		t.Fatal("RegisterBuiltIn left the generation unchanged")
+	}
+	if tb.BuiltIn("b") || tb.BuiltIn("c") {
+		t.Fatal("an entry from Register, or a missing one, reads as built-in")
+	}
+	tb.Register("a", 1) // replaces the built-in entry
+	if v, _ := tb.Get("a"); v != 1 || tb.BuiltIn("a") {
+		t.Fatalf("Register(a) over a built-in: Get = %d, BuiltIn = %v", v, tb.BuiltIn("a"))
+	}
 	if got := tb.Names(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("Names() = %v", got)
 	}

@@ -8,7 +8,7 @@ import (
 
 // Observability surface: observers hook the engine's round lifecycle
 // (RoundStart / RoundDelivered / RunDone) and are attached to a Scenario with
-// WithObserver, to a Plan with CaptureTrace or Observers, or streamed from
+// WithObserver, to a Plan's cells with Plan.Observers, or streamed from
 // the CLI with `mobilesim -trace`. The engine counts a run's Stats itself
 // (Result.Stats, and the Stats every observer's RunDone receives); the
 // built-ins below add traces, congestion histograms, and corruption logs.
@@ -24,14 +24,9 @@ type (
 	RoundTrace = congest.RoundTrace
 	// TraceMsg is one delivered directed message in a trace.
 	TraceMsg = congest.TraceMsg
-	// CongestionObserver builds a per-edge congestion histogram plus
-	// per-round bandwidth records (set BudgetBits to count would-be
-	// violations observationally).
+	// CongestionObserver counts the messages delivered over each edge and
+	// builds the per-edge congestion histogram.
 	CongestionObserver = congest.CongestionObserver
-	// BandwidthRound is one round's bandwidth record from a
-	// CongestionObserver: message count, max/mean bits per message, and
-	// violations against the observer's BudgetBits.
-	BandwidthRound = congest.BandwidthRound
 	// CorruptionLog records the adversary's touches round by round.
 	CorruptionLog = congest.CorruptionLog
 	// CorruptionEvent is one round's corrupted edge set.

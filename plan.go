@@ -196,31 +196,28 @@ type Plan struct {
 	// cells built by name (a later cell restarts it from its own seed).
 	// Between graphs it closes that context, parks it in a pool every Plan
 	// of the process shares and takes one bound to the next graph, when one
-	// is parked. A parked context keeps no node scratch, so the pool's cap
-	// on layout slots (directed edges) bounds its bytes: on cliques about
-	// 180 bytes a slot for floodmax and 500 for hardened-clique (its nodes'
-	// RNGs, about 5 KB a node that draws randomness, weigh more on sparse
-	// graphs).
+	// is parked. A parked context keeps no node scratch and no node RNGs,
+	// so the pool's cap on layout slots (directed edges) bounds its bytes:
+	// about 180 bytes a slot for floodmax and 240–550 for the compilers.
 	Workers int
-	// CaptureTrace attaches a TraceObserver to every cell and stores the
-	// captured rounds in the cell's Record.Trace. Traces hold full
-	// payloads; budget accordingly on large plans.
-	CaptureTrace bool
 	// Observers, when non-nil, builds extra per-cell observers; it is
 	// called once per cell with the cell's Record.Name. Cells run
 	// concurrently, so anything the returned observers share (e.g. a
 	// writer) must tolerate that — see NewJSONLTrace.
 	Observers func(cellName string) []Observer
 	// Cache, when non-nil, memoizes cell records content-addressed by the
-	// cell's canonical name (plus MaxRounds and trace capture), derived
-	// seed, engine, and the build's code version. Cached cells are resolved
-	// at expansion — no graph, Scenario, or RunContext is touched — and
-	// yielded through the normal worker pipeline, preserving Run's
-	// deterministic order and Stream's cancellation semantics; freshly
-	// computed error-free records are inserted. Plans with per-cell
-	// Observers always run their cells: the observers watch rounds a
-	// replay never executes. One cache may back any number of concurrent
-	// Plans; see NewResultCache / OpenResultCache.
+	// cell's canonical name (plus MaxRounds), derived seed, engine, and the
+	// build's code version. Cached cells are resolved at expansion — no
+	// graph, Scenario, or RunContext is touched — and yielded through the
+	// normal worker pipeline, preserving Run's deterministic order and
+	// Stream's cancellation semantics; freshly computed error-free records
+	// are inserted. The key names a topology, protocol and adversary by
+	// name only, so only cells whose three registrations are built-in ones
+	// that no Register* call has replaced use the cache (the default
+	// workload counts as built-in); other cells always run. So do all cells
+	// of Plans with per-cell Observers: the observers watch rounds a replay
+	// never executes. One cache may back any number of concurrent Plans;
+	// see NewResultCache / OpenResultCache.
 	Cache *ResultCache
 }
 
@@ -233,7 +230,6 @@ type Plan struct {
 type planCell struct {
 	rec      Record
 	scenario *Scenario
-	trace    *TraceObserver // non-nil when the plan captures traces
 	cache    *ResultCache
 	cacheKey string
 	g        *Graph
@@ -285,18 +281,16 @@ func (p Plan) cells() ([]planCell, error) {
 		// Cache consult comes first: a hit resolves the cell from its record
 		// alone — no topology build, no Scenario, and later no RunContext.
 		// Per-cell Observers watch rounds a replay never executes, so their
-		// plans bypass the cache. The cell name carries every axis fragment
-		// plus the rep; MaxRounds and trace capture shape the record without
-		// appearing in it, so they extend the key, and the engine (absent
+		// plans bypass the cache, as do cells with a registration the name
+		// does not pin (cacheable). The cell name carries every axis
+		// fragment plus the rep; MaxRounds shapes the record without
+		// appearing in it, so it extends the key, and the engine (absent
 		// from default cells' names) is its own key component.
 		var cacheKey string
-		if p.Cache != nil && p.Observers == nil {
+		if p.Cache != nil && p.Observers == nil && cacheable(spec.topoName, spec.protoName, spec.advName) {
 			cacheKey = name
 			if p.MaxRounds != 0 {
 				cacheKey = fmt.Sprintf("%s,maxrounds=%d", cacheKey, p.MaxRounds)
-			}
-			if p.CaptureTrace {
-				cacheKey += ",trace"
 			}
 			if rec, ok := p.Cache.get(cacheKey, seed, spec.engName); ok {
 				cells = append(cells, planCell{rec: rec})
@@ -321,11 +315,6 @@ func (p Plan) cells() ([]planCell, error) {
 		var obs []Observer
 		if p.Observers != nil {
 			obs = p.Observers(name)
-		}
-		var tr *TraceObserver
-		if p.CaptureTrace {
-			tr = NewTraceObserver()
-			obs = append(obs, tr)
 		}
 
 		opts := []ScenarioOption{
@@ -361,7 +350,6 @@ func (p Plan) cells() ([]planCell, error) {
 				Seed:      seed,
 			},
 			scenario: NewScenario(opts...),
-			trace:    tr,
 			cache:    p.Cache,
 			cacheKey: cacheKey,
 			g:        g,
@@ -446,13 +434,22 @@ func (w *planWorker) release() {
 	}
 }
 
+// cacheable reports whether a cell's record is pinned by its name: its
+// topology, protocol (empty for the default workload) and adversary are
+// built-in registrations nobody has replaced. A worker asks again before
+// it inserts the record, so a replacement made while the cell ran keeps
+// the record out of the cache.
+func cacheable(topo, proto, adv string) bool {
+	return topologies.BuiltIn(topo) && (proto == "" || protocols.BuiltIn(proto)) && adversaries.BuiltIn(adv)
+}
+
 // keptKey returns the key a cell's named adversary is kept under: zero
 // unless its registration is a built-in one, whose instances restart from a
 // new seed exactly as a new build (a user's AdversaryFunc may derive more
 // than the seed from its seed argument). gen is the registry's generation,
 // read before the lookup.
 func keptKey(spec cellSpec, gen uint64) advKey {
-	if e, _ := adversaries.Get(spec.advName); !e.builtIn {
+	if !adversaries.BuiltIn(spec.advName) {
 		return advKey{}
 	}
 	return advKey{name: spec.advName, f: spec.advF, gen: gen}
@@ -508,10 +505,7 @@ func (w *planWorker) run(c *planCell) {
 	c.rec.MaxMsgBytes = res.Stats.MaxMsgBytes
 	c.rec.MaxEdgeCongestion = res.Stats.MaxEdgeCongestion
 	c.rec.CorruptedEdgeRounds = res.Stats.CorruptedEdgeRounds
-	if c.trace != nil {
-		c.rec.Trace = c.trace.Rounds()
-	}
-	if c.cache != nil && c.cacheKey != "" {
+	if c.cache != nil && c.cacheKey != "" && cacheable(c.rec.Topology, c.rec.Protocol, c.rec.Adversary) {
 		c.cache.put(c.cacheKey, c.rec.Seed, c.rec.Engine, c.rec)
 	}
 }

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mobilecongest/internal/adversary"
+	"mobilecongest/internal/algorithms"
 )
 
 // TestSweepLoweringPinnedByteIdentical pins the fixed-axis plan's exact
@@ -425,5 +428,65 @@ func TestSummarize(t *testing.T) {
 	}
 	if sums[0].Rounds.Max == float64(1<<20) {
 		t.Fatal("failed record leaked into the aggregates")
+	}
+}
+
+// TestPlanCacheReplacedRegistration: a cache key names a cell's topology,
+// protocol and adversary by name alone, so a cached Plan must run every
+// cell whose registrations are not built-in ones nobody replaced, never
+// replay a record another registration under the same name computed.
+func TestPlanCacheReplacedRegistration(t *testing.T) {
+	cache := NewResultCache(0)
+	run := func(p Plan) Record {
+		t.Helper()
+		recs, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs[0].Error != "" {
+			t.Fatal(recs[0].Error)
+		}
+		recs[0].ElapsedMS = 0
+		return recs[0]
+	}
+	flood := func(rounds int) ProtocolFunc {
+		return func(*Graph, ProtoParams) (Protocol, any, error) { return algorithms.FloodMax(rounds), nil, nil }
+	}
+	plan := Plan{Axes: []Axis{NAxis(6), ProtocolAxis("zz-proto")}, BaseSeed: 1, Workers: 1, Cache: cache}
+	RegisterProtocol("zz-proto", flood(3))
+	if got := run(plan).Rounds; got != 3 {
+		t.Fatalf("FloodMax(3) ran %d rounds", got)
+	}
+	RegisterProtocol("zz-proto", flood(7))
+	if got := run(plan).Rounds; got != 7 {
+		t.Fatalf("after zz-proto became FloodMax(7), the cached Plan read %d rounds, want 7", got)
+	}
+	if s := cache.Stats(); s.Hits+s.Misses+s.Puts != 0 {
+		t.Fatalf("cells of a user registration touched the cache: %+v", s)
+	}
+
+	// A built-in registration is cached until a Register call replaces it.
+	adversaries.RegisterBuiltIn("zz-adv", func(g *Graph, f int, seed int64) (Adversary, error) {
+		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip), nil
+	})
+	plan = Plan{Axes: []Axis{NAxis(6), AdversaryAxis("zz-adv"), FAxis(2)}, BaseSeed: 1, Workers: 1, Cache: cache}
+	flipped := run(plan)
+	if got := run(plan); got != flipped || cache.Stats().Hits != 1 {
+		t.Fatalf("the built-in cell was not replayed: %+v, cache %+v", got, cache.Stats())
+	}
+	RegisterAdversary("zz-adv", func(g *Graph, f int, seed int64) (Adversary, error) {
+		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptDrop), nil
+	})
+	dropped := run(plan)
+	uncached := plan
+	uncached.Cache = nil
+	if want := run(uncached); dropped != want {
+		t.Fatalf("after zz-adv was replaced, the cached Plan read %+v, want %+v", dropped, want)
+	}
+	if dropped == flipped {
+		t.Fatal("the flipping and the dropping adversary gave the same record; the check is vacuous")
+	}
+	if s := cache.Stats(); s.Hits != 1 || s.Puts != 1 {
+		t.Fatalf("the replaced registration's cell touched the cache: %+v", s)
 	}
 }

@@ -188,28 +188,28 @@ func (s *inputNode) exchange(out []Msg) []Msg { return s.w.Base.ExchangePorts(ou
 func (s *inputNode) input() []byte { return s.inputs[s.w.Base.ID()] }
 
 func init() {
-	RegisterProtocol("floodmax", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("floodmax", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		r, err := protoRounds(g, p.Rounds)
 		if err != nil {
 			return nil, nil, err
 		}
 		return algorithms.FloodMax(r), nil, nil
 	})
-	RegisterProtocol("broadcast", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("broadcast", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		r, err := protoRounds(g, p.Rounds)
 		if err != nil {
 			return nil, nil, err
 		}
 		return algorithms.Broadcast(p.Root, protoValue(p.Seed), r), nil, nil
 	})
-	RegisterProtocol("bfs", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("bfs", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		r, err := protoEcc(g, p.Rounds, p.Root)
 		if err != nil {
 			return nil, nil, err
 		}
 		return algorithms.BFS(p.Root, r), nil, nil
 	})
-	RegisterProtocol("sumtoroot", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("sumtoroot", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		radius, err := protoEcc(g, p.Rounds, p.Root)
 		if err != nil {
 			return nil, nil, err
@@ -220,7 +220,7 @@ func init() {
 		inputs, _ := algorithms.SumInputs(g.N(), p.Seed)
 		return protoInputs(algorithms.SumToRoot(p.Root, radius), inputs), nil, nil
 	})
-	RegisterProtocol("tokenring", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("tokenring", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		for u := 0; u < g.N(); u++ {
 			if g.Degree(NodeID(u)) == 0 {
 				return nil, nil, fmt.Errorf("tokenring needs minimum degree 1; node %d is isolated", u)
@@ -232,7 +232,7 @@ func init() {
 		}
 		return algorithms.TokenRing(r), nil, nil
 	})
-	RegisterProtocol("colorring", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("colorring", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		if !isRing(g) {
 			return nil, nil, fmt.Errorf("colorring needs a cycle topology (n >= 3, all degrees 2, connected)")
 		}
@@ -242,7 +242,7 @@ func init() {
 		}
 		return algorithms.ColorRing(it), nil, nil
 	})
-	RegisterProtocol("mstclique", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("mstclique", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		if !isClique(g) {
 			return nil, nil, fmt.Errorf("mstclique runs in the congested clique; topology is not a clique")
 		}
@@ -253,7 +253,7 @@ func init() {
 	// compiler over an input-driven broadcast; hardened-clique is the
 	// Theorem 1.6 congested-clique byzantine compiler over a broadcast
 	// payload, with its star-packing artifact.
-	RegisterProtocol("secure-broadcast", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("secure-broadcast", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		r, err := protoRounds(g, p.Rounds)
 		if err != nil {
 			return nil, nil, err
@@ -264,7 +264,7 @@ func init() {
 		proto := secure.StaticToMobile(algorithms.BroadcastInput(p.Root, r), r, t)
 		return protoInputs(proto, inputs), nil, nil
 	})
-	RegisterProtocol("hardened-clique", func(g *Graph, p ProtoParams) (Protocol, any, error) {
+	protocols.RegisterBuiltIn("hardened-clique", func(g *Graph, p ProtoParams) (Protocol, any, error) {
 		if !isClique(g) {
 			return nil, nil, fmt.Errorf("hardened-clique runs in the congested clique; topology is not a clique")
 		}

@@ -28,27 +28,22 @@ type TopologyFunc func(n, k int) (*Graph, error)
 // A nil Adversary (fault-free) is a valid return.
 type AdversaryFunc func(g *Graph, f int, seed int64) (Adversary, error)
 
-// advEntry is a registered adversary family. builtIn marks the families
-// registered here, which hand the seed to their instance unchanged and
-// derive nothing else from it, so a Plan may restart one of their instances
-// from another cell's seed (Reseed) instead of building it again.
-type advEntry struct {
-	build   AdversaryFunc
-	builtIn bool
-}
-
+// The families registered here (and in protoregistry.go) are built-in
+// entries (registry.Table.RegisterBuiltIn), until a Register* call replaces
+// one. A Plan caches only cells whose registrations are all built-in, and
+// keeps only built-in adversaries, which hand the seed to their instance
+// unchanged and derive nothing else from it, so it may restart one of their
+// instances from another cell's seed (Reseed) instead of building it again.
 var (
 	topologies  = registry.New[TopologyFunc]("mobilecongest", "topology")
-	adversaries = registry.New[advEntry]("mobilecongest", "adversary")
+	adversaries = registry.New[AdversaryFunc]("mobilecongest", "adversary")
 )
 
 // RegisterTopology adds (or replaces) a named topology family.
 func RegisterTopology(name string, fn TopologyFunc) { topologies.Register(name, fn) }
 
 // RegisterAdversary adds (or replaces) a named adversary family.
-func RegisterAdversary(name string, fn AdversaryFunc) {
-	adversaries.Register(name, advEntry{build: fn})
-}
+func RegisterAdversary(name string, fn AdversaryFunc) { adversaries.Register(name, fn) }
 
 // BuildTopology instantiates a registered topology.
 func BuildTopology(name string, n, k int) (*Graph, error) {
@@ -67,11 +62,11 @@ func HasAdversary(name string) bool { return adversaries.Has(name) }
 
 // BuildAdversary instantiates a registered adversary.
 func BuildAdversary(name string, g *Graph, f int, seed int64) (Adversary, error) {
-	e, err := adversaries.Get(name)
+	fn, err := adversaries.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return e.build(g, f, seed)
+	return fn(g, f, seed)
 }
 
 // Topologies lists the registered topology names, sorted.
@@ -81,22 +76,22 @@ func Topologies() []string { return topologies.Names() }
 func Adversaries() []string { return adversaries.Names() }
 
 func init() {
-	RegisterTopology("clique", func(n, _ int) (*Graph, error) {
+	topologies.RegisterBuiltIn("clique", func(n, _ int) (*Graph, error) {
 		return graph.Clique(n), nil
 	})
-	RegisterTopology("cycle", func(n, _ int) (*Graph, error) {
+	topologies.RegisterBuiltIn("cycle", func(n, _ int) (*Graph, error) {
 		return graph.Cycle(n), nil
 	})
-	RegisterTopology("path", func(n, _ int) (*Graph, error) {
+	topologies.RegisterBuiltIn("path", func(n, _ int) (*Graph, error) {
 		return graph.Path(n), nil
 	})
-	RegisterTopology("circulant", func(n, k int) (*Graph, error) {
+	topologies.RegisterBuiltIn("circulant", func(n, k int) (*Graph, error) {
 		if k <= 0 {
 			k = 2
 		}
 		return graph.Circulant(n, k), nil
 	})
-	RegisterTopology("grid", func(n, k int) (*Graph, error) {
+	topologies.RegisterBuiltIn("grid", func(n, k int) (*Graph, error) {
 		rows := k
 		if rows <= 0 {
 			// Default to the most-square factorization.
@@ -111,13 +106,13 @@ func init() {
 		}
 		return graph.Grid(rows, n/rows), nil
 	})
-	RegisterTopology("hypercube", func(n, _ int) (*Graph, error) {
+	topologies.RegisterBuiltIn("hypercube", func(n, _ int) (*Graph, error) {
 		if n <= 0 || n&(n-1) != 0 {
 			return nil, fmt.Errorf("mobilecongest: hypercube needs a power-of-two n, got %d", n)
 		}
 		return graph.Hypercube(bits.TrailingZeros(uint(n))), nil
 	})
-	RegisterTopology("expander", func(n, k int) (*Graph, error) {
+	topologies.RegisterBuiltIn("expander", func(n, k int) (*Graph, error) {
 		d := k
 		if d <= 0 {
 			d = 8
@@ -131,16 +126,13 @@ func init() {
 		return graph.RandomRegular(n, d, rand.New(rand.NewSource(int64(n)*1_000_003+int64(d)))), nil
 	})
 
-	builtIn := func(name string, fn AdversaryFunc) {
-		adversaries.Register(name, advEntry{build: fn, builtIn: true})
-	}
-	builtIn("none", func(*Graph, int, int64) (Adversary, error) {
+	adversaries.RegisterBuiltIn("none", func(*Graph, int, int64) (Adversary, error) {
 		return nil, nil
 	})
-	builtIn("eavesdrop", func(g *Graph, f int, seed int64) (Adversary, error) {
+	adversaries.RegisterBuiltIn("eavesdrop", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewMobileEavesdropper(g, f, seed), nil
 	})
-	builtIn("static-eavesdrop", func(g *Graph, f int, seed int64) (Adversary, error) {
+	adversaries.RegisterBuiltIn("static-eavesdrop", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewStaticEavesdropper(g, f, seed), nil
 	})
 	mobileByz := func(cor adversary.Corruption) AdversaryFunc {
@@ -148,15 +140,15 @@ func init() {
 			return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, cor), nil
 		}
 	}
-	builtIn("flip", mobileByz(adversary.CorruptFlip))
-	builtIn("drop", mobileByz(adversary.CorruptDrop))
-	builtIn("randomize", mobileByz(adversary.CorruptRandomize))
-	builtIn("swap", mobileByz(adversary.CorruptSwap))
-	builtIn("inject", mobileByz(adversary.CorruptInject))
-	builtIn("busiest", func(g *Graph, f int, seed int64) (Adversary, error) {
+	adversaries.RegisterBuiltIn("flip", mobileByz(adversary.CorruptFlip))
+	adversaries.RegisterBuiltIn("drop", mobileByz(adversary.CorruptDrop))
+	adversaries.RegisterBuiltIn("randomize", mobileByz(adversary.CorruptRandomize))
+	adversaries.RegisterBuiltIn("swap", mobileByz(adversary.CorruptSwap))
+	adversaries.RegisterBuiltIn("inject", mobileByz(adversary.CorruptInject))
+	adversaries.RegisterBuiltIn("busiest", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectBusiest, adversary.CorruptFlip), nil
 	})
-	builtIn("static-flip", func(g *Graph, f int, seed int64) (Adversary, error) {
+	adversaries.RegisterBuiltIn("static-flip", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewStaticByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip), nil
 	})
 }

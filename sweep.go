@@ -31,9 +31,6 @@ type Record struct {
 	CorruptedEdgeRounds int     `json:"corrupted_edge_rounds"`
 	ElapsedMS           float64 `json:"elapsed_ms"`
 	Error               string  `json:"error,omitempty"`
-	// Trace is the cell's full per-round delivered-traffic trace, captured
-	// only when the plan captures traces (payloads base64 in JSON).
-	Trace []RoundTrace `json:"trace,omitempty"`
 }
 
 // CellSeed derives the deterministic seed for a plan cell: a hash of the

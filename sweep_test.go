@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -108,11 +109,13 @@ func TestSweepUnknownNamesRejectedUpfront(t *testing.T) {
 
 func TestSweepEngineEquivalenceOnGrid(t *testing.T) {
 	// The same plan swept under both engines must produce identical
-	// simulation statistics cell-for-cell — and, with trace capture on,
-	// identical per-round delivered-traffic traces (message order, payloads,
-	// corrupted edge sets).
-	mk := func(engine string) Plan {
-		return Plan{
+	// simulation statistics cell-for-cell — and, through a TraceObserver
+	// per cell, identical per-round delivered-traffic traces (message
+	// order, payloads, corrupted edge sets).
+	run := func(engine string) ([]Record, map[string][]RoundTrace) {
+		var mu sync.Mutex
+		traces := map[string]*TraceObserver{}
+		recs, err := sweep(Plan{
 			Axes: []Axis{
 				TopologyAxis("circulant"),
 				NAxis(10, 14),
@@ -120,18 +123,25 @@ func TestSweepEngineEquivalenceOnGrid(t *testing.T) {
 				FAxis(1, 2),
 				EngineAxis(engine),
 			},
-			BaseSeed:     11,
-			CaptureTrace: true,
+			BaseSeed: 11,
+			Observers: func(name string) []Observer {
+				mu.Lock()
+				defer mu.Unlock()
+				traces[name] = NewTraceObserver()
+				return []Observer{traces[name]}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		rounds := map[string][]RoundTrace{}
+		for _, rec := range recs {
+			rounds[rec.Name] = traces[rec.Name].Rounds()
+		}
+		return recs, rounds
 	}
-	a, err := sweep(mk("shard"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sweep(mk("step"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, aTraces := run("shard")
+	b, bTraces := run("step")
 	if len(a) != len(b) {
 		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}
@@ -139,8 +149,12 @@ func TestSweepEngineEquivalenceOnGrid(t *testing.T) {
 		// Engine name and elapsed time legitimately differ; the seed, every
 		// simulation statistic, and the full trace must not.
 		x, y := a[i], b[i]
-		if len(x.Trace) == 0 || len(x.Trace) != x.Rounds {
-			t.Fatalf("cell %s: trace has %d rounds, stats say %d", x.Name, len(x.Trace), x.Rounds)
+		xt, yt := aTraces[x.Name], bTraces[y.Name]
+		if len(xt) == 0 || len(xt) != x.Rounds {
+			t.Fatalf("cell %s: trace has %d rounds, stats say %d", x.Name, len(xt), x.Rounds)
+		}
+		if !reflect.DeepEqual(xt, yt) {
+			t.Fatalf("cell %d: traces differ across engines", i)
 		}
 		x.Engine, y.Engine = "", ""
 		x.Name, y.Name = "", ""

@@ -325,11 +325,17 @@ func TestPoolRegisterTopologyReplacement(t *testing.T) {
 
 // TestPoolRegisterAdversaryReplacement: replacing a built-in adversary
 // between two Plans makes the second build the new one for every cell, not
-// run the instance the first left with its pooled context.
+// run the instance the first left with its pooled context. A replacement
+// made while a Plan streams reaches the worker's next cell, and one made
+// between two Runs of a Scenario reaches its second Run.
 func TestPoolRegisterAdversaryReplacement(t *testing.T) {
-	adversaries.RegisterBuiltIn("test-pool-adv", func(g *Graph, f int, seed int64) (Adversary, error) {
+	flip := func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip), nil
-	})
+	}
+	drop := func(g *Graph, f int, seed int64) (Adversary, error) {
+		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptDrop), nil
+	}
+	adversaries.RegisterBuiltIn("test-pool-adv", flip)
 	sp := PlanSpec{Topologies: []string{"clique"}, Ns: []int{8}, Protocols: []string{"floodmax"},
 		Adversaries: []string{"test-pool-adv"}, Reps: 3, Workers: 1}
 	drainContextPool()
@@ -350,6 +356,65 @@ func TestPoolRegisterAdversaryReplacement(t *testing.T) {
 	if reflect.DeepEqual(first, second) {
 		t.Fatal("the flipping and the dropping adversary gave the same runs; the check is vacuous")
 	}
+
+	// Mid-stream: the replacement follows the first record. With one
+	// worker, which runs at most one cell ahead of the consumer, every
+	// cell from rep=2 on starts after it.
+	adversaries.RegisterBuiltIn("test-pool-adv", flip)
+	sp.Reps = 5
+	p, err := sp.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := map[string]*CorruptionLog{}
+	p.Observers = func(name string) []Observer {
+		logs[name] = NewCorruptionLog()
+		return []Observer{logs[name]}
+	}
+	var late []loggedRun
+	for rec, err := range p.Stream(context.Background()) {
+		if err != nil || rec.Error != "" {
+			t.Fatal(err, rec.Error)
+		}
+		if rec.Rep == 0 {
+			RegisterAdversary("test-pool-adv", drop)
+		}
+		if rec.Rep >= 2 {
+			rec.ElapsedMS = 0
+			late = append(late, loggedRun{rec, logs[rec.Name].Events()})
+		}
+	}
+	if len(late) != 3 {
+		t.Fatalf("the stream yielded %d cells from rep=2 on, want 3", len(late))
+	}
+	requireFresh(t, "mid-stream replacement", late)
+	if reflect.DeepEqual(late[0], first[2]) {
+		t.Fatal("rep=2 ran as under the flipping adversary; the check is vacuous")
+	}
+
+	// A warm Scenario: its second Run follows the replacement.
+	adversaries.RegisterBuiltIn("test-pool-adv", flip)
+	opts := []ScenarioOption{WithTopology("clique", 8, 0), WithProtocolName("floodmax"), WithAdversaryName("test-pool-adv", 1), WithSeed(7)}
+	sc := NewScenario(opts...)
+	before, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	RegisterAdversary("test-pool-adv", drop)
+	after, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewScenario(opts...).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Stats != cold.Stats {
+		t.Fatalf("warm Scenario after the replacement: %+v, a cold one %+v", after.Stats, cold.Stats)
+	}
+	if before.Stats == after.Stats {
+		t.Fatal("the flipping and the dropping adversary gave the same Stats; the check is vacuous")
+	}
 }
 
 // wrappedByzantine is a user adversary that embeds a built-in one, and so
@@ -360,7 +425,8 @@ type wrappedByzantine struct{ *adversary.Byzantine }
 // anew for every cell, also when its instances have a Reseed method, since
 // its factory may derive more than the instance's seed from its seed
 // argument: here one hands the instance seed+1, another wraps it. Warm
-// Plans must run every cell as its own Scenario does.
+// Plans must run every cell as its own Scenario does. A Scenario likewise
+// builds a user-registered adversary for every Run, and a built-in one once.
 func TestPoolKeepsOnlyBuiltInAdversaries(t *testing.T) {
 	var builds atomic.Int32
 	RegisterAdversary("test-derived-seed", func(g *Graph, f int, seed int64) (Adversary, error) {
@@ -382,6 +448,45 @@ func TestPoolKeepsOnlyBuiltInAdversaries(t *testing.T) {
 		}
 		requireFresh(t, fmt.Sprintf("round %d", round), runs)
 	}
+
+	// runs runs a Scenario three times and requires each run to equal a
+	// fresh Scenario's; it returns the builds the three runs made.
+	runs := func(name string, counter *atomic.Int32) int32 {
+		t.Helper()
+		opts := []ScenarioOption{WithTopology("clique", 8, 0), WithProtocolName("floodmax"), WithAdversaryName(name, 1), WithSeed(3)}
+		sc := NewScenario(opts...)
+		var warm [3]congest.Stats
+		counter.Store(0)
+		for i := range warm {
+			res, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm[i] = res.Stats
+		}
+		n := counter.Load()
+		for i, st := range warm {
+			cold, err := NewScenario(opts...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != cold.Stats {
+				t.Fatalf("%s: run %d of a warm Scenario %+v, a fresh one %+v", name, i, st, cold.Stats)
+			}
+		}
+		return n
+	}
+	if n := runs("test-wrapped", &builds); n != 3 {
+		t.Fatalf("three Runs of a Scenario built the user adversary %d times, want 3", n)
+	}
+	var builtIn atomic.Int32
+	adversaries.RegisterBuiltIn("test-counted-builtin", func(g *Graph, f int, seed int64) (Adversary, error) {
+		builtIn.Add(1)
+		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip), nil
+	})
+	if n := runs("test-counted-builtin", &builtIn); n != 1 {
+		t.Fatalf("three Runs of a Scenario built the built-in adversary %d times, want 1", n)
+	}
 }
 
 // TestPoolSlotCap parks contexts for more slots than the cap and checks
@@ -396,7 +501,7 @@ func TestPoolSlotCap(t *testing.T) {
 	for range poolSlots/slotsOf(g) + 10 {
 		rc := congest.NewRunContext()
 		parked = append(parked, rc)
-		p.park(key, g, rc, keptAdversary{})
+		p.park(key, g, warmContext{rc: rc})
 		sum := 0
 		for _, e := range p.idle {
 			sum += slotsOf(e.g)
@@ -415,11 +520,11 @@ func TestPoolSlotCap(t *testing.T) {
 		}
 	}
 	big := graph.Circulant(poolSlots/8+1, 4)
-	p.park(graphKey{topo: "circulant", n: big.N(), k: 4, gen: key.gen}, big, congest.NewRunContext(), keptAdversary{})
+	p.park(graphKey{topo: "circulant", n: big.N(), k: 4, gen: key.gen}, big, warmContext{rc: congest.NewRunContext()})
 	if p.graph(graphKey{topo: "circulant", n: big.N(), k: 4, gen: key.gen}) != nil {
 		t.Fatal("the pool kept a context over its slot cap")
 	}
-	if rc, _ := p.take(key, g); rc != parked[len(parked)-1] {
+	if w := p.take(key, g); w.rc != parked[len(parked)-1] {
 		t.Fatal("take did not return the most recently parked context")
 	}
 }

@@ -193,12 +193,14 @@ type Plan struct {
 	// Workers is the number of concurrent cell runners for Stream/Run
 	// (0 = GOMAXPROCS). A worker runs consecutive cells on one graph in one
 	// congest.RunContext, which keeps the last built-in adversary those
-	// cells built by name (a later cell restarts it from its own seed).
-	// Between graphs it closes that context, parks it in a pool every Plan
-	// of the process shares and takes one bound to the next graph, when one
-	// is parked. A parked context keeps no node scratch and no node RNGs,
-	// so the pool's cap on layout slots (directed edges) bounds its bytes:
-	// about 180 bytes a slot for floodmax and 240–550 for the compilers.
+	// cells built by name: a later cell restarts it from its own seed, a
+	// Register call on the adversary registry retires it, and a
+	// user-registered adversary is built for every cell. Between graphs it
+	// closes that context, parks it in a pool every Plan of the process
+	// shares and takes one bound to the next graph, when one is parked. A
+	// parked context keeps no node scratch and no node RNGs, so the pool's
+	// cap on layout slots (directed edges) bounds its bytes: about 185
+	// bytes a slot for floodmax and 390–920 for the compilers.
 	Workers int
 	// Observers, when non-nil, builds extra per-cell observers; it is
 	// called once per cell with the cell's Record.Name. Cells run
@@ -224,9 +226,8 @@ type Plan struct {
 // planCell is one expanded plan point. A nil scenario marks a cell resolved
 // from the cache at expansion: its record is already final and the workers
 // just deliver it. cacheKey is non-empty when the freshly computed record
-// should be inserted after the run. g is the graph the cell runs on, pool
-// its key in the run-context pool, and adv the key its named adversary is
-// kept under (zero when it is not a built-in one).
+// should be inserted after the run. g is the graph the cell runs on, and
+// pool its key in the run-context pool.
 type planCell struct {
 	rec      Record
 	scenario *Scenario
@@ -234,7 +235,6 @@ type planCell struct {
 	cacheKey string
 	g        *Graph
 	pool     graphKey
-	adv      advKey
 }
 
 // cells expands the plan's cross product, validating every registry name up
@@ -266,7 +266,7 @@ func (p Plan) cells() ([]planCell, error) {
 
 	// The generation is read before any build, so a graph built while a
 	// RegisterTopology runs is stamped stale, never current.
-	gen, advGen := topologies.Generation(), adversaries.Generation()
+	gen := topologies.Generation()
 	graphs := map[graphKey]*Graph{}
 	var cells []planCell
 	var simParts, allParts []string
@@ -354,7 +354,6 @@ func (p Plan) cells() ([]planCell, error) {
 			cacheKey: cacheKey,
 			g:        g,
 			pool:     key,
-			adv:      keptKey(spec, advGen),
 		})
 		return nil
 	}
@@ -393,44 +392,43 @@ func (p Plan) cells() ([]planCell, error) {
 	return cells, nil
 }
 
-// planWorker is one runCells worker's hold on a run context: rc, bound (or
-// about to be bound) to g, the graph of the worker's last cell, and the
-// adversary rc keeps.
+// planWorker is one runCells worker's hold on a run context and the
+// adversary it keeps: warm, bound (or about to be bound) to g, the graph
+// of the worker's last cell.
 type planWorker struct {
-	rc     *congest.RunContext
+	warm   warmContext
 	g      *Graph
-	pool   graphKey // rc's key in the run-context pool
-	adv    keptAdversary
-	shards int // the LimitShards cap of the worker's contexts
+	pool   graphKey // warm's key in the run-context pool
+	shards int      // the LimitShards cap of the worker's contexts
 }
 
 // context returns the context to run c in. Consecutive cells on one graph
 // share one context. On a new graph the worker takes the pooled context
 // bound to it, or a new one, hands it the goroutines the old context kept
 // between runs, and parks the old one.
-func (w *planWorker) context(c *planCell) *congest.RunContext {
-	if w.rc != nil && c.g == w.g {
-		return w.rc
+func (w *planWorker) context(c *planCell) *warmContext {
+	if w.warm.rc != nil && c.g == w.g {
+		return &w.warm
 	}
-	next, adv := runContexts.take(c.pool, c.g)
-	if next == nil {
-		next = congest.NewRunContext()
+	next := runContexts.take(c.pool, c.g)
+	if next.rc == nil {
+		next.rc = congest.NewRunContext()
 	}
-	next.LimitShards(w.shards)
-	if w.rc != nil {
-		w.rc.HandOff(next)
+	next.rc.LimitShards(w.shards)
+	if w.warm.rc != nil {
+		w.warm.rc.HandOff(next.rc)
 		w.release()
 	}
-	w.rc, w.g, w.pool, w.adv = next, c.g, c.pool, adv
-	return next
+	w.warm, w.g, w.pool = next, c.g, c.pool
+	return &w.warm
 }
 
 // release parks the worker's context in the pool, with the adversary it
 // keeps; the pool keeps no goroutine the worker started.
 func (w *planWorker) release() {
-	if w.rc != nil {
-		runContexts.park(w.pool, w.g, w.rc, w.adv)
-		w.rc, w.adv = nil, keptAdversary{}
+	if w.warm.rc != nil {
+		runContexts.park(w.pool, w.g, w.warm)
+		w.warm = warmContext{}
 	}
 }
 
@@ -443,41 +441,6 @@ func cacheable(topo, proto, adv string) bool {
 	return topologies.BuiltIn(topo) && (proto == "" || protocols.BuiltIn(proto)) && adversaries.BuiltIn(adv)
 }
 
-// keptKey returns the key a cell's named adversary is kept under: zero
-// unless its registration is a built-in one, whose instances restart from a
-// new seed exactly as a new build (a user's AdversaryFunc may derive more
-// than the seed from its seed argument). gen is the registry's generation,
-// read before the lookup.
-func keptKey(spec cellSpec, gen uint64) advKey {
-	if !adversaries.BuiltIn(spec.advName) {
-		return advKey{}
-	}
-	return advKey{name: spec.advName, f: spec.advF, gen: gen}
-}
-
-// lendAdversary gives c's scenario the adversary the worker's context
-// keeps, when c's is kept under the same key, restarted from the cell's
-// seed as BuildAdversary would seed a new one. It reports whether it did.
-func (w *planWorker) lendAdversary(c *planCell) bool {
-	if w.adv.adv == nil || w.adv.key != c.adv {
-		return false
-	}
-	w.adv.adv.Reseed(c.scenario.seed ^ advSeedMix)
-	c.scenario.namedAdv = w.adv.adv
-	return true
-}
-
-// keepAdversary keeps the adversary c's scenario built by name with the
-// worker's context, in place of the one it kept. The registry must still
-// be at c's generation: then no Register preceded the build, which used
-// the built-in entry keptKey saw.
-func (w *planWorker) keepAdversary(c *planCell) {
-	a, ok := c.scenario.namedAdv.(reseeder)
-	if ok && c.adv != (advKey{}) && adversaries.Generation() == c.adv.gen {
-		w.adv = keptAdversary{key: c.adv, adv: a}
-	}
-}
-
 // run executes one cell and folds the outcome into its record; failures are
 // recorded, never fatal. Cells resolved from the cache at expansion (nil
 // scenario) are already final — their record keeps the elapsed time of the
@@ -487,13 +450,9 @@ func (w *planWorker) run(c *planCell) {
 	if c.scenario == nil {
 		return
 	}
-	rc := w.context(c)
-	lent := w.lendAdversary(c)
+	warm := w.context(c)
 	start := time.Now()
-	res, err := c.scenario.runIn(rc)
-	if !lent {
-		w.keepAdversary(c)
-	}
+	res, err := c.scenario.runIn(warm)
 	c.rec.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
 		c.rec.Error = err.Error()

@@ -30,10 +30,11 @@ type AdversaryFunc func(g *Graph, f int, seed int64) (Adversary, error)
 
 // The families registered here (and in protoregistry.go) are built-in
 // entries (registry.Table.RegisterBuiltIn), until a Register* call replaces
-// one. A Plan caches only cells whose registrations are all built-in, and
-// keeps only built-in adversaries, which hand the seed to their instance
-// unchanged and derive nothing else from it, so it may restart one of their
-// instances from another cell's seed (Reseed) instead of building it again.
+// one. A Plan caches only cells whose registrations are all built-in, and a
+// run context keeps only built-in adversaries, which hand the seed to their
+// instance unchanged and derive nothing else from it, so it may restart one
+// of their instances from another run's seed (Reseed) instead of building
+// it again.
 var (
 	topologies  = registry.New[TopologyFunc]("mobilecongest", "topology")
 	adversaries = registry.New[AdversaryFunc]("mobilecongest", "adversary")

@@ -54,7 +54,8 @@ const protoSeedMix = 0x70726f746f // "proto"
 // Repeated Run calls on one Scenario reuse a congest.RunContext, amortizing
 // the per-run state (edge layout, round buffers, node cores, RNGs, and the
 // node coroutines, which stay parked until the Scenario is garbage
-// collected) across runs; a Scenario is therefore not safe for concurrent Run calls (it never
+// collected), and a built-in adversary named with WithAdversaryName, across
+// runs; a Scenario is therefore not safe for concurrent Run calls (it never
 // was — the topology cache already mutated the value). To fan one scenario
 // out across goroutines, give each its own Clone.
 type Scenario struct {
@@ -76,9 +77,8 @@ type Scenario struct {
 	shared    any
 	inputs    [][]byte
 	observers []Observer
-	runCtx    *congest.RunContext // reused across repeated Run calls
-	namedAdv  Adversary           // advName's instance, reused across Run calls when it resets per run
-	err       error               // first configuration error, surfaced at Run
+	warm      warmContext // reused across repeated Run calls
+	err       error       // first configuration error, surfaced at Run
 }
 
 // ScenarioOption configures a Scenario.
@@ -158,13 +158,13 @@ func WithAdversary(a Adversary) ScenarioOption {
 
 // WithAdversaryName sets the adversary by registry name with per-round edge
 // strength f. The instance is built at Run time against the resolved graph,
-// seeded deterministically from the scenario seed. An instance that resets
-// per run (congest.RunResetter, as every built-in one does) is kept for the
-// Scenario's later runs; any other is built again for every run. A Plan
-// cell of a built-in seeded adversary may instead run the instance an
-// earlier cell built on the same graph, name and f: restarted from this
-// cell's seed (Reseed), it draws exactly as a new one. Adversaries
-// registered with RegisterAdversary are always built for the cell.
+// seeded deterministically from the scenario seed. The run context keeps a
+// built-in seeded adversary for its later runs on the same graph, name and
+// f, a Plan cell's as well as the Scenario's own: restarted from the run's
+// seed (Reseed), it draws exactly as a new one. Any Register call on the
+// adversary registry retires the kept instance, so the next run builds
+// under the registration in force; adversaries registered with
+// RegisterAdversary are built for every run.
 func WithAdversaryName(name string, f int) ScenarioOption {
 	return func(s *Scenario) { s.advName, s.advF = name, f; s.adv = nil }
 }
@@ -265,14 +265,14 @@ func (s *Scenario) Engine() Engine {
 // support (see the type doc). Per-run state configured by *instance* rather
 // than by name is still shared: a WithAdversary instance and WithObserver
 // observers are not cloned, so scenarios meant for fan-out should configure
-// the adversary with WithAdversaryName (built per Scenario value, never
-// shared with a clone) and attach
-// observers per clone. If the topology was configured by name and not yet
-// resolved, each clone builds its own (identical) graph; call Graph() once
-// before cloning to share one instance.
+// the adversary with WithAdversaryName (built and kept by each clone's own
+// run context, never shared) and attach observers per clone. If the
+// topology was configured by name and not yet resolved, each clone builds
+// its own (identical) graph; call Graph() once before cloning to share one
+// instance.
 func (s *Scenario) Clone() *Scenario {
 	c := *s
-	c.runCtx, c.namedAdv = nil, nil
+	c.warm = warmContext{}
 	// Snapshot the observer list so a later WithObserver-style append on one
 	// copy can never alias the other's backing array.
 	c.observers = append([]Observer(nil), s.observers...)
@@ -281,16 +281,17 @@ func (s *Scenario) Clone() *Scenario {
 
 // Run resolves the scenario and executes it.
 func (s *Scenario) Run() (*Result, error) {
-	if s.runCtx == nil {
-		s.runCtx = congest.NewRunContext()
+	if s.warm.rc == nil {
+		s.warm.rc = congest.NewRunContext()
 	}
-	return s.runIn(s.runCtx)
+	return s.runIn(&s.warm)
 }
 
 // runIn executes the scenario inside the given run context, which a caller
 // making many runs over the same graph (Plan workers, the Scenario's own
-// repeated Run calls) reuses to amortize per-run allocations.
-func (s *Scenario) runIn(rc *congest.RunContext) (*Result, error) {
+// repeated Run calls) reuses, with the adversary it keeps, to amortize
+// per-run allocations.
+func (s *Scenario) runIn(w *warmContext) (*Result, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -322,18 +323,8 @@ func (s *Scenario) runIn(rc *congest.RunContext) (*Result, error) {
 	}
 	adv := s.adv
 	if adv == nil && s.advName != "" {
-		adv = s.namedAdv
-		if adv == nil {
-			adv, err = BuildAdversary(s.advName, g, s.advF, s.seed^advSeedMix)
-			if err != nil {
-				return nil, err
-			}
-			// The engine resets such an instance at the start of every
-			// run, so a later run behaves as on a fresh one and reuses its
-			// storage.
-			if _, ok := adv.(congest.RunResetter); ok {
-				s.namedAdv = adv
-			}
+		if adv, err = w.adversary(s.advName, g, s.advF, s.seed^advSeedMix); err != nil {
+			return nil, err
 		}
 	}
 	cfg := congest.Config{
@@ -346,7 +337,7 @@ func (s *Scenario) runIn(rc *congest.RunContext) (*Result, error) {
 		Bandwidth: s.bandwidth,
 		Observers: s.observers,
 	}
-	res, runErr := s.Engine().RunIn(rc, cfg, proto)
+	res, runErr := s.Engine().RunIn(w.rc, cfg, proto)
 	if runErr != nil && s.name != "" {
 		return nil, fmt.Errorf("scenario %s: %w", s.name, runErr)
 	}

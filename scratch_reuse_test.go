@@ -84,7 +84,7 @@ func checkInterleavedRuns(t *testing.T, cells []interleavedCell) (aborted bool) 
 		if rc == nil {
 			res, err = sc.Run()
 		} else {
-			res, err = sc.runIn(rc)
+			res, err = sc.runIn(&warmContext{rc: rc})
 		}
 		if err != nil {
 			return fmt.Sprintf("error=%q", err.Error())

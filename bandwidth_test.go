@@ -12,7 +12,7 @@ import (
 )
 
 // The root-API surface of the bandwidth budget: WithBandwidth on scenarios,
-// the BandwidthAxis on plans (labels, records, and seed invariance), and the
+// PlanSpec.Bandwidths on plans (labels, records, and seed invariance), and the
 // violation error surfacing in sweep records.
 
 // TestScenarioWithBandwidth: a generous budget passes, a binding one fails
@@ -35,35 +35,32 @@ func TestScenarioWithBandwidth(t *testing.T) {
 	}
 }
 
-// TestPlanBandwidthAxis: the axis labels cells "bw=N" without perturbing
-// seeds (budgets change enforcement, never the randomness), fills
+// TestPlanBandwidthAxis: the bandwidths list labels cells "bw=N" without
+// perturbing seeds (budgets change enforcement, never the randomness), fills
 // Record.Bandwidth, and carries violations as per-cell record errors rather
 // than aborting the sweep.
 func TestPlanBandwidthAxis(t *testing.T) {
 	// The default workload floods 64-bit payloads.
-	mk := func(axes ...Axis) []Record {
+	const reps = 2
+	mk := func(budgets ...int) []Record {
 		t.Helper()
-		recs, err := Plan{Axes: axes, BaseSeed: 42}.Run(context.Background())
+		sp := PlanSpec{Topologies: []string{"cycle"}, Ns: []int{8}, Bandwidths: budgets, Reps: reps, BaseSeed: 42}
+		recs, err := Plan{PlanSpec: sp}.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return recs
 	}
-	base := []Axis{
-		TopologyAxis("cycle"), NAxis(8), KAxis(0),
-		AdversaryAxis("none"), FAxis(1), EngineAxis("step"),
-	}
-	const reps = 2
-	plain := mk(append(base, RepsAxis(reps))...)
+	plain := mk()
 	budgets := []int{0, 64, 32}
-	swept := mk(append(base, BandwidthAxis(budgets...), RepsAxis(reps))...)
+	swept := mk(budgets...)
 
 	if len(swept) != len(budgets)*len(plain) {
 		t.Fatalf("bandwidth sweep produced %d records, want %d", len(swept), len(budgets)*len(plain))
 	}
 	for i, r := range swept {
 		bw := budgets[i/reps] // reps iterate innermost
-		twin := plain[i%reps] // the same cell without the bandwidth axis
+		twin := plain[i%reps] // the same cell without a bandwidths list
 		if r.Bandwidth != bw {
 			t.Fatalf("record %d: Bandwidth = %d, want %d (name %s)", i, r.Bandwidth, bw, r.Name)
 		}

@@ -132,14 +132,12 @@ func BenchmarkProtocol(b *testing.B) {
 func BenchmarkPlanOverhead(b *testing.B) {
 	const cells = 64
 	b.Run("plan", func(b *testing.B) {
-		plan := mc.Plan{
-			Axes: []mc.Axis{
-				mc.TopologyAxis("clique"),
-				mc.NAxis(4),
-				mc.RepsAxis(cells),
-			},
-			BaseSeed: 1,
-		}
+		plan := mc.Plan{PlanSpec: mc.PlanSpec{
+			Topologies: []string{"clique"},
+			Ns:         []int{4},
+			Reps:       cells,
+			BaseSeed:   1,
+		}}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			recs, err := plan.Run(context.Background())
@@ -162,13 +160,13 @@ func BenchmarkPlanCached(b *testing.B) {
 	const cells = 64
 	mkPlan := func(cache *mc.ResultCache) mc.Plan {
 		return mc.Plan{
-			Axes: []mc.Axis{
-				mc.TopologyAxis("clique"),
-				mc.NAxis(4),
-				mc.RepsAxis(cells),
+			PlanSpec: mc.PlanSpec{
+				Topologies: []string{"clique"},
+				Ns:         []int{4},
+				Reps:       cells,
+				BaseSeed:   1,
 			},
-			BaseSeed: 1,
-			Cache:    cache,
+			Cache: cache,
 		}
 	}
 	run := func(b *testing.B, plan mc.Plan) {

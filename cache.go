@@ -7,7 +7,7 @@ import (
 )
 
 // The result cache: every sweep cell is deterministic by construction —
-// CellSeed hashes the canonical axis label, and the cross-engine suite pins
+// CellSeed hashes the canonical cell label, and the cross-engine suite pins
 // byte-identical Records — so a cell that has ever been computed never needs
 // computing again. A ResultCache memoizes Records content-addressed by
 // (canonical cell label, derived seed, engine, code version); install one on

@@ -13,25 +13,25 @@ import (
 )
 
 // threeAxisPlan is the shared fixture for the cache equivalence tests: a
-// 3-axis grid (topology × n × adversary) with reps, mixing engines via the
-// default plus an explicit engine cell set elsewhere in the suite.
+// three-dimension grid (topology × n × adversary) with reps, mixing engines
+// via the default plus an explicit engine cell set elsewhere in the suite.
 func threeAxisPlan(cache *mc.ResultCache) mc.Plan {
 	return mc.Plan{
-		Axes: []mc.Axis{
-			mc.TopologyAxis("clique", "circulant"),
-			mc.NAxis(8, 12),
-			mc.AdversaryAxis("none", "flip"),
-			mc.FAxis(2),
-			mc.RepsAxis(2),
+		PlanSpec: mc.PlanSpec{
+			Topologies:  []string{"clique", "circulant"},
+			Ns:          []int{8, 12},
+			Adversaries: []string{"none", "flip"},
+			Fs:          []int{2},
+			Reps:        2,
+			BaseSeed:    7,
+			Workers:     1,
 		},
-		BaseSeed: 7,
-		Workers:  1,
-		Cache:    cache,
+		Cache: cache,
 	}
 }
 
 // TestPlanCachedReplayByteIdentical is the core memoization contract: a warm
-// run of a 3-axis plan against the cache a cold run filled replays the cold
+// run of a three-dimension plan against the cache a cold run filled replays the cold
 // run byte for byte — records (including the original timings), Run order,
 // and Summarize output — without touching a RunContext.
 func TestPlanCachedReplayByteIdentical(t *testing.T) {
@@ -71,9 +71,7 @@ func TestPlanCachedReplayByteIdentical(t *testing.T) {
 func TestPlanCacheVersionKeying(t *testing.T) {
 	cache := mc.NewResultCache(0)
 	plan := mc.Plan{
-		Axes:     []mc.Axis{mc.NAxis(8), mc.RepsAxis(4)},
-		BaseSeed: 3,
-		Workers:  1,
+		PlanSpec: mc.PlanSpec{Ns: []int{8}, Reps: 4, BaseSeed: 3, Workers: 1},
 		Cache:    cache,
 	}
 	if _, err := plan.Run(context.Background()); err != nil {
@@ -108,13 +106,7 @@ func TestPlanCacheVersionKeying(t *testing.T) {
 func TestPlanCacheErrorRecordsBypass(t *testing.T) {
 	cache := mc.NewResultCache(0)
 	plan := mc.Plan{
-		Axes: []mc.Axis{
-			mc.NAxis(8),
-			mc.BandwidthAxis(1),
-			mc.RepsAxis(2),
-		},
-		BaseSeed: 3,
-		Workers:  1,
+		PlanSpec: mc.PlanSpec{Ns: []int{8}, Bandwidths: []int{1}, Reps: 2, BaseSeed: 3, Workers: 1},
 		Cache:    cache,
 	}
 	first, err := plan.Run(context.Background())
@@ -151,9 +143,7 @@ func TestPlanCacheIneligibleCells(t *testing.T) {
 	t.Run("observers", func(t *testing.T) {
 		cache := mc.NewResultCache(0)
 		plan := mc.Plan{
-			Axes:      []mc.Axis{mc.NAxis(6), mc.RepsAxis(2)},
-			BaseSeed:  1,
-			Workers:   1,
+			PlanSpec:  mc.PlanSpec{Ns: []int{6}, Reps: 2, BaseSeed: 1, Workers: 1},
 			Observers: func(string) []mc.Observer { return nil },
 			Cache:     cache,
 		}
@@ -175,9 +165,7 @@ func TestPlanCacheIneligibleCells(t *testing.T) {
 func TestPlanCacheKeyedByMaxRoundsAndTrace(t *testing.T) {
 	cache := mc.NewResultCache(0)
 	base := mc.Plan{
-		Axes:     []mc.Axis{mc.NAxis(8)},
-		BaseSeed: 3,
-		Workers:  1,
+		PlanSpec: mc.PlanSpec{Ns: []int{8}, BaseSeed: 3, Workers: 1},
 		Cache:    cache,
 	}
 	run := func(p mc.Plan) mc.Record {
@@ -243,7 +231,7 @@ func TestPlanCacheConcurrentPlans(t *testing.T) {
 			if g%2 == 1 {
 				// Half the goroutines sweep a sub-grid, so entries are
 				// shared across differently-shaped plans.
-				plan.Axes[0] = mc.TopologyAxis("clique")
+				plan.Topologies = []string{"clique"}
 			}
 			plan.Workers = 2
 			recs, err := plan.Run(context.Background())

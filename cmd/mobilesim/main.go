@@ -16,8 +16,8 @@
 // byte-identical results for the same seed.
 //
 // Sweep mode: -sweep fills a PlanSpec (the JSON form cmd/mobilesimd
-// accepts) from the axis flags — including the protocol registry axis via
-// -proto and the engine axis via -engine — and runs the Plan it lowers to,
+// accepts) from the sweep flags — including the protocol registry names via
+// -proto and the engines via -engine — and runs the Plan it lowers to,
 // so the CLI and the server share one lowering and one set of input checks:
 // a bad value (an unknown name, n < 1, a negative k, f, bandwidth, reps,
 // maxrounds or workers) exits 2 with the spec's message. The plan fans the cells out across -workers
@@ -347,8 +347,8 @@ func runSweep(spec mc.PlanSpec, summary bool, cacheDir string, sink *traceSink, 
 	enc := json.NewEncoder(stdout)
 	failed, total := 0, 0
 	if summary {
-		// Plan.Run returns grid order regardless of worker scheduling, so
-		// the summaries come out in the axes' natural order.
+		// Plan.Run returns cell order regardless of worker scheduling, so
+		// the summaries come out in the spec's cell order.
 		records, err := plan.Run(context.Background())
 		if err != nil {
 			fmt.Fprintln(stderr, err)

@@ -9,10 +9,9 @@
 //
 // Endpoints:
 //
-//	POST /sweep    body: a PlanSpec JSON document (the JSON mirror of the
-//	               Plan axis constructors — topologies/ns/ks/protocols/ps/
-//	               adversaries/fs/engines/bandwidths/reps plus base_seed,
-//	               max_rounds, workers). Streams one record per line
+//	POST /sweep    body: a PlanSpec JSON document (the spec a Plan runs —
+//	               topologies/ns/ks/protocols/ps/adversaries/fs/engines/
+//	               bandwidths/reps plus base_seed, max_rounds, workers). Streams one record per line
 //	               (NDJSON) as cells finish; set "workers":1 for grid
 //	               order. Cells already in the cache are served without
 //	               recomputation. 400 on malformed or misnamed specs, 413

@@ -587,14 +587,17 @@ func TestPoolBoundsParkedBytes(t *testing.T) {
 // TestWarmMissAllocCeiling caps what the served-mixed sweep (16 cells over
 // two cliques and two circulants, a new base seed each time, so every cell
 // runs) allocates once its graphs, contexts and flip adversaries are
-// pooled: about 2.45k allocations of about 97 KB in all (112 KB under the
-// race detector). The ceilings leave about 25% over that. Building a new
-// adversary per cell puts it at about 181 KB, and rebuilding the graphs
-// and contexts per Plan too at about 5.8k allocations and 1.56 MB.
+// pooled: about 2.04k allocations of about 66 KB in all (82 KB under the
+// race detector). The ceilings leave about 29% and 46% over that. Before
+// the Plan expanded its spec in one pass, with each cell's Scenario built
+// through options, the sweep took about 2.44k allocations of 96 KB;
+// building a new adversary per cell then put it at about 181 KB, and
+// rebuilding the graphs and contexts per Plan too at about 5.8k
+// allocations and 1.56 MB.
 func TestWarmMissAllocCeiling(t *testing.T) {
 	const (
-		ceiling      = 3_150
-		bytesCeiling = 140_000
+		ceiling      = 2_640
+		bytesCeiling = 97_000
 	)
 	sp := PlanSpec{
 		Topologies:  []string{"clique", "circulant"},

@@ -1,5 +1,5 @@
 // planexperiment demonstrates the experiment Plan API end to end: a
-// protocol-registry axis (including a compiled protocol with its trusted
+// protocols list (including a compiled protocol with its trusted
 // preprocessing artifact resolved by name), swept node counts and
 // eavesdropper strengths, streamed execution with progress as cells
 // complete, and Summarize aggregation over repetitions — the paper's
@@ -27,18 +27,20 @@ func run() error {
 	// The comparative cell grid of Theorem 1.2's headline claim: the same
 	// broadcast, plain vs. compiled (secure-broadcast), across clique sizes
 	// and eavesdropper strengths. 3 reps per cell give the aggregates
-	// spread.
-	plan := mc.Plan{
-		Axes: []mc.Axis{
-			mc.TopologyAxis("clique"),
-			mc.NAxis(8, 16),
-			mc.ProtocolAxis("broadcast", "secure-broadcast"),
-			mc.AdversaryAxis("eavesdrop"),
-			mc.FAxis(1, 2),
-			mc.RepsAxis(3),
-		},
-		BaseSeed: 42,
-		Workers:  4,
+	// spread. The same spec, as JSON, is what `mobilesim -sweep` builds
+	// from its flags and what mobilesimd accepts.
+	plan, err := mc.PlanSpec{
+		Topologies:  []string{"clique"},
+		Ns:          []int{8, 16},
+		Protocols:   []string{"broadcast", "secure-broadcast"},
+		Adversaries: []string{"eavesdrop"},
+		Fs:          []int{1, 2},
+		Reps:        3,
+		BaseSeed:    42,
+		Workers:     4,
+	}.Plan()
+	if err != nil {
+		return err
 	}
 
 	// Stream: records arrive as cells finish; collect them for aggregation.

@@ -43,7 +43,7 @@ type Engine interface {
 }
 
 // Engines is the name-keyed engine registry: "step" and "shard". The root
-// package's plan axes and specs check engine names against it, and
+// package's plan specs check engine names against it, and
 // Engines.Get resolves them.
 var Engines = func() *registry.Table[Engine] {
 	t := registry.New[Engine]("congest", "engine")

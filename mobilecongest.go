@@ -49,19 +49,21 @@
 // worker, reuse a RunContext that amortizes the run's layout, buffers, and
 // RNG state across runs.
 //
-// Parameter studies are experiment Plans: an ordered list of Axis values
-// (topology, n, k, protocol and its parameter, adversary, f, engine,
-// bandwidth, reps) whose cross product runs with deterministic per-cell
-// seeds, streamed as cells finish or collected in grid order, and
-// aggregated over repetitions with Summarize:
+// Parameter studies are experiment Plans, each described by a PlanSpec:
+// one value list per dimension (topology, n, k, protocol and its
+// parameter, adversary, f, engine, bandwidth) plus a repetition count. The
+// cross product runs with deterministic per-cell seeds, streamed as cells
+// finish or collected in cell order, and aggregated over repetitions with
+// Summarize. The same spec is the JSON that mobilesimd accepts and that
+// `mobilesim -sweep` builds from its flags:
 //
-//	plan := mobilecongest.Plan{Axes: []mobilecongest.Axis{
-//		mobilecongest.TopologyAxis("clique", "circulant"),
-//		mobilecongest.NAxis(16, 32, 64),
-//		mobilecongest.ProtocolAxis("bfs", "secure-broadcast"),
-//		mobilecongest.AdversaryAxis("none", "flip"),
-//		mobilecongest.FAxis(2),
-//		mobilecongest.RepsAxis(3),
+//	plan := mobilecongest.Plan{PlanSpec: mobilecongest.PlanSpec{
+//		Topologies:  []string{"clique", "circulant"},
+//		Ns:          []int{16, 32, 64},
+//		Protocols:   []string{"bfs", "secure-broadcast"},
+//		Adversaries: []string{"none", "flip"},
+//		Fs:          []int{2},
+//		Reps:        3,
 //	}}
 //	for rec, err := range plan.Stream(ctx) { ... }
 //

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -14,194 +13,25 @@ import (
 	"mobilecongest/internal/congest"
 )
 
-// The experiment Plan API: the primary way to describe a parameter study.
-// A Plan holds an ordered list of Axes — each axis is one swept dimension
-// (topology family, node count, protocol name and parameter, adversary and
-// strength, engine, bandwidth) — and executes their cross product with
-// deterministic per-cell seeds, either streamed as cells finish
-// (Plan.Stream) or collected in grid order (Plan.Run).
+// Plan is an experiment: the cross product of its spec's value lists, one
+// simulation per cell, run with deterministic per-cell seeds and either
+// streamed as cells finish (Stream) or collected in cell order (Run). The
+// spec is the Plan's only description of its cells (see PlanSpec for the
+// defaults, the cell order and the labels); Observers and Cache are how the
+// cells run, not which cells there are. The zero Plan is one default cell.
 //
-// Seeds are canonical in the cell's coordinates: every seed-relevant axis
-// value contributes a "name=value" fragment, in axis order, to the cell's
-// label, and CellSeed hashes that label with the base seed and repetition
-// index. The engine axis is an execution detail and deliberately excluded,
-// so the same simulation cell draws the same randomness on every engine;
-// adding a new axis to a plan reshapes labels (and therefore seeds) only
-// for plans that use it, so every pre-existing cell keeps its seed.
-
-// cellSpec is the typed accumulation of one cell's axis values.
-type cellSpec struct {
-	topoName     string
-	topoN, topoK int
-	protoName    string
-	protoP       int
-	advName      string
-	advF         int
-	engName      string
-	bandwidth    int
-	rep          int
-}
-
-// axisValue is one point on an axis: an optional label fragment (feeding
-// the cell seed when seed is set) plus the typed application to the spec.
-type axisValue struct {
-	part string
-	seed bool
-	set  func(*cellSpec)
-}
-
-// axisKind identifies the dimension an axis configures, so plan validation
-// can reason about structure (duplicate axes, the p-axis pairing rule).
-type axisKind int
-
-const (
-	axisTopology axisKind = iota
-	axisN
-	axisK
-	axisProtocol
-	axisProtocolParam
-	axisAdversary
-	axisF
-	axisEngine
-	axisBandwidth
-	axisReps
-)
-
-// Axis is one dimension of a Plan: a named, ordered list of values. Build
-// axes with the typed constructors (TopologyAxis, NAxis, ProtocolAxis, ...).
-type Axis struct {
-	name   string
-	kind   axisKind
-	values []axisValue
-	// check validates the axis's registry names up front, so a bad plan
-	// fails before any cell is built.
-	check func() error
-}
-
-// Name returns the axis's dimension name.
-func (a Axis) Name() string { return a.name }
-
-// Len returns the number of values on the axis.
-func (a Axis) Len() int { return len(a.values) }
-
-// TopologyAxis sweeps the topology family by registry name.
-func TopologyAxis(names ...string) Axis {
-	return nameAxis("topology", axisTopology, "topo", true, topologies.Check, names, func(c *cellSpec, v string) { c.topoName = v })
-}
-
-// NAxis sweeps the node count.
-func NAxis(ns ...int) Axis {
-	return intAxis("n", axisN, "n", true, ns, func(c *cellSpec, v int) { c.topoN = v })
-}
-
-// KAxis sweeps the topology's secondary parameter (0 = family default).
-func KAxis(ks ...int) Axis {
-	return intAxis("k", axisK, "k", true, ks, func(c *cellSpec, v int) { c.topoK = v })
-}
-
-// ProtocolAxis sweeps the workload by protocol registry name. Cells carry
-// the name in Record.Protocol; plans without a protocol axis run the default
-// workload (FloodMax over diameter+1 rounds) and keep their pre-protocol
-// labels and seeds.
-func ProtocolAxis(names ...string) Axis {
-	return nameAxis("protocol", axisProtocol, "proto", true, protocols.Check, names, func(c *cellSpec, v string) { c.protoName = v })
-}
-
-// ProtocolParamAxis sweeps the registered protocol's schedule parameter
-// (rounds/radius/iterations; 0 = family default), carried in Record.P.
-func ProtocolParamAxis(ps ...int) Axis {
-	return intAxis("p", axisProtocolParam, "p", true, ps, func(c *cellSpec, v int) { c.protoP = v })
-}
-
-// AdversaryAxis sweeps the adversary by registry name.
-func AdversaryAxis(names ...string) Axis {
-	return nameAxis("adversary", axisAdversary, "adv", true, adversaries.Check, names, func(c *cellSpec, v string) { c.advName = v })
-}
-
-// FAxis sweeps the adversary's per-round strength.
-func FAxis(fs ...int) Axis {
-	return intAxis("f", axisF, "f", true, fs, func(c *cellSpec, v int) { c.advF = v })
-}
-
-// EngineAxis sweeps the execution engine by registry name. The engine is an
-// execution detail: it is part of the record and the cell name, but
-// deliberately NOT of the seed derivation, so the same simulation cell gets
-// the same randomness on every engine.
-func EngineAxis(names ...string) Axis {
-	return nameAxis("engine", axisEngine, "engine", false, congest.Engines.Check, names, func(c *cellSpec, v string) { c.engName = v })
-}
-
-// BandwidthAxis sweeps the enforced per-edge-per-round bit budget
-// (WithBandwidth); 0 means unlimited. Like the engine, the budget is an
-// enforcement detail: it is part of the record and the cell name, but
-// deliberately NOT of the seed derivation, so the same simulation cell sends
-// the same traffic under every budget — the axis varies only which cells
-// abort with a bandwidth violation.
-func BandwidthAxis(bits ...int) Axis {
-	return intAxis("bandwidth", axisBandwidth, "bw", false, bits, func(c *cellSpec, v int) { c.bandwidth = v })
-}
-
-// nameAxis builds a built-in axis over registry names, labelled key=name
-// and checked against the registry before any cell is built.
-func nameAxis(name string, kind axisKind, key string, seed bool, check func(...string) error, names []string, set func(*cellSpec, string)) Axis {
-	vals := make([]axisValue, len(names))
-	for i, v := range names {
-		vals[i] = axisValue{part: key + "=" + v, seed: seed, set: func(c *cellSpec) { set(c, v) }}
-	}
-	return Axis{name: name, kind: kind, values: vals, check: func() error { return check(names...) }}
-}
-
-// intAxis builds a built-in integer axis, labelled key=value.
-func intAxis(name string, kind axisKind, key string, seed bool, ints []int, set func(*cellSpec, int)) Axis {
-	vals := make([]axisValue, len(ints))
-	for i, v := range ints {
-		vals[i] = axisValue{part: key + "=" + strconv.Itoa(v), seed: seed, set: func(c *cellSpec) { set(c, v) }}
-	}
-	return Axis{name: name, kind: kind, values: vals}
-}
-
-// RepsAxis repeats every cell reps times with distinct derived seeds
-// (values below 1 mean 1). The repetition index feeds CellSeed directly and
-// appears as the trailing ",rep=N" of the record name regardless of the
-// axis's position; the position only controls how reps interleave with the
-// other axes in cell order.
-func RepsAxis(reps int) Axis {
-	if reps < 1 {
-		reps = 1
-	}
-	vals := make([]axisValue, reps)
-	for r := range vals {
-		vals[r] = axisValue{set: func(c *cellSpec) { c.rep = r }}
-	}
-	return Axis{name: "reps", kind: axisReps, values: vals}
-}
-
-// Plan is an experiment description: the ordered cross product of its axes,
-// one Scenario per cell. The zero value of every field is usable; a Plan
-// with no axes describes a single default cell.
+// Workers, BaseSeed and MaxRounds are the spec's. A worker runs consecutive
+// cells on one graph in one congest.RunContext, which keeps the last
+// built-in adversary those cells built by name: a later cell restarts it
+// from its own seed, a Register call on the adversary registry retires it,
+// and a user-registered adversary is built for every cell. Between graphs
+// it closes that context, parks it in a pool every Plan of the process
+// shares and takes one bound to the next graph, when one is parked. A
+// parked context keeps no node scratch and no node RNGs, so the pool's cap
+// on layout slots (directed edges) bounds its bytes: about 185 bytes a slot
+// for floodmax and 390–920 for the compilers.
 type Plan struct {
-	// Axes are the swept dimensions, in label (and iteration) order: the
-	// first axis varies slowest. Axes a plan omits take the registry
-	// defaults (clique topology, n=16, k=0, fault-free, f=1, step engine,
-	// one rep, default workload).
-	Axes []Axis
-	// BaseSeed feeds the per-cell seed derivation (CellSeed).
-	BaseSeed int64
-	// MaxRounds bounds each run (0 = engine default). It is one value for
-	// the whole Plan; sweep it as one Plan per value.
-	MaxRounds int
-	// Workers is the number of concurrent cell runners for Stream/Run
-	// (0 = GOMAXPROCS). A worker runs consecutive cells on one graph in one
-	// congest.RunContext, which keeps the last built-in adversary those
-	// cells built by name: a later cell restarts it from its own seed, a
-	// Register call on the adversary registry retires it, and a
-	// user-registered adversary is built for every cell. Between graphs it
-	// closes that context, parks it in a pool every Plan of the process
-	// shares and takes one bound to the next graph, when one is parked. A
-	// parked context keeps no node scratch and no node RNGs, so the pool's
-	// cap on layout slots (directed edges) bounds its bytes: about 185
-	// bytes a slot for floodmax and 390–920 for the compilers.
-	Workers int
+	PlanSpec
 	// Observers, when non-nil, builds extra per-cell observers; it is
 	// called once per cell with the cell's Record.Name. Cells run
 	// concurrently, so anything the returned observers share (e.g. a
@@ -223,173 +53,169 @@ type Plan struct {
 	Cache *ResultCache
 }
 
-// planCell is one expanded plan point. A nil scenario marks a cell resolved
-// from the cache at expansion: its record is already final and the workers
-// just deliver it. cacheKey is non-empty when the freshly computed record
-// should be inserted after the run. g is the graph the cell runs on, and
-// pool its key in the run-context pool.
+// planCell is one expanded plan point. A nil g marks a cell resolved from
+// the cache at expansion: its record is already final and the workers just
+// deliver it. Otherwise the record holds the cell's coordinates, g is the
+// graph the cell runs on and pool its key in the run-context pool; cacheKey
+// is non-empty when the freshly computed record should be inserted after
+// the run.
 type planCell struct {
-	rec      Record
-	scenario *Scenario
-	cache    *ResultCache
-	cacheKey string
-	g        *Graph
-	pool     graphKey
+	rec       Record
+	engine    Engine
+	obs       []Observer
+	maxRounds int
+	cache     *ResultCache
+	cacheKey  string
+	g         *Graph
+	pool      graphKey
 }
 
-// cells expands the plan's cross product, validating every registry name up
-// front and taking each distinct topology from the run-context pool or
-// building it, once.
+// cells validates the spec and expands it in cell order, taking each
+// distinct topology from the run-context pool or building it, once.
 func (p Plan) cells() ([]planCell, error) {
-	seen := map[axisKind]bool{}
-	for _, ax := range p.Axes {
-		if len(ax.values) == 0 {
-			return nil, fmt.Errorf("mobilecongest: plan axis %q has no values", ax.name)
-		}
-		if ax.check != nil {
-			if err := ax.check(); err != nil {
-				return nil, err
-			}
-		}
-		// Duplicate axes would stack label fragments for one dimension
-		// ("n=16,n=32") while only the innermost value applies.
-		if seen[ax.kind] {
-			return nil, fmt.Errorf("mobilecongest: duplicate %s axis", ax.name)
-		}
-		seen[ax.kind] = true
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	// A p axis without a protocol axis would perturb every cell's seed while
-	// changing nothing about the run — a fabricated effect. Fail loudly.
-	if seen[axisProtocolParam] && !seen[axisProtocol] {
-		return nil, fmt.Errorf("mobilecongest: ProtocolParamAxis requires a ProtocolAxis (the parameter only reaches registry protocols)")
+	topos := defaulted(p.Topologies, "clique")
+	ns := defaulted(p.Ns, 16)
+	ks := defaulted(p.Ks, 0)
+	protos := defaulted(p.Protocols, "") // "" is the default workload
+	ps := defaulted(p.Ps, 0)
+	advs := defaulted(p.Adversaries, "none")
+	fs := defaulted(p.Fs, 1)
+	engines := defaulted(p.Engines, EngineStep.Name())
+	engs := make([]Engine, len(engines))
+	for i, name := range engines {
+		var err error
+		if engs[i], err = NewEngine(name); err != nil {
+			return nil, err
+		}
 	}
+	bws := defaulted(p.Bandwidths, 0)
+	dims := [...]int{len(topos), len(ns), len(ks), len(protos), len(ps), len(advs), len(fs), len(engines), len(bws), max(p.Reps, 1)}
 
 	// The generation is read before any build, so a graph built while a
 	// RegisterTopology runs is stamped stale, never current.
 	gen := topologies.Generation()
 	graphs := map[graphKey]*Graph{}
-	var cells []planCell
-	var simParts, allParts []string
+	cells := make([]planCell, 0, min(p.Cells(), 1<<12))
+	label := make([]byte, 0, 128)
+	// at walks the cross product like an odometer, reps fastest.
+	var at [len(dims)]int
+	for {
+		topo, n, k := topos[at[0]], ns[at[1]], ks[at[2]]
+		proto, pp := protos[at[3]], ps[at[4]]
+		adv, f := advs[at[5]], fs[at[6]]
+		eng, bw, rep := engines[at[7]], bws[at[8]], at[9]
 
-	var expand func(axis int, spec cellSpec) error
-	assemble := func(spec cellSpec) error {
-		simLabel := strings.Join(simParts, ",")
-		label := strings.Join(allParts, ",")
-		seed := CellSeed(p.BaseSeed, simLabel, spec.rep)
-		name := fmt.Sprintf("%s,rep=%d", label, spec.rep)
+		// The label rules are PlanSpec's: an omitted protocols, ps or
+		// bandwidths list adds no fragment, and the seed hashes the label
+		// up to f, leaving out the engine and the budget.
+		label = append(label[:0], "topo="...)
+		label = append(label, topo...)
+		label = appendInt(label, ",n=", n)
+		label = appendInt(label, ",k=", k)
+		if len(p.Protocols) > 0 {
+			label = append(append(label, ",proto="...), proto...)
+		}
+		if len(p.Ps) > 0 {
+			label = appendInt(label, ",p=", pp)
+		}
+		label = append(append(label, ",adv="...), adv...)
+		label = appendInt(label, ",f=", f)
+		simLen := len(label)
+		label = append(append(label, ",engine="...), eng...)
+		if len(p.Bandwidths) > 0 {
+			label = appendInt(label, ",bw=", bw)
+		}
+		label = appendInt(label, ",rep=", rep)
+		name := string(label)
+		seed := CellSeed(p.BaseSeed, name[:simLen], rep)
+		rec := Record{
+			Name: name, Topology: topo, N: n, K: k, Protocol: proto, P: pp,
+			Adversary: adv, F: f, Engine: eng, Bandwidth: bw, Rep: rep, Seed: seed,
+		}
+		c, err := p.cell(rec, engs[at[7]], gen, graphs)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, c)
 
-		// Cache consult comes first: a hit resolves the cell from its record
-		// alone — no topology build, no Scenario, and later no RunContext.
-		// Per-cell Observers watch rounds a replay never executes, so their
-		// plans bypass the cache, as do cells with a registration the name
-		// does not pin (cacheable). The cell name carries every axis
-		// fragment plus the rep; MaxRounds shapes the record without
-		// appearing in it, so it extends the key, and the engine (absent
-		// from default cells' names) is its own key component.
-		var cacheKey string
-		if p.Cache != nil && p.Observers == nil && cacheable(spec.topoName, spec.protoName, spec.advName) {
-			cacheKey = name
-			if p.MaxRounds != 0 {
-				cacheKey = fmt.Sprintf("%s,maxrounds=%d", cacheKey, p.MaxRounds)
+		d := len(dims) - 1
+		for ; d >= 0; d-- {
+			if at[d]++; at[d] < dims[d] {
+				break
 			}
-			if rec, ok := p.Cache.get(cacheKey, seed, spec.engName); ok {
-				cells = append(cells, planCell{rec: rec})
-				return nil
-			}
+			at[d] = 0
 		}
-
-		key := graphKey{topo: spec.topoName, n: spec.topoN, k: spec.topoK, gen: gen}
-		g := graphs[key]
-		if g == nil {
-			g = runContexts.graph(key)
+		if d < 0 {
+			return cells, nil
 		}
-		if g == nil {
-			var err error
-			if g, err = BuildTopology(spec.topoName, spec.topoN, spec.topoK); err != nil {
-				return err
-			}
-		}
-		graphs[key] = g
-
-		// Observers are per-run state, so every cell gets its own instances.
-		var obs []Observer
-		if p.Observers != nil {
-			obs = p.Observers(name)
-		}
-
-		opts := []ScenarioOption{
-			WithName(label),
-			WithGraph(g),
-		}
-		if spec.protoName != "" {
-			opts = append(opts, WithProtocolName(spec.protoName), WithProtocolParam(spec.protoP))
-		} else {
-			opts = append(opts, WithProtocol(algorithms.FloodMax(g.Diameter()+1)))
-		}
-		opts = append(opts,
-			WithAdversaryName(spec.advName, spec.advF),
-			WithEngineName(spec.engName),
-			WithBandwidth(spec.bandwidth),
-			WithSeed(seed),
-			WithMaxRounds(p.MaxRounds),
-			WithObserver(obs...),
-		)
-		cells = append(cells, planCell{
-			rec: Record{
-				Name:      name,
-				Topology:  spec.topoName,
-				N:         spec.topoN,
-				K:         spec.topoK,
-				Protocol:  spec.protoName,
-				P:         spec.protoP,
-				Adversary: spec.advName,
-				F:         spec.advF,
-				Engine:    spec.engName,
-				Bandwidth: spec.bandwidth,
-				Rep:       spec.rep,
-				Seed:      seed,
-			},
-			scenario: NewScenario(opts...),
-			cache:    p.Cache,
-			cacheKey: cacheKey,
-			g:        g,
-			pool:     key,
-		})
-		return nil
 	}
-	expand = func(axis int, spec cellSpec) error {
-		if axis == len(p.Axes) {
-			return assemble(spec)
+}
+
+// defaulted returns s, or the single default def when s is empty.
+func defaulted[T any](s []T, def T) []T {
+	if len(s) == 0 {
+		return []T{def}
+	}
+	return s
+}
+
+// appendInt appends key and v in decimal.
+func appendInt(b []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+
+// cell resolves one cell with coordinates rec, to run on eng: from the cache
+// when it holds the record, otherwise with its graph, taken from graphs,
+// the run-context pool or a fresh build.
+func (p Plan) cell(rec Record, eng Engine, gen uint64, graphs map[graphKey]*Graph) (planCell, error) {
+	// Cache consult comes first: a hit resolves the cell from its record
+	// alone — no topology build, no Scenario, and later no RunContext.
+	// Per-cell Observers watch rounds a replay never executes, so their
+	// plans bypass the cache, as do cells with a registration the name does
+	// not pin (cacheable). The cell name carries every label fragment plus
+	// the rep; MaxRounds shapes the record without appearing in it, so it
+	// extends the key, and the engine is its own key component.
+	var cacheKey string
+	if p.Cache != nil && p.Observers == nil && cacheable(rec.Topology, rec.Protocol, rec.Adversary) {
+		cacheKey = rec.Name
+		if p.MaxRounds != 0 {
+			cacheKey = fmt.Sprintf("%s,maxrounds=%d", cacheKey, p.MaxRounds)
 		}
-		for _, v := range p.Axes[axis].values {
-			sp := spec
-			if v.set != nil {
-				v.set(&sp)
-			}
-			nSim, nAll := len(simParts), len(allParts)
-			if v.part != "" {
-				allParts = append(allParts, v.part)
-				if v.seed {
-					simParts = append(simParts, v.part)
-				}
-			}
-			err := expand(axis+1, sp)
-			simParts, allParts = simParts[:nSim], allParts[:nAll]
-			if err != nil {
-				return err
-			}
+		if hit, ok := p.Cache.get(cacheKey, rec.Seed, rec.Engine); ok {
+			return planCell{rec: hit}, nil
 		}
-		return nil
 	}
-	root := cellSpec{
-		topoName: "clique", topoN: 16, topoK: 0,
-		advName: "none", advF: 1,
-		engName: EngineStep.Name(),
+
+	key := graphKey{topo: rec.Topology, n: rec.N, k: rec.K, gen: gen}
+	g := graphs[key]
+	if g == nil {
+		g = runContexts.graph(key)
 	}
-	if err := expand(0, root); err != nil {
-		return nil, err
+	if g == nil {
+		var err error
+		if g, err = BuildTopology(rec.Topology, rec.N, rec.K); err != nil {
+			return planCell{}, err
+		}
 	}
-	return cells, nil
+	graphs[key] = g
+	// Observers are per-run state, so every cell gets its own instances.
+	var obs []Observer
+	if p.Observers != nil {
+		obs = p.Observers(rec.Name)
+	}
+	return planCell{
+		rec:       rec,
+		engine:    eng,
+		obs:       obs,
+		maxRounds: p.MaxRounds,
+		cache:     p.Cache,
+		cacheKey:  cacheKey,
+		g:         g,
+		pool:      key,
+	}, nil
 }
 
 // planWorker is one runCells worker's hold on a run context and the
@@ -443,16 +269,32 @@ func cacheable(topo, proto, adv string) bool {
 
 // run executes one cell and folds the outcome into its record; failures are
 // recorded, never fatal. Cells resolved from the cache at expansion (nil
-// scenario) are already final — their record keeps the elapsed time of the
+// graph) are already final — their record keeps the elapsed time of the
 // run that filled the cache, so a warm replay is byte-identical to the cold
 // sweep it mirrors.
 func (w *planWorker) run(c *planCell) {
-	if c.scenario == nil {
+	if c.g == nil {
 		return
+	}
+	s := Scenario{
+		name:      cellKey(c.rec.Name),
+		g:         c.g,
+		protoName: c.rec.Protocol,
+		protoP:    c.rec.P,
+		advName:   c.rec.Adversary,
+		advF:      c.rec.F,
+		engine:    c.engine,
+		seed:      c.rec.Seed,
+		maxRounds: c.maxRounds,
+		bandwidth: c.rec.Bandwidth,
+		observers: c.obs,
+	}
+	if s.protoName == "" {
+		s.proto = algorithms.FloodMax(c.g.Diameter() + 1)
 	}
 	warm := w.context(c)
 	start := time.Now()
-	res, err := c.scenario.runIn(warm)
+	res, err := s.runIn(warm)
 	c.rec.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
 		c.rec.Error = err.Error()
@@ -556,8 +398,8 @@ func runCells(ctx context.Context, workers int, cells []planCell, deliver func(i
 // sequence ends after the last cell, or, when ctx is cancelled mid-stream,
 // after the in-flight cells: dispatching stops promptly, every worker exits,
 // and the final yield is (Record{}, ctx.Err()). A plan configuration error
-// (unknown registry name, unbuildable topology, empty axis) is yielded as
-// the only element.
+// (an invalid spec, an unbuildable topology) is yielded as the only
+// element.
 func (p Plan) Stream(ctx context.Context) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		cells, err := p.cells()
@@ -582,9 +424,8 @@ func (p Plan) Stream(ctx context.Context) iter.Seq2[Record, error] {
 	}
 }
 
-// Run executes the plan and returns every cell's record in grid order —
-// the deterministic cross-product order of the axes, regardless of worker
-// count or scheduling. Per-cell failures are recorded, not fatal; the error
+// Run executes the plan and returns every cell's record in cell order (see
+// PlanSpec), regardless of worker count or scheduling. Per-cell failures are recorded, not fatal; the error
 // reports plan configuration problems, or ctx cancellation. On cancellation
 // the full record set is still returned: completed cells carry their
 // results, and cells that never ran carry their coordinates with

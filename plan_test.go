@@ -2,6 +2,7 @@ package mobilecongest
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -15,26 +16,23 @@ import (
 	"mobilecongest/internal/algorithms"
 )
 
-// TestSweepLoweringPinnedByteIdentical pins the fixed-axis plan's exact
-// cell vocabulary: with the topology, n, k, adversary, f, engine, and reps
-// axes in canonical order, record names keep the
+// TestSweepLoweringPinnedByteIdentical pins a protocol-free spec's exact
+// cell vocabulary: record names keep the
 // "topo=T,n=N,k=K,adv=A,f=F,engine=E,rep=R" shape, seeds are CellSeed over
-// the engine-free prefix, and order is the axes' nesting order.
+// the engine-free prefix, and order is the canonical nesting order.
 func TestSweepLoweringPinnedByteIdentical(t *testing.T) {
 	topos, ns, advs, fs, engines := []string{"clique", "cycle"}, []int{6, 8}, []string{"none", "flip"}, []int{2}, []string{"step", "shard"}
 	const reps, base = 2, 77
-	plan := Plan{
-		Axes: []Axis{
-			TopologyAxis(topos...),
-			NAxis(ns...),
-			KAxis(0),
-			AdversaryAxis(advs...),
-			FAxis(fs...),
-			EngineAxis(engines...),
-			RepsAxis(reps),
-		},
-		BaseSeed: base,
-	}
+	plan := Plan{PlanSpec: PlanSpec{
+		Topologies:  topos,
+		Ns:          ns,
+		Ks:          []int{0},
+		Adversaries: advs,
+		Fs:          fs,
+		Engines:     engines,
+		Reps:        reps,
+		BaseSeed:    base,
+	}}
 	recs, err := plan.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -72,18 +70,16 @@ func TestSweepLoweringPinnedByteIdentical(t *testing.T) {
 }
 
 func planForStreamTests(workers int) Plan {
-	return Plan{
-		Axes: []Axis{
-			TopologyAxis("clique", "cycle"),
-			NAxis(6, 8),
-			ProtocolAxis("floodmax", "broadcast"),
-			AdversaryAxis("none", "flip"),
-			FAxis(1),
-			RepsAxis(2),
-		},
-		BaseSeed: 9,
-		Workers:  workers,
-	}
+	return Plan{PlanSpec: PlanSpec{
+		Topologies:  []string{"clique", "cycle"},
+		Ns:          []int{6, 8},
+		Protocols:   []string{"floodmax", "broadcast"},
+		Adversaries: []string{"none", "flip"},
+		Fs:          []int{1},
+		Reps:        2,
+		BaseSeed:    9,
+		Workers:     workers,
+	}}
 }
 
 // TestPlanStreamMatchesRun: Stream yields exactly Run's record set (order
@@ -122,7 +118,7 @@ func TestPlanStreamMatchesRun(t *testing.T) {
 	}
 }
 
-// TestPlanRunOrderDeterministic: Run returns records in the axes' cross
+// TestPlanRunOrderDeterministic: Run returns records in the spec's cross
 // product order regardless of worker count.
 func TestPlanRunOrderDeterministic(t *testing.T) {
 	var names []string
@@ -153,15 +149,13 @@ func TestPlanStreamCancellation(t *testing.T) {
 	// coroutines, so only the plan workers' own Close brings the count back.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	before := parkedEngineGoroutines()
-	plan := Plan{
-		Axes: []Axis{
-			TopologyAxis("circulant"),
-			NAxis(32),
-			RepsAxis(500),
-		},
-		BaseSeed: 3,
-		Workers:  4,
-	}
+	plan := Plan{PlanSpec: PlanSpec{
+		Topologies: []string{"circulant"},
+		Ns:         []int{32},
+		Reps:       500,
+		BaseSeed:   3,
+		Workers:    4,
+	}}
 	// Cancel only after 8 cells per worker, so the workers have run the
 	// second cells from which their contexts park a slab of coroutines.
 	// By pigeonhole at least one worker has, so the slabs alive at that
@@ -298,23 +292,20 @@ func waitParkedAtMost(t *testing.T, limit int, label string) {
 	}
 }
 
-// TestPlanProtocolAxis: the protocol axis runs registry protocols by name,
+// TestPlanProtocolAxis: a protocols list runs registry protocols by name,
 // stamps Record.Protocol/P, and extends the seed label canonically — cells
-// differing only in protocol draw different seeds, while a plan without the
-// axis keeps the engine-free grid labels.
+// differing only in protocol draw different seeds.
 func TestPlanProtocolAxis(t *testing.T) {
-	plan := Plan{
-		Axes: []Axis{
-			TopologyAxis("circulant"),
-			NAxis(10),
-			KAxis(2),
-			ProtocolAxis("floodmax", "bfs"),
-			AdversaryAxis("none"),
-			FAxis(1),
-			RepsAxis(1),
-		},
-		BaseSeed: 21,
-	}
+	plan := Plan{PlanSpec: PlanSpec{
+		Topologies:  []string{"circulant"},
+		Ns:          []int{10},
+		Ks:          []int{2},
+		Protocols:   []string{"floodmax", "bfs"},
+		Adversaries: []string{"none"},
+		Fs:          []int{1},
+		Reps:        1,
+		BaseSeed:    21,
+	}}
 	recs, err := plan.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -336,32 +327,31 @@ func TestPlanProtocolAxis(t *testing.T) {
 		}
 	}
 	if recs[0].Seed == recs[1].Seed {
-		t.Fatal("protocol axis did not extend the seed derivation")
+		t.Fatal("the protocols list did not extend the seed derivation")
 	}
 }
 
+// TestPlanEmptyAxisRejected: a Plan built as a literal, without
+// PlanSpec.Plan, is still validated before any cell is expanded.
 func TestPlanEmptyAxisRejected(t *testing.T) {
-	if _, err := (Plan{Axes: []Axis{TopologyAxis()}}).Run(context.Background()); err == nil {
-		t.Fatal("empty axis accepted")
+	run := func(sp PlanSpec) error {
+		_, err := Plan{PlanSpec: sp}.Run(context.Background())
+		return err
 	}
-	if _, err := (Plan{Axes: []Axis{ProtocolAxis("nosuch")}}).Run(context.Background()); err == nil {
+	if err := run(PlanSpec{Protocols: []string{"nosuch"}}); err == nil {
 		t.Fatal("unknown protocol name accepted")
 	}
-	// A p axis without a protocol axis would perturb seeds without changing
-	// the runs — rejected up front.
-	if _, err := (Plan{Axes: []Axis{ProtocolParamAxis(4, 8)}}).Run(context.Background()); err == nil {
-		t.Fatal("ProtocolParamAxis without ProtocolAxis accepted")
+	// A ps list without protocols would perturb seeds without changing the
+	// runs — rejected up front.
+	if err := run(PlanSpec{Ps: []int{4, 8}}); err == nil {
+		t.Fatal("ps without protocols accepted")
 	}
-	if _, err := (Plan{Axes: []Axis{ProtocolAxis("floodmax"), ProtocolParamAxis(4)}}).Run(context.Background()); err != nil {
-		t.Fatalf("p axis with protocol axis rejected: %v", err)
-	}
-	// Duplicate axes are rejected.
-	if _, err := (Plan{Axes: []Axis{NAxis(8), NAxis(16)}}).Run(context.Background()); err == nil {
-		t.Fatal("duplicate axis accepted")
+	if err := run(PlanSpec{Protocols: []string{"floodmax"}, Ps: []int{4}}); err != nil {
+		t.Fatalf("ps with protocols rejected: %v", err)
 	}
 	// A configuration error surfaces as the stream's only element.
 	n := 0
-	for _, err := range (Plan{Axes: []Axis{AdversaryAxis("nosuch")}}).Stream(context.Background()) {
+	for _, err := range (Plan{PlanSpec: PlanSpec{Adversaries: []string{"nosuch"}}}).Stream(context.Background()) {
 		n++
 		if err == nil {
 			t.Fatal("stream yielded a record for a misconfigured plan")
@@ -373,16 +363,14 @@ func TestPlanEmptyAxisRejected(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	plan := Plan{
-		Axes: []Axis{
-			TopologyAxis("clique", "cycle"),
-			NAxis(8),
-			AdversaryAxis("flip"),
-			FAxis(1),
-			RepsAxis(3),
-		},
-		BaseSeed: 13,
-	}
+	plan := Plan{PlanSpec: PlanSpec{
+		Topologies:  []string{"clique", "cycle"},
+		Ns:          []int{8},
+		Adversaries: []string{"flip"},
+		Fs:          []int{1},
+		Reps:        3,
+		BaseSeed:    13,
+	}}
 	recs, err := plan.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -429,6 +417,32 @@ func TestSummarize(t *testing.T) {
 	if sums[0].Rounds.Max == float64(1<<20) {
 		t.Fatal("failed record leaked into the aggregates")
 	}
+
+	// Cells that differ only in their bandwidth budget are two summaries,
+	// and each carries its budget, as the records do.
+	recs, err = Plan{PlanSpec: PlanSpec{Ns: []int{8}, Bandwidths: []int{0, 64}, Reps: 2, BaseSeed: 13}}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums = Summarize(recs)
+	if len(sums) != 2 {
+		t.Fatalf("got %d summaries, want 2 (one per budget)", len(sums))
+	}
+	for i, want := range []int{0, 64} {
+		j, err := json.Marshal(sums[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Bandwidth int `json:"bandwidth"`
+		}
+		if err := json.Unmarshal(j, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Bandwidth != want || sums[i].Reps != 2 {
+			t.Fatalf("summary %d = %s, want bandwidth %d over 2 reps", i, j, want)
+		}
+	}
 }
 
 // TestPlanCacheReplacedRegistration: a cache key names a cell's topology,
@@ -452,7 +466,7 @@ func TestPlanCacheReplacedRegistration(t *testing.T) {
 	flood := func(rounds int) ProtocolFunc {
 		return func(*Graph, ProtoParams) (Protocol, any, error) { return algorithms.FloodMax(rounds), nil, nil }
 	}
-	plan := Plan{Axes: []Axis{NAxis(6), ProtocolAxis("zz-proto")}, BaseSeed: 1, Workers: 1, Cache: cache}
+	plan := Plan{PlanSpec: PlanSpec{Ns: []int{6}, Protocols: []string{"zz-proto"}, BaseSeed: 1, Workers: 1}, Cache: cache}
 	RegisterProtocol("zz-proto", flood(3))
 	if got := run(plan).Rounds; got != 3 {
 		t.Fatalf("FloodMax(3) ran %d rounds", got)
@@ -469,7 +483,7 @@ func TestPlanCacheReplacedRegistration(t *testing.T) {
 	adversaries.RegisterBuiltIn("zz-adv", func(g *Graph, f int, seed int64) (Adversary, error) {
 		return adversary.NewMobileByzantine(g, f, seed, adversary.SelectRandom, adversary.CorruptFlip), nil
 	})
-	plan = Plan{Axes: []Axis{NAxis(6), AdversaryAxis("zz-adv"), FAxis(2)}, BaseSeed: 1, Workers: 1, Cache: cache}
+	plan = Plan{PlanSpec: PlanSpec{Ns: []int{6}, Adversaries: []string{"zz-adv"}, Fs: []int{2}, BaseSeed: 1, Workers: 1}, Cache: cache}
 	flipped := run(plan)
 	if got := run(plan); got != flipped || cache.Stats().Hits != 1 {
 		t.Fatalf("the built-in cell was not replayed: %+v, cache %+v", got, cache.Stats())

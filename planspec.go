@@ -12,21 +12,37 @@ import (
 	"mobilecongest/internal/congest"
 )
 
-// PlanSpec is the declarative JSON mirror of the Plan axis constructors —
-// the wire format cmd/mobilesimd accepts, the form `mobilesim -sweep` fills
-// from its flags, and a checked-in experiment artifact for reproduction
-// pipelines. Each list field becomes one axis of the built Plan, in the
-// canonical label order (topology, n, k, protocol, p, adversary, f, engine,
-// bandwidth, reps). The server and the CLI both lower through Plan, so they
-// share one set of input checks and a spec names exactly the cells — and
-// therefore exactly the seeds — of the equivalent `mobilesim -sweep`
-// invocation.
+// PlanSpec describes a parameter sweep: one list of values per dimension,
+// and the Plan runs their cross product. It is the only way to describe one,
+// in Go (as Plan's embedded spec) or as JSON: the wire format cmd/mobilesimd
+// accepts, the form `mobilesim -sweep` fills from its flags, and a
+// checked-in experiment artifact for reproduction pipelines. The server,
+// the CLI and Go callers all run it through Plan, so they share one set of
+// input checks and one spec names exactly the same cells, and therefore the
+// same seeds, wherever it runs.
 //
-// Omitted (or empty) topology/n/k/adversary/f/engine lists take the
-// registry defaults, matching the CLI's flag defaults; omitted protocols
-// means the default FloodMax workload with no protocol axis, and omitted
-// bandwidths means no bandwidth axis. Ps requires Protocols, exactly like
-// ProtocolParamAxis requires a ProtocolAxis.
+// Cells come in the canonical order topology, n, k, protocol, p, adversary,
+// f, engine, bandwidth, reps: the first varies slowest and the reps
+// fastest. Omitted (or empty) topology/n/k/adversary/f/engine lists take
+// the registry defaults, matching the CLI's flag defaults: clique, 16, 0,
+// none, 1 and step. Omitted protocols means the default FloodMax workload
+// over diameter+1 rounds, and omitted bandwidths means no enforced budget.
+// Ps requires Protocols: the parameter only reaches registry protocols.
+//
+// A cell's record name is its label, "topo=T,n=N,k=K,adv=A,f=F,engine=E",
+// then ",rep=R". The ",proto=P" and ",p=P" fragments follow k, and ",bw=B"
+// follows the engine, only when the protocols, ps and bandwidths lists are
+// given, so a spec that leaves them out keeps the labels, and seeds, it had
+// before those dimensions existed. The seed is CellSeed over the label up
+// to f: the engine and the bandwidth budget are execution details, so one
+// simulation cell draws the same randomness on every engine and under every
+// budget, and the budget varies only which cells abort with a bandwidth
+// violation.
+//
+// Reps repeats every cell with distinct seeds (values below 1 mean 1).
+// BaseSeed feeds every cell's seed. MaxRounds bounds each run (0 = engine
+// default); it is one value for the whole sweep, so sweep it as one spec per
+// value. Workers is the number of concurrent cell runners (0 = GOMAXPROCS).
 type PlanSpec struct {
 	Topologies  []string `json:"topologies,omitempty"`
 	Ns          []int    `json:"ns,omitempty"`
@@ -63,12 +79,11 @@ func ParsePlanSpec(data []byte) (PlanSpec, error) {
 	return sp, nil
 }
 
-// Validate checks the spec's structure and registry names without building
-// any topology or axis: value ranges, the p-axis pairing rule, and every
-// topology/protocol/adversary/engine name. It mirrors the axis-constructor
-// checks in Plan.cells (a PlanSpec cannot express the duplicate-axis error
-// — each dimension is one field). It runs before a server's cell cap, so
-// it must stay proportional to the spec's size, never to its cell count.
+// Validate checks the spec's value ranges, the ps-requires-protocols rule,
+// and every topology/protocol/adversary/engine name, without building
+// anything. Plan runs it before expanding any cell. It runs before a
+// server's cell cap, so it must stay proportional to the spec's size, never
+// to its cell count.
 func (sp PlanSpec) Validate() error {
 	for _, err := range []error{
 		topologies.Check(sp.Topologies...),
@@ -113,7 +128,7 @@ func (sp PlanSpec) Validate() error {
 }
 
 // Cells returns the number of cells a valid spec expands to — the product
-// of its axis lengths after defaulting, saturated at math.MaxInt — without
+// of its list lengths after defaulting, saturated at math.MaxInt — without
 // building anything. Servers use it for admission control before
 // committing to a sweep.
 func (sp PlanSpec) Cells() int {
@@ -122,7 +137,7 @@ func (sp PlanSpec) Cells() int {
 		len(sp.Topologies), len(sp.Ns), len(sp.Ks), len(sp.Protocols), len(sp.Ps),
 		len(sp.Adversaries), len(sp.Fs), len(sp.Engines), len(sp.Bandwidths),
 	} {
-		// An omitted list is one default value, or no axis at all.
+		// An omitted list is one default value.
 		n = max(n, 1)
 		if cells > math.MaxInt/n {
 			return math.MaxInt
@@ -132,47 +147,14 @@ func (sp PlanSpec) Cells() int {
 	return cells
 }
 
-// defaulted returns s, or the single-axis default def when s is empty.
-func defaulted[T any](s []T, def ...T) []T {
-	if len(s) == 0 {
-		return def
-	}
-	return s
-}
-
-// Plan validates the spec and builds the equivalent Plan, axes in the
-// canonical label order. Cache and Observers are execution-side concerns
-// the caller installs on the returned Plan.
+// Plan validates the spec and returns the Plan that runs it. Cache and
+// Observers are execution-side concerns the caller installs on the returned
+// Plan.
 func (sp PlanSpec) Plan() (Plan, error) {
 	if err := sp.Validate(); err != nil {
 		return Plan{}, err
 	}
-	axes := []Axis{
-		TopologyAxis(defaulted(sp.Topologies, "clique")...),
-		NAxis(defaulted(sp.Ns, 16)...),
-		KAxis(defaulted(sp.Ks, 0)...),
-	}
-	if len(sp.Protocols) > 0 {
-		axes = append(axes, ProtocolAxis(sp.Protocols...))
-		if len(sp.Ps) > 0 {
-			axes = append(axes, ProtocolParamAxis(sp.Ps...))
-		}
-	}
-	axes = append(axes,
-		AdversaryAxis(defaulted(sp.Adversaries, "none")...),
-		FAxis(defaulted(sp.Fs, 1)...),
-		EngineAxis(defaulted(sp.Engines, EngineStep.Name())...),
-	)
-	if len(sp.Bandwidths) > 0 {
-		axes = append(axes, BandwidthAxis(sp.Bandwidths...))
-	}
-	axes = append(axes, RepsAxis(sp.Reps))
-	return Plan{
-		Axes:      axes,
-		BaseSeed:  sp.BaseSeed,
-		MaxRounds: sp.MaxRounds,
-		Workers:   sp.Workers,
-	}, nil
+	return Plan{PlanSpec: sp}, nil
 }
 
 // ReadPlanSpec reads and parses one spec from r (an HTTP body, a checked-in

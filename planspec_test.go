@@ -4,70 +4,185 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	mc "mobilecongest"
 )
 
-// TestPlanSpecEquivalentToGrid pins the lowering: a spec without protocol or
-// bandwidth axes names exactly the cells of the equivalent fixed-axis Plan —
-// byte-identical names, seeds, and record order.
+// TestPlanSpecEquivalentToGrid pins the lowering of a spec to its cells:
+// record names, seeds and order, as literal values. They were captured from
+// the Plan's earlier axis-list lowering, so any drift in a label fragment, a
+// seed or the iteration order (reps innermost) shows here. One spec names
+// all ten dimensions; the other is the CI server-smoke spec, whose records
+// the CLI and mobilesimd must agree on byte for byte.
 func TestPlanSpecEquivalentToGrid(t *testing.T) {
-	sp := mc.PlanSpec{
-		Topologies:  []string{"clique", "circulant"},
-		Ns:          []int{8, 16},
-		Adversaries: []string{"none", "flip"},
-		Fs:          []int{2},
-		Reps:        2,
-		BaseSeed:    7,
-		Workers:     1,
+	cases := []struct {
+		name string
+		spec mc.PlanSpec
+		want string // "name seed" per record, in Run order
+	}{
+		{"all-dimensions", mc.PlanSpec{
+			Topologies:  []string{"clique", "circulant"},
+			Ns:          []int{8},
+			Ks:          []int{3},
+			Protocols:   []string{"floodmax", "bfs"},
+			Ps:          []int{2},
+			Adversaries: []string{"none", "flip"},
+			Fs:          []int{2},
+			Engines:     []string{"step", "shard"},
+			Bandwidths:  []int{0, 256},
+			Reps:        2,
+			BaseSeed:    11,
+			Workers:     1,
+		}, allDimensionsCells},
+		{"server-smoke", mc.PlanSpec{
+			Topologies:  []string{"clique", "circulant"},
+			Ns:          []int{8, 16},
+			Adversaries: []string{"none", "flip"},
+			Fs:          []int{2},
+			Engines:     []string{"step", "shard"},
+			Reps:        2,
+			BaseSeed:    7,
+			Workers:     1,
+		}, serverSmokeCells},
 	}
-	plan, err := sp.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := plan.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mc.Plan{
-		Axes: []mc.Axis{
-			mc.TopologyAxis("clique", "circulant"),
-			mc.NAxis(8, 16),
-			mc.KAxis(0),
-			mc.AdversaryAxis("none", "flip"),
-			mc.FAxis(2),
-			mc.EngineAxis("step"),
-			mc.RepsAxis(2),
-		},
-		BaseSeed: 7,
-	}.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		g.ElapsedMS, w.ElapsedMS = 0, 0
-		gj, _ := json.Marshal(g)
-		wj, _ := json.Marshal(w)
-		if !bytes.Equal(gj, wj) {
-			t.Fatalf("record %d differs:\nspec: %s\nplan: %s", i, gj, wj)
-		}
-	}
-	if n := sp.Cells(); n != len(got) {
-		t.Fatalf("Cells() = %d, ran %d", n, len(got))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plan, err := c.spec.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := plan.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strings.Split(strings.TrimSpace(c.want), "\n")
+			if len(recs) != len(want) {
+				t.Fatalf("got %d records, want %d", len(recs), len(want))
+			}
+			for i, r := range recs {
+				if r.Error != "" {
+					t.Fatalf("cell %s failed: %s", r.Name, r.Error)
+				}
+				if got := fmt.Sprintf("%s %d", r.Name, r.Seed); got != want[i] {
+					t.Fatalf("record %d = %q, want %q", i, got, want[i])
+				}
+			}
+			if n := c.spec.Cells(); n != len(recs) {
+				t.Fatalf("Cells() = %d, ran %d", n, len(recs))
+			}
+		})
 	}
 }
 
-// TestPlanSpecValidation mirrors the axis-constructor error cases of plan.go
-// at the decoder: every rejected spec errors with a diagnostic, never
-// panics, and never reaches topology building. (The duplicate-axis error is
-// unexpressible here — each dimension is one spec field — which is itself
-// the point of the wire format.)
+const allDimensionsCells = `
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=step,bw=0,rep=0 8561047536393328265
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=step,bw=0,rep=1 -1659142322010494308
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=step,bw=256,rep=0 8561047536393328265
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=step,bw=256,rep=1 -1659142322010494308
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=shard,bw=0,rep=0 8561047536393328265
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=shard,bw=0,rep=1 -1659142322010494308
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=shard,bw=256,rep=0 8561047536393328265
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=shard,bw=256,rep=1 -1659142322010494308
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=step,bw=0,rep=0 3975639434722612388
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=step,bw=0,rep=1 -6261350684522223439
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=step,bw=256,rep=0 3975639434722612388
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=step,bw=256,rep=1 -6261350684522223439
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=shard,bw=0,rep=0 3975639434722612388
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=shard,bw=0,rep=1 -6261350684522223439
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=shard,bw=256,rep=0 3975639434722612388
+topo=clique,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=shard,bw=256,rep=1 -6261350684522223439
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=step,bw=0,rep=0 -6922805013350598012
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=step,bw=0,rep=1 133480976402335377
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=step,bw=256,rep=0 -6922805013350598012
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=step,bw=256,rep=1 133480976402335377
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=shard,bw=0,rep=0 -6922805013350598012
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=shard,bw=0,rep=1 133480976402335377
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=shard,bw=256,rep=0 -6922805013350598012
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=shard,bw=256,rep=1 133480976402335377
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=step,bw=0,rep=0 -2457977953991045771
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=step,bw=0,rep=1 4887808210109804896
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=step,bw=256,rep=0 -2457977953991045771
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=step,bw=256,rep=1 4887808210109804896
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=shard,bw=0,rep=0 -2457977953991045771
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=shard,bw=0,rep=1 4887808210109804896
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=shard,bw=256,rep=0 -2457977953991045771
+topo=clique,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=shard,bw=256,rep=1 4887808210109804896
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=step,bw=0,rep=0 8343121053570030173
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=step,bw=0,rep=1 -1297105010524051896
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=step,bw=256,rep=0 8343121053570030173
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=step,bw=256,rep=1 -1297105010524051896
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=shard,bw=0,rep=0 8343121053570030173
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=shard,bw=0,rep=1 -1297105010524051896
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=shard,bw=256,rep=0 8343121053570030173
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=none,f=2,engine=shard,bw=256,rep=1 -1297105010524051896
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=step,bw=0,rep=0 3512624831563065160
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=step,bw=0,rep=1 -5870406839480214691
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=step,bw=256,rep=0 3512624831563065160
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=step,bw=256,rep=1 -5870406839480214691
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=shard,bw=0,rep=0 3512624831563065160
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=shard,bw=0,rep=1 -5870406839480214691
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=shard,bw=256,rep=0 3512624831563065160
+topo=circulant,n=8,k=3,proto=floodmax,p=2,adv=flip,f=2,engine=shard,bw=256,rep=1 -5870406839480214691
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=step,bw=0,rep=0 -2227911549014034072
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=step,bw=0,rep=1 9161350756858414461
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=step,bw=256,rep=0 -2227911549014034072
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=step,bw=256,rep=1 9161350756858414461
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=shard,bw=0,rep=0 -2227911549014034072
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=shard,bw=0,rep=1 9161350756858414461
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=shard,bw=256,rep=0 -2227911549014034072
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=none,f=2,engine=shard,bw=256,rep=1 9161350756858414461
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=step,bw=0,rep=0 1004609710354518505
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=step,bw=0,rep=1 -7798424157089387012
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=step,bw=256,rep=0 1004609710354518505
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=step,bw=256,rep=1 -7798424157089387012
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=shard,bw=0,rep=0 1004609710354518505
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=shard,bw=0,rep=1 -7798424157089387012
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=shard,bw=256,rep=0 1004609710354518505
+topo=circulant,n=8,k=3,proto=bfs,p=2,adv=flip,f=2,engine=shard,bw=256,rep=1 -7798424157089387012
+`
+
+const serverSmokeCells = `
+topo=clique,n=8,k=0,adv=none,f=2,engine=step,rep=0 -6114491310485197492
+topo=clique,n=8,k=0,adv=none,f=2,engine=step,rep=1 3824557970375266649
+topo=clique,n=8,k=0,adv=none,f=2,engine=shard,rep=0 -6114491310485197492
+topo=clique,n=8,k=0,adv=none,f=2,engine=shard,rep=1 3824557970375266649
+topo=clique,n=8,k=0,adv=flip,f=2,engine=step,rep=0 -7016326356375785603
+topo=clique,n=8,k=0,adv=flip,f=2,engine=step,rep=1 42355262963110760
+topo=clique,n=8,k=0,adv=flip,f=2,engine=shard,rep=0 -7016326356375785603
+topo=clique,n=8,k=0,adv=flip,f=2,engine=shard,rep=1 42355262963110760
+topo=clique,n=16,k=0,adv=none,f=2,engine=step,rep=0 3045318345308736357
+topo=clique,n=16,k=0,adv=none,f=2,engine=step,rep=1 -5443623386857998480
+topo=clique,n=16,k=0,adv=none,f=2,engine=shard,rep=0 3045318345308736357
+topo=clique,n=16,k=0,adv=none,f=2,engine=shard,rep=1 -5443623386857998480
+topo=clique,n=16,k=0,adv=flip,f=2,engine=step,rep=0 -1633195326218180216
+topo=clique,n=16,k=0,adv=flip,f=2,engine=step,rep=1 8602649591502181789
+topo=clique,n=16,k=0,adv=flip,f=2,engine=shard,rep=0 -1633195326218180216
+topo=clique,n=16,k=0,adv=flip,f=2,engine=shard,rep=1 8602649591502181789
+topo=circulant,n=8,k=0,adv=none,f=2,engine=step,rep=0 -8914356962877417640
+topo=circulant,n=8,k=0,adv=none,f=2,engine=step,rep=1 1909154795749583693
+topo=circulant,n=8,k=0,adv=none,f=2,engine=shard,rep=0 -8914356962877417640
+topo=circulant,n=8,k=0,adv=none,f=2,engine=shard,rep=1 1909154795749583693
+topo=circulant,n=8,k=0,adv=flip,f=2,engine=step,rep=0 -2066012853164782231
+topo=circulant,n=8,k=0,adv=flip,f=2,engine=step,rep=1 9035194989322350972
+topo=circulant,n=8,k=0,adv=flip,f=2,engine=shard,rep=0 -2066012853164782231
+topo=circulant,n=8,k=0,adv=flip,f=2,engine=shard,rep=1 9035194989322350972
+topo=circulant,n=16,k=0,adv=none,f=2,engine=step,rep=0 4404849276769292033
+topo=circulant,n=16,k=0,adv=none,f=2,engine=step,rep=1 -6695072892223081708
+topo=circulant,n=16,k=0,adv=none,f=2,engine=shard,rep=0 4404849276769292033
+topo=circulant,n=16,k=0,adv=none,f=2,engine=shard,rep=1 -6695072892223081708
+topo=circulant,n=16,k=0,adv=flip,f=2,engine=step,rep=0 6584500653438976532
+topo=circulant,n=16,k=0,adv=flip,f=2,engine=step,rep=1 -4226731826766103039
+topo=circulant,n=16,k=0,adv=flip,f=2,engine=shard,rep=0 6584500653438976532
+topo=circulant,n=16,k=0,adv=flip,f=2,engine=shard,rep=1 -4226731826766103039
+`
+
+// TestPlanSpecValidation pins Validate's error cases at the decoder: every
+// rejected spec errors with a diagnostic, never panics, and never reaches
+// topology building. (A duplicated dimension is unexpressible — each
+// dimension is one spec field.)
 func TestPlanSpecValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -118,7 +233,7 @@ func TestPlanSpecGoroutineEngineRemoved(t *testing.T) {
 }
 
 // TestPlanSpecDefaults pins the defaulting contract: the empty spec is one
-// default cell, and each omitted axis matches the CLI flag default.
+// default cell, and each omitted list matches the CLI flag default.
 func TestPlanSpecDefaults(t *testing.T) {
 	sp, err := mc.ParsePlanSpec([]byte(`{}`))
 	if err != nil {
@@ -173,7 +288,7 @@ func TestPlanSpecCells(t *testing.T) {
 	}
 }
 
-// overflowSpecs are accepted specs whose cell count wraps int when the axis
+// overflowSpecs are accepted specs whose cell count wraps int when the list
 // lengths are multiplied: 8 × 2^61 and 2^17 × 2^17 × 2^30 are both 2^64.
 func overflowSpecs() map[string]string {
 	many := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 1<<17), ",") }
@@ -184,7 +299,7 @@ func overflowSpecs() map[string]string {
 }
 
 // TestPlanSpecCellsSaturate pins that Cells saturates instead of wrapping,
-// so a server's cell cap rejects these specs before Plan allocates axes.
+// so a server's cell cap rejects these specs before Plan expands them.
 func TestPlanSpecCellsSaturate(t *testing.T) {
 	for name, body := range overflowSpecs() {
 		sp, err := mc.ParsePlanSpec([]byte(body))
@@ -204,8 +319,8 @@ const serverCellCap = 1 << 20
 // FuzzPlanSpecCodec fuzzes the wire decoder: any input either errors or
 // yields a spec that (a) survives an encode→decode round-trip unchanged and
 // (b) builds a Plan without panicking when it passes the server's cell cap.
-// Plan allocates one axis value per rep and per list entry, so a spec past
-// the cap (say reps 2^33) is left unbuilt, exactly as the server leaves it.
+// A spec past the cap (say reps 2^33) is left unbuilt, exactly as the
+// server leaves it.
 func FuzzPlanSpecCodec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"topologies":["clique","circulant"],"ns":[8,16],"ks":[0],"reps":3,"base_seed":-9}`))

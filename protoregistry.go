@@ -13,7 +13,7 @@ import (
 )
 
 // The name-keyed protocol registry, symmetric to the topology and adversary
-// registries: it makes the protocol axis expressible by string, so scenarios,
+// registries: it makes the workload nameable by string, so scenarios,
 // experiment plans, and the mobilesim CLI can name a workload without writing
 // Go. Built-in entries cover the fault-free payload fleet plus two compiled
 // protocols — the registry's ProtocolFunc returns the trusted preprocessing

@@ -15,17 +15,15 @@ import (
 // (P workers × S shards).
 func TestShardPlanStreamConcurrent(t *testing.T) {
 	mkPlan := func(workers int) Plan {
-		return Plan{
-			Axes: []Axis{
-				TopologyAxis("circulant"),
-				NAxis(48),
-				EngineAxis("step", "shard"),
-				AdversaryAxis("none", "flip"),
-				RepsAxis(5),
-			},
-			BaseSeed: 17,
-			Workers:  workers,
-		}
+		return Plan{PlanSpec: PlanSpec{
+			Topologies:  []string{"circulant"},
+			Ns:          []int{48},
+			Adversaries: []string{"none", "flip"},
+			Engines:     []string{"step", "shard"},
+			Reps:        5,
+			BaseSeed:    17,
+			Workers:     workers,
+		}}
 	}
 	strip := func(recs []Record) []Record {
 		out := append([]Record(nil), recs...)
@@ -47,7 +45,7 @@ func TestShardPlanStreamConcurrent(t *testing.T) {
 	}
 	// The step and shard cells of each (adversary, rep) pair must agree —
 	// the equivalence contract holding inside a concurrent sweep. The engine
-	// axis is excluded from cell seeds, so matching cells share a Seed.
+	// is excluded from cell seeds, so matching cells share a Seed.
 	checked := 0
 	for _, r := range want {
 		if r.Engine != "shard" {
@@ -88,16 +86,14 @@ func TestShardPlanStreamCancelNoGoroutineLeak(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	before := parkedEngineGoroutines()
 	poolsBefore := goroutinesIn(poolFrame)
-	plan := Plan{
-		Axes: []Axis{
-			TopologyAxis("circulant"),
-			NAxis(64),
-			EngineAxis("shard"),
-			RepsAxis(300),
-		},
-		BaseSeed: 5,
-		Workers:  workers,
-	}
+	plan := Plan{PlanSpec: PlanSpec{
+		Topologies: []string{"circulant"},
+		Ns:         []int{64},
+		Engines:    []string{"shard"},
+		Reps:       300,
+		BaseSeed:   5,
+		Workers:    workers,
+	}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	yielded, poolsPeak := 0, 0

@@ -29,6 +29,7 @@ type Summary struct {
 	Adversary string `json:"adversary"`
 	F         int    `json:"f"`
 	Engine    string `json:"engine"`
+	Bandwidth int    `json:"bandwidth,omitempty"`
 	// Reps is the number of successful repetitions aggregated; Errors
 	// counts failed ones (excluded from the aggregates).
 	Reps   int `json:"reps"`
@@ -43,9 +44,8 @@ type Summary struct {
 	ElapsedMS           Aggregate `json:"elapsed_ms"`
 }
 
-// cellKey strips the repetition suffix off a record name, so reps of one
-// cell share a grouping key even under custom axes the typed fields cannot
-// see.
+// cellKey strips the repetition suffix off a record name, leaving the
+// cell's label, which reps of one cell share.
 func cellKey(name string) string {
 	if i := strings.LastIndex(name, ",rep="); i >= 0 {
 		return name[:i]
@@ -61,8 +61,8 @@ type summaryAcc struct {
 
 // Summarize groups records by cell coordinates (everything but the
 // repetition index) and reduces each group's metrics over its reps, in
-// first-seen record order. It is the aggregation half of a Plan with a
-// RepsAxis: run the plan, then Summarize the records.
+// first-seen record order. It is the aggregation half of a Plan with Reps
+// above 1: run the plan, then Summarize the records.
 func Summarize(recs []Record) []Summary {
 	groups := map[string]*summaryAcc{}
 	var order []string
@@ -75,7 +75,7 @@ func Summarize(recs []Record) []Summary {
 				Topology: r.Topology, N: r.N, K: r.K,
 				Protocol: r.Protocol, P: r.P,
 				Adversary: r.Adversary, F: r.F,
-				Engine: r.Engine,
+				Engine: r.Engine, Bandwidth: r.Bandwidth,
 			}}
 			groups[key] = acc
 			order = append(order, key)

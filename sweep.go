@@ -37,9 +37,9 @@ type Record struct {
 // cell's seed-relevant label mixed with the base seed and repetition index.
 // It depends only on the cell's coordinates, never on plan order or
 // worker scheduling, so reshaping a sweep does not reshuffle the randomness
-// of surviving cells; axes a plan does not use contribute nothing to the
-// label, so extending the axis vocabulary (e.g. the protocol axis) leaves
-// every pre-existing cell's seed intact.
+// of surviving cells. An omitted protocols or ps list contributes nothing
+// to the label, so a spec without them keeps the seeds it had before those
+// dimensions existed.
 func CellSeed(base int64, label string, rep int) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(label))

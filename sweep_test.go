@@ -13,17 +13,15 @@ import (
 func sweep(p Plan) ([]Record, error) { return p.Run(context.Background()) }
 
 func TestSweepGridShapeAndDeterminism(t *testing.T) {
-	plan := Plan{
-		Axes: []Axis{
-			TopologyAxis("clique", "cycle"),
-			NAxis(6, 8),
-			AdversaryAxis("none", "flip"),
-			FAxis(1),
-			EngineAxis("step"),
-			RepsAxis(2),
-		},
-		BaseSeed: 5,
-	}
+	plan := Plan{PlanSpec: PlanSpec{
+		Topologies:  []string{"clique", "cycle"},
+		Ns:          []int{6, 8},
+		Adversaries: []string{"none", "flip"},
+		Fs:          []int{1},
+		Engines:     []string{"step"},
+		Reps:        2,
+		BaseSeed:    5,
+	}}
 	recs, err := sweep(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +58,8 @@ func TestSweepGridShapeAndDeterminism(t *testing.T) {
 }
 
 func TestSweepSeedsIndependentOfGridShape(t *testing.T) {
-	wide := Plan{Axes: []Axis{TopologyAxis("clique", "cycle"), NAxis(6)}, BaseSeed: 3}
-	narrow := Plan{Axes: []Axis{TopologyAxis("cycle"), NAxis(6)}, BaseSeed: 3}
+	wide := Plan{PlanSpec: PlanSpec{Topologies: []string{"clique", "cycle"}, Ns: []int{6}, BaseSeed: 3}}
+	narrow := Plan{PlanSpec: PlanSpec{Topologies: []string{"cycle"}, Ns: []int{6}, BaseSeed: 3}}
 	w, err := sweep(wide)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +80,7 @@ func TestSweepSeedsIndependentOfGridShape(t *testing.T) {
 }
 
 func TestSweepRecordsAreJSON(t *testing.T) {
-	recs, err := sweep(Plan{Axes: []Axis{NAxis(5)}, BaseSeed: 1})
+	recs, err := sweep(Plan{PlanSpec: PlanSpec{Ns: []int{5}, BaseSeed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +94,13 @@ func TestSweepRecordsAreJSON(t *testing.T) {
 }
 
 func TestSweepUnknownNamesRejectedUpfront(t *testing.T) {
-	if _, err := sweep(Plan{Axes: []Axis{TopologyAxis("nosuch")}}); err == nil {
+	if _, err := sweep(Plan{PlanSpec: PlanSpec{Topologies: []string{"nosuch"}}}); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
-	if _, err := sweep(Plan{Axes: []Axis{AdversaryAxis("nosuch")}}); err == nil {
+	if _, err := sweep(Plan{PlanSpec: PlanSpec{Adversaries: []string{"nosuch"}}}); err == nil {
 		t.Fatal("unknown adversary accepted")
 	}
-	if _, err := sweep(Plan{Axes: []Axis{EngineAxis("warp")}}); err == nil {
+	if _, err := sweep(Plan{PlanSpec: PlanSpec{Engines: []string{"warp"}}}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
@@ -116,14 +114,14 @@ func TestSweepEngineEquivalenceOnGrid(t *testing.T) {
 		var mu sync.Mutex
 		traces := map[string]*TraceObserver{}
 		recs, err := sweep(Plan{
-			Axes: []Axis{
-				TopologyAxis("circulant"),
-				NAxis(10, 14),
-				AdversaryAxis("flip", "drop"),
-				FAxis(1, 2),
-				EngineAxis(engine),
+			PlanSpec: PlanSpec{
+				Topologies:  []string{"circulant"},
+				Ns:          []int{10, 14},
+				Adversaries: []string{"flip", "drop"},
+				Fs:          []int{1, 2},
+				Engines:     []string{engine},
+				BaseSeed:    11,
 			},
-			BaseSeed: 11,
 			Observers: func(name string) []Observer {
 				mu.Lock()
 				defer mu.Unlock()
